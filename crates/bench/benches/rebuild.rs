@@ -1,8 +1,7 @@
-//! Criterion micro-benchmark: the inter-phase graph rebuild (§5.5) —
-//! lock-map (the paper's strategy) vs sort-based aggregation, on a
+//! Criterion micro-benchmark: the inter-phase graph rebuild (§5.5) on a
 //! high-modularity partition (mostly intra edges, MG2-like) and a
-//! low-modularity one (mostly inter edges, NLPKKT-like), reproducing the
-//! §6.2.1 observation that inter-community edges make rebuild lock-heavy.
+//! low-modularity one (mostly inter edges, NLPKKT-like) — the production
+//! rebuild and its two CSR assemblies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grappolo_core::rebuild::rebuild;
@@ -22,19 +21,20 @@ fn bench_rebuild(c: &mut Criterion) {
     let scattered: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 200).collect();
 
     for (partition_name, assignment) in [("intra_heavy", &truth), ("inter_heavy", &scattered)] {
-        for (strat_name, strat) in [
-            ("stamp", RebuildStrategy::StampAggregate),
-            ("lockmap", RebuildStrategy::LockMap),
-            ("sort", RebuildStrategy::SortAggregate),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(strat_name, partition_name),
-                &(&g, assignment),
-                |b, (g, a)| {
-                    b.iter(|| rebuild(g, a, strat, RenumberStrategy::Serial));
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("stamp", partition_name),
+            &(&g, assignment),
+            |b, (g, a)| {
+                b.iter(|| {
+                    rebuild(
+                        g,
+                        a,
+                        RebuildStrategy::StampAggregate,
+                        RenumberStrategy::Serial,
+                    )
+                });
+            },
+        );
         // The rebuild-assembly pair: flat two-pass count + scatter into
         // preallocated CSR arrays against the rows-based assembly (per-row
         // Vecs + rows_to_csr copy). Both arms are forced explicitly — the

@@ -22,21 +22,15 @@
 //! `cargo bench --bench sweep` emits `BENCH_sweep.json` for the perf
 //! trajectory.
 //!
-//! This bench deliberately measures the *historical* fixed-threshold entry
-//! points (now deprecated wrappers in `grappolo_core::reference`) against
-//! their retained baselines — it tracks kernel ratios across the PR
-//! sequence, so the call shapes must stay exactly what the earlier PRs
-//! measured. Production callers go through `grappolo_core::PhaseDriver`;
-//! see the `active` bench.
-#![allow(deprecated)]
+//! The production arms run through `grappolo_core::PhaseDriver` at the
+//! paper's fixed threshold with full sweeps; the baselines are the retained
+//! oracles in `grappolo_core::reference`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
-use grappolo_core::reference::{
-    parallel_phase_colored, parallel_phase_colored_rescan, parallel_phase_unordered,
-    parallel_phase_unordered_sortbased,
-};
+use grappolo_core::reference::{parallel_phase_colored_rescan, parallel_phase_unordered_sortbased};
+use grappolo_core::{LouvainConfig, PhaseDriver};
 use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
@@ -48,6 +42,16 @@ const ITERS: usize = 4;
 /// this many moving iterations on these inputs, so every sample does
 /// identical sweep work).
 const COLORED_ITERS: usize = 4;
+
+/// The production phase driver: full sweep, fixed threshold 1e-9, capped
+/// at `max_iterations`.
+fn driver(max_iterations: usize) -> PhaseDriver {
+    let config = LouvainConfig {
+        max_iterations_per_phase: max_iterations,
+        ..LouvainConfig::default()
+    };
+    PhaseDriver::from_config(&config, 1e-9)
+}
 
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
@@ -63,8 +67,9 @@ fn bench_sweep(c: &mut Criterion) {
             .0
         });
         group.throughput(Throughput::Elements(g.num_adjacency_entries() as u64));
+        let flat = driver(ITERS);
         group.bench_with_input(BenchmarkId::new("flat", n), &g, |b, g| {
-            b.iter(|| parallel_phase_unordered(g, 1e-9, ITERS, 1.0));
+            b.iter(|| flat.run(g));
         });
         group.bench_with_input(BenchmarkId::new("sort_baseline", n), &g, |b, g| {
             b.iter(|| parallel_phase_unordered_sortbased(g, 1e-9, ITERS, 1.0));
@@ -81,11 +86,12 @@ fn bench_colored(c: &mut Criterion) {
                       g: &CsrGraph,
                       batches: &ColorBatches| {
         group.throughput(Throughput::Elements(g.num_adjacency_entries() as u64));
+        let incremental = driver(COLORED_ITERS);
         group.bench_with_input(
             BenchmarkId::new("colored_incremental", label),
             &(g, batches),
             |b, (g, batches)| {
-                b.iter(|| parallel_phase_colored(g, batches, 1e-9, COLORED_ITERS, 1.0));
+                b.iter(|| incremental.run_colored(g, batches));
             },
         );
         group.bench_with_input(

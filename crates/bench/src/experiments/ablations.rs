@@ -2,20 +2,16 @@
 //! paper's headline comparison:
 //!
 //! 1. VF single-pass vs recursive chain compression (§5.3 extension);
-//! 2. greedy vs balanced coloring (§6.2's proposed fix for uk-2002);
-//! 3. lock-map vs sort-based rebuild aggregation (§5.5 alternatives);
-//! 4. serial vs parallel-prefix community renumbering (§5.5 future work).
+//! 2. greedy vs balanced coloring (§6.2's proposed fix for uk-2002).
 
 use crate::harness::{run_config, secs, ExperimentContext, TextTable};
-use grappolo_core::{RebuildStrategy, RenumberStrategy, Scheme};
+use grappolo_core::Scheme;
 use grappolo_graph::gen::paper_suite::PaperInput;
 
-/// Runs all four ablations.
+/// Runs both ablations.
 pub fn run(ctx: &ExperimentContext) {
     vf_ablation(ctx);
     balanced_coloring_ablation(ctx);
-    rebuild_ablation(ctx);
-    renumber_ablation(ctx);
 }
 
 fn vf_ablation(ctx: &ExperimentContext) {
@@ -61,56 +57,4 @@ fn balanced_coloring_ablation(ctx: &ExperimentContext) {
     let rendered = table.render();
     println!("{rendered}");
     ctx.write_artifact("ablation_balanced_coloring.txt", &rendered);
-}
-
-fn rebuild_ablation(ctx: &ExperimentContext) {
-    println!("\n=== Ablation 3: rebuild aggregation, stamp vs lock-map vs sort ===\n");
-    let mut table = TextTable::new(vec!["input", "strategy", "Q", "rebuild(s)", "total(s)"]);
-    for input in [PaperInput::EuropeOsm, PaperInput::Mg2] {
-        let g = ctx.generate(input);
-        for (name, strategy) in [
-            ("stamp (default)", RebuildStrategy::StampAggregate),
-            ("lock-map (paper)", RebuildStrategy::LockMap),
-            ("sort (deterministic)", RebuildStrategy::SortAggregate),
-        ] {
-            let mut cfg = ctx.config(Scheme::BaselineVfColor, 2);
-            cfg.rebuild = strategy;
-            let rec = run_config(&g, Scheme::BaselineVfColor, 2, &cfg);
-            table.row(vec![
-                input.id().to_string(),
-                name.to_string(),
-                format!("{:.5}", rec.modularity),
-                format!("{:.4}", rec.trace.rebuild_time().as_secs_f64()),
-                secs(rec.time),
-            ]);
-        }
-    }
-    let rendered = table.render();
-    println!("{rendered}");
-    ctx.write_artifact("ablation_rebuild.txt", &rendered);
-}
-
-fn renumber_ablation(ctx: &ExperimentContext) {
-    println!("\n=== Ablation 4: serial vs parallel-prefix renumbering ===\n");
-    let mut table = TextTable::new(vec!["strategy", "Q", "total(s)"]);
-    let g = ctx.generate(PaperInput::Friendster);
-    for (name, strategy) in [
-        ("serial scan (paper)", RenumberStrategy::Serial),
-        (
-            "parallel prefix (future work)",
-            RenumberStrategy::ParallelPrefix,
-        ),
-    ] {
-        let mut cfg = ctx.config(Scheme::BaselineVfColor, 2);
-        cfg.renumber = strategy;
-        let rec = run_config(&g, Scheme::BaselineVfColor, 2, &cfg);
-        table.row(vec![
-            name.to_string(),
-            format!("{:.5}", rec.modularity),
-            secs(rec.time),
-        ]);
-    }
-    let rendered = table.render();
-    println!("{rendered}");
-    ctx.write_artifact("ablation_renumber.txt", &rendered);
 }

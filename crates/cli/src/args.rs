@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (keeps the dependency set to the
 //! offline-sanctioned crates).
 
-use grappolo_core::{ColoredAccounting, RefineMode, ScheduleMode, Scheme, SweepMode};
+use grappolo_core::{RefineMode, ScheduleMode, Scheme, SweepMode};
 use std::path::PathBuf;
 
 /// Usage text printed on parse errors and `--help`.
@@ -21,12 +21,9 @@ USAGE:
       component, isolated vertices, top component sizes
   grappolo detect <graph-file> [--scheme serial|baseline|vf|color]
                   [--threads N] [--gamma F] [--assignments FILE] [--trace FILE]
-                  [--accounting incremental|rescan] [--sweep full|active]
-                  [--schedule fixed|geometric] [--vertex-epsilon F]
-                  [--refine leiden|none] [--split-components]
-      --accounting: colored-sweep modularity accounting — `incremental`
-      (default; O(#moves) deltas at each color-batch barrier) or `rescan`
-      (the historical full-recompute baseline, for differential runs)
+                  [--sweep full|active] [--schedule fixed|geometric]
+                  [--vertex-epsilon F] [--refine leiden|none]
+                  [--split-components]
       --sweep: iteration schedule — `full` (default; every iteration scans
       all vertices, the paper's trajectory) or `active` (dirty-vertex work
       lists: only vertices whose neighborhood changed are re-examined;
@@ -136,8 +133,6 @@ pub enum Command {
         assignments: Option<PathBuf>,
         /// Where to write the JSON trace.
         trace: Option<PathBuf>,
-        /// Colored-sweep modularity accounting mode.
-        accounting: ColoredAccounting,
         /// Sweep iteration schedule (full vs dirty-vertex work lists).
         sweep: SweepMode,
         /// Within-phase threshold schedule (fixed vs geometric gate).
@@ -349,11 +344,6 @@ fn parse_detect(rest: &[&str]) -> Result<Command, String> {
         .unwrap_or(1.0);
     let assignments = flag_value(rest, "--assignments")?.map(PathBuf::from);
     let trace = flag_value(rest, "--trace")?.map(PathBuf::from);
-    let accounting = match flag_value(rest, "--accounting")?.unwrap_or("incremental") {
-        "incremental" => ColoredAccounting::Incremental,
-        "rescan" => ColoredAccounting::Rescan,
-        other => return Err(format!("unknown --accounting `{other}`")),
-    };
     let sweep = match flag_value(rest, "--sweep")?.unwrap_or("full") {
         "full" => SweepMode::Full,
         "active" => SweepMode::Active,
@@ -381,7 +371,6 @@ fn parse_detect(rest: &[&str]) -> Result<Command, String> {
         gamma,
         assignments,
         trace,
-        accounting,
         sweep,
         schedule,
         vertex_epsilon,
@@ -552,7 +541,6 @@ mod tests {
                 gamma,
                 assignments,
                 trace,
-                accounting,
                 sweep,
                 schedule,
                 vertex_epsilon,
@@ -565,7 +553,6 @@ mod tests {
                 assert_eq!(gamma, 2.0);
                 assert_eq!(assignments, Some("out.txt".into()));
                 assert_eq!(trace, None);
-                assert_eq!(accounting, ColoredAccounting::Incremental);
                 assert_eq!(sweep, SweepMode::Full);
                 assert_eq!(schedule, ScheduleMode::Fixed);
                 assert_eq!(vertex_epsilon, 0.0);
@@ -716,26 +703,9 @@ mod tests {
     }
 
     #[test]
-    fn detect_accounting_modes() {
-        match parse(&args("detect g.bin --accounting rescan")).unwrap() {
-            Command::Detect { accounting, .. } => {
-                assert_eq!(accounting, ColoredAccounting::Rescan)
-            }
-            _ => panic!(),
-        }
-        match parse(&args("detect g.bin --accounting incremental")).unwrap() {
-            Command::Detect { accounting, .. } => {
-                assert_eq!(accounting, ColoredAccounting::Incremental)
-            }
-            _ => panic!(),
-        }
-        assert!(parse(&args("detect g.bin --accounting atomic")).is_err());
-    }
-
-    #[test]
     fn rejects_unknown_scheme_and_subcommand() {
         assert!(parse(&args("detect g.bin --scheme turbo")).is_err());
-        assert!(parse(&args("detect g.bin --accounting")).is_err());
+        assert!(parse(&args("detect g.bin --sweep")).is_err());
         assert!(parse(&args("frobnicate")).is_err());
         assert!(parse(&[]).is_err());
     }

@@ -4,8 +4,8 @@ use crate::args::{Command, USAGE};
 use crate::error::CliError;
 use grappolo_coloring::{balance_colors, color_parallel, ColoringStats, ParallelColoringConfig};
 use grappolo_core::{
-    detect_communities, geometric_for, update_communities, ColoredAccounting, LouvainConfig,
-    LouvainConfigBuilder, RefineMode, ScheduleMode, ScheduleSpec, Scheme, SweepMode,
+    detect_communities, geometric_for, update_communities, LouvainConfig, LouvainConfigBuilder,
+    RefineMode, ScheduleMode, ScheduleSpec, Scheme, SweepMode,
 };
 use grappolo_graph::gen::paper_suite::PaperInput;
 use grappolo_graph::gen::{
@@ -13,6 +13,7 @@ use grappolo_graph::gen::{
 };
 use grappolo_graph::{io, CsrGraph, EdgeDelta, GraphStats};
 use grappolo_metrics::{connectivity_report, normalized_mutual_information, pairwise_comparison};
+use grappolo_serve::persist::format_assignment;
 use grappolo_serve::{signal, BackoffPolicy, FaultPlan, ServeConfig, ServeError, Server};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -39,7 +40,6 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             gamma,
             assignments,
             trace,
-            accounting,
             sweep,
             schedule,
             vertex_epsilon,
@@ -52,7 +52,6 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             gamma,
             assignments.as_deref(),
             trace.as_deref(),
-            accounting,
             sweep,
             schedule,
             vertex_epsilon,
@@ -279,7 +278,6 @@ fn detect(
     gamma: f64,
     assignments: Option<&Path>,
     trace: Option<&Path>,
-    accounting: ColoredAccounting,
     sweep: SweepMode,
     schedule: ScheduleMode,
     vertex_epsilon: f64,
@@ -293,12 +291,11 @@ fn detect(
         ScheduleMode::Fixed => ScheduleSpec::Fixed,
         ScheduleMode::Geometric => geometric_for(g.total_weight()),
     };
-    // The typed builder surfaces bad parameter combinations (a negative γ,
-    // rescan × scheduled, rescan × refine, …) as a clean CLI error instead
-    // of the library's panic.
+    // The typed builder surfaces bad parameters (a negative γ, a negative
+    // vertex epsilon, …) as a clean CLI error instead of the library's
+    // panic.
     let mut config = LouvainConfigBuilder::from_base(scheme.config())
         .resolution(gamma)
-        .accounting(accounting)
         .sweep(sweep)
         .vertex_epsilon(vertex_epsilon)
         .schedule(schedule_spec)
@@ -327,13 +324,7 @@ fn detect(
     );
 
     if let Some(out) = assignments {
-        let mut text = String::with_capacity(result.assignment.len() * 8);
-        for (v, c) in result.assignment.iter().enumerate() {
-            text.push_str(&format!("{v} {c}\n"));
-        }
-        io::write_bytes_atomic(out, text.as_bytes())
-            .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
-        println!("assignments → {}", out.display());
+        write_assignment(out, &result.assignment)?;
     }
     if let Some(out) = trace {
         let json = serde_json::to_string_pretty(&result.trace)
@@ -480,19 +471,22 @@ fn update(
         t.elapsed()
     );
     if let Some(out) = assignments_out {
-        let mut text = String::with_capacity(outcome.assignment.len() * 8);
-        for (v, c) in outcome.assignment.iter().enumerate() {
-            text.push_str(&format!("{v} {c}\n"));
-        }
-        io::write_bytes_atomic(out, text.as_bytes())
-            .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
-        println!("assignments → {}", out.display());
+        write_assignment(out, &outcome.assignment)?;
     }
     if let Some(out) = graph_out {
         io::save_path(&outcome.graph, out)
             .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
         println!("graph → {}", out.display());
     }
+    Ok(())
+}
+
+/// Writes `assignment` atomically as `vertex community` lines — the same
+/// bytes `grappolo serve` persists.
+fn write_assignment(out: &Path, assignment: &[u32]) -> Result<(), CliError> {
+    io::write_bytes_atomic(out, format_assignment(assignment).as_bytes())
+        .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
+    println!("assignments → {}", out.display());
     Ok(())
 }
 
@@ -776,7 +770,6 @@ mod tests {
             gamma: 1.0,
             assignments: Some(assign_path.clone()),
             trace: Some(tmp("trace.json")),
-            accounting: ColoredAccounting::Incremental,
             sweep: SweepMode::Full,
             schedule: ScheduleMode::Fixed,
             vertex_epsilon: 0.0,
@@ -790,48 +783,6 @@ mod tests {
         // Trace is valid JSON.
         let text = std::fs::read_to_string(tmp("trace.json")).unwrap();
         assert!(serde_json::from_str::<serde_json::Value>(&text).is_ok());
-    }
-
-    #[test]
-    fn detect_accounting_modes_agree() {
-        // Differential at CLI level: incremental vs rescan colored
-        // accounting produce identical assignments on an exact-weight
-        // (unweighted) input.
-        let graph_path = tmp("acct.grb");
-        execute(Command::Generate {
-            input: "rgg".into(),
-            scale: 0.03,
-            seed: 4,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        let out_inc = tmp("acct_inc.txt");
-        let out_res = tmp("acct_res.txt");
-        for (out, accounting) in [
-            (&out_inc, ColoredAccounting::Incremental),
-            (&out_res, ColoredAccounting::Rescan),
-        ] {
-            execute(Command::Detect {
-                path: graph_path.clone(),
-                scheme: Scheme::BaselineVfColor,
-                threads: Some(2),
-                gamma: 1.0,
-                assignments: Some(out.clone()),
-                trace: None,
-                accounting,
-                sweep: SweepMode::Full,
-                schedule: ScheduleMode::Fixed,
-                vertex_epsilon: 0.0,
-                refine: RefineMode::None,
-                split_components: false,
-            })
-            .unwrap();
-        }
-        assert_eq!(
-            read_assignments(&out_inc).unwrap(),
-            read_assignments(&out_res).unwrap(),
-            "accounting modes diverged"
-        );
     }
 
     #[test]
@@ -856,7 +807,6 @@ mod tests {
                 gamma: 1.0,
                 assignments: Some(out.clone()),
                 trace: None,
-                accounting: ColoredAccounting::Incremental,
                 sweep: SweepMode::Active,
                 schedule: ScheduleMode::Fixed,
                 vertex_epsilon: 0.0,
@@ -895,7 +845,6 @@ mod tests {
                 gamma: 1.0,
                 assignments: Some(out.clone()),
                 trace: None,
-                accounting: ColoredAccounting::Incremental,
                 sweep: SweepMode::Active,
                 schedule: ScheduleMode::Geometric,
                 vertex_epsilon: 0.0,
@@ -928,7 +877,6 @@ mod tests {
             gamma: 1.0,
             assignments: None,
             trace: None,
-            accounting: ColoredAccounting::Incremental,
             sweep: SweepMode::Full,
             schedule: ScheduleMode::Fixed,
             vertex_epsilon: -1.0,
@@ -981,7 +929,6 @@ mod tests {
                     gamma: 1.0,
                     assignments: Some(out.clone()),
                     trace: None,
-                    accounting: ColoredAccounting::Incremental,
                     sweep: SweepMode::Full,
                     schedule: ScheduleMode::Fixed,
                     vertex_epsilon: 0.0,
@@ -1226,7 +1173,6 @@ mod tests {
             gamma: 1.0,
             assignments: Some(assign_path.clone()),
             trace: None,
-            accounting: ColoredAccounting::Incremental,
             sweep: SweepMode::Active,
             schedule: ScheduleMode::Fixed,
             vertex_epsilon: 0.0,
@@ -1318,7 +1264,6 @@ mod tests {
             gamma: 1.0,
             assignments: Some(out.clone()),
             trace: None,
-            accounting: ColoredAccounting::Incremental,
             sweep: SweepMode::Active,
             schedule: ScheduleMode::Geometric,
             vertex_epsilon: 0.0,
@@ -1331,38 +1276,6 @@ mod tests {
             assignments: out,
         })
         .unwrap();
-    }
-
-    #[test]
-    fn detect_rejects_refine_with_rescan() {
-        // The builder turns the invalid combination into a CLI error.
-        let graph_path = tmp("refres.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 3,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        let err = execute(Command::Detect {
-            path: graph_path,
-            scheme: Scheme::BaselineVfColor,
-            threads: Some(1),
-            gamma: 1.0,
-            assignments: None,
-            trace: None,
-            accounting: ColoredAccounting::Rescan,
-            sweep: SweepMode::Full,
-            schedule: ScheduleMode::Fixed,
-            vertex_epsilon: 0.0,
-            refine: RefineMode::Leiden,
-            split_components: false,
-        })
-        .unwrap_err();
-        assert!(
-            err.message().contains("refine") || err.message().contains("rescan"),
-            "{err}"
-        );
     }
 
     #[test]

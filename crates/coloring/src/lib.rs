@@ -1,6 +1,6 @@
 //! # grappolo-coloring
 //!
-//! Distance-1 and distance-2 graph coloring used to partition vertices into
+//! Distance-1 graph coloring used to partition vertices into
 //! independent sets for the paper's coloring heuristic (§5.2): "vertices of
 //! the same color are processed in parallel … no two adjacent vertices will
 //! be processed concurrently."
@@ -11,23 +11,21 @@
 //! 38(11), 2012) — the paper's reference \[12\] and the implementation Grappolo
 //! uses for preprocessing.
 //!
-//! Also provided: a serial greedy reference, a *balanced* recoloring pass
+//! Also provided: a serial greedy reference and a *balanced* recoloring pass
 //! (the paper's §6.2 observes skewed color-class sizes hurt uk-2002 and
 //! says "We are exploring an alternative approaches to create balanced
-//! coloring sets"), and distance-2 coloring (§5.2 discusses distance-k).
+//! coloring sets").
 
 #![warn(missing_docs)]
 
 pub mod balanced;
 pub mod batches;
-pub mod distance2;
 pub mod greedy;
 pub mod parallel;
 pub mod stats;
 
 pub use balanced::balance_colors;
 pub use batches::ColorBatches;
-pub use distance2::color_distance2;
 pub use greedy::color_greedy_serial;
 pub use parallel::{color_parallel, ParallelColoringConfig};
 pub use stats::{color_class_sizes, color_classes, is_valid_distance1, ColoringStats};

@@ -85,18 +85,16 @@ pub enum ColoringSchedule {
     MultiPhase,
 }
 
-/// How the colored sweep accounts per-iteration modularity (PR 3).
+/// How the colored sweep accounts per-iteration modularity. There is one
+/// way: the name survives only for callers that still pass it to
+/// [`LouvainConfigBuilder::accounting`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ColoredAccounting {
     /// Carry `Σ e_in` / `Σ a_C²` incrementally across color-batch barriers
-    /// (O(#moves) per iteration, bitwise deterministic; default). The O(m)
-    /// rescan survives as a `debug_assert` cross-check.
+    /// (O(#moves) per iteration, bitwise deterministic). The O(m) rescan
+    /// survives as a `debug_assert` cross-check and as the test oracle
+    /// [`crate::reference::parallel_phase_colored_rescan`].
     Incremental,
-    /// Recompute modularity by full O(m) rescan every iteration — the
-    /// historical scheme, retained as the differential baseline
-    /// (`grappolo_core::reference::parallel_phase_colored_rescan`).
-    /// Decision-identical to `Incremental` on exact-weight graphs.
-    Rescan,
 }
 
 /// Which vertices a sweep iteration re-examines (PR 4).
@@ -136,31 +134,25 @@ pub enum RefineMode {
 }
 
 /// How the inter-phase graph rebuild aggregates community edges (§5.5 step
-/// (iii) and the DESIGN.md ablation).
+/// (iii)). There is one aggregation; the enum keeps the `rebuild` field and
+/// [`crate::rebuild::rebuild`]'s signature stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RebuildStrategy {
     /// Per-community aggregation through the generation-stamped flat scratch
     /// (the same kernel as the local-moving sweep): O(deg) per community
-    /// row, no global sort, no locks, deterministic (default; preserves the
-    /// §5.4 stability guarantee bit-for-bit).
+    /// row, no global sort, no locks, bitwise deterministic across thread
+    /// counts (the §5.4 stability guarantee).
     StampAggregate,
-    /// Global sort-based aggregation over all adjacency entries:
-    /// deterministic and lock-free, but pays an O(E log E) sort.
-    SortAggregate,
-    /// Per-community `Mutex<FxHashMap>` accumulation — the paper's
-    /// "one lock … two locks" implementation. Last-ulp float sums may vary
-    /// between runs.
-    LockMap,
 }
 
-/// How new community ids are assigned during rebuild (§5.5 step (i)).
+/// How new community ids are assigned during rebuild (§5.5 step (i)). There
+/// is one renumbering; the enum keeps the `renumber` field and
+/// [`crate::rebuild::renumber_communities`]'s signature stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RenumberStrategy {
     /// Serial scan — what the paper ships ("currently implemented in
     /// serial").
     Serial,
-    /// Parallel mark + prefix-sum — the paper's stated future work.
-    ParallelPrefix,
 }
 
 /// Full algorithm configuration.
@@ -183,8 +175,6 @@ pub struct LouvainConfig {
     pub coloring_phase_gain_cutoff: f64,
     /// Apply the balanced-coloring post-pass (§6.2 extension).
     pub balanced_coloring: bool,
-    /// How colored phases account per-iteration modularity.
-    pub colored_accounting: ColoredAccounting,
     /// Which vertices each sweep iteration re-examines (all sweeps: serial,
     /// unordered, colored).
     pub sweep_mode: SweepMode,
@@ -264,7 +254,6 @@ impl Default for LouvainConfig {
             coloring_vertex_cutoff: 100_000,
             coloring_phase_gain_cutoff: 1e-2,
             balanced_coloring: false,
-            colored_accounting: ColoredAccounting::Incremental,
             sweep_mode: SweepMode::Full,
             refine: RefineMode::None,
             colored_threshold: 1e-2,
@@ -360,15 +349,6 @@ impl LouvainConfig {
         if self.vf_rounds == 0 && self.use_vf {
             return Err("use_vf requires vf_rounds ≥ 1".into());
         }
-        if self.colored_accounting == ColoredAccounting::Rescan
-            && self.sweep_mode == SweepMode::Active
-        {
-            return Err(
-                "rescan accounting is the full-sweep differential reference; \
-                 combine it with sweep_mode = Full"
-                    .into(),
-            );
-        }
         if !(self.dynamic_fallback_fraction >= 0.0 && self.dynamic_fallback_fraction <= 1.0) {
             return Err(format!(
                 "dynamic_fallback_fraction must be in [0, 1], got {}",
@@ -391,21 +371,6 @@ impl LouvainConfig {
                 floor: self.schedule_floor,
             }
             .validate()?;
-        }
-        if self.colored_accounting == ColoredAccounting::Rescan
-            && (self.schedule != ScheduleMode::Fixed || self.vertex_epsilon > 0.0)
-        {
-            return Err("rescan accounting is the fixed-threshold differential \
-                 reference; combine it with schedule = Fixed and \
-                 vertex_epsilon = 0"
-                .into());
-        }
-        if self.colored_accounting == ColoredAccounting::Rescan && self.refine == RefineMode::Leiden
-        {
-            return Err("rescan accounting is the historical differential \
-                 reference and predates refinement; combine refine = Leiden \
-                 with incremental accounting"
-                .into());
         }
         Ok(())
     }
@@ -447,8 +412,8 @@ pub fn geometric_for(total_weight: f64) -> ScheduleSpec {
 
 /// Typed builder for [`LouvainConfig`]. Finishing with [`build`]
 /// (`LouvainConfigBuilder::build`) runs [`LouvainConfig::validate`], so
-/// invalid combinations (rescan×active, rescan×geometric, rescan×refine,
-/// nonsensical schedule parameters) never escape as constructed configs.
+/// invalid parameters (a negative γ, nonsensical schedule parameters) never
+/// escape as constructed configs.
 ///
 /// ```
 /// use grappolo_core::{geometric_for, LouvainConfig, RefineMode, SweepMode};
@@ -504,9 +469,9 @@ impl LouvainConfigBuilder {
         self
     }
 
-    /// Colored-sweep accounting mode.
-    pub fn accounting(mut self, accounting: ColoredAccounting) -> Self {
-        self.config.colored_accounting = accounting;
+    /// Colored-sweep accounting mode. Incremental accounting is the only
+    /// mode, so this changes nothing.
+    pub fn accounting(self, _accounting: ColoredAccounting) -> Self {
         self
     }
 
@@ -599,30 +564,8 @@ mod tests {
     }
 
     #[test]
-    fn rescan_accounting_rejects_active_sweeps() {
-        let c = LouvainConfig {
-            colored_accounting: ColoredAccounting::Rescan,
-            sweep_mode: SweepMode::Active,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let ok = LouvainConfig {
-            colored_accounting: ColoredAccounting::Rescan,
-            sweep_mode: SweepMode::Full,
-            ..Default::default()
-        };
-        assert!(ok.validate().is_ok());
-        let ok2 = LouvainConfig {
-            sweep_mode: SweepMode::Active,
-            ..Default::default()
-        };
-        assert!(ok2.validate().is_ok());
-    }
-
-    #[test]
     fn default_thresholds_match_paper() {
         let c = LouvainConfig::default();
-        assert_eq!(c.colored_accounting, ColoredAccounting::Incremental);
         assert_eq!(c.colored_threshold, 1e-2);
         assert_eq!(c.final_threshold, 1e-6);
         assert_eq!(c.coloring_vertex_cutoff, 100_000);
@@ -704,23 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn rescan_accounting_rejects_scheduled_runs() {
-        // The rescan reference is decision-identical only to the ungated
-        // fixed-threshold trajectory.
-        let geo = LouvainConfig {
-            colored_accounting: ColoredAccounting::Rescan,
-            ..LouvainConfig::default().with_geometric_schedule(1000.0)
-        };
-        assert!(geo.validate().is_err());
-        let eps = LouvainConfig {
-            colored_accounting: ColoredAccounting::Rescan,
-            vertex_epsilon: 1e-9,
-            ..Default::default()
-        };
-        assert!(eps.validate().is_err());
-    }
-
-    #[test]
     fn geometric_helper_scales_to_graph_weight() {
         let c = LouvainConfig::default().with_geometric_schedule(2_000.0);
         assert_eq!(c.schedule, ScheduleMode::Geometric);
@@ -753,17 +679,7 @@ mod tests {
         assert_eq!(c.refine, RefineMode::Leiden);
         assert_eq!(c.schedule, ScheduleMode::Geometric);
         assert_eq!(c.schedule_start, GEOMETRIC_START_EDGE_UNITS / 2_000.0);
-        // Invalid combinations never escape the builder.
-        assert!(LouvainConfig::builder()
-            .accounting(ColoredAccounting::Rescan)
-            .sweep(SweepMode::Active)
-            .build()
-            .is_err());
-        assert!(LouvainConfig::builder()
-            .accounting(ColoredAccounting::Rescan)
-            .schedule(geometric_for(100.0))
-            .build()
-            .is_err());
+        // Invalid parameters never escape the builder.
         assert!(LouvainConfig::builder()
             .schedule(ScheduleSpec::GeometricRaw {
                 start: 1e-4,
@@ -772,28 +688,6 @@ mod tests {
             })
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn refine_rejects_rescan_accounting() {
-        let c = LouvainConfig {
-            colored_accounting: ColoredAccounting::Rescan,
-            refine: RefineMode::Leiden,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        assert!(LouvainConfig::builder()
-            .accounting(ColoredAccounting::Rescan)
-            .refine(RefineMode::Leiden)
-            .build()
-            .is_err());
-        // Default is refine-off, and Leiden with incremental accounting is
-        // fine everywhere else.
-        assert_eq!(LouvainConfig::default().refine, RefineMode::None);
-        assert!(LouvainConfig::builder()
-            .refine(RefineMode::Leiden)
-            .build()
-            .is_ok());
     }
 
     #[test]

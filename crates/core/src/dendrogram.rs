@@ -7,6 +7,7 @@
 
 use crate::modularity::Community;
 use grappolo_graph::VertexId;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One phase's community structure.
@@ -38,13 +39,14 @@ impl Dendrogram {
     }
 
     /// Community assignment of the *original* vertices after phases
-    /// `0..=level`, with dense labels `0..num_communities(level)`.
+    /// `0..=level`, with dense labels `0..num_communities(level)`. Each
+    /// vertex walks the levels independently, so the walk runs in parallel.
     ///
     /// Panics if `level >= num_levels()`.
     pub fn flatten_to_level(&self, level: usize) -> Vec<Community> {
         assert!(level < self.levels.len(), "level {level} out of range");
         self.vf_mapping
-            .iter()
+            .par_iter()
             .map(|&v0| {
                 let mut cur = v0 as usize;
                 for l in &self.levels[..=level] {
@@ -60,7 +62,11 @@ impl Dendrogram {
     pub fn flatten(&self) -> Vec<Community> {
         if self.levels.is_empty() {
             // No phases ran: every original vertex maps to its VF vertex.
-            return self.vf_mapping.iter().map(|&v| v as Community).collect();
+            return self
+                .vf_mapping
+                .par_iter()
+                .map(|&v| v as Community)
+                .collect();
         }
         self.flatten_to_level(self.levels.len() - 1)
     }

@@ -15,7 +15,6 @@ use grappolo_coloring::{
     balance_colors, color_parallel, ColorBatches, ColoringStats, ParallelColoringConfig,
 };
 use grappolo_graph::CsrGraph;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Result of a community-detection run.
@@ -289,7 +288,7 @@ fn run_inner_cancellable(
     }
 
     // Project the hierarchy back to the original vertices.
-    let assignment = flatten_parallel(&dendrogram);
+    let assignment = dendrogram.flatten();
     let num_communities = dendrogram
         .levels
         .last()
@@ -314,28 +313,9 @@ fn run_inner_cancellable(
     }
 }
 
-/// Parallel version of [`Dendrogram::flatten`] for the driver's hot exit
-/// path.
-fn flatten_parallel(d: &Dendrogram) -> Vec<Community> {
-    if d.levels.is_empty() {
-        return d.vf_mapping.par_iter().map(|&v| v as Community).collect();
-    }
-    d.vf_mapping
-        .par_iter()
-        .map(|&v0| {
-            let mut cur = v0 as usize;
-            for l in &d.levels {
-                cur = l.renumber[l.assignment[cur] as usize] as usize;
-            }
-            cur as Community
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RebuildStrategy, RenumberStrategy};
     use grappolo_graph::gen::{
         planted_partition, ring_of_cliques, CliqueRingConfig, PlantedConfig,
     };
@@ -468,34 +448,6 @@ mod tests {
         assert_eq!(r1.modularity.to_bits(), r2.modularity.to_bits());
         assert_eq!(r1.modularity.to_bits(), r8.modularity.to_bits());
         assert_eq!(r1.trace.total_iterations(), r8.trace.total_iterations());
-    }
-
-    #[test]
-    fn colored_accounting_modes_agree_end_to_end() {
-        // The differential contract at driver level: incremental accounting
-        // and the full-rescan reference walk the identical trajectory on
-        // exact-weight inputs — same assignments, same per-iteration Q.
-        let (g, _) = planted();
-        let mut cfg = colored_config();
-        let inc = detect_communities(&g, &cfg);
-        cfg.colored_accounting = crate::config::ColoredAccounting::Rescan;
-        let rescan = detect_communities(&g, &cfg);
-        assert!(inc.trace.phases[0].colored);
-        assert_eq!(inc.assignment, rescan.assignment);
-        assert_eq!(inc.modularity.to_bits(), rescan.modularity.to_bits());
-        let q_inc: Vec<u64> = inc
-            .trace
-            .iterations
-            .iter()
-            .map(|r| r.modularity.to_bits())
-            .collect();
-        let q_res: Vec<u64> = rescan
-            .trace
-            .iterations
-            .iter()
-            .map(|r| r.modularity.to_bits())
-            .collect();
-        assert_eq!(q_inc, q_res, "per-iteration modularity trajectories differ");
     }
 
     #[test]
@@ -648,18 +600,6 @@ mod tests {
         let result = detect_communities(&g, &LouvainConfig::default());
         assert_eq!(result.assignment, vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(result.num_communities, 7);
-    }
-
-    #[test]
-    fn rebuild_strategies_give_same_quality() {
-        let (g, _) = planted();
-        let mut cfg = colored_config();
-        cfg.rebuild = RebuildStrategy::SortAggregate;
-        let a = detect_communities(&g, &cfg);
-        cfg.rebuild = RebuildStrategy::LockMap;
-        cfg.renumber = RenumberStrategy::ParallelPrefix;
-        let b = detect_communities(&g, &cfg);
-        assert!((a.modularity - b.modularity).abs() < 0.05);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The parallel Louvain phase (Algorithm 1) with the minimum-label
 //! heuristics (§5.1) — in both flavors the paper evaluates. Both are run
-//! through [`crate::PhaseDriver`] (the historical free-function entry
-//! points survive as deprecated wrappers in [`crate::reference`]):
+//! through [`crate::PhaseDriver`]:
 //!
 //! * [`unordered_scheduled_impl`] — no coloring: one lock-free parallel
 //!   sweep per iteration, every decision reading the *previous* iteration's
@@ -20,7 +19,8 @@
 //!   is bitwise deterministic across thread counts — unlike the historical
 //!   atomic-commit scheme (`__sync_fetch_and_add`, §5.5), whose
 //!   schedule-dependent float commits forced an O(m) modularity rescan per
-//!   iteration (retained as [`crate::reference::colored_rescan_impl`]).
+//!   iteration (retained as the test oracle
+//!   [`crate::reference::parallel_phase_colored_rescan`]).
 
 use crate::active::ActiveSet;
 use crate::config::SweepMode;
@@ -531,8 +531,8 @@ pub(crate) fn colored_collect_moves(
 /// precisely because a batch's movers form an independent set), replacing
 /// the historical per-iteration O(m) modularity rescan with O(#moves)
 /// accounting. The rescan survives as a `debug_assert` cross-check here and
-/// as the retained [`crate::reference::colored_rescan_impl`] differential
-/// baseline.
+/// as the retained [`crate::reference::parallel_phase_colored_rescan`]
+/// differential baseline.
 ///
 /// Under [`SweepMode::Active`] each color batch is filtered to its active
 /// vertices ([`ColorBatches::filter_batch_into`]) before the batch decision

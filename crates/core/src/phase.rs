@@ -1,9 +1,9 @@
 //! Shared types and helpers for one Louvain phase (the iteration loop of
 //! Algorithm 1 on a fixed graph), and the [`PhaseDriver`] — the single
-//! public entry point that resolves sweep mode × schedule × accounting ×
-//! refinement from a [`LouvainConfig`] and runs one phase.
+//! public entry point that resolves sweep mode × schedule × refinement from
+//! a [`LouvainConfig`] and runs one phase.
 
-use crate::config::{ColoredAccounting, LouvainConfig, RefineMode, SweepMode};
+use crate::config::{LouvainConfig, RefineMode, SweepMode};
 use crate::modularity::Community;
 use crate::refine::RefineStats;
 use crate::schedule::Convergence;
@@ -43,7 +43,7 @@ pub struct PhaseOutcome {
     pub final_modularity: f64,
     /// What the Leiden-style refinement pass did, when the driver ran one
     /// ([`RefineMode::Leiden`]); `None` under [`RefineMode::None`] and for
-    /// outcomes produced by the deprecated direct entry points.
+    /// outcomes of the [`crate::reference`] oracles.
     pub refinement: Option<RefineStats>,
 }
 
@@ -67,13 +67,10 @@ impl PhaseOutcome {
 }
 
 /// The unified phase entry point: one configured runner for every sweep
-/// variant the crate ships. Replaces the historical
-/// `parallel_phase_unordered` / `parallel_phase_colored` / `serial_phase`
-/// `*_sweep` / `*_scheduled` / `*_rescan` ladder (now thin deprecated
-/// wrappers in [`crate::reference`]).
+/// variant the crate ships.
 ///
 /// A driver is resolved once per phase from the [`LouvainConfig`] — sweep
-/// mode, threshold schedule, colored accounting, and refinement — via
+/// mode, threshold schedule, and refinement — via
 /// [`PhaseDriver::from_config`], then run with [`PhaseDriver::run`]
 /// (serial or unordered, per the config) or [`PhaseDriver::run_colored`]
 /// (colored batches). When the config selects [`RefineMode::Leiden`], the
@@ -91,10 +88,8 @@ impl PhaseOutcome {
 pub struct PhaseDriver {
     serial: bool,
     sweep: SweepMode,
-    accounting: ColoredAccounting,
     refine: RefineMode,
     conv: Convergence,
-    threshold: f64,
     max_iterations: usize,
     resolution: f64,
 }
@@ -104,16 +99,13 @@ impl PhaseDriver {
     /// θ (`colored_threshold` for colored phases, `final_threshold`
     /// otherwise — the multi-phase driver picks; standalone callers usually
     /// pass `config.final_threshold`). The caller is expected to have run
-    /// [`LouvainConfig::validate`] (the builder does); invalid combinations
-    /// like rescan×active never reach this point through validated configs.
+    /// [`LouvainConfig::validate`] (the builder does).
     pub fn from_config(config: &LouvainConfig, phase_threshold: f64) -> Self {
         Self {
             serial: !config.parallel,
             sweep: config.sweep_mode,
-            accounting: config.colored_accounting,
             refine: config.refine,
             conv: config.convergence(phase_threshold),
-            threshold: phase_threshold,
             max_iterations: config.max_iterations_per_phase,
             resolution: config.resolution,
         }
@@ -145,30 +137,17 @@ impl PhaseDriver {
     }
 
     /// Runs one colored phase to convergence over `batches` (distance-1
-    /// color classes): the incremental barrier-batch sweep, or the
-    /// historical O(m)-rescan reference under
-    /// [`ColoredAccounting::Rescan`]. Applies refinement per the config.
+    /// color classes) with the incremental barrier-batch sweep. Applies
+    /// refinement per the config.
     pub fn run_colored(&self, g: &CsrGraph, batches: &ColorBatches) -> PhaseOutcome {
-        let mut outcome = match self.accounting {
-            ColoredAccounting::Incremental => crate::parallel::colored_scheduled_impl(
-                g,
-                batches,
-                self.sweep,
-                &self.conv,
-                self.max_iterations,
-                self.resolution,
-            ),
-            // The rescan reference is full-sweep, fixed-threshold, ungated,
-            // and unrefined-compatible by definition; `validate()` rejects
-            // every other combination.
-            ColoredAccounting::Rescan => crate::reference::colored_rescan_impl(
-                g,
-                batches,
-                self.threshold,
-                self.max_iterations,
-                self.resolution,
-            ),
-        };
+        let mut outcome = crate::parallel::colored_scheduled_impl(
+            g,
+            batches,
+            self.sweep,
+            &self.conv,
+            self.max_iterations,
+            self.resolution,
+        );
         self.finish(g, &mut outcome);
         outcome
     }
@@ -292,20 +271,14 @@ mod tests {
                 }
             }
         }
-        // Colored path, both accounting modes, through the same driver.
+        // Colored path through the same driver.
         let coloring = grappolo_coloring::color_parallel(
             &g,
             &grappolo_coloring::ParallelColoringConfig::default(),
         );
         let batches = ColorBatches::from_coloring(&coloring);
-        for accounting in [ColoredAccounting::Incremental, ColoredAccounting::Rescan] {
-            let config = LouvainConfig {
-                colored_accounting: accounting,
-                ..LouvainConfig::default()
-            };
-            let driver = PhaseDriver::from_config(&config, 1e-6);
-            let out = driver.run_colored(&g, &batches);
-            assert!(out.final_modularity > 0.7, "{accounting:?}");
-        }
+        let driver = PhaseDriver::from_config(&LouvainConfig::default(), 1e-6);
+        let out = driver.run_colored(&g, &batches);
+        assert!(out.final_modularity > 0.7);
     }
 }

@@ -1,15 +1,15 @@
 //! Inter-phase graph rebuild (§5.5): collapse each community into a
 //! meta-vertex and aggregate edge weights.
 //!
-//! The paper's sequence: (i) renumber the non-empty communities (serial in
-//! their release, with a parallel prefix-sum approach listed as future work —
-//! both are implemented here, see [`RenumberStrategy`]); (ii)–(iii) aggregate
-//! edges, in their case via a per-community map guarded by locks ("the former
-//! requires one lock and the latter requires two"). We additionally provide
-//! two deterministic lock-free aggregations: a global sort and — the default
-//! — per-community accumulation through the same generation-stamped flat
-//! scratch ([`NeighborScratch`]) the local-moving sweep uses, which is
-//! O(deg) per row with only a small per-row sort for CSR ordering.
+//! The paper's sequence: (i) renumber the non-empty communities with a
+//! serial scan, as their release does; (ii)–(iii) aggregate edges per
+//! community. Their map is guarded by locks ("the former requires one lock
+//! and the latter requires two"), which makes float sums depend on thread
+//! interleaving. Here each community row accumulates lock-free through the
+//! same generation-stamped flat scratch
+//! ([`NeighborScratch`](crate::modularity::NeighborScratch)) the
+//! local-moving sweep uses: O(deg) per row, a small per-row sort for CSR
+//! ordering, and results bitwise identical at any thread count.
 //!
 //! Weight convention: traversing every adjacency entry means an intra-
 //! community non-loop edge contributes twice to the meta-vertex self-loop and
@@ -19,9 +19,7 @@
 use crate::config::{RebuildStrategy, RenumberStrategy};
 use crate::modularity::{Community, ScratchPool};
 use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
-use parking_lot::Mutex;
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 
 /// Result of one rebuild.
 #[derive(Clone, Debug)]
@@ -36,11 +34,11 @@ pub struct RebuildResult {
 }
 
 /// Renumbers the non-empty communities of `assignment` (labels in `0..n`)
-/// to dense ids `0..k` in ascending label order. Both strategies produce the
-/// identical mapping; they differ only in parallelism.
+/// to dense ids `0..k` in ascending label order, by serial scan (the only
+/// [`RenumberStrategy`]).
 pub fn renumber_communities(
     assignment: &[Community],
-    strategy: RenumberStrategy,
+    _strategy: RenumberStrategy,
 ) -> (Vec<Community>, usize) {
     // Labels are phase-graph vertex ids (< len) in normal use, but accept any
     // label range defensively.
@@ -50,82 +48,35 @@ pub fn renumber_communities(
         .max()
         .unwrap_or(0)
         .max(assignment.len());
-    match strategy {
-        RenumberStrategy::Serial => {
-            let mut renum = vec![Community::MAX; n];
-            let mut present = vec![false; n];
-            for &c in assignment {
-                present[c as usize] = true;
-            }
-            let mut next = 0 as Community;
-            for c in 0..n {
-                if present[c] {
-                    renum[c] = next;
-                    next += 1;
-                }
-            }
-            (renum, next as usize)
-        }
-        RenumberStrategy::ParallelPrefix => {
-            // Parallel mark.
-            let present: Vec<std::sync::atomic::AtomicBool> = (0..n)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect();
-            assignment.par_iter().for_each(|&c| {
-                present[c as usize].store(true, std::sync::atomic::Ordering::Relaxed);
-            });
-            // Chunked exclusive prefix sum over presence counts.
-            const CHUNK: usize = 8192;
-            let num_chunks = n.div_ceil(CHUNK).max(1);
-            let counts: Vec<usize> = (0..num_chunks)
-                .into_par_iter()
-                .map(|ch| {
-                    let start = ch * CHUNK;
-                    let end = (start + CHUNK).min(n);
-                    (start..end)
-                        .filter(|&c| present[c].load(std::sync::atomic::Ordering::Relaxed))
-                        .count()
-                })
-                .collect();
-            let mut offsets = vec![0usize; num_chunks + 1];
-            for i in 0..num_chunks {
-                offsets[i + 1] = offsets[i] + counts[i];
-            }
-            let total = offsets[num_chunks];
-            let mut renum = vec![Community::MAX; n];
-            renum
-                .par_chunks_mut(CHUNK)
-                .enumerate()
-                .for_each(|(ch, slice)| {
-                    let start = ch * CHUNK;
-                    let mut next = offsets[ch] as Community;
-                    for (i, r) in slice.iter_mut().enumerate() {
-                        if present[start + i].load(std::sync::atomic::Ordering::Relaxed) {
-                            *r = next;
-                            next += 1;
-                        }
-                    }
-                });
-            (renum, total)
+    let mut renum = vec![Community::MAX; n];
+    let mut present = vec![false; n];
+    for &c in assignment {
+        present[c as usize] = true;
+    }
+    let mut next = 0 as Community;
+    for c in 0..n {
+        if present[c] {
+            renum[c] = next;
+            next += 1;
         }
     }
+    (renum, next as usize)
 }
 
-/// Builds the condensed graph for `assignment` over `g`.
+/// Builds the condensed graph for `assignment` over `g`: serial
+/// renumbering, then [`condense_stamped`] over the renumbered communities.
+/// Each strategy enum has one variant.
 pub fn rebuild(
     g: &CsrGraph,
     assignment: &[Community],
-    strategy: RebuildStrategy,
+    _strategy: RebuildStrategy,
     renumber_strategy: RenumberStrategy,
 ) -> RebuildResult {
     assert_eq!(assignment.len(), g.num_vertices());
     let (renumber, num_communities) = renumber_communities(assignment, renumber_strategy);
-
-    let graph = match strategy {
-        RebuildStrategy::StampAggregate => rebuild_stamp(g, assignment, &renumber, num_communities),
-        RebuildStrategy::SortAggregate => rebuild_sort(g, assignment, &renumber, num_communities),
-        RebuildStrategy::LockMap => rebuild_lockmap(g, assignment, &renumber, num_communities),
-    };
+    let row_of = |u: usize| renumber[assignment[u] as usize];
+    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
+    let graph = condense_stamped(g, num_communities, &offsets, &members, row_of);
     RebuildResult {
         graph,
         renumber,
@@ -259,8 +210,8 @@ pub(crate) fn condense_stamped(
 /// convention) and self-loops once. The accumulation order is fixed by the
 /// CSR layout, so results are bitwise independent of the thread count; only
 /// the final per-row sort (unique keys) orders the typically-short target
-/// list. Mirror weights are then unified exactly as in the lock-map path so
-/// the CSR stays bitwise symmetric.
+/// list. Mirror weights are then unified ([`mirror_low_id_csr`]) so the CSR
+/// stays bitwise symmetric.
 pub(crate) fn condense_stamped_flat(
     g: &CsrGraph,
     num_rows: usize,
@@ -362,111 +313,6 @@ pub(crate) fn condense_stamped_rows(
     rows_to_csr(rows)
 }
 
-/// Default aggregation: [`condense_stamped`] over the renumbered
-/// communities.
-fn rebuild_stamp(
-    g: &CsrGraph,
-    assignment: &[Community],
-    renumber: &[Community],
-    num_communities: usize,
-) -> CsrGraph {
-    let row_of = |u: usize| renumber[assignment[u] as usize];
-    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
-    condense_stamped(g, num_communities, &offsets, &members, row_of)
-}
-
-/// Deterministic sort-based aggregation over all directed adjacency entries.
-fn rebuild_sort(
-    g: &CsrGraph,
-    assignment: &[Community],
-    renumber: &[Community],
-    num_communities: usize,
-) -> CsrGraph {
-    let n = g.num_vertices();
-    // Emit (cu, cv, w) for every stored adjacency entry.
-    let mut entries: Vec<(Community, Community, f64)> = (0..n as VertexId)
-        .into_par_iter()
-        .flat_map_iter(|u| {
-            let cu = renumber[assignment[u as usize] as usize];
-            g.neighbors(u)
-                .map(move |(v, w)| (cu, renumber[assignment[v as usize] as usize], w))
-        })
-        .collect();
-    // Weight in the key ⇒ per-(cu,cv) runs merge in a fixed order; mirrored
-    // runs share the same multiset of weights and thus the same float sum.
-    entries.par_sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
-
-    let mut offsets = vec![0usize; num_communities + 1];
-    let mut targets: Vec<VertexId> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut idx = 0usize;
-    while idx < entries.len() {
-        let (cu, cv, mut w) = entries[idx];
-        idx += 1;
-        while idx < entries.len() && entries[idx].0 == cu && entries[idx].1 == cv {
-            w += entries[idx].2;
-            idx += 1;
-        }
-        offsets[cu as usize + 1] += 1;
-        targets.push(cv);
-        weights.push(w);
-    }
-    for c in 0..num_communities {
-        offsets[c + 1] += offsets[c];
-    }
-    CsrGraph::from_sorted_adjacency(offsets, targets, weights)
-}
-
-/// The paper's lock-per-community map aggregation: one lock per intra edge,
-/// two per inter edge.
-fn rebuild_lockmap(
-    g: &CsrGraph,
-    assignment: &[Community],
-    renumber: &[Community],
-    num_communities: usize,
-) -> CsrGraph {
-    let maps: Vec<Mutex<FxHashMap<Community, f64>>> = (0..num_communities)
-        .map(|_| Mutex::new(FxHashMap::default()))
-        .collect();
-
-    // Traverse each undirected edge once (self-loops once).
-    (0..g.num_vertices() as VertexId)
-        .into_par_iter()
-        .for_each(|u| {
-            let cu = renumber[assignment[u as usize] as usize];
-            for (v, w) in g.neighbors(u) {
-                if v < u {
-                    continue; // visit each undirected edge at its low endpoint
-                }
-                let cv = renumber[assignment[v as usize] as usize];
-                if cu == cv {
-                    // Intra-community: one lock. Non-loop contributes doubled.
-                    let add = if u == v { w } else { 2.0 * w };
-                    *maps[cu as usize].lock().entry(cu).or_insert(0.0) += add;
-                } else {
-                    // Inter-community: two locks.
-                    *maps[cu as usize].lock().entry(cv).or_insert(0.0) += w;
-                    *maps[cv as usize].lock().entry(cu).or_insert(0.0) += w;
-                }
-            }
-        });
-
-    // Drain maps into sorted CSR rows. The two directions of an
-    // inter-community pair accumulate the same multiset of weights but in
-    // unordered thread interleavings, so their float sums can differ in the
-    // last ulp; `mirror_low_id_rows` restores exact CSR symmetry.
-    let mut rows: Vec<Vec<(Community, f64)>> = maps
-        .into_par_iter()
-        .map(|m| {
-            let mut row: Vec<(Community, f64)> = m.into_inner().into_iter().collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            row
-        })
-        .collect();
-    mirror_low_id_rows(&mut rows);
-    rows_to_csr(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,21 +320,13 @@ mod tests {
     use grappolo_graph::from_unweighted_edges;
     use grappolo_graph::gen::{planted_partition, PlantedConfig};
 
-    fn strategies() -> [(RebuildStrategy, RenumberStrategy); 6] {
-        [
-            (RebuildStrategy::StampAggregate, RenumberStrategy::Serial),
-            (
-                RebuildStrategy::StampAggregate,
-                RenumberStrategy::ParallelPrefix,
-            ),
-            (RebuildStrategy::SortAggregate, RenumberStrategy::Serial),
-            (
-                RebuildStrategy::SortAggregate,
-                RenumberStrategy::ParallelPrefix,
-            ),
-            (RebuildStrategy::LockMap, RenumberStrategy::Serial),
-            (RebuildStrategy::LockMap, RenumberStrategy::ParallelPrefix),
-        ]
+    fn condense(g: &CsrGraph, assignment: &[Community]) -> RebuildResult {
+        rebuild(
+            g,
+            assignment,
+            RebuildStrategy::StampAggregate,
+            RenumberStrategy::Serial,
+        )
     }
 
     #[test]
@@ -496,107 +334,60 @@ mod tests {
         let g = from_unweighted_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
             .unwrap();
         let assignment = vec![0, 0, 0, 5, 5, 5]; // labels need not be dense
-        for (s, r) in strategies() {
-            let res = rebuild(&g, &assignment, s, r);
-            assert_eq!(res.num_communities, 2, "{s:?}");
-            let cg = &res.graph;
-            assert_eq!(cg.num_vertices(), 2);
-            // Each triangle: 3 intra edges → self-loop weight 6.
-            assert_eq!(cg.self_loop_weight(0), 6.0);
-            assert_eq!(cg.self_loop_weight(1), 6.0);
-            assert_eq!(cg.edge_weight(0, 1), Some(1.0));
-            // m preserved.
-            assert_eq!(cg.total_weight(), g.total_weight());
-        }
+        let res = condense(&g, &assignment);
+        assert_eq!(res.num_communities, 2);
+        let cg = &res.graph;
+        assert_eq!(cg.num_vertices(), 2);
+        // Each triangle: 3 intra edges → self-loop weight 6.
+        assert_eq!(cg.self_loop_weight(0), 6.0);
+        assert_eq!(cg.self_loop_weight(1), 6.0);
+        assert_eq!(cg.edge_weight(0, 1), Some(1.0));
+        // m preserved.
+        assert_eq!(cg.total_weight(), g.total_weight());
     }
 
     #[test]
     fn renumber_maps_ascending() {
         let assignment = vec![7, 3, 7, 0];
-        for strat in [RenumberStrategy::Serial, RenumberStrategy::ParallelPrefix] {
-            let (renum, k) = renumber_communities(&assignment, strat);
-            assert_eq!(k, 3);
-            assert_eq!(renum[0], 0);
-            assert_eq!(renum[3], 1);
-            assert_eq!(renum[7], 2);
-            assert_eq!(renum[1], Community::MAX);
-        }
-    }
-
-    #[test]
-    fn renumber_strategies_agree_on_random_input() {
-        let mut assignment = Vec::new();
-        let mut state = 99u64;
-        for _ in 0..50_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            assignment.push((state >> 40) as u32 % 50_000);
-        }
-        let (a, ka) = renumber_communities(&assignment, RenumberStrategy::Serial);
-        let (b, kb) = renumber_communities(&assignment, RenumberStrategy::ParallelPrefix);
-        assert_eq!(ka, kb);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn strategies_agree_on_planted_graph() {
-        let (g, truth) = planted_partition(&PlantedConfig {
-            num_vertices: 2_000,
-            num_communities: 20,
-            ..Default::default()
-        });
-        let base = rebuild(
-            &g,
-            &truth,
-            RebuildStrategy::SortAggregate,
-            RenumberStrategy::Serial,
-        );
-        for (s, r) in strategies() {
-            let res = rebuild(&g, &truth, s, r);
-            assert_eq!(res.num_communities, base.num_communities);
-            let (cg, bg) = (&res.graph, &base.graph);
-            assert_eq!(cg.num_edges(), bg.num_edges(), "{s:?}/{r:?}");
-            for v in 0..cg.num_vertices() as VertexId {
-                let a: Vec<_> = cg.neighbors(v).collect();
-                let b: Vec<_> = bg.neighbors(v).collect();
-                assert_eq!(a.len(), b.len());
-                for ((ta, wa), (tb, wb)) in a.iter().zip(b.iter()) {
-                    assert_eq!(ta, tb);
-                    assert!((wa - wb).abs() < 1e-9, "weight mismatch {wa} vs {wb}");
-                }
-            }
-        }
+        let (renum, k) = renumber_communities(&assignment, RenumberStrategy::Serial);
+        assert_eq!(k, 3);
+        assert_eq!(renum[0], 0);
+        assert_eq!(renum[3], 1);
+        assert_eq!(renum[7], 2);
+        assert_eq!(renum[1], Community::MAX);
     }
 
     #[test]
     fn stamp_rebuild_bitwise_deterministic_across_thread_counts() {
-        // The default aggregation must keep the §5.4 stability guarantee:
-        // identical CSR arrays (weights bit-for-bit) for any pool size.
+        // The only aggregation must keep the §5.4 stability guarantee:
+        // identical CSR arrays (weights bit-for-bit) for any pool size, on
+        // a community-rich and on a singleton partition.
         let (g, truth) = planted_partition(&PlantedConfig {
             num_vertices: 3_000,
             num_communities: 30,
             ..Default::default()
         });
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                rebuild(
-                    &g,
-                    &truth,
-                    RebuildStrategy::StampAggregate,
-                    RenumberStrategy::ParallelPrefix,
-                )
-            })
-        };
-        let r1 = run(1);
-        let r4 = run(4);
-        assert_eq!(r1.num_communities, r4.num_communities);
-        for v in 0..r1.graph.num_vertices() as VertexId {
-            let a: Vec<_> = r1.graph.neighbors(v).collect();
-            let b: Vec<_> = r4.graph.neighbors(v).collect();
-            assert_eq!(a, b, "row {v} differs between pool sizes");
+        let singleton: Vec<Community> = (0..g.num_vertices() as Community).collect();
+        for assignment in [&truth, &singleton] {
+            let run = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let graph = pool.install(|| condense(&g, assignment).graph);
+                (0..graph.num_vertices() as VertexId)
+                    .map(|v| {
+                        graph
+                            .neighbors(v)
+                            .map(|(u, w)| (u, w.to_bits()))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let r1 = run(1);
+            for threads in [2usize, 8, 16] {
+                assert_eq!(r1, run(threads), "rows differ at {threads} threads");
+            }
         }
     }
 
@@ -655,12 +446,7 @@ mod tests {
             num_communities: 20,
             ..Default::default()
         });
-        let res = rebuild(
-            &g,
-            &truth,
-            RebuildStrategy::StampAggregate,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &truth);
         let cg = &res.graph;
         for u in 0..cg.num_vertices() as VertexId {
             for (v, w) in cg.neighbors(u) {
@@ -681,12 +467,7 @@ mod tests {
             ..Default::default()
         });
         let q_orig = modularity(&g, &truth);
-        let res = rebuild(
-            &g,
-            &truth,
-            RebuildStrategy::SortAggregate,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &truth);
         let singleton: Vec<Community> = (0..res.graph.num_vertices() as Community).collect();
         let q_cond = modularity(&res.graph, &singleton);
         assert!(
@@ -699,12 +480,7 @@ mod tests {
     fn singleton_assignment_rebuild_is_isomorphic() {
         let g = from_unweighted_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let assignment: Vec<Community> = (0..4).collect();
-        let res = rebuild(
-            &g,
-            &assignment,
-            RebuildStrategy::SortAggregate,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &assignment);
         assert_eq!(res.graph.num_vertices(), 4);
         assert_eq!(res.graph.num_edges(), 3);
         assert_eq!(res.graph.total_weight(), g.total_weight());
@@ -713,12 +489,7 @@ mod tests {
     #[test]
     fn all_one_community_gives_single_loop() {
         let g = from_unweighted_edges(3, [(0, 1), (1, 2)]).unwrap();
-        let res = rebuild(
-            &g,
-            &[0, 0, 0],
-            RebuildStrategy::LockMap,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &[0, 0, 0]);
         assert_eq!(res.graph.num_vertices(), 1);
         assert_eq!(res.graph.self_loop_weight(0), 4.0); // 2 edges × 2
         assert_eq!(res.graph.total_weight(), g.total_weight());
@@ -727,12 +498,7 @@ mod tests {
     #[test]
     fn empty_graph_rebuild() {
         let g = CsrGraph::empty(0);
-        let res = rebuild(
-            &g,
-            &[],
-            RebuildStrategy::SortAggregate,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &[]);
         assert_eq!(res.num_communities, 0);
         assert_eq!(res.graph.num_vertices(), 0);
     }
@@ -740,12 +506,7 @@ mod tests {
     #[test]
     fn self_loops_carry_through() {
         let g = grappolo_graph::from_weighted_edges(2, [(0, 0, 3.0), (0, 1, 1.0)]).unwrap();
-        let res = rebuild(
-            &g,
-            &[0, 0],
-            RebuildStrategy::SortAggregate,
-            RenumberStrategy::Serial,
-        );
+        let res = condense(&g, &[0, 0]);
         // loop 3.0 + edge doubled 2.0 = 5.0
         assert_eq!(res.graph.self_loop_weight(0), 5.0);
         assert_eq!(res.graph.total_weight(), g.total_weight());

@@ -1,25 +1,24 @@
-//! Reference (pre-optimization) kernels and the **deprecated historical
-//! entry points**, kept for property tests and as benchmark baselines.
+//! Reference (pre-optimization) kernels, kept as test oracles and benchmark
+//! baselines. Production code never calls them; phases run through
+//! [`crate::PhaseDriver`].
 //!
 //! [`gather_sorted`] is the historical sort-based neighbor-community
 //! aggregation — O(deg·log deg) per vertex — and
 //! [`parallel_phase_unordered_sortbased`] is the historical phase loop that
 //! rebuilds `community_degrees` (O(n)) and recomputes full-graph modularity
-//! (O(m)) every iteration. [`colored_rescan_impl`] is the colored analogue
-//! retained by PR 3: the same deterministic batch sweep as the production
-//! path, but with the historical per-iteration O(m) modularity rescan
-//! instead of incremental accounting. On integer-weight graphs these
-//! implementations make bitwise-identical decisions to the optimized paths
-//! (all sums are exact), which is what the equivalence tests in
-//! `tests/properties.rs` assert; the optimized paths' advantage is purely
-//! time.
+//! (O(m)) every iteration. [`parallel_phase_colored_rescan`] is the colored
+//! analogue: the same deterministic batch sweep as the production path, but
+//! with a per-iteration O(m) modularity rescan instead of incremental
+//! accounting. On integer-weight graphs these implementations make
+//! bitwise-identical decisions to the optimized paths (all sums are exact),
+//! which is what the equivalence tests in `tests/properties.rs` assert; the
+//! optimized paths' advantage is purely time.
 //!
-//! The `parallel_phase_*` / `serial_phase*` free functions at the bottom are
-//! the pre-PhaseDriver entry-point ladder, preserved as thin `#[deprecated]`
-//! wrappers over the crate-private implementations so downstream callers
-//! keep compiling while they migrate to [`crate::PhaseDriver`].
+//! [`rebuild_stamp_rows_reference`] and [`rebuild_stamp_flat_assembly`]
+//! force one of the rebuild's two bitwise-identical CSR assemblies, which
+//! the production rebuild picks between by size.
 
-use crate::config::{RenumberStrategy, SweepMode};
+use crate::config::RenumberStrategy;
 use crate::modularity::{
     best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
     IndependentMove, ModularityTracker, MoveContext, ScratchPool,
@@ -29,7 +28,6 @@ use crate::phase::{should_stop, singlet_veto, IterationStats, PhaseOutcome};
 use crate::rebuild::{
     condense_stamped_flat, condense_stamped_rows, group_by_row, renumber_communities,
 };
-use crate::schedule::Convergence;
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -67,7 +65,6 @@ pub fn gather_sorted(
 /// `community_degrees` rebuild and an O(m) modularity recomputation every
 /// iteration. Semantics match the production unordered sweep (now behind
 /// [`crate::PhaseDriver::run`]); only the constants differ.
-#[deprecated(note = "historical baseline; run phases through grappolo_core::PhaseDriver")]
 pub fn parallel_phase_unordered_sortbased(
     g: &CsrGraph,
     threshold: f64,
@@ -143,20 +140,18 @@ pub fn parallel_phase_unordered_sortbased(
     }
 }
 
-/// The historical **recompute** variant of the colored phase: identical
-/// decisions and barrier commits to the production colored sweep (same
-/// shared kernels, same ascending commit order), but the per-iteration
-/// modularity comes from a full O(m) + O(n) rescan — a fresh
-/// [`ModularityTracker::new`] every iteration — instead of the carried
-/// incremental state. This is the differential baseline: on exact-weight
-/// graphs its assignments, move counts, and per-iteration modularities are
-/// bitwise identical to the incremental path (both evaluate
-/// `e_in/2m − γ·Σa²/(2m)²` over exactly representable sums), so any
-/// divergence indicts the incremental accounting. The benches measure the
-/// rescan's per-iteration overhead — the cost PR 3 removed from the hot
-/// path. Reached through [`crate::PhaseDriver::run_colored`] under
-/// [`crate::ColoredAccounting::Rescan`].
-pub(crate) fn colored_rescan_impl(
+/// The historical **recompute** variant of the colored phase (full sweep,
+/// fixed threshold): identical decisions and barrier commits to the
+/// production colored sweep (same shared kernels, same ascending commit
+/// order), but the per-iteration modularity comes from a full O(m) + O(n)
+/// rescan — a fresh [`ModularityTracker::new`] every iteration — instead of
+/// the carried incremental state. This is the differential baseline: on
+/// exact-weight graphs its assignments, move counts, and per-iteration
+/// modularities are bitwise identical to the incremental path (both
+/// evaluate `e_in/2m − γ·Σa²/(2m)²` over exactly representable sums), so
+/// any divergence indicts the incremental accounting. The benches measure
+/// the rescan's per-iteration overhead.
+pub fn parallel_phase_colored_rescan(
     g: &CsrGraph,
     batches: &ColorBatches,
     threshold: f64,
@@ -276,183 +271,6 @@ pub fn rebuild_stamp_flat_assembly(g: &CsrGraph, assignment: &[Community]) -> Cs
     condense_stamped_flat(g, num_communities, &offsets, &members, row_of)
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated historical entry points.
-//
-// Five PRs grew a ladder of free-function phase entries (`parallel_phase_*`,
-// `serial_phase*`, `*_sweep`, `*_scheduled`, `*_rescan`); the PhaseDriver
-// redesign collapsed them into one configured runner. These wrappers keep the
-// old signatures compiling — bitwise-identically, they forward to the same
-// crate-private implementations the driver runs — while callers migrate.
-// ---------------------------------------------------------------------------
-
-/// Historical entry: one unordered parallel phase, full sweep, fixed
-/// threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_unordered(
-    g: &CsrGraph,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::unordered_scheduled_impl(
-        g,
-        SweepMode::Full,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one unordered parallel phase with an explicit sweep
-/// mode, fixed threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_unordered_sweep(
-    g: &CsrGraph,
-    sweep: SweepMode,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::unordered_scheduled_impl(
-        g,
-        sweep,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one unordered parallel phase under an explicit
-/// [`Convergence`] policy.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_unordered_scheduled(
-    g: &CsrGraph,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::unordered_scheduled_impl(g, sweep, conv, max_iterations, resolution)
-}
-
-/// Historical entry: one colored parallel phase, full sweep, fixed
-/// threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_colored(
-    g: &CsrGraph,
-    batches: &ColorBatches,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::colored_scheduled_impl(
-        g,
-        batches,
-        SweepMode::Full,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one colored parallel phase with an explicit sweep
-/// mode, fixed threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_colored_sweep(
-    g: &CsrGraph,
-    batches: &ColorBatches,
-    sweep: SweepMode,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::colored_scheduled_impl(
-        g,
-        batches,
-        sweep,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one colored parallel phase under an explicit
-/// [`Convergence`] policy.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_colored_scheduled(
-    g: &CsrGraph,
-    batches: &ColorBatches,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::parallel::colored_scheduled_impl(g, batches, sweep, conv, max_iterations, resolution)
-}
-
-/// Historical entry: the colored phase with the per-iteration O(m)
-/// modularity rescan ([`colored_rescan_impl`]).
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn parallel_phase_colored_rescan(
-    g: &CsrGraph,
-    batches: &ColorBatches,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    colored_rescan_impl(g, batches, threshold, max_iterations, resolution)
-}
-
-/// Historical entry: one serial phase, full sweep, fixed threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn serial_phase(
-    g: &CsrGraph,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::serial::serial_scheduled_impl(
-        g,
-        SweepMode::Full,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one serial phase with an explicit sweep mode, fixed
-/// threshold.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn serial_phase_sweep(
-    g: &CsrGraph,
-    sweep: SweepMode,
-    threshold: f64,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::serial::serial_scheduled_impl(
-        g,
-        sweep,
-        &Convergence::fixed(threshold),
-        max_iterations,
-        resolution,
-    )
-}
-
-/// Historical entry: one serial phase under an explicit [`Convergence`]
-/// policy.
-#[deprecated(note = "run phases through grappolo_core::PhaseDriver")]
-pub fn serial_phase_scheduled(
-    g: &CsrGraph,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    crate::serial::serial_scheduled_impl(g, sweep, conv, max_iterations, resolution)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,7 +292,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn sortbased_phase_recovers_cliques() {
         let (g, _) = ring_of_cliques(&CliqueRingConfig {
             num_cliques: 6,
@@ -497,7 +314,7 @@ mod tests {
             &grappolo_coloring::ParallelColoringConfig::default(),
         );
         let batches = ColorBatches::from_coloring(&coloring);
-        let out = colored_rescan_impl(&g, &batches, 1e-6, 1000, 1.0);
+        let out = parallel_phase_colored_rescan(&g, &batches, 1e-6, 1000, 1.0);
         assert!(out.final_modularity > 0.7);
     }
 }

@@ -26,7 +26,6 @@ pub mod csr;
 pub mod delta;
 pub mod gen;
 pub mod io;
-pub mod kcore;
 pub mod perm;
 pub mod shared;
 pub mod stats;

@@ -37,14 +37,11 @@ fn main() {
         phase.num_iterations()
     );
 
-    // --- 3. A custom configuration: recursive VF, balanced coloring, ------
-    //        lock-based rebuild (the paper's original strategy).
+    // --- 3. A custom configuration: recursive VF, balanced coloring. -------
     let config = LouvainConfig {
         vf_rounds: 8,
         balanced_coloring: true,
         coloring_vertex_cutoff: 1_024,
-        rebuild: RebuildStrategy::LockMap,
-        renumber: RenumberStrategy::ParallelPrefix,
         num_threads: Some(2),
         ..Scheme::BaselineVfColor.config()
     };

@@ -10,8 +10,7 @@
 //! * [`graph`] — weighted undirected CSR graphs, builders, generators
 //!   (including proxies for the paper's 11 evaluation inputs), I/O, and
 //!   statistics;
-//! * [`coloring`] — parallel distance-1 (and distance-2) coloring with
-//!   balancing;
+//! * [`coloring`] — parallel distance-1 coloring with balancing;
 //! * [`core`] — the serial Louvain baseline and the parallel algorithm with
 //!   the paper's minimum-label, vertex-following, and coloring heuristics;
 //! * [`metrics`] — partition comparison (SP/SE/OQ/Rand/NMI) and the Fig. 10
@@ -59,10 +58,9 @@ pub mod prelude {
     };
     pub use crate::core::{
         detect_communities, detect_with_scheme, geometric_for, modularity,
-        modularity_with_resolution, ColoredAccounting, ColoringSchedule, CommunityResult,
-        Dendrogram, LouvainConfig, LouvainConfigBuilder, PhaseDriver, PhaseOutcome,
-        RebuildStrategy, RefineMode, RefineStats, RenumberStrategy, RunTrace, ScheduleSpec, Scheme,
-        SweepMode,
+        modularity_with_resolution, ColoringSchedule, CommunityResult, Dendrogram, LouvainConfig,
+        LouvainConfigBuilder, PhaseDriver, PhaseOutcome, RefineMode, RefineStats, RunTrace,
+        ScheduleSpec, Scheme, SweepMode,
     };
     pub use crate::graph::gen::paper_suite::{PaperInput, PaperReference};
     pub use crate::graph::gen::{

@@ -1,20 +1,27 @@
 //! Edge cases and failure injection across the public API: degenerate
 //! graphs, malformed inputs, extreme configurations, and panic contracts.
 //!
-//! The colored differential cases pin the historical fixed-threshold entry
-//! points (deprecated wrappers in `grappolo::core::reference`) against the
-//! rescan reference on purpose — those exact call shapes are the contract
-//! the wrappers keep.
-#![allow(deprecated)]
+//! The colored differential cases pin the production `PhaseDriver` against
+//! the rescan reference in `grappolo::core::reference`.
 
 use grappolo::coloring::color_parallel;
 use grappolo::core::config::LouvainConfig;
 use grappolo::core::modularity::{
     community_degrees, community_sizes, IndependentMove, ModularityTracker, NeighborScratch,
 };
-use grappolo::core::reference::{parallel_phase_colored, parallel_phase_colored_rescan};
+use grappolo::core::reference::parallel_phase_colored_rescan;
 use grappolo::graph::io;
 use grappolo::prelude::*;
+
+/// One full-sweep colored phase through the production driver at the fixed
+/// threshold 1e-9, at most `max_iterations` iterations.
+fn colored_phase(g: &CsrGraph, batches: &ColorBatches, max_iterations: usize) -> PhaseOutcome {
+    let config = LouvainConfig {
+        max_iterations_per_phase: max_iterations,
+        ..LouvainConfig::default()
+    };
+    PhaseDriver::from_config(&config, 1e-9).run_colored(g, batches)
+}
 
 #[test]
 fn complete_graph_is_one_community() {
@@ -103,21 +110,6 @@ fn invalid_config_panics() {
     let g = from_unweighted_edges(2, [(0, 1)]).unwrap();
     let cfg = LouvainConfig {
         final_threshold: -1.0,
-        ..Default::default()
-    };
-    detect_communities(&g, &cfg);
-}
-
-#[test]
-#[should_panic(expected = "invalid LouvainConfig")]
-fn active_sweep_with_rescan_accounting_panics() {
-    // Rescan accounting is the full-sweep differential reference; pairing
-    // it with the pruned schedule is a contract violation, not a silent
-    // fallback.
-    let g = from_unweighted_edges(2, [(0, 1)]).unwrap();
-    let cfg = LouvainConfig {
-        colored_accounting: grappolo::core::ColoredAccounting::Rescan,
-        sweep_mode: SweepMode::Active,
         ..Default::default()
     };
     detect_communities(&g, &cfg);
@@ -236,8 +228,8 @@ fn colored_phase_tolerates_empty_batches() {
     let gappy = ColorBatches::try_from_classes(classes).unwrap();
     assert_eq!(gappy.num_vertices(), g.num_vertices());
 
-    let a = parallel_phase_colored(&g, &dense, 1e-9, 100, 1.0);
-    let b = parallel_phase_colored(&g, &gappy, 1e-9, 100, 1.0);
+    let a = colored_phase(&g, &dense, 100);
+    let b = colored_phase(&g, &gappy, 100);
     assert_eq!(a.assignment, b.assignment);
     assert_eq!(a.iterations, b.iterations);
 }
@@ -250,7 +242,7 @@ fn colored_phase_singleton_communities_and_self_loops() {
     let g = from_weighted_edges(4, [(0, 0, 2.0), (1, 1, 1.0), (3, 3, 4.0)]).unwrap();
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     let batches = ColorBatches::from_coloring(&coloring);
-    let inc = parallel_phase_colored(&g, &batches, 1e-9, 50, 1.0);
+    let inc = colored_phase(&g, &batches, 50);
     let ref_ = parallel_phase_colored_rescan(&g, &batches, 1e-9, 50, 1.0);
     assert_eq!(inc.assignment, vec![0, 1, 2, 3]);
     assert_eq!(inc.assignment, ref_.assignment);
@@ -313,7 +305,8 @@ fn tracker_move_away_and_back_restores_state_bitwise() {
 /// Zero-weight edges are rejected at graph construction (§2 requires
 /// positive weights), so the incremental accounting never has to reason
 /// about them; self-loop-only adjacency plus an isolated vertex is the
-/// closest legal degenerate input and flows through both accounting modes.
+/// closest legal degenerate input and flows through both the incremental
+/// sweep and the rescan reference.
 #[test]
 fn colored_accounting_zero_weight_and_self_loop_contract() {
     assert!(GraphBuilder::new(2).add_edge(0, 1, 0.0).build().is_err());
@@ -323,7 +316,7 @@ fn colored_accounting_zero_weight_and_self_loop_contract() {
     let g = from_weighted_edges(4, [(0, 0, 2.5), (0, 1, 1.5), (2, 2, 3.0)]).unwrap();
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     let batches = ColorBatches::from_coloring(&coloring);
-    let inc = parallel_phase_colored(&g, &batches, 1e-9, 50, 1.0);
+    let inc = colored_phase(&g, &batches, 50);
     let ref_ = parallel_phase_colored_rescan(&g, &batches, 1e-9, 50, 1.0);
     assert_eq!(inc.assignment, ref_.assignment);
     assert_eq!(inc.assignment[3], 3, "isolated vertex must stay singleton");

@@ -1,16 +1,22 @@
 //! The paper's qualitative claims, as executable tests. Each test names the
-//! section it reproduces. (The single-phase scenarios drive the historical
-//! fixed-threshold entry points — deprecated wrappers in
-//! `grappolo::core::reference` — because the claims were established
-//! against those exact call shapes.)
-#![allow(deprecated)]
+//! section it reproduces. The single-phase scenarios run one full-sweep,
+//! fixed-threshold phase through `PhaseDriver`.
 
 use grappolo::coloring::{color_parallel, ParallelColoringConfig};
 use grappolo::core::modularity::{
     best_move, community_degrees, modularity, MoveContext, NeighborScratch,
 };
-use grappolo::core::reference::{parallel_phase_colored, parallel_phase_unordered};
 use grappolo::prelude::*;
+
+/// One full-sweep parallel phase through the production driver at the fixed
+/// threshold `threshold`, at most `max_iterations` iterations.
+fn phase_driver(threshold: f64, max_iterations: usize) -> PhaseDriver {
+    let config = LouvainConfig {
+        max_iterations_per_phase: max_iterations,
+        ..LouvainConfig::default()
+    };
+    PhaseDriver::from_config(&config, threshold)
+}
 
 /// §4.1 / Lemma 1: concurrent moves into the same community can make the
 /// *net* modularity gain negative even though each move alone is positive.
@@ -65,7 +71,7 @@ fn lemma1_negative_gain_scenario_is_real() {
 #[test]
 fn fig2_case1_swap_prevented() {
     let g = from_unweighted_edges(2, [(0, 1)]).unwrap();
-    let out = parallel_phase_unordered(&g, 1e-9, 50, 1.0);
+    let out = phase_driver(1e-9, 50).run(&g);
     assert_eq!(out.assignment, vec![0, 0]);
     // Convergence should be immediate-ish, not a long swap fight.
     assert!(
@@ -81,7 +87,7 @@ fn fig2_case1_swap_prevented() {
 #[test]
 fn fig2_case2_local_maximum_avoided() {
     let g = from_unweighted_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
-    let out = parallel_phase_unordered(&g, 1e-9, 50, 1.0);
+    let out = phase_driver(1e-9, 50).run(&g);
     assert!(
         out.assignment.iter().all(|&c| c == out.assignment[0]),
         "clique split: {:?}",
@@ -125,10 +131,10 @@ fn coloring_accelerates_convergence() {
         num_communities: 40,
         ..Default::default()
     });
-    let unordered = parallel_phase_unordered(&g, 1e-6, 500, 1.0);
+    let unordered = phase_driver(1e-6, 500).run(&g);
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     let batches = ColorBatches::from_coloring(&coloring);
-    let colored = parallel_phase_colored(&g, &batches, 1e-6, 500, 1.0);
+    let colored = phase_driver(1e-6, 500).run_colored(&g, &batches);
     assert!(
         colored.num_iterations() <= unordered.num_iterations(),
         "colored {} vs unordered {}",

@@ -9,13 +9,8 @@
 //! (k/16) — exactly representable in f64 with exact sums — so equivalence
 //! properties can assert *bitwise* equality, not just tolerance.
 //!
-//! The differential properties deliberately pin the historical
-//! fixed-threshold entry points (now deprecated wrappers in
-//! `grappolo::core::reference`) against their retained references — they
-//! are the invariants those wrappers must keep forwarding to. Production
-//! callers go through `grappolo::core::PhaseDriver`, which the refinement
-//! properties exercise directly.
-#![allow(deprecated)]
+//! The differential properties pin the production `PhaseDriver` against the
+//! retained oracles in `grappolo::core::reference`.
 
 use grappolo::coloring::{
     color_greedy_serial, color_parallel, is_valid_distance1, ColorBatches, ParallelColoringConfig,
@@ -26,18 +21,15 @@ use grappolo::core::modularity::{
 };
 use grappolo::core::rebuild::rebuild;
 use grappolo::core::reference::{
-    gather_sorted, parallel_phase_colored, parallel_phase_colored_rescan,
-    parallel_phase_colored_scheduled, parallel_phase_colored_sweep, parallel_phase_unordered,
-    parallel_phase_unordered_scheduled, parallel_phase_unordered_sortbased,
-    parallel_phase_unordered_sweep, serial_phase_scheduled, serial_phase_sweep,
+    gather_sorted, parallel_phase_colored_rescan, parallel_phase_unordered_sortbased,
+    rebuild_stamp_flat_assembly, rebuild_stamp_rows_reference,
 };
-use grappolo::core::reference::{rebuild_stamp_flat_assembly, rebuild_stamp_rows_reference};
 use grappolo::core::refine::refine_phase;
 use grappolo::core::serial::serial_modularity;
 use grappolo::core::vf::vf_preprocess;
 use grappolo::core::{
-    Convergence, LouvainConfig, PhaseDriver, PhaseOutcome, RebuildStrategy, RefineMode,
-    RenumberStrategy, Scheme, SweepMode, ThresholdSchedule,
+    LouvainConfig, PhaseDriver, PhaseOutcome, RebuildStrategy, RefineMode, RenumberStrategy,
+    Scheme, SweepMode, ThresholdSchedule,
 };
 use grappolo::prelude::*;
 use rand::rngs::SmallRng;
@@ -65,6 +57,43 @@ fn random_graph(rng: &mut SmallRng) -> CsrGraph {
         .extend_edges(edges)
         .build()
         .expect("random edges are valid")
+}
+
+/// The production phase driver for `config`, capped at `max_iterations`
+/// iterations, with aggregate phase threshold `threshold`.
+fn driver(config: LouvainConfig, threshold: f64, max_iterations: usize) -> PhaseDriver {
+    let config = LouvainConfig {
+        max_iterations_per_phase: max_iterations,
+        ..config
+    };
+    PhaseDriver::from_config(&config, threshold)
+}
+
+/// The parallel driver for `sweep` under the paper's fixed threshold.
+fn fixed_driver(sweep: SweepMode, threshold: f64, max_iterations: usize) -> PhaseDriver {
+    let config = LouvainConfig {
+        sweep_mode: sweep,
+        ..LouvainConfig::default()
+    };
+    driver(config, threshold, max_iterations)
+}
+
+/// The driver for `sweep` under the geometric schedule at the shipped
+/// default edge-unit parameters scaled to `g` — resolved through the same
+/// config path the CLI uses, so retuned constants carry over. `parallel =
+/// false` selects the serial sweep.
+fn geometric_driver(
+    g: &CsrGraph,
+    parallel: bool,
+    sweep: SweepMode,
+    max_iterations: usize,
+) -> PhaseDriver {
+    let config = LouvainConfig {
+        parallel,
+        sweep_mode: sweep,
+        ..LouvainConfig::default().with_geometric_schedule(g.total_weight())
+    };
+    driver(config, 1e-6, max_iterations)
 }
 
 /// A random community assignment over `g` (labels need not be dense).
@@ -152,7 +181,7 @@ fn unordered_phase_matches_sort_based_reference() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
-        let fast = parallel_phase_unordered(&g, 1e-9, 64, 1.0);
+        let fast = fixed_driver(SweepMode::Full, 1e-9, 64).run(&g);
         let slow = parallel_phase_unordered_sortbased(&g, 1e-9, 64, 1.0);
         assert_eq!(
             fast.assignment, slow.assignment,
@@ -194,7 +223,7 @@ fn unordered_phase_bitwise_stable_across_thread_counts() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| parallel_phase_unordered(&g, 1e-9, 64, 1.0))
+            pool.install(|| fixed_driver(SweepMode::Full, 1e-9, 64).run(&g))
         };
         let r1 = run(1);
         for threads in [3usize, 16] {
@@ -210,8 +239,7 @@ fn unordered_phase_bitwise_stable_across_thread_counts() {
 }
 
 /// Rebuild preserves total weight and modularity (the phase-transition
-/// invariant), under every strategy combination including the stamped
-/// default.
+/// invariant).
 #[test]
 fn rebuild_preserves_weight_and_q() {
     for seed in 0..CASES {
@@ -219,26 +247,22 @@ fn rebuild_preserves_weight_and_q() {
         let g = random_graph(&mut rng);
         let a = random_assignment(&mut rng, &g);
         let q_before = modularity(&g, &a);
-        for strat in [
+        let res = rebuild(
+            &g,
+            &a,
             RebuildStrategy::StampAggregate,
-            RebuildStrategy::SortAggregate,
-            RebuildStrategy::LockMap,
-        ] {
-            for renum in [RenumberStrategy::Serial, RenumberStrategy::ParallelPrefix] {
-                let res = rebuild(&g, &a, strat, renum);
-                assert!(
-                    (res.graph.total_weight() - g.total_weight()).abs() < 1e-9,
-                    "seed {seed} {strat:?}/{renum:?} changed m"
-                );
-                let singleton: Vec<Community> =
-                    (0..res.graph.num_vertices() as Community).collect();
-                let q_after = modularity(&res.graph, &singleton);
-                assert!(
-                    (q_before - q_after).abs() < 1e-9,
-                    "seed {seed} {strat:?}/{renum:?}: Q {q_before} → {q_after}"
-                );
-            }
-        }
+            RenumberStrategy::Serial,
+        );
+        assert!(
+            (res.graph.total_weight() - g.total_weight()).abs() < 1e-9,
+            "seed {seed} changed m"
+        );
+        let singleton: Vec<Community> = (0..res.graph.num_vertices() as Community).collect();
+        let q_after = modularity(&res.graph, &singleton);
+        assert!(
+            (q_before - q_after).abs() < 1e-9,
+            "seed {seed}: Q {q_before} → {q_after}"
+        );
     }
 }
 
@@ -553,7 +577,7 @@ fn colored_phase_matches_rescan_reference() {
     for (name, g) in colored_suite() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
-        let fast = parallel_phase_colored(&g, &batches, 1e-9, 64, 1.0);
+        let fast = fixed_driver(SweepMode::Full, 1e-9, 64).run_colored(&g, &batches);
         let slow = parallel_phase_colored_rescan(&g, &batches, 1e-9, 64, 1.0);
         assert_outcomes_bitwise_equal(&fast, &slow, name);
     }
@@ -574,7 +598,7 @@ fn colored_phase_bitwise_stable_across_thread_counts() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| parallel_phase_colored(&g, &batches, 1e-9, 64, 1.0))
+            pool.install(|| fixed_driver(SweepMode::Full, 1e-9, 64).run_colored(&g, &batches))
         };
         let reference = run(1);
         for threads in [2usize, 3, 4, 8, 16] {
@@ -595,21 +619,27 @@ fn active_sweep_quality_matches_full_on_suite() {
     for (name, g) in colored_suite() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
+        let serial = |sweep: SweepMode| {
+            let config = LouvainConfig {
+                parallel: false,
+                sweep_mode: sweep,
+                ..LouvainConfig::default()
+            };
+            driver(config, 1e-6, 500).run(&g)
+        };
+        let unordered = |sweep: SweepMode| fixed_driver(sweep, 1e-6, 500).run(&g);
+        let colored = |sweep: SweepMode| fixed_driver(sweep, 1e-6, 500).run_colored(&g, &batches);
         let pairs: [(&str, PhaseOutcome, PhaseOutcome); 3] = [
-            (
-                "serial",
-                serial_phase_sweep(&g, SweepMode::Full, 1e-6, 500, 1.0),
-                serial_phase_sweep(&g, SweepMode::Active, 1e-6, 500, 1.0),
-            ),
+            ("serial", serial(SweepMode::Full), serial(SweepMode::Active)),
             (
                 "unordered",
-                parallel_phase_unordered_sweep(&g, SweepMode::Full, 1e-6, 500, 1.0),
-                parallel_phase_unordered_sweep(&g, SweepMode::Active, 1e-6, 500, 1.0),
+                unordered(SweepMode::Full),
+                unordered(SweepMode::Active),
             ),
             (
                 "colored",
-                parallel_phase_colored_sweep(&g, &batches, SweepMode::Full, 1e-6, 500, 1.0),
-                parallel_phase_colored_sweep(&g, &batches, SweepMode::Active, 1e-6, 500, 1.0),
+                colored(SweepMode::Full),
+                colored(SweepMode::Active),
             ),
         ];
         for (variant, full, active) in &pairs {
@@ -631,11 +661,11 @@ fn active_sweep_saturated_bitwise_matches_full() {
     for (name, g) in colored_suite() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
-        let full = parallel_phase_unordered_sweep(&g, SweepMode::Full, 1e-9, 1, 1.0);
-        let active = parallel_phase_unordered_sweep(&g, SweepMode::Active, 1e-9, 1, 1.0);
-        assert_outcomes_bitwise_equal(&full, &active, &format!("{name}/unordered"));
-        let full_c = parallel_phase_colored_sweep(&g, &batches, SweepMode::Full, 1e-9, 1, 1.0);
-        let active_c = parallel_phase_colored_sweep(&g, &batches, SweepMode::Active, 1e-9, 1, 1.0);
+        let full = fixed_driver(SweepMode::Full, 1e-9, 1);
+        let active = fixed_driver(SweepMode::Active, 1e-9, 1);
+        assert_outcomes_bitwise_equal(&full.run(&g), &active.run(&g), &format!("{name}/unordered"));
+        let full_c = full.run_colored(&g, &batches);
+        let active_c = active.run_colored(&g, &batches);
         assert_outcomes_bitwise_equal(&full_c, &active_c, &format!("{name}/colored"));
     }
 }
@@ -649,6 +679,7 @@ fn active_sweep_bitwise_stable_across_thread_counts() {
     for (name, g) in colored_suite() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
+        let active = fixed_driver(SweepMode::Active, 1e-9, 64);
         for colored in [false, true] {
             let run = |threads: usize| {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -657,9 +688,9 @@ fn active_sweep_bitwise_stable_across_thread_counts() {
                     .unwrap();
                 pool.install(|| {
                     if colored {
-                        parallel_phase_colored_sweep(&g, &batches, SweepMode::Active, 1e-9, 64, 1.0)
+                        active.run_colored(&g, &batches)
                     } else {
-                        parallel_phase_unordered_sweep(&g, SweepMode::Active, 1e-9, 64, 1.0)
+                        active.run(&g)
                     }
                 })
             };
@@ -674,18 +705,6 @@ fn active_sweep_bitwise_stable_across_thread_counts() {
             }
         }
     }
-}
-
-/// The geometric convergence policy each suite graph runs under: the
-/// default edge-unit gate parameters scaled to the graph's total weight.
-fn suite_geometric(g: &CsrGraph) -> Convergence {
-    // Resolve through the same config path the driver and CLI use, so the
-    // suite always exercises the *shipped* default schedule — if the
-    // edge-unit constants in `grappolo::core::config` are retuned, these
-    // tests follow automatically.
-    grappolo::core::LouvainConfig::default()
-        .with_geometric_schedule(g.total_weight())
-        .convergence(1e-6)
 }
 
 /// **Schedule algebra**: over random valid parameters, the geometric
@@ -719,14 +738,14 @@ fn geometric_schedule_monotone_and_clamped() {
 }
 
 /// **Scheduled-engine identity**: `Fixed(θ)` + `vertex_epsilon = 0` through
-/// the scheduled entry points reproduces the historical fixed-threshold
+/// the production driver reproduces the historical fixed-threshold
 /// trajectories **bit-for-bit** — pinned against the retained sort-based and
-/// rescan references (not merely against the wrappers, which share code).
+/// rescan references.
 #[test]
 fn fixed_zero_epsilon_scheduled_bitwise_matches_references() {
     for (name, g) in colored_suite() {
-        let conv = Convergence::fixed(1e-9);
-        let sched = parallel_phase_unordered_scheduled(&g, SweepMode::Full, &conv, 64, 1.0);
+        let fixed = fixed_driver(SweepMode::Full, 1e-9, 64);
+        let sched = fixed.run(&g);
         let reference = parallel_phase_unordered_sortbased(&g, 1e-9, 64, 1.0);
         assert_eq!(
             sched.assignment, reference.assignment,
@@ -743,8 +762,7 @@ fn fixed_zero_epsilon_scheduled_bitwise_matches_references() {
 
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
-        let sched_c =
-            parallel_phase_colored_scheduled(&g, &batches, SweepMode::Full, &conv, 64, 1.0);
+        let sched_c = fixed.run_colored(&g, &batches);
         let rescan = parallel_phase_colored_rescan(&g, &batches, 1e-9, 64, 1.0);
         assert_outcomes_bitwise_equal(&sched_c, &rescan, &format!("{name}/colored"));
     }
@@ -757,10 +775,10 @@ fn fixed_zero_epsilon_scheduled_bitwise_matches_references() {
 #[test]
 fn scheduled_sweeps_bitwise_stable_across_thread_counts() {
     for (name, g) in colored_suite() {
-        let conv = suite_geometric(&g);
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
         for sweep in [SweepMode::Full, SweepMode::Active] {
+            let sched = geometric_driver(&g, true, sweep, 500);
             for colored in [false, true] {
                 let run = |threads: usize| {
                     let pool = rayon::ThreadPoolBuilder::new()
@@ -769,9 +787,9 @@ fn scheduled_sweeps_bitwise_stable_across_thread_counts() {
                         .unwrap();
                     pool.install(|| {
                         if colored {
-                            parallel_phase_colored_scheduled(&g, &batches, sweep, &conv, 500, 1.0)
+                            sched.run_colored(&g, &batches)
                         } else {
-                            parallel_phase_unordered_scheduled(&g, sweep, &conv, 500, 1.0)
+                            sched.run(&g)
                         }
                     })
                 };
@@ -804,12 +822,13 @@ fn scheduled_sweeps_bitwise_stable_across_thread_counts() {
 #[test]
 fn scheduled_quality_matches_fixed_on_suite() {
     for (name, g) in colored_suite() {
-        let conv = suite_geometric(&g);
-        let fixed_q =
-            parallel_phase_unordered_sweep(&g, SweepMode::Full, 1e-6, 500, 1.0).final_modularity;
+        let fixed_q = fixed_driver(SweepMode::Full, 1e-6, 500)
+            .run(&g)
+            .final_modularity;
         for sweep in [SweepMode::Full, SweepMode::Active] {
-            let sched_q =
-                parallel_phase_unordered_scheduled(&g, sweep, &conv, 500, 1.0).final_modularity;
+            let sched_q = geometric_driver(&g, true, sweep, 500)
+                .run(&g)
+                .final_modularity;
             assert!(
                 sched_q >= 0.95 * fixed_q,
                 "{name}/unordered/{sweep:?}: scheduled Q {sched_q} vs fixed Q {fixed_q}"
@@ -839,13 +858,13 @@ fn scheduled_quality_matches_fixed_on_suite() {
 #[test]
 fn scheduled_quality_colored_and_serial_on_suite() {
     for (name, g) in colored_suite() {
-        let conv = suite_geometric(&g);
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
-        let fixed_c = parallel_phase_colored_sweep(&g, &batches, SweepMode::Full, 1e-6, 500, 1.0)
+        let fixed_c = fixed_driver(SweepMode::Full, 1e-6, 500)
+            .run_colored(&g, &batches)
             .final_modularity;
         for sweep in [SweepMode::Full, SweepMode::Active] {
-            let sched = parallel_phase_colored_scheduled(&g, &batches, sweep, &conv, 500, 1.0);
+            let sched = geometric_driver(&g, true, sweep, 500).run_colored(&g, &batches);
             let sched_c = sched.final_modularity;
             assert!(
                 sched_c >= 0.90 * fixed_c,
@@ -859,8 +878,12 @@ fn scheduled_quality_colored_and_serial_on_suite() {
                 stats.refined_modularity
             );
         }
-        let fixed_s = serial_phase_sweep(&g, SweepMode::Full, 1e-6, 500, 1.0).final_modularity;
-        let sched = serial_phase_scheduled(&g, SweepMode::Active, &conv, 500, 1.0);
+        let serial_fixed = LouvainConfig {
+            parallel: false,
+            ..LouvainConfig::default()
+        };
+        let fixed_s = driver(serial_fixed, 1e-6, 500).run(&g).final_modularity;
+        let sched = geometric_driver(&g, false, SweepMode::Active, 500).run(&g);
         let sched_s = sched.final_modularity;
         assert!(
             sched_s >= 0.80 * fixed_s,
