@@ -17,9 +17,10 @@
 //!    patched with the touched edges' weight deltas — no O(m) rescan of the
 //!    updated graph;
 //! 4. the endpoints of changed edges seed the [`crate::ActiveSet`] frontier
-//!    and the unordered sweep resumes with pruning engaged from iteration 0,
-//!    so vertices outside the dirty closure are never re-examined and keep
-//!    their labels **bitwise** (the quiesced-region guarantee).
+//!    and the phase driver's unordered sweep resumes from the carried state
+//!    with pruning engaged from iteration 0, so vertices outside the dirty
+//!    closure are never re-examined and keep their labels **bitwise** (the
+//!    quiesced-region guarantee).
 //!
 //! Batches that change more than [`LouvainConfig::dynamic_fallback_fraction`]
 //! of the updated graph's edges fall back to a from-scratch
@@ -34,8 +35,8 @@ use crate::modularity::{
     community_degrees, community_sizes, det_sum, intra_community_weight, Community,
     ModularityTracker,
 };
-use crate::parallel::{unordered_resume_impl, ResumeState};
-use grappolo_graph::{CsrGraph, EdgeDelta, MergePolicy, VertexId};
+use crate::phase::{PhaseDriver, PhaseOutcome, SweepState};
+use grappolo_graph::{CsrGraph, EdgeChange, EdgeDelta, MergePolicy, VertexId};
 
 /// Result of one batched dynamic update.
 #[derive(Clone, Debug)]
@@ -192,43 +193,62 @@ pub fn update_communities_cancellable(
     seeds.sort_unstable();
     seeds.dedup();
 
-    let outcome = match config.num_threads {
-        Some(t) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t.max(1))
-                .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| {
-                resume_inner(g, &g_new, carried, prev_modularity, &changes, seeds, config)
-            })
-        }
-        None if !config.parallel => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| {
-                resume_inner(g, &g_new, carried, prev_modularity, &changes, seeds, config)
-            })
-        }
-        None => resume_inner(g, &g_new, carried, prev_modularity, &changes, seeds, config),
-    }
-    .map_err(fail)?;
+    // A serial config re-converges on one thread, as detection does.
+    let threads = config.num_threads.or((!config.parallel).then_some(1));
+    let resume = || {
+        resume_inner(
+            g,
+            &g_new,
+            carried,
+            prev_modularity,
+            &changes,
+            &seeds,
+            config,
+        )
+    };
+    let outcome = match threads {
+        Some(t) => rayon::ThreadPoolBuilder::new()
+            .num_threads(t.max(1))
+            .build()
+            .expect("failed to build rayon pool")
+            .install(resume),
+        None => resume(),
+    };
     // The resume phase itself is short and bounded; a cancellation that
     // arrived while it ran discards the outcome here.
     check(token)?;
-    Ok(outcome)
+
+    let mut seen = vec![false; new_n.max(1)];
+    let mut num_communities = 0usize;
+    for &c in &outcome.assignment {
+        if !seen[c as usize] {
+            seen[c as usize] = true;
+            num_communities += 1;
+        }
+    }
+    Ok(DynamicOutcome {
+        graph: g_new,
+        modularity: outcome.final_modularity,
+        num_communities,
+        iterations: outcome.iterations.len(),
+        changed_edges: changes.len(),
+        seed_vertices: seeds.len(),
+        fell_back: false,
+        assignment: outcome.assignment,
+    })
 }
 
+/// Rebuilds the sweep state for the carried labels on the updated graph and
+/// resumes the phase driver's unordered sweep from the dirty `seeds`.
 fn resume_inner(
     g_old: &CsrGraph,
     g_new: &CsrGraph,
     carried: Vec<Community>,
     prev_modularity: Option<f64>,
-    changes: &[grappolo_graph::EdgeChange],
-    seeds: Vec<VertexId>,
+    changes: &[EdgeChange],
+    seeds: &[VertexId],
     config: &LouvainConfig,
-) -> Result<DynamicOutcome, String> {
+) -> PhaseOutcome {
     let new_n = g_new.num_vertices();
     let gamma = config.resolution;
     let two_m_old = 2.0 * g_old.total_weight();
@@ -257,43 +277,18 @@ fn resume_inner(
     let mut sizes = community_sizes(&carried);
     sizes.resize(new_n, 0);
 
-    let seed_vertices = seeds.len();
-    let changed_edges = changes.len();
-    let conv = config.convergence(config.final_threshold);
-    let state = ResumeState {
+    let state = SweepState {
         assignment: carried,
         a: a_new,
         sizes,
         tracker,
-        seeds,
     };
     // Note: `config.refine` is deliberately NOT applied here. Leiden-style
     // refinement relabels every community to its minimum member vertex id,
     // which would destroy the quiesced-region guarantee (vertices untouched
     // by the batch keep their previous labels bitwise). Refinement still
     // runs on the from-scratch fallback path, where no labels are carried.
-    let outcome =
-        unordered_resume_impl(g_new, state, &conv, config.max_iterations_per_phase, gamma);
-
-    let mut seen = vec![false; new_n.max(1)];
-    let mut num_communities = 0usize;
-    for &c in &outcome.assignment {
-        if !seen[c as usize] {
-            seen[c as usize] = true;
-            num_communities += 1;
-        }
-    }
-
-    Ok(DynamicOutcome {
-        graph: g_new.clone(),
-        modularity: outcome.final_modularity,
-        num_communities,
-        iterations: outcome.iterations.len(),
-        changed_edges,
-        seed_vertices,
-        fell_back: false,
-        assignment: outcome.assignment,
-    })
+    PhaseDriver::from_config(config, config.final_threshold).resume(g_new, state, seeds)
 }
 
 #[cfg(test)]

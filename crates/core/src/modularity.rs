@@ -538,6 +538,12 @@ impl ModularityTracker {
         self.e_in / self.two_m - self.gamma * self.null_sum / (self.two_m * self.two_m)
     }
 
+    /// The resolution γ this tracker's modularity is measured at.
+    #[inline]
+    pub(crate) fn gamma(&self) -> f64 {
+        self.gamma
+    }
+
     /// Moves weighted degree `k` from community `from` to `to`, updating
     /// `a` in place and `null_sum = Σ a_C²` by the exact difference — the
     /// shared accounting core of [`Self::apply_move`] and

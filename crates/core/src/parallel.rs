@@ -1,611 +1,201 @@
-//! The parallel Louvain phase (Algorithm 1) with the minimum-label
-//! heuristics (§5.1) — in both flavors the paper evaluates. Both are run
-//! through [`crate::PhaseDriver`]:
+//! The two parallel commit strategies of the local-moving engine
+//! ([`crate::phase`] runs the iterations around them) — Algorithm 1 with
+//! the minimum-label heuristics (§5.1), in both flavors the paper
+//! evaluates:
 //!
-//! * [`unordered_scheduled_impl`] — no coloring: one lock-free parallel
-//!   sweep per iteration, every decision reading the *previous* iteration's
+//! * **unordered** — no coloring: one lock-free parallel sweep per
+//!   iteration, every decision reading the *previous* iteration's
 //!   assignment and community degrees (Algorithm 1 lines 8–14 with a single
-//!   color set). Deterministic for any thread count: writes go to
-//!   `C_curr[i]`, reads to `C_prev`, and all reductions are
-//!   order-deterministic (§5.4's stability property).
-//! * [`colored_scheduled_impl`] — vertices are processed one color batch at
-//!   a time; each batch is decided in parallel against the state frozen at
-//!   its barrier, then committed in ascending vertex order. Later batches
-//!   observe earlier commits — the colored analogue of serial freshness.
-//!   Because a batch is an independent set, the barrier commit is exact and
-//!   feeds the same incremental [`ModularityTracker`] accounting as the
-//!   unordered sweep (`Σ e_in` deltas reduced in fixed left-biased order via
-//!   `det_sum`, `a`/`Σ a_C²` updates applied in commit order), so the phase
-//!   is bitwise deterministic across thread counts — unlike the historical
+//!   color set), all moves committed as one snapshot batch
+//!   ([`ModularityTracker::apply_batch`]). Deterministic for any thread
+//!   count: decisions read frozen state, the move list is assembled in
+//!   ascending vertex order, and every reduction is order-deterministic
+//!   (§5.4's stability property).
+//! * **colored** — vertices are processed one color batch at a time; each
+//!   batch is decided in parallel against the state frozen at its barrier,
+//!   then committed in ascending vertex order
+//!   ([`ModularityTracker::apply_independent_batch`], exact because a color
+//!   class is an independent set). Later batches observe earlier commits —
+//!   the colored analogue of serial freshness — and the phase stays
+//!   bitwise deterministic across thread counts, unlike the historical
 //!   atomic-commit scheme (`__sync_fetch_and_add`, §5.5), whose
 //!   schedule-dependent float commits forced an O(m) modularity rescan per
-//!   iteration (retained as the test oracle
+//!   iteration (kept as the test oracle
 //!   [`crate::reference::parallel_phase_colored_rescan`]).
+//!
+//! Both decide through the engine's shared move kernel and apply the same
+//! per-vertex policy to its decision: a move gaining less than the
+//! iteration's gate is suppressed (the vertex is locally converged), and a
+//! surviving move is subject to the §5.1 singlet veto.
+//!
+//! [`ModularityTracker::apply_batch`]: crate::modularity::ModularityTracker::apply_batch
+//! [`ModularityTracker::apply_independent_batch`]: crate::modularity::ModularityTracker::apply_independent_batch
 
 use crate::active::ActiveSet;
-use crate::config::SweepMode;
-use crate::modularity::{
-    best_move_with_src, Community, IndependentMove, ModularityTracker, MoveContext, MoveDecision,
-    NeighborScratch, ScratchPool, TRACKER_DRIFT_TOLERANCE,
-};
-use crate::phase::{singlet_veto, IterationStats, PhaseOutcome};
-use crate::schedule::Convergence;
+use crate::modularity::{Community, IndependentMove, MoveDecision, NeighborScratch, ScratchPool};
+use crate::phase::{evaluate, singlet_veto, SweepState};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
-/// Runs one **unordered** (non-colored) parallel phase to convergence under
-/// an explicit [`Convergence`] policy — the full convergence engine behind
-/// [`crate::PhaseDriver::run`].
-///
-/// Per-iteration bookkeeping is incremental: community degrees, sizes, and
-/// the `Σ e_in` / `Σ a_C²` modularity terms are carried across iterations
-/// and updated only for the committed moves
-/// ([`ModularityTracker::apply_batch`]), so the historical O(n) degree
-/// rebuild and O(m) modularity rescan are gone from the hot path (the
-/// rescan survives as a `debug_assert` cross-check). All updates are
-/// applied in deterministic order, preserving the §5.4 bitwise-stability
-/// guarantee across thread counts.
-///
-/// `sweep` selects the iteration schedule: [`SweepMode::Full`] re-examines
-/// every vertex each iteration (the paper's scheme); [`SweepMode::Active`]
-/// re-examines only the dirty vertices — those whose neighborhood changed in
-/// the previous iteration ([`ActiveSet`], rebuilt from the committed move
-/// list) — making late iterations activity-proportional while staying
-/// bitwise deterministic across thread counts. Pruning is **deferred**: the
-/// phase runs the plain full-iteration path (bitwise identical to `Full`,
-/// zero overhead) until an iteration's move count first drops to the
-/// [`ActiveSet::engages`] bound, because a frontier derived from a dense
-/// move set would be near-saturated and save nothing.
-///
-/// Each iteration decides under the policy's per-vertex gain gate
-/// ([`Convergence::gate`]): a vertex whose best move gains less than the
-/// gate stays put and counts as **locally converged**, so it commits no
-/// move and drops out of the next dirty-vertex frontier until a neighbor
-/// moves. `Convergence::fixed(θ)` (gate 0) reproduces the historical
-/// fixed-threshold sweep bit-for-bit; a geometric schedule tightens the
-/// gate per iteration and terminates on "frontier empty at the floor"
-/// instead of the aggregate-gain stop ([`Convergence::should_stop`]). The
-/// gate sequence is a pure function of the iteration index, so scheduled
-/// sweeps remain bitwise deterministic across thread counts.
-pub(crate) fn unordered_scheduled_impl(
-    g: &CsrGraph,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    let n = g.num_vertices();
-    let m = g.total_weight();
-    if n == 0 || m <= 0.0 {
-        return PhaseOutcome::trivial(n);
+/// The snapshot sweeps' per-vertex policy on the kernel's decision `d` for
+/// a vertex in community `cur`: a move gaining less than `gate` is
+/// suppressed, and a surviving move is dropped by the §5.1 singlet veto.
+/// Returns the target to commit and whether the gate suppressed a move (the
+/// vertex is locally converged at this gate level; vetoes and genuine stays
+/// are not). `gate = 0.0` never suppresses: a chosen move gains > 0.
+#[inline]
+fn snapshot_policy(
+    d: &MoveDecision,
+    cur: Community,
+    gate: f64,
+    sizes: &[u32],
+) -> (Community, bool) {
+    if d.target != cur {
+        if d.gain < gate {
+            return (cur, true);
+        }
+        if singlet_veto(cur, d.target, |c| sizes[c as usize]) {
+            return (cur, false);
+        }
     }
+    (d.target, false)
+}
 
-    // Incremental state, initialized once for the singleton partition and
-    // carried across iterations (Algorithm 1 line 8's "previous iteration"
-    // view is exactly this state before the batch is applied).
-    let mut c_prev: Vec<Community> = (0..n as Community).collect();
-    let mut a: Vec<f64> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
-    let mut sizes: Vec<u32> = vec![1; n];
-    let mut tracker = ModularityTracker::new(g, &c_prev, &a, resolution);
-
-    let mut iterations: Vec<(f64, usize)> = Vec::new();
-    let mut stats: Vec<IterationStats> = Vec::new();
-    let mut q_prev = tracker.modularity();
-
-    // Deferred pruning: `active` stays disengaged (`None`) — the plain
-    // full-iteration path below, bitwise identical to `SweepMode::Full` —
-    // until an iteration's move count drops to the engagement bound; from
-    // then on the work list and a second assignment buffer prune every
-    // iteration.
-    let prune = sweep == SweepMode::Active;
-    let mut active: Option<(ActiveSet, Vec<Community>)> = None;
+/// The unordered sweep's per-iteration step for the phase driver.
+///
+/// Every examined vertex decides in parallel against the state as the
+/// previous iteration left it; the moves then commit together through
+/// [`crate::modularity::ModularityTracker::apply_batch`] (O(Σ deg(moved))
+/// accounting, applied in ascending vertex order). Before pruning engages
+/// the step examines all `n` vertices and collects the new assignment
+/// directly; once the driver has engaged a frontier, only frontier vertices
+/// decide — they see exactly the frozen state a full sweep would show them,
+/// so their decisions and the accounting are unchanged — and the commit
+/// goes through a second assignment buffer.
+pub(crate) fn unordered_step(
+    g: &CsrGraph,
+) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + '_
+{
+    let n = g.num_vertices();
     // The process-global per-worker arena: scratches checked out here were
     // warmed by earlier iterations — and earlier *phases* — on the same
     // resident worker.
     let scratches = ScratchPool::global();
-
-    for iter in 0..max_iterations {
-        let gate = conv.gate(iter);
-        let (q_curr, moves, converged) = match &mut active {
-            // Lines 9–14, full schedule: one parallel sweep over every
-            // vertex without locks, against snapshot state.
+    let mut spare: Vec<Community> = Vec::new();
+    move |state, active, gate, movers| {
+        let gamma = state.tracker.gamma();
+        let frozen = &*state;
+        let target_of = |scratch: &mut NeighborScratch, v: VertexId| {
+            let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+            snapshot_policy(&d, frozen.assignment[v as usize], gate, &frozen.sizes)
+        };
+        match active {
             None => {
                 // With the gate inactive (Fixed + ε = 0, the default and
                 // the perf-gated baseline) nothing can be suppressed, so
-                // the sweep keeps its historical single-collect shape; the
-                // gated shape pays two extra O(n) passes to split targets
-                // from suppression flags.
-                let (c_curr, converged) = if gate > 0.0 {
+                // the sweep keeps its single-collect shape; the gated shape
+                // pays two extra O(n) passes to split targets from
+                // suppression flags.
+                let (c_curr, converged): (Vec<Community>, usize) = if gate > 0.0 {
                     let decisions: Vec<(Community, bool)> = (0..n as VertexId)
                         .into_par_iter()
-                        .map_init(
-                            || scratches.take(),
-                            |scratch, v| {
-                                decide(g, &c_prev, &a, &sizes, m, resolution, gate, scratch, v)
-                            },
-                        )
+                        .map_init(|| scratches.take(), |scratch, v| target_of(scratch, v))
                         .collect();
-                    let c_curr: Vec<Community> = decisions.par_iter().map(|&(c, _)| c).collect();
-                    let converged = decisions.par_iter().filter(|&&(_, gated)| gated).count();
-                    (c_curr, converged)
+                    (
+                        decisions.par_iter().map(|&(c, _)| c).collect(),
+                        decisions.par_iter().filter(|&&(_, gated)| gated).count(),
+                    )
                 } else {
-                    let c_curr: Vec<Community> = (0..n as VertexId)
+                    let c_curr = (0..n as VertexId)
                         .into_par_iter()
-                        .map_init(
-                            || scratches.take(),
-                            |scratch, v| {
-                                decide(g, &c_prev, &a, &sizes, m, resolution, gate, scratch, v).0
-                            },
-                        )
+                        .map_init(|| scratches.take(), |scratch, v| target_of(scratch, v).0)
                         .collect();
                     (c_curr, 0)
                 };
-
-                // The committed moves, in ascending vertex order
-                // (deterministic).
-                let moved: Vec<VertexId> = (0..n as VertexId)
+                // The committed moves, in ascending vertex order.
+                *movers = (0..n as VertexId)
                     .into_par_iter()
-                    .filter(|&v| c_prev[v as usize] != c_curr[v as usize])
+                    .filter(|&v| frozen.assignment[v as usize] != c_curr[v as usize])
                     .collect();
-                let moves = moved.len();
-                tracker.apply_batch(g, &c_prev, &c_curr, &moved, &mut a, &mut sizes);
-                c_prev = c_curr;
-                // Engagement additionally waits for the gate to reach its
-                // floor: while the gate still tightens, a vertex gated this
-                // iteration may clear the next one, and only the full path
-                // re-examines it then (a frontier would park it until a
-                // neighbor moved). Under `Fixed` the gate is constant, so
-                // this clause never defers.
-                if prune && conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) {
-                    let mut set = ActiveSet::empty(n);
-                    set.rebuild_from_moves(g, &moved);
-                    active = Some((set, c_prev.clone()));
-                }
-                stats.push(IterationStats {
-                    gate,
-                    frontier: n,
-                    converged,
-                });
-                (tracker.modularity(), moves, converged)
+                state.tracker.apply_batch(
+                    g,
+                    &state.assignment,
+                    &c_curr,
+                    movers,
+                    &mut state.a,
+                    &mut state.sizes,
+                );
+                state.assignment = c_curr;
+                (n, converged)
             }
-            // Active schedule: decide only the frontier. Frontier vertices
-            // see exactly the frozen state a full sweep would show them, so
-            // their decisions (and the incremental accounting) are
-            // unchanged; skipped vertices keep their label by construction.
-            Some((set, c_curr)) => {
-                if set.is_empty() {
-                    // Converged: nothing moved last iteration, so no vertex
-                    // can have a changed neighborhood. (Unreachable through
-                    // the normal loop — `should_stop` fires on zero moves —
-                    // but an explicit guard keeps the invariant local.)
-                    break;
-                }
+            Some(set) => {
                 let frontier = set.frontier();
                 let decisions: Vec<(Community, bool)> = frontier
                     .par_iter()
-                    .map_init(
-                        || scratches.take(),
-                        |scratch, &v| {
-                            decide(g, &c_prev, &a, &sizes, m, resolution, gate, scratch, v)
-                        },
-                    )
+                    .map_init(|| scratches.take(), |scratch, &v| target_of(scratch, v))
                     .collect();
-
-                // Commit: copy the previous assignment (O(n) memcpy — cheap
-                // next to the O(m) gathers pruning saves), then apply the
-                // frontier's decisions in ascending vertex order.
-                c_curr.copy_from_slice(&c_prev);
-                let mut moved: Vec<VertexId> = Vec::new();
+                // Copy the snapshot (an O(n) memcpy, cheap next to the O(m)
+                // gathers pruning saves), then apply the frontier's
+                // decisions in ascending vertex order.
+                spare.clone_from(&state.assignment);
                 let mut converged = 0usize;
                 for (&v, &(to, gated)) in frontier.iter().zip(&decisions) {
-                    if to != c_prev[v as usize] {
-                        c_curr[v as usize] = to;
-                        moved.push(v);
+                    if to != state.assignment[v as usize] {
+                        spare[v as usize] = to;
+                        movers.push(v);
                     }
                     converged += gated as usize;
                 }
-                let moves = moved.len();
-                let frontier_len = frontier.len();
-                tracker.apply_batch(g, &c_prev, c_curr, &moved, &mut a, &mut sizes);
-                set.rebuild_from_moves(g, &moved);
-                std::mem::swap(&mut c_prev, c_curr);
-                stats.push(IterationStats {
-                    gate,
-                    frontier: frontier_len,
-                    converged,
-                });
-                (tracker.modularity(), moves, converged)
+                state.tracker.apply_batch(
+                    g,
+                    &state.assignment,
+                    &spare,
+                    movers,
+                    &mut state.a,
+                    &mut state.sizes,
+                );
+                std::mem::swap(&mut state.assignment, &mut spare);
+                (frontier.len(), converged)
             }
-        };
-        debug_assert!(
-            tracker.drift_from_full(g, &c_prev) < TRACKER_DRIFT_TOLERANCE,
-            "incremental modularity drifted: {} vs full recompute",
-            tracker.drift_from_full(g, &c_prev),
-        );
-        iterations.push((q_curr, moves));
-        if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
-            break;
         }
-        q_prev = q_curr;
-    }
-
-    let final_modularity = iterations.last().map(|&(q, _)| q).unwrap_or(q_prev);
-    PhaseOutcome {
-        assignment: c_prev,
-        iterations,
-        stats,
-        final_modularity,
-        refinement: None,
     }
 }
 
-/// Carried-forward sweep state for [`unordered_resume_impl`]: a converged
-/// (or at least meaningful) prior assignment plus its incremental
-/// bookkeeping, as the dynamic driver reconstructs it after an edge batch.
-pub(crate) struct ResumeState {
-    /// Prior community labels, one per vertex of the *updated* graph
-    /// (labels `< n`, not necessarily dense).
-    pub assignment: Vec<Community>,
-    /// Per-community weighted degree sums on the updated graph.
-    pub a: Vec<f64>,
-    /// Per-community member counts.
-    pub sizes: Vec<u32>,
-    /// Tracker already seeded for (`assignment`, updated graph).
-    pub tracker: ModularityTracker,
-    /// Vertices whose incident edges changed — the dirty seed set
-    /// (ascending, deduplicated).
-    pub seeds: Vec<VertexId>,
-}
-
-/// Resumes the **unordered** parallel sweep from carried-forward state
-/// instead of the singleton partition — the dynamic-update analogue of
-/// [`unordered_scheduled_impl`].
+/// The colored sweep's per-iteration step for the phase driver.
 ///
-/// The [`ActiveSet`] engages *immediately*, seeded from `state.seeds` (the
-/// endpoints of changed edges) via the same movers ∪ neighbors closure used
-/// mid-phase, so iteration 0 already examines only the dirty frontier.
-/// Vertices outside the frontier are never examined and therefore keep
-/// their labels bitwise — the quiesced-region guarantee — and every
-/// per-iteration mechanism (snapshot decisions, ascending-order commits,
-/// incremental tracker accounting, frontier rebuild from the committed move
-/// list) is shared with the static phase, so the resumed sweep stays
-/// bitwise deterministic across thread counts.
-pub(crate) fn unordered_resume_impl(
-    g: &CsrGraph,
-    state: ResumeState,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    let n = g.num_vertices();
-    let m = g.total_weight();
-    let ResumeState {
-        assignment: mut c_prev,
-        mut a,
-        mut sizes,
-        mut tracker,
-        seeds,
-    } = state;
-    if n == 0 || m <= 0.0 {
-        return PhaseOutcome {
-            assignment: c_prev,
-            iterations: Vec::new(),
-            stats: Vec::new(),
-            final_modularity: 0.0,
-            refinement: None,
-        };
-    }
-
-    let mut set = ActiveSet::empty(n);
-    set.rebuild_from_moves(g, &seeds);
-    let mut c_curr = c_prev.clone();
-
-    let mut iterations: Vec<(f64, usize)> = Vec::new();
-    let mut stats: Vec<IterationStats> = Vec::new();
-    let mut q_prev = tracker.modularity();
+/// `batches` partitions the vertices into independent sets (distance-1
+/// color classes) under [`ColorBatches`]' stable-ordering guarantee. The
+/// batches run in ascending color order; each is decided in parallel
+/// against the state frozen at its barrier — a vertex's neighbors sit in
+/// other classes, so the frozen state is also their freshest — and then
+/// committed in ascending vertex order: per-move `e_in` deltas reduce in a
+/// fixed left-biased order (`det_sum`) and the `a`/`Σ a_C²`/size updates
+/// apply in commit order, O(#moves) and schedule-independent.
+///
+/// Once the driver has engaged a frontier, each batch is first filtered to
+/// its active vertices ([`ColorBatches::filter_batch_into`]) — a filtered
+/// batch is still an independent set, so the barrier commit and the
+/// incremental accounting stay exact. Vertices whose neighborhood changes
+/// mid-iteration (an earlier batch's commit) are picked up by the next
+/// iteration's frontier, which the driver rebuilds from all the batches'
+/// movers.
+pub(crate) fn colored_step<'a>(
+    g: &'a CsrGraph,
+    batches: &'a ColorBatches,
+) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + 'a
+{
+    // Scratch allocations amortize across all color batches, iterations,
+    // and phases instead of recurring per parallel region.
     let scratches = ScratchPool::global();
-
-    for iter in 0..max_iterations {
-        if set.is_empty() {
-            break;
-        }
-        let gate = conv.gate(iter);
-        let frontier = set.frontier();
-        let decisions: Vec<(Community, bool)> = frontier
-            .par_iter()
-            .map_init(
-                || scratches.take(),
-                |scratch, &v| decide(g, &c_prev, &a, &sizes, m, resolution, gate, scratch, v),
-            )
-            .collect();
-
-        c_curr.copy_from_slice(&c_prev);
-        let mut moved: Vec<VertexId> = Vec::new();
-        let mut converged = 0usize;
-        for (&v, &(to, gated)) in frontier.iter().zip(&decisions) {
-            if to != c_prev[v as usize] {
-                c_curr[v as usize] = to;
-                moved.push(v);
-            }
-            converged += gated as usize;
-        }
-        let moves = moved.len();
-        let frontier_len = frontier.len();
-        tracker.apply_batch(g, &c_prev, &c_curr, &moved, &mut a, &mut sizes);
-        set.rebuild_from_moves(g, &moved);
-        std::mem::swap(&mut c_prev, &mut c_curr);
-        stats.push(IterationStats {
-            gate,
-            frontier: frontier_len,
-            converged,
-        });
-        let q_curr = tracker.modularity();
-        debug_assert!(
-            tracker.drift_from_full(g, &c_prev) < TRACKER_DRIFT_TOLERANCE,
-            "resumed incremental modularity drifted: {} vs full recompute",
-            tracker.drift_from_full(g, &c_prev),
-        );
-        iterations.push((q_curr, moves));
-        if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
-            break;
-        }
-        q_prev = q_curr;
-    }
-
-    let final_modularity = iterations.last().map(|&(q, _)| q).unwrap_or(q_prev);
-    PhaseOutcome {
-        assignment: c_prev,
-        iterations,
-        stats,
-        final_modularity,
-        refinement: None,
-    }
-}
-
-/// One vertex's migration decision against snapshot state, gated by the
-/// iteration's per-vertex gain threshold. Returns `(target, gated)`:
-/// `gated` is true iff the vertex had a strictly positive best gain that
-/// the gate suppressed — it is *locally converged* at this gate level
-/// (singlet vetoes and genuine stays are not gated). `gate = 0.0` can never
-/// suppress (a chosen target always has gain > 0), so ungated callers get
-/// the historical decision bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn decide(
-    g: &CsrGraph,
-    assignment: &[Community],
-    a: &[f64],
-    sizes: &[u32],
-    m: f64,
-    resolution: f64,
-    gate: f64,
-    scratch: &mut NeighborScratch,
-    v: VertexId,
-) -> (Community, bool) {
-    let cur = assignment[v as usize];
-    scratch.gather(g, assignment, v);
-    if scratch.entries.is_empty() {
-        return (cur, false);
-    }
-    let ctx = MoveContext {
-        current: cur,
-        k: g.weighted_degree(v),
-        m,
-        a_current: a[cur as usize],
-        gamma: resolution,
-    };
-    let decision = best_move_with_src(&ctx, &scratch.entries, scratch.weight_to(cur), |c| {
-        a[c as usize]
-    });
-    if decision.target != cur {
-        if decision.gain < gate {
-            return (cur, true);
-        }
-        if singlet_veto(cur, decision.target, |c| sizes[c as usize]) {
-            return (cur, false);
-        }
-    }
-    (decision.target, false)
-}
-
-/// One color batch's migration decisions, evaluated in parallel against the
-/// state frozen at the batch barrier (`assignment`/`a`/`sizes` are not
-/// mutated while the batch is in flight). Returns one [`MoveDecision`] per
-/// batch vertex, in batch order; a gated, vetoed, or stay decision has
-/// `target == current` (a gated one keeps its positive `gain`, which is how
-/// [`colored_collect_moves`] recognizes local convergence). Shared by the
-/// incremental colored sweep and the full-rescan reference (which passes
-/// `gate = 0.0`) so both make bitwise-identical decisions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn colored_decide_batch(
-    g: &CsrGraph,
-    assignment: &[Community],
-    a: &[f64],
-    sizes: &[u32],
-    m: f64,
-    resolution: f64,
-    gate: f64,
-    batch: &[VertexId],
-    scratches: &ScratchPool,
-) -> Vec<MoveDecision> {
-    batch
-        .par_iter()
-        .map_init(
-            || scratches.take(),
-            |scratch, &v| {
-                let scratch: &mut NeighborScratch = scratch;
-                let cur = assignment[v as usize];
-                // Neighbors are in other color batches (distance-1 coloring), so
-                // the barrier snapshot is also their freshest state.
-                scratch.gather(g, assignment, v);
-                if scratch.entries.is_empty() {
-                    return MoveDecision {
-                        target: cur,
-                        gain: 0.0,
-                        e_src: 0.0,
-                        e_tgt: 0.0,
-                    };
-                }
-                let ctx = MoveContext {
-                    current: cur,
-                    k: g.weighted_degree(v),
-                    m,
-                    a_current: a[cur as usize],
-                    gamma: resolution,
-                };
-                let decision =
-                    best_move_with_src(&ctx, &scratch.entries, scratch.weight_to(cur), |c| {
-                        a[c as usize]
-                    });
-                if decision.target != cur
-                    && (decision.gain < gate
-                        || singlet_veto(cur, decision.target, |c| sizes[c as usize]))
-                {
-                    return MoveDecision {
-                        target: cur,
-                        ..decision
-                    };
-                }
-                decision
-            },
-        )
-        .collect()
-}
-
-/// Drains one batch's decisions into `moved` (ascending vertex order, since
-/// batches are stably ordered) and commits the assignment writes; the
-/// movers' vertex ids land in `movers` (same order, same length — the
-/// active-set rebuild consumes them). Returns the number of **locally
-/// converged** vertices: stays whose positive best gain fell below `gate`
-/// (gate 0.0 ⇒ always 0). The `a`/`sizes`/modularity accounting is the
-/// caller's responsibility — the only place the incremental sweep and the
-/// rescan reference differ.
-pub(crate) fn colored_collect_moves(
-    g: &CsrGraph,
-    batch: &[VertexId],
-    decisions: &[MoveDecision],
-    gate: f64,
-    assignment: &mut [Community],
-    moved: &mut Vec<IndependentMove>,
-    movers: &mut Vec<VertexId>,
-) -> usize {
-    moved.clear();
-    movers.clear();
-    let mut converged = 0usize;
-    for (&v, d) in batch.iter().zip(decisions) {
-        let from = assignment[v as usize];
-        if d.target == from {
-            converged += (d.gain > 0.0 && d.gain < gate) as usize;
-            continue;
-        }
-        moved.push(IndependentMove {
-            k: g.weighted_degree(v),
-            e_src: d.e_src,
-            e_tgt: d.e_tgt,
-            from,
-            to: d.target,
-        });
-        movers.push(v);
-        assignment[v as usize] = d.target;
-    }
-    converged
-}
-
-/// Runs one **colored** parallel phase to convergence under an explicit
-/// [`Convergence`] policy — the colored side of the convergence engine,
-/// behind [`crate::PhaseDriver::run_colored`].
-///
-/// `batches` partitions the vertices into independent sets (distance-1 color
-/// classes) under [`ColorBatches`]' stable-ordering guarantee. Within an
-/// iteration the batches are processed in ascending color order: each
-/// batch's decisions are computed in parallel against the state frozen at
-/// its barrier, then committed in ascending vertex order, so later batches
-/// observe earlier commits (the colored analogue of serial freshness) while
-/// the whole phase stays bitwise deterministic across thread counts.
-///
-/// Per-iteration bookkeeping is incremental, as in
-/// [`unordered_scheduled_impl`]: community degrees, sizes, and the
-/// `Σ e_in` / `Σ a_C²` terms are carried across batches and updated only for
-/// committed moves ([`ModularityTracker::apply_independent_batch`], exact
-/// precisely because a batch's movers form an independent set), replacing
-/// the historical per-iteration O(m) modularity rescan with O(#moves)
-/// accounting. The rescan survives as a `debug_assert` cross-check here and
-/// as the retained [`crate::reference::parallel_phase_colored_rescan`]
-/// differential baseline.
-///
-/// Under [`SweepMode::Active`] each color batch is filtered to its active
-/// vertices ([`ColorBatches::filter_batch_into`]) before the batch decision
-/// pass — a filtered batch is still an independent set, so the barrier
-/// commit and incremental accounting stay exact. The work list is rebuilt
-/// once per iteration from the concatenated per-batch move lists, so the
-/// frontier (and hence the whole phase) remains bitwise deterministic
-/// across thread counts; vertices whose neighborhood changes mid-iteration
-/// (an earlier batch's commit) are picked up in the next iteration's
-/// frontier. As in the unordered sweep, pruning is deferred until an
-/// iteration's move count drops to the [`ActiveSet::engages`] bound — dense
-/// iterations run the plain path, bitwise identical to `Full`.
-///
-/// The per-vertex gain gate is applied inside each batch's decision pass
-/// ([`colored_decide_batch`]): a gated vertex stays put, so it neither
-/// commits a move nor re-enters the dirty-vertex frontier until a neighbor
-/// moves. Gating is vertex-local against the batch's frozen barrier state,
-/// so the independent-set commit and the incremental accounting are
-/// untouched, and the gate sequence (a pure function of the iteration
-/// index) keeps the whole phase bitwise deterministic across thread counts.
-/// `Convergence::fixed(θ)` reproduces the fixed-threshold colored sweep
-/// bit-for-bit.
-pub(crate) fn colored_scheduled_impl(
-    g: &CsrGraph,
-    batches: &ColorBatches,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
-    let n = g.num_vertices();
-    let m = g.total_weight();
-    if n == 0 || m <= 0.0 {
-        return PhaseOutcome::trivial(n);
-    }
-    debug_assert!(batches.is_stably_ordered(), "unstable color batches");
-
-    let mut assignment: Vec<Community> = (0..n as Community).collect();
-    let mut a: Vec<f64> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
-    let mut sizes: Vec<u32> = vec![1; n];
-    let mut tracker = ModularityTracker::new(g, &assignment, &a, resolution);
-
-    let mut iterations: Vec<(f64, usize)> = Vec::new();
-    let mut stats: Vec<IterationStats> = Vec::new();
-    let mut q_prev = tracker.modularity();
-    let mut moved: Vec<IndependentMove> = Vec::new();
-    let mut movers: Vec<VertexId> = Vec::new();
-    // The process-global per-worker arena: scratch allocations amortize
-    // across all color batches, iterations, and phases instead of recurring
-    // per parallel region.
-    let scratches = ScratchPool::global();
-
-    // Deferred pruning, as in the unordered sweep: full-path iterations
-    // (bitwise identical to `Full`) until the move count first drops to the
-    // engagement bound, pruned iterations thereafter.
-    let prune = sweep == SweepMode::Active;
-    let mut active: Option<ActiveSet> = None;
     let mut filtered: Vec<VertexId> = Vec::new();
-    let mut iter_movers: Vec<VertexId> = Vec::new();
-
-    for iter in 0..max_iterations {
-        if active.as_ref().is_some_and(ActiveSet::is_empty) {
-            // Converged: nothing moved last iteration (see the unordered
-            // sweep's identical guard).
-            break;
-        }
-        let gate = conv.gate(iter);
-        let mut moves = 0usize;
-        let mut converged = 0usize;
+    let mut moved: Vec<IndependentMove> = Vec::new();
+    move |state, active, gate, movers| {
+        let gamma = state.tracker.gamma();
         let mut examined = 0usize;
-        iter_movers.clear();
+        let mut converged = 0usize;
         for (color, full_batch) in batches.as_classes().iter().enumerate() {
-            let batch: &[VertexId] = match &active {
+            let batch: &[VertexId] = match active {
                 // A filtered batch is a subset of an independent set —
                 // still independent, still ascending.
                 Some(set) if !set.is_saturated() => {
@@ -618,79 +208,48 @@ pub(crate) fn colored_scheduled_impl(
                 continue;
             }
             examined += batch.len();
-            let decisions = colored_decide_batch(
-                g,
-                &assignment,
-                &a,
-                &sizes,
-                m,
-                resolution,
-                gate,
-                batch,
-                scratches,
-            );
-            converged += colored_collect_moves(
-                g,
-                batch,
-                &decisions,
-                gate,
-                &mut assignment,
-                &mut moved,
-                &mut movers,
-            );
-            // Barrier commit: per-move e_in deltas reduced in a fixed
-            // left-biased order (det_sum), a/null_sum/sizes updates applied
-            // in ascending vertex order — O(#moves), schedule-independent.
-            tracker.apply_independent_batch(&moved, &mut a, &mut sizes);
-            moves += moved.len();
-            if prune {
-                iter_movers.extend_from_slice(&movers);
+            let frozen = &*state;
+            let decisions: Vec<(MoveDecision, bool)> = batch
+                .par_iter()
+                .map_init(
+                    || scratches.take(),
+                    |scratch, &v| {
+                        let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+                        let cur = frozen.assignment[v as usize];
+                        let (target, gated) = snapshot_policy(&d, cur, gate, &frozen.sizes);
+                        (MoveDecision { target, ..d }, gated)
+                    },
+                )
+                .collect();
+            moved.clear();
+            for (&v, &(d, gated)) in batch.iter().zip(&decisions) {
+                converged += gated as usize;
+                let from = state.assignment[v as usize];
+                if d.target != from {
+                    moved.push(IndependentMove {
+                        k: g.weighted_degree(v),
+                        e_src: d.e_src,
+                        e_tgt: d.e_tgt,
+                        from,
+                        to: d.target,
+                    });
+                    movers.push(v);
+                    state.assignment[v as usize] = d.target;
+                }
             }
+            state
+                .tracker
+                .apply_independent_batch(&moved, &mut state.a, &mut state.sizes);
         }
-        match &mut active {
-            Some(set) => set.rebuild_from_moves(g, &iter_movers),
-            // As in the unordered sweep, engagement waits for the gate
-            // floor: a pre-floor frontier would park vertices the
-            // tightening gate is about to admit.
-            None if prune && conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) => {
-                let mut set = ActiveSet::empty(n);
-                set.rebuild_from_moves(g, &iter_movers);
-                active = Some(set);
-            }
-            None => {}
-        }
-
-        let q_curr = tracker.modularity();
-        debug_assert!(
-            tracker.drift_from_full(g, &assignment) < TRACKER_DRIFT_TOLERANCE,
-            "incremental colored modularity drifted: {} vs full recompute",
-            tracker.drift_from_full(g, &assignment),
-        );
-        iterations.push((q_curr, moves));
-        stats.push(IterationStats {
-            gate,
-            frontier: examined,
-            converged,
-        });
-        if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
-            break;
-        }
-        q_prev = q_curr;
-    }
-
-    let final_modularity = iterations.last().map(|&(q, _)| q).unwrap_or(q_prev);
-    PhaseOutcome {
-        assignment,
-        iterations,
-        stats,
-        final_modularity,
-        refinement: None,
+        (examined, converged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LouvainConfig, SweepMode};
+    use crate::phase::{PhaseDriver, PhaseOutcome};
     use grappolo_coloring::{color_parallel, ParallelColoringConfig};
     use grappolo_graph::from_unweighted_edges;
     use grappolo_graph::gen::{
@@ -703,8 +262,23 @@ mod tests {
     }
 
     // The historical fixed-threshold entry signatures, kept local so the
-    // tests keep reading like the paper's experiments; production callers go
-    // through `crate::PhaseDriver`.
+    // tests keep reading like the paper's experiments; they resolve through
+    // the production `PhaseDriver`.
+    fn driver(
+        sweep: SweepMode,
+        threshold: f64,
+        max_iterations: usize,
+        resolution: f64,
+    ) -> PhaseDriver {
+        let config = LouvainConfig {
+            sweep_mode: sweep,
+            max_iterations_per_phase: max_iterations,
+            resolution,
+            ..LouvainConfig::default()
+        };
+        PhaseDriver::from_config(&config, threshold)
+    }
+
     fn parallel_phase_unordered(
         g: &CsrGraph,
         threshold: f64,
@@ -721,13 +295,7 @@ mod tests {
         max_iterations: usize,
         resolution: f64,
     ) -> PhaseOutcome {
-        unordered_scheduled_impl(
-            g,
-            sweep,
-            &Convergence::fixed(threshold),
-            max_iterations,
-            resolution,
-        )
+        driver(sweep, threshold, max_iterations, resolution).run(g)
     }
 
     fn parallel_phase_colored(
@@ -755,14 +323,7 @@ mod tests {
         max_iterations: usize,
         resolution: f64,
     ) -> PhaseOutcome {
-        colored_scheduled_impl(
-            g,
-            batches,
-            sweep,
-            &Convergence::fixed(threshold),
-            max_iterations,
-            resolution,
-        )
+        driver(sweep, threshold, max_iterations, resolution).run_colored(g, batches)
     }
 
     #[test]

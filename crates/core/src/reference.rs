@@ -21,10 +21,9 @@
 use crate::config::RenumberStrategy;
 use crate::modularity::{
     best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
-    IndependentMove, ModularityTracker, MoveContext, ScratchPool,
+    ModularityTracker, MoveContext, ScratchPool,
 };
-use crate::parallel::{colored_collect_moves, colored_decide_batch};
-use crate::phase::{should_stop, singlet_veto, IterationStats, PhaseOutcome};
+use crate::phase::{evaluate, should_stop, singlet_veto, IterationStats, PhaseOutcome};
 use crate::rebuild::{
     condense_stamped_flat, condense_stamped_rows, group_by_row, renumber_communities,
 };
@@ -142,12 +141,13 @@ pub fn parallel_phase_unordered_sortbased(
 
 /// The historical **recompute** variant of the colored phase (full sweep,
 /// fixed threshold): identical decisions and barrier commits to the
-/// production colored sweep (same shared kernels, same ascending commit
-/// order), but the per-iteration modularity comes from a full O(m) + O(n)
-/// rescan — a fresh [`ModularityTracker::new`] every iteration — instead of
-/// the carried incremental state. This is the differential baseline: on
-/// exact-weight graphs its assignments, move counts, and per-iteration
-/// modularities are bitwise identical to the incremental path (both
+/// production colored sweep (the same move kernel and singlet veto, the
+/// same ascending commit order), but the per-iteration modularity comes
+/// from a full O(m) + O(n) rescan — a fresh [`ModularityTracker::new`]
+/// every iteration — instead of the carried incremental state. This is the
+/// differential baseline: on exact-weight graphs its assignments, move
+/// counts, and per-iteration modularities are bitwise identical to the
+/// incremental path (both
 /// evaluate `e_in/2m − γ·Σa²/(2m)²` over exactly representable sums), so
 /// any divergence indicts the incremental accounting. The benches measure
 /// the rescan's per-iteration overhead.
@@ -171,46 +171,45 @@ pub fn parallel_phase_colored_rescan(
     let mut iterations: Vec<(f64, usize)> = Vec::new();
     let mut stats: Vec<IterationStats> = Vec::new();
     let mut q_prev = ModularityTracker::new(g, &assignment, &a, resolution).modularity();
-    let mut moved: Vec<IndependentMove> = Vec::new();
-    let mut movers: Vec<VertexId> = Vec::new();
     let scratches = ScratchPool::global();
 
     for _iter in 0..max_iterations {
         let mut moves = 0usize;
         for batch in batches.iter() {
-            if batch.is_empty() {
-                continue;
+            // Decide through the production move kernel against the state
+            // frozen at the barrier, with the singlet veto and no gate.
+            let targets: Vec<Community> = batch
+                .par_iter()
+                .map_init(
+                    || scratches.take(),
+                    |scratch, &v| {
+                        let cur = assignment[v as usize];
+                        let d = evaluate(g, &assignment, &a, resolution, scratch, v);
+                        if singlet_veto(cur, d.target, |c| sizes[c as usize]) {
+                            cur
+                        } else {
+                            d.target
+                        }
+                    },
+                )
+                .collect();
+            // Commit in ascending vertex order. Same arithmetic, same order
+            // as ModularityTracker's commit, so the maintained `a` evolves
+            // bitwise identically — only the e_in/null_sum bookkeeping is
+            // (deliberately) absent here.
+            for (&v, &to) in batch.iter().zip(&targets) {
+                let from = assignment[v as usize];
+                if to == from {
+                    continue;
+                }
+                let k = g.weighted_degree(v);
+                a[from as usize] -= k;
+                a[to as usize] += k;
+                sizes[from as usize] -= 1;
+                sizes[to as usize] += 1;
+                assignment[v as usize] = to;
+                moves += 1;
             }
-            let decisions = colored_decide_batch(
-                g,
-                &assignment,
-                &a,
-                &sizes,
-                m,
-                resolution,
-                0.0,
-                batch,
-                scratches,
-            );
-            colored_collect_moves(
-                g,
-                batch,
-                &decisions,
-                0.0,
-                &mut assignment,
-                &mut moved,
-                &mut movers,
-            );
-            // Same arithmetic, same order as ModularityTracker's commit, so
-            // the maintained `a` evolves bitwise identically — only the
-            // e_in/null_sum bookkeeping is (deliberately) absent here.
-            for mv in &moved {
-                a[mv.from as usize] -= mv.k;
-                a[mv.to as usize] += mv.k;
-                sizes[mv.from as usize] -= 1;
-                sizes[mv.to as usize] += 1;
-            }
-            moves += moved.len();
         }
 
         // The full rescan the incremental path eliminated: O(n) community-

@@ -26,8 +26,9 @@
 //!    best move was suppressed or whose parent disintegrated. A serial
 //!    ascending-order sweep re-examines every *singleton* community and
 //!    greedily merges it into the best adjacent community when the
-//!    modularity gain is strictly positive, committing immediately through
-//!    [`ModularityTracker::apply_move`]. Only singletons move, and a
+//!    modularity gain is strictly positive, committing immediately — the
+//!    serial Louvain sweep's own immediate-commit pass ([`crate::serial`]),
+//!    admitting only singletons. Only singletons move, and a
 //!    singleton's target is by construction adjacent to it, so absorption
 //!    preserves the connectivity invariant (the source community vanishes;
 //!    the target gains an adjacent vertex) while strictly increasing `Q` at
@@ -35,9 +36,10 @@
 //!    from the committed movers until a pass commits nothing.
 //! 3. **Polish rounds.** The gate's forfeited crumbs are not all
 //!    singletons — on structure-free inputs most are ordinary vertices
-//!    whose sub-`1/m` move the schedule never admitted. Each round runs one
-//!    serial ascending-order sweep committing any strictly positive-gain
-//!    move. Such a move can disconnect its source community, so every
+//!    whose sub-`1/m` move the schedule never admitted. Each round runs the
+//!    same immediate-commit pass once more, committing any strictly
+//!    positive-gain move out of a community of at most `POLISH_SOURCE_CAP`
+//!    members. Such a move can disconnect its source community, so every
 //!    productive round is followed by a **re-split** restricted to the
 //!    communities the round's moves touched (untouched communities cannot
 //!    have changed), with the degree sums and the tracker's `Σ a_C²`
@@ -68,9 +70,11 @@
 
 use crate::active::ActiveSet;
 use crate::modularity::{
-    best_move_with_src, community_sizes, det_sum, intra_community_weight,
-    modularity_with_resolution, Community, ModularityTracker, MoveContext, ScratchPool,
+    community_sizes, det_sum, intra_community_weight, modularity_with_resolution, Community,
+    ModularityTracker, NeighborScratch, ScratchPool,
 };
+use crate::phase::SweepState;
+use crate::serial::immediate_pass;
 use grappolo_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -201,25 +205,28 @@ fn split_components(
 /// members cannot have become disconnected, and untouched communities
 /// cannot have changed. Components are relabeled to their minimum member
 /// (new labels cannot collide: every live label is a member of its
-/// community, and communities are disjoint). `a`, `sizes`, and the
-/// tracker's `Σ a_C²` are adjusted in place; `e_in` needs no adjustment
+/// community, and communities are disjoint). The state's `a`, `sizes`, and
+/// the tracker's `Σ a_C²` are adjusted in place; `e_in` needs no adjustment
 /// because splitting removes no intra-community edge. Every vertex whose
 /// label changed is appended to `seed`. `touched` and `prev` are n-sized
 /// scratch buffers (`touched` all-false on entry and exit).
 #[allow(clippy::too_many_arguments)]
 fn resplit_affected(
     g: &CsrGraph,
-    refined: &mut [Community],
+    state: &mut SweepState,
     affected: &mut Vec<Community>,
     touched: &mut [bool],
     prev: &mut [Community],
     members: &mut Vec<VertexId>,
     queue: &mut Vec<VertexId>,
-    a: &mut [f64],
-    sizes: &mut [u32],
-    tracker: &mut ModularityTracker,
     seed: &mut Vec<VertexId>,
 ) {
+    let SweepState {
+        assignment: refined,
+        a,
+        sizes,
+        tracker,
+    } = state;
     // Dedup the affected labels through the scratch bitmap.
     let mut uniq = 0usize;
     for i in 0..affected.len() {
@@ -357,70 +364,22 @@ fn refine_phase_impl(
             intra_community_weight(g, assignment),
         ),
     };
-    let mut tracker = ModularityTracker::from_parts(g, e_in, null_sum, gamma);
+    let mut state = SweepState {
+        assignment: refined,
+        a,
+        sizes,
+        tracker: ModularityTracker::from_parts(g, e_in, null_sum, gamma),
+    };
 
     let mut movers: Vec<VertexId> = Vec::new();
     let mut scratch = ScratchPool::global().take();
-    let mut absorbed = 0usize;
     let mut polished = 0usize;
-    let mut passes = 0usize;
-
-    // One absorption sweep over the frontier; returns the committed movers
-    // appended to `movers` (cleared first).
-    macro_rules! absorb_series {
-        ($active:expr, $carry:expr) => {{
-            let active: &mut ActiveSet = $active;
-            loop {
-                passes += 1;
-                movers.clear();
-                for &v in active.frontier() {
-                    let cur = refined[v as usize];
-                    if sizes[cur as usize] != 1 {
-                        continue;
-                    }
-                    scratch.gather_by(g, v, |u| refined[u]);
-                    if scratch.entries.is_empty() {
-                        continue;
-                    }
-                    let k = g.weighted_degree(v);
-                    let ctx = MoveContext {
-                        current: cur,
-                        k,
-                        m,
-                        a_current: a[cur as usize],
-                        gamma,
-                    };
-                    // A singleton has no co-members, so e_src is exactly 0
-                    // — but read it through the scratch like the sweeps do.
-                    let e_src = scratch.weight_to(cur);
-                    let d = best_move_with_src(&ctx, &scratch.entries, e_src, |c| a[c as usize]);
-                    if d.target != cur && d.gain > 0.0 {
-                        tracker.apply_move(k, d.e_src, d.e_tgt, cur, d.target, &mut a);
-                        sizes[cur as usize] -= 1;
-                        sizes[d.target as usize] += 1;
-                        refined[v as usize] = d.target;
-                        movers.push(v);
-                        absorbed += 1;
-                    }
-                }
-                if movers.is_empty() {
-                    break;
-                }
-                if let Some(carry) = $carry {
-                    let carry: &mut Vec<VertexId> = carry;
-                    carry.extend_from_slice(&movers);
-                }
-                // Each pass with moves deletes ≥ 1 community, so this
-                // terminates in ≤ n passes.
-                active.rebuild_from_moves(g, &movers);
-            }
-        }};
-    }
 
     // ── 2a. Absorption sweeps over the full frontier ────────────────────
     // Singleton communities only: moving a singleton cannot disconnect
     // anything (the source vanishes, the target gains an adjacent member).
-    absorb_series!(&mut ActiveSet::full(n), None::<&mut Vec<VertexId>>);
+    let (mut absorbed, mut passes) =
+        absorb_singletons(g, &mut state, &mut scratch, ActiveSet::full(n), None);
 
     // ── 2b. Polish ⇄ re-split ⇄ absorb rounds ───────────────────────────
     let mut seed: Vec<VertexId> = Vec::new();
@@ -443,37 +402,21 @@ fn refine_phase_impl(
         };
         movers.clear();
         affected.clear();
-        for &v in active.frontier() {
-            let cur = refined[v as usize];
-            if sizes[cur as usize] > POLISH_SOURCE_CAP {
-                continue;
-            }
-            scratch.gather_by(g, v, |u| refined[u]);
-            if scratch.entries.is_empty() {
-                continue;
-            }
-            let k = g.weighted_degree(v);
-            let ctx = MoveContext {
-                current: cur,
-                k,
-                m,
-                a_current: a[cur as usize],
-                gamma,
-            };
-            let e_src = scratch.weight_to(cur);
-            let d = best_move_with_src(&ctx, &scratch.entries, e_src, |c| a[c as usize]);
-            if d.target != cur && d.gain > 0.0 {
-                tracker.apply_move(k, d.e_src, d.e_tgt, cur, d.target, &mut a);
-                sizes[cur as usize] -= 1;
-                sizes[d.target as usize] += 1;
-                refined[v as usize] = d.target;
+        immediate_pass(
+            g,
+            &mut state,
+            &mut scratch,
+            active.frontier().iter().copied(),
+            0.0,
+            |cur, sizes| sizes[cur as usize] <= POLISH_SOURCE_CAP,
+            |v, from| {
                 movers.push(v);
                 // Only the source can end up disconnected — the target
                 // gains an adjacent vertex — so only sources need the
                 // re-split below.
-                affected.push(cur);
-            }
-        }
+                affected.push(from);
+            },
+        );
         if movers.is_empty() {
             // Quiescent round: nothing moved since the last re-split +
             // absorption, so the connectivity invariant is intact.
@@ -487,20 +430,20 @@ fn refine_phase_impl(
         seed.append(&mut movers);
         resplit_affected(
             g,
-            &mut refined,
+            &mut state,
             &mut affected,
             &mut touched,
             &mut prev,
             &mut members,
             &mut queue,
-            &mut a,
-            &mut sizes,
-            &mut tracker,
             &mut seed,
         );
         let mut active = ActiveSet::empty(n);
         active.rebuild_from_moves(g, &seed);
-        absorb_series!(&mut active, Some(&mut seed));
+        let (round_absorbed, round_passes) =
+            absorb_singletons(g, &mut state, &mut scratch, active, Some(&mut seed));
+        absorbed += round_absorbed;
+        passes += round_passes;
 
         rounds += 1;
         if rounds >= MAX_POLISH_ROUNDS {
@@ -510,10 +453,11 @@ fn refine_phase_impl(
         }
     }
     debug_assert!(
-        tracker.drift_from_full(g, &refined) < crate::modularity::TRACKER_DRIFT_TOLERANCE
+        state.tracker.drift_from_full(g, &state.assignment)
+            < crate::modularity::TRACKER_DRIFT_TOLERANCE
     );
 
-    assignment.copy_from_slice(&refined);
+    assignment.copy_from_slice(&state.assignment);
     RefineStats {
         parents,
         split_parents,
@@ -522,13 +466,53 @@ fn refine_phase_impl(
         polished,
         passes,
         pre_modularity,
-        refined_modularity: tracker.modularity(),
+        refined_modularity: state.tracker.modularity(),
+    }
+}
+
+/// Absorption sweeps over `active` until one commits nothing: every
+/// singleton community on the frontier merges into its best adjacent
+/// community when that strictly gains, committed immediately through the
+/// serial sweep's pass. Each productive pass re-arms the frontier from its
+/// movers, which are also appended to `carry`. Returns `(absorbed moves,
+/// passes run)`, the final empty pass included.
+fn absorb_singletons(
+    g: &CsrGraph,
+    state: &mut SweepState,
+    scratch: &mut NeighborScratch,
+    mut active: ActiveSet,
+    mut carry: Option<&mut Vec<VertexId>>,
+) -> (usize, usize) {
+    let (mut absorbed, mut passes) = (0usize, 0usize);
+    let mut movers: Vec<VertexId> = Vec::new();
+    loop {
+        passes += 1;
+        movers.clear();
+        immediate_pass(
+            g,
+            state,
+            scratch,
+            active.frontier().iter().copied(),
+            0.0,
+            |cur, sizes| sizes[cur as usize] == 1,
+            |v, _| movers.push(v),
+        );
+        if movers.is_empty() {
+            return (absorbed, passes);
+        }
+        absorbed += movers.len();
+        if let Some(carry) = carry.as_deref_mut() {
+            carry.extend_from_slice(&movers);
+        }
+        // Each pass with moves deletes ≥ 1 community, so this terminates
+        // in ≤ n passes.
+        active.rebuild_from_moves(g, &movers);
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modularity::community_degrees;
+    use crate::modularity::{best_move_with_src, community_degrees, MoveContext};
     use grappolo_graph::from_unweighted_edges;
     use grappolo_graph::gen::{ring_of_cliques, CliqueRingConfig};
 

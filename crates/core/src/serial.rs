@@ -1,164 +1,101 @@
 //! The serial Louvain method (§3) — a faithful reimplementation of the
-//! Blondel et al. template used as the paper's comparison baseline \[10\].
+//! Blondel et al. template used as the paper's comparison baseline \[10\] —
+//! as the local-moving engine's **immediate-commit** strategy
+//! ([`crate::phase`] runs the iterations around it).
 //!
 //! Within an iteration the vertices are scanned **sequentially in a
-//! predefined order** (vertex id), each decision seeing "the latest
-//! information available from all the preceding vertices" — the property §4
-//! identifies as the obstacle to parallelization. All updates (community
-//! degrees, sizes) are applied immediately, so modularity is monotonically
-//! non-decreasing across iterations of a phase (tested).
+//! predefined order** (vertex id, or the ascending active frontier), each
+//! decision seeing "the latest information available from all the preceding
+//! vertices" — the property §4 identifies as the obstacle to
+//! parallelization. Every move is committed the moment it is decided
+//! (community degrees, sizes, and the tracker's `Σ e_in` / `Σ a_C²` via
+//! [`ModularityTracker::apply_move`]), so modularity is monotonically
+//! non-decreasing across iterations of a phase (tested). The same pass runs
+//! the Leiden-style refinement's absorption and polish sweeps
+//! ([`crate::refine`]).
 //!
-//! This module intentionally contains no rayon: the serial baseline must not
-//! silently parallelize, or Table 2 / Fig. 7's absolute speedups would be
-//! meaningless.
+//! This module intentionally contains no rayon, and neither does the
+//! driver's serial path: the serial baseline must not silently parallelize,
+//! or Table 2 / Fig. 7's absolute speedups would be meaningless.
+//!
+//! [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
 
 use crate::active::ActiveSet;
-use crate::config::SweepMode;
-use crate::modularity::{
-    best_move_with_src, Community, ModularityTracker, MoveContext, NeighborScratch,
-    TRACKER_DRIFT_TOLERANCE,
-};
-use crate::phase::{IterationStats, PhaseOutcome};
-use crate::schedule::Convergence;
+use crate::modularity::{Community, NeighborScratch};
+use crate::phase::{evaluate, SweepState};
 use grappolo_graph::{CsrGraph, VertexId};
 
-/// Runs one serial phase to convergence under an explicit [`Convergence`]
-/// policy — the serial arm of [`crate::PhaseDriver::run`].
-///
-/// `max_iterations` caps the loop (safety); `resolution` is γ in Q_γ.
-/// `sweep` selects the iteration schedule: [`SweepMode::Full`] scans all
-/// vertices in id order (Blondel et al.'s scheme); [`SweepMode::Active`]
-/// scans only the dirty vertices — the frontier is in ascending id order,
-/// so active iterations visit the same vertices a full iteration would,
-/// minus the provably unchanged ones, in the same order. Pruning is
-/// deferred until an iteration's move count drops to the
-/// [`ActiveSet::engages`] bound (dense iterations are identical to `Full`);
-/// the [`ActiveSet`] rebuild is the only extra work, and this module stays
-/// rayon-free either way.
-///
-/// The per-vertex gain gate applies to each immediately-committed decision:
-/// a gated vertex stays put and counts as locally converged, exactly as in
-/// the parallel sweeps (the serial scan sees fresher state, but the gate
-/// test itself is identical). `Convergence::fixed(θ)` reproduces the
-/// historical serial sweep bit-for-bit; this module stays rayon-free under
-/// every policy.
-pub(crate) fn serial_scheduled_impl(
+/// One immediate-commit pass over `vertices`, in order. A vertex is examined
+/// only when `admit(its community, sizes)` holds; it decides through the
+/// shared kernel against the live state, so it sees every earlier commit of
+/// the pass. A move gaining less than `gate` is suppressed — the vertex is
+/// locally converged at this gate level; any other move commits at once
+/// and is reported to `on_move(vertex, source community)`. Returns the
+/// number of suppressed moves (always 0 for `gate = 0.0`: a chosen move
+/// gains > 0).
+pub(crate) fn immediate_pass(
     g: &CsrGraph,
-    sweep: SweepMode,
-    conv: &Convergence,
-    max_iterations: usize,
-    resolution: f64,
-) -> PhaseOutcome {
+    state: &mut SweepState,
+    scratch: &mut NeighborScratch,
+    vertices: impl IntoIterator<Item = VertexId>,
+    gate: f64,
+    admit: impl Fn(Community, &[u32]) -> bool,
+    mut on_move: impl FnMut(VertexId, Community),
+) -> usize {
+    let gamma = state.tracker.gamma();
+    let mut converged = 0usize;
+    for v in vertices {
+        let cur = state.assignment[v as usize];
+        if !admit(cur, &state.sizes) {
+            continue;
+        }
+        let d = evaluate(g, &state.assignment, &state.a, gamma, scratch, v);
+        if d.target == cur {
+            continue;
+        }
+        if d.gain < gate {
+            converged += 1;
+            continue;
+        }
+        let k = g.weighted_degree(v);
+        state
+            .tracker
+            .apply_move(k, d.e_src, d.e_tgt, cur, d.target, &mut state.a);
+        state.sizes[cur as usize] -= 1;
+        state.sizes[d.target as usize] += 1;
+        state.assignment[v as usize] = d.target;
+        on_move(v, cur);
+    }
+    converged
+}
+
+/// The serial sweep's per-iteration step for the phase driver: one
+/// immediate pass over every vertex in id order (Blondel et al.'s scheme)
+/// or, once pruning has engaged, over the ascending frontier — the same
+/// vertices a full scan would visit, minus the provably unchanged ones, in
+/// the same order.
+pub(crate) fn immediate_step(
+    g: &CsrGraph,
+) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + '_
+{
     let n = g.num_vertices();
-    let m = g.total_weight();
-    if n == 0 || m <= 0.0 {
-        return PhaseOutcome::trivial(n);
-    }
-
-    // Live bookkeeping: community degrees, sizes, and the e_in / Σ a_C²
-    // modularity terms, all updated per committed move so the per-iteration
-    // modularity is O(1) instead of an O(m) rescan. The tracker's serial
-    // constructor keeps this module rayon-free.
-    let mut assignment: Vec<Community> = (0..n as Community).collect();
-    let mut a: Vec<f64> = (0..n).map(|v| g.weighted_degree(v as VertexId)).collect();
-    let mut sizes: Vec<u32> = vec![1; n];
     let mut scratch = NeighborScratch::with_capacity(n);
-    let mut tracker = ModularityTracker::new_serial(g, &assignment, &a, resolution);
-
-    let mut iterations: Vec<(f64, usize)> = Vec::new();
-    let mut stats: Vec<IterationStats> = Vec::new();
-    let mut q_prev = tracker.modularity();
-    let prune = sweep == SweepMode::Active;
-    let mut active: Option<ActiveSet> = None;
-    let mut movers: Vec<VertexId> = Vec::new();
-
-    for iter in 0..max_iterations {
-        if active.as_ref().is_some_and(ActiveSet::is_empty) {
-            break; // converged: nothing moved last iteration
-        }
-        let gate = conv.gate(iter);
-        let mut moves = 0usize;
-        let mut converged = 0usize;
-        movers.clear();
-        let sweep_len = active.as_ref().map_or(n, ActiveSet::len);
-        for idx in 0..sweep_len {
-            let v = match &active {
-                Some(set) => set.frontier()[idx],
-                None => idx as VertexId,
-            };
-            let cur = assignment[v as usize];
-            scratch.gather(g, &assignment, v);
-            if scratch.entries.is_empty() {
-                continue; // isolated or loop-only vertex never moves
+    move |state, active, gate, movers| {
+        let push = |v: VertexId, _: Community| movers.push(v);
+        match active {
+            Some(set) => {
+                let frontier = set.frontier().iter().copied();
+                let converged =
+                    immediate_pass(g, state, &mut scratch, frontier, gate, |_, _| true, push);
+                (set.len(), converged)
             }
-            let ctx = MoveContext {
-                current: cur,
-                k: g.weighted_degree(v),
-                m,
-                a_current: a[cur as usize],
-                gamma: resolution,
-            };
-            let decision =
-                best_move_with_src(&ctx, &scratch.entries, scratch.weight_to(cur), |c| {
-                    a[c as usize]
-                });
-            if decision.target != cur {
-                if decision.gain < gate {
-                    converged += 1; // locally converged at this gate level
-                    continue;
-                }
-                tracker.apply_move(
-                    ctx.k,
-                    decision.e_src,
-                    decision.e_tgt,
-                    cur,
-                    decision.target,
-                    &mut a,
-                );
-                sizes[cur as usize] -= 1;
-                sizes[decision.target as usize] += 1;
-                assignment[v as usize] = decision.target;
-                movers.push(v);
-                moves += 1;
+            None => {
+                let all = 0..n as VertexId;
+                let converged =
+                    immediate_pass(g, state, &mut scratch, all, gate, |_, _| true, push);
+                (n, converged)
             }
         }
-        match &mut active {
-            Some(set) => set.rebuild_from_moves(g, &movers),
-            // Engagement waits for the gate floor, as in the parallel
-            // sweeps: pre-floor frontiers would park vertices the
-            // tightening gate is about to admit.
-            None if prune && conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) => {
-                let mut set = ActiveSet::empty(n);
-                set.rebuild_from_moves(g, &movers);
-                active = Some(set);
-            }
-            None => {}
-        }
-        let q_curr = tracker.modularity();
-        debug_assert!(
-            (q_curr - serial_modularity(g, &assignment, resolution)).abs()
-                < TRACKER_DRIFT_TOLERANCE,
-            "serial incremental modularity drifted from full recompute",
-        );
-        iterations.push((q_curr, moves));
-        stats.push(IterationStats {
-            gate,
-            frontier: sweep_len,
-            converged,
-        });
-        if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
-            break;
-        }
-        q_prev = q_curr;
-    }
-
-    let final_modularity = iterations.last().map(|&(q, _)| q).unwrap_or(q_prev);
-    PhaseOutcome {
-        assignment,
-        iterations,
-        stats,
-        final_modularity,
-        refinement: None,
     }
 }
 
@@ -194,12 +131,14 @@ pub fn serial_modularity(g: &CsrGraph, assignment: &[Community], gamma: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LouvainConfig, SweepMode};
     use crate::modularity::modularity;
+    use crate::phase::{PhaseDriver, PhaseOutcome};
     use grappolo_graph::from_unweighted_edges;
     use grappolo_graph::gen::{ring_of_cliques, CliqueRingConfig};
 
     // The historical fixed-threshold serial entry signatures, kept local for
-    // the tests; production callers go through `crate::PhaseDriver`.
+    // the tests; they resolve through the production `PhaseDriver`.
     fn serial_phase(
         g: &CsrGraph,
         threshold: f64,
@@ -216,13 +155,14 @@ mod tests {
         max_iterations: usize,
         resolution: f64,
     ) -> PhaseOutcome {
-        serial_scheduled_impl(
-            g,
-            sweep,
-            &Convergence::fixed(threshold),
-            max_iterations,
+        let config = LouvainConfig {
+            parallel: false,
+            sweep_mode: sweep,
+            max_iterations_per_phase: max_iterations,
             resolution,
-        )
+            ..LouvainConfig::default()
+        };
+        PhaseDriver::from_config(&config, threshold).run(g)
     }
 
     #[test]

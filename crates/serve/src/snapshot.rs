@@ -18,7 +18,12 @@ use std::sync::Arc;
 pub struct Snapshot {
     /// The graph the assignment was computed on.
     pub graph: CsrGraph,
-    /// Dense community labels on `graph`'s vertices.
+    /// Community labels on `graph`'s vertices. The startup detection's
+    /// labels are dense (`0..num_communities`). After an `update` the
+    /// snapshot holds the update's assignment: on the incremental path its
+    /// labels are **carried** from the previous snapshot and not
+    /// renumbered, so they may be sparse, and `members <c>` then takes a
+    /// carried label (only a from-scratch fallback renumbers densely).
     pub assignment: Vec<Community>,
     /// Number of non-empty communities.
     pub num_communities: usize,
