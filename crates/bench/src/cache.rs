@@ -2,7 +2,7 @@
 //!
 //! Generator suites burn most of their wall-clock re-synthesizing the same
 //! deterministic inputs. [`cached_graph`] memoizes a generated [`CsrGraph`]
-//! as a versioned `.grb` binary file (see `grappolo_graph::io`), so repeat
+//! as a `.grb` binary file (see `grappolo_graph::io`), so repeat
 //! bench runs load the CSR arrays in O(read) instead of re-generating,
 //! re-sorting, and re-merging.
 //!
@@ -27,13 +27,13 @@ pub fn cache_dir() -> PathBuf {
 pub fn cached_graph(key: &str, generate: impl FnOnce() -> CsrGraph) -> CsrGraph {
     let dir = cache_dir();
     let path = dir.join(format!("{key}.grb"));
-    if let Ok(g) = io::load_binary(&path) {
+    if let Ok(g) = io::load_path(&path) {
         return g;
     }
     let g = generate();
     if std::fs::create_dir_all(&dir).is_ok() {
         // Best-effort: a failed write just means the next run regenerates.
-        let _ = io::save_binary(&g, &path);
+        let _ = io::save_path(&g, &path);
     }
     g
 }

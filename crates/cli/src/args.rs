@@ -88,12 +88,10 @@ USAGE:
   grappolo compare <assignments-a> <assignments-b>
   grappolo convert <in-file> <out-file>
       e.g. `grappolo convert web.edges web.grb` caches a parsed graph in the
-      binary .grb format, which later loads in O(read) (no re-parse/re-sort);
-      `grappolo convert old.grb old.grb` upgrades a legacy v1 file to the
-      sectioned v2 layout (chunk table + parallel decode) in place
+      binary .grb format, which later loads in O(read) (no re-parse/re-sort)
 
 Graph files: .edges/.txt (edge list), .graph/.metis (METIS),
-             .grb (versioned binary, fastest to load), .bin (legacy binary).";
+             .grb (binary, fastest to load).";
 
 /// A parsed command.
 #[derive(Clone, Debug, PartialEq)]
@@ -499,14 +497,14 @@ mod tests {
 
     #[test]
     fn parses_generate() {
-        let cmd = parse(&args("generate cnr --scale 0.5 --seed 7 -o g.bin")).unwrap();
+        let cmd = parse(&args("generate cnr --scale 0.5 --seed 7 -o g.grb")).unwrap();
         assert_eq!(
             cmd,
             Command::Generate {
                 input: "cnr".into(),
                 scale: 0.5,
                 seed: 7,
-                output: "g.bin".into()
+                output: "g.grb".into()
             }
         );
     }
@@ -531,7 +529,7 @@ mod tests {
     #[test]
     fn parses_detect_with_options() {
         let cmd = parse(&args(
-            "detect g.bin --scheme vf --threads 4 --gamma 2.0 --assignments out.txt",
+            "detect g.grb --scheme vf --threads 4 --gamma 2.0 --assignments out.txt",
         ))
         .unwrap();
         match cmd {
@@ -565,16 +563,16 @@ mod tests {
 
     #[test]
     fn detect_refine_modes() {
-        match parse(&args("detect g.bin --refine leiden")).unwrap() {
+        match parse(&args("detect g.grb --refine leiden")).unwrap() {
             Command::Detect { refine, .. } => assert_eq!(refine, RefineMode::Leiden),
             _ => panic!(),
         }
-        match parse(&args("detect g.bin --refine none")).unwrap() {
+        match parse(&args("detect g.grb --refine none")).unwrap() {
             Command::Detect { refine, .. } => assert_eq!(refine, RefineMode::None),
             _ => panic!(),
         }
-        assert!(parse(&args("detect g.bin --refine louvain")).is_err());
-        assert!(parse(&args("detect g.bin --refine")).is_err());
+        assert!(parse(&args("detect g.grb --refine louvain")).is_err());
+        assert!(parse(&args("detect g.grb --refine")).is_err());
     }
 
     #[test]
@@ -623,22 +621,22 @@ mod tests {
     #[test]
     fn parses_audit() {
         assert_eq!(
-            parse(&args("audit g.bin out.txt")).unwrap(),
+            parse(&args("audit g.grb out.txt")).unwrap(),
             Command::Audit {
-                graph: "g.bin".into(),
+                graph: "g.grb".into(),
                 assignments: "out.txt".into()
             }
         );
-        assert!(parse(&args("audit g.bin")).is_err());
+        assert!(parse(&args("audit g.grb")).is_err());
     }
 
     #[test]
     fn detect_schedule_modes() {
-        match parse(&args("detect g.bin --schedule geometric")).unwrap() {
+        match parse(&args("detect g.grb --schedule geometric")).unwrap() {
             Command::Detect { schedule, .. } => assert_eq!(schedule, ScheduleMode::Geometric),
             _ => panic!(),
         }
-        match parse(&args("detect g.bin --schedule fixed --vertex-epsilon 1e-7")).unwrap() {
+        match parse(&args("detect g.grb --schedule fixed --vertex-epsilon 1e-7")).unwrap() {
             Command::Detect {
                 schedule,
                 vertex_epsilon,
@@ -649,23 +647,23 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert!(parse(&args("detect g.bin --schedule linear")).is_err());
-        assert!(parse(&args("detect g.bin --schedule")).is_err());
-        assert!(parse(&args("detect g.bin --vertex-epsilon nope")).is_err());
+        assert!(parse(&args("detect g.grb --schedule linear")).is_err());
+        assert!(parse(&args("detect g.grb --schedule")).is_err());
+        assert!(parse(&args("detect g.grb --vertex-epsilon nope")).is_err());
     }
 
     #[test]
     fn detect_sweep_modes() {
-        match parse(&args("detect g.bin --sweep active")).unwrap() {
+        match parse(&args("detect g.grb --sweep active")).unwrap() {
             Command::Detect { sweep, .. } => assert_eq!(sweep, SweepMode::Active),
             _ => panic!(),
         }
-        match parse(&args("detect g.bin --sweep full")).unwrap() {
+        match parse(&args("detect g.grb --sweep full")).unwrap() {
             Command::Detect { sweep, .. } => assert_eq!(sweep, SweepMode::Full),
             _ => panic!(),
         }
-        assert!(parse(&args("detect g.bin --sweep lazy")).is_err());
-        assert!(parse(&args("detect g.bin --sweep")).is_err());
+        assert!(parse(&args("detect g.grb --sweep lazy")).is_err());
+        assert!(parse(&args("detect g.grb --sweep")).is_err());
     }
 
     #[test]
@@ -696,7 +694,7 @@ mod tests {
 
     #[test]
     fn detect_default_scheme_is_color() {
-        match parse(&args("detect g.bin")).unwrap() {
+        match parse(&args("detect g.grb")).unwrap() {
             Command::Detect { scheme, .. } => assert_eq!(scheme, Scheme::BaselineVfColor),
             _ => panic!(),
         }
@@ -704,8 +702,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_scheme_and_subcommand() {
-        assert!(parse(&args("detect g.bin --scheme turbo")).is_err());
-        assert!(parse(&args("detect g.bin --sweep")).is_err());
+        assert!(parse(&args("detect g.grb --scheme turbo")).is_err());
+        assert!(parse(&args("detect g.grb --sweep")).is_err());
         assert!(parse(&args("frobnicate")).is_err());
         assert!(parse(&[]).is_err());
     }
@@ -726,16 +724,16 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&args("convert a.edges b.bin")).unwrap(),
+            parse(&args("convert a.edges b.grb")).unwrap(),
             Command::Convert {
                 input: "a.edges".into(),
-                output: "b.bin".into()
+                output: "b.grb".into()
             }
         );
         assert_eq!(
-            parse(&args("color g.bin --balanced")).unwrap(),
+            parse(&args("color g.grb --balanced")).unwrap(),
             Command::Color {
-                path: "g.bin".into(),
+                path: "g.grb".into(),
                 balanced: true
             }
         );

@@ -559,11 +559,17 @@ pub fn read_assignments(path: &Path) -> Result<Vec<u32>, CliError> {
             })?;
         pairs.push((v, c, lineno + 1));
     }
-    let n = pairs.iter().map(|&(v, _, _)| v + 1).max().unwrap_or(0);
+    // Sized by the line count, not the largest id: an id at or past the
+    // count leaves some id below it unassigned, which the hole check below
+    // reports, so one huge id cannot force a huge allocation.
+    let n = pairs.len();
     let mut out = vec![0u32; n];
     // Line number that assigned each vertex; 0 marks "not yet seen".
     let mut seen_at = vec![0usize; n];
-    for (v, c, lineno) in pairs {
+    for &(v, c, lineno) in &pairs {
+        if v >= n {
+            continue;
+        }
         if seen_at[v] != 0 {
             return Err(invalid(format!(
                 "{}:{}: duplicate assignment for vertex {v} (first assigned at line {})",
@@ -576,10 +582,10 @@ pub fn read_assignments(path: &Path) -> Result<Vec<u32>, CliError> {
         out[v] = c;
     }
     if let Some(v) = seen_at.iter().position(|&l| l == 0) {
+        let largest = pairs.iter().map(|&(v, _, _)| v).max().unwrap_or(0);
         return Err(invalid(format!(
-            "{}: vertex {v} has no assignment (the file names vertices up to {})",
+            "{}: vertex {v} has no assignment (the file names vertices up to {largest})",
             path.display(),
-            n - 1
         )));
     }
     Ok(out)
@@ -749,7 +755,7 @@ mod tests {
 
     #[test]
     fn generate_stats_detect_round_trip() {
-        let graph_path = tmp("g.bin");
+        let graph_path = tmp("g.grb");
         execute(Command::Generate {
             input: "mg1".into(),
             scale: 0.02,
@@ -1017,33 +1023,44 @@ mod tests {
     }
 
     #[test]
-    fn convert_upgrades_v1_grb_in_place() {
-        // A legacy v1 file converted onto its own path comes back as a
-        // sectioned v2 file holding the bitwise-identical graph.
-        let g = grappolo_graph::gen::planted_partition(&Default::default()).0;
-        let path = tmp("upgrade.grb");
-        io::write_grb(&g, std::fs::File::create(&path).unwrap()).unwrap();
-        execute(Command::Convert {
-            input: path.clone(),
-            output: path.clone(),
-        })
-        .unwrap();
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(u16::from_le_bytes(head[8..10].try_into().unwrap()), 2);
-        assert!(io::load_path(&path).unwrap().bitwise_eq(&g));
+    fn removed_graph_formats_exit_4_naming_the_format() {
+        let dir = std::env::temp_dir().join("grappolo_cli_removed_formats");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let [bin, grb, out, v1] = ["x.bin", "g.grb", "out.bin", "v1.grb"].map(|f| dir.join(f));
+        std::fs::write(&bin, "0 1\n").unwrap(); // bytes an edge list would accept
+        io::save_path(&CsrGraph::empty(2), &grb).unwrap();
+        // The empty graph as the retired v1 writer laid it out: magic,
+        // version 1, flags, n = 0, no entries, offsets [0].
+        std::fs::write(&v1, [&b"GRPLGRB\0\x01\0\0\0"[..], &[0; 24]].concat()).unwrap();
+        let convert = Command::Convert {
+            input: grb,
+            output: out.clone(),
+        };
+        for (cmd, needle) in [
+            (Command::Stats { path: bin }, "`.grb`"),
+            (convert, "`.grb`"),
+            (Command::Stats { path: v1 }, "version 1"),
+        ] {
+            let err = execute(cmd).unwrap_err();
+            assert_eq!(err.code(), crate::error::EXIT_INVALID, "{err}");
+            assert!(err.message().contains(needle), "{err}");
+        }
+        // The refused save created neither its file nor a temp sibling.
+        assert!(!out.exists() && io::list_tmp_siblings(&dir).is_empty());
     }
 
     #[test]
     fn errors_are_reported_not_panicked() {
         assert!(execute(Command::Stats {
-            path: "/no/such/file.bin".into()
+            path: "/no/such/file.grb".into()
         })
         .is_err());
         assert!(execute(Command::Generate {
             input: "bogus".into(),
             scale: 1.0,
             seed: 1,
-            output: tmp("x.bin"),
+            output: tmp("x.grb"),
         })
         .is_err());
     }
@@ -1280,7 +1297,7 @@ mod tests {
 
     #[test]
     fn color_command_runs() {
-        let graph_path = tmp("col.bin");
+        let graph_path = tmp("col.grb");
         execute(Command::Generate {
             input: "rgg".into(),
             scale: 0.02,

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Graph formats are dispatched on extension (`.edges`/`.txt`,
-//! `.graph`/`.metis`, `.bin`); assignment files are one `vertex community`
+//! `.graph`/`.metis`, `.grb`); assignment files are one `vertex community`
 //! pair per line.
 //!
 //! Exit codes are typed (see [`error`]): 0 success, 1 runtime, 2 usage,

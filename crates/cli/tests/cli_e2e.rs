@@ -52,6 +52,20 @@ fn malformed_graph_file_exits_4() {
 }
 
 #[test]
+fn huge_ids_exit_4_instead_of_allocating() {
+    // An edge-list id past `VertexId` is a parse error, not 2^32 + 1 vertices;
+    // an assignment naming vertex 10^10 leaves vertex 0 unassigned.
+    let dir = tmp_dir("exit4-huge-ids");
+    let [edges, good, huge] = ["huge.edges", "good.assign", "huge.assign"].map(|f| dir.join(f));
+    std::fs::write(&edges, "4294967296 1\n").unwrap();
+    std::fs::write(&good, "0 0\n").unwrap();
+    std::fs::write(&huge, "10000000000 0\n").unwrap();
+    let [edges, good, huge] = [&edges, &good, &huge].map(|p| p.to_str().unwrap());
+    assert_eq!(run(&argv(&["stats", edges])), 4);
+    assert_eq!(run(&argv(&["compare", good, huge])), 4);
+}
+
+#[test]
 fn usage_error_exits_2() {
     assert_eq!(run(&argv(&["no-such-subcommand"])), 2);
     assert_eq!(run(&argv(&["detect"])), 2);

@@ -67,35 +67,6 @@ impl CsrGraph {
         g
     }
 
-    /// Fallible variant of [`CsrGraph::from_sorted_adjacency`] for untrusted
-    /// input (e.g. binary files): every invariant violation — including the
-    /// ones the infallible constructor asserts — comes back as `Err` instead
-    /// of a panic, in release and debug builds alike.
-    pub fn try_from_sorted_adjacency(
-        offsets: Vec<usize>,
-        targets: Vec<VertexId>,
-        weights: Vec<f64>,
-    ) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("offsets must contain at least [0]".into());
-        }
-        if *offsets.first().unwrap() != 0 {
-            return Err("offsets must start at 0".into());
-        }
-        if *offsets.last().unwrap() != targets.len() {
-            return Err("offsets must end at targets.len()".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets must be non-decreasing".into());
-        }
-        if targets.len() != weights.len() {
-            return Err("targets and weights must have equal length".into());
-        }
-        let g = Self::new_unchecked(offsets, targets, weights);
-        g.validate()?;
-        Ok(g)
-    }
-
     /// Replaces the cached total edge weight `m`, leaving every stored array
     /// untouched. This intentionally breaks the `m = ½ Σ k_i` identity: it
     /// exists for component-split detection, where modularity on an extracted

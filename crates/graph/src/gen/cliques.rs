@@ -122,7 +122,8 @@ pub fn hub_spoke(cfg: &HubSpokeConfig) -> (CsrGraph, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{connected_components, is_single_degree, GraphStats};
+    use crate::components::connected_components;
+    use crate::stats::{is_single_degree, GraphStats};
 
     #[test]
     fn ring_of_cliques_structure() {
@@ -135,7 +136,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 20);
         // 4 cliques × C(5,2) + 4 bridges
         assert_eq!(g.num_edges(), 4 * 10 + 4);
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
         assert_eq!(truth[0], 0);
         assert_eq!(truth[19], 3);
     }
@@ -149,7 +150,7 @@ mod tests {
         };
         let (g, _) = ring_of_cliques(&cfg);
         assert_eq!(g.num_edges(), 2 * 3 + 1);
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
     }
 
     #[test]
@@ -190,7 +191,7 @@ mod tests {
         let (g, owner) = hub_spoke(&cfg);
         assert_eq!(g.num_vertices(), 9);
         assert_eq!(g.num_edges(), 2 + 6); // 2 chain + 6 spokes
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
         // All spokes are single-degree (the VF-heuristic targets).
         for v in 3..9 {
             assert!(is_single_degree(&g, v as VertexId));

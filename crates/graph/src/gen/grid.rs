@@ -116,7 +116,7 @@ fn finish(n: usize, mut edges: Vec<(VertexId, VertexId, f64)>, cfg: &GridConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{connected_components, GraphStats};
+    use crate::{components::connected_components, stats::GraphStats};
 
     #[test]
     fn grid2d_counts() {
@@ -126,7 +126,7 @@ mod tests {
         });
         assert_eq!(g.num_vertices(), 16);
         assert_eq!(g.num_edges(), 2 * 4 * 3); // 2 directions × side × (side-1)
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         });
         assert_eq!(g.num_vertices(), 27);
         assert_eq!(g.num_edges(), 3 * 9 * 2);
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
     }
 
     #[test]

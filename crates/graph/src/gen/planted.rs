@@ -184,7 +184,7 @@ fn power_law_sizes(n: usize, k: usize, exponent: f64, rng: &mut SmallRng) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{connected_components, GraphStats};
+    use crate::{components::connected_components, stats::GraphStats};
 
     #[test]
     fn sizes_sum_to_n() {
@@ -304,7 +304,7 @@ mod tests {
         };
         let (g, _) = planted_partition(&cfg);
         // No inter edges → exactly one component per community.
-        assert_eq!(connected_components(&g), 8);
+        assert_eq!(connected_components(&g).num_components(), 8);
     }
 
     #[test]

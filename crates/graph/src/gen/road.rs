@@ -124,7 +124,7 @@ pub fn road_network(cfg: &RoadConfig) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{connected_components, GraphStats};
+    use crate::{components::connected_components, stats::GraphStats};
 
     #[test]
     fn deterministic_for_seed() {
@@ -147,7 +147,7 @@ mod tests {
             num_vertices: 5000,
             ..Default::default()
         });
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
     }
 
     #[test]
@@ -201,6 +201,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(g.num_vertices(), 1000);
-        assert_eq!(connected_components(&g), 1);
+        assert_eq!(connected_components(&g).num_components(), 1);
     }
 }

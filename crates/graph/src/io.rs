@@ -1,10 +1,11 @@
 //! Graph serialization: whitespace edge-list text, METIS (the DIMACS10
-//! distribution format of the paper's inputs), the versioned `.grb` binary
-//! graph format, and a legacy compact binary format (`.bin`).
+//! distribution format of the paper's inputs), and the `.grb` binary graph
+//! format.
 //!
-//! `.grb` ([`write_grb`]/[`read_grb`], [`save_binary`]/[`load_binary`])
-//! serializes the CSR arrays directly, so big benchmark graphs load in
-//! O(read) instead of re-parsing and re-sorting an edge list.
+//! `.grb` ([`write_grb`]/[`read_grb`]) serializes the CSR arrays directly,
+//! so big benchmark graphs load in O(read) instead of re-parsing and
+//! re-sorting an edge list. It is a load cache: only [`GRB_VERSION`] is
+//! read, and a file of an older layout is regenerated from its source.
 //!
 //! All readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
 //! all writers round-trip exactly with their readers (under test).
@@ -12,7 +13,6 @@
 use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
 use crate::shared::SharedSlice;
-use bytes::{Buf, BufMut, BytesMut};
 use rayon::prelude::*;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -74,7 +74,7 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
 pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, IoError> {
     let reader = BufReader::new(reader);
     let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
-    let mut max_id: u64 = 0;
+    let mut max_id: VertexId = 0;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = idx + 1;
@@ -83,12 +83,14 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, 
             continue;
         }
         let mut it = trimmed.split_whitespace();
-        let u: u64 = it
+        // Ids parse straight into `VertexId`, so an id past its range is a
+        // parse error on its line, never a silently truncated vertex.
+        let u: VertexId = it
             .next()
             .unwrap()
             .parse()
             .map_err(|e| parse_err(lineno, format!("bad source id: {e}")))?;
-        let v: u64 = it
+        let v: VertexId = it
             .next()
             .ok_or_else(|| parse_err(lineno, "missing target id"))?
             .parse()
@@ -103,7 +105,7 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, 
             return Err(parse_err(lineno, "trailing tokens after weight"));
         }
         max_id = max_id.max(u).max(v);
-        edges.push((u as VertexId, v as VertexId, w));
+        edges.push((u, v, w));
     }
     let inferred = if edges.is_empty() {
         0
@@ -264,17 +266,11 @@ pub fn write_metis<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
 
 /// Magic prefix of a `.grb` file.
 pub const GRB_MAGIC: &[u8; 8] = b"GRPLGRB\0";
-/// The legacy single-section `.grb` layout (one contiguous run per array).
-pub const GRB_VERSION_V1: u16 = 1;
-/// The sectioned `.grb` layout: vertex-range chunks behind a chunk table,
-/// written streamed and decoded in parallel.
-pub const GRB_VERSION_V2: u16 = 2;
-/// The version [`save_binary`] writes.
-pub const GRB_VERSION: u16 = GRB_VERSION_V2;
-/// Fixed v1 header size: magic (8) + version (2) + flags (2) + n (8) +
-/// entries (8).
-const GRB_HEADER_LEN: usize = 28;
-/// Fixed v2 header size: the v1 header + chunk size (8) + chunk count (8).
+/// The one `.grb` layout version written and read: vertex-range chunks
+/// behind a chunk table, written streamed and decoded in parallel.
+pub const GRB_VERSION: u16 = 2;
+/// Fixed v2 header size: magic (8) + version (2) + flags (2) + n (8) +
+/// entries (8) + chunk size (8) + chunk count (8).
 const GRB_V2_HEADER_LEN: usize = 44;
 /// Bytes per chunk-table record: first vertex, vertex count, first adjacency
 /// entry, entry count, payload checksum — each `u64`.
@@ -308,55 +304,10 @@ impl GrbChecksum {
     }
 }
 
-/// Serializes the CSR arrays into the versioned `.grb` layout — all
-/// little-endian:
-///
-/// | bytes          | field                          |
-/// |----------------|--------------------------------|
-/// | 0..8           | magic `"GRPLGRB\0"`            |
-/// | 8..10          | version (`u16`, currently 1)   |
-/// | 10..12         | flags (`u16`, reserved, 0)     |
-/// | 12..20         | vertex count `n` (`u64`)       |
-/// | 20..28         | adjacency entry count (`u64`)  |
-/// | …              | offsets: `(n+1) × u64`         |
-/// | …              | neighbor ids: `entries × u32`  |
-/// | …              | weights: `entries × f64`       |
-///
-/// Loading is O(read): the arrays deserialize straight back into CSR form
-/// with no re-parsing, re-sorting, or duplicate merging.
-///
-/// This writes the **legacy v1** layout, kept for compatibility tests and
-/// for pinning the v1 read path; [`save_binary`] writes the sectioned v2
-/// layout ([`write_grb_v2`]).
-pub fn write_grb<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
-    let n = g.num_vertices();
-    let entries = g.num_adjacency_entries();
-    let mut out = Vec::with_capacity(GRB_HEADER_LEN + (n + 1) * 8 + entries * 12);
-    out.extend_from_slice(GRB_MAGIC);
-    out.extend_from_slice(&GRB_VERSION_V1.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(entries as u64).to_le_bytes());
-    for &off in g.adjacency_offsets() {
-        out.extend_from_slice(&(off as u64).to_le_bytes());
-    }
-    for &t in g.adjacency_targets() {
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    for &w in g.adjacency_weights() {
-        out.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    let mut w = BufWriter::new(writer);
-    w.write_all(&out)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Deserializes a `.grb` buffer in either layout — the version field
-/// selects the decoder, so v1 files written before the sectioned format stay
-/// fully readable (and bitwise stable, under test). The resulting graph is
-/// bitwise identical to the one serialized (offsets, neighbor ids and weight
-/// bits round-trip exactly).
+/// Deserializes a `.grb` buffer written by [`write_grb`]. The resulting
+/// graph is bitwise identical to the one serialized (offsets, neighbor ids
+/// and weight bits round-trip exactly). A file of any other version is a
+/// parse error that names its version.
 pub fn read_grb<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let mut data = Vec::new();
     BufReader::new(reader).read_to_end(&mut data)?;
@@ -364,76 +315,33 @@ pub fn read_grb<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
 }
 
 fn parse_grb(data: &[u8]) -> Result<CsrGraph, IoError> {
-    if data.len() < GRB_HEADER_LEN {
+    // Magic and version come first, so a file of a retired layout is named
+    // as such even when it is shorter than a v2 header.
+    if data.len() < 10 {
         return Err(parse_err(0, ".grb truncated: incomplete header"));
     }
     if &data[0..8] != GRB_MAGIC {
         return Err(parse_err(0, "bad magic; not a .grb graph file"));
     }
     let version = u16::from_le_bytes(data[8..10].try_into().unwrap());
-    match version {
-        GRB_VERSION_V1 => parse_grb_v1(data),
-        GRB_VERSION_V2 => parse_grb_v2(data),
-        _ => Err(parse_err(
-            0,
-            format!(
-                ".grb version {version} unsupported (expected {GRB_VERSION_V1} or {GRB_VERSION_V2})"
-            ),
-        )),
-    }
-}
-
-fn parse_grb_v1(data: &[u8]) -> Result<CsrGraph, IoError> {
-    let n = u64::from_le_bytes(data[12..20].try_into().unwrap()) as usize;
-    let entries = u64::from_le_bytes(data[20..28].try_into().unwrap()) as usize;
-    // Fully checked size arithmetic: a crafted header (e.g. n = u64::MAX)
-    // must come back as an error, never an overflow panic.
-    let need = n
-        .checked_add(1)
-        .and_then(|o| o.checked_mul(8))
-        .and_then(|o| entries.checked_mul(12).and_then(|e| o.checked_add(e)))
-        .and_then(|body| body.checked_add(GRB_HEADER_LEN))
-        .ok_or_else(|| parse_err(0, ".grb header sizes overflow"))?;
-    if data.len() != need {
+    if version != GRB_VERSION {
         return Err(parse_err(
             0,
-            format!(
-                ".grb truncated or oversized: have {} bytes, need {need}",
-                data.len()
-            ),
+            format!(".grb version {version} unsupported (only version {GRB_VERSION} is read)"),
         ));
     }
-    let mut at = GRB_HEADER_LEN;
-    let offsets: Vec<usize> = data[at..at + (n + 1) * 8]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-        .collect();
-    at += (n + 1) * 8;
-    let targets: Vec<VertexId> = data[at..at + entries * 4]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    at += entries * 4;
-    let weights: Vec<f64> = data[at..at + entries * 8]
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-        .collect();
-    // The fallible constructor turns every invariant violation (corrupt
-    // offsets, unsorted or asymmetric adjacency, non-positive weights) into
-    // an error instead of a panic.
-    CsrGraph::try_from_sorted_adjacency(offsets, targets, weights)
-        .map_err(|m| parse_err(0, format!(".grb payload invalid: {m}")))
+    parse_grb_v2(data)
 }
 
-/// Vertices per chunk [`write_grb_v2`] sections a graph into: about 64
-/// chunks on large graphs (plenty of parallel decode slack for any realistic
-/// pool, with stealing absorbing degree skew between vertex ranges), floored
-/// so tiny graphs don't pay table overhead per handful of vertices.
-pub fn grb_v2_chunk_vertices(n: usize) -> usize {
+/// Vertices per chunk [`write_grb`] sections a graph into: about 64 chunks
+/// on large graphs (plenty of parallel decode slack for any realistic pool,
+/// with stealing absorbing degree skew between vertex ranges), floored so
+/// tiny graphs don't pay table overhead per handful of vertices.
+fn grb_chunk_vertices(n: usize) -> usize {
     n.div_ceil(64).max(4096)
 }
 
-/// Serializes the CSR arrays into the sectioned v2 `.grb` layout — all
+/// Serializes the CSR arrays into the sectioned `.grb` layout — all
 /// little-endian:
 ///
 /// | bytes          | field                                        |
@@ -465,16 +373,16 @@ pub fn grb_v2_chunk_vertices(n: usize) -> usize {
 /// checksum-verified chunk needs just the linear structural checks on load
 /// (offsets monotone and range-closing, neighbor ids in range and strictly
 /// ascending per vertex, weights finite and positive) — the O(m log deg)
-/// mirror-symmetry search the v1 loader must re-run is skipped. Corrupted
+/// mirror-symmetry search of [`CsrGraph::validate`] is skipped. Corrupted
 /// bytes that survive the linear checks fail the checksum with a
 /// chunk-indexed error.
-pub fn write_grb_v2<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
-    write_grb_v2_chunked(g, writer, grb_v2_chunk_vertices(g.num_vertices()))
+pub fn write_grb<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
+    write_grb_chunked(g, writer, grb_chunk_vertices(g.num_vertices()))
 }
 
-/// [`write_grb_v2`] with an explicit chunk granularity (exposed for tests;
+/// [`write_grb`] with an explicit chunk granularity (tests pick small ones;
 /// any `chunk_vertices ≥ 1` produces a valid, bitwise round-tripping file).
-pub fn write_grb_v2_chunked<W: Write>(
+fn write_grb_chunked<W: Write>(
     g: &CsrGraph,
     writer: W,
     chunk_vertices: usize,
@@ -488,7 +396,7 @@ pub fn write_grb_v2_chunked<W: Write>(
     let mut w = BufWriter::new(writer);
     let mut head = Vec::with_capacity(GRB_V2_HEADER_LEN + num_chunks * GRB_V2_TABLE_RECORD);
     head.extend_from_slice(GRB_MAGIC);
-    head.extend_from_slice(&GRB_VERSION_V2.to_le_bytes());
+    head.extend_from_slice(&GRB_VERSION.to_le_bytes());
     head.extend_from_slice(&0u16.to_le_bytes());
     head.extend_from_slice(&(n as u64).to_le_bytes());
     head.extend_from_slice(&(entries as u64).to_le_bytes());
@@ -579,8 +487,8 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
             ),
         ));
     }
-    // Fully checked size arithmetic, as in v1: a crafted header must come
-    // back as an error, never an overflow panic.
+    // Fully checked size arithmetic: a crafted header must come back as an
+    // error, never an overflow panic.
     let need = num_chunks
         .checked_mul(GRB_V2_TABLE_RECORD)
         .and_then(|t| t.checked_add(GRB_V2_HEADER_LEN))
@@ -802,103 +710,12 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
     // linear scan can see (offsets tile and close, neighbor ids in range and
     // strictly ascending per vertex, weights finite and positive), and the
     // per-chunk checksums tie the payload back to the writer — which only
-    // ever serializes validated graphs. The one remaining v1-loader check,
+    // ever serializes validated graphs. The one remaining `validate` check,
     // the O(m log deg) mirror-symmetry search, is therefore skipped here; it
-    // dominates the v1 load path and is exactly what makes checksum-verified
+    // would dominate the load and is exactly what makes checksum-verified
     // v2 loads fast. All downstream access is bounds-checked, so even an
     // adversarial file that forged its checksums stays memory-safe.
     Ok(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
-}
-
-/// Saves `g` to `path` in the current sectioned `.grb` format (see
-/// [`write_grb_v2`]); [`load_binary`] reads either version. The write is
-/// crash-safe: it streams into a temp sibling and atomically renames over
-/// `path` (see [`write_atomic`]), so a crash mid-write can never leave a
-/// truncated `.grb` behind.
-pub fn save_binary(g: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
-    write_atomic(path, |w| write_grb_v2(g, w))
-}
-
-/// Loads a `.grb` file in O(read) time — v2 sections decode in parallel
-/// across the resident pool; legacy v1 files use the original single-shot
-/// decoder unchanged.
-pub fn load_binary(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
-    read_grb(std::fs::File::open(path)?)
-}
-
-// ---------------------------------------------------------------------------
-// Legacy binary format (.bin)
-// ---------------------------------------------------------------------------
-
-const BINARY_MAGIC: &[u8; 8] = b"GRPPOLO1";
-
-/// Serializes the CSR arrays to a compact little-endian binary buffer:
-/// magic, n, entry count, offsets (u64), targets (u32), weights (f64).
-pub fn to_binary(g: &CsrGraph) -> Vec<u8> {
-    let n = g.num_vertices();
-    let entries = g.num_adjacency_entries();
-    let mut buf = BytesMut::with_capacity(8 + 16 + (n + 1) * 8 + entries * 12);
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(entries as u64);
-    for v in 0..=n {
-        let off = if v == 0 {
-            0
-        } else {
-            g.neighbor_range((v - 1) as VertexId).end
-        };
-        buf.put_u64_le(off as u64);
-    }
-    for v in 0..n as VertexId {
-        for &t in g.neighbor_ids(v) {
-            buf.put_u32_le(t);
-        }
-    }
-    for v in 0..n as VertexId {
-        for &wt in g.neighbor_weights(v) {
-            buf.put_f64_le(wt);
-        }
-    }
-    buf.to_vec()
-}
-
-/// Deserializes a buffer produced by [`to_binary`].
-pub fn from_binary(data: &[u8]) -> Result<CsrGraph, IoError> {
-    let mut buf = data;
-    if buf.remaining() < 24 {
-        return Err(parse_err(0, "binary graph truncated (header)"));
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != BINARY_MAGIC {
-        return Err(parse_err(0, "bad magic; not a grappolo binary graph"));
-    }
-    let n = buf.get_u64_le() as usize;
-    let entries = buf.get_u64_le() as usize;
-    let need = (n + 1) * 8 + entries * 12;
-    if buf.remaining() != need {
-        return Err(parse_err(
-            0,
-            format!(
-                "binary graph size mismatch: have {}, need {need}",
-                buf.remaining()
-            ),
-        ));
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(buf.get_u64_le() as usize);
-    }
-    let mut targets = Vec::with_capacity(entries);
-    for _ in 0..entries {
-        targets.push(buf.get_u32_le());
-    }
-    let mut weights = Vec::with_capacity(entries);
-    for _ in 0..entries {
-        weights.push(buf.get_f64_le());
-    }
-    CsrGraph::try_from_sorted_adjacency(offsets, targets, weights)
-        .map_err(|m| parse_err(0, format!("binary graph offsets corrupt: {m}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -984,20 +801,19 @@ pub fn list_tmp_siblings(dir: &Path) -> Vec<String> {
         .collect()
 }
 
-/// Loads a graph, dispatching on extension: `.txt`/`.edges` edge list,
-/// `.graph`/`.metis` METIS, `.grb` versioned binary, `.bin` legacy binary.
+/// Why a `.bin` path is refused rather than read or written as an edge list.
+const BIN_REMOVED: &str = "the `.bin` graph format was removed; use `.grb`";
+
+/// Loads a graph, dispatching on extension: `.graph`/`.metis` METIS, `.grb`
+/// binary, anything else an edge list. A `.bin` path is refused.
 pub fn load_path(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
     let path = path.as_ref();
-    let f = std::fs::File::open(path)?;
+    let open = || std::fs::File::open(path);
     match path.extension().and_then(|e| e.to_str()) {
-        Some("graph") | Some("metis") => read_metis(f),
-        Some("grb") => read_grb(f),
-        Some("bin") => {
-            let mut data = Vec::new();
-            BufReader::new(f).read_to_end(&mut data)?;
-            from_binary(&data)
-        }
-        _ => read_edge_list(f, None),
+        Some("graph") | Some("metis") => read_metis(open()?),
+        Some("grb") => read_grb(open()?),
+        Some("bin") => Err(parse_err(0, BIN_REMOVED)),
+        _ => read_edge_list(open()?, None),
     }
 }
 
@@ -1005,13 +821,13 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
 /// format goes through [`write_atomic`]: the bytes land in a temp sibling
 /// that is fsynced and atomically renamed over `path`, so a crash or an
 /// injected fault mid-write leaves the previous file (or nothing), never a
-/// truncated graph.
+/// truncated graph. A `.bin` path is refused before anything is created.
 pub fn save_path(g: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
     let path = path.as_ref();
     match path.extension().and_then(|e| e.to_str()) {
         Some("graph") | Some("metis") => write_atomic(path, |w| write_metis(g, w)),
-        Some("grb") => write_atomic(path, |w| write_grb_v2(g, w)),
-        Some("bin") => write_atomic(path, |w| Ok(w.write_all(&to_binary(g))?)),
+        Some("grb") => write_atomic(path, |w| write_grb(g, w)),
+        Some("bin") => Err(parse_err(0, BIN_REMOVED)),
         _ => write_atomic(path, |w| write_edge_list(g, w)),
     }
 }
@@ -1073,6 +889,18 @@ mod tests {
     }
 
     #[test]
+    fn edge_list_rejects_ids_past_vertex_id_range() {
+        // 2^32 is no `VertexId`: an error naming its line, not edge (0, 1) on
+        // a graph of 2^32 + 1 vertices.
+        for (text, at) in [("0 1\n4294967296 1\n", 2), ("1 4294967296\n", 1)] {
+            match read_edge_list(text.as_bytes(), None) {
+                Err(IoError::Parse { line, .. }) => assert_eq!(line, at),
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn metis_round_trip() {
         let g = sample();
         let mut buf = Vec::new();
@@ -1115,37 +943,11 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let g = sample();
-        let bytes = to_binary(&g);
-        let g2 = from_binary(&bytes).unwrap();
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for v in 0..4 {
-            assert_eq!(
-                g.neighbors(v).collect::<Vec<_>>(),
-                g2.neighbors(v).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = sample();
-        let mut bytes = to_binary(&g);
-        bytes[0] = b'X';
-        assert!(from_binary(&bytes).is_err());
-        let bytes2 = to_binary(&g);
-        assert!(from_binary(&bytes2[..bytes2.len() - 4]).is_err());
-        assert!(from_binary(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
     fn path_dispatch_round_trip() {
         let dir = std::env::temp_dir().join("grappolo_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let g = sample();
-        for name in ["g.edges", "g.graph", "g.bin", "g.grb"] {
+        for name in ["g.edges", "g.graph", "g.grb"] {
             let p = dir.join(name);
             save_path(&g, &p).unwrap();
             let g2 = load_path(&p).unwrap();
@@ -1183,17 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn grb_save_load_binary_path_helpers() {
-        let dir = std::env::temp_dir().join("grappolo_io_test_grb");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("sample.grb");
-        let g = sample();
-        save_binary(&g, &p).unwrap();
-        let g2 = load_binary(&p).unwrap();
-        assert_grb_bitwise_equal(&g, &g2);
-    }
-
-    #[test]
     fn grb_empty_graph_round_trip() {
         let g = CsrGraph::empty(3);
         let mut buf = Vec::new();
@@ -1212,8 +1003,8 @@ mod tests {
         assert_eq!(g2.num_vertices(), 0);
         assert_eq!(g2.num_edges(), 0);
         assert_grb_bitwise_equal(&g, &g2);
-        // Truncating any prefix of the (header + single offset) payload
-        // errors instead of panicking.
+        // Truncating any prefix of the header-only file errors instead of
+        // panicking.
         for keep in 0..buf.len() {
             assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
         }
@@ -1221,31 +1012,6 @@ mod tests {
         let mut padded = buf.clone();
         padded.push(0);
         assert!(read_grb(&padded[..]).is_err());
-    }
-
-    #[test]
-    fn binary_zero_vertex_graph_round_trip() {
-        let g = CsrGraph::empty(0);
-        let bytes = to_binary(&g);
-        let g2 = from_binary(&bytes).unwrap();
-        assert_eq!(g2.num_vertices(), 0);
-        assert_eq!(g2.num_edges(), 0);
-        for keep in 0..bytes.len() {
-            assert!(from_binary(&bytes[..keep]).is_err(), "keep={keep}");
-        }
-    }
-
-    #[test]
-    fn binary_rejects_nonmonotonic_offsets_without_panicking() {
-        // Decreasing interior offsets pass the old first/last sentinel check;
-        // the reader must return a parse error, not panic downstream.
-        let g = from_weighted_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let mut bytes = to_binary(&g);
-        // Offsets section starts after the 8-byte magic + two u64 counts.
-        let offsets_at = 8 + 16;
-        bytes[offsets_at + 8..offsets_at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = from_binary(&bytes).unwrap_err();
-        assert!(err.to_string().contains("offsets"), "{err}");
     }
 
     #[test]
@@ -1263,15 +1029,15 @@ mod tests {
         write_grb(&sample(), &mut buf).unwrap();
         buf[8] = 0xEE; // version LSB
         let err = read_grb(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(err.to_string().contains("version 238"), "{err}");
     }
 
     #[test]
     fn grb_rejects_truncation_at_every_section() {
         let mut buf = Vec::new();
         write_grb(&sample(), &mut buf).unwrap();
-        // Header, offsets, targets and weights truncations all fail cleanly.
-        for keep in [0, 10, 27, 40, buf.len() - 1] {
+        // Header, chunk-table and payload truncations all fail cleanly.
+        for keep in [0, 10, 27, 40, 60, buf.len() - 1] {
             assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
         }
         // Trailing garbage is also rejected (exact-size format).
@@ -1282,14 +1048,16 @@ mod tests {
 
     #[test]
     fn grb_rejects_overflowing_header_sizes() {
-        // Valid magic/version but n = u64::MAX: size arithmetic must error,
-        // not overflow-panic (debug builds) or allocate absurdly.
+        // A consistent one-chunk table, but n = u64::MAX: size arithmetic
+        // must error, not overflow-panic (debug builds) or allocate absurdly.
         let mut buf = Vec::new();
         buf.extend_from_slice(GRB_MAGIC);
-        buf.extend_from_slice(&GRB_VERSION_V1.to_le_bytes());
+        buf.extend_from_slice(&GRB_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
+        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // entries
+        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // chunk_vertices
+        buf.extend_from_slice(&1u64.to_le_bytes()); // num_chunks
         let err = read_grb(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
     }
@@ -1299,7 +1067,7 @@ mod tests {
         // A v2 header whose chunk table alone would overflow usize.
         let mut buf = Vec::new();
         buf.extend_from_slice(GRB_MAGIC);
-        buf.extend_from_slice(&GRB_VERSION_V2.to_le_bytes());
+        buf.extend_from_slice(&GRB_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // entries
@@ -1323,7 +1091,7 @@ mod tests {
         let g = chain(11);
         for chunk_vertices in [1, 2, 3, 11, 64] {
             let mut buf = Vec::new();
-            write_grb_v2_chunked(&g, &mut buf, chunk_vertices).unwrap();
+            write_grb_chunked(&g, &mut buf, chunk_vertices).unwrap();
             let g2 = read_grb(&buf[..]).unwrap();
             assert_grb_bitwise_equal(&g, &g2);
             assert_eq!(g.total_weight().to_bits(), g2.total_weight().to_bits());
@@ -1331,24 +1099,10 @@ mod tests {
     }
 
     #[test]
-    fn grb_v2_matches_v1_bitwise() {
-        // The same graph through either writer decodes to bitwise-identical
-        // storage — the convert-upgrade guarantee.
-        let g = chain(10);
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        write_grb(&g, &mut v1).unwrap();
-        write_grb_v2_chunked(&g, &mut v2, 4).unwrap();
-        let g1 = read_grb(&v1[..]).unwrap();
-        let g2 = read_grb(&v2[..]).unwrap();
-        assert_grb_bitwise_equal(&g1, &g2);
-        assert_eq!(g1.total_weight().to_bits(), g2.total_weight().to_bits());
-    }
-
-    #[test]
     fn grb_v2_zero_vertex_round_trip() {
         let g = CsrGraph::empty(0);
         let mut buf = Vec::new();
-        write_grb_v2(&g, &mut buf).unwrap();
+        write_grb(&g, &mut buf).unwrap();
         let g2 = read_grb(&buf[..]).unwrap();
         assert_eq!(g2.num_vertices(), 0);
         for keep in 0..buf.len() {
@@ -1359,7 +1113,7 @@ mod tests {
     #[test]
     fn grb_v2_rejects_truncation_at_every_length() {
         let mut buf = Vec::new();
-        write_grb_v2_chunked(&chain(9), &mut buf, 3).unwrap();
+        write_grb_chunked(&chain(9), &mut buf, 3).unwrap();
         for keep in 0..buf.len() {
             assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
         }
@@ -1372,7 +1126,7 @@ mod tests {
     fn grb_v2_corrupt_chunk_errors_name_the_chunk() {
         let g = chain(9); // chunk_vertices = 3 → chunks 0, 1, 2
         let mut buf = Vec::new();
-        write_grb_v2_chunked(&g, &mut buf, 3).unwrap();
+        write_grb_chunked(&g, &mut buf, 3).unwrap();
 
         // Corrupt chunk 1's table record: its first-vertex no longer
         // continues chunk 0.
@@ -1409,7 +1163,7 @@ mod tests {
         // positive weight and framing stays intact, so only the per-chunk
         // checksum can tell the payload no longer matches what was written.
         let mut buf = Vec::new();
-        write_grb_v2_chunked(&chain(9), &mut buf, 3).unwrap();
+        write_grb_chunked(&chain(9), &mut buf, 3).unwrap();
         let len = buf.len();
         buf[len - 8] ^= 0x01;
         let err = read_grb(&buf[..]).unwrap_err();
@@ -1418,42 +1172,35 @@ mod tests {
     }
 
     #[test]
-    fn save_binary_writes_v2_load_reads_both() {
+    fn save_path_writes_v2_and_refuses_v1() {
         let dir = std::env::temp_dir().join("grappolo_io_v2_test");
         std::fs::create_dir_all(&dir).unwrap();
         let g = chain(12);
         let v2_path = dir.join("g.grb");
-        save_binary(&g, &v2_path).unwrap();
+        save_path(&g, &v2_path).unwrap();
         let head = std::fs::read(&v2_path).unwrap();
         assert_eq!(
             u16::from_le_bytes(head[8..10].try_into().unwrap()),
-            GRB_VERSION_V2
+            GRB_VERSION
         );
+        assert_grb_bitwise_equal(&g, &load_path(&v2_path).unwrap());
+        // A v1 file is a typed parse error naming its version, even one
+        // shorter than a v2 header: the empty graph's 36 bytes (magic,
+        // version 1, flags, n = 0, no entries, offsets [0]).
         let v1_path = dir.join("g_v1.grb");
-        write_grb(&g, std::fs::File::create(&v1_path).unwrap()).unwrap();
-        let from_v2 = load_binary(&v2_path).unwrap();
-        let from_v1 = load_binary(&v1_path).unwrap();
-        assert_grb_bitwise_equal(&from_v1, &from_v2);
+        std::fs::write(&v1_path, [&GRB_MAGIC[..], &[1, 0, 0, 0], &[0; 24]].concat()).unwrap();
+        let err = load_path(&v1_path).unwrap_err();
+        assert!(matches!(err, IoError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("version 1 unsupported"), "{err}");
     }
 
     #[test]
     fn grb_rejects_corrupt_offsets() {
         let mut buf = Vec::new();
         write_grb(&sample(), &mut buf).unwrap();
-        // First offset must be 0; make it huge.
-        buf[GRB_HEADER_LEN..GRB_HEADER_LEN + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_grb(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn grb_rejects_asymmetric_payload() {
-        // Valid framing, structurally broken graph: validate() must catch it.
-        let g = sample();
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
-        // Flip one neighbor id inside the targets section to break symmetry.
-        let targets_at = GRB_HEADER_LEN + (g.num_vertices() + 1) * 8;
-        buf[targets_at] ^= 0x01;
+        // The first stored offset (vertex 0's run end, after the table).
+        let at = GRB_V2_HEADER_LEN + GRB_V2_TABLE_RECORD;
+        buf[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_grb(&buf[..]).is_err());
     }
 
@@ -1463,7 +1210,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let g = sample();
-        for name in ["a.grb", "a.bin", "a.graph", "a.edges"] {
+        for name in ["a.grb", "a.graph", "a.edges"] {
             let p = dir.join(name);
             save_path(&g, &p).unwrap();
             assert!(
@@ -1487,7 +1234,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("keep.grb");
-        save_binary(&sample(), &p).unwrap();
+        save_path(&sample(), &p).unwrap();
         let before = std::fs::read(&p).unwrap();
         let err = write_atomic(&p, |w| {
             // Partial bytes, then a failure — simulating a torn write.
@@ -1502,7 +1249,7 @@ mod tests {
             "failed write leaked temp files"
         );
         // The surviving file still loads.
-        assert!(load_binary(&p).is_ok());
+        assert!(load_path(&p).is_ok());
     }
 
     #[test]
@@ -1525,6 +1272,6 @@ mod tests {
             .join("grappolo_io_atomic_missing")
             .join("no_such_subdir")
             .join("x.grb");
-        assert!(save_binary(&sample(), &p).is_err());
+        assert!(save_path(&sample(), &p).is_err());
     }
 }

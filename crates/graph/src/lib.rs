@@ -11,11 +11,11 @@
 //!   self-loops once, `m = ½ Σ k_i`);
 //! * [`GraphBuilder`] — parallel edge-list → CSR construction with
 //!   multi-edge merging;
-//! * [`io`] — edge-list / METIS (DIMACS10) / binary formats;
+//! * [`io`] — edge-list / METIS (DIMACS10) text and the `.grb` binary format;
 //! * [`gen`] — synthetic workload generators, including
 //!   [`gen::paper_suite::PaperInput`] proxies for the paper's 11 inputs;
 //! * [`stats`] — the Table 1 statistics (degree max/avg/RSD, single-degree
-//!   counts) and generator diagnostics;
+//!   counts);
 //! * [`perm`] — vertex relabeling utilities.
 
 #![warn(missing_docs)]

@@ -124,31 +124,6 @@ pub fn relative_std_dev(sizes: &[usize]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Number of connected components (iterative BFS; diagnostic for generators).
-pub fn connected_components(g: &CsrGraph) -> usize {
-    let n = g.num_vertices();
-    let mut visited = vec![false; n];
-    let mut components = 0;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        components += 1;
-        visited[start] = true;
-        stack.push(start as VertexId);
-        while let Some(v) = stack.pop() {
-            for &u in g.neighbor_ids(v) {
-                if !visited[u as usize] {
-                    visited[u as usize] = true;
-                    stack.push(u);
-                }
-            }
-        }
-    }
-    components
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,13 +201,5 @@ mod tests {
     #[test]
     fn rsd_of_skewed_sizes_positive() {
         assert!(relative_std_dev(&[1, 1, 98]) > 1.0);
-    }
-
-    #[test]
-    fn connected_components_counts() {
-        let g = from_unweighted_edges(6, [(0, 1), (1, 2), (3, 4)]).unwrap();
-        assert_eq!(connected_components(&g), 3); // {0,1,2}, {3,4}, {5}
-        let g2 = star(4);
-        assert_eq!(connected_components(&g2), 1);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A snapshot saves as two sibling files, each written through
 //! [`grappolo_graph::io::write_atomic`] (temp + fsync + rename): the
-//! graph at the requested path (`.grb` v2) and the assignment at
+//! graph at the requested path (`.grb`) and the assignment at
 //! `<path>.assign` (`vertex community` lines). A crash or injected
 //! fault at any byte leaves the previous files byte-intact and no temp
 //! siblings behind. Transient failures retry under an exponential
@@ -96,9 +96,9 @@ pub fn save_snapshot_atomic(
         io::write_atomic(path, |w| match budget {
             Some(b) => {
                 let mut fw = FaultWriter::new(w, b);
-                io::write_grb_v2(&snap.graph, &mut fw)
+                io::write_grb(&snap.graph, &mut fw)
             }
-            None => io::write_grb_v2(&snap.graph, w),
+            None => io::write_grb(&snap.graph, w),
         })?;
         io::write_bytes_atomic(
             assignment_path(path),

@@ -15,7 +15,7 @@
 //! stats                     → ok n=… m=… communities=… modularity=… epoch=…
 //! metrics                   → ok requests=… shed=… …
 //! update <batch-file>       → ok updated communities=… modularity=… epoch=…
-//! snapshot-save <path>      → ok saved <path> <path>.assign epoch=…
+//! snapshot-save <path.grb>  → ok saved <path.grb> <path.grb>.assign epoch=…
 //! quit                      → (closes the connection)
 //! ```
 
@@ -79,7 +79,12 @@ pub fn parse(line: &str) -> Result<Request, String> {
             Ok(Request::Members(c))
         }
         "update" => Ok(Request::Update(PathBuf::from(arg("batch-file")?))),
-        "snapshot-save" => Ok(Request::SnapshotSave(PathBuf::from(arg("path")?))),
+        // The graph is saved as `.grb` bytes and loaders pick the reader by
+        // extension, so only a `.grb` name loads back.
+        "snapshot-save" => match PathBuf::from(arg("path")?) {
+            p if p.extension().is_some_and(|e| e == "grb") => Ok(Request::SnapshotSave(p)),
+            p => Err(format!("snapshot path {p:?} must end in `.grb`")),
+        },
         other => Err(format!("unknown command `{other}`")),
     }
 }
@@ -122,6 +127,8 @@ mod tests {
         assert!(parse("members -1").is_err());
         assert!(parse("update").is_err());
         assert!(parse("snapshot-save").is_err());
+        assert!(parse("snapshot-save /tmp/s.edges").is_err());
+        assert!(parse("snapshot-save /tmp/s").is_err());
         assert!(parse("ping extra").is_err());
         assert!(parse("stats now").is_err());
         assert!(parse("frobnicate 1").is_err());

@@ -102,6 +102,11 @@ fn serves_basic_queries() {
         .req("community-of 10000")
         .starts_with("err unknown-vertex"));
     assert!(c.req("frobnicate").starts_with("err bad-request"));
+    // A snapshot is `.grb` bytes: any other name is refused, nothing written.
+    let edges = tmp_dir("snapshot_non_grb").join("s.edges");
+    let resp = c.req(&format!("snapshot-save {}", edges.display()));
+    assert!(resp.starts_with("err bad-request"), "{resp}");
+    assert!(!edges.exists());
     handle.shutdown();
 }
 

@@ -69,7 +69,7 @@ fn main() {
     }
 
     // --- 5. Round-trip the graph through the binary format. ---------------
-    let path = std::env::temp_dir().join("grappolo_example.bin");
+    let path = std::env::temp_dir().join("grappolo_example.grb");
     grappolo::graph::io::save_path(&graph, &path).expect("save");
     let reloaded = grappolo::graph::io::load_path(&path).expect("load");
     assert_eq!(reloaded.num_edges(), graph.num_edges());

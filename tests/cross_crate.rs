@@ -123,7 +123,7 @@ fn io_round_trip_preserves_detection() {
     });
     let dir = std::env::temp_dir().join("grappolo_integration");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.bin");
+    let path = dir.join("roundtrip.grb");
     grappolo::graph::io::save_path(&g, &path).unwrap();
     let g2 = grappolo::graph::io::load_path(&path).unwrap();
 

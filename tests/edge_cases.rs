@@ -201,8 +201,8 @@ fn max_phases_one_still_terminates() {
 fn io_malformed_inputs_error_not_panic() {
     assert!(io::read_edge_list("1 2 zzz\n".as_bytes(), None).is_err());
     assert!(io::read_metis("not a header\n".as_bytes()).is_err());
-    assert!(io::from_binary(b"garbage").is_err());
-    assert!(io::load_path("/nonexistent/path/graph.bin").is_err());
+    assert!(io::read_grb(&b"garbage"[..]).is_err());
+    assert!(io::load_path("/nonexistent/path/graph.grb").is_err());
 }
 
 #[test]
