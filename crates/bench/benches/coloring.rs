@@ -1,8 +1,16 @@
 //! Criterion micro-benchmark: parallel speculative coloring vs serial greedy
-//! (§5.2 preprocessing cost), on uniform and skewed degree distributions.
+//! (§5.2 preprocessing cost), on uniform and skewed degree distributions and
+//! on the layer's real input: the cached ~1.15 M-edge RMAT graph after VF
+//! (`vf_preprocess`, the default single round), which is what `detect`
+//! colors in its first phase.
+//!
+//! `cargo bench --bench coloring` emits `BENCH_coloring.json`, which the CI
+//! perf gate tracks against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_greedy_serial, color_parallel, ParallelColoringConfig};
+use grappolo_core::vf_preprocess;
 use grappolo_graph::gen::{erdos_renyi, rmat, ErConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
@@ -24,7 +32,20 @@ fn inputs() -> Vec<(&'static str, CsrGraph)> {
                 ..Default::default()
             }),
         ),
+        ("rmat1150k_vf", vf_preprocess(&rmat1150k()).graph),
     ]
+}
+
+/// The ingest/sweep benches' shared cache entry.
+fn rmat1150k() -> CsrGraph {
+    cached_graph("rmat_s18_m1200k_seed1", || {
+        rmat(&RmatConfig {
+            scale: 18,
+            num_edges: 1_200_000,
+            seed: 1,
+            ..Default::default()
+        })
+    })
 }
 
 fn bench_coloring(c: &mut Criterion) {

@@ -15,16 +15,35 @@ use grappolo_graph::{io, CsrGraph, EdgeDelta, GraphStats};
 use grappolo_metrics::{connectivity_report, normalized_mutual_information, pairwise_comparison};
 use grappolo_serve::persist::format_assignment;
 use grappolo_serve::{signal, BackoffPolicy, FaultPlan, ServeConfig, ServeError, Server};
+use std::fmt;
+use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// Writes CLI output to stdout. `BrokenPipe` — the reader went away, as in
+/// `grappolo stats g.grb | head -1` — ends the output, not the command: the
+/// line is dropped, and the command still writes its files and returns its
+/// own exit code. Any other write error (a full disk, say) is an I/O failure.
+fn emit(args: fmt::Arguments<'_>) -> Result<(), CliError> {
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(CliError::io(format!("writing to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Executes a parsed command.
 pub fn execute(cmd: Command) -> Result<(), CliError> {
     match cmd {
-        Command::Help => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        Command::Help => say!("{USAGE}"),
         Command::Generate {
             input,
             scale,
@@ -212,29 +231,29 @@ fn generate(input: &str, scale: f64, seed: u64, output: &Path) -> Result<(), Cli
     };
     io::save_path(&g, output)
         .map_err(|e| CliError::from_io(format_args!("writing {}", output.display()), e))?;
-    println!(
+    say!(
         "generated {} proxy: n={} M={} → {} in {:.2?}",
         name,
         g.num_vertices(),
         g.num_edges(),
         output.display(),
         t.elapsed()
-    );
+    )?;
     Ok(())
 }
 
 fn stats(path: &Path) -> Result<(), CliError> {
     let g = load(path)?;
     let s = GraphStats::compute(&g);
-    println!("graph          {}", path.display());
-    println!("vertices       {}", s.num_vertices);
-    println!("edges          {}", s.num_edges);
-    println!("total weight   {}", s.total_weight);
-    println!("max degree     {}", s.max_degree);
-    println!("avg degree     {:.4}", s.avg_degree);
-    println!("degree RSD     {:.4}", s.degree_rsd);
-    println!("single-degree  {}", s.num_single_degree);
-    println!("isolated       {}", s.num_isolated);
+    say!("graph          {}", path.display())?;
+    say!("vertices       {}", s.num_vertices)?;
+    say!("edges          {}", s.num_edges)?;
+    say!("total weight   {}", s.total_weight)?;
+    say!("max degree     {}", s.max_degree)?;
+    say!("avg degree     {:.4}", s.avg_degree)?;
+    say!("degree RSD     {:.4}", s.degree_rsd)?;
+    say!("single-degree  {}", s.num_single_degree)?;
+    say!("isolated       {}", s.num_isolated)?;
     Ok(())
 }
 
@@ -249,10 +268,10 @@ fn components(path: &Path) -> Result<(), CliError> {
     let mut sizes: Vec<usize> = labeling.sizes().to_vec();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     let top: Vec<String> = sizes.iter().take(5).map(|s| s.to_string()).collect();
-    println!("graph          {}", path.display());
-    println!("vertices       {}", g.num_vertices());
-    println!("edges          {}", g.num_edges());
-    println!("components     {}", labeling.num_components());
+    say!("graph          {}", path.display())?;
+    say!("vertices       {}", g.num_vertices())?;
+    say!("edges          {}", g.num_edges())?;
+    say!("components     {}", labeling.num_components())?;
     match labeling.largest() {
         Some((id, size)) => {
             let frac = if g.num_vertices() > 0 {
@@ -260,13 +279,13 @@ fn components(path: &Path) -> Result<(), CliError> {
             } else {
                 0.0
             };
-            println!("largest        {size} vertices ({frac:.2}%, component {id})");
+            say!("largest        {size} vertices ({frac:.2}%, component {id})")?;
         }
-        None => println!("largest        -"),
+        None => say!("largest        -")?,
     }
-    println!("isolated       {}", labeling.num_isolated());
-    println!("top sizes      {}", top.join(" "));
-    println!("label time     {elapsed:.2?}");
+    say!("isolated       {}", labeling.num_isolated())?;
+    say!("top sizes      {}", top.join(" "))?;
+    say!("label time     {elapsed:.2?}")?;
     Ok(())
 }
 
@@ -313,7 +332,7 @@ fn detect(
 
     let t = Instant::now();
     let result = detect_communities(&g, &config);
-    println!(
+    say!(
         "{}: {} communities, Q = {:.6}, {} iterations / {} phases, {:.2?}",
         scheme.name(),
         result.num_communities,
@@ -321,7 +340,7 @@ fn detect(
         result.trace.total_iterations(),
         result.trace.num_phases(),
         t.elapsed()
-    );
+    )?;
 
     if let Some(out) = assignments {
         write_assignment(out, &result.assignment)?;
@@ -331,18 +350,18 @@ fn detect(
             .map_err(|e| CliError::runtime(format!("serializing trace: {e}")))?;
         io::write_bytes_atomic(out, json.as_bytes())
             .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
-        println!("trace → {}", out.display());
+        say!("trace → {}", out.display())?;
     }
     if refine == RefineMode::Leiden {
         let report = connectivity_report(&g, &result.assignment);
-        println!(
+        say!(
             "refined: {} internally disconnected of {} communities ({:.2}%), \
              min internal conductance {:.4}",
             report.disconnected,
             report.num_communities,
             100.0 * report.disconnected_fraction,
             report.min_internal_conductance,
-        );
+        )?;
     }
     Ok(())
 }
@@ -374,27 +393,27 @@ fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
         next += 1;
     }
     if padded > 0 {
-        println!("note: padded {padded} trailing vertices as singletons");
+        say!("note: padded {padded} trailing vertices as singletons")?;
     }
     let t = Instant::now();
     let report = connectivity_report(&g, &assignment);
-    println!("graph                     {}", graph.display());
-    println!("assignment                {}", assignments.display());
-    println!("communities               {}", report.num_communities);
-    println!("internally disconnected   {}", report.disconnected);
-    println!(
+    say!("graph                     {}", graph.display())?;
+    say!("assignment                {}", assignments.display())?;
+    say!("communities               {}", report.num_communities)?;
+    say!("internally disconnected   {}", report.disconnected)?;
+    say!(
         "disconnected fraction     {:.6}",
         report.disconnected_fraction
-    );
-    println!(
+    )?;
+    say!(
         "min internal conductance  {:.6}{}",
         report.min_internal_conductance,
         match report.worst_community {
             Some(c) => format!("  (community {c})"),
             None => String::new(),
         }
-    );
-    println!("audit time                {:.2?}", t.elapsed());
+    )?;
+    say!("audit time                {:.2?}", t.elapsed())?;
     if report.disconnected > 0 {
         return Err(CliError::audit_finding(format!(
             "audit: {} of {} communities are internally disconnected",
@@ -455,7 +474,7 @@ fn update(
         .map_err(CliError::invalid)?;
     let t = Instant::now();
     let outcome = update_communities(&g, &assignment, None, &deltas, &config)?;
-    println!(
+    say!(
         "update: {} changed edges, {} seed vertices → {} communities, Q = {:.6}, \
          {} iterations{}, {:.2?}",
         outcome.changed_edges,
@@ -469,14 +488,14 @@ fn update(
             ""
         },
         t.elapsed()
-    );
+    )?;
     if let Some(out) = assignments_out {
         write_assignment(out, &outcome.assignment)?;
     }
     if let Some(out) = graph_out {
         io::save_path(&outcome.graph, out)
             .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
-        println!("graph → {}", out.display());
+        say!("graph → {}", out.display())?;
     }
     Ok(())
 }
@@ -486,7 +505,7 @@ fn update(
 fn write_assignment(out: &Path, assignment: &[u32]) -> Result<(), CliError> {
     io::write_bytes_atomic(out, format_assignment(assignment).as_bytes())
         .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
-    println!("assignments → {}", out.display());
+    say!("assignments → {}", out.display())?;
     Ok(())
 }
 
@@ -500,7 +519,7 @@ fn color(path: &Path, balanced: bool) -> Result<(), CliError> {
         0
     };
     let s = ColoringStats::compute(&coloring);
-    println!(
+    say!(
         "{} colors in {:.2?}; class sizes: min {} max {} RSD {:.3}{}",
         s.num_colors,
         t.elapsed(),
@@ -512,7 +531,7 @@ fn color(path: &Path, balanced: bool) -> Result<(), CliError> {
         } else {
             String::new()
         }
-    );
+    )?;
     Ok(())
 }
 
@@ -604,14 +623,14 @@ fn compare(a: &Path, b: &Path) -> Result<(), CliError> {
         )));
     }
     let m = pairwise_comparison(&pa, &pb);
-    println!("specificity     {:.4}%", 100.0 * m.specificity());
-    println!("sensitivity     {:.4}%", 100.0 * m.sensitivity());
-    println!("overlap quality {:.4}%", 100.0 * m.overlap_quality());
-    println!("rand index      {:.4}%", 100.0 * m.rand_index());
-    println!(
+    say!("specificity     {:.4}%", 100.0 * m.specificity())?;
+    say!("sensitivity     {:.4}%", 100.0 * m.sensitivity())?;
+    say!("overlap quality {:.4}%", 100.0 * m.overlap_quality())?;
+    say!("rand index      {:.4}%", 100.0 * m.rand_index())?;
+    say!(
         "NMI             {:.4}%",
         100.0 * normalized_mutual_information(&pa, &pb)
-    );
+    )?;
     Ok(())
 }
 
@@ -619,13 +638,13 @@ fn convert(input: &Path, output: &Path) -> Result<(), CliError> {
     let g = load(input)?;
     io::save_path(&g, output)
         .map_err(|e| CliError::from_io(format_args!("writing {}", output.display()), e))?;
-    println!(
+    say!(
         "converted {} → {} (n={}, M={})",
         input.display(),
         output.display(),
         g.num_vertices(),
         g.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -676,26 +695,25 @@ fn serve(
     let snap = handle.snapshot();
     // `listening <addr>` is the machine-readable readiness line scripts
     // wait for (port 0 resolves here), so flush it out immediately.
-    println!("listening {}", handle.addr());
-    println!(
+    say!("listening {}", handle.addr())?;
+    say!(
         "serving n={} m={} communities={} modularity={:.6} (startup {:.2?})",
         snap.graph.num_vertices(),
         snap.graph.num_edges(),
         snap.num_communities,
         snap.modularity,
         t.elapsed()
-    );
-    use std::io::Write as _;
+    )?;
     let _ = std::io::stdout().flush();
     signal::install_term_handler();
     handle.serve_until(signal::term_requested, Duration::from_millis(25));
-    println!("drained; exiting");
+    say!("drained; exiting")?;
     Ok(())
 }
 
 /// The `query` subcommand: one-shot protocol client.
 fn query(addr: &str, script: Option<&Path>, command: Option<&str>) -> Result<(), CliError> {
-    use std::io::{BufRead, BufReader, Write as _};
+    use std::io::{BufRead, BufReader};
     let lines: Vec<String> = match (script, command) {
         (Some(path), _) => std::fs::read_to_string(path)
             .map_err(|e| CliError::io(format!("reading {}: {e}", path.display())))?
@@ -733,7 +751,7 @@ fn query(addr: &str, script: Option<&Path>, command: Option<&str>) -> Result<(),
                 "{addr} closed the connection before answering `{line}`"
             )));
         }
-        print!("{response}");
+        emit(format_args!("{response}"))?;
         failed |= response.starts_with("err ");
     }
     if failed {

@@ -66,6 +66,49 @@ fn huge_ids_exit_4_instead_of_allocating() {
 }
 
 #[test]
+fn detect_with_stdout_closed_exits_0_and_writes_assignments() {
+    // `grappolo detect g --assignments a | head -0`: the reader is gone before
+    // the first status line, which must end the output, not the command.
+    let dir = tmp_dir("closed-stdout");
+    let graph = dir.join("g.edges");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n").unwrap();
+    let out = dir.join("a.txt");
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_grappolo"))
+        .args(["detect", graph.to_str().unwrap(), "--assignments"])
+        .arg(&out)
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let written = std::fs::read_to_string(&out).unwrap();
+    assert_eq!(written.lines().count(), 6);
+}
+
+#[test]
+fn stdout_write_error_exits_3() {
+    // A full device, unlike a closed pipe, is an I/O failure.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no /dev/full on this platform
+    };
+    let dir = tmp_dir("stdout-full");
+    let graph = dir.join("g.edges");
+    std::fs::write(&graph, "0 1\n1 2\n").unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_grappolo"))
+        .args(["stats", graph.to_str().unwrap()])
+        .stdout(full)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(3), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.contains("writing to stdout"), "stderr: {stderr}");
+}
+
+#[test]
 fn usage_error_exits_2() {
     assert_eq!(run(&argv(&["no-such-subcommand"])), 2);
     assert_eq!(run(&argv(&["detect"])), 2);

@@ -4,17 +4,24 @@
 //! Each round has two parallel phases over the currently-uncolored vertices:
 //!
 //! 1. **Tentative coloring** — every uncolored vertex picks the smallest
-//!    color not used by any neighbor (reading possibly-stale neighbor
-//!    colors).
+//!    color not used by any neighbor, reading the colors frozen at the start
+//!    of the round (Jacobi style, so the result is independent of the
+//!    thread count).
 //! 2. **Conflict detection** — every just-colored vertex re-checks its
 //!    neighbors; if an adjacent pair ended up with equal colors, the
 //!    higher-id endpoint is uncolored and re-queued for the next round.
 //!
 //! The loop terminates because at least one vertex of every conflicting pair
-//! keeps its color each round; on real inputs a handful of rounds suffice.
+//! keeps its color each round.
+//!
+//! Both phases do O(deg) work per vertex and allocate nothing per vertex:
+//! the first fit runs on a generation-stamped forbidden-color mask, and the
+//! conflict scan stops at the first neighbor id ≥ v (adjacency is sorted and
+//! only a lower id can win a conflict). Vertices with no neighbor but
+//! themselves take color 0 up front and never enter the worklist.
 
 use crate::Coloring;
-use grappolo_graph::{CsrGraph, VertexId};
+use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
 use rayon::prelude::*;
 
 /// Tuning knobs for [`color_parallel`].
@@ -38,6 +45,56 @@ impl Default for ParallelColoringConfig {
     }
 }
 
+const UNCOLORED: u32 = u32::MAX;
+
+/// Per-task forbidden-color mask: `stamps[c] == generation` marks color `c`
+/// as used by a neighbor of the vertex being decided, so no clearing is
+/// needed between vertices. A mask lives for one pool task, which decides
+/// fewer than `u32::MAX` vertices, so the generation never wraps.
+#[derive(Default)]
+struct ForbiddenMask {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl ForbiddenMask {
+    /// The smallest color no neighbor of `v` holds in `colors`. A vertex
+    /// with `d` neighbors can see at most `d` distinct colors, so its first
+    /// fit is at most `d` and colors above `d` (including [`UNCOLORED`])
+    /// never need marking.
+    fn first_fit(&mut self, g: &CsrGraph, colors: &[u32], v: VertexId) -> u32 {
+        let ids = g.neighbor_ids(v);
+        let bound = ids.len();
+        if self.stamps.len() <= bound {
+            self.stamps.resize(bound + 1, 0);
+        }
+        self.generation += 1;
+        for &u in ids {
+            let c = colors[u as usize] as usize;
+            if u != v && c <= bound {
+                self.stamps[c] = self.generation;
+            }
+        }
+        let mut c = 0;
+        while self.stamps[c] == self.generation {
+            c += 1;
+        }
+        c as u32
+    }
+}
+
+/// Writes `value(i)` to `colors[vertices[i]]` for every `i`, in parallel.
+/// `vertices` must be duplicate-free (every worklist is).
+fn scatter(colors: &mut [u32], vertices: &[VertexId], value: impl Fn(usize) -> u32 + Sync + Send) {
+    let shared = SharedSlice::new(colors);
+    (0..vertices.len()).into_par_iter().for_each(|i| {
+        // SAFETY: `vertices[i] < colors.len()` (a vertex of the graph), and
+        // distinct `i` name distinct vertices, so no slot is written twice
+        // and nothing reads `colors` during the scatter.
+        unsafe { shared.write(vertices[i] as usize, value(i)) }
+    });
+}
+
 /// Colors `g` with distance-1 semantics using speculation + conflict
 /// resolution. Returns the coloring; validity is guaranteed
 /// ([`crate::stats::is_valid_distance1`] holds) and tested.
@@ -50,60 +107,46 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
         return crate::greedy::color_greedy_serial(g);
     }
 
-    const UNCOLORED: u32 = u32::MAX;
-    let mut colors: Coloring = vec![UNCOLORED; n];
-    let mut worklist: Vec<VertexId> = (0..n as VertexId).collect();
+    // A vertex without a neighbor other than itself sees no colors and
+    // conflicts with nothing, so its first fit, 0, is final.
+    let has_neighbor = |v: VertexId| g.neighbor_ids(v).iter().any(|&u| u != v);
+    let mut colors: Coloring = (0..n as VertexId)
+        .into_par_iter()
+        .map(|v| if has_neighbor(v) { UNCOLORED } else { 0 })
+        .collect();
+    let mut worklist: Vec<VertexId> = (0..n as VertexId)
+        .into_par_iter()
+        .filter(|&v| colors[v as usize] == UNCOLORED)
+        .collect();
 
     for _round in 0..cfg.max_rounds {
         if worklist.is_empty() {
             break;
         }
 
-        // Phase 1: tentative speculative coloring.
+        // Phase 1: tentative speculative coloring against the frozen colors.
         let tentative: Vec<u32> = worklist
             .par_iter()
-            .map(|&v| {
-                let mut taken: Vec<u32> = g
-                    .neighbor_ids(v)
-                    .iter()
-                    .filter(|&&u| u != v)
-                    .map(|&u| colors[u as usize])
-                    .filter(|&c| c != UNCOLORED)
-                    .collect();
-                taken.sort_unstable();
-                let mut c = 0u32;
-                for t in taken {
-                    if t == c {
-                        c += 1;
-                    } else if t > c {
-                        break;
-                    }
-                }
-                c
+            .map_init(ForbiddenMask::default, |mask, &v| {
+                mask.first_fit(g, &colors, v)
             })
             .collect();
-        // Commit tentative colors (distinct indices — no races).
-        // A scatter via par_iter over the worklist would race on `colors`
-        // borrow; instead commit sequentially (cheap: one store per vertex)
-        // then detect conflicts in parallel.
-        for (i, &v) in worklist.iter().enumerate() {
-            colors[v as usize] = tentative[i];
-        }
+        scatter(&mut colors, &worklist, |i| tentative[i]);
 
-        // Phase 2: conflict detection — higher id of a conflicting pair
+        // Phase 2: conflict detection — the higher id of a conflicting pair
         // loses its color and is retried next round.
         let losers: Vec<VertexId> = worklist
             .par_iter()
             .copied()
             .filter(|&v| {
+                let cv = colors[v as usize];
                 g.neighbor_ids(v)
                     .iter()
-                    .any(|&u| u != v && colors[u as usize] == colors[v as usize] && v > u)
+                    .take_while(|&&u| u < v)
+                    .any(|&u| colors[u as usize] == cv)
             })
             .collect();
-        for &v in &losers {
-            colors[v as usize] = UNCOLORED;
-        }
+        scatter(&mut colors, &losers, |_| UNCOLORED);
         worklist = losers;
     }
     assert!(
@@ -117,13 +160,169 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
 mod tests {
     use super::*;
     use crate::stats::{color_class_sizes, is_valid_distance1};
-    use grappolo_graph::from_unweighted_edges;
-    use grappolo_graph::gen::{erdos_renyi, rmat, ErConfig, RmatConfig};
+    use grappolo_graph::gen::{
+        erdos_renyi, grid2d, hub_spoke, planted_partition, rmat, road_network, web_graph, ErConfig,
+        GridConfig, HubSpokeConfig, PlantedConfig, RmatConfig, RoadConfig, WebConfig,
+    };
+    use grappolo_graph::{from_unweighted_edges, from_weighted_edges};
 
     fn cfg_parallel_always() -> ParallelColoringConfig {
         ParallelColoringConfig {
             serial_cutoff: 0,
             ..Default::default()
+        }
+    }
+
+    /// The kernel's previous form, kept as its bitwise oracle: the same
+    /// rounds, frozen reads and higher-id-loses rule, but each tentative
+    /// color comes from a per-vertex `Vec` of neighbor colors, sorted, and
+    /// commits and un-colorings are serial loops.
+    fn color_parallel_alloc_sort(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
+        let n = g.num_vertices();
+        if n == 0 {
+            return Vec::new();
+        }
+        if n <= cfg.serial_cutoff {
+            return crate::greedy::color_greedy_serial(g);
+        }
+        let mut colors: Coloring = vec![UNCOLORED; n];
+        let mut worklist: Vec<VertexId> = (0..n as VertexId).collect();
+        for _round in 0..cfg.max_rounds {
+            if worklist.is_empty() {
+                break;
+            }
+            let tentative: Vec<u32> = worklist
+                .par_iter()
+                .map(|&v| {
+                    let mut taken: Vec<u32> = g
+                        .neighbor_ids(v)
+                        .iter()
+                        .filter(|&&u| u != v)
+                        .map(|&u| colors[u as usize])
+                        .filter(|&c| c != UNCOLORED)
+                        .collect();
+                    taken.sort_unstable();
+                    let mut c = 0u32;
+                    for t in taken {
+                        if t == c {
+                            c += 1;
+                        } else if t > c {
+                            break;
+                        }
+                    }
+                    c
+                })
+                .collect();
+            for (i, &v) in worklist.iter().enumerate() {
+                colors[v as usize] = tentative[i];
+            }
+            let losers: Vec<VertexId> = worklist
+                .par_iter()
+                .copied()
+                .filter(|&v| {
+                    g.neighbor_ids(v)
+                        .iter()
+                        .any(|&u| u != v && colors[u as usize] == colors[v as usize] && v > u)
+                })
+                .collect();
+            for &v in &losers {
+                colors[v as usize] = UNCOLORED;
+            }
+            worklist = losers;
+        }
+        assert!(worklist.is_empty());
+        colors
+    }
+
+    /// Mostly isolated and self-loop-only vertices around a sparse core.
+    fn isolated_heavy() -> CsrGraph {
+        let n = 6_000u32;
+        let core = erdos_renyi(&ErConfig {
+            num_vertices: 2_000,
+            num_edges: 8_000,
+            seed: 9,
+        });
+        let edges = core
+            .undirected_edges()
+            .map(|(u, v, w)| (3 * u, 3 * v, w))
+            .chain((0..n).step_by(2).map(|v| (v, v, 1.5)));
+        from_weighted_edges(n as usize, edges).unwrap()
+    }
+
+    #[test]
+    fn matches_alloc_sort_oracle_bitwise_at_every_thread_count() {
+        let graphs: Vec<(&str, CsrGraph)> = vec![
+            (
+                "er",
+                erdos_renyi(&ErConfig {
+                    num_vertices: 6_000,
+                    num_edges: 36_000,
+                    seed: 1,
+                }),
+            ),
+            (
+                "rmat",
+                rmat(&RmatConfig {
+                    scale: 13,
+                    num_edges: 60_000,
+                    ..Default::default()
+                }),
+            ),
+            (
+                "planted",
+                planted_partition(&PlantedConfig {
+                    num_vertices: 5_000,
+                    num_communities: 50,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "road",
+                road_network(&RoadConfig {
+                    num_vertices: 6_000,
+                    ..Default::default()
+                }),
+            ),
+            (
+                "hub_spoke",
+                hub_spoke(&HubSpokeConfig {
+                    num_hubs: 200,
+                    spokes_per_hub: 20,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "web",
+                web_graph(&WebConfig {
+                    num_vertices: 5_000,
+                    num_communities: 50,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "grid",
+                grid2d(&GridConfig {
+                    side: 80,
+                    ..Default::default()
+                }),
+            ),
+            ("isolated_heavy", isolated_heavy()),
+        ];
+        for (name, g) in &graphs {
+            for cfg in [cfg_parallel_always(), ParallelColoringConfig::default()] {
+                let oracle = color_parallel_alloc_sort(g, &cfg);
+                for threads in [1usize, 2, 8, 16] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let got = pool.install(|| color_parallel(g, &cfg));
+                    assert_eq!(got, oracle, "{name} differs at {threads} threads");
+                }
+            }
         }
     }
 

@@ -10,11 +10,12 @@ use crate::modularity::{modularity_with_resolution, Community};
 use crate::phase::{PhaseDriver, PhaseOutcome};
 use crate::rebuild::{rebuild, renumber_communities};
 use crate::serial::serial_modularity;
-use crate::vf::{vf_preprocess_recursive, VfResult};
+use crate::vf::vf_compact;
 use grappolo_coloring::{
     balance_colors, color_parallel, ColorBatches, ColoringStats, ParallelColoringConfig,
 };
-use grappolo_graph::CsrGraph;
+use grappolo_graph::{CsrGraph, VertexId};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Result of a community-detection run.
@@ -126,24 +127,33 @@ fn run_inner_cancellable(
     // graph's m and must survive VF and every rebuild.
     let m0 = g.total_weight();
 
-    // Step (1): optional VF preprocessing (§5.4).
+    // Step (1): optional VF preprocessing (§5.4). The phase graph borrows
+    // `g` until VF or a rebuild produces a smaller one, and owns it after.
     let t_vf = Instant::now();
-    let vf: VfResult = if config.use_vf {
-        let mut vf = vf_preprocess_recursive(g, config.vf_rounds);
-        vf.graph = std::mem::take(&mut vf.graph).with_total_weight_override(m0);
-        vf
+    let compacted = if config.use_vf {
+        vf_compact(g, config.vf_rounds)
     } else {
-        VfResult::identity(g.clone())
+        None
+    };
+    let (mut work, vf_mapping): (Cow<CsrGraph>, Vec<VertexId>) = match compacted {
+        Some(vf) => {
+            trace.vf_merged = vf.merged;
+            let graph = vf.graph.with_total_weight_override(m0);
+            (Cow::Owned(graph), vf.mapping)
+        }
+        None => (
+            Cow::Borrowed(g),
+            (0..g.num_vertices() as VertexId).collect(),
+        ),
     };
     trace.vf_time = t_vf.elapsed();
-    trace.vf_merged = vf.merged;
+    let vf_vertices = work.num_vertices();
 
     let mut dendrogram = Dendrogram {
-        vf_mapping: vf.mapping.clone(),
+        vf_mapping,
         levels: Vec::new(),
     };
 
-    let mut work = vf.graph.clone();
     let mut coloring_active = config.coloring != ColoringSchedule::Off;
     let mut prev_phase_end_q = f64::NEG_INFINITY;
 
@@ -281,7 +291,7 @@ fn run_inner_cancellable(
         }
 
         match next_graph {
-            Some(gn) => work = gn,
+            Some(gn) => work = Cow::Owned(gn),
             None => break,
         }
         prev_phase_end_q = end_q;
@@ -289,14 +299,11 @@ fn run_inner_cancellable(
 
     // Project the hierarchy back to the original vertices.
     let assignment = dendrogram.flatten();
+    // No phases ran (empty graph): each VF vertex is a community.
     let num_communities = dendrogram
         .levels
         .last()
-        .map(|l| l.num_communities)
-        .unwrap_or_else(|| {
-            // No phases ran (empty graph): each VF vertex is a community.
-            vf.graph.num_vertices()
-        });
+        .map_or(vf_vertices, |l| l.num_communities);
     let final_q = if config.parallel {
         modularity_with_resolution(g, &assignment, config.resolution)
     } else {

@@ -109,44 +109,44 @@ pub(crate) fn group_by_row(
     (offsets, members)
 }
 
-/// Makes the low-id row authoritative for each inter-community pair and
-/// mirrors its weight, restoring exact CSR symmetry when the two directions
-/// were accumulated in different orders. Rows must be sorted by target.
-pub(crate) fn mirror_low_id_rows(rows: &mut [Vec<(Community, f64)>]) {
-    for u in 0..rows.len() {
-        for idx in 0..rows[u].len() {
-            let (v, w) = rows[u][idx];
-            if (v as usize) > u {
-                let row_v = &mut rows[v as usize];
-                if let Ok(pos) = row_v.binary_search_by(|&(c, _)| c.cmp(&(u as Community))) {
-                    row_v[pos].1 = w;
-                }
-            }
-        }
-    }
-}
-
-/// [`mirror_low_id_rows`] over assembled CSR arrays: for every
-/// inter-row pair the low-id row's weight is copied onto the high-id
-/// mirror entry (rows sorted by target, binary-searched). Semantically
-/// identical to the rows-based pass — only the storage differs.
+/// Makes the low-id row authoritative for each inter-row pair: every entry
+/// `v → u` with `u < v` takes the weight of row `u`'s entry for `v` (rows
+/// sorted by target, binary-searched). This restores exact CSR symmetry
+/// when the two directions were accumulated in different orders.
+///
+/// Rows run in parallel. A row writes only its entries that point to a
+/// lower row and reads only entries that point to a higher row, so no entry
+/// is both read and written, and the result equals the serial pass that
+/// pushes each low-id weight onto its mirror.
 pub(crate) fn mirror_low_id_csr(offsets: &[usize], targets: &[Community], weights: &mut [f64]) {
     let num_rows = offsets.len() - 1;
-    for u in 0..num_rows {
-        for idx in offsets[u]..offsets[u + 1] {
-            let v = targets[idx] as usize;
-            if v > u {
-                let row_v = &targets[offsets[v]..offsets[v + 1]];
-                if let Ok(pos) = row_v.binary_search(&(u as Community)) {
-                    weights[offsets[v] + pos] = weights[idx];
-                }
+    let shared = SharedSlice::new(weights);
+    (0..num_rows).into_par_iter().for_each(|v| {
+        for idx in offsets[v]..offsets[v + 1] {
+            let u = targets[idx] as usize;
+            if u >= v {
+                break; // sorted: the rest point at `v` or above
+            }
+            let row_u = &targets[offsets[u]..offsets[u + 1]];
+            if let Ok(pos) = row_u.binary_search(&(v as Community)) {
+                // SAFETY: `idx` (row `v`, target below `v`) is written only
+                // by row `v`'s task; `offsets[u] + pos` (row `u`, target
+                // above `u`) is never written by any task.
+                unsafe { shared.write(idx, shared.read(offsets[u] + pos)) };
             }
         }
-    }
+    });
 }
 
-/// Assembles sorted per-community rows into a CSR graph.
-pub(crate) fn rows_to_csr(rows: Vec<Vec<(Community, f64)>>) -> CsrGraph {
+/// Mirrors the low-id weights ([`mirror_low_id_csr`]) and builds the graph.
+fn mirrored_csr(offsets: Vec<usize>, targets: Vec<Community>, mut weights: Vec<f64>) -> CsrGraph {
+    mirror_low_id_csr(&offsets, &targets, &mut weights);
+    CsrGraph::from_sorted_adjacency(offsets, targets, weights)
+}
+
+/// Assembles sorted per-community rows into a CSR graph, mirrored
+/// ([`mirrored_csr`]).
+fn rows_to_csr(rows: Vec<Vec<(Community, f64)>>) -> CsrGraph {
     let num_rows = rows.len();
     let mut offsets = vec![0usize; num_rows + 1];
     for (c, row) in rows.iter().enumerate() {
@@ -160,7 +160,7 @@ pub(crate) fn rows_to_csr(rows: Vec<Vec<(Community, f64)>>) -> CsrGraph {
             weights.push(w);
         }
     }
-    CsrGraph::from_sorted_adjacency(offsets, targets, weights)
+    mirrored_csr(offsets, targets, weights)
 }
 
 /// Row count above which [`condense_stamped`] switches from the rows-based
@@ -174,8 +174,9 @@ pub(crate) fn rows_to_csr(rows: Vec<Vec<(Community, f64)>>) -> CsrGraph {
 /// the reference container.
 const FLAT_ASSEMBLY_MIN_ROWS: usize = 1 << 16;
 
-/// Stamped-scratch condensation shared by the inter-phase rebuild and VF
-/// compaction, with `row_of` mapping any original vertex to its output row.
+/// Stamped-scratch condensation of the inter-phase rebuild (and the
+/// bitwise oracle of VF's linear fold in `vf`'s tests), with `row_of`
+/// mapping any original vertex to its output row.
 /// Dispatches between the two bitwise-identical assemblies
 /// ([`condense_stamped_flat`] / [`condense_stamped_rows`]) on
 /// [`FLAT_ASSEMBLY_MIN_ROWS`]; since both produce identical CSR arrays
@@ -275,8 +276,7 @@ pub(crate) fn condense_stamped_flat(
             },
         )
         .for_each(drop);
-    mirror_low_id_csr(&row_offsets, &targets, &mut weights);
-    CsrGraph::from_sorted_adjacency(row_offsets, targets, weights)
+    mirrored_csr(row_offsets, targets, weights)
 }
 
 /// The rows-based assembly of the stamped condensation — per-row
@@ -292,7 +292,7 @@ pub(crate) fn condense_stamped_rows(
     members: &[VertexId],
     row_of: impl Fn(usize) -> Community + Sync + Send,
 ) -> CsrGraph {
-    let mut rows: Vec<Vec<(Community, f64)>> = (0..num_rows as Community)
+    let rows: Vec<Vec<(Community, f64)>> = (0..num_rows as Community)
         .into_par_iter()
         .map_init(
             || ScratchPool::global().take(),
@@ -309,7 +309,6 @@ pub(crate) fn condense_stamped_rows(
             },
         )
         .collect();
-    mirror_low_id_rows(&mut rows);
     rows_to_csr(rows)
 }
 
@@ -419,24 +418,56 @@ mod tests {
         }
     }
 
+    /// The serial form of [`mirror_low_id_csr`]: each row pushes its
+    /// weights onto the mirrors in higher rows.
+    fn mirror_serial_push(offsets: &[usize], targets: &[Community], weights: &mut [f64]) {
+        for u in 0..offsets.len() - 1 {
+            for idx in offsets[u]..offsets[u + 1] {
+                let v = targets[idx] as usize;
+                if v > u {
+                    let row_v = &targets[offsets[v]..offsets[v + 1]];
+                    if let Ok(pos) = row_v.binary_search(&(u as Community)) {
+                        weights[offsets[v] + pos] = weights[idx];
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
-    fn mirror_low_id_csr_matches_rows_pass() {
-        // Same asymmetric input run through both mirror passes.
-        let rows_input = vec![
-            vec![(1u32, 1.0), (2u32, 2.0)],
-            vec![(0u32, 1.5)],
-            vec![(0u32, 2.5)],
-        ];
-        let mut rows = rows_input.clone();
-        mirror_low_id_rows(&mut rows);
+    fn parallel_mirror_matches_serial_push() {
+        // A small asymmetric input: low-id row authoritative, (0,1) = 1.0
+        // both ways and (0,2) = 2.0.
         let offsets = vec![0usize, 2, 3, 4];
         let targets = vec![1u32, 2, 0, 0];
         let mut weights = vec![1.0, 2.0, 1.5, 2.5];
         mirror_low_id_csr(&offsets, &targets, &mut weights);
-        // Low-id row authoritative: (0,1) = 1.0 both ways, (0,2) = 2.0.
-        assert_eq!(rows[1][0].1, 1.0);
-        assert_eq!(rows[2][0].1, 2.0);
         assert_eq!(weights, vec![1.0, 2.0, 1.0, 2.0]);
+
+        // A planted graph's rows with every weight perturbed per direction,
+        // at several pool sizes.
+        let (g, _) = planted_partition(&PlantedConfig {
+            num_vertices: 3_000,
+            num_communities: 30,
+            ..Default::default()
+        });
+        let offsets = g.adjacency_offsets().to_vec();
+        let targets = g.adjacency_targets().to_vec();
+        let skewed: Vec<f64> = (0..targets.len())
+            .map(|i| 1.0 + (i % 13) as f64 / 3.0)
+            .collect();
+        let mut expected = skewed.clone();
+        mirror_serial_push(&offsets, &targets, &mut expected);
+        for threads in [1usize, 2, 8, 16] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut got = skewed.clone();
+            pool.install(|| mirror_low_id_csr(&offsets, &targets, &mut got));
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expected), "{threads} threads");
+        }
     }
 
     #[test]

@@ -243,8 +243,8 @@ pub fn parallel_phase_colored_rescan(
 }
 
 /// The historical **rows-based** stamped rebuild assembly: per-community
-/// `Vec<(Community, f64)>` rows collected in parallel, mirrored, then
-/// copied into CSR (`rows_to_csr`). The production path now assembles
+/// `Vec<(Community, f64)>` rows collected in parallel, copied into CSR
+/// arrays and mirrored (`rows_to_csr`). The production path now assembles
 /// directly into preallocated `offsets`/`targets`/`weights` arrays
 /// (two-pass count + scatter, [`crate::rebuild`]); this reference produces
 /// bitwise-identical graphs (property-tested) and is the `rebuild` bench's

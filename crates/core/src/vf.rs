@@ -19,8 +19,7 @@
 //! until no single-degree vertices remain (chain compression, the §5.3
 //! extension "to lead to fast compression of chains within the input graph").
 
-use crate::rebuild::{condense_stamped, group_by_row};
-use grappolo_graph::{stats::is_single_degree, CsrGraph, VertexId};
+use grappolo_graph::{stats::is_single_degree, CsrGraph, SharedSlice, VertexId};
 use rayon::prelude::*;
 
 /// Result of VF preprocessing.
@@ -58,7 +57,7 @@ impl VfResult {
 /// Applies one round of single-degree vertex merging (the paper's
 /// implemented variant).
 pub fn vf_preprocess(g: &CsrGraph) -> VfResult {
-    vf_round(g, false)
+    vf_round(g, false).unwrap_or_else(|| VfResult::identity(g.clone()))
 }
 
 /// For the recursive extension: `v` is a *single-neighbor* vertex (§5.3) if
@@ -85,11 +84,9 @@ fn merge_profitable(g: &CsrGraph, v: VertexId, j: VertexId, w_vj: f64) -> bool {
     2.0 * g.total_weight() * w_vj > g.weighted_degree(v) * g.weighted_degree(j)
 }
 
-fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> VfResult {
+/// One VF round; `None` when no vertex merges.
+fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> Option<VfResult> {
     let n = g.num_vertices();
-    if n == 0 {
-        return VfResult::identity(g.clone());
-    }
 
     // A vertex is mergeable if it is single-degree (paper's rule, always
     // profitable per Lemma 3) or — in recursive rounds — single-neighbor
@@ -128,22 +125,22 @@ fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> VfResult {
     // Step 2: renumber survivors densely ("Label the resulting vertices from
     // 1…n using an arbitrary ordering", §5.4 step (1)).
     let mut new_id = vec![VertexId::MAX; n];
-    let mut next = 0 as VertexId;
+    let mut survivors: Vec<VertexId> = Vec::new();
     for v in 0..n {
         if rep[v] as usize == v {
-            new_id[v] = next;
-            next += 1;
+            new_id[v] = survivors.len() as VertexId;
+            survivors.push(v as VertexId);
         }
     }
-    let survivors = next as usize;
-    let merged = n - survivors;
+    let merged = n - survivors.len();
     if merged == 0 {
-        return VfResult::identity(g.clone());
+        return None;
     }
     // mapping: original vertex → new id of its representative. rep chains
     // have length ≤ 1 (a single-degree vertex's neighbor either survives or
     // is the lower half of a mutual pair, which survives).
     let mapping: Vec<VertexId> = (0..n)
+        .into_par_iter()
         .map(|v| {
             let r = rep[v] as usize;
             debug_assert_eq!(rep[r] as usize, r, "rep chains must have length ≤ 1");
@@ -151,23 +148,95 @@ fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> VfResult {
         })
         .collect();
 
-    // Step 3: rebuild edges under the mapping with the same stamped-scratch
-    // condensation the inter-phase rebuild uses. Traversing every directed
-    // adjacency entry makes a merged pair's edge contribute twice to the
-    // survivor's self-loop (the m-preserving condensation, 2ω) and existing
-    // loops once, with deterministic accumulation order.
-    let row_of = |u: usize| mapping[u];
-    let (offsets, members) = group_by_row(n, survivors, row_of);
-    let graph = condense_stamped(g, survivors, &offsets, &members, row_of);
+    let graph = fold_into_survivors(g, &rep, &new_id, &survivors);
     debug_assert!(
         graph.validate().is_ok(),
         "VF rebuild produced an invalid CSR"
     );
-    VfResult {
+    Some(VfResult {
         graph,
         mapping,
         merged,
+    })
+}
+
+/// The compacted graph of one VF round: one count pass and one fill pass
+/// over the survivors' rows ([`folded_row`]).
+fn fold_into_survivors(
+    g: &CsrGraph,
+    rep: &[VertexId],
+    new_id: &[VertexId],
+    survivors: &[VertexId],
+) -> CsrGraph {
+    // A row keeps its entries to survivors, plus one loop if any entry folds.
+    let row_len = |s: VertexId| {
+        let ids = g.neighbor_ids(s);
+        let folded = ids.iter().filter(|&&u| rep[u as usize] == s).count();
+        ids.len() - folded + usize::from(folded > 0)
+    };
+    let lens: Vec<usize> = survivors.par_iter().map(|&s| row_len(s)).collect();
+    let mut offsets = vec![0usize; survivors.len() + 1];
+    for (r, len) in lens.iter().enumerate() {
+        offsets[r + 1] = offsets[r] + len;
     }
+    let total = offsets[survivors.len()];
+    let mut targets = vec![0 as VertexId; total];
+    let mut weights = vec![0.0f64; total];
+    let t_shared = SharedSlice::new(&mut targets);
+    let w_shared = SharedSlice::new(&mut weights);
+    survivors.par_iter().enumerate().for_each(|(r, &s)| {
+        let mut row = folded_row(g, rep, new_id, s);
+        for idx in offsets[r]..offsets[r + 1] {
+            let (t, w) = row.next().expect("VF row shorter than counted");
+            // SAFETY: `idx` lies in row `r`'s span, which is inside the
+            // arrays and disjoint from every other row's by the prefix sum,
+            // so no other task touches it.
+            unsafe {
+                t_shared.write(idx, t);
+                w_shared.write(idx, w);
+            }
+        }
+        assert!(row.next().is_none(), "VF row longer than counted");
+    });
+    CsrGraph::from_sorted_adjacency(offsets, targets, weights)
+}
+
+/// Survivor `s`'s row after the round. A merged vertex is always a neighbor
+/// of its survivor and has no other neighbor, so only `s`'s own row changes:
+/// its entries to survivors keep their weights under the monotone
+/// relabeling (the row stays sorted, and the input's bitwise-symmetric
+/// weights stay symmetric), and every entry inside the group — `s`'s loop,
+/// `s`'s entries to its merged neighbors and all of theirs — becomes one
+/// self-loop at `s`'s sorted position. The loop sums its terms members
+/// ascending, then adjacency order, as the stamped condensation
+/// (`rebuild::condense_stamped`) accumulates them, so the CSR is bitwise the
+/// one that condensation builds from the same mapping: a merged pair's edge
+/// contributes twice (the m-preserving rule) and an existing loop once.
+fn folded_row<'a>(
+    g: &'a CsrGraph,
+    rep: &'a [VertexId],
+    new_id: &'a [VertexId],
+    s: VertexId,
+) -> impl Iterator<Item = (VertexId, f64)> + 'a {
+    let (ids, ws) = (g.neighbor_ids(s), g.neighbor_weights(s));
+    let split = ids.partition_point(|&u| u < s);
+    let folds = move |u: VertexId| rep[u as usize] == s;
+    let member_terms = move |members: &'a [VertexId]| {
+        let merged = members.iter().filter(move |&&u| u != s && folds(u));
+        merged.flat_map(|&u| g.neighbor_weights(u))
+    };
+    let own_terms = ids.iter().zip(ws).filter(|&(&u, _)| folds(u));
+    let self_loop = member_terms(&ids[..split])
+        .chain(own_terms.map(|(_, w)| w))
+        .chain(member_terms(&ids[split..]))
+        .copied()
+        .reduce(|acc, w| acc + w);
+    let kept = move |(&u, &w): (&VertexId, &f64)| (!folds(u)).then(|| (new_id[u as usize], w));
+    let below = ids[..split].iter().zip(&ws[..split]).filter_map(kept);
+    let above = ids[split..].iter().zip(&ws[split..]).filter_map(kept);
+    below
+        .chain(self_loop.map(|w| (new_id[s as usize], w)))
+        .chain(above)
 }
 
 /// Applies VF repeatedly (at most `max_rounds`): the first round is the
@@ -175,13 +244,17 @@ fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> VfResult {
 /// vertices under the inequality-(10) profitability test, which compresses
 /// chains (§5.3's extension).
 pub fn vf_preprocess_recursive(g: &CsrGraph, max_rounds: usize) -> VfResult {
-    let mut result = vf_preprocess(g);
-    let mut rounds = 1;
-    while rounds < max_rounds && result.merged > 0 {
-        let next = vf_round(&result.graph, true);
-        if next.merged == 0 {
+    vf_compact(g, max_rounds).unwrap_or_else(|| VfResult::identity(g.clone()))
+}
+
+/// [`vf_preprocess_recursive`] without the identity copy: `None` when the
+/// first round merges nothing, so the caller keeps using `g`.
+pub(crate) fn vf_compact(g: &CsrGraph, max_rounds: usize) -> Option<VfResult> {
+    let mut result = vf_round(g, false)?;
+    for _ in 1..max_rounds {
+        let Some(next) = vf_round(&result.graph, true) else {
             break;
-        }
+        };
         // Compose mappings: original → round-k id → round-(k+1) id.
         let mapping: Vec<VertexId> = result
             .mapping
@@ -193,17 +266,172 @@ pub fn vf_preprocess_recursive(g: &CsrGraph, max_rounds: usize) -> VfResult {
             graph: next.graph,
             mapping,
         };
-        rounds += 1;
     }
-    result
+    Some(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modularity::modularity;
-    use grappolo_graph::gen::{hub_spoke, HubSpokeConfig};
+    use crate::rebuild::{condense_stamped, group_by_row};
+    use grappolo_graph::gen::{
+        erdos_renyi, grid2d, hub_spoke, planted_partition, rmat, road_network, web_graph, ErConfig,
+        GridConfig, HubSpokeConfig, PlantedConfig, RmatConfig, RoadConfig, WebConfig,
+    };
     use grappolo_graph::{from_unweighted_edges, from_weighted_edges};
+
+    /// The stamped condensation of `g` under `r.mapping`: how VF compacted
+    /// before the linear fold, and the fold's bitwise oracle.
+    fn condensed(g: &CsrGraph, r: &VfResult) -> CsrGraph {
+        let rows = r.graph.num_vertices();
+        let row_of = |u: usize| r.mapping[u];
+        let (offsets, members) = group_by_row(g.num_vertices(), rows, row_of);
+        condense_stamped(g, rows, &offsets, &members, row_of)
+    }
+
+    /// Fractional weights (so the summation order shows in the bits), hubs
+    /// with merged neighbors on both sides of their id and their own
+    /// self-loops, mutual leaf pairs, leaves carrying a self-loop (merged as
+    /// single-neighbor vertices from the second round), and chains hanging
+    /// off the core for the recursive rounds.
+    fn weighted_mixed() -> CsrGraph {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut weight = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            0.1 + ((state >> 33) % 1000) as f64 / 7.0
+        };
+        let core = erdos_renyi(&ErConfig {
+            num_vertices: 2_000,
+            num_edges: 6_000,
+            seed: 11,
+        });
+        let mut edges: Vec<(VertexId, VertexId, f64)> = core
+            .undirected_edges()
+            .map(|(u, v, _)| (u + 1_000, v + 1_000, weight()))
+            .collect();
+        let (mut low, mut next) = (0u32, 3_000u32);
+        for hub in (1_000..3_000u32).step_by(7) {
+            edges.push((hub, hub, weight()));
+            // Leaves below the hub (ids 0..1000) and above it (3000..).
+            for _ in 0..(hub % 5) {
+                edges.push((low, hub, weight()));
+                low += 1;
+            }
+            for _ in 0..(hub % 4) {
+                edges.push((next, hub, weight()));
+                next += 1;
+            }
+        }
+        for hub in (1_003..3_000u32).step_by(11) {
+            // A leaf with its own loop, and a 3-chain.
+            edges.push((next, hub, weight()));
+            edges.push((next, next, weight()));
+            edges.push((next + 1, hub, weight()));
+            edges.push((next + 1, next + 2, weight()));
+            edges.push((next + 2, next + 3, weight()));
+            next += 4;
+        }
+        for _ in 0..200 {
+            // Mutual leaf pairs.
+            edges.push((next, next + 1, weight()));
+            next += 2;
+        }
+        from_weighted_edges(next as usize, edges).unwrap()
+    }
+
+    #[test]
+    fn fold_matches_stamped_condensation_bitwise() {
+        let graphs: Vec<(&str, CsrGraph)> = vec![
+            (
+                "er",
+                erdos_renyi(&ErConfig {
+                    num_vertices: 6_000,
+                    num_edges: 9_000,
+                    seed: 1,
+                }),
+            ),
+            (
+                "rmat",
+                rmat(&RmatConfig {
+                    scale: 13,
+                    num_edges: 40_000,
+                    ..Default::default()
+                }),
+            ),
+            (
+                "planted",
+                planted_partition(&PlantedConfig {
+                    num_vertices: 5_000,
+                    num_communities: 50,
+                    avg_intra_degree: 2.0,
+                    avg_inter_degree: 0.5,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "road",
+                road_network(&RoadConfig {
+                    num_vertices: 6_000,
+                    ..Default::default()
+                }),
+            ),
+            (
+                "hub_spoke",
+                hub_spoke(&HubSpokeConfig {
+                    num_hubs: 200,
+                    spokes_per_hub: 20,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "web",
+                web_graph(&WebConfig {
+                    num_vertices: 5_000,
+                    num_communities: 50,
+                    avg_intra_degree: 2.0,
+                    ..Default::default()
+                })
+                .0,
+            ),
+            (
+                "grid",
+                grid2d(&GridConfig {
+                    side: 60,
+                    noise_fraction: 0.2,
+                    ..Default::default()
+                }),
+            ),
+            ("weighted_mixed", weighted_mixed()),
+        ];
+        for (name, g) in &graphs {
+            let once = vf_preprocess(g);
+            assert!(once.graph.bitwise_eq(&condensed(g, &once)), "{name}");
+
+            // The recursive chain, checked round by round against the
+            // condensation of that round's input.
+            let mut current = g.clone();
+            let mut mapping: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+            for round in 0..4 {
+                let Some(r) = vf_round(&current, round > 0) else {
+                    break;
+                };
+                assert!(
+                    r.graph.bitwise_eq(&condensed(&current, &r)),
+                    "{name}: round {round} differs from the condensation"
+                );
+                mapping = mapping.iter().map(|&m| r.mapping[m as usize]).collect();
+                current = r.graph;
+            }
+            let recursive = vf_preprocess_recursive(g, 4);
+            assert!(recursive.graph.bitwise_eq(&current), "{name}");
+            assert_eq!(recursive.mapping, mapping, "{name}");
+        }
+    }
 
     #[test]
     fn star_collapses_to_single_vertex() {
