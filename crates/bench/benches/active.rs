@@ -35,7 +35,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
-use grappolo_core::{LouvainConfig, PhaseDriver, SweepMode};
+use grappolo_core::{LouvainConfig, PhaseDriver, ScheduleSpec, SweepMode};
 use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
@@ -53,17 +53,19 @@ fn bench_active(c: &mut Criterion) {
         let batches =
             ColorBatches::from_coloring(&color_parallel(g, &ParallelColoringConfig::default()));
         // One resolved driver per variant: fixed threshold, or the
-        // geometric schedule at the default edge-unit parameters for this
-        // input (start 4/m, factor 0.5, floor 0.5/m).
+        // geometric schedule the driver derives from this input's m
+        // (start 4/m, factor 0.5, floor 0.5/m).
         let driver_for = |sweep: SweepMode, scheduled: bool| -> PhaseDriver {
-            let mut config = LouvainConfig {
+            let config = LouvainConfig {
                 sweep_mode: sweep,
                 max_iterations_per_phase: MAX_ITERS,
+                schedule: if scheduled {
+                    ScheduleSpec::Geometric
+                } else {
+                    ScheduleSpec::Fixed
+                },
                 ..LouvainConfig::default()
             };
-            if scheduled {
-                config = config.with_geometric_schedule(g.total_weight());
-            }
             PhaseDriver::from_config(&config, THRESHOLD)
         };
         group.throughput(Throughput::Elements(g.num_adjacency_entries() as u64));

@@ -11,45 +11,26 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cache::cached_graph;
 use grappolo_core::{detect_communities, Scheme};
-use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
-use grappolo_graph::{io, CsrGraph, GraphBuilder};
-
-/// One dominant planted block plus many small ones in ascending contiguous
-/// vertex ranges — the component-splitter's favorable (and realistic:
-/// web-crawl and RGG inputs decompose the same way) workload shape.
-fn planted_blocks(big: usize, small: usize, num_small: usize, seed: u64) -> CsrGraph {
-    let n = big + small * num_small;
-    let mut b = GraphBuilder::new(n);
-    let mut base = 0u32;
-    for (i, size) in std::iter::once(big)
-        .chain(std::iter::repeat_n(small, num_small))
-        .enumerate()
-    {
-        let (block, _) = planted_partition(&PlantedConfig {
-            num_vertices: size,
-            num_communities: (size / 100).max(2),
-            seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        });
-        for (u, v, w) in block.undirected_edges() {
-            b = b.add_edge(base + u, base + v, w);
-        }
-        base += size as u32;
-    }
-    b.build().expect("block edges are in range")
-}
+use grappolo_graph::gen::{planted_blocks, rmat, RmatConfig};
+use grappolo_graph::io;
 
 fn bench_split_detect(c: &mut Criterion) {
     let mut group = c.benchmark_group("components");
 
-    // 15 K-vertex giant + 300 × 250-vertex small components (n = 90 K). The
-    // giant needs many sweeps to converge; the smalls settle in a few. The
-    // single driver pays the giant's iteration count over all 90 K vertices,
-    // the splitter only over the giant's 15 K — that iteration disparity is
-    // the serial algorithmic win the gate measures (parallel dispatch of the
-    // component runs comes on top on multi-core hosts).
+    // 15 K-vertex giant + 300 × 250-vertex small components (n = 90 K) in
+    // ascending contiguous vertex ranges — the component-splitter's
+    // favorable (and realistic: web-crawl and RGG inputs decompose the same
+    // way) workload shape. The giant needs many sweeps to converge; the
+    // smalls settle in a few. The single driver pays the giant's iteration
+    // count over all 90 K vertices, the splitter only over the giant's 15 K
+    // — that iteration disparity is the serial algorithmic win the gate
+    // measures (parallel dispatch of the component runs comes on top on
+    // multi-core hosts).
     let g = cached_graph("planted_blocks_b15k_s250_x300_seed7", || {
-        planted_blocks(15_000, 250, 300, 7)
+        let sizes: Vec<usize> = std::iter::once(15_000)
+            .chain(std::iter::repeat_n(250, 300))
+            .collect();
+        planted_blocks(&sizes, 0, 7)
     });
     group.throughput(Throughput::Elements(g.num_edges() as u64));
 

@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
-use grappolo_core::{geometric_for, LouvainConfig, PhaseDriver, RefineMode, SweepMode};
+use grappolo_core::{LouvainConfig, PhaseDriver, RefineMode, ScheduleSpec, SweepMode};
 use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
@@ -39,7 +39,7 @@ fn bench_refine(c: &mut Criterion) {
         ] {
             let config = LouvainConfig::builder()
                 .sweep(SweepMode::Active)
-                .schedule(geometric_for(g.total_weight()))
+                .schedule(ScheduleSpec::Geometric)
                 .refine(refine)
                 .build()
                 .expect("valid refine bench config");

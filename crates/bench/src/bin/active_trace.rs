@@ -8,17 +8,15 @@
 //! variants show how the geometric gate collapses it anyway.
 //!
 //! ```text
-//! active_trace [planted|rmat] [start_edge_units factor floor_edge_units]
+//! active_trace [planted|rmat]
 //! ```
 //!
-//! The optional trailing triple overrides the geometric schedule's
-//! edge-unit parameters (defaults: 4 0.5 0.5), for schedule exploration.
+//! The geometric schedule is the one `detect --schedule geometric` runs:
+//! start `4/m`, factor `0.5`, floor `0.5/m`, derived from the input's `m`.
 
 use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
-use grappolo_core::{
-    LouvainConfig, LouvainConfigBuilder, PhaseDriver, PhaseOutcome, ScheduleSpec, SweepMode,
-};
+use grappolo_core::{LouvainConfig, PhaseDriver, PhaseOutcome, ScheduleSpec, SweepMode};
 use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 use std::time::Duration;
@@ -43,8 +41,13 @@ fn show(name: &str, g: &CsrGraph, out: &PhaseOutcome, elapsed: Duration) {
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "rmat".into());
-    let g = match which.as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 1 {
+        eprintln!("usage: active_trace [planted|rmat]");
+        std::process::exit(2);
+    }
+    let which = args.first().map_or("rmat", String::as_str);
+    let g = match which {
         "planted" => cached_graph("sweep_planted_100000", || {
             planted_partition(&PlantedConfig {
                 num_vertices: 100_000,
@@ -70,51 +73,19 @@ fn main() {
     );
     let batches =
         ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
-    let raw: Vec<String> = std::env::args().skip(2).collect();
-    let (start_u, factor, floor_u) = match raw.len() {
-        0 => (
-            grappolo_core::config::GEOMETRIC_START_EDGE_UNITS,
-            grappolo_core::config::GEOMETRIC_FACTOR,
-            grappolo_core::config::GEOMETRIC_FLOOR_EDGE_UNITS,
-        ),
-        3 => {
-            let parse = |s: &String| {
-                s.parse::<f64>().unwrap_or_else(|e| {
-                    eprintln!("active_trace: bad schedule parameter `{s}`: {e}");
-                    std::process::exit(2);
-                })
-            };
-            (parse(&raw[0]), parse(&raw[1]), parse(&raw[2]))
-        }
-        _ => {
-            eprintln!("usage: active_trace [planted|rmat] [start_units factor floor_units]");
-            std::process::exit(2);
-        }
-    };
-    let m = g.total_weight();
-    // The two convergence policies resolve into PhaseDriver configurations
-    // through the typed builder, whose `build()` rejects a non-tightening
-    // schedule (factor ≥ 1, floor > start, …) with the library's own rule
-    // — such a schedule would never reach its floor and would spin every
-    // variant to the iteration cap.
-    let driver_for = |spec: ScheduleSpec, sweep: SweepMode| -> PhaseDriver {
-        let config = LouvainConfigBuilder::from_base(LouvainConfig::default())
-            .sweep(sweep)
-            .schedule(spec)
-            .build()
-            .unwrap_or_else(|e| {
-                eprintln!("active_trace: invalid geometric schedule: {e}");
-                std::process::exit(2);
-            });
+    let driver_for = |schedule: ScheduleSpec, sweep_mode: SweepMode| -> PhaseDriver {
+        let config = LouvainConfig {
+            sweep_mode,
+            schedule,
+            ..LouvainConfig::default()
+        };
         PhaseDriver::from_config(&config, 1e-6)
     };
-    let geometric = ScheduleSpec::GeometricRaw {
-        start: start_u / m,
-        factor,
-        floor: floor_u / m,
-    };
-    println!("geometric schedule: start {start_u}/m, factor {factor}, floor {floor_u}/m");
-    let policies = [("fixed", ScheduleSpec::Fixed), ("sched", geometric)];
+    println!("geometric schedule: start 4/m, factor 0.5, floor 0.5/m");
+    let policies = [
+        ("fixed", ScheduleSpec::Fixed),
+        ("sched", ScheduleSpec::Geometric),
+    ];
     for (pname, spec) in policies {
         for (label, sweep) in [("full", SweepMode::Full), ("active", SweepMode::Active)] {
             let driver = driver_for(spec, sweep);

@@ -1,8 +1,22 @@
-//! Hand-rolled argument parsing (keeps the dependency set to the
+//! Argument parsing: one flag table per subcommand and one grammar for all
+//! of them (hand-rolled, to keep the dependency set to the
 //! offline-sanctioned crates).
+//!
+//! A subcommand takes its positionals and its declared flags in any order.
+//! A value flag always takes the next token as its value, so a value is
+//! never read as a positional. Usage errors name the offending token: an
+//! undeclared `--flag` (`--flag=value` included), a value flag followed by
+//! another flag or by nothing, a positional past the subcommand's count,
+//! and `query` given both `--script` and inline words. Defaults come from
+//! [`LouvainConfig::default`] and [`ServeConfig::default`]; values are
+//! validated when the command runs (exit 4), not here.
 
-use grappolo_core::{RefineMode, ScheduleMode, Scheme, SweepMode};
+use grappolo_core::{LouvainConfig, RefineMode, ScheduleSpec, Scheme, SweepMode};
+use grappolo_serve::ServeConfig;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::Duration;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -79,10 +93,10 @@ USAGE:
       --threads / --gamma: detection thread count and resolution
       --faults: failpoint spec, e.g. `detect=panic:1,persist=err:2`
       (overrides the GRAPPOLO_FAULTS environment variable)
-  grappolo query --addr HOST:PORT [--script FILE] [command…]
+  grappolo query --addr HOST:PORT (--script FILE | command…)
       one-shot client: send a single protocol command (the trailing
-      words) or every non-comment line of --script FILE over one
-      connection, printing each response line. Exits 0 when every
+      words) or every non-comment line of --script FILE (not both) over
+      one connection, printing each response line. Exits 0 when every
       response is `ok`, 1 if any is `err`, 3 on connection failure
   grappolo color <graph-file> [--balanced]
   grappolo compare <assignments-a> <assignments-b>
@@ -90,23 +104,19 @@ USAGE:
       e.g. `grappolo convert web.edges web.grb` caches a parsed graph in the
       binary .grb format, which later loads in O(read) (no re-parse/re-sort)
 
+Flags and positionals may come in any order. A value flag takes the next
+token as its value (`--threads 2`, not `--threads=2`); an unknown flag or
+an extra positional is a usage error (exit 2).
+
 Graph files: .edges/.txt (edge list), .graph/.metis (METIS),
              .grb (binary, fastest to load).";
 
-/// A parsed command.
-#[derive(Clone, Debug, PartialEq)]
+/// A parsed command. Subcommands with options carry their own parsed
+/// fields.
+#[derive(Clone, Debug)]
 pub enum Command {
-    /// Generate a paper-suite proxy graph.
-    Generate {
-        /// Paper-input id.
-        input: String,
-        /// Size multiplier.
-        scale: f64,
-        /// Generator seed.
-        seed: u64,
-        /// Output path.
-        output: PathBuf,
-    },
+    /// Generate a paper-suite proxy or a synthetic family.
+    Generate(Generate),
     /// Print graph statistics (Table 1 columns).
     Stats {
         /// Graph path.
@@ -118,50 +128,9 @@ pub enum Command {
         path: PathBuf,
     },
     /// Run community detection.
-    Detect {
-        /// Graph path.
-        path: PathBuf,
-        /// Heuristic scheme.
-        scheme: Scheme,
-        /// Thread count (None = default).
-        threads: Option<usize>,
-        /// Resolution γ.
-        gamma: f64,
-        /// Where to write `vertex community` lines.
-        assignments: Option<PathBuf>,
-        /// Where to write the JSON trace.
-        trace: Option<PathBuf>,
-        /// Sweep iteration schedule (full vs dirty-vertex work lists).
-        sweep: SweepMode,
-        /// Within-phase threshold schedule (fixed vs geometric gate).
-        schedule: ScheduleMode,
-        /// Per-vertex convergence epsilon (0 = disabled).
-        vertex_epsilon: f64,
-        /// Post-sweep refinement mode.
-        refine: RefineMode,
-        /// Run each connected component as an independent detection.
-        split_components: bool,
-    },
+    Detect(Detect),
     /// Apply a batch of edge deltas and re-converge incrementally.
-    Update {
-        /// Graph path.
-        graph: PathBuf,
-        /// Previous assignment path (`vertex community` lines).
-        assignments: PathBuf,
-        /// Edge-delta batch path (`+ u v [w]` / `- u v` / `= u v w` lines).
-        batch: PathBuf,
-        /// Where to write the updated assignment.
-        assignments_out: Option<PathBuf>,
-        /// Where to write the updated graph.
-        graph_out: Option<PathBuf>,
-        /// Thread count (None = default).
-        threads: Option<usize>,
-        /// Resolution γ.
-        gamma: f64,
-        /// Changed-edge fraction above which the update falls back to
-        /// from-scratch detection.
-        fallback: f64,
-    },
+    Update(Update),
     /// Audit an assignment's internal connectivity.
     Audit {
         /// Graph path.
@@ -170,37 +139,9 @@ pub enum Command {
         assignments: PathBuf,
     },
     /// Run the resident partition service.
-    Serve {
-        /// Graph path.
-        graph: PathBuf,
-        /// Bind address (port 0 picks a free port).
-        addr: String,
-        /// Request worker threads.
-        server_threads: usize,
-        /// Bounded request queue capacity.
-        queue_depth: usize,
-        /// Per-request deadline in milliseconds.
-        deadline_ms: u64,
-        /// Persistence retry attempts.
-        retry: u32,
-        /// Base persistence backoff in milliseconds.
-        backoff_ms: u64,
-        /// Detection thread count (None = default).
-        threads: Option<usize>,
-        /// Resolution γ.
-        gamma: f64,
-        /// Failpoint spec (overrides `GRAPPOLO_FAULTS`).
-        faults: Option<String>,
-    },
+    Serve(Serve),
     /// Send protocol commands to a running service.
-    Query {
-        /// Server address.
-        addr: String,
-        /// File of protocol lines to send (`#` comments skipped).
-        script: Option<PathBuf>,
-        /// Single inline protocol command.
-        command: Option<String>,
-    },
+    Query(Query),
     /// Color a graph and report class statistics.
     Color {
         /// Graph path.
@@ -226,53 +167,411 @@ pub enum Command {
     Help,
 }
 
+/// `generate`'s fields.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Generate {
+    /// Paper-input id or synthetic family.
+    pub input: String,
+    /// Size multiplier.
+    pub scale: f64,
+    /// Generator seed.
+    pub seed: u64,
+    /// Output path.
+    pub output: PathBuf,
+}
+
+/// `detect`'s fields.
+#[derive(Clone, Debug)]
+pub struct Detect {
+    /// Graph path.
+    pub path: PathBuf,
+    /// Heuristic scheme (already applied to `config`).
+    pub scheme: Scheme,
+    /// The scheme's [`LouvainConfig`] with every flag applied.
+    pub config: LouvainConfig,
+    /// Where to write `vertex community` lines.
+    pub assignments: Option<PathBuf>,
+    /// Where to write the JSON trace.
+    pub trace: Option<PathBuf>,
+}
+
+/// `update`'s fields.
+#[derive(Clone, Debug)]
+pub struct Update {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// Previous assignment path (`vertex community` lines).
+    pub assignments: PathBuf,
+    /// Edge-delta batch path (`+ u v [w]` / `- u v` / `= u v w` lines).
+    pub batch: PathBuf,
+    /// Where to write the updated assignment.
+    pub assignments_out: Option<PathBuf>,
+    /// Where to write the updated graph.
+    pub graph_out: Option<PathBuf>,
+    /// The default [`LouvainConfig`] with active sweeps and every flag
+    /// applied.
+    pub config: LouvainConfig,
+}
+
+/// `serve`'s fields.
+#[derive(Clone, Debug)]
+pub struct Serve {
+    /// Graph path.
+    pub graph: PathBuf,
+    /// The default [`ServeConfig`] with every flag applied; its fault plan
+    /// is armed when the command runs.
+    pub config: ServeConfig,
+    /// Failpoint spec (overrides `GRAPPOLO_FAULTS`).
+    pub faults: Option<String>,
+}
+
+/// `query`'s fields.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Query {
+    /// Server address.
+    pub addr: String,
+    /// What to send.
+    pub requests: Requests,
+}
+
+/// What `query` sends.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Requests {
+    /// Every non-comment line of this file (`#` comments skipped).
+    Script(PathBuf),
+    /// One protocol command, given inline.
+    Inline(String),
+}
+
+/// One declared flag of a subcommand: its name and how it sets the
+/// subcommand's fields `T`.
+enum Flag<T> {
+    /// A flag that takes the next token as its value.
+    Value(&'static str, fn(&mut T, &str) -> Result<(), String>),
+    /// A flag that takes no value.
+    Switch(&'static str, fn(&mut T)),
+}
+
+impl<T> Flag<T> {
+    fn name(&self) -> &'static str {
+        match self {
+            Flag::Value(name, _) | Flag::Switch(name, _) => name,
+        }
+    }
+}
+
+/// A flag value parsed as `N` (a number, a path or plain text).
+fn value<N: FromStr>(v: &str) -> Result<N, String>
+where
+    N::Err: Display,
+{
+    v.parse().map_err(|e: N::Err| e.to_string())
+}
+
+/// A flag value that names one of `choices`.
+fn choice<C: Copy>(v: &str, choices: &[(&str, C)]) -> Result<C, String> {
+    match choices.iter().find(|&&(name, _)| name == v) {
+        Some(&(_, c)) => Ok(c),
+        None => {
+            let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+            Err(format!("expected {}", names.join(" | ")))
+        }
+    }
+}
+
+/// Parses `rest` against one subcommand's grammar: each flag in `flags` is
+/// applied to `fields` as it comes, and the positionals must be exactly
+/// the `N` named ones, in order.
+fn parse_args<'a, T, const N: usize>(
+    rest: &[&'a str],
+    flags: &[Flag<T>],
+    fields: &mut T,
+    names: [&str; N],
+) -> Result<[&'a str; N], String> {
+    let positionals = parse_flags(rest, flags, fields)?;
+    if let Some(stray) = positionals.get(N) {
+        return Err(format!("unexpected argument `{stray}`"));
+    }
+    if let Some(name) = names.get(positionals.len()) {
+        return Err(format!("missing <{name}>"));
+    }
+    Ok(positionals.try_into().expect("exactly N positionals"))
+}
+
+/// The flag half of [`parse_args`]: applies every flag to `fields` and
+/// returns the other tokens in order. A token is a flag when it starts with
+/// `--` or is declared (as `-o` is for `generate`).
+fn parse_flags<'a, T>(
+    rest: &[&'a str],
+    flags: &[Flag<T>],
+    fields: &mut T,
+) -> Result<Vec<&'a str>, String> {
+    let declared = |tok: &str| flags.iter().find(|f| f.name() == tok);
+    let is_flag = |tok: &str| tok.starts_with("--") || declared(tok).is_some();
+    let mut positionals = Vec::new();
+    let mut tokens = rest.iter().copied();
+    while let Some(tok) = tokens.next() {
+        if !is_flag(tok) {
+            positionals.push(tok);
+            continue;
+        }
+        match declared(tok) {
+            Some(Flag::Switch(_, set)) => set(fields),
+            Some(Flag::Value(name, set)) => match tokens.next() {
+                Some(v) if !is_flag(v) => {
+                    set(fields, v).map_err(|e| format!("bad {name} `{v}`: {e}"))?
+                }
+                Some(v) => return Err(format!("{name} needs a value, got the flag `{v}`")),
+                None => return Err(format!("{name} needs a value")),
+            },
+            None => {
+                return Err(match tok.split_once('=') {
+                    Some((name, v)) if declared(name).is_some() => {
+                        format!("unknown flag `{tok}` (write `{name} {v}`)")
+                    }
+                    _ => format!("unknown flag `{tok}`"),
+                })
+            }
+        }
+    }
+    Ok(positionals)
+}
+
+/// `--scheme`'s values.
+const SCHEMES: &[(&str, Scheme)] = &[
+    ("serial", Scheme::Serial),
+    ("baseline", Scheme::Baseline),
+    ("vf", Scheme::BaselineVf),
+    ("color", Scheme::BaselineVfColor),
+];
+
+/// `--sweep`'s values.
+const SWEEPS: &[(&str, SweepMode)] = &[("full", SweepMode::Full), ("active", SweepMode::Active)];
+
+/// `--schedule`'s values.
+const SCHEDULES: &[(&str, ScheduleSpec)] = &[
+    ("fixed", ScheduleSpec::Fixed),
+    ("geometric", ScheduleSpec::Geometric),
+];
+
+/// `--refine`'s values.
+const REFINES: &[(&str, RefineMode)] =
+    &[("none", RefineMode::None), ("leiden", RefineMode::Leiden)];
+
+/// `generate`'s flags, over its fields and the required output path.
+const GENERATE: &[Flag<(Generate, Option<PathBuf>)>] = &[
+    Flag::Value("--scale", |(g, _), v| value(v).map(|x| g.scale = x)),
+    Flag::Value("--seed", |(g, _), v| value(v).map(|x| g.seed = x)),
+    Flag::Value("-o", |(_, out), v| value(v).map(|x| *out = Some(x))),
+    Flag::Value("--output", |(_, out), v| value(v).map(|x| *out = Some(x))),
+];
+
+/// `detect`'s flags.
+const DETECT: &[Flag<Detect>] = &[
+    Flag::Value("--scheme", |d, v| {
+        choice(v, SCHEMES).map(|scheme| {
+            d.scheme = scheme;
+            d.config = scheme.apply(std::mem::take(&mut d.config));
+        })
+    }),
+    Flag::Value("--threads", |d, v| {
+        value(v).map(|t| d.config.num_threads = Some(t))
+    }),
+    Flag::Value("--gamma", |d, v| value(v).map(|x| d.config.resolution = x)),
+    Flag::Value("--assignments", |d, v| {
+        value(v).map(|x| d.assignments = Some(x))
+    }),
+    Flag::Value("--trace", |d, v| value(v).map(|x| d.trace = Some(x))),
+    Flag::Value("--sweep", |d, v| {
+        choice(v, SWEEPS).map(|x| d.config.sweep_mode = x)
+    }),
+    Flag::Value("--schedule", |d, v| {
+        choice(v, SCHEDULES).map(|x| d.config.schedule = x)
+    }),
+    Flag::Value("--vertex-epsilon", |d, v| {
+        value(v).map(|x| d.config.vertex_epsilon = x)
+    }),
+    Flag::Value("--refine", |d, v| {
+        choice(v, REFINES).map(|x| d.config.refine = x)
+    }),
+    Flag::Switch("--split-components", |d| d.config.split_components = true),
+];
+
+/// `update`'s flags.
+const UPDATE: &[Flag<Update>] = &[
+    Flag::Value("--assignments-out", |u, v| {
+        value(v).map(|x| u.assignments_out = Some(x))
+    }),
+    Flag::Value("--graph-out", |u, v| {
+        value(v).map(|x| u.graph_out = Some(x))
+    }),
+    Flag::Value("--threads", |u, v| {
+        value(v).map(|t| u.config.num_threads = Some(t))
+    }),
+    Flag::Value("--gamma", |u, v| value(v).map(|x| u.config.resolution = x)),
+    Flag::Value("--fallback", |u, v| {
+        value(v).map(|x| u.config.dynamic_fallback_fraction = x)
+    }),
+];
+
+/// `serve`'s flags.
+const SERVE: &[Flag<Serve>] = &[
+    Flag::Value("--addr", |s, v| value(v).map(|x| s.config.addr = x)),
+    Flag::Value("--server-threads", |s, v| {
+        value(v).map(|x| s.config.server_threads = x)
+    }),
+    Flag::Value("--queue-depth", |s, v| {
+        value(v).map(|x| s.config.queue_depth = x)
+    }),
+    Flag::Value("--deadline-ms", |s, v| {
+        value(v).map(|ms| s.config.deadline = Duration::from_millis(ms))
+    }),
+    Flag::Value("--retry", |s, v| {
+        value(v).map(|x| s.config.backoff.attempts = x)
+    }),
+    Flag::Value("--backoff-ms", |s, v| {
+        value(v).map(|ms| s.config.backoff.base = Duration::from_millis(ms))
+    }),
+    Flag::Value("--threads", |s, v| {
+        value(v).map(|t| s.config.detect.num_threads = Some(t))
+    }),
+    Flag::Value("--gamma", |s, v| {
+        value(v).map(|x| s.config.detect.resolution = x)
+    }),
+    Flag::Value("--faults", |s, v| value(v).map(|x| s.faults = Some(x))),
+];
+
+/// `query`'s flags, over its address and script path.
+const QUERY: &[Flag<(Option<String>, Option<PathBuf>)>] = &[
+    Flag::Value("--addr", |(addr, _), v| value(v).map(|x| *addr = Some(x))),
+    Flag::Value("--script", |(_, script), v| {
+        value(v).map(|x| *script = Some(x))
+    }),
+];
+
+/// `color`'s flag, over its balancing switch.
+const COLOR: &[Flag<bool>] = &[Flag::Switch("--balanced", |balanced| *balanced = true)];
+
 /// Parses `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter().map(String::as_str);
-    let sub = it.next().ok_or("missing subcommand")?;
-    let rest: Vec<&str> = it.collect();
-    match sub {
+    let (sub, rest) = argv.split_first().ok_or("missing subcommand")?;
+    let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+    let rest = rest.as_slice();
+    match sub.as_str() {
         "-h" | "--help" | "help" => Ok(Command::Help),
-        "generate" => parse_generate(&rest),
+        "generate" => {
+            let mut fields = (
+                Generate {
+                    input: String::new(),
+                    scale: 0.25,
+                    seed: 1,
+                    output: PathBuf::new(),
+                },
+                None,
+            );
+            let [input] = parse_args(rest, GENERATE, &mut fields, ["input-id"])?;
+            let (mut generate, output) = fields;
+            generate.input = input.to_string();
+            generate.output = output.ok_or("generate requires -o FILE")?;
+            Ok(Command::Generate(generate))
+        }
         "stats" => {
-            let path = positional(&rest, 0, "graph-file")?;
+            let [path] = parse_args(rest, &[], &mut (), ["graph-file"])?;
             Ok(Command::Stats { path: path.into() })
         }
         "components" => {
-            let path = positional(&rest, 0, "graph-file")?;
+            let [path] = parse_args(rest, &[], &mut (), ["graph-file"])?;
             Ok(Command::Components { path: path.into() })
         }
-        "detect" => parse_detect(&rest),
-        "update" => parse_update(&rest),
-        "serve" => parse_serve(&rest),
-        "query" => parse_query(&rest),
+        "detect" => {
+            let scheme = Scheme::BaselineVfColor;
+            let mut detect = Detect {
+                path: PathBuf::new(),
+                scheme,
+                config: scheme.config(),
+                assignments: None,
+                trace: None,
+            };
+            let [path] = parse_args(rest, DETECT, &mut detect, ["graph-file"])?;
+            detect.path = path.into();
+            Ok(Command::Detect(detect))
+        }
+        "update" => {
+            let mut update = Update {
+                graph: PathBuf::new(),
+                assignments: PathBuf::new(),
+                batch: PathBuf::new(),
+                assignments_out: None,
+                graph_out: None,
+                config: LouvainConfig {
+                    sweep_mode: SweepMode::Active,
+                    ..LouvainConfig::default()
+                },
+            };
+            let names = ["graph-file", "assignments-file", "batch-file"];
+            let [graph, assignments, batch] = parse_args(rest, UPDATE, &mut update, names)?;
+            update.graph = graph.into();
+            update.assignments = assignments.into();
+            update.batch = batch.into();
+            Ok(Command::Update(update))
+        }
+        "serve" => {
+            let mut serve = Serve {
+                graph: PathBuf::new(),
+                config: ServeConfig::default(),
+                faults: None,
+            };
+            let [graph] = parse_args(rest, SERVE, &mut serve, ["graph-file"])?;
+            serve.graph = graph.into();
+            Ok(Command::Serve(serve))
+        }
+        "query" => {
+            // The trailing words are the protocol command, however many.
+            let mut fields = (None, None);
+            let words = parse_flags(rest, QUERY, &mut fields)?;
+            let (addr, script) = fields;
+            let addr = addr.ok_or("query requires --addr HOST:PORT")?;
+            let requests = match (script, words.is_empty()) {
+                (Some(path), true) => Requests::Script(path),
+                (None, false) => Requests::Inline(words.join(" ")),
+                (Some(_), false) => {
+                    return Err(format!(
+                        "query takes --script FILE or an inline command, not both: `{}`",
+                        words.join(" ")
+                    ))
+                }
+                (None, true) => {
+                    return Err("query needs a protocol command or --script FILE".to_string())
+                }
+            };
+            Ok(Command::Query(Query { addr, requests }))
+        }
         "audit" => {
-            let graph = positional(&rest, 0, "graph-file")?;
-            let assignments = positional(&rest, 1, "assignments-file")?;
+            let names = ["graph-file", "assignments-file"];
+            let [graph, assignments] = parse_args(rest, &[], &mut (), names)?;
             Ok(Command::Audit {
                 graph: graph.into(),
                 assignments: assignments.into(),
             })
         }
         "color" => {
-            let path = positional(&rest, 0, "graph-file")?;
-            let balanced = rest.contains(&"--balanced");
+            let mut balanced = false;
+            let [path] = parse_args(rest, COLOR, &mut balanced, ["graph-file"])?;
             Ok(Command::Color {
                 path: path.into(),
                 balanced,
             })
         }
         "compare" => {
-            let a = positional(&rest, 0, "assignments-a")?;
-            let b = positional(&rest, 1, "assignments-b")?;
+            let names = ["assignments-a", "assignments-b"];
+            let [a, b] = parse_args(rest, &[], &mut (), names)?;
             Ok(Command::Compare {
                 a: a.into(),
                 b: b.into(),
             })
         }
         "convert" => {
-            let input = positional(&rest, 0, "in-file")?;
-            let output = positional(&rest, 1, "out-file")?;
+            let [input, output] = parse_args(rest, &[], &mut (), ["in-file", "out-file"])?;
             Ok(Command::Convert {
                 input: input.into(),
                 output: output.into(),
@@ -280,211 +579,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         other => Err(format!("unknown subcommand `{other}`")),
     }
-}
-
-fn positional<'a>(rest: &[&'a str], idx: usize, name: &str) -> Result<&'a str, String> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(idx)
-        .copied()
-        .ok_or_else(|| format!("missing <{name}>"))
-}
-
-fn flag_value<'a>(rest: &[&'a str], flag: &str) -> Result<Option<&'a str>, String> {
-    for (i, a) in rest.iter().enumerate() {
-        if *a == flag {
-            return rest
-                .get(i + 1)
-                .copied()
-                .map(Some)
-                .ok_or_else(|| format!("{flag} needs a value"));
-        }
-    }
-    Ok(None)
-}
-
-fn parse_generate(rest: &[&str]) -> Result<Command, String> {
-    let input = positional(rest, 0, "input-id")?.to_string();
-    let scale: f64 = flag_value(rest, "--scale")?
-        .map(|v| v.parse().map_err(|e| format!("bad --scale: {e}")))
-        .transpose()?
-        .unwrap_or(0.25);
-    let seed: u64 = flag_value(rest, "--seed")?
-        .map(|v| v.parse().map_err(|e| format!("bad --seed: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    let output = flag_value(rest, "-o")?
-        .or(flag_value(rest, "--output")?)
-        .ok_or("generate requires -o FILE")?;
-    Ok(Command::Generate {
-        input,
-        scale,
-        seed,
-        output: output.into(),
-    })
-}
-
-fn parse_detect(rest: &[&str]) -> Result<Command, String> {
-    let path = positional(rest, 0, "graph-file")?;
-    let scheme = match flag_value(rest, "--scheme")?.unwrap_or("color") {
-        "serial" => Scheme::Serial,
-        "baseline" => Scheme::Baseline,
-        "vf" => Scheme::BaselineVf,
-        "color" => Scheme::BaselineVfColor,
-        other => return Err(format!("unknown --scheme `{other}`")),
-    };
-    let threads = flag_value(rest, "--threads")?
-        .map(|v| v.parse().map_err(|e| format!("bad --threads: {e}")))
-        .transpose()?;
-    let gamma: f64 = flag_value(rest, "--gamma")?
-        .map(|v| v.parse().map_err(|e| format!("bad --gamma: {e}")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let assignments = flag_value(rest, "--assignments")?.map(PathBuf::from);
-    let trace = flag_value(rest, "--trace")?.map(PathBuf::from);
-    let sweep = match flag_value(rest, "--sweep")?.unwrap_or("full") {
-        "full" => SweepMode::Full,
-        "active" => SweepMode::Active,
-        other => return Err(format!("unknown --sweep `{other}`")),
-    };
-    let schedule = match flag_value(rest, "--schedule")?.unwrap_or("fixed") {
-        "fixed" => ScheduleMode::Fixed,
-        "geometric" => ScheduleMode::Geometric,
-        other => return Err(format!("unknown --schedule `{other}`")),
-    };
-    let vertex_epsilon: f64 = flag_value(rest, "--vertex-epsilon")?
-        .map(|v| v.parse().map_err(|e| format!("bad --vertex-epsilon: {e}")))
-        .transpose()?
-        .unwrap_or(0.0);
-    let refine = match flag_value(rest, "--refine")?.unwrap_or("none") {
-        "none" => RefineMode::None,
-        "leiden" => RefineMode::Leiden,
-        other => return Err(format!("unknown --refine `{other}`")),
-    };
-    let split_components = rest.contains(&"--split-components");
-    Ok(Command::Detect {
-        path: path.into(),
-        scheme,
-        threads,
-        gamma,
-        assignments,
-        trace,
-        sweep,
-        schedule,
-        vertex_epsilon,
-        refine,
-        split_components,
-    })
-}
-
-fn parse_update(rest: &[&str]) -> Result<Command, String> {
-    let graph = positional(rest, 0, "graph-file")?;
-    let assignments = positional(rest, 1, "assignments-file")?;
-    let batch = positional(rest, 2, "batch-file")?;
-    let assignments_out = flag_value(rest, "--assignments-out")?.map(PathBuf::from);
-    let graph_out = flag_value(rest, "--graph-out")?.map(PathBuf::from);
-    let threads = flag_value(rest, "--threads")?
-        .map(|v| v.parse().map_err(|e| format!("bad --threads: {e}")))
-        .transpose()?;
-    let gamma: f64 = flag_value(rest, "--gamma")?
-        .map(|v| v.parse().map_err(|e| format!("bad --gamma: {e}")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let fallback: f64 = flag_value(rest, "--fallback")?
-        .map(|v| v.parse().map_err(|e| format!("bad --fallback: {e}")))
-        .transpose()?
-        .unwrap_or(grappolo_core::config::DYNAMIC_FALLBACK_FRACTION);
-    Ok(Command::Update {
-        graph: graph.into(),
-        assignments: assignments.into(),
-        batch: batch.into(),
-        assignments_out,
-        graph_out,
-        threads,
-        gamma,
-        fallback,
-    })
-}
-
-fn parse_serve(rest: &[&str]) -> Result<Command, String> {
-    let graph = positional(rest, 0, "graph-file")?;
-    let addr = flag_value(rest, "--addr")?
-        .unwrap_or("127.0.0.1:0")
-        .to_string();
-    let server_threads: usize = flag_value(rest, "--server-threads")?
-        .map(|v| v.parse().map_err(|e| format!("bad --server-threads: {e}")))
-        .transpose()?
-        .unwrap_or(4);
-    let queue_depth: usize = flag_value(rest, "--queue-depth")?
-        .map(|v| v.parse().map_err(|e| format!("bad --queue-depth: {e}")))
-        .transpose()?
-        .unwrap_or(128);
-    let deadline_ms: u64 = flag_value(rest, "--deadline-ms")?
-        .map(|v| v.parse().map_err(|e| format!("bad --deadline-ms: {e}")))
-        .transpose()?
-        .unwrap_or(2000);
-    let retry: u32 = flag_value(rest, "--retry")?
-        .map(|v| v.parse().map_err(|e| format!("bad --retry: {e}")))
-        .transpose()?
-        .unwrap_or(3);
-    let backoff_ms: u64 = flag_value(rest, "--backoff-ms")?
-        .map(|v| v.parse().map_err(|e| format!("bad --backoff-ms: {e}")))
-        .transpose()?
-        .unwrap_or(10);
-    let threads = flag_value(rest, "--threads")?
-        .map(|v| v.parse().map_err(|e| format!("bad --threads: {e}")))
-        .transpose()?;
-    let gamma: f64 = flag_value(rest, "--gamma")?
-        .map(|v| v.parse().map_err(|e| format!("bad --gamma: {e}")))
-        .transpose()?
-        .unwrap_or(1.0);
-    let faults = flag_value(rest, "--faults")?.map(String::from);
-    Ok(Command::Serve {
-        graph: graph.into(),
-        addr,
-        server_threads,
-        queue_depth,
-        deadline_ms,
-        retry,
-        backoff_ms,
-        threads,
-        gamma,
-        faults,
-    })
-}
-
-fn parse_query(rest: &[&str]) -> Result<Command, String> {
-    // The trailing protocol command may contain words that look like
-    // positionals, so walk the tokens explicitly: known flags consume a
-    // value, everything else joins the command.
-    let mut addr = None;
-    let mut script = None;
-    let mut words: Vec<&str> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(&tok) = it.next() {
-        match tok {
-            "--addr" => addr = Some(it.next().ok_or("--addr needs a value")?.to_string()),
-            "--script" => script = Some(PathBuf::from(*it.next().ok_or("--script needs a value")?)),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown query flag `{other}`"))
-            }
-            word => words.push(word),
-        }
-    }
-    let addr = addr.ok_or("query requires --addr HOST:PORT")?;
-    let command = if words.is_empty() {
-        None
-    } else {
-        Some(words.join(" "))
-    };
-    if command.is_none() && script.is_none() {
-        return Err("query needs a protocol command or --script FILE".to_string());
-    }
-    Ok(Command::Query {
-        addr,
-        script,
-        command,
-    })
 }
 
 #[cfg(test)]
@@ -495,339 +589,394 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The usage error `line` parses to.
+    fn err(line: &str) -> String {
+        match parse(&args(line)) {
+            Err(e) => e,
+            Ok(cmd) => panic!("`{line}` parsed to {cmd:?}"),
+        }
+    }
+
+    fn generate(line: &str) -> Generate {
+        match parse(&args(line)).unwrap() {
+            Command::Generate(g) => g,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn detect(line: &str) -> Detect {
+        match parse(&args(line)).unwrap() {
+            Command::Detect(d) => d,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn update(line: &str) -> Update {
+        match parse(&args(line)).unwrap() {
+            Command::Update(u) => u,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn serve(line: &str) -> Serve {
+        match parse(&args(line)).unwrap() {
+            Command::Serve(s) => s,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn query(line: &str) -> Query {
+        match parse(&args(line)).unwrap() {
+            Command::Query(q) => q,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn parses_generate() {
-        let cmd = parse(&args("generate cnr --scale 0.5 --seed 7 -o g.grb")).unwrap();
         assert_eq!(
-            cmd,
-            Command::Generate {
+            generate("generate cnr --scale 0.5 --seed 7 -o g.grb"),
+            Generate {
                 input: "cnr".into(),
                 scale: 0.5,
                 seed: 7,
                 output: "g.grb".into()
             }
         );
+        assert_eq!(
+            generate("generate cnr --output g.grb").output,
+            PathBuf::from("g.grb")
+        );
     }
 
     #[test]
     fn generate_defaults() {
-        let cmd = parse(&args("generate mg1 -o x.edges")).unwrap();
-        match cmd {
-            Command::Generate { scale, seed, .. } => {
-                assert_eq!(scale, 0.25);
-                assert_eq!(seed, 1);
-            }
-            _ => panic!(),
-        }
+        let g = generate("generate mg1 -o x.edges");
+        assert_eq!((g.scale, g.seed), (0.25, 1));
     }
 
     #[test]
     fn generate_requires_output() {
-        assert!(parse(&args("generate cnr")).is_err());
+        assert!(err("generate cnr").contains("-o FILE"));
     }
 
     #[test]
     fn parses_detect_with_options() {
-        let cmd = parse(&args(
-            "detect g.grb --scheme vf --threads 4 --gamma 2.0 --assignments out.txt",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Detect {
-                scheme,
-                threads,
-                gamma,
-                assignments,
-                trace,
-                sweep,
-                schedule,
-                vertex_epsilon,
-                refine,
-                split_components,
-                ..
-            } => {
-                assert_eq!(scheme, Scheme::BaselineVf);
-                assert_eq!(threads, Some(4));
-                assert_eq!(gamma, 2.0);
-                assert_eq!(assignments, Some("out.txt".into()));
-                assert_eq!(trace, None);
-                assert_eq!(sweep, SweepMode::Full);
-                assert_eq!(schedule, ScheduleMode::Fixed);
-                assert_eq!(vertex_epsilon, 0.0);
-                assert_eq!(refine, RefineMode::None);
-                assert!(!split_components);
-            }
-            _ => panic!(),
-        }
+        let d = detect("detect g.grb --scheme vf --threads 4 --gamma 2.0 --assignments out.txt");
+        assert_eq!(d.path, PathBuf::from("g.grb"));
+        assert_eq!(d.scheme, Scheme::BaselineVf);
+        assert_eq!(d.assignments, Some("out.txt".into()));
+        assert_eq!(d.trace, None);
+        let c = &d.config;
+        assert!(c.parallel && c.use_vf);
+        assert_eq!(c.coloring, grappolo_core::ColoringSchedule::Off);
+        assert_eq!(c.num_threads, Some(4));
+        assert_eq!(c.resolution, 2.0);
+        // Everything else keeps the library default.
+        let default = LouvainConfig::default();
+        assert_eq!(c.sweep_mode, default.sweep_mode);
+        assert_eq!(c.schedule, default.schedule);
+        assert_eq!(c.vertex_epsilon, default.vertex_epsilon);
+        assert_eq!(c.refine, default.refine);
+        assert!(!c.split_components);
+        // The scheme applies wherever it appears on the line.
+        let late = detect("detect g.grb --gamma 2.0 --scheme serial");
+        assert!(!late.config.parallel);
+        assert_eq!(late.config.resolution, 2.0);
     }
 
     #[test]
     fn detect_refine_modes() {
-        match parse(&args("detect g.grb --refine leiden")).unwrap() {
-            Command::Detect { refine, .. } => assert_eq!(refine, RefineMode::Leiden),
-            _ => panic!(),
-        }
-        match parse(&args("detect g.grb --refine none")).unwrap() {
-            Command::Detect { refine, .. } => assert_eq!(refine, RefineMode::None),
-            _ => panic!(),
-        }
-        assert!(parse(&args("detect g.grb --refine louvain")).is_err());
-        assert!(parse(&args("detect g.grb --refine")).is_err());
+        assert_eq!(
+            detect("detect g.grb --refine leiden").config.refine,
+            RefineMode::Leiden
+        );
+        assert_eq!(
+            detect("detect g.grb --refine none").config.refine,
+            RefineMode::None
+        );
+        assert!(err("detect g.grb --refine louvain").contains("`louvain`"));
+        assert!(err("detect g.grb --refine").contains("--refine needs a value"));
     }
 
     #[test]
     fn parses_update() {
-        let cmd = parse(&args(
+        let u = update(
             "update g.grb prev.txt batch.txt --assignments-out next.txt --threads 8 \
              --gamma 1.5 --fallback 0.5",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Update {
-                graph: "g.grb".into(),
-                assignments: "prev.txt".into(),
-                batch: "batch.txt".into(),
-                assignments_out: Some("next.txt".into()),
-                graph_out: None,
-                threads: Some(8),
-                gamma: 1.5,
-                fallback: 0.5,
-            }
         );
-        // Defaults.
-        match parse(&args("update g.grb prev.txt batch.txt")).unwrap() {
-            Command::Update {
-                gamma,
-                fallback,
-                threads,
-                assignments_out,
-                graph_out,
-                ..
-            } => {
-                assert_eq!(gamma, 1.0);
-                assert_eq!(fallback, grappolo_core::config::DYNAMIC_FALLBACK_FRACTION);
-                assert_eq!(threads, None);
-                assert_eq!(assignments_out, None);
-                assert_eq!(graph_out, None);
-            }
-            _ => panic!(),
-        }
+        assert_eq!(u.graph, PathBuf::from("g.grb"));
+        assert_eq!(u.assignments, PathBuf::from("prev.txt"));
+        assert_eq!(u.batch, PathBuf::from("batch.txt"));
+        assert_eq!(u.assignments_out, Some("next.txt".into()));
+        assert_eq!(u.graph_out, None);
+        assert_eq!(u.config.num_threads, Some(8));
+        assert_eq!(u.config.resolution, 1.5);
+        assert_eq!(u.config.dynamic_fallback_fraction, 0.5);
+        // Defaults: the library's, with active sweeps.
+        let u = update("update g.grb prev.txt batch.txt");
+        let default = LouvainConfig::default();
+        assert_eq!(u.config.sweep_mode, SweepMode::Active);
+        assert_eq!(u.config.resolution, default.resolution);
+        assert_eq!(
+            u.config.dynamic_fallback_fraction,
+            default.dynamic_fallback_fraction
+        );
+        assert_eq!(u.config.num_threads, None);
+        assert_eq!((u.assignments_out, u.graph_out), (None, None));
         // All three positionals are required.
-        assert!(parse(&args("update g.grb prev.txt")).is_err());
-        assert!(parse(&args("update g.grb prev.txt batch.txt --threads")).is_err());
+        assert!(err("update g.grb prev.txt").contains("<batch-file>"));
+        assert!(err("update g.grb prev.txt batch.txt --threads").contains("--threads"));
     }
 
     #[test]
     fn parses_audit() {
-        assert_eq!(
-            parse(&args("audit g.grb out.txt")).unwrap(),
-            Command::Audit {
-                graph: "g.grb".into(),
-                assignments: "out.txt".into()
+        match parse(&args("audit g.grb out.txt")).unwrap() {
+            Command::Audit { graph, assignments } => {
+                assert_eq!(graph, PathBuf::from("g.grb"));
+                assert_eq!(assignments, PathBuf::from("out.txt"));
             }
-        );
-        assert!(parse(&args("audit g.grb")).is_err());
+            other => panic!("{other:?}"),
+        }
+        assert!(err("audit g.grb").contains("<assignments-file>"));
     }
 
     #[test]
     fn detect_schedule_modes() {
-        match parse(&args("detect g.grb --schedule geometric")).unwrap() {
-            Command::Detect { schedule, .. } => assert_eq!(schedule, ScheduleMode::Geometric),
-            _ => panic!(),
-        }
-        match parse(&args("detect g.grb --schedule fixed --vertex-epsilon 1e-7")).unwrap() {
-            Command::Detect {
-                schedule,
-                vertex_epsilon,
-                ..
-            } => {
-                assert_eq!(schedule, ScheduleMode::Fixed);
-                assert_eq!(vertex_epsilon, 1e-7);
-            }
-            _ => panic!(),
-        }
-        assert!(parse(&args("detect g.grb --schedule linear")).is_err());
-        assert!(parse(&args("detect g.grb --schedule")).is_err());
-        assert!(parse(&args("detect g.grb --vertex-epsilon nope")).is_err());
+        assert_eq!(
+            detect("detect g.grb --schedule geometric").config.schedule,
+            ScheduleSpec::Geometric
+        );
+        let d = detect("detect g.grb --schedule fixed --vertex-epsilon 1e-7");
+        assert_eq!(d.config.schedule, ScheduleSpec::Fixed);
+        assert_eq!(d.config.vertex_epsilon, 1e-7);
+        assert!(err("detect g.grb --schedule linear").contains("`linear`"));
+        assert!(err("detect g.grb --schedule").contains("--schedule"));
+        assert!(err("detect g.grb --vertex-epsilon nope").contains("`nope`"));
+        // A negative value is a value, left to validation when detect runs.
+        assert_eq!(
+            detect("detect g.grb --vertex-epsilon -1")
+                .config
+                .vertex_epsilon,
+            -1.0
+        );
     }
 
     #[test]
     fn detect_sweep_modes() {
-        match parse(&args("detect g.grb --sweep active")).unwrap() {
-            Command::Detect { sweep, .. } => assert_eq!(sweep, SweepMode::Active),
-            _ => panic!(),
-        }
-        match parse(&args("detect g.grb --sweep full")).unwrap() {
-            Command::Detect { sweep, .. } => assert_eq!(sweep, SweepMode::Full),
-            _ => panic!(),
-        }
-        assert!(parse(&args("detect g.grb --sweep lazy")).is_err());
-        assert!(parse(&args("detect g.grb --sweep")).is_err());
+        assert_eq!(
+            detect("detect g.grb --sweep active").config.sweep_mode,
+            SweepMode::Active
+        );
+        assert_eq!(
+            detect("detect g.grb --sweep full").config.sweep_mode,
+            SweepMode::Full
+        );
+        assert!(err("detect g.grb --sweep lazy").contains("`lazy`"));
+        assert!(err("detect g.grb --sweep").contains("--sweep"));
     }
 
     #[test]
     fn detect_split_components_flag() {
-        match parse(&args("detect g.grb --split-components --threads 8")).unwrap() {
-            Command::Detect {
-                split_components,
-                threads,
-                ..
-            } => {
-                assert!(split_components);
-                assert_eq!(threads, Some(8));
-            }
-            _ => panic!(),
-        }
+        let d = detect("detect g.grb --split-components --threads 8");
+        assert!(d.config.split_components);
+        assert_eq!(d.config.num_threads, Some(8));
     }
 
     #[test]
     fn parses_components() {
-        assert_eq!(
-            parse(&args("components g.grb")).unwrap(),
-            Command::Components {
-                path: "g.grb".into()
-            }
-        );
-        assert!(parse(&args("components")).is_err());
+        match parse(&args("components g.grb")).unwrap() {
+            Command::Components { path } => assert_eq!(path, PathBuf::from("g.grb")),
+            other => panic!("{other:?}"),
+        }
+        assert!(err("components").contains("<graph-file>"));
     }
 
     #[test]
     fn detect_default_scheme_is_color() {
-        match parse(&args("detect g.grb")).unwrap() {
-            Command::Detect { scheme, .. } => assert_eq!(scheme, Scheme::BaselineVfColor),
-            _ => panic!(),
-        }
+        let d = detect("detect g.grb");
+        assert_eq!(d.scheme, Scheme::BaselineVfColor);
+        let c = Scheme::BaselineVfColor.config();
+        assert_eq!(
+            (d.config.parallel, d.config.use_vf, d.config.coloring),
+            (c.parallel, c.use_vf, c.coloring)
+        );
     }
 
     #[test]
     fn rejects_unknown_scheme_and_subcommand() {
-        assert!(parse(&args("detect g.grb --scheme turbo")).is_err());
-        assert!(parse(&args("detect g.grb --sweep")).is_err());
-        assert!(parse(&args("frobnicate")).is_err());
+        assert!(err("detect g.grb --scheme turbo").contains("`turbo`"));
+        assert!(err("detect g.grb --sweep").contains("--sweep"));
+        assert!(err("frobnicate").contains("`frobnicate`"));
         assert!(parse(&[]).is_err());
     }
 
     #[test]
     fn parses_simple_subcommands() {
-        assert_eq!(
-            parse(&args("stats g.metis")).unwrap(),
-            Command::Stats {
-                path: "g.metis".into()
+        match parse(&args("stats g.metis")).unwrap() {
+            Command::Stats { path } => assert_eq!(path, PathBuf::from("g.metis")),
+            other => panic!("{other:?}"),
+        }
+        match parse(&args("compare a.txt b.txt")).unwrap() {
+            Command::Compare { a, b } => {
+                assert_eq!((a, b), ("a.txt".into(), "b.txt".into()));
             }
-        );
-        assert_eq!(
-            parse(&args("compare a.txt b.txt")).unwrap(),
-            Command::Compare {
-                a: "a.txt".into(),
-                b: "b.txt".into()
+            other => panic!("{other:?}"),
+        }
+        match parse(&args("convert a.edges b.grb")).unwrap() {
+            Command::Convert { input, output } => {
+                assert_eq!((input, output), ("a.edges".into(), "b.grb".into()));
             }
-        );
-        assert_eq!(
-            parse(&args("convert a.edges b.grb")).unwrap(),
-            Command::Convert {
-                input: "a.edges".into(),
-                output: "b.grb".into()
+            other => panic!("{other:?}"),
+        }
+        match parse(&args("color g.grb --balanced")).unwrap() {
+            Command::Color { path, balanced } => {
+                assert_eq!(path, PathBuf::from("g.grb"));
+                assert!(balanced);
             }
-        );
-        assert_eq!(
-            parse(&args("color g.grb --balanced")).unwrap(),
-            Command::Color {
-                path: "g.grb".into(),
-                balanced: true
-            }
-        );
-        assert_eq!(parse(&args("--help")).unwrap(), Command::Help);
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(parse(&args("--help")).unwrap(), Command::Help));
     }
 
     #[test]
     fn flag_needs_value() {
-        assert!(parse(&args("generate cnr --scale")).is_err());
+        assert!(err("generate cnr --scale").contains("--scale needs a value"));
     }
 
     #[test]
     fn parses_serve_with_defaults_and_overrides() {
-        match parse(&args("serve g.grb")).unwrap() {
-            Command::Serve {
-                graph,
-                addr,
-                server_threads,
-                queue_depth,
-                deadline_ms,
-                retry,
-                backoff_ms,
-                threads,
-                gamma,
-                faults,
-            } => {
-                assert_eq!(graph, PathBuf::from("g.grb"));
-                assert_eq!(addr, "127.0.0.1:0");
-                assert_eq!(server_threads, 4);
-                assert_eq!(queue_depth, 128);
-                assert_eq!(deadline_ms, 2000);
-                assert_eq!(retry, 3);
-                assert_eq!(backoff_ms, 10);
-                assert_eq!(threads, None);
-                assert_eq!(gamma, 1.0);
-                assert_eq!(faults, None);
-            }
-            _ => panic!(),
-        }
-        match parse(&args(
+        let s = serve("serve g.grb");
+        let default = ServeConfig::default();
+        assert_eq!(s.graph, PathBuf::from("g.grb"));
+        assert_eq!(s.config.addr, default.addr);
+        assert_eq!(s.config.server_threads, default.server_threads);
+        assert_eq!(s.config.queue_depth, default.queue_depth);
+        assert_eq!(s.config.deadline, default.deadline);
+        assert_eq!(s.config.backoff, default.backoff);
+        assert_eq!(s.config.detect.sweep_mode, default.detect.sweep_mode);
+        assert_eq!(s.config.detect.resolution, default.detect.resolution);
+        assert_eq!(s.config.detect.num_threads, None);
+        assert_eq!(s.faults, None);
+        let s = serve(
             "serve g.grb --addr 127.0.0.1:7101 --server-threads 8 --queue-depth 2 \
              --deadline-ms 500 --retry 5 --backoff-ms 2 --threads 4 --gamma 1.5 \
              --faults detect=panic:1",
-        ))
-        .unwrap()
-        {
-            Command::Serve {
-                addr,
-                server_threads,
-                queue_depth,
-                deadline_ms,
-                retry,
-                backoff_ms,
-                threads,
-                gamma,
-                faults,
-                ..
-            } => {
-                assert_eq!(addr, "127.0.0.1:7101");
-                assert_eq!(server_threads, 8);
-                assert_eq!(queue_depth, 2);
-                assert_eq!(deadline_ms, 500);
-                assert_eq!(retry, 5);
-                assert_eq!(backoff_ms, 2);
-                assert_eq!(threads, Some(4));
-                assert_eq!(gamma, 1.5);
-                assert_eq!(faults.as_deref(), Some("detect=panic:1"));
-            }
-            _ => panic!(),
-        }
-        assert!(parse(&args("serve")).is_err());
-        assert!(parse(&args("serve g.grb --server-threads x")).is_err());
+        );
+        assert_eq!(s.config.addr, "127.0.0.1:7101");
+        assert_eq!(s.config.server_threads, 8);
+        assert_eq!(s.config.queue_depth, 2);
+        assert_eq!(s.config.deadline, Duration::from_millis(500));
+        assert_eq!(s.config.backoff.attempts, 5);
+        assert_eq!(s.config.backoff.base, Duration::from_millis(2));
+        assert_eq!(s.config.detect.num_threads, Some(4));
+        assert_eq!(s.config.detect.resolution, 1.5);
+        assert_eq!(s.faults.as_deref(), Some("detect=panic:1"));
+        assert!(err("serve").contains("<graph-file>"));
+        assert!(err("serve g.grb --server-threads x").contains("`x`"));
     }
 
     #[test]
     fn parses_query_inline_and_script() {
         assert_eq!(
-            parse(&args("query --addr 127.0.0.1:7101 community-of 42")).unwrap(),
-            Command::Query {
+            query("query --addr 127.0.0.1:7101 community-of 42"),
+            Query {
                 addr: "127.0.0.1:7101".into(),
-                script: None,
-                command: Some("community-of 42".into()),
+                requests: Requests::Inline("community-of 42".into()),
             }
         );
         assert_eq!(
-            parse(&args("query --addr h:1 --script qs.txt")).unwrap(),
-            Command::Query {
+            query("query --addr h:1 --script qs.txt"),
+            Query {
                 addr: "h:1".into(),
-                script: Some("qs.txt".into()),
-                command: None,
+                requests: Requests::Script("qs.txt".into()),
             }
         );
-        assert!(parse(&args("query community-of 1")).is_err(), "no --addr");
-        assert!(parse(&args("query --addr h:1")).is_err(), "nothing to send");
-        assert!(parse(&args("query --addr h:1 --frob x")).is_err());
+        assert!(err("query community-of 1").contains("--addr"), "no --addr");
+        assert!(
+            err("query --addr h:1").contains("--script"),
+            "nothing to send"
+        );
+        assert!(err("query --addr h:1 --frob x").contains("`--frob`"));
+    }
+
+    #[test]
+    fn flag_value_before_positional_is_not_the_positional() {
+        let d = detect("detect --threads 2 g.grb");
+        assert_eq!(d.path, PathBuf::from("g.grb"));
+        assert_eq!(d.config.num_threads, Some(2));
+    }
+
+    #[test]
+    fn misspelled_flag_is_a_usage_error() {
+        assert!(err("detect g.grb --shceme serial").contains("unknown flag `--shceme`"));
+    }
+
+    #[test]
+    fn flag_equals_value_is_a_usage_error() {
+        let e = err("detect g.grb --scheme=serial");
+        assert!(e.contains("unknown flag `--scheme=serial`"), "{e}");
+        assert!(e.contains("--scheme serial"), "{e}");
+    }
+
+    #[test]
+    fn value_flag_followed_by_flag_is_a_usage_error() {
+        let e = err("detect g.grb --assignments --threads 2");
+        assert!(
+            e.contains("--assignments") && e.contains("`--threads`"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn stray_positional_is_a_usage_error() {
+        assert!(err("detect g.grb h.grb").contains("unexpected argument `h.grb`"));
+        assert!(err("stats g.grb extra").contains("`extra`"));
+        assert!(err("update g.grb a.txt b.txt c.txt").contains("`c.txt`"));
+    }
+
+    #[test]
+    fn generate_output_flag_before_input_id() {
+        let g = generate("generate -o F er");
+        assert_eq!((g.input.as_str(), g.output), ("er", PathBuf::from("F")));
+    }
+
+    #[test]
+    fn update_flags_before_positionals() {
+        let u = update("update --threads 2 --gamma 1.5 g.grb prev.txt batch.txt");
+        assert_eq!(u.graph, PathBuf::from("g.grb"));
+        assert_eq!(u.assignments, PathBuf::from("prev.txt"));
+        assert_eq!(u.batch, PathBuf::from("batch.txt"));
+        assert_eq!(u.config.num_threads, Some(2));
+        assert_eq!(u.config.resolution, 1.5);
+    }
+
+    #[test]
+    fn query_rejects_script_and_inline_words() {
+        let e = err("query --addr h:1 --script qs.txt ping");
+        assert!(e.contains("not both") && e.contains("`ping`"), "{e}");
+    }
+
+    #[test]
+    fn accepts_perfbench_argument_lists() {
+        let d = detect("detect g.grb --threads 2 --assignments a.txt");
+        assert_eq!(d.path, PathBuf::from("g.grb"));
+        assert_eq!(d.config.num_threads, Some(2));
+        assert_eq!(d.assignments, Some("a.txt".into()));
+        let s = serve("serve g.grb --threads 2 --server-threads 2 --addr 127.0.0.1:0");
+        assert_eq!(s.graph, PathBuf::from("g.grb"));
+        assert_eq!(s.config.detect.num_threads, Some(2));
+        assert_eq!(s.config.server_threads, 2);
+        assert_eq!(s.config.addr, "127.0.0.1:0");
+        let g = generate("generate rmat --scale 6.5 --seed 3 -o g.grb");
+        assert_eq!(
+            g,
+            Generate {
+                input: "rmat".into(),
+                scale: 6.5,
+                seed: 3,
+                output: "g.grb".into()
+            }
+        );
     }
 }

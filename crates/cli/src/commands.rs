@@ -1,20 +1,17 @@
 //! Command implementations.
 
-use crate::args::{Command, USAGE};
+use crate::args::{Command, Detect, Generate, Query, Requests, Serve, Update, USAGE};
 use crate::error::CliError;
 use grappolo_coloring::{balance_colors, color_parallel, ColoringStats, ParallelColoringConfig};
-use grappolo_core::{
-    detect_communities, geometric_for, update_communities, LouvainConfig, LouvainConfigBuilder,
-    RefineMode, ScheduleMode, ScheduleSpec, Scheme, SweepMode,
-};
+use grappolo_core::{detect_communities, update_communities, RefineMode};
 use grappolo_graph::gen::paper_suite::PaperInput;
 use grappolo_graph::gen::{
-    erdos_renyi, planted_partition, rmat, ErConfig, PlantedConfig, RmatConfig,
+    erdos_renyi, planted_blocks, planted_partition, rmat, ErConfig, PlantedConfig, RmatConfig,
 };
 use grappolo_graph::{io, CsrGraph, EdgeDelta, GraphStats};
 use grappolo_metrics::{connectivity_report, normalized_mutual_information, pairwise_comparison};
 use grappolo_serve::persist::format_assignment;
-use grappolo_serve::{signal, BackoffPolicy, FaultPlan, ServeConfig, ServeError, Server};
+use grappolo_serve::{signal, FaultPlan, ServeError, Server};
 use std::fmt;
 use std::io::{ErrorKind, Write as _};
 use std::path::Path;
@@ -44,87 +41,14 @@ macro_rules! say {
 pub fn execute(cmd: Command) -> Result<(), CliError> {
     match cmd {
         Command::Help => say!("{USAGE}"),
-        Command::Generate {
-            input,
-            scale,
-            seed,
-            output,
-        } => generate(&input, scale, seed, &output),
+        Command::Generate(g) => generate(&g),
         Command::Stats { path } => stats(&path),
         Command::Components { path } => components(&path),
-        Command::Detect {
-            path,
-            scheme,
-            threads,
-            gamma,
-            assignments,
-            trace,
-            sweep,
-            schedule,
-            vertex_epsilon,
-            refine,
-            split_components,
-        } => detect(
-            &path,
-            scheme,
-            threads,
-            gamma,
-            assignments.as_deref(),
-            trace.as_deref(),
-            sweep,
-            schedule,
-            vertex_epsilon,
-            refine,
-            split_components,
-        ),
+        Command::Detect(d) => detect(d),
         Command::Audit { graph, assignments } => audit(&graph, &assignments),
-        Command::Update {
-            graph,
-            assignments,
-            batch,
-            assignments_out,
-            graph_out,
-            threads,
-            gamma,
-            fallback,
-        } => update(
-            &graph,
-            &assignments,
-            &batch,
-            assignments_out.as_deref(),
-            graph_out.as_deref(),
-            threads,
-            gamma,
-            fallback,
-        ),
-        Command::Serve {
-            graph,
-            addr,
-            server_threads,
-            queue_depth,
-            deadline_ms,
-            retry,
-            backoff_ms,
-            threads,
-            gamma,
-            faults,
-        } => serve(
-            &graph,
-            addr,
-            server_threads,
-            queue_depth,
-            deadline_ms,
-            retry,
-            backoff_ms,
-            threads,
-            gamma,
-            faults.as_deref(),
-        ),
-        Command::Query {
-            addr,
-            script,
-            command,
-        } => query(&addr, script.as_deref(), command.as_deref()),
+        Command::Update(u) => update(u),
+        Command::Serve(s) => serve(s),
+        Command::Query(q) => query(&q),
         Command::Color { path, balanced } => color(&path, balanced),
         Command::Compare { a, b } => compare(&a, &b),
         Command::Convert { input, output } => convert(&input, &output),
@@ -136,43 +60,27 @@ fn load(path: &Path) -> Result<CsrGraph, CliError> {
         .map_err(|e| CliError::from_io(format_args!("loading {}", path.display()), e))
 }
 
-/// A disconnected union of planted-partition blocks plus trailing isolated
-/// vertices — the component-splitter workload (`blocks` family). Blocks
-/// occupy ascending contiguous vertex ranges, which makes `--split-components`
-/// output *byte*-identical to the unsplit run (component-id order coincides
-/// with the unsplit label order), not merely partition-equal.
-fn planted_blocks(n: usize, seed: u64) -> CsrGraph {
-    // One dominant block plus many small ones: the shape where per-component
-    // dispatch beats a single driver (small converged components drop out of
-    // the schedule instead of being re-swept every iteration).
+/// The `blocks` family: one dominant planted block plus many small ones in
+/// ascending contiguous vertex ranges, then trailing isolated vertices —
+/// the component-splitter workload, where per-component dispatch beats a
+/// single driver (small converged components drop out of the schedule
+/// instead of being re-swept every iteration). Component-id order then
+/// coincides with the unsplit run's label order, which makes
+/// `--split-components` output *byte*-identical to the unsplit run, not
+/// merely partition-equal.
+fn blocks(n: usize, seed: u64) -> CsrGraph {
     let isolated = (n / 200).min(64);
     let body = n - isolated;
     let big = body / 4;
     let small_total = body - big;
     let num_small = (small_total / 400).max(3);
-    let mut sizes = vec![big];
     let base_small = small_total / num_small;
-    let mut rem = small_total - base_small * num_small;
-    for _ in 0..num_small {
-        let extra = usize::from(rem > 0);
-        rem -= extra;
-        sizes.push(base_small + extra);
-    }
-    let mut b = grappolo_graph::GraphBuilder::new(n);
-    let mut base = 0u32;
-    for (i, &size) in sizes.iter().enumerate() {
-        let (block, _) = planted_partition(&PlantedConfig {
-            num_vertices: size,
-            num_communities: (size / 100).max(2),
-            seed: seed.wrapping_add(i as u64),
-            ..Default::default()
-        });
-        for (u, v, w) in block.undirected_edges() {
-            b = b.add_edge(base + u, base + v, w);
-        }
-        base += size as u32;
-    }
-    b.build().expect("planted_blocks edges are in range")
+    // The first `extra` small blocks take one vertex more.
+    let extra = small_total - base_small * num_small;
+    let sizes: Vec<usize> = std::iter::once(big)
+        .chain((0..num_small).map(|i| base_small + usize::from(i < extra)))
+        .collect();
+    planted_blocks(&sizes, isolated, seed)
 }
 
 /// Synthetic base-family generation for ids outside the paper suite — the
@@ -184,7 +92,7 @@ fn planted_blocks(n: usize, seed: u64) -> CsrGraph {
 fn generate_family(input: &str, scale: f64, seed: u64) -> Option<(&'static str, CsrGraph)> {
     let n = ((40_000.0 * scale) as usize).max(16);
     match input {
-        "blocks" => Some(("planted blocks", planted_blocks(n.max(64), seed))),
+        "blocks" => Some(("planted blocks", blocks(n.max(64), seed))),
         "er" => Some((
             "Erdős–Rényi",
             erdos_renyi(&ErConfig {
@@ -216,9 +124,15 @@ fn generate_family(input: &str, scale: f64, seed: u64) -> Option<(&'static str, 
     }
 }
 
-fn generate(input: &str, scale: f64, seed: u64, output: &Path) -> Result<(), CliError> {
+fn generate(cmd: &Generate) -> Result<(), CliError> {
+    let Generate {
+        input,
+        scale,
+        seed,
+        output,
+    } = cmd;
     let t = Instant::now();
-    let (name, g) = if let Some((name, g)) = generate_family(input, scale, seed) {
+    let (name, g) = if let Some((name, g)) = generate_family(input, *scale, *seed) {
         (name, g)
     } else {
         let proxy = PaperInput::from_id(input).ok_or_else(|| {
@@ -227,7 +141,7 @@ fn generate(input: &str, scale: f64, seed: u64, output: &Path) -> Result<(), Cli
                 PaperInput::ALL.map(|p| p.id()).join(", ")
             ))
         })?;
-        (proxy.reference().name, proxy.generate(scale, seed))
+        (proxy.reference().name, proxy.generate(*scale, *seed))
     };
     io::save_path(&g, output)
         .map_err(|e| CliError::from_io(format_args!("writing {}", output.display()), e))?;
@@ -289,46 +203,24 @@ fn components(path: &Path) -> Result<(), CliError> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn detect(
-    path: &Path,
-    scheme: Scheme,
-    threads: Option<usize>,
-    gamma: f64,
-    assignments: Option<&Path>,
-    trace: Option<&Path>,
-    sweep: SweepMode,
-    schedule: ScheduleMode,
-    vertex_epsilon: f64,
-    refine: RefineMode,
-    split_components: bool,
-) -> Result<(), CliError> {
-    let g = load(path)?;
-    // Per-vertex gains live on the 1/m scale; the geometric gate derives
-    // its parameters from this graph's total weight.
-    let schedule_spec = match schedule {
-        ScheduleMode::Fixed => ScheduleSpec::Fixed,
-        ScheduleMode::Geometric => geometric_for(g.total_weight()),
-    };
-    // The typed builder surfaces bad parameters (a negative γ, a negative
-    // vertex epsilon, …) as a clean CLI error instead of the library's
-    // panic.
-    let mut config = LouvainConfigBuilder::from_base(scheme.config())
-        .resolution(gamma)
-        .sweep(sweep)
-        .vertex_epsilon(vertex_epsilon)
-        .schedule(schedule_spec)
-        .refine(refine)
-        .threads(threads)
-        .build()
-        .map_err(CliError::invalid)?;
+fn detect(cmd: Detect) -> Result<(), CliError> {
+    let Detect {
+        path,
+        scheme,
+        mut config,
+        assignments,
+        trace,
+    } = cmd;
+    let g = load(&path)?;
+    // A bad parameter (a negative γ, a negative vertex epsilon, …) is a
+    // clean CLI error instead of the library's panic.
+    config.validate().map_err(CliError::invalid)?;
     // Scale the paper's 100 K coloring cutoff down for small inputs so the
     // colored scheme stays meaningful on laptop-sized graphs.
     config.coloring_vertex_cutoff = config
         .coloring_vertex_cutoff
         .min(g.num_vertices() / 8)
         .max(64);
-    config.split_components = split_components;
 
     let t = Instant::now();
     let result = detect_communities(&g, &config);
@@ -342,17 +234,17 @@ fn detect(
         t.elapsed()
     )?;
 
-    if let Some(out) = assignments {
+    if let Some(out) = &assignments {
         write_assignment(out, &result.assignment)?;
     }
-    if let Some(out) = trace {
+    if let Some(out) = &trace {
         let json = serde_json::to_string_pretty(&result.trace)
             .map_err(|e| CliError::runtime(format!("serializing trace: {e}")))?;
         io::write_bytes_atomic(out, json.as_bytes())
             .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
         say!("trace → {}", out.display())?;
     }
-    if refine == RefineMode::Leiden {
+    if config.refine == RefineMode::Leiden {
         let report = connectivity_report(&g, &result.assignment);
         say!(
             "refined: {} internally disconnected of {} communities ({:.2}%), \
@@ -444,19 +336,9 @@ fn read_edge_batch(path: &Path) -> Result<Vec<EdgeDelta>, CliError> {
 
 /// The `update` subcommand: apply a batch of edge deltas to a stored
 /// graph and incrementally re-converge the stored assignment.
-#[allow(clippy::too_many_arguments)]
-fn update(
-    graph: &Path,
-    assignments: &Path,
-    batch: &Path,
-    assignments_out: Option<&Path>,
-    graph_out: Option<&Path>,
-    threads: Option<usize>,
-    gamma: f64,
-    fallback: f64,
-) -> Result<(), CliError> {
-    let g = load(graph)?;
-    let assignment = read_assignments(assignments)?;
+fn update(cmd: Update) -> Result<(), CliError> {
+    let g = load(&cmd.graph)?;
+    let assignment = read_assignments(&cmd.assignments)?;
     if assignment.len() != g.num_vertices() {
         return Err(CliError::invalid(format!(
             "assignment has {} entries, graph has {} vertices",
@@ -464,16 +346,10 @@ fn update(
             g.num_vertices()
         )));
     }
-    let deltas = read_edge_batch(batch)?;
-    let config = LouvainConfig::builder()
-        .sweep(SweepMode::Active)
-        .resolution(gamma)
-        .threads(threads)
-        .dynamic_fallback(fallback)
-        .build()
-        .map_err(CliError::invalid)?;
+    let deltas = read_edge_batch(&cmd.batch)?;
+    cmd.config.validate().map_err(CliError::invalid)?;
     let t = Instant::now();
-    let outcome = update_communities(&g, &assignment, None, &deltas, &config)?;
+    let outcome = update_communities(&g, &assignment, None, &deltas, &cmd.config)?;
     say!(
         "update: {} changed edges, {} seed vertices → {} communities, Q = {:.6}, \
          {} iterations{}, {:.2?}",
@@ -489,10 +365,10 @@ fn update(
         },
         t.elapsed()
     )?;
-    if let Some(out) = assignments_out {
+    if let Some(out) = &cmd.assignments_out {
         write_assignment(out, &outcome.assignment)?;
     }
-    if let Some(out) = graph_out {
+    if let Some(out) = &cmd.graph_out {
         io::save_path(&outcome.graph, out)
             .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
         say!("graph → {}", out.display())?;
@@ -650,43 +526,20 @@ fn convert(input: &Path, output: &Path) -> Result<(), CliError> {
 
 /// The `serve` subcommand: run the resident partition service until
 /// SIGTERM/SIGINT, then drain gracefully.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    graph: &Path,
-    addr: String,
-    server_threads: usize,
-    queue_depth: usize,
-    deadline_ms: u64,
-    retry: u32,
-    backoff_ms: u64,
-    threads: Option<usize>,
-    gamma: f64,
-    faults_spec: Option<&str>,
-) -> Result<(), CliError> {
-    let faults = match faults_spec {
-        Some(spec) => FaultPlan::parse(spec).map_err(CliError::invalid)?,
-        None => FaultPlan::from_env().map_err(CliError::invalid)?,
-    };
-    let detect = LouvainConfig::builder()
-        .sweep(SweepMode::Active)
-        .resolution(gamma)
-        .threads(threads)
-        .build()
-        .map_err(CliError::invalid)?;
-    let config = ServeConfig {
-        addr,
-        server_threads,
-        queue_depth,
-        deadline: Duration::from_millis(deadline_ms),
-        backoff: BackoffPolicy {
-            attempts: retry,
-            base: Duration::from_millis(backoff_ms),
-        },
-        detect,
+fn serve(cmd: Serve) -> Result<(), CliError> {
+    let Serve {
+        graph,
+        mut config,
         faults,
-    };
+    } = cmd;
+    config.faults = match faults {
+        Some(spec) => FaultPlan::parse(&spec),
+        None => FaultPlan::from_env(),
+    }
+    .map_err(CliError::invalid)?;
+    config.detect.validate().map_err(CliError::invalid)?;
     let t = Instant::now();
-    let handle = Server::start_from_path(graph, config).map_err(|e| match &e {
+    let handle = Server::start_from_path(&graph, config).map_err(|e| match &e {
         ServeError::Bind(_) => CliError::io(e.to_string()),
         ServeError::Load(io::IoError::Io(_)) => CliError::io(e.to_string()),
         ServeError::Load(_) => CliError::invalid(e.to_string()),
@@ -712,18 +565,18 @@ fn serve(
 }
 
 /// The `query` subcommand: one-shot protocol client.
-fn query(addr: &str, script: Option<&Path>, command: Option<&str>) -> Result<(), CliError> {
+fn query(cmd: &Query) -> Result<(), CliError> {
     use std::io::{BufRead, BufReader};
-    let lines: Vec<String> = match (script, command) {
-        (Some(path), _) => std::fs::read_to_string(path)
+    let addr = cmd.addr.as_str();
+    let lines: Vec<String> = match &cmd.requests {
+        Requests::Script(path) => std::fs::read_to_string(path)
             .map_err(|e| CliError::io(format!("reading {}: {e}", path.display())))?
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(String::from)
             .collect(),
-        (None, Some(cmd)) => vec![cmd.to_string()],
-        (None, None) => return Err(CliError::invalid("nothing to send")),
+        Requests::Inline(line) => vec![line.clone()],
     };
     let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| CliError::io(format!("connecting {addr}: {e}")))?;
@@ -764,48 +617,65 @@ fn query(addr: &str, script: Option<&Path>, command: Option<&str>) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("grappolo_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }
 
+    /// The command line `parts` parses to.
+    fn cmd(parts: &[&str]) -> Command {
+        let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
+        crate::args::parse(&argv).unwrap()
+    }
+
+    fn s(p: &Path) -> &str {
+        p.to_str().unwrap()
+    }
+
+    /// `grappolo generate <input> --scale <scale> --seed <seed> -o <out>`.
+    fn generate_to(input: &str, scale: &str, seed: &str, out: &Path) {
+        execute(cmd(&[
+            "generate",
+            input,
+            "--scale",
+            scale,
+            "--seed",
+            seed,
+            "-o",
+            s(out),
+        ]))
+        .unwrap();
+    }
+
     #[test]
     fn generate_stats_detect_round_trip() {
         let graph_path = tmp("g.grb");
-        execute(Command::Generate {
-            input: "mg1".into(),
-            scale: 0.02,
-            seed: 1,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        execute(Command::Stats {
-            path: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("mg1", "0.02", "1", &graph_path);
+        execute(cmd(&["stats", s(&graph_path)])).unwrap();
 
         let assign_path = tmp("a.txt");
-        execute(Command::Detect {
-            path: graph_path.clone(),
-            scheme: Scheme::Baseline,
-            threads: Some(1),
-            gamma: 1.0,
-            assignments: Some(assign_path.clone()),
-            trace: Some(tmp("trace.json")),
-            sweep: SweepMode::Full,
-            schedule: ScheduleMode::Fixed,
-            vertex_epsilon: 0.0,
-            refine: RefineMode::None,
-            split_components: false,
-        })
+        let trace_path = tmp("trace.json");
+        execute(cmd(&[
+            "detect",
+            s(&graph_path),
+            "--scheme",
+            "baseline",
+            "--threads",
+            "1",
+            "--assignments",
+            s(&assign_path),
+            "--trace",
+            s(&trace_path),
+        ]))
         .unwrap();
 
         let assignment = read_assignments(&assign_path).unwrap();
         assert!(!assignment.is_empty());
         // Trace is valid JSON.
-        let text = std::fs::read_to_string(tmp("trace.json")).unwrap();
+        let text = std::fs::read_to_string(&trace_path).unwrap();
         assert!(serde_json::from_str::<serde_json::Value>(&text).is_ok());
     }
 
@@ -814,29 +684,20 @@ mod tests {
         // CLI-level determinism for the dirty-vertex schedule: identical
         // assignments at 1 and 4 worker threads, for the colored scheme.
         let graph_path = tmp("sweep.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.05,
-            seed: 9,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.05", "9", &graph_path);
         let out1 = tmp("sweep_a1.txt");
         let out4 = tmp("sweep_a4.txt");
-        for (out, threads) in [(&out1, 1usize), (&out4, 4)] {
-            execute(Command::Detect {
-                path: graph_path.clone(),
-                scheme: Scheme::BaselineVfColor,
-                threads: Some(threads),
-                gamma: 1.0,
-                assignments: Some(out.clone()),
-                trace: None,
-                sweep: SweepMode::Active,
-                schedule: ScheduleMode::Fixed,
-                vertex_epsilon: 0.0,
-                refine: RefineMode::None,
-                split_components: false,
-            })
+        for (out, threads) in [(&out1, "1"), (&out4, "4")] {
+            execute(cmd(&[
+                "detect",
+                s(&graph_path),
+                "--sweep",
+                "active",
+                "--threads",
+                threads,
+                "--assignments",
+                s(out),
+            ]))
             .unwrap();
         }
         assert_eq!(
@@ -852,29 +713,22 @@ mod tests {
         // identical assignments at 1 and 4 worker threads under
         // --schedule geometric --sweep active.
         let graph_path = tmp("sched.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.05,
-            seed: 11,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.05", "11", &graph_path);
         let out1 = tmp("sched_a1.txt");
         let out4 = tmp("sched_a4.txt");
-        for (out, threads) in [(&out1, 1usize), (&out4, 4)] {
-            execute(Command::Detect {
-                path: graph_path.clone(),
-                scheme: Scheme::BaselineVfColor,
-                threads: Some(threads),
-                gamma: 1.0,
-                assignments: Some(out.clone()),
-                trace: None,
-                sweep: SweepMode::Active,
-                schedule: ScheduleMode::Geometric,
-                vertex_epsilon: 0.0,
-                refine: RefineMode::None,
-                split_components: false,
-            })
+        for (out, threads) in [(&out1, "1"), (&out4, "4")] {
+            execute(cmd(&[
+                "detect",
+                s(&graph_path),
+                "--sweep",
+                "active",
+                "--schedule",
+                "geometric",
+                "--threads",
+                threads,
+                "--assignments",
+                s(out),
+            ]))
             .unwrap();
         }
         assert_eq!(
@@ -887,27 +741,9 @@ mod tests {
     #[test]
     fn detect_rejects_invalid_vertex_epsilon() {
         let graph_path = tmp("veps.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 5,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        let err = execute(Command::Detect {
-            path: graph_path,
-            scheme: Scheme::Baseline,
-            threads: Some(1),
-            gamma: 1.0,
-            assignments: None,
-            trace: None,
-            sweep: SweepMode::Full,
-            schedule: ScheduleMode::Fixed,
-            vertex_epsilon: -1.0,
-            refine: RefineMode::None,
-            split_components: false,
-        })
-        .unwrap_err();
+        generate_to("planted", "0.02", "5", &graph_path);
+        let err = execute(cmd(&["detect", s(&graph_path), "--vertex-epsilon", "-1"])).unwrap_err();
+        assert_eq!(err.code(), crate::error::EXIT_INVALID, "{err}");
         assert!(err.message().contains("vertex_epsilon"), "{err}");
     }
 
@@ -915,13 +751,7 @@ mod tests {
     fn generate_synthetic_families() {
         for family in ["er", "planted", "rmat"] {
             let p = tmp(&format!("fam_{family}.grb"));
-            execute(Command::Generate {
-                input: family.into(),
-                scale: 0.02,
-                seed: 1,
-                output: p.clone(),
-            })
-            .unwrap();
+            generate_to(family, "0.02", "1", &p);
             let g = io::load_path(&p).unwrap();
             assert!(g.num_vertices() > 0, "{family}");
             assert!(g.num_edges() > 0, "{family}");
@@ -935,36 +765,28 @@ mod tests {
         // writes a byte-identical assignment file, for both the serial and
         // the parallel baseline scheme.
         let graph_path = tmp("split.grb");
-        execute(Command::Generate {
-            input: "blocks".into(),
-            scale: 0.08,
-            seed: 17,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        for (scheme, tag) in [(Scheme::Baseline, "base"), (Scheme::Serial, "serial")] {
-            let plain_out = tmp(&format!("split_plain_{tag}.txt"));
-            let split_out = tmp(&format!("split_split_{tag}.txt"));
-            for (out, split) in [(&plain_out, false), (&split_out, true)] {
-                execute(Command::Detect {
-                    path: graph_path.clone(),
+        generate_to("blocks", "0.08", "17", &graph_path);
+        for scheme in ["baseline", "serial"] {
+            let plain_out = tmp(&format!("split_plain_{scheme}.txt"));
+            let split_out = tmp(&format!("split_split_{scheme}.txt"));
+            for (out, split) in [(&plain_out, &[][..]), (&split_out, &["--split-components"])] {
+                let mut line = vec![
+                    "detect",
+                    s(&graph_path),
+                    "--scheme",
                     scheme,
-                    threads: Some(2),
-                    gamma: 1.0,
-                    assignments: Some(out.clone()),
-                    trace: None,
-                    sweep: SweepMode::Full,
-                    schedule: ScheduleMode::Fixed,
-                    vertex_epsilon: 0.0,
-                    refine: RefineMode::None,
-                    split_components: split,
-                })
-                .unwrap();
+                    "--threads",
+                    "2",
+                    "--assignments",
+                    s(out),
+                ];
+                line.extend_from_slice(split);
+                execute(cmd(&line)).unwrap();
             }
             assert_eq!(
                 std::fs::read(&plain_out).unwrap(),
                 std::fs::read(&split_out).unwrap(),
-                "{tag}: split assignment bytes differ from unsplit"
+                "{scheme}: split assignment bytes differ from unsplit"
             );
         }
     }
@@ -972,29 +794,17 @@ mod tests {
     #[test]
     fn components_command_profiles_blocks() {
         let graph_path = tmp("compprof.grb");
-        execute(Command::Generate {
-            input: "blocks".into(),
-            scale: 0.05,
-            seed: 3,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        execute(Command::Components { path: graph_path }).unwrap();
+        generate_to("blocks", "0.05", "3", &graph_path);
+        execute(cmd(&["components", s(&graph_path)])).unwrap();
         // And on a connected input.
         let one = tmp("comp_one.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 3,
-            output: one.clone(),
-        })
-        .unwrap();
-        execute(Command::Components { path: one }).unwrap();
+        generate_to("planted", "0.02", "3", &one);
+        execute(cmd(&["components", s(&one)])).unwrap();
     }
 
     #[test]
     fn blocks_family_is_multi_component() {
-        let g = planted_blocks(4_000, 9);
+        let g = blocks(4_000, 9);
         let l = grappolo_graph::connected_components(&g);
         assert!(
             l.num_components() > 4,
@@ -1013,7 +823,7 @@ mod tests {
     fn compare_identical_files() {
         let p = tmp("same.txt");
         std::fs::write(&p, "0 0\n1 0\n2 1\n").unwrap();
-        execute(Command::Compare { a: p.clone(), b: p }).unwrap();
+        execute(cmd(&["compare", s(&p), s(&p)])).unwrap();
     }
 
     #[test]
@@ -1021,20 +831,12 @@ mod tests {
         let edges = tmp("c.edges");
         std::fs::write(&edges, "0 1 2.0\n1 2 1.0\n").unwrap();
         let metis = tmp("c.graph");
-        execute(Command::Convert {
-            input: edges.clone(),
-            output: metis.clone(),
-        })
-        .unwrap();
+        execute(cmd(&["convert", s(&edges), s(&metis)])).unwrap();
         let g = io::load_path(&metis).unwrap();
         assert_eq!(g.num_edges(), 2);
         // Edge list → .grb binary and back: identical structure.
         let grb = tmp("c.grb");
-        execute(Command::Convert {
-            input: edges,
-            output: grb.clone(),
-        })
-        .unwrap();
+        execute(cmd(&["convert", s(&edges), s(&grb)])).unwrap();
         let g2 = io::load_path(&grb).unwrap();
         assert_eq!(g2.num_edges(), 2);
         assert_eq!(g2.edge_weight(0, 1), Some(2.0));
@@ -1051,16 +853,12 @@ mod tests {
         // The empty graph as the retired v1 writer laid it out: magic,
         // version 1, flags, n = 0, no entries, offsets [0].
         std::fs::write(&v1, [&b"GRPLGRB\0\x01\0\0\0"[..], &[0; 24]].concat()).unwrap();
-        let convert = Command::Convert {
-            input: grb,
-            output: out.clone(),
-        };
-        for (cmd, needle) in [
-            (Command::Stats { path: bin }, "`.grb`"),
-            (convert, "`.grb`"),
-            (Command::Stats { path: v1 }, "version 1"),
+        for (line, needle) in [
+            (&["stats", s(&bin)][..], "`.grb`"),
+            (&["convert", s(&grb), s(&out)], "`.grb`"),
+            (&["stats", s(&v1)], "version 1"),
         ] {
-            let err = execute(cmd).unwrap_err();
+            let err = execute(cmd(line)).unwrap_err();
             assert_eq!(err.code(), crate::error::EXIT_INVALID, "{err}");
             assert!(err.message().contains(needle), "{err}");
         }
@@ -1070,17 +868,8 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_panicked() {
-        assert!(execute(Command::Stats {
-            path: "/no/such/file.grb".into()
-        })
-        .is_err());
-        assert!(execute(Command::Generate {
-            input: "bogus".into(),
-            scale: 1.0,
-            seed: 1,
-            output: tmp("x.grb"),
-        })
-        .is_err());
+        assert!(execute(cmd(&["stats", "/no/such/file.grb"])).is_err());
+        assert!(execute(cmd(&["generate", "bogus", "-o", s(&tmp("x.grb"))])).is_err());
     }
 
     #[test]
@@ -1114,13 +903,7 @@ mod tests {
     #[test]
     fn audit_reports_length_mismatch() {
         let graph_path = tmp("audlen.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 7,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.02", "7", &graph_path);
         let g = io::load_path(&graph_path).unwrap();
         let n = g.num_vertices();
         // One entry more than the graph has vertices.
@@ -1130,11 +913,7 @@ mod tests {
             text.push_str(&format!("{v} 0\n"));
         }
         std::fs::write(&assign_path, text).unwrap();
-        let err = execute(Command::Audit {
-            graph: graph_path,
-            assignments: assign_path,
-        })
-        .unwrap_err();
+        let err = execute(cmd(&["audit", s(&graph_path), s(&assign_path)])).unwrap_err();
         assert!(
             err.message()
                 .contains(&format!("assignment has {} entries", n + 1))
@@ -1193,27 +972,20 @@ mod tests {
         // → the rewritten assignment and graph load back cleanly and the
         // audit accepts the pair.
         let graph_path = tmp("upd.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 21,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.02", "21", &graph_path);
         let assign_path = tmp("upd_a.txt");
-        execute(Command::Detect {
-            path: graph_path.clone(),
-            scheme: Scheme::Baseline,
-            threads: Some(2),
-            gamma: 1.0,
-            assignments: Some(assign_path.clone()),
-            trace: None,
-            sweep: SweepMode::Active,
-            schedule: ScheduleMode::Fixed,
-            vertex_epsilon: 0.0,
-            refine: RefineMode::None,
-            split_components: false,
-        })
+        execute(cmd(&[
+            "detect",
+            s(&graph_path),
+            "--scheme",
+            "baseline",
+            "--threads",
+            "2",
+            "--sweep",
+            "active",
+            "--assignments",
+            s(&assign_path),
+        ]))
         .unwrap();
         let g = io::load_path(&graph_path).unwrap();
         let (u, v, _) = g.undirected_edges().next().unwrap();
@@ -1225,52 +997,42 @@ mod tests {
         .unwrap();
         let out_assign = tmp("upd_a2.txt");
         let out_graph = tmp("upd_g2.grb");
-        execute(Command::Update {
-            graph: graph_path,
-            assignments: assign_path,
-            batch: batch_path,
-            assignments_out: Some(out_assign.clone()),
-            graph_out: Some(out_graph.clone()),
-            threads: Some(2),
-            gamma: 1.0,
-            fallback: grappolo_core::config::DYNAMIC_FALLBACK_FRACTION,
-        })
+        execute(cmd(&[
+            "update",
+            s(&graph_path),
+            s(&assign_path),
+            s(&batch_path),
+            "--assignments-out",
+            s(&out_assign),
+            "--graph-out",
+            s(&out_graph),
+            "--threads",
+            "2",
+        ]))
         .unwrap();
         let updated = read_assignments(&out_assign).unwrap();
         let g2 = io::load_path(&out_graph).unwrap();
         assert_eq!(updated.len(), g2.num_vertices());
         assert_eq!(g2.edge_weight(u, v), Some(3.0));
-        execute(Command::Audit {
-            graph: out_graph,
-            assignments: out_assign,
-        })
-        .unwrap();
+        execute(cmd(&["audit", s(&out_graph), s(&out_assign)])).unwrap();
     }
 
     #[test]
     fn update_rejects_mismatched_assignment() {
         let graph_path = tmp("updmis.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.02,
-            seed: 23,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.02", "23", &graph_path);
         let assign_path = tmp("updmis_a.txt");
         std::fs::write(&assign_path, "0 0\n1 0\n2 1\n").unwrap();
         let batch_path = tmp("updmis_b.txt");
         std::fs::write(&batch_path, "+ 0 1\n").unwrap();
-        let err = execute(Command::Update {
-            graph: graph_path,
-            assignments: assign_path,
-            batch: batch_path,
-            assignments_out: None,
-            graph_out: None,
-            threads: Some(1),
-            gamma: 1.0,
-            fallback: grappolo_core::config::DYNAMIC_FALLBACK_FRACTION,
-        })
+        let err = execute(cmd(&[
+            "update",
+            s(&graph_path),
+            s(&assign_path),
+            s(&batch_path),
+            "--threads",
+            "1",
+        ]))
         .unwrap_err();
         assert!(
             err.message().contains("assignment has 3 entries")
@@ -1284,54 +1046,31 @@ mod tests {
         // detect --refine leiden writes an assignment the audit subcommand
         // accepts; the audit also runs on unrefined output.
         let graph_path = tmp("refine.grb");
-        execute(Command::Generate {
-            input: "planted".into(),
-            scale: 0.05,
-            seed: 13,
-            output: graph_path.clone(),
-        })
-        .unwrap();
+        generate_to("planted", "0.05", "13", &graph_path);
         let out = tmp("refine_a.txt");
-        execute(Command::Detect {
-            path: graph_path.clone(),
-            scheme: Scheme::BaselineVfColor,
-            threads: Some(2),
-            gamma: 1.0,
-            assignments: Some(out.clone()),
-            trace: None,
-            sweep: SweepMode::Active,
-            schedule: ScheduleMode::Geometric,
-            vertex_epsilon: 0.0,
-            refine: RefineMode::Leiden,
-            split_components: false,
-        })
+        execute(cmd(&[
+            "detect",
+            s(&graph_path),
+            "--threads",
+            "2",
+            "--sweep",
+            "active",
+            "--schedule",
+            "geometric",
+            "--refine",
+            "leiden",
+            "--assignments",
+            s(&out),
+        ]))
         .unwrap();
-        execute(Command::Audit {
-            graph: graph_path,
-            assignments: out,
-        })
-        .unwrap();
+        execute(cmd(&["audit", s(&graph_path), s(&out)])).unwrap();
     }
 
     #[test]
     fn color_command_runs() {
         let graph_path = tmp("col.grb");
-        execute(Command::Generate {
-            input: "rgg".into(),
-            scale: 0.02,
-            seed: 2,
-            output: graph_path.clone(),
-        })
-        .unwrap();
-        execute(Command::Color {
-            path: graph_path.clone(),
-            balanced: false,
-        })
-        .unwrap();
-        execute(Command::Color {
-            path: graph_path,
-            balanced: true,
-        })
-        .unwrap();
+        generate_to("rgg", "0.02", "2", &graph_path);
+        execute(cmd(&["color", s(&graph_path)])).unwrap();
+        execute(cmd(&["color", s(&graph_path), "--balanced"])).unwrap();
     }
 }

@@ -1,18 +1,9 @@
 //! # grappolo-cli
 //!
-//! Command-line interface for the grappolo-rs library:
-//!
-//! ```text
-//! grappolo generate <input-id|generator> [--scale F] [--seed N] -o FILE
-//! grappolo stats    <graph-file>
-//! grappolo detect   <graph-file> [--scheme S] [--threads N] [--gamma F]
-//!                   [--assignments FILE] [--trace FILE]
-//! grappolo serve    <graph-file> [--addr A] [--server-threads N] …
-//! grappolo query    --addr A [--script FILE] [command…]
-//! grappolo color    <graph-file> [--balanced]
-//! grappolo compare  <assignments-a> <assignments-b>
-//! grappolo convert  <in-file> <out-file>
-//! ```
+//! Command-line interface for the grappolo-rs library. The subcommands, their
+//! flags and the grammar they share are listed in [`args::USAGE`] (printed by
+//! `grappolo --help`); [`args`] parses a command line against one flag table
+//! per subcommand and [`commands`] runs it.
 //!
 //! Graph formats are dispatched on extension (`.edges`/`.txt`,
 //! `.graph`/`.metis`, `.grb`); assignment files are one `vertex community`

@@ -115,6 +115,43 @@ fn usage_error_exits_2() {
 }
 
 #[test]
+fn misparses_exit_2_naming_the_token_and_write_nothing() {
+    // A misparse is refused before anything runs: no file appears, not
+    // even one named after the flag that was taken for a value.
+    let dir = tmp_dir("misparse");
+    std::fs::write(dir.join("g.edges"), "0 1\n1 2\n2 0\n").unwrap();
+    std::fs::write(dir.join("qs.txt"), "ping\n").unwrap();
+    for (line, token) in [
+        (
+            "detect g.edges --shceme serial --assignments a.txt",
+            "`--shceme`",
+        ),
+        (
+            "detect g.edges --scheme=serial --assignments a.txt",
+            "`--scheme=serial`",
+        ),
+        ("detect g.edges --assignments --threads 2", "`--threads`"),
+        ("detect g.edges h.edges --assignments a.txt", "`h.edges`"),
+        ("query --addr 127.0.0.1:1 --script qs.txt ping", "`ping`"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_grappolo"))
+            .args(line.split_whitespace())
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(token), "{line}: {stderr}");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["g.edges", "qs.txt"], "{line} wrote a file");
+    }
+}
+
+#[test]
 fn audit_distinguishes_finding_from_failure() {
     let dir = tmp_dir("audit-codes");
     let graph = dir.join("g.edges");

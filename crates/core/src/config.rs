@@ -5,7 +5,7 @@
 //! coloring stops once the graph shrinks below 100 K vertices or the phase
 //! gain drops below the colored threshold.
 
-use crate::schedule::{Convergence, ScheduleMode, ThresholdSchedule};
+use crate::schedule::ScheduleSpec;
 use serde::{Deserialize, Serialize};
 
 /// Which combination of the paper's heuristics to run — the four schemes of
@@ -42,34 +42,27 @@ impl Scheme {
         }
     }
 
+    /// `base` with this scheme's heuristic set: parallel or serial sweeps,
+    /// vertex following and the coloring schedule. Every other field of
+    /// `base` is kept.
+    pub fn apply(&self, base: LouvainConfig) -> LouvainConfig {
+        let (parallel, use_vf, coloring) = match self {
+            Scheme::Serial => (false, false, ColoringSchedule::Off),
+            Scheme::Baseline => (true, false, ColoringSchedule::Off),
+            Scheme::BaselineVf => (true, true, ColoringSchedule::Off),
+            Scheme::BaselineVfColor => (true, true, ColoringSchedule::MultiPhase),
+        };
+        LouvainConfig {
+            parallel,
+            use_vf,
+            coloring,
+            ..base
+        }
+    }
+
     /// Builds the matching [`LouvainConfig`].
     pub fn config(&self) -> LouvainConfig {
-        match self {
-            Scheme::Serial => LouvainConfig {
-                parallel: false,
-                use_vf: false,
-                coloring: ColoringSchedule::Off,
-                ..LouvainConfig::default()
-            },
-            Scheme::Baseline => LouvainConfig {
-                parallel: true,
-                use_vf: false,
-                coloring: ColoringSchedule::Off,
-                ..LouvainConfig::default()
-            },
-            Scheme::BaselineVf => LouvainConfig {
-                parallel: true,
-                use_vf: true,
-                coloring: ColoringSchedule::Off,
-                ..LouvainConfig::default()
-            },
-            Scheme::BaselineVfColor => LouvainConfig {
-                parallel: true,
-                use_vf: true,
-                coloring: ColoringSchedule::MultiPhase,
-                ..LouvainConfig::default()
-            },
-        }
+        self.apply(LouvainConfig::default())
     }
 }
 
@@ -187,20 +180,13 @@ pub struct LouvainConfig {
     /// Net modularity gain threshold θ for uncolored phases and overall
     /// termination (paper: 1e-6).
     pub final_threshold: f64,
-    /// Within-phase threshold schedule ([`ScheduleMode::Fixed`] = the
-    /// paper's aggregate stop at the phase θ; [`ScheduleMode::Geometric`] =
-    /// a per-vertex gain gate tightening `schedule_start · schedule_factor^k`
-    /// down to `schedule_floor`, with phase termination reworked to
-    /// "frontier empty at the floor" — see [`crate::schedule`]).
-    pub schedule: ScheduleMode,
-    /// Geometric schedule: per-vertex gate for iteration 0. Gains live on
-    /// the `1/m` scale, so use [`Self::with_geometric_schedule`] to derive
-    /// a graph-appropriate value.
-    pub schedule_start: f64,
-    /// Geometric schedule: per-iteration tightening multiplier in (0, 1).
-    pub schedule_factor: f64,
-    /// Geometric schedule: tightest gate reached (> 0).
-    pub schedule_floor: f64,
+    /// Within-phase threshold schedule ([`ScheduleSpec::Fixed`] = the
+    /// paper's aggregate stop at the phase θ; [`ScheduleSpec::Geometric`] =
+    /// a per-vertex gain gate derived from the phase graph's total weight
+    /// `m`, tightening from `4/m` by `0.5` per iteration down to `0.5/m`,
+    /// with phase termination reworked to "frontier empty at the floor" —
+    /// see [`crate::schedule`]).
+    pub schedule: ScheduleSpec,
     /// Per-vertex convergence epsilon (all schedules): a vertex whose best
     /// available modularity gain is below this stays put and is treated as
     /// locally converged — it leaves the dirty-vertex frontier until a
@@ -234,11 +220,6 @@ pub struct LouvainConfig {
     /// unsplit run — and always bitwise stable across thread counts. A
     /// single-component graph falls through to the plain driver.
     pub split_components: bool,
-    /// Components with at least this many vertices run one at a time with
-    /// the full intra-run parallel pipeline; smaller components become
-    /// pool-dispatched jobs whose inner regions execute inline on their
-    /// worker ([`crate::split::SPLIT_SERIAL_THRESHOLD`] is the default).
-    pub split_serial_threshold: usize,
     /// If set, run inside a dedicated rayon pool with this many threads;
     /// otherwise use the ambient pool.
     pub num_threads: Option<usize>,
@@ -258,10 +239,7 @@ impl Default for LouvainConfig {
             refine: RefineMode::None,
             colored_threshold: 1e-2,
             final_threshold: 1e-6,
-            schedule: ScheduleMode::Fixed,
-            schedule_start: GEOMETRIC_START_EDGE_UNITS,
-            schedule_factor: GEOMETRIC_FACTOR,
-            schedule_floor: GEOMETRIC_FLOOR_EDGE_UNITS,
+            schedule: ScheduleSpec::Fixed,
             vertex_epsilon: 0.0,
             max_phases: 64,
             max_iterations_per_phase: 10_000,
@@ -270,21 +248,20 @@ impl Default for LouvainConfig {
             resolution: 1.0,
             dynamic_fallback_fraction: DYNAMIC_FALLBACK_FRACTION,
             split_components: false,
-            split_serial_threshold: crate::split::SPLIT_SERIAL_THRESHOLD,
             num_threads: None,
         }
     }
 }
 
-/// Geometric-schedule default: iteration-0 gate in **edge-weight units**
+/// Geometric schedule: iteration-0 gate in **edge-weight units**
 /// (multiples of `1/m`, the gain of moving a vertex along one unit-weight
 /// edge). 4 ⇒ only moves worth ≳ 4 unit edges clear iteration 0.
 pub const GEOMETRIC_START_EDGE_UNITS: f64 = 4.0;
-/// Geometric-schedule default: per-iteration tightening multiplier.
+/// Geometric schedule: per-iteration tightening multiplier.
 pub const GEOMETRIC_FACTOR: f64 = 0.5;
-/// Geometric-schedule default: floor gate in edge-weight units. 0.5 sits
-/// below the single-unit-edge gain quantum, so at the floor only true
-/// sub-edge noise stays suppressed.
+/// Geometric schedule: floor gate in edge-weight units. 0.5 sits below the
+/// single-unit-edge gain quantum, so at the floor only true sub-edge noise
+/// stays suppressed.
 pub const GEOMETRIC_FLOOR_EDGE_UNITS: f64 = 0.5;
 /// Dynamic-update default: fall back to from-scratch detection once a batch
 /// changes more than a quarter of the graph's edges.
@@ -295,39 +272,6 @@ impl LouvainConfig {
     pub fn with_threads(mut self, t: usize) -> Self {
         self.num_threads = Some(t);
         self
-    }
-
-    /// Selects the geometric schedule with the default edge-unit parameters
-    /// scaled to a graph of total weight `m` (per-vertex gains live on the
-    /// `1/m` scale): `start = 4/m`, `factor = 0.5`, `floor = 0.5/m`. `m ≤ 0`
-    /// leaves the raw defaults in place (the degenerate-graph sweeps
-    /// short-circuit before any gate is consulted).
-    pub fn with_geometric_schedule(mut self, total_weight: f64) -> Self {
-        self.schedule = ScheduleMode::Geometric;
-        if total_weight > 0.0 {
-            self.schedule_start = GEOMETRIC_START_EDGE_UNITS / total_weight;
-            self.schedule_factor = GEOMETRIC_FACTOR;
-            self.schedule_floor = GEOMETRIC_FLOOR_EDGE_UNITS / total_weight;
-        }
-        self
-    }
-
-    /// Resolves the config's schedule selection against one phase's
-    /// aggregate threshold θ (`colored_threshold` or `final_threshold`) into
-    /// the [`Convergence`] policy that phase's sweep runs under.
-    pub fn convergence(&self, phase_threshold: f64) -> Convergence {
-        let schedule = match self.schedule {
-            ScheduleMode::Fixed => ThresholdSchedule::Fixed(phase_threshold),
-            ScheduleMode::Geometric => ThresholdSchedule::Geometric {
-                start: self.schedule_start,
-                factor: self.schedule_factor,
-                floor: self.schedule_floor,
-            },
-        };
-        Convergence {
-            schedule,
-            vertex_epsilon: self.vertex_epsilon,
-        }
     }
 
     /// Validates parameter sanity; returns the first problem found.
@@ -362,64 +306,20 @@ impl LouvainConfig {
                 self.vertex_epsilon
             ));
         }
-        if self.schedule == ScheduleMode::Geometric {
-            // Delegate the start/factor/floor sanity rules to the resolved
-            // schedule so the error messages stay in one place.
-            ThresholdSchedule::Geometric {
-                start: self.schedule_start,
-                factor: self.schedule_factor,
-                floor: self.schedule_floor,
-            }
-            .validate()?;
-        }
         Ok(())
     }
 }
 
-/// Within-phase schedule selection for the [`LouvainConfigBuilder`]. Unlike
-/// the raw [`ScheduleMode`] + `schedule_*` fields, the geometric variant
-/// carries the graph's total weight so the builder can derive the edge-unit
-/// parameters itself — an unscaled geometric schedule is unconstructible.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ScheduleSpec {
-    /// The paper's aggregate net-gain stop at the phase threshold.
-    Fixed,
-    /// Geometric per-vertex gate scaled to a graph of total weight `m`
-    /// (`start = 4/m`, `factor = 0.5`, `floor = 0.5/m`). Build with
-    /// [`geometric_for`].
-    Geometric {
-        /// The target graph's total edge weight (`CsrGraph::total_weight`).
-        total_weight: f64,
-    },
-    /// Geometric gate with explicit parameters (already on the absolute
-    /// modularity-gain scale, not edge units).
-    GeometricRaw {
-        /// Iteration-0 gate.
-        start: f64,
-        /// Per-iteration tightening multiplier in (0, 1).
-        factor: f64,
-        /// Tightest gate reached (> 0).
-        floor: f64,
-    },
-}
-
-/// The geometric schedule scaled for a graph of total weight `m` — sugar for
-/// [`ScheduleSpec::Geometric`], reads well in builder chains:
-/// `.schedule(geometric_for(g.total_weight()))`.
-pub fn geometric_for(total_weight: f64) -> ScheduleSpec {
-    ScheduleSpec::Geometric { total_weight }
-}
-
 /// Typed builder for [`LouvainConfig`]. Finishing with [`build`]
 /// (`LouvainConfigBuilder::build`) runs [`LouvainConfig::validate`], so
-/// invalid parameters (a negative γ, nonsensical schedule parameters) never
+/// invalid parameters (a negative γ, a negative vertex epsilon) never
 /// escape as constructed configs.
 ///
 /// ```
-/// use grappolo_core::{geometric_for, LouvainConfig, RefineMode, SweepMode};
+/// use grappolo_core::{LouvainConfig, RefineMode, ScheduleSpec, SweepMode};
 /// let config = LouvainConfig::builder()
 ///     .sweep(SweepMode::Active)
-///     .schedule(geometric_for(40_000.0))
+///     .schedule(ScheduleSpec::Geometric)
 ///     .refine(RefineMode::Leiden)
 ///     .build()
 ///     .unwrap();
@@ -444,22 +344,7 @@ impl LouvainConfigBuilder {
 
     /// Within-phase threshold schedule.
     pub fn schedule(mut self, spec: ScheduleSpec) -> Self {
-        match spec {
-            ScheduleSpec::Fixed => self.config.schedule = ScheduleMode::Fixed,
-            ScheduleSpec::Geometric { total_weight } => {
-                self.config = self.config.with_geometric_schedule(total_weight);
-            }
-            ScheduleSpec::GeometricRaw {
-                start,
-                factor,
-                floor,
-            } => {
-                self.config.schedule = ScheduleMode::Geometric;
-                self.config.schedule_start = start;
-                self.config.schedule_factor = factor;
-                self.config.schedule_floor = floor;
-            }
-        }
+        self.config.schedule = spec;
         self
     }
 
@@ -472,24 +357,6 @@ impl LouvainConfigBuilder {
     /// Colored-sweep accounting mode. Incremental accounting is the only
     /// mode, so this changes nothing.
     pub fn accounting(self, _accounting: ColoredAccounting) -> Self {
-        self
-    }
-
-    /// Coloring schedule.
-    pub fn coloring(mut self, coloring: ColoringSchedule) -> Self {
-        self.config.coloring = coloring;
-        self
-    }
-
-    /// Parallel vs serial sweep.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.config.parallel = parallel;
-        self
-    }
-
-    /// Vertex-following preprocessing.
-    pub fn vertex_following(mut self, use_vf: bool) -> Self {
-        self.config.use_vf = use_vf;
         self
     }
 
@@ -515,12 +382,6 @@ impl LouvainConfigBuilder {
     /// [`LouvainConfig::dynamic_fallback_fraction`]).
     pub fn dynamic_fallback(mut self, fraction: f64) -> Self {
         self.config.dynamic_fallback_fraction = fraction;
-        self
-    }
-
-    /// Component splitting (see [`LouvainConfig::split_components`]).
-    pub fn split_components(mut self, split: bool) -> Self {
-        self.config.split_components = split;
         self
     }
 
@@ -551,6 +412,15 @@ mod tests {
         assert!(v.parallel && v.use_vf && v.coloring == ColoringSchedule::Off);
         let c = Scheme::BaselineVfColor.config();
         assert!(c.parallel && c.use_vf && c.coloring == ColoringSchedule::MultiPhase);
+        // A scheme sets its heuristics and keeps every other field.
+        let base = LouvainConfig {
+            resolution: 2.0,
+            sweep_mode: SweepMode::Active,
+            ..Scheme::Serial.config()
+        };
+        let c = Scheme::BaselineVfColor.apply(base);
+        assert!(c.parallel && c.use_vf && c.coloring == ColoringSchedule::MultiPhase);
+        assert_eq!((c.resolution, c.sweep_mode), (2.0, SweepMode::Active));
     }
 
     #[test]
@@ -603,32 +473,9 @@ mod tests {
 
     #[test]
     fn validation_rejects_nonsensical_schedules() {
-        // Growing or non-tightening factor.
-        for factor in [1.0, 1.5, 0.0, -0.5, f64::NAN] {
-            let c = LouvainConfig {
-                schedule: ScheduleMode::Geometric,
-                schedule_factor: factor,
-                ..Default::default()
-            };
-            let err = c.validate().unwrap_err();
-            assert!(err.contains("factor"), "factor={factor}: {err}");
-        }
-        // Floor above start (or non-positive).
-        let c = LouvainConfig {
-            schedule: ScheduleMode::Geometric,
-            schedule_start: 1e-8,
-            schedule_floor: 1e-4,
-            ..Default::default()
-        };
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("floor") && err.contains("start"), "{err}");
-        let c0 = LouvainConfig {
-            schedule: ScheduleMode::Geometric,
-            schedule_floor: 0.0,
-            ..Default::default()
-        };
-        assert!(c0.validate().unwrap_err().contains("floor"));
-        // Negative (or NaN) per-vertex epsilon.
+        // The geometric gate's parameters are derived from the graph, so the
+        // per-vertex epsilon is the one schedule parameter a config carries:
+        // negative (or NaN) is rejected.
         for eps in [-1e-9, f64::NAN] {
             let c = LouvainConfig {
                 vertex_epsilon: eps,
@@ -637,55 +484,57 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("vertex_epsilon"), "eps={eps}: {err}");
         }
-        // The same parameters are fine under Fixed (they are simply unused).
-        let fixed = LouvainConfig {
-            schedule: ScheduleMode::Fixed,
-            schedule_factor: 2.0,
-            ..Default::default()
-        };
-        assert!(fixed.validate().is_ok());
     }
 
     #[test]
     fn geometric_helper_scales_to_graph_weight() {
-        let c = LouvainConfig::default().with_geometric_schedule(2_000.0);
-        assert_eq!(c.schedule, ScheduleMode::Geometric);
-        assert_eq!(c.schedule_start, GEOMETRIC_START_EDGE_UNITS / 2_000.0);
-        assert_eq!(c.schedule_floor, GEOMETRIC_FLOOR_EDGE_UNITS / 2_000.0);
-        assert!(c.validate().is_ok());
-        // Resolution: Fixed picks up the phase θ, Geometric its own params.
-        let conv = c.convergence(1e-6);
-        assert_eq!(
-            conv.schedule,
-            ThresholdSchedule::Geometric {
-                start: c.schedule_start,
-                factor: c.schedule_factor,
-                floor: c.schedule_floor,
-            }
-        );
-        let fixed_conv = LouvainConfig::default().convergence(1e-2);
-        assert_eq!(fixed_conv, Convergence::fixed(1e-2));
+        // The phase driver derives the geometric gate from the phase graph's
+        // total weight m — 4/m at iteration 0, halving down to 0.5/m — and a
+        // graph carrying an overridden m (a VF'd or rebuilt phase graph, a
+        // split component) gates on that m.
+        use crate::phase::PhaseDriver;
+        use grappolo_graph::gen::{ring_of_cliques, CliqueRingConfig};
+        let (g, _) = ring_of_cliques(&CliqueRingConfig::default());
+        let geometric = LouvainConfig {
+            schedule: ScheduleSpec::Geometric,
+            ..Default::default()
+        };
+        let driver = PhaseDriver::from_config(&geometric, 1e-6);
+        for m in [g.total_weight(), 2_000.0] {
+            let out = driver.run(&g.clone().with_total_weight_override(m));
+            assert_eq!(out.stats[0].gate, GEOMETRIC_START_EDGE_UNITS / m);
+            assert_eq!(
+                out.stats[1].gate,
+                GEOMETRIC_START_EDGE_UNITS * GEOMETRIC_FACTOR / m
+            );
+            assert!(out
+                .stats
+                .iter()
+                .all(|s| s.gate >= GEOMETRIC_FLOOR_EDGE_UNITS / m));
+        }
+        // Fixed gates on the vertex epsilon alone (0 = ungated).
+        let fixed = PhaseDriver::from_config(&LouvainConfig::default(), 1e-6).run(&g);
+        assert!(fixed.stats.iter().all(|s| s.gate == 0.0));
     }
 
     #[test]
     fn builder_resolves_specs_and_validates() {
         let c = LouvainConfig::builder()
             .sweep(SweepMode::Active)
-            .schedule(geometric_for(2_000.0))
+            .schedule(ScheduleSpec::Geometric)
             .refine(RefineMode::Leiden)
             .build()
             .unwrap();
         assert_eq!(c.sweep_mode, SweepMode::Active);
         assert_eq!(c.refine, RefineMode::Leiden);
-        assert_eq!(c.schedule, ScheduleMode::Geometric);
-        assert_eq!(c.schedule_start, GEOMETRIC_START_EDGE_UNITS / 2_000.0);
+        assert_eq!(c.schedule, ScheduleSpec::Geometric);
         // Invalid parameters never escape the builder.
         assert!(LouvainConfig::builder()
-            .schedule(ScheduleSpec::GeometricRaw {
-                start: 1e-4,
-                factor: 1.5,
-                floor: 1e-6,
-            })
+            .vertex_epsilon(-1.0)
+            .build()
+            .is_err());
+        assert!(LouvainConfig::builder()
+            .resolution(f64::NAN)
             .build()
             .is_err());
     }

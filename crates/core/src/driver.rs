@@ -92,7 +92,7 @@ pub fn detect_communities_cancellable(
 /// only between components (each per-component run is itself bounded).
 fn run_entry(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) -> CommunityResult {
     if config.split_components {
-        crate::split::detect_split(g, config)
+        crate::split::detect_split(g, config, crate::split::SPLIT_SERIAL_THRESHOLD)
     } else {
         run_inner_cancellable(g, config, token)
     }
@@ -504,8 +504,11 @@ mod tests {
         // baseline, and stays bitwise stable across thread counts.
         let (g, _) = planted();
         let fixed = detect_communities(&g, &colored_config());
-        let mut cfg = colored_config().with_geometric_schedule(g.total_weight());
-        cfg.sweep_mode = crate::config::SweepMode::Active;
+        let mut cfg = LouvainConfig {
+            schedule: crate::schedule::ScheduleSpec::Geometric,
+            sweep_mode: crate::config::SweepMode::Active,
+            ..colored_config()
+        };
         let sched = detect_communities(&g, &cfg);
         assert!(
             sched.modularity >= 0.95 * fixed.modularity,

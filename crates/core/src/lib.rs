@@ -58,8 +58,8 @@ pub mod vf;
 pub use active::ActiveSet;
 pub use cancel::{CancelToken, Cancelled};
 pub use config::{
-    geometric_for, ColoredAccounting, ColoringSchedule, LouvainConfig, LouvainConfigBuilder,
-    RebuildStrategy, RefineMode, RenumberStrategy, ScheduleSpec, Scheme, SweepMode,
+    ColoredAccounting, ColoringSchedule, LouvainConfig, LouvainConfigBuilder, RebuildStrategy,
+    RefineMode, RenumberStrategy, Scheme, SweepMode,
 };
 pub use dendrogram::{Dendrogram, DendrogramLevel};
 pub use driver::{
@@ -72,5 +72,5 @@ pub use history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
 pub use modularity::{modularity, modularity_with_resolution, Community};
 pub use phase::{IterationStats, PhaseDriver, PhaseOutcome};
 pub use refine::{refine_phase, RefineStats};
-pub use schedule::{Convergence, ScheduleMode, ThresholdSchedule};
+pub use schedule::{Convergence, ScheduleSpec, ThresholdSchedule};
 pub use vf::{vf_preprocess, vf_preprocess_recursive, VfResult};

@@ -36,13 +36,16 @@
 //! already engaged from the endpoints of the changed edges.
 
 use crate::active::ActiveSet;
-use crate::config::{LouvainConfig, RefineMode, SweepMode};
+use crate::config::{
+    LouvainConfig, RefineMode, SweepMode, GEOMETRIC_FACTOR, GEOMETRIC_FLOOR_EDGE_UNITS,
+    GEOMETRIC_START_EDGE_UNITS,
+};
 use crate::modularity::{
     best_move_with_src, Community, ModularityTracker, MoveContext, MoveDecision, NeighborScratch,
     TRACKER_DRIFT_TOLERANCE,
 };
 use crate::refine::RefineStats;
-use crate::schedule::Convergence;
+use crate::schedule::{Convergence, ScheduleSpec, ThresholdSchedule};
 use crate::serial::serial_modularity;
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
@@ -188,7 +191,9 @@ pub struct PhaseDriver {
     serial: bool,
     sweep: SweepMode,
     refine: RefineMode,
-    conv: Convergence,
+    schedule: ScheduleSpec,
+    threshold: f64,
+    vertex_epsilon: f64,
     max_iterations: usize,
     resolution: f64,
 }
@@ -204,7 +209,9 @@ impl PhaseDriver {
             serial: !config.parallel,
             sweep: config.sweep_mode,
             refine: config.refine,
-            conv: config.convergence(phase_threshold),
+            schedule: config.schedule,
+            threshold: phase_threshold,
+            vertex_epsilon: config.vertex_epsilon,
             max_iterations: config.max_iterations_per_phase,
             resolution: config.resolution,
         }
@@ -254,6 +261,25 @@ impl PhaseDriver {
         self.sweep(g, state, Some(frontier), crate::parallel::unordered_step(g))
     }
 
+    /// The convergence policy a phase graph of total weight `m` runs under:
+    /// the paper's aggregate stop at the phase θ, or the geometric
+    /// per-vertex gate derived from `m` (per-vertex gains live on the `1/m`
+    /// scale), `4/m` halving down to `0.5/m`.
+    fn convergence(&self, m: f64) -> Convergence {
+        let schedule = match self.schedule {
+            ScheduleSpec::Fixed => ThresholdSchedule::Fixed(self.threshold),
+            ScheduleSpec::Geometric => ThresholdSchedule::Geometric {
+                start: GEOMETRIC_START_EDGE_UNITS / m,
+                factor: GEOMETRIC_FACTOR,
+                floor: GEOMETRIC_FLOOR_EDGE_UNITS / m,
+            },
+        };
+        Convergence {
+            schedule,
+            vertex_epsilon: self.vertex_epsilon,
+        }
+    }
+
     /// The iteration driver every sweep runs through, from `state` with
     /// pruning pre-engaged on `active` (or deferred, when `None`).
     ///
@@ -266,7 +292,7 @@ impl PhaseDriver {
     ///
     /// The driver owns everything around the step:
     /// * the gate sequence ([`Convergence::gate`]), a pure function of the
-    ///   iteration index;
+    ///   iteration index and the phase graph's total weight;
     /// * deferred pruning under [`SweepMode::Active`]: the full path runs
     ///   (bitwise identical to [`SweepMode::Full`]) until an iteration's
     ///   move count first drops to the [`ActiveSet::engages`] bound with the
@@ -305,6 +331,7 @@ impl PhaseDriver {
                 refinement: None,
             };
         }
+        let conv = self.convergence(g.total_weight());
         let prune = self.sweep == SweepMode::Active;
         let mut q_prev = state.tracker.modularity();
         let mut movers: Vec<VertexId> = Vec::new();
@@ -315,13 +342,13 @@ impl PhaseDriver {
                 // a changed neighborhood.
                 break;
             }
-            let gate = self.conv.gate(iter);
+            let gate = conv.gate(iter);
             movers.clear();
             let (examined, converged) = step(&mut state, active.as_ref(), gate, &mut movers);
             let moves = movers.len();
             match &mut active {
                 Some(set) => set.rebuild_from_moves(g, &movers),
-                None if prune && self.conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) => {
+                None if prune && conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) => {
                     let mut set = ActiveSet::empty(n);
                     set.rebuild_from_moves(g, &movers);
                     active = Some(set);
@@ -340,10 +367,7 @@ impl PhaseDriver {
                 frontier: examined,
                 converged,
             });
-            if self
-                .conv
-                .should_stop(iter, q_prev, q_curr, moves, converged)
-            {
+            if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
                 break;
             }
             q_prev = q_curr;

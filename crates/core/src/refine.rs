@@ -144,6 +144,40 @@ const MAX_POLISH_ROUNDS: usize = 32;
 /// depends only on the deterministic size table, so it is deterministic.
 const POLISH_SOURCE_CAP: u32 = 4096;
 
+/// Labels `v`'s component within its `parent`-community: every vertex
+/// reachable from `v` along edges whose endpoints share `parent[v]` and
+/// whose label in `out` is still [`UNSET`] gets label `v`, in breadth-first
+/// order through `queue`. Returns the component's degree sum and size,
+/// accumulated in that order.
+fn label_component(
+    g: &CsrGraph,
+    parent: &[Community],
+    out: &mut [Community],
+    queue: &mut Vec<VertexId>,
+    v: VertexId,
+) -> (f64, u32) {
+    let p = parent[v as usize];
+    out[v as usize] = v;
+    let mut a_c = 0.0f64;
+    let mut size_c = 0u32;
+    queue.clear();
+    queue.push(v);
+    let mut head = 0usize;
+    while head < queue.len() {
+        let x = queue[head];
+        head += 1;
+        a_c += g.weighted_degree(x);
+        size_c += 1;
+        for &u in g.neighbor_ids(x) {
+            if u != x && out[u as usize] == UNSET && parent[u as usize] == p {
+                out[u as usize] = v;
+                queue.push(u);
+            }
+        }
+    }
+    (a_c, size_c)
+}
+
 /// Partitions every `parent`-community of `g` into its connected
 /// components, writing component-minimum labels into `out` (ascending seed
 /// order makes every component's label its minimum member without an
@@ -173,24 +207,7 @@ fn split_components(
         let p = parent[v as usize];
         components_of[p as usize] += 1;
         sub_communities += 1;
-        out[v as usize] = v;
-        let mut a_c = 0.0f64;
-        let mut size_c = 0u32;
-        queue.clear();
-        queue.push(v);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            a_c += g.weighted_degree(x);
-            size_c += 1;
-            for &u in g.neighbor_ids(x) {
-                if u != x && parent[u as usize] == p && out[u as usize] == UNSET {
-                    out[u as usize] = v;
-                    queue.push(u);
-                }
-            }
-        }
+        let (a_c, size_c) = label_component(g, parent, out, queue, v);
         a[v as usize] = a_c;
         sizes[v as usize] = size_c;
         a_parent[p as usize] += a_c;
@@ -258,31 +275,13 @@ fn resplit_affected(
 
     // BFS each affected old community; ascending seeds make every new
     // label its component's minimum member. `refined[u] == UNSET` holds
-    // exactly for the still-unvisited members, so `prev[u]` is only read
+    // exactly for the still-unvisited members, so `prev[u]` only decides
     // where it is valid.
     for &v in members.iter() {
         if refined[v as usize] != UNSET {
             continue;
         }
-        let p = prev[v as usize];
-        refined[v as usize] = v;
-        let mut a_c = 0.0f64;
-        let mut size_c = 0u32;
-        queue.clear();
-        queue.push(v);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            a_c += g.weighted_degree(x);
-            size_c += 1;
-            for &u in g.neighbor_ids(x) {
-                if u != x && refined[u as usize] == UNSET && prev[u as usize] == p {
-                    refined[u as usize] = v;
-                    queue.push(u);
-                }
-            }
-        }
+        let (a_c, size_c) = label_component(g, prev, refined, queue, v);
         a[v as usize] = a_c;
         sizes[v as usize] = size_c;
         tracker.null_sum += a_c * a_c;

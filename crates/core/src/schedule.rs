@@ -33,9 +33,12 @@
 //!
 //! Per-vertex modularity gains live on the `1/m` scale (moving a vertex
 //! along one unit-weight edge gains ≈ `w/m`), so useful `start` / `floor` /
-//! `vertex_epsilon` values are *graph-relative*.
-//! [`crate::config::LouvainConfig::with_geometric_schedule`] converts
-//! edge-weight-unit constants into absolute gains for a concrete graph.
+//! `vertex_epsilon` values are *graph-relative*. [`crate::PhaseDriver`]
+//! derives [`ScheduleSpec::Geometric`]'s gate from each phase graph's total
+//! weight: `start = 4/m`, `factor = 0.5`, `floor = 0.5/m`
+//! ([`crate::config::GEOMETRIC_START_EDGE_UNITS`] and its siblings). VF,
+//! every rebuild and the component splitter carry the input's `m` forward,
+//! so every phase of one detection gates on the same `m`.
 
 use serde::{Deserialize, Serialize};
 
@@ -92,39 +95,6 @@ impl ThresholdSchedule {
             ThresholdSchedule::Fixed(theta) => theta,
             ThresholdSchedule::Geometric { floor, .. } => floor,
         }
-    }
-
-    /// Parameter sanity; mirrors [`crate::config::LouvainConfig::validate`].
-    // The negated comparisons are deliberate: `!(x > 0.0)` also rejects NaN.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn validate(&self) -> Result<(), String> {
-        match *self {
-            ThresholdSchedule::Fixed(theta) => {
-                if !(theta > 0.0) {
-                    return Err("schedule threshold must be > 0".into());
-                }
-            }
-            ThresholdSchedule::Geometric {
-                start,
-                factor,
-                floor,
-            } => {
-                if !(factor > 0.0 && factor < 1.0) {
-                    return Err(format!(
-                        "geometric schedule factor must be in (0, 1), got {factor}"
-                    ));
-                }
-                if !(floor > 0.0) {
-                    return Err(format!("geometric schedule floor must be > 0, got {floor}"));
-                }
-                if !(start >= floor) {
-                    return Err(format!(
-                        "geometric schedule floor ({floor}) must not exceed start ({start})"
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -216,19 +186,17 @@ impl Convergence {
 }
 
 /// Which threshold schedule a [`crate::config::LouvainConfig`] selects —
-/// the serializable, phase-agnostic form. `Fixed` resolves, per phase, to
-/// [`ThresholdSchedule::Fixed`] with that phase's θ
-/// (`colored_threshold` / `final_threshold`); `Geometric` resolves to
-/// [`ThresholdSchedule::Geometric`] with the config's
-/// `schedule_start` / `schedule_factor` / `schedule_floor` parameters
-/// (the gate lives on the per-vertex gain scale, not the aggregate one, so
-/// it does not inherit the phase θ).
+/// the serializable, graph-agnostic form. `Fixed` resolves, per phase, to
+/// [`ThresholdSchedule::Fixed`] with that phase's θ (`colored_threshold` /
+/// `final_threshold`); `Geometric` resolves to
+/// [`ThresholdSchedule::Geometric`] with parameters derived from the phase
+/// graph's total weight (the gate lives on the per-vertex gain scale, not
+/// the aggregate one, so it does not inherit the phase θ).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ScheduleMode {
+pub enum ScheduleSpec {
     /// Aggregate stop at the phase threshold (paper's scheme; default).
     Fixed,
-    /// Geometric per-vertex gate, `schedule_start · schedule_factor^k`
-    /// clamped at `schedule_floor`.
+    /// Geometric per-vertex gate `4/m · 0.5^k`, clamped at `0.5/m`.
     Geometric,
 }
 
@@ -276,35 +244,6 @@ mod tests {
         };
         for k in 0..8 {
             assert_eq!(s.threshold_at(k), 1e-4);
-        }
-    }
-
-    #[test]
-    fn schedule_validation() {
-        assert!(ThresholdSchedule::Fixed(1e-6).validate().is_ok());
-        assert!(ThresholdSchedule::Fixed(0.0).validate().is_err());
-        assert!(ThresholdSchedule::Fixed(f64::NAN).validate().is_err());
-        let ok = ThresholdSchedule::Geometric {
-            start: 1e-4,
-            factor: 0.25,
-            floor: 1e-8,
-        };
-        assert!(ok.validate().is_ok());
-        for (start, factor, floor) in [
-            (1e-4, 1.0, 1e-8), // factor ≥ 1 never tightens
-            (1e-4, 1.5, 1e-8), // growing "schedule"
-            (1e-4, 0.0, 1e-8), // degenerate
-            (1e-4, 0.5, 0.0),  // floor must be positive
-            (1e-8, 0.5, 1e-4), // floor above start
-            (1e-4, f64::NAN, 1e-8),
-            (f64::NAN, 0.5, 1e-8),
-        ] {
-            let s = ThresholdSchedule::Geometric {
-                start,
-                factor,
-                floor,
-            };
-            assert!(s.validate().is_err(), "{s:?} should be rejected");
         }
     }
 

@@ -13,7 +13,7 @@
 //!    vertex remap tables ([`grappolo_graph::extract_components`]);
 //! 2. runs full detection per component in **largest-first** order — big
 //!    components one at a time with the whole pool inside the run, small
-//!    ones (below [`LouvainConfig::split_serial_threshold`]) fanned out as
+//!    ones (below [`SPLIT_SERIAL_THRESHOLD`] vertices) fanned out as
 //!    independent pool jobs whose inner regions execute inline on their
 //!    worker;
 //! 3. stitches per-component assignments back into global labels, with
@@ -41,14 +41,21 @@ use grappolo_graph::{connected_components, extract_components, CsrGraph};
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// Default vertex count at or above which a component runs alone with the
-/// full intra-run parallel pipeline instead of as one pool-dispatched job.
+/// Vertex count at or above which a component runs alone with the full
+/// intra-run parallel pipeline; smaller components become pool-dispatched
+/// jobs whose inner regions execute inline on their worker.
 pub const SPLIT_SERIAL_THRESHOLD: usize = 8192;
 
 /// Detects communities per weakly connected component and stitches the
 /// results (see the module docs). Falls through to the plain driver when the
-/// graph has one component (or none).
-pub(crate) fn detect_split(g: &CsrGraph, config: &LouvainConfig) -> CommunityResult {
+/// graph has one component (or none). Components of at least
+/// `serial_threshold` vertices take the one-at-a-time path (production
+/// passes [`SPLIT_SERIAL_THRESHOLD`]; the tests force either path).
+pub(crate) fn detect_split(
+    g: &CsrGraph,
+    config: &LouvainConfig,
+    serial_threshold: usize,
+) -> CommunityResult {
     let t_start = Instant::now();
     let labeling = connected_components(g);
     let k = labeling.num_components();
@@ -72,7 +79,7 @@ pub(crate) fn detect_split(g: &CsrGraph, config: &LouvainConfig) -> CommunityRes
     // jobs start first, so the tail of the schedule is short jobs that pack
     // tightly — classic LPT. The order only affects scheduling; label
     // stitching below is by component id.
-    let threshold = config.split_serial_threshold.max(2);
+    let threshold = serial_threshold.max(2);
     let mut order: Vec<usize> = (0..k).collect();
     order.sort_by_key(|&c| (std::cmp::Reverse(labeling.sizes()[c]), c));
 
@@ -284,16 +291,13 @@ mod tests {
 
     #[test]
     fn split_respects_serial_threshold_paths() {
-        // Force both dispatch paths: threshold 1 sends everything through
+        // Force both dispatch paths: threshold 2 sends everything through
         // the "large" path, usize::MAX through the small fan-out; results
         // must be bitwise identical.
         let g = multi_component(&[400, 300], 2, 3);
-        let mut cfg = Scheme::Baseline.config();
-        cfg.split_components = true;
-        cfg.split_serial_threshold = 2;
-        let large_path = detect_communities(&g, &cfg);
-        cfg.split_serial_threshold = usize::MAX;
-        let small_path = detect_communities(&g, &cfg);
+        let cfg = Scheme::Baseline.config();
+        let large_path = detect_split(&g, &cfg, 2);
+        let small_path = detect_split(&g, &cfg, usize::MAX);
         assert_eq!(large_path.assignment, small_path.assignment);
         assert_eq!(
             large_path.modularity.to_bits(),
@@ -316,7 +320,7 @@ mod tests {
 
     #[test]
     fn split_handles_edgeless_and_tiny_graphs() {
-        let mut cfg = LouvainConfig {
+        let cfg = LouvainConfig {
             split_components: true,
             ..Scheme::Baseline.config()
         };
@@ -331,8 +335,7 @@ mod tests {
             .add_edge(2, 2, 3.0)
             .build()
             .unwrap();
-        cfg.split_serial_threshold = 2;
-        let r = detect_communities(&g, &cfg);
+        let r = detect_split(&g, &cfg, 2);
         assert_eq!(r.assignment.len(), 4);
         assert_eq!(r.assignment[0], r.assignment[1], "edge endpoints merge");
         assert_ne!(r.assignment[2], r.assignment[3]);
@@ -380,12 +383,7 @@ mod tests {
             .add_edge(3, 4, 1.0)
             .build()
             .unwrap();
-        let cfg = LouvainConfig {
-            split_components: true,
-            split_serial_threshold: 2,
-            ..Scheme::Baseline.config()
-        };
-        let r = detect_communities(&g, &cfg);
+        let r = detect_split(&g, &Scheme::Baseline.config(), 2);
         // {0,5} is component 0, {1,2} component 1, {3,4} component 2.
         assert!(r.assignment[0] < r.assignment[1]);
         assert!(r.assignment[1] < r.assignment[3]);

@@ -20,7 +20,7 @@ pub mod paper_suite;
 pub use cliques::{hub_spoke, ring_of_cliques, CliqueRingConfig, HubSpokeConfig};
 pub use er::{erdos_renyi, ErConfig};
 pub use grid::{grid2d, grid3d, GridConfig};
-pub use planted::{planted_partition, PlantedConfig};
+pub use planted::{planted_blocks, planted_partition, PlantedConfig};
 pub use rgg::{random_geometric, RggConfig};
 pub use rmat::{rmat, RmatConfig};
 pub use road::{road_network, RoadConfig};

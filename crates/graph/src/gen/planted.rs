@@ -150,6 +150,30 @@ pub fn planted_partition(cfg: &PlantedConfig) -> (CsrGraph, Vec<u32>) {
     (g, scattered_truth)
 }
 
+/// A disconnected union of planted-partition blocks followed by `isolated`
+/// trailing isolated vertices — the component splitter's workload. Block
+/// `i` has `block_sizes[i]` vertices, `max(size / 100, 2)` planted
+/// communities and seed `seed + i`, and occupies the next contiguous vertex
+/// range, so component ids follow block order.
+pub fn planted_blocks(block_sizes: &[usize], isolated: usize, seed: u64) -> CsrGraph {
+    let n = block_sizes.iter().sum::<usize>() + isolated;
+    let mut b = GraphBuilder::new(n);
+    let mut base = 0u32;
+    for (i, &size) in block_sizes.iter().enumerate() {
+        let (block, _) = planted_partition(&PlantedConfig {
+            num_vertices: size,
+            num_communities: (size / 100).max(2),
+            seed: seed.wrapping_add(i as u64),
+            ..Default::default()
+        });
+        for (u, v, w) in block.undirected_edges() {
+            b = b.add_edge(base + u, base + v, w);
+        }
+        base += size as u32;
+    }
+    b.build().expect("block edges are in range")
+}
+
 /// Samples `k` community sizes summing to `n`, proportional to
 /// `(rank)^-exponent`, each at least 1.
 fn power_law_sizes(n: usize, k: usize, exponent: f64, rng: &mut SmallRng) -> Vec<usize> {
@@ -195,6 +219,22 @@ mod tests {
             assert_eq!(s.len(), k);
             assert!(s.iter().all(|&x| x >= 1));
         }
+    }
+
+    #[test]
+    fn planted_blocks_occupy_contiguous_ranges() {
+        let g = planted_blocks(&[300, 200, 200], 4, 5);
+        assert_eq!(g.num_vertices(), 704);
+        let block = |x: VertexId| [300, 500, 700].iter().position(|&end| x < end);
+        for (u, v, _) in g.undirected_edges() {
+            assert!(
+                block(u).is_some(),
+                "edge {u}-{v} touches an isolated vertex"
+            );
+            assert_eq!(block(u), block(v), "edge {u}-{v} crosses blocks");
+        }
+        assert!((700..704).all(|v| g.neighbor_ids(v).is_empty()));
+        assert!(planted_blocks(&[300, 200, 200], 4, 5).bitwise_eq(&g));
     }
 
     #[test]

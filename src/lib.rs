@@ -57,10 +57,10 @@ pub mod prelude {
         ColoringStats, ParallelColoringConfig,
     };
     pub use crate::core::{
-        detect_communities, detect_with_scheme, geometric_for, modularity,
-        modularity_with_resolution, ColoringSchedule, CommunityResult, Dendrogram, LouvainConfig,
-        LouvainConfigBuilder, PhaseDriver, PhaseOutcome, RefineMode, RefineStats, RunTrace,
-        ScheduleSpec, Scheme, SweepMode,
+        detect_communities, detect_with_scheme, modularity, modularity_with_resolution,
+        ColoringSchedule, CommunityResult, Dendrogram, LouvainConfig, LouvainConfigBuilder,
+        PhaseDriver, PhaseOutcome, RefineMode, RefineStats, RunTrace, ScheduleSpec, Scheme,
+        SweepMode,
     };
     pub use crate::graph::gen::paper_suite::{PaperInput, PaperReference};
     pub use crate::graph::gen::{

@@ -294,7 +294,7 @@ fn refinement_eliminates_disconnected_communities() {
         ] {
             let mut config = LouvainConfigBuilder::from_base(base)
                 .sweep(SweepMode::Active)
-                .schedule(geometric_for(g.total_weight()))
+                .schedule(ScheduleSpec::Geometric)
                 .refine(RefineMode::Leiden)
                 .build()
                 .expect("valid refined config");

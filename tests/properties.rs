@@ -78,20 +78,16 @@ fn fixed_driver(sweep: SweepMode, threshold: f64, max_iterations: usize) -> Phas
     driver(config, threshold, max_iterations)
 }
 
-/// The driver for `sweep` under the geometric schedule at the shipped
-/// default edge-unit parameters scaled to `g` — resolved through the same
+/// The driver for `sweep` under the geometric schedule, which the driver
+/// derives from the phase graph's total weight — resolved through the same
 /// config path the CLI uses, so retuned constants carry over. `parallel =
 /// false` selects the serial sweep.
-fn geometric_driver(
-    g: &CsrGraph,
-    parallel: bool,
-    sweep: SweepMode,
-    max_iterations: usize,
-) -> PhaseDriver {
+fn geometric_driver(parallel: bool, sweep: SweepMode, max_iterations: usize) -> PhaseDriver {
     let config = LouvainConfig {
         parallel,
         sweep_mode: sweep,
-        ..LouvainConfig::default().with_geometric_schedule(g.total_weight())
+        schedule: ScheduleSpec::Geometric,
+        ..LouvainConfig::default()
     };
     driver(config, 1e-6, max_iterations)
 }
@@ -722,7 +718,6 @@ fn geometric_schedule_monotone_and_clamped() {
             factor,
             floor,
         };
-        assert!(s.validate().is_ok(), "seed {seed}: {s:?}");
         let mut prev = f64::INFINITY;
         for k in 0..128 {
             let t = s.threshold_at(k);
@@ -778,7 +773,7 @@ fn scheduled_sweeps_bitwise_stable_across_thread_counts() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
         for sweep in [SweepMode::Full, SweepMode::Active] {
-            let sched = geometric_driver(&g, true, sweep, 500);
+            let sched = geometric_driver(true, sweep, 500);
             for colored in [false, true] {
                 let run = |threads: usize| {
                     let pool = rayon::ThreadPoolBuilder::new()
@@ -826,9 +821,7 @@ fn scheduled_quality_matches_fixed_on_suite() {
             .run(&g)
             .final_modularity;
         for sweep in [SweepMode::Full, SweepMode::Active] {
-            let sched_q = geometric_driver(&g, true, sweep, 500)
-                .run(&g)
-                .final_modularity;
+            let sched_q = geometric_driver(true, sweep, 500).run(&g).final_modularity;
             assert!(
                 sched_q >= 0.95 * fixed_q,
                 "{name}/unordered/{sweep:?}: scheduled Q {sched_q} vs fixed Q {fixed_q}"
@@ -864,7 +857,7 @@ fn scheduled_quality_colored_and_serial_on_suite() {
             .run_colored(&g, &batches)
             .final_modularity;
         for sweep in [SweepMode::Full, SweepMode::Active] {
-            let sched = geometric_driver(&g, true, sweep, 500).run_colored(&g, &batches);
+            let sched = geometric_driver(true, sweep, 500).run_colored(&g, &batches);
             let sched_c = sched.final_modularity;
             assert!(
                 sched_c >= 0.90 * fixed_c,
@@ -883,7 +876,7 @@ fn scheduled_quality_colored_and_serial_on_suite() {
             ..LouvainConfig::default()
         };
         let fixed_s = driver(serial_fixed, 1e-6, 500).run(&g).final_modularity;
-        let sched = geometric_driver(&g, false, SweepMode::Active, 500).run(&g);
+        let sched = geometric_driver(false, SweepMode::Active, 500).run(&g);
         let sched_s = sched.final_modularity;
         assert!(
             sched_s >= 0.80 * fixed_s,
@@ -903,10 +896,10 @@ fn scheduled_quality_colored_and_serial_on_suite() {
 /// shipped geometric schedule, dirty-vertex sweeps, Leiden refinement —
 /// the exact configuration `detect --sweep active --schedule geometric
 /// --refine leiden` resolves to.
-fn refined_driver(g: &CsrGraph, refine: RefineMode) -> PhaseDriver {
+fn refined_driver(refine: RefineMode) -> PhaseDriver {
     let config = LouvainConfig::builder()
         .sweep(SweepMode::Active)
-        .schedule(geometric_for(g.total_weight()))
+        .schedule(ScheduleSpec::Geometric)
         .refine(refine)
         .build()
         .expect("valid refinement config");
@@ -925,8 +918,8 @@ fn refinement_never_lowers_modularity() {
     for (name, g) in colored_suite() {
         let batches =
             ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
-        let plain = refined_driver(&g, RefineMode::None).run_colored(&g, &batches);
-        let refined = refined_driver(&g, RefineMode::Leiden).run_colored(&g, &batches);
+        let plain = refined_driver(RefineMode::None).run_colored(&g, &batches);
+        let refined = refined_driver(RefineMode::Leiden).run_colored(&g, &batches);
         assert!(plain.refinement.is_none(), "{name}: unexpected stats");
         let stats = refined
             .refinement
@@ -982,7 +975,7 @@ fn refined_phase_bitwise_stable_across_thread_counts() {
     for (name, g) in colored_suite() {
         let batches =
             ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
-        let driver = refined_driver(&g, RefineMode::Leiden);
+        let driver = refined_driver(RefineMode::Leiden);
         let run = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)

@@ -219,15 +219,15 @@ fn phase_trajectories_match_recorded_hashes() {
             for sweep in [SweepMode::Full, SweepMode::Active] {
                 for schedule in ["fixed", "geometric"] {
                     for refine in [RefineMode::None, RefineMode::Leiden] {
-                        let base = match schedule {
-                            "fixed" => LouvainConfig::default(),
-                            _ => LouvainConfig::default().with_geometric_schedule(g.total_weight()),
-                        };
                         let config = LouvainConfig {
                             parallel: scheme != "serial",
                             sweep_mode: sweep,
+                            schedule: match schedule {
+                                "fixed" => ScheduleSpec::Fixed,
+                                _ => ScheduleSpec::Geometric,
+                            },
                             refine,
-                            ..base
+                            ..LouvainConfig::default()
                         };
                         let driver = PhaseDriver::from_config(&config, config.final_threshold);
                         let out = match scheme {
