@@ -87,11 +87,6 @@ impl ColorBatches {
         Ok(Self { classes })
     }
 
-    /// Number of batches (= number of colors, including empty ones).
-    pub fn num_batches(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Total number of vertices across all batches.
     pub fn num_vertices(&self) -> usize {
         self.classes.iter().map(Vec::len).sum()
@@ -153,7 +148,7 @@ mod tests {
     fn from_coloring_is_stably_ordered() {
         let batches = ColorBatches::from_coloring(&vec![1, 0, 1, 2, 0]);
         assert!(batches.is_stably_ordered());
-        assert_eq!(batches.num_batches(), 3);
+        assert_eq!(batches.as_classes().len(), 3);
         assert_eq!(batches.num_vertices(), 5);
         let collected: Vec<&[VertexId]> = batches.iter().collect();
         assert_eq!(collected, vec![&[1u32, 4][..], &[0, 2][..], &[3][..]]);
@@ -164,7 +159,7 @@ mod tests {
         assert!(ColorBatches::try_from_classes(vec![vec![0, 2], vec![1]]).is_ok());
         // Empty batches are legal.
         let with_gap = ColorBatches::try_from_classes(vec![vec![0], vec![], vec![1]]).unwrap();
-        assert_eq!(with_gap.num_batches(), 3);
+        assert_eq!(with_gap.as_classes().len(), 3);
         assert_eq!(with_gap.num_vertices(), 2);
         assert!(with_gap.is_stably_ordered());
         // Descending or duplicated ids are rejected.
@@ -183,7 +178,7 @@ mod tests {
         assert!(trusted.is_stably_ordered());
         // Empty classes are fine on the trusted path too.
         let gap = ColorBatches::from_validated_classes(vec![vec![0], vec![], vec![1]]);
-        assert_eq!(gap.num_batches(), 3);
+        assert_eq!(gap.as_classes().len(), 3);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
     #[test]
     fn empty_coloring_has_no_batches() {
         let batches = ColorBatches::from_coloring(&Vec::new());
-        assert_eq!(batches.num_batches(), 0);
+        assert_eq!(batches.as_classes().len(), 0);
         assert_eq!(batches.num_vertices(), 0);
         assert!(batches.is_stably_ordered());
     }

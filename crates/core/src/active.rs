@@ -57,16 +57,14 @@ impl ActiveSet {
     /// only the committed move count, so engagement — like everything else
     /// — is thread-count independent.
     ///
-    /// Under a tightening threshold schedule
-    /// ([`crate::schedule::Convergence`]) the sweeps additionally hold
-    /// engagement until the per-vertex gate reaches its floor
-    /// ([`crate::schedule::Convergence::gate_at_floor`]): a vertex gated at
-    /// iteration `k` may clear iteration `k + 1`'s tighter gate without any
-    /// neighbor moving, and only the full path re-examines it then — a
-    /// pre-floor frontier would park it permanently. Gate-suppressed
-    /// vertices commit no move, so with the floor reached they drop out of
-    /// the rebuilt frontier exactly like ordinary stays, re-armed only when
-    /// a neighbor moves.
+    /// Under a tightening convergence gate ([`crate::schedule`]) the sweeps
+    /// additionally hold engagement until the per-vertex gate reaches its
+    /// floor: a vertex gated at iteration `k` may clear iteration `k + 1`'s
+    /// tighter gate without any neighbor moving, and only the full path
+    /// re-examines it then — a pre-floor frontier would park it
+    /// permanently. Gate-suppressed vertices commit no move, so with the
+    /// floor reached they drop out of the rebuilt frontier exactly like
+    /// ordinary stays, re-armed only when a neighbor moves.
     pub fn engages(n: usize, moves: usize) -> bool {
         moves <= n / 8
     }

@@ -2,11 +2,12 @@
 //!
 //! A [`CancelToken`] is a cloneable flag a supervisor (e.g. the
 //! `grappolo serve` daemon draining on SIGTERM) sets from another thread.
-//! The multi-phase driver polls it at phase boundaries and the dynamic
-//! update path polls it around its single resume phase — cancellation is
-//! cooperative and coarse-grained on purpose: sweeps never observe the
-//! flag mid-iteration, so a run that completes uncancelled is bitwise
-//! identical to one executed without any token at all.
+//! The multi-phase driver polls it at phase boundaries, the component
+//! splitter between components, and the dynamic update path around its
+//! single resume phase — cancellation is cooperative and coarse-grained on
+//! purpose: sweeps never observe the flag mid-iteration, so a run that
+//! completes uncancelled is bitwise identical to one executed without any
+//! token at all.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -268,12 +268,6 @@ pub const GEOMETRIC_FLOOR_EDGE_UNITS: f64 = 0.5;
 pub const DYNAMIC_FALLBACK_FRACTION: f64 = 0.25;
 
 impl LouvainConfig {
-    /// Convenience: sets the thread count.
-    pub fn with_threads(mut self, t: usize) -> Self {
-        self.num_threads = Some(t);
-        self
-    }
-
     /// Validates parameter sanity; returns the first problem found.
     // The negated comparisons are deliberate: `!(x > 0.0)` also rejects NaN.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -310,8 +304,8 @@ impl LouvainConfig {
     }
 }
 
-/// Typed builder for [`LouvainConfig`]. Finishing with [`build`]
-/// (`LouvainConfigBuilder::build`) runs [`LouvainConfig::validate`], so
+/// Typed builder for [`LouvainConfig`]. Finishing with
+/// [`build`](LouvainConfigBuilder::build) runs [`LouvainConfig::validate`], so
 /// invalid parameters (a negative γ, a negative vertex epsilon) never
 /// escape as constructed configs.
 ///
@@ -375,13 +369,6 @@ impl LouvainConfigBuilder {
     /// Dedicated-pool thread count (None = ambient pool).
     pub fn threads(mut self, t: Option<usize>) -> Self {
         self.config.num_threads = t;
-        self
-    }
-
-    /// Dynamic-update fallback fraction (see
-    /// [`LouvainConfig::dynamic_fallback_fraction`]).
-    pub fn dynamic_fallback(mut self, fraction: f64) -> Self {
-        self.config.dynamic_fallback_fraction = fraction;
         self
     }
 
@@ -549,11 +536,11 @@ mod tests {
             let err = c.validate().unwrap_err();
             assert!(err.contains("dynamic_fallback_fraction"), "{bad}: {err}");
         }
-        let c = LouvainConfig::builder()
-            .dynamic_fallback(1.0)
-            .build()
-            .unwrap();
-        assert_eq!(c.dynamic_fallback_fraction, 1.0);
+        let c = LouvainConfig {
+            dynamic_fallback_fraction: 1.0,
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
         assert_eq!(
             LouvainConfig::default().dynamic_fallback_fraction,
             DYNAMIC_FALLBACK_FRACTION

@@ -8,8 +8,9 @@ use crate::dendrogram::{Dendrogram, DendrogramLevel};
 use crate::history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
 use crate::modularity::{modularity_with_resolution, Community};
 use crate::phase::{PhaseDriver, PhaseOutcome};
-use crate::rebuild::{rebuild, renumber_communities};
+use crate::rebuild::{condense, renumber_communities};
 use crate::serial::serial_modularity;
+use crate::split::{detect_split, SPLIT_SERIAL_THRESHOLD};
 use crate::vf::vf_compact;
 use grappolo_coloring::{
     balance_colors, color_parallel, ColorBatches, ColoringStats, ParallelColoringConfig,
@@ -40,45 +41,62 @@ pub struct CommunityResult {
 /// pool of that size; otherwise a serial (`parallel = false`) run uses a
 /// 1-thread pool (so "serial" never silently parallelizes) and a parallel
 /// run uses the ambient pool.
+///
+/// # Panics
+///
+/// On a config that fails [`LouvainConfig::validate`].
+/// [`crate::update_communities`] returns that failure as an error instead.
 pub fn detect_communities(g: &CsrGraph, config: &LouvainConfig) -> CommunityResult {
     detect_communities_cancellable(g, config, &CancelToken::new())
         .expect("a fresh CancelToken is never cancelled")
 }
 
 /// [`detect_communities`] with cooperative cancellation: the multi-phase
-/// driver polls `token` at every phase boundary and stops early when it is
-/// set, and the caller gets `Err(Cancelled)` instead of the partial result.
-/// A run that completes with the token unset is bitwise identical to a
-/// plain [`detect_communities`] run.
+/// driver polls `token` at every phase boundary, the component splitter
+/// between components, and the run stops early when it is set; the caller
+/// gets `Err(Cancelled)` instead of the partial result. A run that
+/// completes with the token unset is bitwise identical to a plain
+/// [`detect_communities`] run.
 ///
 /// This is the hook long-lived supervisors (the `grappolo serve` detect
 /// worker draining on SIGTERM) use to abandon an in-flight re-detection
 /// without tearing down the thread pool.
+///
+/// # Panics
+///
+/// On a config that fails [`LouvainConfig::validate`], like
+/// [`detect_communities`]; [`crate::update_communities_cancellable`] returns
+/// that failure as an error instead.
 pub fn detect_communities_cancellable(
     g: &CsrGraph,
     config: &LouvainConfig,
     token: &CancelToken,
 ) -> Result<CommunityResult, Cancelled> {
     config.validate().expect("invalid LouvainConfig");
+    run_in_pool(config, token, || detect(g, config, token))
+}
+
+/// The front door of every detection and update run: polls `token`, runs
+/// `job` in the pool `config` asks for — a dedicated pool of
+/// `config.num_threads` when set, a 1-thread pool for a serial config (so
+/// "serial" never silently parallelizes), the ambient pool otherwise — and
+/// polls `token` again, so a job the token interrupted never hands back its
+/// partial result.
+pub(crate) fn run_in_pool<R: Send>(
+    config: &LouvainConfig,
+    token: &CancelToken,
+    job: impl FnOnce() -> R + Send,
+) -> Result<R, Cancelled> {
     if token.is_cancelled() {
         return Err(Cancelled);
     }
-    let result = match config.num_threads {
-        Some(t) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t.max(1))
-                .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| run_entry(g, config, token))
-        }
-        None if !config.parallel => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| run_entry(g, config, token))
-        }
-        None => run_entry(g, config, token),
+    let result = match config.num_threads.or((!config.parallel).then_some(1)) {
+        Some(t) => rayon::ThreadPoolBuilder::new()
+            .num_threads(t.max(1))
+            .build()
+            .expect("failed to build rayon pool")
+            .install(job),
+        None => job(),
     };
     if token.is_cancelled() {
         Err(Cancelled)
@@ -87,35 +105,38 @@ pub fn detect_communities_cancellable(
     }
 }
 
-/// Entry point inside the chosen pool: component splitting when requested,
-/// the plain multi-phase driver otherwise. The split path checks the token
-/// only between components (each per-component run is itself bounded).
-fn run_entry(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) -> CommunityResult {
-    if config.split_components {
-        crate::split::detect_split(g, config, crate::split::SPLIT_SERIAL_THRESHOLD)
-    } else {
-        run_inner_cancellable(g, config, token)
-    }
-}
-
 /// Convenience: runs one of the paper's four schemes with default settings.
 pub fn detect_with_scheme(g: &CsrGraph, scheme: Scheme) -> CommunityResult {
     detect_communities(g, &scheme.config())
 }
 
-pub(crate) fn run_inner(g: &CsrGraph, config: &LouvainConfig) -> CommunityResult {
-    run_inner_cancellable(g, config, &CancelToken::new())
+/// Modularity of `assignment` on `g` at the config's resolution, evaluated
+/// the way the run sweeps: rayon-free for a serial config, in parallel
+/// otherwise.
+pub(crate) fn run_modularity(
+    g: &CsrGraph,
+    assignment: &[Community],
+    config: &LouvainConfig,
+) -> f64 {
+    if config.parallel {
+        modularity_with_resolution(g, assignment, config.resolution)
+    } else {
+        serial_modularity(g, assignment, config.resolution)
+    }
 }
 
-/// The multi-phase loop, polling `token` at each phase boundary. On
-/// cancellation the loop breaks immediately; the partial hierarchy is still
-/// flattened so the return value is well-formed, but cancellable callers
-/// discard it (see [`detect_communities_cancellable`]).
-fn run_inner_cancellable(
-    g: &CsrGraph,
-    config: &LouvainConfig,
-    token: &CancelToken,
-) -> CommunityResult {
+/// The one detection run, inside the pool [`run_in_pool`] picked: the
+/// component splitter when the config asks for it ([`detect_split`], which
+/// runs this function per component), the multi-phase loop otherwise.
+///
+/// The loop polls `token` at each phase boundary and the splitter between
+/// components. On cancellation the run stops early; the partial hierarchy
+/// is still flattened so the return value is well-formed, but cancellable
+/// callers discard it.
+pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) -> CommunityResult {
+    if config.split_components {
+        return detect_split(g, config, token, SPLIT_SERIAL_THRESHOLD);
+    }
     let t_start = Instant::now();
     let mut trace = RunTrace::default();
 
@@ -188,22 +209,19 @@ fn run_inner_cancellable(
 
         // Step (3): the phase's iteration loop, behind the unified
         // PhaseDriver. The aggregate phase θ resolves through the config's
-        // schedule selection into the convergence policy the sweep runs
-        // under (`Fixed` keeps the paper's aggregate stop at θ; `Geometric`
-        // swaps in the per-vertex gate); the driver also applies the
-        // Leiden-style refinement pass when the config asks for one.
+        // schedule into the convergence gate the sweep runs under (`Fixed`
+        // keeps the paper's aggregate stop at θ; `Geometric` swaps in the
+        // per-vertex gate); the driver also applies the Leiden-style
+        // refinement pass when the config asks for one.
         let threshold = if colored {
             config.colored_threshold
         } else {
             config.final_threshold
         };
         let phase_driver = PhaseDriver::from_config(config, threshold);
-        let start_q = if config.parallel {
+        let start_q = {
             let identity: Vec<Community> = (0..n as Community).collect();
-            modularity_with_resolution(&work, &identity, config.resolution)
-        } else {
-            let identity: Vec<Community> = (0..n as Community).collect();
-            serial_modularity(&work, &identity, config.resolution)
+            run_modularity(&work, &identity, config)
         };
         let t_cluster = Instant::now();
         let outcome: PhaseOutcome = if colored {
@@ -231,9 +249,10 @@ fn run_inner_cancellable(
             None => outcome.final_modularity,
         };
 
-        // Step (4): graph rebuild — also executed for the terminal phase so
-        // the dendrogram's last level has dense labels (the graph itself is
-        // then discarded).
+        // Step (4): graph rebuild — the phase's one renumbering labels the
+        // dendrogram level and the condensed graph's vertices. It is also
+        // computed for the terminal phase so the dendrogram's last level has
+        // dense labels (no graph is condensed then).
         let t_rebuild = Instant::now();
         let (renumber, num_communities) =
             renumber_communities(&outcome.assignment, config.renumber);
@@ -252,8 +271,7 @@ fn run_inner_cancellable(
             None
         } else {
             Some(
-                rebuild(&work, &outcome.assignment, config.rebuild, config.renumber)
-                    .graph
+                condense(&work, &outcome.assignment, &renumber, num_communities)
                     .with_total_weight_override(m0),
             )
         };
@@ -304,11 +322,7 @@ fn run_inner_cancellable(
         .levels
         .last()
         .map_or(vf_vertices, |l| l.num_communities);
-    let final_q = if config.parallel {
-        modularity_with_resolution(g, &assignment, config.resolution)
-    } else {
-        serial_modularity(g, &assignment, config.resolution)
-    };
+    let final_q = run_modularity(g, &assignment, config);
     trace.total_time = t_start.elapsed();
 
     CommunityResult {
@@ -523,6 +537,25 @@ mod tests {
         assert_eq!(r1.assignment, r8.assignment);
         assert_eq!(r1.modularity.to_bits(), r8.modularity.to_bits());
         assert_eq!(r1.trace.total_iterations(), r8.trace.total_iterations());
+    }
+
+    #[test]
+    fn cancelled_token_stops_every_detection_path() {
+        let (g, _) = planted();
+        let token = CancelToken::new();
+        token.cancel();
+        for split_components in [false, true] {
+            let cfg = LouvainConfig {
+                split_components,
+                ..Scheme::Baseline.config()
+            };
+            assert_eq!(
+                detect_communities_cancellable(&g, &cfg, &token).unwrap_err(),
+                Cancelled
+            );
+            // Inside the pool, the run itself stops before any phase.
+            assert!(detect(&g, &cfg, &token).trace.phases.is_empty());
+        }
     }
 
     #[test]

@@ -23,19 +23,23 @@
 //!    quiesced-region guarantee).
 //!
 //! Batches that change more than [`LouvainConfig::dynamic_fallback_fraction`]
-//! of the updated graph's edges fall back to a from-scratch
-//! [`detect_communities`] run — past that density the carried state is
+//! of the updated graph's edges fall back to a from-scratch detection — the
+//! same run [`detect_communities`] makes, component splitting included,
+//! inside the update's own pool. Past that density the carried state is
 //! mostly invalidated and local moving would do full-sweep work for worse
 //! quality.
+//!
+//! [`detect_communities`]: crate::detect_communities
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::LouvainConfig;
-use crate::driver::detect_communities_cancellable;
+use crate::driver::{detect, run_in_pool};
 use crate::modularity::{
     community_degrees, community_sizes, det_sum, intra_community_weight, Community,
     ModularityTracker,
 };
 use crate::phase::{PhaseDriver, PhaseOutcome, SweepState};
+use crate::rebuild::renumber_communities;
 use grappolo_graph::{CsrGraph, EdgeChange, EdgeDelta, MergePolicy, VertexId};
 
 /// Result of one batched dynamic update.
@@ -75,9 +79,12 @@ pub struct DynamicOutcome {
 /// Duplicate inserts merge with [`MergePolicy::Sum`], matching
 /// [`detect_communities`]' ingestion semantics.
 ///
-/// Errors on an invalid config, an assignment that does not cover the graph
-/// (`assignment has N entries, graph has M vertices`), out-of-range labels,
-/// or a batch the delta API rejects.
+/// Errors on an invalid config (where [`detect_communities`] panics), an
+/// assignment that does not cover the graph (`assignment has N entries,
+/// graph has M vertices`), out-of-range labels, or a batch the delta API
+/// rejects.
+///
+/// [`detect_communities`]: crate::detect_communities
 pub fn update_communities(
     g: &CsrGraph,
     assignment: &[Community],
@@ -121,10 +128,13 @@ impl std::fmt::Display for DynamicError {
 impl std::error::Error for DynamicError {}
 
 /// [`update_communities`] with cooperative cancellation: the token is
-/// polled after the batch is applied and around the resume phase (the
-/// from-scratch fallback polls it at every phase boundary via
-/// [`detect_communities_cancellable`]). A run that completes with the
-/// token unset is bitwise identical to the uncancellable entry point.
+/// polled before the update starts, after the batch is applied and once the
+/// update finishes (the from-scratch fallback also polls it at every phase
+/// boundary, as [`detect_communities_cancellable`] does). A run that
+/// completes with the token unset is bitwise identical to the
+/// uncancellable entry point.
+///
+/// [`detect_communities_cancellable`]: crate::detect_communities_cancellable
 pub fn update_communities_cancellable(
     g: &CsrGraph,
     assignment: &[Community],
@@ -134,15 +144,24 @@ pub fn update_communities_cancellable(
     token: &CancelToken,
 ) -> Result<DynamicOutcome, DynamicError> {
     config.validate().map_err(DynamicError::Failed)?;
+    run_in_pool(config, token, || {
+        update_inner(g, assignment, prev_modularity, batch, config, token)
+    })
+    .map_err(DynamicError::Cancelled)?
+}
+
+/// The update inside the pool [`run_in_pool`] picked: validates the
+/// assignment, applies the batch, then re-detects from scratch (a dense
+/// batch) or resumes from the carried labels.
+fn update_inner(
+    g: &CsrGraph,
+    assignment: &[Community],
+    prev_modularity: Option<f64>,
+    batch: &[EdgeDelta],
+    config: &LouvainConfig,
+    token: &CancelToken,
+) -> Result<DynamicOutcome, DynamicError> {
     let fail = DynamicError::Failed;
-    let check = |token: &CancelToken| -> Result<(), DynamicError> {
-        if token.is_cancelled() {
-            Err(DynamicError::Cancelled(Cancelled))
-        } else {
-            Ok(())
-        }
-    };
-    check(token)?;
     let old_n = g.num_vertices();
     if assignment.len() != old_n {
         return Err(fail(format!(
@@ -160,15 +179,16 @@ pub fn update_communities_cancellable(
     let (g_new, changes) = g
         .apply_edge_batch_diff(batch, MergePolicy::Sum)
         .map_err(|e| fail(e.to_string()))?;
-    check(token)?;
+    if token.is_cancelled() {
+        return Err(DynamicError::Cancelled(Cancelled));
+    }
 
     // Dense batches invalidate the carried state: rerun from scratch.
     let edges_after = g_new.num_edges();
     if edges_after > 0
         && changes.len() as f64 > config.dynamic_fallback_fraction * edges_after as f64
     {
-        let result = detect_communities_cancellable(&g_new, config, token)
-            .map_err(DynamicError::Cancelled)?;
+        let result = detect(&g_new, config, token);
         return Ok(DynamicOutcome {
             modularity: result.modularity,
             num_communities: result.num_communities,
@@ -193,39 +213,16 @@ pub fn update_communities_cancellable(
     seeds.sort_unstable();
     seeds.dedup();
 
-    // A serial config re-converges on one thread, as detection does.
-    let threads = config.num_threads.or((!config.parallel).then_some(1));
-    let resume = || {
-        resume_inner(
-            g,
-            &g_new,
-            carried,
-            prev_modularity,
-            &changes,
-            &seeds,
-            config,
-        )
-    };
-    let outcome = match threads {
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t.max(1))
-            .build()
-            .expect("failed to build rayon pool")
-            .install(resume),
-        None => resume(),
-    };
-    // The resume phase itself is short and bounded; a cancellation that
-    // arrived while it ran discards the outcome here.
-    check(token)?;
-
-    let mut seen = vec![false; new_n.max(1)];
-    let mut num_communities = 0usize;
-    for &c in &outcome.assignment {
-        if !seen[c as usize] {
-            seen[c as usize] = true;
-            num_communities += 1;
-        }
-    }
+    let outcome = resume_inner(
+        g,
+        &g_new,
+        carried,
+        prev_modularity,
+        &changes,
+        &seeds,
+        config,
+    );
+    let (_, num_communities) = renumber_communities(&outcome.assignment, config.renumber);
     Ok(DynamicOutcome {
         graph: g_new,
         modularity: outcome.final_modularity,
@@ -573,6 +570,65 @@ mod tests {
         assert!(out.fell_back);
         let scratch = detect_communities(&out.graph, &config);
         assert_eq!(out.assignment, scratch.assignment);
+    }
+
+    #[test]
+    fn dense_batch_fallback_runs_the_split_detection() {
+        // Under `split_components` the fallback is the split detection,
+        // run inside the update's pool: labels, Q and the per-component
+        // iteration total all match a from-scratch split run.
+        let g = grappolo_graph::gen::planted_blocks(&[300, 200], 3, 5);
+        let config = LouvainConfig {
+            split_components: true,
+            dynamic_fallback_fraction: 0.0,
+            num_threads: Some(2),
+            ..base_config()
+        };
+        let before = detect_communities(&g, &config);
+        let batch = synth_batch(&g, 50, 5);
+        let out = update_communities(
+            &g,
+            &before.assignment,
+            Some(before.modularity),
+            &batch,
+            &config,
+        )
+        .unwrap();
+        assert!(out.fell_back);
+        let scratch = detect_communities(&out.graph, &config);
+        assert_eq!(out.assignment, scratch.assignment);
+        assert_eq!(out.modularity.to_bits(), scratch.modularity.to_bits());
+        assert_eq!(out.iterations, scratch.trace.total_iterations());
+    }
+
+    #[test]
+    fn cancelled_token_returns_cancelled_on_both_paths() {
+        let (g, _) = planted_partition(&PlantedConfig {
+            num_vertices: 500,
+            num_communities: 5,
+            ..Default::default()
+        });
+        let config = base_config();
+        let before = detect_communities(&g, &config);
+        let batch = synth_batch(&g, 40, 10);
+        let token = CancelToken::new();
+        token.cancel();
+        for fallback in [1.0, 0.0] {
+            let config = LouvainConfig {
+                dynamic_fallback_fraction: fallback,
+                ..config.clone()
+            };
+            let err = update_communities_cancellable(
+                &g,
+                &before.assignment,
+                Some(before.modularity),
+                &batch,
+                &config,
+                &token,
+            )
+            .unwrap_err();
+            assert_eq!(err, DynamicError::Cancelled(Cancelled), "{fallback}");
+        }
     }
 
     #[test]

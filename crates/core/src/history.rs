@@ -111,16 +111,6 @@ impl RunTrace {
         self.phases.iter().map(|p| p.timings.rebuild).sum()
     }
 
-    /// The modularity evolution as `(global_iteration, modularity)` pairs
-    /// (Figs. 3–6's x/y series).
-    pub fn modularity_curve(&self) -> Vec<(usize, f64)> {
-        self.iterations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, r.modularity))
-            .collect()
-    }
-
     /// Checks the monotonicity property the paper relies on for serial runs
     /// (§3: "modularity is a monotonically increasing function across
     /// iterations of a phase"); returns the first violation.
@@ -209,13 +199,6 @@ mod tests {
         assert_eq!(b.coloring, Duration::from_millis(3));
         assert_eq!(b.clustering, Duration::from_millis(22));
         assert_eq!(b.total(), Duration::from_millis(31));
-    }
-
-    #[test]
-    fn curve_is_global_sequence() {
-        let t = mk_trace();
-        let c = t.modularity_curve();
-        assert_eq!(c, vec![(0, 0.1), (1, 0.3), (2, 0.5)]);
     }
 
     #[test]

@@ -72,5 +72,5 @@ pub use history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
 pub use modularity::{modularity, modularity_with_resolution, Community};
 pub use phase::{IterationStats, PhaseDriver, PhaseOutcome};
 pub use refine::{refine_phase, RefineStats};
-pub use schedule::{Convergence, ScheduleSpec, ThresholdSchedule};
+pub use schedule::ScheduleSpec;
 pub use vf::{vf_preprocess, vf_preprocess_recursive, VfResult};

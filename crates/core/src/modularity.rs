@@ -372,8 +372,6 @@ pub struct MoveContext {
     pub k: f64,
     /// `m`, the graph's total weight.
     pub m: f64,
-    /// `a_{C(i)}` *including* `i` (the source community's degree).
-    pub a_current: f64,
     /// Resolution parameter γ (1.0 = paper's Eq. 4).
     pub gamma: f64,
 }
@@ -824,7 +822,6 @@ mod tests {
             current: 0,
             k: 2.0,
             m: 10.0,
-            a_current: 2.0,
             gamma: 1.0,
         };
         let candidates = vec![(1u32, 1.0), (2u32, 2.0)];
@@ -845,7 +842,6 @@ mod tests {
             current: 9,
             k: 1.0,
             m: 5.0,
-            a_current: 1.0,
             gamma: 1.0,
         };
         let a_of = |c: Community| if c == 9 { 1.0 } else { 2.0 };
@@ -863,7 +859,6 @@ mod tests {
             current: 0,
             k: 5.0,
             m: 10.0,
-            a_current: 10.0,
             gamma: 1.0,
         };
         // e_src = 4 (strong ties to own community), candidate weak.
@@ -881,7 +876,6 @@ mod tests {
             current: 5,
             k: 0.0,
             m: 10.0,
-            a_current: 0.0,
             gamma: 1.0,
         };
         // k = 0 makes every gain term 0 when e_c == e_src == 0.
@@ -916,7 +910,6 @@ mod tests {
             current: before[v as usize],
             k: g.weighted_degree(v),
             m: g.total_weight(),
-            a_current: a[before[v as usize] as usize],
             gamma: 1.0,
         };
         let decision = best_move(&ctx, &scratch.entries, |c| a[c as usize]);

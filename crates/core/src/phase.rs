@@ -12,11 +12,11 @@
 //!   [`best_move_with_src`]. The kernel applies no policy; each caller gates
 //!   the decision on the iteration's per-vertex gain threshold and, in the
 //!   parallel sweeps, applies the §5.1 singlet veto;
-//! * the **iteration driver**: it owns the per-iteration gate, the deferred
-//!   [`ActiveSet`] engagement and the frontier rebuild from committed
-//!   movers, the [`IterationStats`], the incremental-vs-full drift
-//!   cross-check, the [`Convergence::should_stop`] test and the
-//!   [`PhaseOutcome`].
+//! * the **iteration driver**: it owns the phase's convergence gate
+//!   ([`crate::schedule`]: the per-iteration vertex gate and the stop
+//!   test), the deferred [`ActiveSet`] engagement and the frontier rebuild
+//!   from committed movers, the [`IterationStats`], the incremental-vs-full
+//!   drift cross-check and the [`PhaseOutcome`].
 //!
 //! The sweeps differ only in how one iteration commits its moves, which is
 //! the step the driver runs each iteration:
@@ -36,16 +36,13 @@
 //! already engaged from the endpoints of the changed edges.
 
 use crate::active::ActiveSet;
-use crate::config::{
-    LouvainConfig, RefineMode, SweepMode, GEOMETRIC_FACTOR, GEOMETRIC_FLOOR_EDGE_UNITS,
-    GEOMETRIC_START_EDGE_UNITS,
-};
+use crate::config::{LouvainConfig, RefineMode, SweepMode};
 use crate::modularity::{
     best_move_with_src, Community, ModularityTracker, MoveContext, MoveDecision, NeighborScratch,
     TRACKER_DRIFT_TOLERANCE,
 };
 use crate::refine::RefineStats;
-use crate::schedule::{Convergence, ScheduleSpec, ThresholdSchedule};
+use crate::schedule::{Gate, ScheduleSpec};
 use crate::serial::serial_modularity;
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
@@ -56,8 +53,8 @@ use grappolo_graph::{CsrGraph, VertexId};
 /// schedule-trajectory columns.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterationStats {
-    /// Effective per-vertex gain gate this iteration decided under
-    /// ([`crate::schedule::Convergence::gate`]; 0 when ungated).
+    /// Effective per-vertex gain gate this iteration decided under (the
+    /// phase's convergence gate, [`crate::schedule`]; 0 when ungated).
     pub gate: f64,
     /// Vertices the iteration examined (`n` on the full path, the frontier
     /// length once the active set engages, the filtered batch total for
@@ -160,7 +157,6 @@ pub(crate) fn evaluate(
         current,
         k: g.weighted_degree(v),
         m: g.total_weight(),
-        a_current: a[current as usize],
         gamma,
     };
     best_move_with_src(&ctx, &scratch.entries, scratch.weight_to(current), |c| {
@@ -261,25 +257,6 @@ impl PhaseDriver {
         self.sweep(g, state, Some(frontier), crate::parallel::unordered_step(g))
     }
 
-    /// The convergence policy a phase graph of total weight `m` runs under:
-    /// the paper's aggregate stop at the phase θ, or the geometric
-    /// per-vertex gate derived from `m` (per-vertex gains live on the `1/m`
-    /// scale), `4/m` halving down to `0.5/m`.
-    fn convergence(&self, m: f64) -> Convergence {
-        let schedule = match self.schedule {
-            ScheduleSpec::Fixed => ThresholdSchedule::Fixed(self.threshold),
-            ScheduleSpec::Geometric => ThresholdSchedule::Geometric {
-                start: GEOMETRIC_START_EDGE_UNITS / m,
-                factor: GEOMETRIC_FACTOR,
-                floor: GEOMETRIC_FLOOR_EDGE_UNITS / m,
-            },
-        };
-        Convergence {
-            schedule,
-            vertex_epsilon: self.vertex_epsilon,
-        }
-    }
-
     /// The iteration driver every sweep runs through, from `state` with
     /// pruning pre-engaged on `active` (or deferred, when `None`).
     ///
@@ -291,8 +268,10 @@ impl PhaseDriver {
     /// whose move the gate suppressed.
     ///
     /// The driver owns everything around the step:
-    /// * the gate sequence ([`Convergence::gate`]), a pure function of the
-    ///   iteration index and the phase graph's total weight;
+    /// * the convergence gate ([`crate::schedule`]) the config's schedule,
+    ///   the phase θ and the vertex epsilon resolve to on the phase graph's
+    ///   total weight: its per-iteration gate, a pure function of the
+    ///   iteration index, and its stop test;
     /// * deferred pruning under [`SweepMode::Active`]: the full path runs
     ///   (bitwise identical to [`SweepMode::Full`]) until an iteration's
     ///   move count first drops to the [`ActiveSet::engages`] bound with the
@@ -301,8 +280,7 @@ impl PhaseDriver {
     ///   tightening gate is about to admit; from then on the frontier is
     ///   rebuilt from each iteration's movers;
     /// * the per-iteration records, the drift cross-check against a full
-    ///   recompute (debug builds), the stop test
-    ///   ([`Convergence::should_stop`]) and the outcome.
+    ///   recompute (debug builds) and the outcome.
     ///
     /// Everything it reads is a function of the committed moves, so the
     /// phase is bitwise deterministic across thread counts whenever the
@@ -331,7 +309,12 @@ impl PhaseDriver {
                 refinement: None,
             };
         }
-        let conv = self.convergence(g.total_weight());
+        let gate = Gate::new(
+            self.schedule,
+            self.threshold,
+            self.vertex_epsilon,
+            g.total_weight(),
+        );
         let prune = self.sweep == SweepMode::Active;
         let mut q_prev = state.tracker.modularity();
         let mut movers: Vec<VertexId> = Vec::new();
@@ -342,13 +325,13 @@ impl PhaseDriver {
                 // a changed neighborhood.
                 break;
             }
-            let gate = conv.gate(iter);
+            let cutoff = gate.at(iter);
             movers.clear();
-            let (examined, converged) = step(&mut state, active.as_ref(), gate, &mut movers);
+            let (examined, converged) = step(&mut state, active.as_ref(), cutoff, &mut movers);
             let moves = movers.len();
             match &mut active {
                 Some(set) => set.rebuild_from_moves(g, &movers),
-                None if prune && conv.gate_at_floor(iter) && ActiveSet::engages(n, moves) => {
+                None if prune && gate.at_floor(iter) && ActiveSet::engages(n, moves) => {
                     let mut set = ActiveSet::empty(n);
                     set.rebuild_from_moves(g, &movers);
                     active = Some(set);
@@ -363,11 +346,11 @@ impl PhaseDriver {
             );
             iterations.push((q_curr, moves));
             stats.push(IterationStats {
-                gate,
+                gate: cutoff,
                 frontier: examined,
                 converged,
             });
-            if conv.should_stop(iter, q_prev, q_curr, moves, converged) {
+            if gate.should_stop(iter, q_prev, q_curr, moves, converged) {
                 break;
             }
             q_prev = q_curr;
@@ -416,14 +399,6 @@ pub fn singlet_veto(
     target != current && size_of(current) == 1 && size_of(target) == 1 && target > current
 }
 
-/// Phase-loop termination test shared by all variants: stop when the net
-/// modularity gain falls below `threshold` (which, per Lemma 1, also stops
-/// on *negative* parallel gains) or when no vertex moved.
-#[inline]
-pub fn should_stop(q_prev: f64, q_curr: f64, moves: usize, threshold: f64) -> bool {
-    moves == 0 || (q_curr - q_prev) < threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,18 +416,6 @@ mod tests {
         assert!(!singlet_veto(3, 1, sizes));
         // staying is never vetoed
         assert!(!singlet_veto(2, 2, sizes));
-    }
-
-    #[test]
-    fn stop_conditions() {
-        // no moves → stop
-        assert!(should_stop(0.1, 0.2, 0, 1e-6));
-        // large gain → continue
-        assert!(!should_stop(0.1, 0.2, 5, 1e-6));
-        // sub-threshold gain → stop
-        assert!(should_stop(0.1, 0.1 + 1e-9, 5, 1e-6));
-        // negative gain (parallel Lemma 1 case) → stop
-        assert!(should_stop(0.2, 0.1, 5, 1e-6));
     }
 
     #[test]

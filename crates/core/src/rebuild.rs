@@ -64,24 +64,37 @@ pub fn renumber_communities(
 }
 
 /// Builds the condensed graph for `assignment` over `g`: serial
-/// renumbering, then [`condense_stamped`] over the renumbered communities.
-/// Each strategy enum has one variant.
+/// renumbering ([`renumber_communities`]), then the stamped condensation
+/// over the renumbered communities. Each strategy enum has one variant.
 pub fn rebuild(
     g: &CsrGraph,
     assignment: &[Community],
     _strategy: RebuildStrategy,
     renumber_strategy: RenumberStrategy,
 ) -> RebuildResult {
-    assert_eq!(assignment.len(), g.num_vertices());
     let (renumber, num_communities) = renumber_communities(assignment, renumber_strategy);
-    let row_of = |u: usize| renumber[assignment[u] as usize];
-    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
-    let graph = condense_stamped(g, num_communities, &offsets, &members, row_of);
+    let graph = condense(g, assignment, &renumber, num_communities);
     RebuildResult {
         graph,
         renumber,
         num_communities,
     }
+}
+
+/// The condensed graph for `assignment` over `g` under a renumbering the
+/// caller already made (`renumber` and `num_communities` as
+/// [`renumber_communities`] returns them): vertex `c` of the result is
+/// renumbered community `c`.
+pub(crate) fn condense(
+    g: &CsrGraph,
+    assignment: &[Community],
+    renumber: &[Community],
+    num_communities: usize,
+) -> CsrGraph {
+    assert_eq!(assignment.len(), g.num_vertices());
+    let row_of = |u: usize| renumber[assignment[u] as usize];
+    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
+    condense_stamped(g, num_communities, &offsets, &members, row_of)
 }
 
 /// Groups vertices `0..n` by output row: returns `(offsets, members)` with

@@ -23,10 +23,11 @@ use crate::modularity::{
     best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
     ModularityTracker, MoveContext, ScratchPool,
 };
-use crate::phase::{evaluate, should_stop, singlet_veto, IterationStats, PhaseOutcome};
+use crate::phase::{evaluate, singlet_veto, IterationStats, PhaseOutcome};
 use crate::rebuild::{
     condense_stamped_flat, condense_stamped_rows, group_by_row, renumber_communities,
 };
+use crate::schedule::{Gate, ScheduleSpec};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -80,8 +81,9 @@ pub fn parallel_phase_unordered_sortbased(
     let mut iterations: Vec<(f64, usize)> = Vec::new();
     let mut stats: Vec<IterationStats> = Vec::new();
     let mut q_prev = modularity_with_resolution(g, &c_prev, resolution);
+    let gate = Gate::new(ScheduleSpec::Fixed, threshold, 0.0, m);
 
-    for _iter in 0..max_iterations {
+    for iter in 0..max_iterations {
         let a = community_degrees(g, &c_prev);
         let sizes = community_sizes(&c_prev);
 
@@ -97,7 +99,6 @@ pub fn parallel_phase_unordered_sortbased(
                     current: cur,
                     k: g.weighted_degree(v),
                     m,
-                    a_current: a[cur as usize],
                     gamma: resolution,
                 };
                 let decision = best_move(&ctx, entries, |c| a[c as usize]);
@@ -123,7 +124,7 @@ pub fn parallel_phase_unordered_sortbased(
             converged: 0,
         });
         c_prev = c_curr;
-        if should_stop(q_prev, q_curr, moves, threshold) {
+        if gate.should_stop(iter, q_prev, q_curr, moves, 0) {
             break;
         }
         q_prev = q_curr;
@@ -171,9 +172,10 @@ pub fn parallel_phase_colored_rescan(
     let mut iterations: Vec<(f64, usize)> = Vec::new();
     let mut stats: Vec<IterationStats> = Vec::new();
     let mut q_prev = ModularityTracker::new(g, &assignment, &a, resolution).modularity();
+    let gate = Gate::new(ScheduleSpec::Fixed, threshold, 0.0, m);
     let scratches = ScratchPool::global();
 
-    for _iter in 0..max_iterations {
+    for iter in 0..max_iterations {
         let mut moves = 0usize;
         for batch in batches.iter() {
             // Decide through the production move kernel against the state
@@ -226,7 +228,7 @@ pub fn parallel_phase_colored_rescan(
             frontier: n,
             converged: 0,
         });
-        if should_stop(q_prev, q_curr, moves, threshold) {
+        if gate.should_stop(iter, q_prev, q_curr, moves, 0) {
             break;
         }
         q_prev = q_curr;

@@ -640,7 +640,6 @@ mod tests {
                 current: cur,
                 k: g.weighted_degree(v),
                 m,
-                a_current: a[cur as usize],
                 gamma: 1.0,
             };
             let d = best_move_with_src(&ctx, &scratch.entries, 0.0, |c| a[c as usize]);

@@ -31,12 +31,12 @@
 //! detection produce the identical partition, which CI pins on the
 //! scenario-matrix inputs.
 
+use crate::cancel::CancelToken;
 use crate::config::LouvainConfig;
 use crate::dendrogram::{Dendrogram, DendrogramLevel};
-use crate::driver::{run_inner, CommunityResult};
+use crate::driver::{detect, run_modularity, CommunityResult};
 use crate::history::RunTrace;
-use crate::modularity::{modularity_with_resolution, Community};
-use crate::serial::serial_modularity;
+use crate::modularity::Community;
 use grappolo_graph::{connected_components, extract_components, CsrGraph};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -51,16 +51,23 @@ pub const SPLIT_SERIAL_THRESHOLD: usize = 8192;
 /// graph has one component (or none). Components of at least
 /// `serial_threshold` vertices take the one-at-a-time path (production
 /// passes [`SPLIT_SERIAL_THRESHOLD`]; the tests force either path).
+///
+/// `token` is polled before each component's run: once it is set, the
+/// remaining components are not detected and keep one community per vertex,
+/// so the stitched result stays well-formed for the caller to discard.
 pub(crate) fn detect_split(
     g: &CsrGraph,
     config: &LouvainConfig,
+    token: &CancelToken,
     serial_threshold: usize,
 ) -> CommunityResult {
     let t_start = Instant::now();
+    let mut comp_config = config.clone();
+    comp_config.split_components = false; // no recursive splitting
     let labeling = connected_components(g);
     let k = labeling.num_components();
     if k <= 1 {
-        return run_inner(g, config);
+        return detect(g, &comp_config, token);
     }
 
     let m = g.total_weight();
@@ -70,10 +77,8 @@ pub(crate) fn detect_split(
         // Every component run scores moves against the parent graph's 2m.
         sub.graph = std::mem::take(&mut sub.graph).with_total_weight_override(m);
     }
-
-    let mut comp_config = config.clone();
-    comp_config.num_threads = None; // already inside the chosen pool
-    comp_config.split_components = false; // no recursive splitting
+    let run =
+        |c: usize| (!token.is_cancelled()).then(|| detect(&subs[c].graph, &comp_config, token));
 
     // Largest-first order (ties to the lower component id): the longest
     // jobs start first, so the tail of the schedule is short jobs that pack
@@ -90,7 +95,7 @@ pub(crate) fn detect_split(
         if size >= threshold {
             // Large component: run alone; its inner sweeps use the whole
             // pool.
-            results[c] = Some(run_inner(&subs[c].graph, &comp_config));
+            results[c] = run(c);
         } else if size > 1 || subs[c].graph.num_adjacency_entries() > 0 {
             small.push(c);
         }
@@ -100,22 +105,24 @@ pub(crate) fn detect_split(
     // Nested parallel regions inside a job execute on the shared pool (the
     // claiming worker drains them), and per-component detection is bitwise
     // deterministic, so the fan-out cannot perturb any result.
-    let small_results: Vec<(usize, CommunityResult)> = small
-        .par_iter()
-        .map(|&c| (c, run_inner(&subs[c].graph, &comp_config)))
-        .collect();
+    let small_results: Vec<(usize, Option<CommunityResult>)> =
+        small.par_iter().map(|&c| (c, run(c))).collect();
     for (c, r) in small_results {
-        results[c] = Some(r);
+        results[c] = r;
     }
 
     // Stitch: label blocks in component-id order (component ids are
     // ascending-min-vertex, a pure function of the graph), local labels
-    // mapped through each component's remap table.
+    // mapped through each component's remap table. A component without a
+    // result (an isolated vertex, or one the token stopped) keeps one
+    // community per vertex.
     let mut bases = vec![0 as Community; k];
     let mut total = 0usize;
     for c in 0..k {
         bases[c] = total as Community;
-        total += results[c].as_ref().map_or(1, |r| r.num_communities);
+        total += results[c]
+            .as_ref()
+            .map_or(subs[c].vertices.len(), |r| r.num_communities);
     }
     let mut assignment = vec![0 as Community; n];
     let mut trace = RunTrace::default();
@@ -140,17 +147,14 @@ pub(crate) fn detect_split(
                 trace.vf_merged += r.trace.vf_merged;
             }
             None => {
-                // Trivial singleton: its one vertex keeps its own label.
-                assignment[subs[c].vertices[0] as usize] = bases[c];
+                for (local, &global) in subs[c].vertices.iter().enumerate() {
+                    assignment[global as usize] = bases[c] + local as Community;
+                }
             }
         }
     }
 
-    let modularity = if config.parallel {
-        modularity_with_resolution(g, &assignment, config.resolution)
-    } else {
-        serial_modularity(g, &assignment, config.resolution)
-    };
+    let modularity = run_modularity(g, &assignment, config);
     trace.total_time = t_start.elapsed();
 
     // A single synthetic dendrogram level keeps the flatten invariant
@@ -179,6 +183,7 @@ mod tests {
     use super::*;
     use crate::config::Scheme;
     use crate::driver::detect_communities;
+    use crate::modularity::modularity_with_resolution;
     use grappolo_graph::builder::GraphBuilder;
     use grappolo_graph::gen::{planted_partition, PlantedConfig};
     use grappolo_graph::VertexId;
@@ -296,8 +301,8 @@ mod tests {
         // must be bitwise identical.
         let g = multi_component(&[400, 300], 2, 3);
         let cfg = Scheme::Baseline.config();
-        let large_path = detect_split(&g, &cfg, 2);
-        let small_path = detect_split(&g, &cfg, usize::MAX);
+        let large_path = detect_split(&g, &cfg, &CancelToken::new(), 2);
+        let small_path = detect_split(&g, &cfg, &CancelToken::new(), usize::MAX);
         assert_eq!(large_path.assignment, small_path.assignment);
         assert_eq!(
             large_path.modularity.to_bits(),
@@ -335,7 +340,7 @@ mod tests {
             .add_edge(2, 2, 3.0)
             .build()
             .unwrap();
-        let r = detect_split(&g, &cfg, 2);
+        let r = detect_split(&g, &cfg, &CancelToken::new(), 2);
         assert_eq!(r.assignment.len(), 4);
         assert_eq!(r.assignment[0], r.assignment[1], "edge endpoints merge");
         assert_ne!(r.assignment[2], r.assignment[3]);
@@ -375,6 +380,25 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_token_runs_no_component() {
+        // A token set before the split starts stops it ahead of every
+        // component run, on both dispatch paths: no phase is recorded, and
+        // the stitched result keeps one community per vertex.
+        let g = multi_component(&[600, 400, 300], 5, 7);
+        let token = CancelToken::new();
+        token.cancel();
+        for threshold in [2, usize::MAX] {
+            let r = detect_split(&g, &Scheme::Baseline.config(), &token, threshold);
+            assert!(r.trace.phases.is_empty(), "threshold {threshold}");
+            assert!(r.trace.iterations.is_empty(), "threshold {threshold}");
+            assert_eq!(r.num_communities, g.num_vertices());
+            let mut labels = r.assignment.clone();
+            labels.sort_unstable();
+            assert!(labels.iter().enumerate().all(|(i, &c)| c as usize == i));
+        }
+    }
+
+    #[test]
     fn stitched_labels_follow_component_id_order() {
         // Component ids are ascending-min-vertex; label blocks must follow.
         let g = GraphBuilder::new(6)
@@ -383,7 +407,7 @@ mod tests {
             .add_edge(3, 4, 1.0)
             .build()
             .unwrap();
-        let r = detect_split(&g, &Scheme::Baseline.config(), 2);
+        let r = detect_split(&g, &Scheme::Baseline.config(), &CancelToken::new(), 2);
         // {0,5} is component 0, {1,2} component 1, {3,4} component 2.
         assert!(r.assignment[0] < r.assignment[1]);
         assert!(r.assignment[1] < r.assignment[3]);

@@ -19,6 +19,8 @@
 //! until no single-degree vertices remain (chain compression, the §5.3
 //! extension "to lead to fast compression of chains within the input graph").
 
+use crate::config::RenumberStrategy;
+use crate::rebuild::renumber_communities;
 use grappolo_graph::{stats::is_single_degree, CsrGraph, SharedSlice, VertexId};
 use rayon::prelude::*;
 
@@ -123,19 +125,17 @@ fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> Option<VfResult> {
         .collect();
 
     // Step 2: renumber survivors densely ("Label the resulting vertices from
-    // 1…n using an arbitrary ordering", §5.4 step (1)).
-    let mut new_id = vec![VertexId::MAX; n];
-    let mut survivors: Vec<VertexId> = Vec::new();
-    for v in 0..n {
-        if rep[v] as usize == v {
-            new_id[v] = survivors.len() as VertexId;
-            survivors.push(v as VertexId);
-        }
-    }
-    let merged = n - survivors.len();
+    // 1…n using an arbitrary ordering", §5.4 step (1)). `rep` labels every
+    // vertex with its survivor, so the rebuild's renumbering of it gives the
+    // survivors ascending ids and every merged vertex `VertexId::MAX`.
+    let (new_id, num_survivors) = renumber_communities(&rep, RenumberStrategy::Serial);
+    let merged = n - num_survivors;
     if merged == 0 {
         return None;
     }
+    let survivors: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&v| rep[v as usize] == v)
+        .collect();
     // mapping: original vertex → new id of its representative. rep chains
     // have length ≤ 1 (a single-degree vertex's neighbor either survives or
     // is the lower half of a mutual pair, which survives).

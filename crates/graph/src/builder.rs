@@ -125,11 +125,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds an undirected edge with [`DEFAULT_WEIGHT`].
-    pub fn add_unweighted_edge(self, u: VertexId, v: VertexId) -> Self {
-        self.add_edge(u, v, DEFAULT_WEIGHT)
-    }
-
     /// Bulk-extends from `(u, v, w)` triples.
     pub fn extend_edges<I: IntoIterator<Item = (VertexId, VertexId, f64)>>(
         mut self,

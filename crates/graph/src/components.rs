@@ -42,11 +42,6 @@ impl ComponentLabeling {
         &self.labels
     }
 
-    /// Component id of `v`.
-    pub fn component_of(&self, v: VertexId) -> u32 {
-        self.labels[v as usize]
-    }
-
     /// Vertex count per component, indexed by component id.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes

@@ -51,15 +51,6 @@ pub enum EdgeDelta {
 }
 
 impl EdgeDelta {
-    /// Unweighted insert at [`DEFAULT_WEIGHT`].
-    pub fn insert_unweighted(u: VertexId, v: VertexId) -> Self {
-        EdgeDelta::Insert {
-            u,
-            v,
-            weight: DEFAULT_WEIGHT,
-        }
-    }
-
     /// Canonical `(min, max)` endpoints.
     pub fn endpoints(&self) -> (VertexId, VertexId) {
         let (u, v) = match *self {
@@ -642,7 +633,14 @@ mod tests {
         );
         // Insert colliding with a pre-existing edge also follows the policy.
         let err = sum
-            .apply_edge_batch(&[EdgeDelta::insert_unweighted(0, 1)], MergePolicy::Reject)
+            .apply_edge_batch(
+                &[EdgeDelta::Insert {
+                    u: 0,
+                    v: 1,
+                    weight: 1.0,
+                }],
+                MergePolicy::Reject,
+            )
             .unwrap_err();
         assert!(matches!(err, DeltaError::DuplicateEdge { .. }));
     }

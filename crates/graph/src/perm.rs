@@ -56,15 +56,6 @@ pub fn shuffle_vertices(g: &CsrGraph, seed: u64) -> (CsrGraph, Vec<VertexId>) {
     (relabel(g, &perm), perm)
 }
 
-/// Inverts a permutation: `inv[perm[v]] = v`.
-pub fn invert_permutation(perm: &[VertexId]) -> Vec<VertexId> {
-    let mut inv = vec![0 as VertexId; perm.len()];
-    for (v, &p) in perm.iter().enumerate() {
-        inv[p as usize] = v as VertexId;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,15 +97,6 @@ mod tests {
         assert!(is_permutation(&p1));
         assert_eq!(p1, p2);
         assert_ne!(p1, p3);
-    }
-
-    #[test]
-    fn invert_round_trips() {
-        let p = random_permutation(50, 3);
-        let inv = invert_permutation(&p);
-        for v in 0..50 {
-            assert_eq!(inv[p[v] as usize] as usize, v);
-        }
     }
 
     #[test]

@@ -93,15 +93,6 @@ pub fn is_single_degree(g: &CsrGraph, v: VertexId) -> bool {
     g.degree(v) == 1 && g.neighbor_ids(v)[0] != v
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of unweighted degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.num_vertices() as VertexId {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 /// Relative standard deviation of an arbitrary set of sizes (used for the
 /// color-class-size RSD the paper reports for uk-2002, §6.2).
 pub fn relative_std_dev(sizes: &[usize]) -> f64 {
@@ -181,15 +172,6 @@ mod tests {
         // A vertex whose only entry is its own loop is not single-degree.
         let g2 = crate::builder::from_weighted_edges(1, [(0, 0, 1.0)]).unwrap();
         assert!(!is_single_degree(&g2, 0));
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = star(7);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 7);
-        assert_eq!(h[1], 6);
-        assert_eq!(h[6], 1);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl FaultPlan {
         }
     }
 
-    /// Disarms `point`.
-    pub fn disarm(&self, point: &str) {
-        self.lock().remove(point);
-    }
-
     /// Whether no point is armed.
     pub fn is_empty(&self) -> bool {
         self.lock().is_empty()

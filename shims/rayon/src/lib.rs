@@ -2,14 +2,14 @@
 //!
 //! The build environment has no registry access, so the workspace provides
 //! its own data-parallel layer behind the same names. Parallelism is real
-//! and resident: a lazily-initialized worker pool (see [`pool`]) executes
+//! and resident: a lazily-initialized worker pool (the private `pool` module) executes
 //! every parallel region, so regions pay no thread-spawn latency, and tasks
 //! are claimed in stolen order from a shared counter so heavy-tailed
 //! workloads keep all workers busy. Determinism survives the stealing
 //! because the *decomposition* is fixed and the *reduction* is ordered:
 //!
 //! * **Fixed task tree.** A region over `0..n` splits into tasks at
-//!   boundaries computed by [`task_layout`] — a pure function of `n` and
+//!   boundaries computed by `task_layout` — a pure function of `n` and
 //!   the grain size, never of the worker count (the same contract the
 //!   parallel merge sort's fixed split layout follows).
 //! * **Stolen execution.** Which worker runs a task, and in what order, is
@@ -26,14 +26,14 @@
 //! shared by `for_each` / `map` / `map_init` / `fold`+`reduce` / `sum` /
 //! `collect` (and therefore by `grappolo_core`'s `det_sum`, which is built
 //! on these): with grain `g` — the innermost source's
-//! [`ParallelIterator::with_min_len`] value, default [`SEQ_CUTOFF`] = 1024
+//! [`ParallelIterator::with_min_len`] value, default `SEQ_CUTOFF` = 1024
 //! items —
 //!
 //! 1. a region of `n ≤ g` items runs inline on the caller (no pool, no
 //!    atomics — identical results, ordered combines);
 //! 2. otherwise the index space splits into tasks of
 //!    `max(g, ceil(n / 64))` contiguous items each (at most
-//!    [`MAX_TASKS_PER_REGION`] tasks, so per-task bookkeeping stays
+//!    `MAX_TASKS_PER_REGION` tasks, so per-task bookkeeping stays
 //!    amortized), executed by the pool in stolen order.
 //!
 //! Iterators whose items are coarse units of work (e.g. whole slice chunks)
@@ -837,7 +837,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
 
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel unstable sort (recursive-`join` merge sort; see
-    /// [`par_merge_sort_by`] for the determinism argument).
+    /// `par_merge_sort_by` for the determinism argument).
     fn par_sort_unstable(&mut self)
     where
         T: Ord;

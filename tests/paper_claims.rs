@@ -42,7 +42,6 @@ fn lemma1_negative_gain_scenario_is_real() {
             current: assignment[v as usize],
             k: g.weighted_degree(v),
             m,
-            a_current: a[assignment[v as usize] as usize],
             gamma: 1.0,
         };
         let d = best_move(&ctx, &scratch.entries, |c| a[c as usize]);

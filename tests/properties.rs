@@ -29,7 +29,7 @@ use grappolo::core::serial::serial_modularity;
 use grappolo::core::vf::vf_preprocess;
 use grappolo::core::{
     LouvainConfig, PhaseDriver, PhaseOutcome, RebuildStrategy, RefineMode, RenumberStrategy,
-    Scheme, SweepMode, ThresholdSchedule,
+    Scheme, SweepMode,
 };
 use grappolo::prelude::*;
 use rand::rngs::SmallRng;
@@ -700,35 +700,6 @@ fn active_sweep_bitwise_stable_across_thread_counts() {
                 );
             }
         }
-    }
-}
-
-/// **Schedule algebra**: over random valid parameters, the geometric
-/// threshold sequence is monotone non-increasing, clamps exactly at the
-/// floor, and never exceeds the start.
-#[test]
-fn geometric_schedule_monotone_and_clamped() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let start = 10f64.powf(rng.gen_range(-8.0..-1.0));
-        let factor = rng.gen_range(0.05..0.95);
-        let floor = start * 10f64.powf(rng.gen_range(-6.0..0.0));
-        let s = ThresholdSchedule::Geometric {
-            start,
-            factor,
-            floor,
-        };
-        let mut prev = f64::INFINITY;
-        for k in 0..128 {
-            let t = s.threshold_at(k);
-            assert!(t <= prev, "seed {seed} k={k}: not monotone");
-            assert!(t >= floor, "seed {seed} k={k}: below floor");
-            assert!(t <= start, "seed {seed} k={k}: above start");
-            prev = t;
-        }
-        // The sequence reaches the floor exactly (geometric decay always
-        // crosses it) and stays there.
-        assert_eq!(s.threshold_at(4096), floor, "seed {seed}");
     }
 }
 
