@@ -8,11 +8,12 @@ use grappolo_graph::gen::paper_suite::PaperInput;
 use grappolo_graph::gen::{
     erdos_renyi, planted_blocks, planted_partition, rmat, ErConfig, PlantedConfig, RmatConfig,
 };
-use grappolo_graph::{io, CsrGraph, EdgeDelta, GraphStats};
+use grappolo_graph::io::{self, IoError};
+use grappolo_graph::{CsrGraph, GraphStats};
 use grappolo_metrics::{connectivity_report, normalized_mutual_information, pairwise_comparison};
-use grappolo_serve::persist::format_assignment;
 use grappolo_serve::{signal, FaultPlan, ServeError, Server};
 use std::fmt;
+use std::fs::File;
 use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -58,6 +59,24 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
 fn load(path: &Path) -> Result<CsrGraph, CliError> {
     io::load_path(path)
         .map_err(|e| CliError::from_io(format_args!("loading {}", path.display()), e))
+}
+
+/// Reads the assignment or edge-batch file at `path` with `read`, one of
+/// the [`io`] line-format readers. A parse error renders as
+/// `path:line: message` (`path: message` when no one line is at fault) and
+/// exits 4; any other error is an I/O failure and exits 3.
+fn read_file<T>(path: &Path, read: impl FnOnce(File) -> Result<T, IoError>) -> Result<T, CliError> {
+    let at = path.display();
+    File::open(path)
+        .map_err(IoError::from)
+        .and_then(read)
+        .map_err(|e| match e {
+            IoError::Parse { line: 0, message } => CliError::invalid(format!("{at}: {message}")),
+            IoError::Parse { line, message } => {
+                CliError::invalid(format!("{at}:{line}: {message}"))
+            }
+            e => CliError::io(format!("reading {at}: {e}")),
+        })
 }
 
 /// The `blocks` family: one dominant planted block plus many small ones in
@@ -267,7 +286,7 @@ fn detect(cmd: Detect) -> Result<(), CliError> {
 /// without mistaking them for environment breakage.
 fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
     let g = load(graph)?;
-    let assignment = read_assignments(assignments)?;
+    let assignment = read_file(assignments, io::read_assignment)?;
     if assignment.len() > g.num_vertices() {
         return Err(CliError::invalid(format!(
             "assignment has {} entries, graph has {} vertices",
@@ -315,41 +334,19 @@ fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses an edge-delta batch file: one operation per line, `#` comments.
-///
-/// ```text
-/// + u v [w]   insert (weight defaults to 1; duplicates of an existing
-///             edge merge by summation, like builder input)
-/// - u v       delete an existing edge
-/// = u v w     set the weight of an existing edge
-/// ```
-///
-/// Errors carry `file:line:` prefixes so a bad batch points at itself.
-/// (Parsing itself lives in [`grappolo_graph::parse_edge_batch`], shared
-/// with the serve daemon's `update` path.)
-fn read_edge_batch(path: &Path) -> Result<Vec<EdgeDelta>, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::io(format!("reading {}: {e}", path.display())))?;
-    grappolo_graph::parse_edge_batch(&text)
-        .map_err(|e| CliError::invalid(format!("{}:{}: {}", path.display(), e.line, e.message)))
-}
-
 /// The `update` subcommand: apply a batch of edge deltas to a stored
 /// graph and incrementally re-converge the stored assignment.
 fn update(cmd: Update) -> Result<(), CliError> {
     let g = load(&cmd.graph)?;
-    let assignment = read_assignments(&cmd.assignments)?;
-    if assignment.len() != g.num_vertices() {
-        return Err(CliError::invalid(format!(
-            "assignment has {} entries, graph has {} vertices",
-            assignment.len(),
-            g.num_vertices()
-        )));
-    }
-    let deltas = read_edge_batch(&cmd.batch)?;
-    cmd.config.validate().map_err(CliError::invalid)?;
+    let assignment = read_file(&cmd.assignments, io::read_assignment)?;
+    let deltas = read_file(&cmd.batch, |f| {
+        io::parse_edge_batch(&std::io::read_to_string(f)?)
+    })?;
     let t = Instant::now();
-    let outcome = update_communities(&g, &assignment, None, &deltas, &cmd.config)?;
+    // The library checks the config, the assignment and the batch: every
+    // error it returns is invalid input.
+    let outcome = update_communities(&g, &assignment, None, &deltas, &cmd.config)
+        .map_err(CliError::invalid)?;
     say!(
         "update: {} changed edges, {} seed vertices → {} communities, Q = {:.6}, \
          {} iterations{}, {:.2?}",
@@ -379,7 +376,7 @@ fn update(cmd: Update) -> Result<(), CliError> {
 /// Writes `assignment` atomically as `vertex community` lines — the same
 /// bytes `grappolo serve` persists.
 fn write_assignment(out: &Path, assignment: &[u32]) -> Result<(), CliError> {
-    io::write_bytes_atomic(out, format_assignment(assignment).as_bytes())
+    io::write_bytes_atomic(out, io::format_assignment(assignment).as_bytes())
         .map_err(|e| CliError::from_io(format_args!("writing {}", out.display()), e))?;
     say!("assignments → {}", out.display())?;
     Ok(())
@@ -411,84 +408,9 @@ fn color(path: &Path, balanced: bool) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads a `vertex community` assignment file into a dense vector.
-///
-/// The file must name every vertex `0..n` exactly once (`n` is one past
-/// the largest id that appears). A duplicate vertex line or a hole in
-/// the id space is a formatting error reported with line numbers, not
-/// something to paper over with a sentinel label.
-pub fn read_assignments(path: &Path) -> Result<Vec<u32>, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::io(format!("reading {}: {e}", path.display())))?;
-    let invalid = CliError::invalid;
-    let mut pairs: Vec<(usize, u32, usize)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let v: usize = it.next().unwrap().parse().map_err(|e| {
-            invalid(format!(
-                "{}:{}: bad vertex: {e}",
-                path.display(),
-                lineno + 1
-            ))
-        })?;
-        let c: u32 = it
-            .next()
-            .ok_or_else(|| {
-                invalid(format!(
-                    "{}:{}: missing community",
-                    path.display(),
-                    lineno + 1
-                ))
-            })?
-            .parse()
-            .map_err(|e| {
-                invalid(format!(
-                    "{}:{}: bad community: {e}",
-                    path.display(),
-                    lineno + 1
-                ))
-            })?;
-        pairs.push((v, c, lineno + 1));
-    }
-    // Sized by the line count, not the largest id: an id at or past the
-    // count leaves some id below it unassigned, which the hole check below
-    // reports, so one huge id cannot force a huge allocation.
-    let n = pairs.len();
-    let mut out = vec![0u32; n];
-    // Line number that assigned each vertex; 0 marks "not yet seen".
-    let mut seen_at = vec![0usize; n];
-    for &(v, c, lineno) in &pairs {
-        if v >= n {
-            continue;
-        }
-        if seen_at[v] != 0 {
-            return Err(invalid(format!(
-                "{}:{}: duplicate assignment for vertex {v} (first assigned at line {})",
-                path.display(),
-                lineno,
-                seen_at[v]
-            )));
-        }
-        seen_at[v] = lineno;
-        out[v] = c;
-    }
-    if let Some(v) = seen_at.iter().position(|&l| l == 0) {
-        let largest = pairs.iter().map(|&(v, _, _)| v).max().unwrap_or(0);
-        return Err(invalid(format!(
-            "{}: vertex {v} has no assignment (the file names vertices up to {largest})",
-            path.display(),
-        )));
-    }
-    Ok(out)
-}
-
 fn compare(a: &Path, b: &Path) -> Result<(), CliError> {
-    let pa = read_assignments(a)?;
-    let pb = read_assignments(b)?;
+    let pa = read_file(a, io::read_assignment)?;
+    let pb = read_file(b, io::read_assignment)?;
     if pa.len() != pb.len() {
         return Err(CliError::invalid(format!(
             "assignment lengths differ: {} has {}, {} has {}",
@@ -617,6 +539,7 @@ fn query(cmd: &Query) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grappolo_graph::EdgeDelta;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -672,7 +595,7 @@ mod tests {
         ]))
         .unwrap();
 
-        let assignment = read_assignments(&assign_path).unwrap();
+        let assignment = read_file(&assign_path, io::read_assignment).unwrap();
         assert!(!assignment.is_empty());
         // Trace is valid JSON.
         let text = std::fs::read_to_string(&trace_path).unwrap();
@@ -701,8 +624,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            read_assignments(&out1).unwrap(),
-            read_assignments(&out4).unwrap(),
+            read_file(&out1, io::read_assignment).unwrap(),
+            read_file(&out4, io::read_assignment).unwrap(),
             "active sweep diverged across thread counts"
         );
     }
@@ -732,8 +655,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            read_assignments(&out1).unwrap(),
-            read_assignments(&out4).unwrap(),
+            read_file(&out1, io::read_assignment).unwrap(),
+            read_file(&out4, io::read_assignment).unwrap(),
             "geometric schedule diverged across thread counts"
         );
     }
@@ -876,21 +799,21 @@ mod tests {
     fn read_assignments_validates() {
         let p = tmp("holes.txt");
         std::fs::write(&p, "0 1\n2 1\n").unwrap(); // vertex 1 missing
-        let err = read_assignments(&p).unwrap_err();
+        let err = read_file(&p, io::read_assignment).unwrap_err();
         assert!(
             err.message().contains("vertex 1 has no assignment"),
             "{err}"
         );
         let q = tmp("bad.txt");
         std::fs::write(&q, "x y\n").unwrap();
-        assert!(read_assignments(&q).is_err());
+        assert!(read_file(&q, io::read_assignment).is_err());
     }
 
     #[test]
     fn read_assignments_rejects_duplicate_vertex_lines() {
         let p = tmp("dups.txt");
         std::fs::write(&p, "0 1\n1 2\n# comment\n1 3\n2 0\n").unwrap();
-        let err = read_assignments(&p).unwrap_err();
+        let err = read_file(&p, io::read_assignment).unwrap_err();
         // Both the offending line and the original are named.
         assert!(err.message().contains(":4:"), "{err}");
         assert!(
@@ -926,7 +849,9 @@ mod tests {
     fn read_edge_batch_parses_and_reports_line_errors() {
         let p = tmp("batch_ok.txt");
         std::fs::write(&p, "# comment\n+ 0 1\n+ 1 2 2.5\n- 3 4\n= 5 6 0.5\n").unwrap();
-        let batch = read_edge_batch(&p).unwrap();
+        let read_batch =
+            |p: &Path| read_file(p, |f| io::parse_edge_batch(&std::io::read_to_string(f)?));
+        let batch = read_batch(&p).unwrap();
         assert_eq!(
             batch,
             vec![
@@ -961,7 +886,7 @@ mod tests {
         ] {
             let p = tmp(name);
             std::fs::write(&p, content).unwrap();
-            let err = read_edge_batch(&p).unwrap_err();
+            let err = read_batch(&p).unwrap_err();
             assert!(err.message().contains(needle), "{name}: {err}");
         }
     }
@@ -1010,7 +935,7 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        let updated = read_assignments(&out_assign).unwrap();
+        let updated = read_file(&out_assign, io::read_assignment).unwrap();
         let g2 = io::load_path(&out_graph).unwrap();
         assert_eq!(updated.len(), g2.num_vertices());
         assert_eq!(g2.edge_weight(u, v), Some(3.0));

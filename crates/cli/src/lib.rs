@@ -5,9 +5,9 @@
 //! `grappolo --help`); [`args`] parses a command line against one flag table
 //! per subcommand and [`commands`] runs it.
 //!
-//! Graph formats are dispatched on extension (`.edges`/`.txt`,
-//! `.graph`/`.metis`, `.grb`); assignment files are one `vertex community`
-//! pair per line.
+//! `grappolo_graph::io` owns every file format: graphs (dispatched on
+//! extension), `vertex community` assignments and `+`/`-`/`=` edge batches.
+//! A malformed assignment or batch line is reported as `path:line: message`.
 //!
 //! Exit codes are typed (see [`error`]): 0 success, 1 runtime, 2 usage,
 //! 3 I/O, 4 invalid input/config, 5 audit finding.

@@ -4,7 +4,7 @@
 use grappolo_cli::run;
 use grappolo_graph::gen::{planted_partition, PlantedConfig};
 use grappolo_serve::{ServeConfig, Server};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("grappolo_cli_e2e").join(name);
@@ -51,18 +51,76 @@ fn malformed_graph_file_exits_4() {
     assert_eq!(run(&argv(&["stats", bad.to_str().unwrap()])), 4);
 }
 
+/// Runs `grappolo <line>` in `dir` under a 4 GB address-space limit, so an
+/// allocation sized by a huge vertex id fails on any host, and returns its
+/// exit code and stderr.
+fn run_bounded(dir: &Path, line: &str) -> (Option<i32>, String) {
+    let out = std::process::Command::new("sh")
+        .args(["-c", "ulimit -v 4000000; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_grappolo"))
+        .args(line.split_whitespace())
+        .env("RAYON_NUM_THREADS", "2")
+        .current_dir(dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
 #[test]
 fn huge_ids_exit_4_instead_of_allocating() {
     // An edge-list id past `VertexId` is a parse error, not 2^32 + 1 vertices;
-    // an assignment naming vertex 10^10 leaves vertex 0 unassigned.
+    // an assignment naming vertex 10^10 leaves vertex 0 unassigned. Vertex
+    // 4294967294 fits a `VertexId` but sizes a 32 GiB CSR, which must fail as
+    // a typed error, not an abort.
     let dir = tmp_dir("exit4-huge-ids");
-    let [edges, good, huge] = ["huge.edges", "good.assign", "huge.assign"].map(|f| dir.join(f));
-    std::fs::write(&edges, "4294967296 1\n").unwrap();
-    std::fs::write(&good, "0 0\n").unwrap();
-    std::fs::write(&huge, "10000000000 0\n").unwrap();
-    let [edges, good, huge] = [&edges, &good, &huge].map(|p| p.to_str().unwrap());
-    assert_eq!(run(&argv(&["stats", edges])), 4);
-    assert_eq!(run(&argv(&["compare", good, huge])), 4);
+    for (file, text) in [
+        ("huge.edges", "4294967296 1\n"),
+        ("good.assign", "0 0\n"),
+        ("huge.assign", "10000000000 0\n"),
+        ("in_range.edges", "0 4294967294\n"),
+        ("g.edges", "0 1\n1 2\n"),
+        ("g.assign", "0 0\n1 0\n2 0\n"),
+        ("in_range.batch", "+ 0 4294967294\n"),
+    ] {
+        std::fs::write(dir.join(file), text).unwrap();
+    }
+    for line in [
+        "stats huge.edges",
+        "compare good.assign huge.assign",
+        "stats in_range.edges",
+        "update g.edges g.assign in_range.batch",
+    ] {
+        let (code, stderr) = run_bounded(&dir, line);
+        assert_eq!(code, Some(4), "{line}: {stderr}");
+        assert!(!stderr.contains("memory allocation"), "{line}: {stderr}");
+    }
+}
+
+#[test]
+fn invalid_update_inputs_exit_4_and_write_nothing() {
+    // The library finds these in the batch and the assignment; they are
+    // invalid input like the CLI's own parse errors, not runtime failures.
+    let dir = tmp_dir("update-invalid");
+    for (file, text) in [
+        ("g.edges", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n"),
+        ("a.txt", "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n"),
+        ("a805.txt", "0 805\n1 0\n2 0\n3 1\n4 1\n5 1\n"),
+    ] {
+        std::fs::write(dir.join(file), text).unwrap();
+    }
+    for (assignment, batch, message) in [
+        ("a.txt", "- 0 0\n", "cannot delete edge (0, 0)"),
+        ("a.txt", "+ 0 1 nan\n", "(0, 1) has invalid weight NaN"),
+        ("a805.txt", "+ 0 1\n", "label 805 out of range"),
+    ] {
+        std::fs::write(dir.join("b.txt"), batch).unwrap();
+        let line = format!("update g.edges {assignment} b.txt --assignments-out out.txt");
+        let (code, stderr) = run_bounded(&dir, &line);
+        assert_eq!(code, Some(4), "{line}: {stderr}");
+        assert!(stderr.contains(message), "{line}: {stderr}");
+        assert!(!dir.join("out.txt").exists(), "{line} wrote its output");
+    }
 }
 
 #[test]

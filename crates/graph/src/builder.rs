@@ -5,7 +5,7 @@
 //! billion-edge graphs the paper targets — Staudt & Meyerhenke treat graph
 //! construction as a first-class parallel phase, and this builder follows
 //! suit. Multi-edges are not allowed in the paper's model (§2); the builder
-//! resolves duplicates according to a [`MergePolicy`].
+//! sums the weights of duplicate edges.
 //!
 //! [`GraphBuilder::build`] runs a chunked parallel pipeline (per-chunk degree
 //! histograms → prefix-sum offsets → parallel scatter → per-vertex sort +
@@ -16,18 +16,6 @@
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
 use crate::shared::SharedSlice;
 use rayon::prelude::*;
-
-/// How duplicate occurrences of the same undirected edge are resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MergePolicy {
-    /// Sum the duplicate weights (natural for multigraph collapsing).
-    #[default]
-    Sum,
-    /// Keep the maximum weight.
-    Max,
-    /// Reject the input with [`BuildError::DuplicateEdge`].
-    Reject,
-}
 
 /// Errors produced by [`GraphBuilder::build`].
 #[derive(Clone, Debug, PartialEq)]
@@ -47,10 +35,11 @@ pub enum BuildError {
         /// The rejected weight value.
         weight: f64,
     },
-    /// Duplicate edge under [`MergePolicy::Reject`].
-    DuplicateEdge {
-        /// The duplicated edge.
-        edge: (VertexId, VertexId),
+    /// The allocator cannot provide the CSR offsets for `n` vertices (a
+    /// huge vertex id in a sparse input).
+    OutOfMemory {
+        /// Declared vertex count.
+        n: usize,
     },
 }
 
@@ -65,8 +54,8 @@ impl std::fmt::Display for BuildError {
                 "edge ({},{}) has invalid weight {weight}; weights must be finite and > 0",
                 edge.0, edge.1
             ),
-            BuildError::DuplicateEdge { edge } => {
-                write!(f, "duplicate edge ({},{})", edge.0, edge.1)
+            BuildError::OutOfMemory { n } => {
+                write!(f, "cannot allocate CSR offsets for n={n} vertices")
             }
         }
     }
@@ -91,7 +80,6 @@ impl std::error::Error for BuildError {}
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId, f64)>,
-    merge_policy: MergePolicy,
 }
 
 impl GraphBuilder {
@@ -100,7 +88,6 @@ impl GraphBuilder {
         Self {
             num_vertices: n,
             edges: Vec::new(),
-            merge_policy: MergePolicy::default(),
         }
     }
 
@@ -109,14 +96,7 @@ impl GraphBuilder {
         Self {
             num_vertices: n,
             edges: Vec::with_capacity(m),
-            merge_policy: MergePolicy::default(),
         }
-    }
-
-    /// Sets the duplicate-edge resolution policy (default: sum).
-    pub fn merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.merge_policy = policy;
-        self
     }
 
     /// Adds an undirected weighted edge `{u, v}`; `u == v` adds a self-loop.
@@ -154,7 +134,7 @@ impl GraphBuilder {
         self.edges.is_empty()
     }
 
-    /// Validates, symmetrizes, merges duplicates, and builds the CSR graph.
+    /// Validates, symmetrizes, sums duplicates, and builds the CSR graph.
     ///
     /// Large inputs take the chunked parallel path (per-chunk degree
     /// histograms, prefix-sum offsets, parallel scatter, per-vertex sort +
@@ -195,22 +175,20 @@ impl GraphBuilder {
         // symmetric (CsrGraph::validate checks mirror weights bit-for-bit).
         entries.sort_unstable_by(entry_order);
 
-        // Merge duplicate (u, v) runs according to policy. Duplicates of the
-        // same undirected edge appear as identical consecutive directed pairs,
-        // so the policy applies symmetrically.
+        // Sum duplicate (u, v) runs. Duplicates of the same undirected edge
+        // appear as identical consecutive directed pairs, so both directions
+        // sum alike.
         let mut merged: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(entries.len());
         for e in entries {
             match merged.last_mut() {
-                Some(last) if last.0 == e.0 && last.1 == e.1 => {
-                    merge_weight(&mut last.2, e.2, self.merge_policy)
-                        .map_err(|()| BuildError::DuplicateEdge { edge: (e.0, e.1) })?
-                }
+                Some(last) if last.0 == e.0 && last.1 == e.1 => last.2 += e.2,
                 _ => merged.push(e),
             }
         }
 
-        // Offsets by counting per-vertex entries, then fill.
-        let mut offsets = vec![0usize; n + 1];
+        // Offsets by counting per-vertex entries, then fill. A sparse input
+        // always takes this path, so `n` may come from one huge vertex id.
+        let mut offsets = try_zeroed(n + 1).ok_or(BuildError::OutOfMemory { n })?;
         for &(u, _, _) in &merged {
             offsets[u as usize + 1] += 1;
         }
@@ -343,15 +321,12 @@ impl GraphBuilder {
                 });
         }
 
-        // 5. Per-vertex sort + duplicate merge, in place in the scratch
-        // arrays; collect merged degrees. Duplicate handling under
-        // `MergePolicy::Reject` is deferred to a shrinkage scan below so the
-        // hot loop stays branch-light.
+        // 5. Per-vertex sort + duplicate sum, in place in the scratch
+        // arrays; collect merged degrees.
         let merged_degrees: Vec<u32> = {
             let st = SharedSlice::new(&mut scratch_targets);
             let sw = SharedSlice::new(&mut scratch_weights);
             let offsets = &offsets[..];
-            let policy = self.merge_policy;
             (0..n)
                 .into_par_iter()
                 .map_init(Vec::new, move |buf: &mut Vec<(VertexId, u64)>, v| {
@@ -375,10 +350,7 @@ impl GraphBuilder {
                         // `out` never overtakes the read position.
                         unsafe {
                             if out > start && st.read(out - 1) == t {
-                                let mut acc = sw.read(out - 1);
-                                // Reject is resolved later via shrinkage.
-                                let _ = merge_weight(&mut acc, w, policy);
-                                sw.write(out - 1, acc);
+                                sw.write(out - 1, sw.read(out - 1) + w);
                             } else {
                                 st.write(out, t);
                                 sw.write(out, w);
@@ -390,34 +362,6 @@ impl GraphBuilder {
                 })
                 .collect()
         };
-
-        // Reject policy: a vertex whose list shrank saw a duplicate. The
-        // smallest such vertex `u` is the first duplicate run's source in the
-        // serial path's global sort (the mirror of any duplicate with a
-        // smaller endpoint would have shrunk that endpoint instead), so a
-        // recount of u's incident edges recovers the exact serial error.
-        if self.merge_policy == MergePolicy::Reject {
-            if let Some(u) =
-                (0..n).find(|&v| (merged_degrees[v] as usize) < offsets[v + 1] - offsets[v])
-            {
-                let mut counts = std::collections::BTreeMap::new();
-                for &(a, b, _) in edges {
-                    if a as usize == u || b as usize == u {
-                        *counts.entry((a.min(b), a.max(b))).or_insert(0u32) += 1;
-                    }
-                }
-                // Every duplicate partner t satisfies t >= u (u is minimal),
-                // so BTreeMap order yields the smallest t first.
-                let t = counts
-                    .iter()
-                    .find(|&(_, &c)| c > 1)
-                    .map(|(&(x, y), _)| if x as usize == u { y } else { x })
-                    .expect("shrunk vertex must have a duplicate incident edge");
-                return Err(BuildError::DuplicateEdge {
-                    edge: (u as VertexId, t),
-                });
-            }
-        }
 
         // 6. Final offsets + parallel compaction.
         let mut final_offsets = vec![0usize; n + 1];
@@ -483,16 +427,14 @@ fn validate_edges(edges: &[(VertexId, VertexId, f64)], n: usize) -> Result<(), B
     Ok(())
 }
 
-/// Applies the duplicate policy to an accumulator; `Err(())` means the
-/// policy rejects duplicates. Shared with the delta path so batched
-/// inserts merge exactly like builder input.
-pub(crate) fn merge_weight(acc: &mut f64, w: f64, policy: MergePolicy) -> Result<(), ()> {
-    match policy {
-        MergePolicy::Sum => *acc += w,
-        MergePolicy::Max => *acc = acc.max(w),
-        MergePolicy::Reject => return Err(()),
-    }
-    Ok(())
+/// A zeroed `len`-entry array, or `None` when the allocator cannot provide
+/// it. `len` may come from one vertex id in the input, and a huge id must be
+/// an error, not an abort.
+pub(crate) fn try_zeroed(len: usize) -> Option<Vec<usize>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, 0);
+    Some(v)
 }
 
 /// Convenience: builds a graph from an unweighted edge list.
@@ -534,28 +476,6 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(3.5));
         assert_eq!(g.edge_weight(1, 0), Some(3.5));
-    }
-
-    #[test]
-    fn merges_duplicates_by_max() {
-        let g = GraphBuilder::new(2)
-            .merge_policy(MergePolicy::Max)
-            .add_edge(0, 1, 1.0)
-            .add_edge(0, 1, 2.5)
-            .build()
-            .unwrap();
-        assert_eq!(g.edge_weight(0, 1), Some(2.5));
-    }
-
-    #[test]
-    fn rejects_duplicates_when_asked() {
-        let err = GraphBuilder::new(2)
-            .merge_policy(MergePolicy::Reject)
-            .add_edge(0, 1, 1.0)
-            .add_edge(1, 0, 1.0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, BuildError::DuplicateEdge { .. }));
     }
 
     #[test]
@@ -673,61 +593,6 @@ mod tests {
             });
             assert_bitwise_equal(&reference, &parallel);
         }
-    }
-
-    #[test]
-    fn parallel_build_max_policy_matches_serial() {
-        let n = 800u32;
-        let edges = dense_multigraph_edges(n, 30_000, 7);
-        let serial = GraphBuilder::new(n as usize)
-            .merge_policy(MergePolicy::Max)
-            .extend_edges(edges.iter().copied())
-            .build_serial()
-            .unwrap();
-        let parallel = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| {
-                GraphBuilder::new(n as usize)
-                    .merge_policy(MergePolicy::Max)
-                    .extend_edges(edges.iter().copied())
-                    .build()
-                    .unwrap()
-            });
-        assert_bitwise_equal(&serial, &parallel);
-    }
-
-    #[test]
-    fn parallel_build_reject_reports_first_sorted_duplicate() {
-        // 20k distinct edges plus one planted duplicate: both paths must
-        // reject with the same edge.
-        let n = 40_000u32;
-        let mut edges: Vec<(VertexId, VertexId, f64)> = (0..20_000)
-            .map(|i| (i as u32, i as u32 + n / 2, 1.0))
-            .collect();
-        edges.push((137, 137 + n / 2, 2.0));
-        let serial_err = GraphBuilder::new(n as usize)
-            .merge_policy(MergePolicy::Reject)
-            .extend_edges(edges.iter().copied())
-            .build_serial()
-            .unwrap_err();
-        let parallel_err = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| {
-                GraphBuilder::new(n as usize)
-                    .merge_policy(MergePolicy::Reject)
-                    .extend_edges(edges.iter().copied())
-                    .build()
-                    .unwrap_err()
-            });
-        assert_eq!(serial_err, parallel_err);
-        assert!(matches!(
-            serial_err,
-            BuildError::DuplicateEdge { edge: (137, _) }
-        ));
     }
 
     #[test]

@@ -6,13 +6,37 @@
 //! A batch is resolved *per undirected edge* before anything touches the
 //! CSR arrays: deltas are canonicalised to `(min, max)` endpoints, grouped,
 //! and replayed in batch order against the edge's current weight. Inserting
-//! on top of an existing edge follows the caller's [`MergePolicy`], exactly
-//! like duplicate edges fed to the builder. The net per-edge outcome (and
-//! nothing else) is then applied in one serial merge pass over the old
-//! adjacency — untouched vertices get a straight `memcpy` of their rows.
+//! on top of an existing edge follows the caller's [`MergePolicy`];
+//! [`MergePolicy::Sum`] merges exactly like duplicate edges fed to the
+//! builder. The net per-edge outcome (and nothing else) is then applied in
+//! one serial merge pass over the old adjacency — untouched vertices get a
+//! straight `memcpy` of their rows.
 
-use crate::builder::{merge_weight, MergePolicy};
-use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
+use crate::builder::try_zeroed;
+use crate::csr::{CsrGraph, VertexId};
+
+/// How an insert onto an existing edge is resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum MergePolicy {
+    /// Sum the weights, as the builder does with duplicate edges.
+    #[default]
+    Sum,
+    /// Keep the maximum weight.
+    Max,
+    /// Reject the batch with [`DeltaError::DuplicateEdge`].
+    Reject,
+}
+
+/// Applies the policy to an accumulator; `Err(())` means the policy
+/// rejects duplicates.
+fn merge_weight(acc: &mut f64, w: f64, policy: MergePolicy) -> Result<(), ()> {
+    match policy {
+        MergePolicy::Sum => *acc += w,
+        MergePolicy::Max => *acc = acc.max(w),
+        MergePolicy::Reject => return Err(()),
+    }
+    Ok(())
+}
 
 /// One edge mutation in a dynamic batch. Endpoints are unordered (the graph
 /// is undirected); `(u, v)` and `(v, u)` address the same edge, and a
@@ -92,6 +116,12 @@ pub enum DeltaError {
         /// Canonical endpoints.
         edge: (VertexId, VertexId),
     },
+    /// The allocator cannot provide the adjacency offsets for the `n`
+    /// vertices the batch grows the graph to (an insert naming a huge id).
+    OutOfMemory {
+        /// Vertex count after the batch.
+        n: usize,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -117,96 +147,14 @@ impl std::fmt::Display for DeltaError {
                 f,
                 "delta {index}: duplicate insert of edge ({u}, {v}) rejected by merge policy"
             ),
+            DeltaError::OutOfMemory { n } => {
+                write!(f, "cannot allocate adjacency offsets for n={n} vertices")
+            }
         }
     }
 }
 
 impl std::error::Error for DeltaError {}
-
-/// Line-anchored parse error from [`parse_edge_batch`]. `line` is 1-based.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for BatchParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for BatchParseError {}
-
-/// Parses the textual edge-delta batch format shared by `grappolo update`
-/// and `grappolo serve`: one operation per line, `#` comments and blank
-/// lines skipped.
-///
-/// ```text
-/// + u v [w]   insert (weight defaults to 1; duplicates of an existing
-///             edge merge per the caller's MergePolicy)
-/// - u v       delete an existing edge
-/// = u v w     set the weight of an existing edge
-/// ```
-pub fn parse_edge_batch(text: &str) -> Result<Vec<EdgeDelta>, BatchParseError> {
-    let mut batch = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let lineno = idx + 1;
-        let at = |message: String| BatchParseError {
-            line: lineno,
-            message,
-        };
-        let mut it = line.split_whitespace();
-        let op = it.next().unwrap();
-        let mut vertex = |name: &str| -> Result<VertexId, BatchParseError> {
-            it.next()
-                .ok_or_else(|| at(format!("missing {name} vertex")))?
-                .parse()
-                .map_err(|e| at(format!("bad {name} vertex: {e}")))
-        };
-        let u = vertex("source")?;
-        let v = vertex("target")?;
-        let mut weight = |required: bool| -> Result<Option<f64>, BatchParseError> {
-            match it.next() {
-                Some(tok) => tok
-                    .parse()
-                    .map(Some)
-                    .map_err(|e| at(format!("bad weight: {e}"))),
-                None if required => Err(at("missing weight".into())),
-                None => Ok(None),
-            }
-        };
-        let delta = match op {
-            "+" => EdgeDelta::Insert {
-                u,
-                v,
-                weight: weight(false)?.unwrap_or(DEFAULT_WEIGHT),
-            },
-            "-" => EdgeDelta::Delete { u, v },
-            "=" => EdgeDelta::Reweight {
-                u,
-                v,
-                weight: weight(true)?.unwrap(),
-            },
-            other => {
-                return Err(at(format!(
-                    "unknown operation `{other}` (expected `+`, `-`, or `=`)"
-                )))
-            }
-        };
-        if it.next().is_some() {
-            return Err(at("trailing tokens after operation".into()));
-        }
-        batch.push(delta);
-    }
-    Ok(batch)
-}
 
 /// Net outcome for one undirected edge after a batch resolves: `old` is the
 /// weight before the batch (`None` if absent), `new` the weight after.
@@ -382,8 +330,10 @@ impl CsrGraph {
         }
         directed.sort_unstable_by_key(|&(s, t, _, _)| (s, t));
 
-        // Count pass: per-vertex adjacency length after the batch.
-        let mut counts = vec![0usize; new_n];
+        // Count pass: per-vertex adjacency length after the batch. `new_n`
+        // may come from one huge inserted id.
+        let out_of_memory = DeltaError::OutOfMemory { n: new_n };
+        let mut counts = try_zeroed(new_n).ok_or(out_of_memory.clone())?;
         for (v, c) in counts.iter_mut().enumerate().take(old_n) {
             *c = self.degree(v as VertexId);
         }
@@ -396,7 +346,7 @@ impl CsrGraph {
         }
 
         // Prefix pass.
-        let mut offsets = vec![0usize; new_n + 1];
+        let mut offsets = try_zeroed(new_n + 1).ok_or(out_of_memory)?;
         for v in 0..new_n {
             offsets[v + 1] = offsets[v] + counts[v];
         }

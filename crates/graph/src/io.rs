@@ -1,30 +1,41 @@
-//! Graph serialization: whitespace edge-list text, METIS (the DIMACS10
-//! distribution format of the paper's inputs), and the `.grb` binary graph
-//! format.
+//! Every file format the tools exchange: graphs (whitespace edge-list text,
+//! METIS — the DIMACS10 distribution format of the paper's inputs — and the
+//! `.grb` binary format), `vertex community` assignments
+//! ([`read_assignment`]/[`format_assignment`]) and `+`/`-`/`=` edge batches
+//! ([`parse_edge_batch`]).
 //!
 //! `.grb` ([`write_grb`]/[`read_grb`]) serializes the CSR arrays directly,
 //! so big benchmark graphs load in O(read) instead of re-parsing and
 //! re-sorting an edge list. It is a load cache: only [`GRB_VERSION`] is
 //! read, and a file of an older layout is regenerated from its source.
 //!
-//! All readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
+//! The edge-list, assignment and batch parsers share one line reader: blank
+//! lines and comment lines are skipped but counted, a field that is absent
+//! or does not parse is `missing <field>` or `bad <field>: <err>`, and a
+//! field past the last is `trailing tokens after <field>` — each an
+//! [`IoError::Parse`] naming its 1-based line.
+//!
+//! Graph readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
 //! all writers round-trip exactly with their readers (under test).
 
 use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
+use crate::delta::EdgeDelta;
 use crate::shared::SharedSlice;
 use rayon::prelude::*;
+use std::fmt::Display;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::str::FromStr;
 
 /// I/O and parse errors.
 #[derive(Debug)]
 pub enum IoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Malformed input at a given 1-based line (0 for binary formats).
+    /// Malformed input at a given 1-based line (0 when no one line is at fault).
     Parse {
-        /// 1-based line number, or 0 for binary formats.
+        /// 1-based line number; 0 for binary formats and assignment holes.
         line: usize,
         /// Human-readable description of the problem.
         message: String,
@@ -65,54 +76,88 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
 }
 
 // ---------------------------------------------------------------------------
-// Edge-list text format
+// Line-oriented text formats: edge lists, assignments and edge batches
 // ---------------------------------------------------------------------------
+
+/// One data line of a line-oriented format: its 1-based number in the input
+/// and its whitespace-separated fields, consumed in order.
+struct Line<'a> {
+    number: usize,
+    fields: std::str::SplitWhitespace<'a>,
+}
+
+impl<'a> Line<'a> {
+    fn new(number: usize, text: &'a str) -> Self {
+        let fields = text.split_whitespace();
+        Self { number, fields }
+    }
+
+    /// The next field parsed as `T`, or `None` past the last one; a field
+    /// that does not parse is `bad <name>: <err>`.
+    fn optional<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, IoError>
+    where
+        T::Err: Display,
+    {
+        let Some(word) = self.fields.next() else {
+            return Ok(None);
+        };
+        word.parse()
+            .map(Some)
+            .map_err(|e| parse_err(self.number, format!("bad {name}: {e}")))
+    }
+
+    /// The next field parsed as `T`; `missing <name>` past the last one.
+    fn field<T: FromStr>(&mut self, name: &str) -> Result<T, IoError>
+    where
+        T::Err: Display,
+    {
+        self.optional(name)?
+            .ok_or_else(|| parse_err(self.number, format!("missing {name}")))
+    }
+}
+
+/// The one line reader of the text formats (see the module doc); `comments`
+/// are the format's comment characters. `each` reads a data line's fields and
+/// returns the name of the last one the format has.
+fn for_each_line(
+    text: &str,
+    comments: &[char],
+    mut each: impl FnMut(&mut Line<'_>) -> Result<&'static str, IoError>,
+) -> Result<(), IoError> {
+    for (i, data) in text.lines().enumerate() {
+        let data = data.trim();
+        if data.is_empty() || data.starts_with(comments) {
+            continue;
+        }
+        let mut line = Line::new(i + 1, data);
+        let last = each(&mut line)?;
+        if line.fields.next().is_some() {
+            return Err(parse_err(i + 1, format!("trailing tokens after {last}")));
+        }
+    }
+    Ok(())
+}
 
 /// Reads a whitespace-separated edge list: `u v [w]` per line, 0-based vertex
 /// ids, optional weight (default 1). Lines starting with `#` or `%` are
 /// comments. The vertex count is `1 + max id` unless a larger `n` is given.
 pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, IoError> {
-    let reader = BufReader::new(reader);
+    let text = io::read_to_string(reader)?;
     let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
-    let mut max_id: VertexId = 0;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
+    // One past the largest id read; 0 while there are no edges.
+    let mut inferred = 0;
+    for_each_line(&text, &['#', '%'], |line| {
         // Ids parse straight into `VertexId`, so an id past its range is a
         // parse error on its line, never a silently truncated vertex.
-        let u: VertexId = it
-            .next()
-            .unwrap()
-            .parse()
-            .map_err(|e| parse_err(lineno, format!("bad source id: {e}")))?;
-        let v: VertexId = it
-            .next()
-            .ok_or_else(|| parse_err(lineno, "missing target id"))?
-            .parse()
-            .map_err(|e| parse_err(lineno, format!("bad target id: {e}")))?;
-        let w: f64 = match it.next() {
-            Some(tok) => tok
-                .parse()
-                .map_err(|e| parse_err(lineno, format!("bad weight: {e}")))?,
-            None => DEFAULT_WEIGHT,
-        };
-        if it.next().is_some() {
-            return Err(parse_err(lineno, "trailing tokens after weight"));
-        }
-        max_id = max_id.max(u).max(v);
+        let u: VertexId = line.field("source id")?;
+        let v: VertexId = line.field("target id")?;
+        let w = line.optional("weight")?.unwrap_or(DEFAULT_WEIGHT);
+        inferred = inferred.max(u.max(v) as usize + 1);
         edges.push((u, v, w));
-    }
-    let inferred = if edges.is_empty() {
-        0
-    } else {
-        max_id as usize + 1
-    };
-    let n = n.unwrap_or(inferred).max(inferred);
+        Ok("weight")
+    })?;
+    drop(text); // not held through the build, which has its own copies
+    let n = n.unwrap_or(0).max(inferred);
     Ok(GraphBuilder::with_capacity(n, edges.len())
         .extend_edges(edges)
         .build()?)
@@ -142,9 +187,9 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError>
 ///
 /// Header: `n m [fmt]` where `fmt` ∈ {`0`/absent: unweighted, `1`: edge
 /// weights}; vertex-weighted variants (`10`, `11`) are accepted and vertex
-/// weights skipped. Vertex ids in the body are 1-based. Self-loops appear
-/// once; mutual entries are merged by the builder (METIS lists each edge in
-/// both endpoints' lines, so `MergePolicy::Max` keeps the weight as-is).
+/// weights skipped. Vertex ids in the body are 1-based. METIS lists each
+/// edge in both endpoints' lines; the reader keeps only the `u <= v`
+/// occurrence, so the builder (which sums duplicates) sees each edge once.
 pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
@@ -159,18 +204,13 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        let toks: Vec<&str> = t.split_whitespace().collect();
-        if toks.len() < 2 {
+        if t.split_whitespace().count() < 2 {
             return Err(parse_err(idx + 1, "METIS header needs `n m [fmt]`"));
         }
-        let n: usize = toks[0]
-            .parse()
-            .map_err(|e| parse_err(idx + 1, format!("bad n: {e}")))?;
-        let m: usize = toks[1]
-            .parse()
-            .map_err(|e| parse_err(idx + 1, format!("bad m: {e}")))?;
-        let fmt = toks.get(2).copied().unwrap_or("0");
-        let (vw, ew) = match fmt {
+        let mut header = Line::new(idx + 1, t);
+        let n: usize = header.field("n")?;
+        let m: usize = header.field("m")?;
+        let (vw, ew) = match header.fields.next().unwrap_or("0") {
             "0" | "00" => (false, false),
             "1" | "01" => (false, true),
             "10" => (true, false),
@@ -196,26 +236,21 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
         }
         let u = vertex as VertexId;
         vertex += 1;
-        let mut toks = t.split_whitespace();
+        // A blank line is a vertex without neighbors, so METIS does not go
+        // through `for_each_line`, which skips blank lines.
+        let mut row = Line::new(idx + 1, t);
         if has_vertex_weights {
-            toks.next(); // skip the vertex weight
+            row.fields.next(); // skip the vertex weight
         }
-        while let Some(vt) = toks.next() {
-            let v: usize = vt
-                .parse()
-                .map_err(|e| parse_err(idx + 1, format!("bad neighbor id: {e}")))?;
+        while let Some(v) = row.optional::<usize>("neighbor id")? {
             if v == 0 || v > n {
                 return Err(parse_err(
-                    idx + 1,
+                    row.number,
                     format!("neighbor id {v} out of 1..={n}"),
                 ));
             }
             let w = if has_edge_weights {
-                let wt = toks
-                    .next()
-                    .ok_or_else(|| parse_err(idx + 1, "missing edge weight"))?;
-                wt.parse()
-                    .map_err(|e| parse_err(idx + 1, format!("bad edge weight: {e}")))?
+                row.field("edge weight")?
             } else {
                 DEFAULT_WEIGHT
             };
@@ -258,6 +293,108 @@ pub fn write_metis<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
     }
     w.flush()?;
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Community assignments and edge batches
+// ---------------------------------------------------------------------------
+
+/// Reads a community assignment: one `vertex community` line per vertex,
+/// `#` comments, into a dense vector indexed by vertex.
+///
+/// The file must name every vertex `0..n` exactly once, where `n` is its
+/// number of data lines. A duplicate vertex is a parse error at its line
+/// that names the first; a vertex the file skips is a parse error at line
+/// 0, since no one line is at fault.
+pub fn read_assignment<R: Read>(reader: R) -> Result<Vec<u32>, IoError> {
+    let mut pairs: Vec<(usize, u32, usize)> = Vec::new();
+    for_each_line(&io::read_to_string(reader)?, &['#'], |line| {
+        pairs.push((line.field("vertex")?, line.field("community")?, line.number));
+        Ok("community")
+    })?;
+    // Sized by the line count, not the largest id: an id at or past the
+    // count leaves some id below it unassigned, which the hole check below
+    // reports, so one huge id cannot force a huge allocation.
+    let n = pairs.len();
+    let mut out = vec![0u32; n];
+    // Line number that assigned each vertex; 0 marks "not yet seen".
+    let mut seen_at = vec![0usize; n];
+    for &(v, c, line) in &pairs {
+        if v >= n {
+            continue;
+        }
+        if seen_at[v] != 0 {
+            return Err(parse_err(
+                line,
+                format!(
+                    "duplicate assignment for vertex {v} (first assigned at line {})",
+                    seen_at[v]
+                ),
+            ));
+        }
+        seen_at[v] = line;
+        out[v] = c;
+    }
+    if let Some(v) = seen_at.iter().position(|&l| l == 0) {
+        let largest = pairs.iter().map(|&(v, _, _)| v).max().unwrap_or(0);
+        return Err(parse_err(
+            0,
+            format!("vertex {v} has no assignment (the file names vertices up to {largest})"),
+        ));
+    }
+    Ok(out)
+}
+
+/// Formats an assignment as the `vertex community` lines
+/// [`read_assignment`] reads.
+pub fn format_assignment(assignment: &[u32]) -> String {
+    use std::fmt::Write as _;
+    let mut text = String::with_capacity(assignment.len() * 8);
+    for (v, c) in assignment.iter().enumerate() {
+        writeln!(text, "{v} {c}").expect("formatting into a String cannot fail");
+    }
+    text
+}
+
+/// Parses the edge-batch format `grappolo update` and `grappolo serve`
+/// read: one operation per line, `#` comments.
+///
+/// ```text
+/// + u v [w]   insert (weight defaults to 1; duplicates of an existing
+///             edge merge per the caller's MergePolicy)
+/// - u v       delete an existing edge
+/// = u v w     set the weight of an existing edge
+/// ```
+pub fn parse_edge_batch(text: &str) -> Result<Vec<EdgeDelta>, IoError> {
+    let mut batch = Vec::new();
+    for_each_line(text, &['#'], |line| {
+        // A data line is never empty, so the operation is always there.
+        let op = line.fields.next().unwrap_or_default();
+        let u: VertexId = line.field("source vertex")?;
+        let v: VertexId = line.field("target vertex")?;
+        let delta = match op {
+            "+" => EdgeDelta::Insert {
+                u,
+                v,
+                weight: line.optional("weight")?.unwrap_or(DEFAULT_WEIGHT),
+            },
+            "-" => EdgeDelta::Delete { u, v },
+            "=" => EdgeDelta::Reweight {
+                u,
+                v,
+                weight: line.field("weight")?,
+            },
+            other => {
+                return Err(parse_err(
+                    line.number,
+                    format!("unknown operation `{other}` (expected `+`, `-`, or `=`)"),
+                ))
+            }
+        };
+        batch.push(delta);
+        Ok("operation")
+    })?;
+    Ok(batch)
 }
 
 // ---------------------------------------------------------------------------
@@ -853,17 +990,65 @@ mod tests {
 
     #[test]
     fn edge_list_round_trip() {
-        let g = sample();
+        // Inexact weights and a self-loop: the text round trip is bitwise.
+        let g = from_weighted_edges(2, [(0, 1, 0.1), (1, 1, 1.0 / 3.0)]).unwrap();
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(&buf[..], None).unwrap();
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for v in 0..4 {
-            let a: Vec<_> = g.neighbors(v).collect();
-            let b: Vec<_> = g2.neighbors(v).collect();
-            assert_eq!(a, b);
+        assert!(read_edge_list(&buf[..], None).unwrap().bitwise_eq(&g));
+    }
+
+    #[test]
+    fn line_formats_name_the_line_and_round_trip() {
+        type Reader = fn(&str) -> Result<(), IoError>;
+        let edges: Reader = |text| read_edge_list(text.as_bytes(), None).map(drop);
+        let batch: Reader = |text| parse_edge_batch(text).map(drop);
+        let assign: Reader = |text| read_assignment(text.as_bytes()).map(drop);
+        // The line formats' error contract, one malformed input per row: the
+        // reader, the input, and `<line>: <message>`, where the 1-based line
+        // counts comment and blank lines. The seed corpus for fuzzing.
+        for (read, text, expected) in [
+            (edges, "# c\n\n0 1\n0\n", "4: missing target id"),
+            (edges, "0 1 w\n", "1: bad weight: invalid float literal"),
+            (edges, "0 1 2 3\n", "1: trailing tokens after weight"),
+            (
+                batch,
+                "+ 0 1\n* 2 3\n",
+                "2: unknown operation `*` (expected `+`, `-`, or `=`)",
+            ),
+            // `%` starts a comment in edge lists only.
+            (
+                batch,
+                "% c\n",
+                "1: bad source vertex: invalid digit found in string",
+            ),
+            (batch, "# c\n\n+ 0\n", "3: missing target vertex"),
+            (batch, "= 0 1\n", "1: missing weight"),
+            (batch, "+ 0 1 w\n", "1: bad weight: invalid float literal"),
+            (batch, "- 0 1 9\n", "1: trailing tokens after operation"),
+            (assign, "0 0\n\n1\n", "3: missing community"),
+            (assign, "0 0 junk\n", "1: trailing tokens after community"),
+            (
+                assign,
+                "0 1\n1 2\n# c\n1 3\n",
+                "4: duplicate assignment for vertex 1 (first assigned at line 2)",
+            ),
+            // A skipped vertex is no one line's fault.
+            (
+                assign,
+                "0 1\n2 1\n",
+                "0: vertex 1 has no assignment (the file names vertices up to 2)",
+            ),
+        ] {
+            match read(text) {
+                Err(IoError::Parse { line, message }) => {
+                    assert_eq!(format!("{line}: {message}"), expected, "{text:?}")
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
         }
+        let assignment = [3, 0, 0, 7, 1];
+        let text = format_assignment(&assignment);
+        assert_eq!(read_assignment(text.as_bytes()).unwrap(), assignment);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   self-loops once, `m = ½ Σ k_i`);
 //! * [`GraphBuilder`] — parallel edge-list → CSR construction with
 //!   multi-edge merging;
-//! * [`io`] — edge-list / METIS (DIMACS10) text and the `.grb` binary format;
+//! * [`io`] — every file format the tools exchange: graphs (edge-list and
+//!   METIS (DIMACS10) text, the `.grb` binary format), `vertex community`
+//!   assignments, and `+`/`-`/`=` edge batches;
 //! * [`gen`] — synthetic workload generators, including
 //!   [`gen::paper_suite::PaperInput`] proxies for the paper's 11 inputs;
 //! * [`stats`] — the Table 1 statistics (degree max/avg/RSD, single-degree
@@ -30,13 +32,12 @@ pub mod perm;
 pub mod shared;
 pub mod stats;
 
-pub use builder::{
-    from_unweighted_edges, from_weighted_edges, BuildError, GraphBuilder, MergePolicy,
-};
+pub use builder::{from_unweighted_edges, from_weighted_edges, BuildError, GraphBuilder};
 pub use components::{
     connected_components, extract_components, ComponentLabeling, ComponentSubgraph,
 };
 pub use csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
-pub use delta::{parse_edge_batch, BatchParseError, DeltaError, EdgeChange, EdgeDelta};
+pub use delta::{DeltaError, EdgeChange, EdgeDelta, MergePolicy};
+pub use io::parse_edge_batch;
 pub use shared::SharedSlice;
 pub use stats::GraphStats;

@@ -69,14 +69,8 @@ pub fn assignment_path(graph_path: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Formats an assignment as `vertex community` lines.
-pub fn format_assignment(assignment: &[u32]) -> String {
-    let mut text = String::with_capacity(assignment.len() * 8);
-    for (v, c) in assignment.iter().enumerate() {
-        text.push_str(&format!("{v} {c}\n"));
-    }
-    text
-}
+/// Formats `<path>.assign`; re-exported from [`grappolo_graph::io`], which owns the layout.
+pub use grappolo_graph::io::format_assignment;
 
 /// Persists `snap` crash-safely at `path` (+ `<path>.assign`), retrying
 /// transient failures per `policy`. Consults the `persist` (whole-attempt

@@ -415,13 +415,15 @@ fn run_update(state: &ServerState, path: &Path) -> String {
     if let Err(e) = state.faults.hit("load") {
         return format!("err load-failed {e}");
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return format!("err load-failed reading {}: {e}", path.display()),
-    };
-    let batch = match parse_edge_batch(&text) {
+    let batch = match std::fs::read_to_string(path)
+        .map_err(IoError::from)
+        .and_then(|text| parse_edge_batch(&text))
+    {
         Ok(b) => b,
-        Err(e) => return format!("err bad-batch {}:{}", path.display(), e),
+        Err(IoError::Parse { line, message }) => {
+            return format!("err bad-batch {}:{line}: {message}", path.display())
+        }
+        Err(e) => return format!("err load-failed reading {}: {e}", path.display()),
     };
     let snap = state.cell.load();
     let outcome = catch_unwind(AssertUnwindSafe(|| {

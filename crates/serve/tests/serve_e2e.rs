@@ -146,6 +146,22 @@ fn update_applies_batch_and_bumps_epoch() {
 }
 
 #[test]
+fn malformed_batch_names_its_line_and_keeps_snapshot() {
+    let batch = tmp_dir("bad_batch").join("batch.txt");
+    std::fs::write(&batch, "+ 0 1\n* 2 3\n").unwrap();
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    let mut c = Client::connect(&handle);
+    let response = c.req(&format!("update {}", batch.display()));
+    let error = "2: unknown operation `*` (expected `+`, `-`, or `=`)";
+    assert_eq!(
+        response,
+        format!("err bad-batch {}:{error}", batch.display())
+    );
+    assert!(c.req("stats").contains("epoch=0"));
+    handle.shutdown();
+}
+
+#[test]
 fn injected_load_failure_keeps_snapshot() {
     for threads in [1usize, 8] {
         let dir = tmp_dir(&format!("loadfail_{threads}"));
