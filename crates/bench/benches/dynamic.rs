@@ -5,7 +5,9 @@
 //! RMAT input, `update_communities` with a 0.1 % batch must be ≥5× faster
 //! than a from-scratch `detect_communities` run (CI gates the ratio from
 //! this file's JSON). The 1 % and 10 % points chart how the advantage
-//! decays as the perturbation grows toward the fallback regime.
+//! decays as the perturbation grows toward the fallback regime, and
+//! `apply/rmat1150k_0.1pct` times the update's first layer alone: the
+//! spliced `apply_edge_batch_diff` of the 0.1 % batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cache::cached_graph;
@@ -84,9 +86,18 @@ fn bench_dynamic(c: &mut Criterion) {
         );
     }
 
+    // The batch apply alone, on the smallest (gated) perturbation.
+    let small = synth_batch(&g, ((m as f64) * 0.001) as usize);
+    group.bench_with_input(
+        BenchmarkId::new("apply", "rmat1150k_0.1pct"),
+        &small,
+        |b, batch| {
+            b.iter(|| g.apply_edge_batch_diff(batch, MergePolicy::Sum).unwrap());
+        },
+    );
+
     // From-scratch baseline on the post-batch graph of the smallest
     // (gated) perturbation — the work the incremental path displaces.
-    let small = synth_batch(&g, ((m as f64) * 0.001) as usize);
     let updated = g.apply_edge_batch(&small, MergePolicy::Sum).unwrap();
     group.bench_with_input(
         BenchmarkId::new("from_scratch", "rmat1150k"),

@@ -966,6 +966,84 @@ mod tests {
         );
     }
 
+    /// Two triangles joined by one edge, every edge of weight `w`.
+    fn two_triangles(w: &str) -> String {
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+            .iter()
+            .map(|(u, v)| format!("{u} {v} {w}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn out_of_range_weights_exit_4_and_write_nothing() {
+        let sane = tmp("range_unit.edges");
+        std::fs::write(&sane, two_triangles("1")).unwrap();
+        execute(cmd(&["detect", s(&sane)])).unwrap();
+        for (name, text, needle) in [
+            (
+                "range_dup.edges",
+                "0 1 1e308\n0 1 1e308\n1 2 1\n".to_string(),
+                "edge (0, 1) has merged weight inf",
+            ),
+            (
+                "range_degree.edges",
+                "0 1 1e308\n1 2 1e308\n".to_string(),
+                "vertex 1 has weighted degree inf",
+            ),
+            ("range_huge.edges", two_triangles("1e200"), "(2m)²"),
+            ("range_tiny.edges", two_triangles("1e-300"), "(2m)²"),
+        ] {
+            let graph = tmp(name);
+            std::fs::write(&graph, text).unwrap();
+            let out = tmp(&format!("{name}.assign"));
+            let _ = std::fs::remove_file(&out);
+            for argv in [
+                vec!["detect", s(&graph), "--assignments", s(&out)],
+                vec!["stats", s(&graph)],
+            ] {
+                let err = execute(cmd(&argv)).unwrap_err();
+                assert_eq!(err.code(), crate::error::EXIT_INVALID, "{name}: {err}");
+                assert!(err.message().contains(needle), "{name}: {err}");
+            }
+            assert!(!out.exists(), "{name}: detect wrote its assignment");
+        }
+    }
+
+    #[test]
+    fn update_out_of_range_weights_exit_4_and_write_nothing() {
+        let assign = tmp("range_upd.assign");
+        std::fs::write(&assign, "0 0\n1 0\n2 0\n").unwrap();
+        let batch = tmp("range_upd_batch.txt");
+        let (out_assign, out_graph) = (tmp("range_upd_out.assign"), tmp("range_upd_out.grb"));
+        // An edge of weight 1e308 is refused on load; a batch pushing
+        // (2m)² past f64 is refused by the apply.
+        for (graph_text, batch_text, needle) in [
+            ("0 1 1e308\n1 2 1\n", "+ 0 1 1e308\n", "(2m)²"),
+            ("0 1 1e150\n1 2 1e150\n", "+ 0 2 1e154\n", "(2m)²"),
+        ] {
+            let graph = tmp("range_upd.edges");
+            std::fs::write(&graph, graph_text).unwrap();
+            std::fs::write(&batch, batch_text).unwrap();
+            for p in [&out_assign, &out_graph] {
+                let _ = std::fs::remove_file(p);
+            }
+            let err = execute(cmd(&[
+                "update",
+                s(&graph),
+                s(&assign),
+                s(&batch),
+                "--assignments-out",
+                s(&out_assign),
+                "--graph-out",
+                s(&out_graph),
+            ]))
+            .unwrap_err();
+            assert_eq!(err.code(), crate::error::EXIT_INVALID, "{err}");
+            assert!(err.message().contains(needle), "{err}");
+            assert!(!out_assign.exists() && !out_graph.exists(), "{err}");
+        }
+    }
+
     #[test]
     fn detect_refine_and_audit_round_trip() {
         // detect --refine leiden writes an assignment the audit subcommand

@@ -5,9 +5,9 @@
 //! The driver composes machinery every prior layer already guarantees to be
 //! bitwise deterministic across thread counts:
 //!
-//! 1. [`CsrGraph::apply_edge_batch_diff`] rebuilds the CSR arrays through
-//!    the builder's count → prefix → scatter path and reports the net
-//!    per-edge changes;
+//! 1. [`CsrGraph::apply_edge_batch_diff`] splices the batch into the CSR
+//!    arrays — untouched rows are copied, only touched rows merged — and
+//!    reports the net per-edge changes;
 //! 2. the previous assignment is carried forward (new vertices enter as
 //!    singletons labeled with their own id — old labels are `< old_n`, so
 //!    the label spaces cannot collide);
@@ -34,12 +34,8 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::LouvainConfig;
 use crate::driver::{detect, run_in_pool};
-use crate::modularity::{
-    community_degrees, community_sizes, det_sum, intra_community_weight, Community,
-    ModularityTracker,
-};
+use crate::modularity::{det_sum, intra_community_weight, Community, ModularityTracker};
 use crate::phase::{PhaseDriver, PhaseOutcome, SweepState};
-use crate::rebuild::renumber_communities;
 use grappolo_graph::{CsrGraph, EdgeChange, EdgeDelta, MergePolicy, VertexId};
 
 /// Result of one batched dynamic update.
@@ -213,7 +209,7 @@ fn update_inner(
     seeds.sort_unstable();
     seeds.dedup();
 
-    let outcome = resume_inner(
+    let (outcome, num_communities) = resume_inner(
         g,
         &g_new,
         carried,
@@ -222,7 +218,6 @@ fn update_inner(
         &seeds,
         config,
     );
-    let (_, num_communities) = renumber_communities(&outcome.assignment, config.renumber);
     Ok(DynamicOutcome {
         graph: g_new,
         modularity: outcome.final_modularity,
@@ -237,6 +232,7 @@ fn update_inner(
 
 /// Rebuilds the sweep state for the carried labels on the updated graph and
 /// resumes the phase driver's unordered sweep from the dirty `seeds`.
+/// Returns the outcome and its number of non-empty communities.
 fn resume_inner(
     g_old: &CsrGraph,
     g_new: &CsrGraph,
@@ -245,19 +241,37 @@ fn resume_inner(
     changes: &[EdgeChange],
     seeds: &[VertexId],
     config: &LouvainConfig,
-) -> PhaseOutcome {
+) -> (PhaseOutcome, usize) {
     let new_n = g_new.num_vertices();
     let gamma = config.resolution;
     let two_m_old = 2.0 * g_old.total_weight();
+    let inverts = prev_modularity.is_some() && two_m_old > 0.0;
+
+    // One pass over the carried labels builds the community degrees on both
+    // graphs (`a_old` only when Q_old is inverted below) and the sizes,
+    // each adding in vertex order like `community_degrees` and
+    // `community_sizes`. Old vertices carry labels `< old_n`. `a_old` is
+    // allocated last and freed first, so the sweep reuses its space.
+    let mut a_new = vec![0.0f64; new_n];
+    let mut sizes = vec![0u32; new_n];
+    let mut a_old = vec![0.0f64; if inverts { g_old.num_vertices() } else { 0 }];
+    for (v, &c) in carried.iter().enumerate() {
+        let c = c as usize;
+        a_new[c] += g_new.weighted_degree(v as VertexId);
+        sizes[c] += 1;
+        if v < a_old.len() {
+            a_old[c] += g_old.weighted_degree(v as VertexId);
+        }
+    }
 
     // Σ e_in on the updated graph under the carried labels, without scanning
     // its m edges: invert Eq. 3 on the old graph (Q_old is known), then
     // patch in the touched edges' weight deltas. An intra adjacency entry
     // counts from both endpoints, self-loops once.
+    let null_old = det_sum(a_old.len(), |c| a_old[c] * a_old[c]);
+    drop(a_old);
     let e_in_new = match prev_modularity {
-        Some(q_old) if two_m_old > 0.0 => {
-            let a_old = community_degrees(g_old, &carried[..g_old.num_vertices()]);
-            let null_old = det_sum(a_old.len(), |c| a_old[c] * a_old[c]);
+        Some(q_old) if inverts => {
             let e_in_old = (q_old + gamma * null_old / (two_m_old * two_m_old)) * two_m_old;
             let patch: f64 = changes
                 .iter()
@@ -268,11 +282,8 @@ fn resume_inner(
         }
         _ => intra_community_weight(g_new, &carried),
     };
-    let a_new = community_degrees(g_new, &carried);
     let null_new = det_sum(a_new.len(), |c| a_new[c] * a_new[c]);
     let tracker = ModularityTracker::from_parts(g_new, e_in_new, null_new, gamma);
-    let mut sizes = community_sizes(&carried);
-    sizes.resize(new_n, 0);
 
     let state = SweepState {
         assignment: carried,

@@ -218,7 +218,7 @@ impl PhaseDriver {
     /// sweep otherwise. Applies refinement per the config.
     pub fn run(&self, g: &CsrGraph) -> PhaseOutcome {
         let state = SweepState::singletons(g, self.resolution, self.serial);
-        let mut outcome = if self.serial {
+        let (mut outcome, _) = if self.serial {
             self.sweep(g, state, None, crate::serial::immediate_step(g))
         } else {
             self.sweep(g, state, None, crate::parallel::unordered_step(g))
@@ -234,7 +234,7 @@ impl PhaseDriver {
         debug_assert!(batches.is_stably_ordered(), "unstable color batches");
         let state = SweepState::singletons(g, self.resolution, false);
         let step = crate::parallel::colored_step(g, batches);
-        let mut outcome = self.sweep(g, state, None, step);
+        let (mut outcome, _) = self.sweep(g, state, None, step);
         self.finish(g, &mut outcome);
         outcome
     }
@@ -245,16 +245,20 @@ impl PhaseDriver {
     /// endpoints of changed edges), so vertices outside the dirty closure
     /// are never examined and keep their labels bitwise. Refinement is not
     /// applied: it relabels every community, which would break that
-    /// guarantee.
+    /// guarantee. Also returns the number of non-empty communities, counted
+    /// from the sweep state's sizes.
     pub(crate) fn resume(
         &self,
         g: &CsrGraph,
         state: SweepState,
         seeds: &[VertexId],
-    ) -> PhaseOutcome {
+    ) -> (PhaseOutcome, usize) {
         let mut frontier = ActiveSet::empty(g.num_vertices());
         frontier.rebuild_from_moves(g, seeds);
-        self.sweep(g, state, Some(frontier), crate::parallel::unordered_step(g))
+        let (outcome, sizes) =
+            self.sweep(g, state, Some(frontier), crate::parallel::unordered_step(g));
+        let communities = sizes.iter().filter(|&&s| s > 0).count();
+        (outcome, communities)
     }
 
     /// The iteration driver every sweep runs through, from `state` with
@@ -284,7 +288,8 @@ impl PhaseDriver {
     ///
     /// Everything it reads is a function of the committed moves, so the
     /// phase is bitwise deterministic across thread counts whenever the
-    /// step is; it uses no rayon itself.
+    /// step is; it uses no rayon itself. Returns the outcome and the final
+    /// community sizes.
     fn sweep(
         &self,
         g: &CsrGraph,
@@ -296,18 +301,19 @@ impl PhaseDriver {
             f64,
             &mut Vec<VertexId>,
         ) -> (usize, usize),
-    ) -> PhaseOutcome {
+    ) -> (PhaseOutcome, Vec<u32>) {
         let n = g.num_vertices();
         let mut iterations: Vec<(f64, usize)> = Vec::new();
         let mut stats: Vec<IterationStats> = Vec::new();
         if n == 0 || g.total_weight() <= 0.0 {
-            return PhaseOutcome {
+            let outcome = PhaseOutcome {
                 assignment: state.assignment,
                 iterations,
                 stats,
                 final_modularity: 0.0,
                 refinement: None,
             };
+            return (outcome, state.sizes);
         }
         let gate = Gate::new(
             self.schedule,
@@ -357,13 +363,14 @@ impl PhaseDriver {
         }
 
         let final_modularity = iterations.last().map(|&(q, _)| q).unwrap_or(q_prev);
-        PhaseOutcome {
+        let outcome = PhaseOutcome {
             assignment: state.assignment,
             iterations,
             stats,
             final_modularity,
             refinement: None,
-        }
+        };
+        (outcome, state.sizes)
     }
 
     /// The post-sweep refinement hook — the one place refinement slots into

@@ -13,7 +13,7 @@
 //! sort-based reference path [`GraphBuilder::build_serial`]; the equivalence
 //! is property-tested across thread counts.
 
-use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
+use crate::csr::{CsrGraph, VertexId, WeightRangeError, DEFAULT_WEIGHT};
 use crate::shared::SharedSlice;
 use rayon::prelude::*;
 
@@ -41,6 +41,9 @@ pub enum BuildError {
         /// Declared vertex count.
         n: usize,
     },
+    /// The merged weights are out of the range modularity arithmetic
+    /// needs.
+    WeightRange(WeightRangeError),
 }
 
 impl std::fmt::Display for BuildError {
@@ -57,6 +60,7 @@ impl std::fmt::Display for BuildError {
             BuildError::OutOfMemory { n } => {
                 write!(f, "cannot allocate CSR offsets for n={n} vertices")
             }
+            BuildError::WeightRange(e) => e.fmt(f),
         }
     }
 }
@@ -202,7 +206,7 @@ impl GraphBuilder {
             weights.push(w);
         }
 
-        Ok(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
+        checked(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
     }
 
     /// Chunked parallel construction. Stages (edge chunks are contiguous
@@ -391,12 +395,19 @@ impl GraphBuilder {
             });
         }
 
-        Ok(CsrGraph::from_sorted_adjacency(
+        checked(CsrGraph::from_sorted_adjacency(
             final_offsets,
             targets,
             weights,
         ))
     }
+}
+
+/// Both build paths' last step: the merged graph, unless its weights are
+/// out of the range modularity arithmetic needs.
+fn checked(g: CsrGraph) -> Result<CsrGraph, BuildError> {
+    g.check_weight_range().map_err(BuildError::WeightRange)?;
+    Ok(g)
 }
 
 /// Edge count below which [`GraphBuilder::build`] stays on the serial path:
@@ -430,7 +441,7 @@ fn validate_edges(edges: &[(VertexId, VertexId, f64)], n: usize) -> Result<(), B
 /// A zeroed `len`-entry array, or `None` when the allocator cannot provide
 /// it. `len` may come from one vertex id in the input, and a huge id must be
 /// an error, not an abort.
-pub(crate) fn try_zeroed(len: usize) -> Option<Vec<usize>> {
+fn try_zeroed(len: usize) -> Option<Vec<usize>> {
     let mut v = Vec::new();
     v.try_reserve_exact(len).ok()?;
     v.resize(len, 0);
@@ -503,6 +514,47 @@ mod tests {
             let err = from_weighted_edges(2, [(0, 1, w)]).unwrap_err();
             assert!(matches!(err, BuildError::InvalidWeight { .. }), "w={w}");
         }
+    }
+
+    #[test]
+    fn rejects_weights_out_of_range() {
+        use crate::csr::WeightRangeError;
+        let err = from_weighted_edges(3, [(0, 1, 1e308), (1, 0, 1e308), (1, 2, 1.0)]).unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::WeightRange(WeightRangeError::EdgeWeight {
+                edge: (0, 1),
+                weight: f64::INFINITY
+            })
+        );
+        let err = from_weighted_edges(3, [(0, 1, 1e308), (1, 2, 1e308)]).unwrap_err();
+        assert!(matches!(
+            err,
+            BuildError::WeightRange(WeightRangeError::Degree { vertex: 1, .. })
+        ));
+        for w in [1e200, 1e-300] {
+            let err = from_weighted_edges(2, [(0, 1, w)]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BuildError::WeightRange(WeightRangeError::TotalWeight { .. })
+                ),
+                "w={w}: {err}"
+            );
+        }
+        // The parallel path checks too.
+        let mut edges: Vec<(VertexId, VertexId, f64)> =
+            (0..20_000u32).map(|i| (i, (i + 1) % 20_000, 1.0)).collect();
+        edges.extend([(7, 8, f64::MAX), (8, 7, f64::MAX)]);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let err = pool.install(|| from_weighted_edges(20_000, edges).unwrap_err());
+        assert!(matches!(
+            err,
+            BuildError::WeightRange(WeightRangeError::EdgeWeight { edge: (7, 8), .. })
+        ));
     }
 
     #[test]

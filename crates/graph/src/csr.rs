@@ -21,6 +21,61 @@ pub type VertexId = u32;
 /// Default weight assigned to edges of unweighted input (paper §2 footnote 1).
 pub const DEFAULT_WEIGHT: f64 = 1.0;
 
+/// Why a graph's weights are out of the range modularity arithmetic needs:
+/// every (merged) edge weight and weighted degree must be finite, and
+/// `(2m)²` — the null model's normalizer in every move gain — a finite
+/// normal `f64` whenever the graph has an edge. The builder, the `.grb`
+/// reader and the batch apply refuse such graphs. Each variant names the
+/// value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum WeightRangeError {
+    /// The merged weight of an edge (its duplicates or a batch's inserts,
+    /// summed) is not finite.
+    EdgeWeight {
+        /// Canonical endpoints `(min, max)`.
+        edge: (VertexId, VertexId),
+        /// The merged weight.
+        weight: f64,
+    },
+    /// A weighted degree `k_v` is not finite.
+    Degree {
+        /// The vertex.
+        vertex: VertexId,
+        /// Its weighted degree.
+        degree: f64,
+    },
+    /// `(2m)²` overflows or underflows: the weight scale is too large or
+    /// too small.
+    TotalWeight {
+        /// The total weight `m`.
+        total_weight: f64,
+    },
+}
+
+impl std::fmt::Display for WeightRangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WeightRangeError::EdgeWeight {
+                edge: (u, v),
+                weight,
+            } => write!(
+                f,
+                "edge ({u}, {v}) has merged weight {weight}; merged weights must be finite"
+            ),
+            WeightRangeError::Degree { vertex, degree } => write!(
+                f,
+                "vertex {vertex} has weighted degree {degree}; weighted degrees must be finite"
+            ),
+            WeightRangeError::TotalWeight { total_weight } => write!(
+                f,
+                "total weight m = {total_weight:e} is out of range; (2m)² must be a finite normal f64"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WeightRangeError {}
+
 /// A weighted undirected graph in CSR form.
 ///
 /// Immutable once built; construct via [`crate::builder::GraphBuilder`] or
@@ -93,9 +148,22 @@ impl CsrGraph {
             }
             weighted_degrees[v] = k;
         }
-        let total_weight = 0.5 * weighted_degrees.iter().sum::<f64>();
         let num_edges = (targets.len() - num_self_loops) / 2 + num_self_loops;
+        Self::from_parts(offsets, targets, weights, weighted_degrees, num_edges)
+    }
 
+    /// Assembles a graph whose weighted degrees (each summed from 0.0 in row
+    /// order) and edge count the caller already holds — the batch splice
+    /// derives them from the rows it touched. `m` is always re-summed here,
+    /// in vertex order, so every constructor yields the same bits.
+    pub(crate) fn from_parts(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<f64>,
+        weighted_degrees: Vec<f64>,
+        num_edges: usize,
+    ) -> Self {
+        let total_weight = 0.5 * weighted_degrees.iter().sum::<f64>();
         Self {
             offsets,
             targets,
@@ -103,6 +171,44 @@ impl CsrGraph {
             weighted_degrees,
             total_weight,
             num_edges,
+        }
+    }
+
+    /// Checks the conditions [`WeightRangeError`] lists. Finite positive
+    /// input weights can still break them: duplicate edges or a high degree
+    /// overflow their sums, and a uniformly huge or tiny weight scale
+    /// overflows or underflows `(2m)²`.
+    ///
+    /// O(n): a non-finite weight shows as a non-finite degree, so only the
+    /// first such vertex's row is scanned, to name the edge.
+    pub(crate) fn check_weight_range(&self) -> Result<(), WeightRangeError> {
+        if let Some(v) = self.weighted_degrees.iter().position(|k| !k.is_finite()) {
+            let v = v as VertexId;
+            // The first vertex with an infinite degree is the smaller
+            // endpoint of any infinite edge it has.
+            if let Some((u, weight)) = self.neighbors(v).find(|(_, w)| !w.is_finite()) {
+                return Err(WeightRangeError::EdgeWeight {
+                    edge: (v, u),
+                    weight,
+                });
+            }
+            return Err(WeightRangeError::Degree {
+                vertex: v,
+                degree: self.weighted_degree(v),
+            });
+        }
+        self.check_total_weight()
+    }
+
+    /// The `(2m)²` part of `check_weight_range`, O(1).
+    pub(crate) fn check_total_weight(&self) -> Result<(), WeightRangeError> {
+        let two_m = 2.0 * self.total_weight;
+        if self.targets.is_empty() || (two_m * two_m).is_normal() {
+            Ok(())
+        } else {
+            Err(WeightRangeError::TotalWeight {
+                total_weight: self.total_weight,
+            })
         }
     }
 

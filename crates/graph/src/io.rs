@@ -40,7 +40,7 @@ pub enum IoError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// The parsed edge list failed graph validation.
+    /// The parsed graph failed validation.
     Build(BuildError),
 }
 
@@ -851,8 +851,13 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
     // the O(m log deg) mirror-symmetry search, is therefore skipped here; it
     // would dominate the load and is exactly what makes checksum-verified
     // v2 loads fast. All downstream access is bounds-checked, so even an
-    // adversarial file that forged its checksums stays memory-safe.
-    Ok(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
+    // adversarial file that forged its checksums stays memory-safe. Finite
+    // weights can still sum past the range modularity needs: that O(n)
+    // check runs on the cached degrees.
+    let g = CsrGraph::from_sorted_adjacency(offsets, targets, weights);
+    g.check_weight_range()
+        .map_err(|e| IoError::Build(BuildError::WeightRange(e)))?;
+    Ok(g)
 }
 
 // ---------------------------------------------------------------------------
@@ -1197,6 +1202,23 @@ mod tests {
         let mut padded = buf.clone();
         padded.push(0);
         assert!(read_grb(&padded[..]).is_err());
+    }
+
+    #[test]
+    fn grb_rejects_weights_out_of_range() {
+        use crate::csr::WeightRangeError;
+        // Every weight is finite, so the decode's per-entry check passes;
+        // vertex 1's degree overflows.
+        let g = CsrGraph::from_sorted_adjacency(vec![0, 1, 3, 4], vec![1, 0, 2, 1], vec![1e308; 4]);
+        let mut buf = Vec::new();
+        write_grb(&g, &mut buf).unwrap();
+        match read_grb(&buf[..]) {
+            Err(IoError::Build(BuildError::WeightRange(WeightRangeError::Degree {
+                vertex: 1,
+                degree,
+            }))) => assert_eq!(degree, f64::INFINITY),
+            other => panic!("expected a degree overflow, got {other:?}"),
+        }
     }
 
     #[test]

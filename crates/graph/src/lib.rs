@@ -36,7 +36,7 @@ pub use builder::{from_unweighted_edges, from_weighted_edges, BuildError, GraphB
 pub use components::{
     connected_components, extract_components, ComponentLabeling, ComponentSubgraph,
 };
-pub use csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
+pub use csr::{CsrGraph, VertexId, WeightRangeError, DEFAULT_WEIGHT};
 pub use delta::{DeltaError, EdgeChange, EdgeDelta, MergePolicy};
 pub use io::parse_edge_batch;
 pub use shared::SharedSlice;

@@ -211,6 +211,22 @@ fn detect_panic_preserves_last_good_snapshot() {
 }
 
 #[test]
+fn out_of_range_weight_batch_preserves_snapshot() {
+    let batch = tmp_dir("weight_range").join("batch.txt");
+    // (2m)² overflows f64 once this edge is in.
+    std::fs::write(&batch, "+ 0 150 1e154\n").unwrap();
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    let before = query_script(&handle);
+    let mut c = Client::connect(&handle);
+    let resp = c.req(&format!("update {}", batch.display()));
+    assert!(resp.starts_with("err detect-failed total weight"), "{resp}");
+    assert!(resp.ends_with("(snapshot preserved)"), "{resp}");
+    assert_eq!(query_script(&handle), before);
+    assert_eq!(handle.snapshot().epoch, 0);
+    handle.shutdown();
+}
+
+#[test]
 fn detect_error_fault_preserves_snapshot() {
     let dir = tmp_dir("detect_err");
     let batch = dir.join("batch.txt");
