@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark: parallel speculative coloring vs serial greedy
 //! (§5.2 preprocessing cost), on uniform and skewed degree distributions and
 //! on the layer's real input: the cached ~1.15 M-edge RMAT graph after VF
-//! (`vf_preprocess`, the default single round), which is what `detect`
+//! (`vf_preprocess_recursive` with the default single round), which is what `detect`
 //! colors in its first phase.
 //!
 //! `cargo bench --bench coloring` emits `BENCH_coloring.json`, which the CI
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grappolo_bench::cached_graph;
 use grappolo_coloring::{color_greedy_serial, color_parallel, ParallelColoringConfig};
-use grappolo_core::vf_preprocess;
+use grappolo_core::vf_preprocess_recursive;
 use grappolo_graph::gen::{erdos_renyi, rmat, ErConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
@@ -32,7 +32,10 @@ fn inputs() -> Vec<(&'static str, CsrGraph)> {
                 ..Default::default()
             }),
         ),
-        ("rmat1150k_vf", vf_preprocess(&rmat1150k()).graph),
+        (
+            "rmat1150k_vf",
+            vf_preprocess_recursive(&rmat1150k(), 1).graph,
+        ),
     ]
 }
 

@@ -98,7 +98,7 @@ fn bench_dynamic(c: &mut Criterion) {
 
     // From-scratch baseline on the post-batch graph of the smallest
     // (gated) perturbation — the work the incremental path displaces.
-    let updated = g.apply_edge_batch(&small, MergePolicy::Sum).unwrap();
+    let (updated, _) = g.apply_edge_batch_diff(&small, MergePolicy::Sum).unwrap();
     group.bench_with_input(
         BenchmarkId::new("from_scratch", "rmat1150k"),
         &updated,

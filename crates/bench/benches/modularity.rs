@@ -97,6 +97,7 @@ fn bench_modularity(c: &mut Criterion) {
     );
     let batches = grappolo_coloring::ColorBatches::from_coloring(&coloring);
     let class = batches
+        .as_classes()
         .iter()
         .max_by_key(|c| c.len())
         .expect("non-empty coloring");

@@ -4,7 +4,6 @@
 use grappolo_core::{detect_communities, LouvainConfig, RunTrace, Scheme};
 use grappolo_graph::gen::paper_suite::PaperInput;
 use grappolo_graph::CsrGraph;
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -82,14 +81,6 @@ impl ExperimentContext {
             eprintln!("warning: could not write {}: {e}", path.display());
         } else {
             println!("  → wrote {}", path.display());
-        }
-    }
-
-    /// Serializes a record set as JSON under the results directory.
-    pub fn write_json<T: Serialize>(&self, name: &str, value: &T) {
-        match serde_json::to_string_pretty(value) {
-            Ok(s) => self.write_artifact(name, &s),
-            Err(e) => eprintln!("warning: json serialize failed for {name}: {e}"),
         }
     }
 }

@@ -92,7 +92,7 @@ USAGE:
       (default 3 / 10)
       --threads / --gamma: detection thread count and resolution
       --faults: failpoint spec, e.g. `detect=panic:1,persist=err:2`
-      (overrides the GRAPPOLO_FAULTS environment variable)
+      (testing only; without it no failpoint is armed)
   grappolo query --addr HOST:PORT (--script FILE | command…)
       one-shot client: send a single protocol command (the trailing
       words) or every non-comment line of --script FILE (not both) over
@@ -221,7 +221,7 @@ pub struct Serve {
     /// The default [`ServeConfig`] with every flag applied; its fault plan
     /// is armed when the command runs.
     pub config: ServeConfig,
-    /// Failpoint spec (overrides `GRAPPOLO_FAULTS`).
+    /// Failpoint spec; `None` arms nothing.
     pub faults: Option<String>,
 }
 

@@ -454,11 +454,9 @@ fn serve(cmd: Serve) -> Result<(), CliError> {
         mut config,
         faults,
     } = cmd;
-    config.faults = match faults {
-        Some(spec) => FaultPlan::parse(&spec),
-        None => FaultPlan::from_env(),
+    if let Some(spec) = faults {
+        config.faults = FaultPlan::parse(&spec).map_err(CliError::invalid)?;
     }
-    .map_err(CliError::invalid)?;
     config.detect.validate().map_err(CliError::invalid)?;
     let t = Instant::now();
     let handle = Server::start_from_path(&graph, config).map_err(|e| match &e {

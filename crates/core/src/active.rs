@@ -50,8 +50,8 @@ impl ActiveSet {
     /// tracking starts paying once an iteration commits at most `n / 8`
     /// moves. While more vertices than that move, the frontier (movers ∪
     /// their neighbors) stays near-saturated and a pruned iteration would
-    /// re-examine almost everything anyway — so the sweeps run the plain
-    /// full-iteration path (zero overhead, bitwise identical to
+    /// re-examine almost everything anyway — so the sweeps keep the
+    /// saturated frontier ([`ActiveSet::full`], bitwise identical to
     /// [`crate::config::SweepMode::Full`]) until the move count first drops
     /// to this bound, and prune every iteration after that. The rule reads
     /// only the committed move count, so engagement — like everything else
@@ -60,8 +60,8 @@ impl ActiveSet {
     /// Under a tightening convergence gate ([`crate::schedule`]) the sweeps
     /// additionally hold engagement until the per-vertex gate reaches its
     /// floor: a vertex gated at iteration `k` may clear iteration `k + 1`'s
-    /// tighter gate without any neighbor moving, and only the full path
-    /// re-examines it then — a pre-floor frontier would park it
+    /// tighter gate without any neighbor moving, and only the saturated
+    /// frontier re-examines it then — a pre-floor frontier would park it
     /// permanently. Gate-suppressed vertices commit no move, so with the
     /// floor reached they drop out of the rebuilt frontier exactly like
     /// ordinary stays, re-armed only when a neighbor moves.

@@ -100,11 +100,11 @@ pub enum SweepMode {
     /// Iteration `k` re-examines only the **active** vertices: those that
     /// moved in iteration `k−1` or had a neighbor move
     /// ([`crate::active::ActiveSet`], rebuilt deterministically from the
-    /// committed move list). Pruning is deferred — iterations run the plain
-    /// full path (bitwise identical to `Full`) until the move count first
-    /// drops to the [`crate::active::ActiveSet::engages`] bound, then
-    /// become activity-proportional: late iterations where <1% of vertices
-    /// move cost O(activity) instead of O(m), while staying bitwise
+    /// committed move list). Pruning is deferred — iterations walk the
+    /// saturated frontier (bitwise identical to `Full`) until the move
+    /// count first drops to the [`crate::active::ActiveSet::engages`]
+    /// bound, then become activity-proportional: late iterations where <1%
+    /// of vertices move cost O(activity) instead of O(m), while staying bitwise
     /// deterministic across thread counts. Final quality matches `Full`
     /// within the paper's tolerance (property-tested).
     Active,

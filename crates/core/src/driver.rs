@@ -9,7 +9,6 @@ use crate::history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
 use crate::modularity::{modularity_with_resolution, Community};
 use crate::phase::{PhaseDriver, PhaseOutcome};
 use crate::rebuild::{condense, renumber_communities};
-use crate::serial::serial_modularity;
 use crate::split::{detect_split, SPLIT_SERIAL_THRESHOLD};
 use crate::vf::vf_compact;
 use grappolo_coloring::{
@@ -110,21 +109,6 @@ pub fn detect_with_scheme(g: &CsrGraph, scheme: Scheme) -> CommunityResult {
     detect_communities(g, &scheme.config())
 }
 
-/// Modularity of `assignment` on `g` at the config's resolution, evaluated
-/// the way the run sweeps: rayon-free for a serial config, in parallel
-/// otherwise.
-pub(crate) fn run_modularity(
-    g: &CsrGraph,
-    assignment: &[Community],
-    config: &LouvainConfig,
-) -> f64 {
-    if config.parallel {
-        modularity_with_resolution(g, assignment, config.resolution)
-    } else {
-        serial_modularity(g, assignment, config.resolution)
-    }
-}
-
 /// The one detection run, inside the pool [`run_in_pool`] picked: the
 /// component splitter when the config asks for it ([`detect_split`], which
 /// runs this function per component), the multi-phase loop otherwise.
@@ -221,7 +205,7 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
         let phase_driver = PhaseDriver::from_config(config, threshold);
         let start_q = {
             let identity: Vec<Community> = (0..n as Community).collect();
-            run_modularity(&work, &identity, config)
+            modularity_with_resolution(&work, &identity, config.resolution)
         };
         let t_cluster = Instant::now();
         let outcome: PhaseOutcome = if colored {
@@ -322,7 +306,7 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
         .levels
         .last()
         .map_or(vf_vertices, |l| l.num_communities);
-    let final_q = run_modularity(g, &assignment, config);
+    let final_q = modularity_with_resolution(g, &assignment, config.resolution);
     trace.total_time = t_start.elapsed();
 
     CommunityResult {
@@ -382,16 +366,31 @@ mod tests {
         }
     }
 
+    /// Every scheme reports the Q of its assignment from the one evaluator,
+    /// bit for bit — on real weights and above `det_sum`'s 4 096-item chunk,
+    /// where a differently ordered sum differs in the last bits.
     #[test]
     fn reported_modularity_matches_assignment() {
-        let (g, _) = planted();
-        let result = detect_communities(&g, &colored_config());
-        let q = modularity_with_resolution(&g, &result.assignment, 1.0);
-        assert!(
-            (q - result.modularity).abs() < 1e-12,
-            "reported {} vs recomputed {q}",
-            result.modularity
-        );
+        for seed in 1..=3 {
+            let (g, _) = planted_partition(&PlantedConfig {
+                num_vertices: 6_000,
+                num_communities: 40,
+                weight_range: Some((0.5, 2.0)),
+                seed,
+                ..Default::default()
+            });
+            for scheme in Scheme::ALL {
+                let result = detect_communities(&g, &scheme.config());
+                let q = modularity_with_resolution(&g, &result.assignment, 1.0);
+                assert_eq!(
+                    q.to_bits(),
+                    result.modularity.to_bits(),
+                    "{} seed {seed}: reported {} vs recomputed {q}",
+                    scheme.name(),
+                    result.modularity
+                );
+            }
+        }
     }
 
     #[test]

@@ -73,4 +73,4 @@ pub use modularity::{modularity, modularity_with_resolution, Community};
 pub use phase::{IterationStats, PhaseDriver, PhaseOutcome};
 pub use refine::{refine_phase, RefineStats};
 pub use schedule::ScheduleSpec;
-pub use vf::{vf_preprocess, vf_preprocess_recursive, VfResult};
+pub use vf::{vf_preprocess_recursive, VfResult};

@@ -212,30 +212,19 @@ impl NeighborScratch {
         }
     }
 
-    /// Collects `e_{i→C}` for every community `C` adjacent to `v` (excluding
-    /// `v`'s self-loop, which moves with the vertex and cancels in gain
-    /// comparisons), with communities read through `community_of`. Entries
-    /// end up in first-touch order; weights accumulate in adjacency order.
+    /// Collects `e_{i→C}` for every community `C` adjacent to `v` under
+    /// `assignment` (excluding `v`'s self-loop, which moves with the vertex
+    /// and cancels in gain comparisons). Entries end up in first-touch
+    /// order; weights accumulate in adjacency order.
     #[inline]
-    pub fn gather_by(
-        &mut self,
-        g: &CsrGraph,
-        v: VertexId,
-        community_of: impl Fn(usize) -> Community,
-    ) {
+    pub fn gather(&mut self, g: &CsrGraph, assignment: &[Community], v: VertexId) {
         self.begin(g.num_vertices());
         for (u, w) in g.neighbors(v) {
             if u == v {
                 continue;
             }
-            self.accumulate(community_of(u as usize), w);
+            self.accumulate(assignment[u as usize], w);
         }
-    }
-
-    /// [`Self::gather_by`] against a plain assignment slice.
-    #[inline]
-    pub fn gather(&mut self, g: &CsrGraph, assignment: &[Community], v: VertexId) {
-        self.gather_by(g, v, |u| assignment[u]);
     }
 
     /// The weight accumulated toward community `c` in the current gather
@@ -485,30 +474,6 @@ impl ModularityTracker {
     pub fn new(g: &CsrGraph, assignment: &[Community], a: &[f64], gamma: f64) -> Self {
         let e_in = intra_community_weight(g, assignment);
         let null_sum = det_sum(a.len(), |c| a[c] * a[c]);
-        Self {
-            e_in,
-            null_sum,
-            two_m: 2.0 * g.total_weight(),
-            gamma,
-        }
-    }
-
-    /// Full-scan initialization with plain loops — for the serial scheme,
-    /// which must never touch the rayon pool.
-    pub fn new_serial(g: &CsrGraph, assignment: &[Community], a: &[f64], gamma: f64) -> Self {
-        let mut e_in = 0.0f64;
-        for v in 0..g.num_vertices() as VertexId {
-            let cv = assignment[v as usize];
-            for (u, w) in g.neighbors(v) {
-                if assignment[u as usize] == cv {
-                    e_in += w;
-                }
-            }
-        }
-        let mut null_sum = 0.0f64;
-        for &ac in a {
-            null_sum += ac * ac;
-        }
         Self {
             e_in,
             null_sum,
@@ -1040,14 +1005,13 @@ mod tests {
     }
 
     #[test]
-    fn tracker_serial_init_matches_parallel_init() {
+    fn tracker_init_matches_serial_reference() {
         let g = two_triangles();
         let assignment = vec![0u32, 0, 0, 1, 1, 1];
         let a = community_degrees(&g, &assignment);
-        let p = ModularityTracker::new(&g, &assignment, &a, 1.0);
-        let s = ModularityTracker::new_serial(&g, &assignment, &a, 1.0);
-        assert!((p.e_in - s.e_in).abs() < 1e-12);
-        assert!((p.null_sum - s.null_sum).abs() < 1e-12);
-        assert!((p.modularity() - modularity(&g, &assignment)).abs() < 1e-12);
+        let t = ModularityTracker::new(&g, &assignment, &a, 1.0);
+        let reference = crate::serial::serial_modularity(&g, &assignment, 1.0);
+        assert!((t.modularity() - reference).abs() < 1e-12);
+        assert!((t.modularity() - modularity(&g, &assignment)).abs() < 1e-12);
     }
 }

@@ -4,14 +4,15 @@
 //! evaluates:
 //!
 //! * **unordered** — no coloring: one lock-free parallel sweep per
-//!   iteration, every decision reading the *previous* iteration's
-//!   assignment and community degrees (Algorithm 1 lines 8–14 with a single
-//!   color set), all moves committed as one snapshot batch
+//!   iteration over the frontier, every decision reading the *previous*
+//!   iteration's assignment and community degrees (Algorithm 1 lines 8–14
+//!   with a single color set), all moves committed as one snapshot batch
 //!   ([`ModularityTracker::apply_batch`]). Deterministic for any thread
 //!   count: decisions read frozen state, the move list is assembled in
 //!   ascending vertex order, and every reduction is order-deterministic
 //!   (§5.4's stability property).
-//! * **colored** — vertices are processed one color batch at a time; each
+//! * **colored** — vertices are processed one color batch at a time,
+//!   filtered to the frontier once it is no longer saturated; each
 //!   batch is decided in parallel against the state frozen at its barrier,
 //!   then committed in ascending vertex order
 //!   ([`ModularityTracker::apply_independent_batch`], exact because a color
@@ -32,7 +33,7 @@
 //! [`ModularityTracker::apply_independent_batch`]: crate::modularity::ModularityTracker::apply_independent_batch
 
 use crate::active::ActiveSet;
-use crate::modularity::{Community, IndependentMove, MoveDecision, NeighborScratch, ScratchPool};
+use crate::modularity::{Community, IndependentMove, MoveDecision, ScratchPool};
 use crate::phase::{evaluate, singlet_veto, SweepState};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
@@ -64,20 +65,18 @@ fn snapshot_policy(
 
 /// The unordered sweep's per-iteration step for the phase driver.
 ///
-/// Every examined vertex decides in parallel against the state as the
+/// Every frontier vertex decides in parallel against the state as the
 /// previous iteration left it; the moves then commit together through
 /// [`crate::modularity::ModularityTracker::apply_batch`] (O(Σ deg(moved))
-/// accounting, applied in ascending vertex order). Before pruning engages
-/// the step examines all `n` vertices and collects the new assignment
-/// directly; once the driver has engaged a frontier, only frontier vertices
-/// decide — they see exactly the frozen state a full sweep would show them,
-/// so their decisions and the accounting are unchanged — and the commit
-/// goes through a second assignment buffer.
+/// accounting, applied in ascending vertex order). The commit copies the
+/// snapshot into a second assignment buffer, applies the frontier's
+/// decisions to it in ascending vertex order and swaps it in. Vertices off
+/// the frontier keep their labels; a frontier vertex decides against
+/// exactly the frozen state an unpruned sweep would show it, so the
+/// saturated frontier `0..n` commits what an unpruned sweep commits.
 pub(crate) fn unordered_step(
     g: &CsrGraph,
-) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + '_
-{
-    let n = g.num_vertices();
+) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + '_ {
     // The process-global per-worker arena: scratches checked out here were
     // warmed by earlier iterations — and earlier *phases* — on the same
     // resident worker.
@@ -86,79 +85,39 @@ pub(crate) fn unordered_step(
     move |state, active, gate, movers| {
         let gamma = state.tracker.gamma();
         let frozen = &*state;
-        let target_of = |scratch: &mut NeighborScratch, v: VertexId| {
-            let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
-            snapshot_policy(&d, frozen.assignment[v as usize], gate, &frozen.sizes)
-        };
-        match active {
-            None => {
-                // With the gate inactive (Fixed + ε = 0, the default and
-                // the perf-gated baseline) nothing can be suppressed, so
-                // the sweep keeps its single-collect shape; the gated shape
-                // pays two extra O(n) passes to split targets from
-                // suppression flags.
-                let (c_curr, converged): (Vec<Community>, usize) = if gate > 0.0 {
-                    let decisions: Vec<(Community, bool)> = (0..n as VertexId)
-                        .into_par_iter()
-                        .map_init(|| scratches.take(), |scratch, v| target_of(scratch, v))
-                        .collect();
-                    (
-                        decisions.par_iter().map(|&(c, _)| c).collect(),
-                        decisions.par_iter().filter(|&&(_, gated)| gated).count(),
-                    )
-                } else {
-                    let c_curr = (0..n as VertexId)
-                        .into_par_iter()
-                        .map_init(|| scratches.take(), |scratch, v| target_of(scratch, v).0)
-                        .collect();
-                    (c_curr, 0)
-                };
-                // The committed moves, in ascending vertex order.
-                *movers = (0..n as VertexId)
-                    .into_par_iter()
-                    .filter(|&v| frozen.assignment[v as usize] != c_curr[v as usize])
-                    .collect();
-                state.tracker.apply_batch(
-                    g,
-                    &state.assignment,
-                    &c_curr,
-                    movers,
-                    &mut state.a,
-                    &mut state.sizes,
-                );
-                state.assignment = c_curr;
-                (n, converged)
+        let frontier = active.frontier();
+        let decisions: Vec<(Community, bool)> = frontier
+            .par_iter()
+            .map_init(
+                || scratches.take(),
+                |scratch, &v| {
+                    let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+                    snapshot_policy(&d, frozen.assignment[v as usize], gate, &frozen.sizes)
+                },
+            )
+            .collect();
+        // Copy the snapshot (an O(n) memcpy, cheap next to the O(m)
+        // gathers), then apply the frontier's decisions in ascending vertex
+        // order.
+        spare.clone_from(&state.assignment);
+        let mut converged = 0usize;
+        for (&v, &(to, gated)) in frontier.iter().zip(&decisions) {
+            if to != state.assignment[v as usize] {
+                spare[v as usize] = to;
+                movers.push(v);
             }
-            Some(set) => {
-                let frontier = set.frontier();
-                let decisions: Vec<(Community, bool)> = frontier
-                    .par_iter()
-                    .map_init(|| scratches.take(), |scratch, &v| target_of(scratch, v))
-                    .collect();
-                // Copy the snapshot (an O(n) memcpy, cheap next to the O(m)
-                // gathers pruning saves), then apply the frontier's
-                // decisions in ascending vertex order.
-                spare.clone_from(&state.assignment);
-                let mut converged = 0usize;
-                for (&v, &(to, gated)) in frontier.iter().zip(&decisions) {
-                    if to != state.assignment[v as usize] {
-                        spare[v as usize] = to;
-                        movers.push(v);
-                    }
-                    converged += gated as usize;
-                }
-                state.tracker.apply_batch(
-                    g,
-                    &state.assignment,
-                    &spare,
-                    movers,
-                    &mut state.a,
-                    &mut state.sizes,
-                );
-                std::mem::swap(&mut state.assignment, &mut spare);
-                (frontier.len(), converged)
-            }
+            converged += gated as usize;
         }
+        state.tracker.apply_batch(
+            g,
+            &state.assignment,
+            &spare,
+            movers,
+            &mut state.a,
+            &mut state.sizes,
+        );
+        std::mem::swap(&mut state.assignment, &mut spare);
+        (frontier.len(), converged)
     }
 }
 
@@ -173,8 +132,8 @@ pub(crate) fn unordered_step(
 /// fixed left-biased order (`det_sum`) and the `a`/`Σ a_C²`/size updates
 /// apply in commit order, O(#moves) and schedule-independent.
 ///
-/// Once the driver has engaged a frontier, each batch is first filtered to
-/// its active vertices ([`ColorBatches::filter_batch_into`]) — a filtered
+/// While the frontier is not saturated, each batch is first filtered to its
+/// frontier vertices ([`ColorBatches::filter_batch_into`]) — a filtered
 /// batch is still an independent set, so the barrier commit and the
 /// incremental accounting stay exact. Vertices whose neighborhood changes
 /// mid-iteration (an earlier batch's commit) are picked up by the next
@@ -183,8 +142,7 @@ pub(crate) fn unordered_step(
 pub(crate) fn colored_step<'a>(
     g: &'a CsrGraph,
     batches: &'a ColorBatches,
-) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + 'a
-{
+) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + 'a {
     // Scratch allocations amortize across all color batches, iterations,
     // and phases instead of recurring per parallel region.
     let scratches = ScratchPool::global();
@@ -195,14 +153,13 @@ pub(crate) fn colored_step<'a>(
         let mut examined = 0usize;
         let mut converged = 0usize;
         for (color, full_batch) in batches.as_classes().iter().enumerate() {
-            let batch: &[VertexId] = match active {
+            let batch: &[VertexId] = if active.is_saturated() {
+                full_batch
+            } else {
                 // A filtered batch is a subset of an independent set —
                 // still independent, still ascending.
-                Some(set) if !set.is_saturated() => {
-                    batches.filter_batch_into(color, |v| set.contains(v), &mut filtered);
-                    &filtered
-                }
-                _ => full_batch.as_slice(),
+                batches.filter_batch_into(color, |v| active.contains(v), &mut filtered);
+                &filtered
             };
             if batch.is_empty() {
                 continue;

@@ -14,14 +14,20 @@
 //!   parallel sweeps, applies the §5.1 singlet veto;
 //! * the **iteration driver**: it owns the phase's convergence gate
 //!   ([`crate::schedule`]: the per-iteration vertex gate and the stop
-//!   test), the deferred [`ActiveSet`] engagement and the frontier rebuild
-//!   from committed movers, the [`IterationStats`], the incremental-vs-full
-//!   drift cross-check and the [`PhaseOutcome`].
+//!   test), the explicit [`ActiveSet`] frontier every iteration walks and
+//!   its rebuild from committed movers once pruning engages, the
+//!   [`IterationStats`], the incremental-vs-full drift cross-check and the
+//!   [`PhaseOutcome`].
 //!
-//! The sweeps differ only in how one iteration commits its moves, which is
-//! the step the driver runs each iteration:
+//! Every sweep walks an explicit frontier (Staudt & Meyerhenke's PLM
+//! dirty-vertex work list). A phase starts from the saturated set
+//! [`ActiveSet::full`], whose frontier is `0..n` in ascending order, so an
+//! iteration before pruning engages examines every vertex in id order; the
+//! dynamic-update path starts from the frontier seeded by the changed
+//! edges. The sweeps differ only in how one iteration commits the
+//! frontier's moves, which is the step the driver runs each iteration:
 //!
-//! * **immediate** commits in vertex order — the serial Louvain scan
+//! * **immediate** commits in frontier order — the serial Louvain scan
 //!   ([`crate::serial`]), which is also the pass refinement's absorption
 //!   and polish sweeps run;
 //! * the **unordered snapshot batch** — every decision reads the previous
@@ -43,7 +49,6 @@ use crate::modularity::{
 };
 use crate::refine::RefineStats;
 use crate::schedule::{Gate, ScheduleSpec};
-use crate::serial::serial_modularity;
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 
@@ -56,9 +61,9 @@ pub struct IterationStats {
     /// Effective per-vertex gain gate this iteration decided under (the
     /// phase's convergence gate, [`crate::schedule`]; 0 when ungated).
     pub gate: f64,
-    /// Vertices the iteration examined (`n` on the full path, the frontier
-    /// length once the active set engages, the filtered batch total for
-    /// colored sweeps).
+    /// Vertices the iteration examined: the frontier length (`n` while the
+    /// frontier is saturated), the filtered batch total for colored
+    /// sweeps.
     pub frontier: usize,
     /// Vertices whose best positive-gain move the gate suppressed — locally
     /// converged at this gate level.
@@ -118,16 +123,11 @@ pub(crate) struct SweepState {
 }
 
 impl SweepState {
-    /// The singleton partition a phase starts from. `serial` selects the
-    /// tracker's rayon-free constructor.
-    fn singletons(g: &CsrGraph, gamma: f64, serial: bool) -> Self {
+    /// The singleton partition a phase starts from.
+    fn singletons(g: &CsrGraph, gamma: f64) -> Self {
         let assignment: Vec<Community> = (0..g.num_vertices() as Community).collect();
         let a = g.weighted_degrees().to_vec();
-        let tracker = if serial {
-            ModularityTracker::new_serial(g, &assignment, &a, gamma)
-        } else {
-            ModularityTracker::new(g, &assignment, &a, gamma)
-        };
+        let tracker = ModularityTracker::new(g, &assignment, &a, gamma);
         Self {
             sizes: vec![1; assignment.len()],
             assignment,
@@ -178,10 +178,9 @@ pub(crate) fn evaluate(
 /// [`PhaseOutcome::final_modularity`].
 ///
 /// Every path preserves the repo's determinism contract: outcomes are
-/// bitwise identical across thread counts. Note the serial path is
-/// rayon-free only in its sweep; refinement and the colored/unordered paths
-/// use the ambient pool (the multi-phase driver pins serial runs to a
-/// 1-thread pool).
+/// bitwise identical across thread counts. Every path runs in the ambient
+/// pool; what keeps a serial run on one thread is the 1-thread pool the
+/// multi-phase driver installs for it.
 #[derive(Clone, Debug)]
 pub struct PhaseDriver {
     serial: bool,
@@ -217,11 +216,12 @@ impl PhaseDriver {
     /// when the config selected `parallel = false`, the unordered parallel
     /// sweep otherwise. Applies refinement per the config.
     pub fn run(&self, g: &CsrGraph) -> PhaseOutcome {
-        let state = SweepState::singletons(g, self.resolution, self.serial);
+        let state = SweepState::singletons(g, self.resolution);
+        let all = ActiveSet::full(g.num_vertices());
         let (mut outcome, _) = if self.serial {
-            self.sweep(g, state, None, crate::serial::immediate_step(g))
+            self.sweep(g, state, all, false, crate::serial::immediate_step(g))
         } else {
-            self.sweep(g, state, None, crate::parallel::unordered_step(g))
+            self.sweep(g, state, all, false, crate::parallel::unordered_step(g))
         };
         self.finish(g, &mut outcome);
         outcome
@@ -232,9 +232,10 @@ impl PhaseDriver {
     /// refinement per the config.
     pub fn run_colored(&self, g: &CsrGraph, batches: &ColorBatches) -> PhaseOutcome {
         debug_assert!(batches.is_stably_ordered(), "unstable color batches");
-        let state = SweepState::singletons(g, self.resolution, false);
+        let state = SweepState::singletons(g, self.resolution);
+        let all = ActiveSet::full(g.num_vertices());
         let step = crate::parallel::colored_step(g, batches);
-        let (mut outcome, _) = self.sweep(g, state, None, step);
+        let (mut outcome, _) = self.sweep(g, state, all, false, step);
         self.finish(g, &mut outcome);
         outcome
     }
@@ -256,33 +257,34 @@ impl PhaseDriver {
         let mut frontier = ActiveSet::empty(g.num_vertices());
         frontier.rebuild_from_moves(g, seeds);
         let (outcome, sizes) =
-            self.sweep(g, state, Some(frontier), crate::parallel::unordered_step(g));
+            self.sweep(g, state, frontier, true, crate::parallel::unordered_step(g));
         let communities = sizes.iter().filter(|&&s| s > 0).count();
         (outcome, communities)
     }
 
-    /// The iteration driver every sweep runs through, from `state` with
-    /// pruning pre-engaged on `active` (or deferred, when `None`).
+    /// The iteration driver every sweep runs through, from `state` and the
+    /// frontier `active`, with pruning already `engaged` (the rebuilt
+    /// frontier of a resumed sweep) or deferred (the saturated set a phase
+    /// starts from).
     ///
     /// `step` is the commit strategy: called once per iteration with the
-    /// state, the engaged frontier (`None` while every vertex is examined),
-    /// the iteration's gate and an empty mover list, it decides, commits
-    /// the moves into the state, pushes each mover onto the list, and
-    /// returns `(examined, converged)` — the vertices it examined and those
-    /// whose move the gate suppressed.
+    /// state, the frontier, the iteration's gate and an empty mover list,
+    /// it decides every frontier vertex, commits the moves into the state,
+    /// pushes each mover onto the list, and returns `(examined, converged)`
+    /// — the vertices it examined and those whose move the gate suppressed.
     ///
     /// The driver owns everything around the step:
     /// * the convergence gate ([`crate::schedule`]) the config's schedule,
     ///   the phase θ and the vertex epsilon resolve to on the phase graph's
     ///   total weight: its per-iteration gate, a pure function of the
     ///   iteration index, and its stop test;
-    /// * deferred pruning under [`SweepMode::Active`]: the full path runs
-    ///   (bitwise identical to [`SweepMode::Full`]) until an iteration's
-    ///   move count first drops to the [`ActiveSet::engages`] bound with the
-    ///   gate at its floor — a frontier built from a dense move set would
-    ///   be near-saturated, and a pre-floor one would park vertices the
-    ///   tightening gate is about to admit; from then on the frontier is
-    ///   rebuilt from each iteration's movers;
+    /// * deferred pruning under [`SweepMode::Active`]: the frontier stays
+    ///   saturated (bitwise identical to [`SweepMode::Full`]) until an
+    ///   iteration's move count first drops to the [`ActiveSet::engages`]
+    ///   bound with the gate at its floor — a frontier built from a dense
+    ///   move set would be near-saturated, and a pre-floor one would park
+    ///   vertices the tightening gate is about to admit; from then on the
+    ///   frontier is rebuilt from each iteration's movers;
     /// * the per-iteration records, the drift cross-check against a full
     ///   recompute (debug builds) and the outcome.
     ///
@@ -294,13 +296,9 @@ impl PhaseDriver {
         &self,
         g: &CsrGraph,
         mut state: SweepState,
-        mut active: Option<ActiveSet>,
-        mut step: impl FnMut(
-            &mut SweepState,
-            Option<&ActiveSet>,
-            f64,
-            &mut Vec<VertexId>,
-        ) -> (usize, usize),
+        mut active: ActiveSet,
+        mut engaged: bool,
+        mut step: impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize),
     ) -> (PhaseOutcome, Vec<u32>) {
         let n = g.num_vertices();
         let mut iterations: Vec<(f64, usize)> = Vec::new();
@@ -326,28 +324,23 @@ impl PhaseDriver {
         let mut movers: Vec<VertexId> = Vec::new();
 
         for iter in 0..self.max_iterations {
-            if active.as_ref().is_some_and(ActiveSet::is_empty) {
+            if active.is_empty() {
                 // Converged: nothing moved last iteration, so no vertex has
-                // a changed neighborhood.
+                // a changed neighborhood. (The saturated set is never empty
+                // here: `n > 0`.)
                 break;
             }
             let cutoff = gate.at(iter);
             movers.clear();
-            let (examined, converged) = step(&mut state, active.as_ref(), cutoff, &mut movers);
+            let (examined, converged) = step(&mut state, &active, cutoff, &mut movers);
             let moves = movers.len();
-            match &mut active {
-                Some(set) => set.rebuild_from_moves(g, &movers),
-                None if prune && gate.at_floor(iter) && ActiveSet::engages(n, moves) => {
-                    let mut set = ActiveSet::empty(n);
-                    set.rebuild_from_moves(g, &movers);
-                    active = Some(set);
-                }
-                None => {}
+            engaged = engaged || (prune && gate.at_floor(iter) && ActiveSet::engages(n, moves));
+            if engaged {
+                active.rebuild_from_moves(g, &movers);
             }
             let q_curr = state.tracker.modularity();
             debug_assert!(
-                (q_curr - serial_modularity(g, &state.assignment, self.resolution)).abs()
-                    < TRACKER_DRIFT_TOLERANCE,
+                state.tracker.drift_from_full(g, &state.assignment) < TRACKER_DRIFT_TOLERANCE,
                 "incremental modularity drifted from the full recompute",
             );
             iterations.push((q_curr, moves));

@@ -177,7 +177,7 @@ pub fn parallel_phase_colored_rescan(
 
     for iter in 0..max_iterations {
         let mut moves = 0usize;
-        for batch in batches.iter() {
+        for batch in batches.as_classes() {
             // Decide through the production move kernel against the state
             // frozen at the barrier, with the singlet veto and no gate.
             let targets: Vec<Community> = batch

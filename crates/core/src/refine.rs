@@ -70,8 +70,8 @@
 
 use crate::active::ActiveSet;
 use crate::modularity::{
-    community_sizes, det_sum, intra_community_weight, modularity_with_resolution, Community,
-    ModularityTracker, NeighborScratch, ScratchPool,
+    community_sizes, det_sum, modularity_with_resolution, Community, ModularityTracker,
+    NeighborScratch, ScratchPool,
 };
 use crate::phase::SweepState;
 use crate::serial::immediate_pass;
@@ -301,26 +301,17 @@ fn resplit_affected(
 /// Labels in the refined assignment are component-minimum vertex ids; the
 /// caller renumbers as usual.
 pub fn refine_phase(g: &CsrGraph, assignment: &mut [Community], gamma: f64) -> RefineStats {
-    refine_phase_impl(g, assignment, gamma, None)
+    let pre_modularity = modularity_with_resolution(g, assignment, gamma);
+    refine_phase_from(g, assignment, gamma, pre_modularity)
 }
 
 /// [`refine_phase`] with the entering assignment's modularity supplied by
-/// the caller (the phase driver already tracks it incrementally), skipping
-/// the standalone entry point's full rescan.
+/// the caller (the phase driver already tracks it incrementally).
 pub(crate) fn refine_phase_from(
     g: &CsrGraph,
     assignment: &mut [Community],
     gamma: f64,
     pre_modularity: f64,
-) -> RefineStats {
-    refine_phase_impl(g, assignment, gamma, Some(pre_modularity))
-}
-
-fn refine_phase_impl(
-    g: &CsrGraph,
-    assignment: &mut [Community],
-    gamma: f64,
-    pre: Option<f64>,
 ) -> RefineStats {
     let n = g.num_vertices();
     let m = g.total_weight();
@@ -350,19 +341,10 @@ fn refine_phase_impl(
     let null_sum = det_sum(n, |c| a[c] * a[c]);
     let two_m = 2.0 * m;
     // Splitting changes no intra-community edge, so the parent
-    // assignment's `e_in` carries over exactly. When the caller supplies
-    // the parent modularity (the driver's tracker value), invert the Q
-    // formula instead of paying an O(m) edge rescan.
-    let (pre_modularity, e_in) = match pre {
-        Some(q) => {
-            let null_parent = det_sum(n, |c| a_parent[c] * a_parent[c]);
-            (q, (q + gamma * null_parent / (two_m * two_m)) * two_m)
-        }
-        None => (
-            modularity_with_resolution(g, assignment, gamma),
-            intra_community_weight(g, assignment),
-        ),
-    };
+    // assignment's `e_in` carries over exactly: invert the Q formula on the
+    // parent modularity instead of paying an O(m) edge rescan.
+    let null_parent = det_sum(n, |c| a_parent[c] * a_parent[c]);
+    let e_in = (pre_modularity + gamma * null_parent / (two_m * two_m)) * two_m;
     let mut state = SweepState {
         assignment: refined,
         a,

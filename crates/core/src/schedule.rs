@@ -62,7 +62,7 @@ pub enum ScheduleSpec {
 /// [`Gate::at`] is the per-vertex gain gate of iteration `k`: a vertex whose
 /// best move gains less stays put, commits no move, and therefore drops out
 /// of the next dirty-vertex frontier until a neighbor moves (before
-/// [`crate::active::ActiveSet`] engagement the full path simply re-examines
+/// [`crate::active::ActiveSet`] engagement the saturated frontier re-examines
 /// it each iteration at the ever-tighter gate). [`Gate::should_stop`] is
 /// the phase-termination test.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -4,19 +4,22 @@
 //! ([`crate::phase`] runs the iterations around it).
 //!
 //! Within an iteration the vertices are scanned **sequentially in a
-//! predefined order** (vertex id, or the ascending active frontier), each
-//! decision seeing "the latest information available from all the preceding
-//! vertices" — the property §4 identifies as the obstacle to
-//! parallelization. Every move is committed the moment it is decided
+//! predefined order** (the ascending frontier: vertex id order while it is
+//! saturated), each decision seeing "the latest information available from
+//! all the preceding vertices" — the property §4 identifies as the obstacle
+//! to parallelization. Every move is committed the moment it is decided
 //! (community degrees, sizes, and the tracker's `Σ e_in` / `Σ a_C²` via
 //! [`ModularityTracker::apply_move`]), so modularity is monotonically
 //! non-decreasing across iterations of a phase (tested). The same pass runs
 //! the Leiden-style refinement's absorption and polish sweeps
 //! ([`crate::refine`]).
 //!
-//! This module intentionally contains no rayon, and neither does the
-//! driver's serial path: the serial baseline must not silently parallelize,
-//! or Table 2 / Fig. 7's absolute speedups would be meaningless.
+//! The serial baseline must not silently parallelize, or Table 2 / Fig. 7's
+//! absolute speedups would be meaningless. The pass itself is sequential;
+//! the rest of a serial run (the modularity evaluations, the rebuild and
+//! refinement) is the parallel runs' code, which the multi-phase driver
+//! keeps on one thread by running the whole serial run in a 1-thread pool,
+//! where every parallel iterator runs inline.
 //!
 //! [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
 
@@ -70,38 +73,28 @@ pub(crate) fn immediate_pass(
 }
 
 /// The serial sweep's per-iteration step for the phase driver: one
-/// immediate pass over every vertex in id order (Blondel et al.'s scheme)
-/// or, once pruning has engaged, over the ascending frontier — the same
-/// vertices a full scan would visit, minus the provably unchanged ones, in
-/// the same order.
+/// immediate pass over the ascending frontier — every vertex in id order
+/// (Blondel et al.'s scheme) while it is saturated, and once pruning has
+/// engaged the same vertices minus the provably unchanged ones, in the same
+/// order.
 pub(crate) fn immediate_step(
     g: &CsrGraph,
-) -> impl FnMut(&mut SweepState, Option<&ActiveSet>, f64, &mut Vec<VertexId>) -> (usize, usize) + '_
-{
-    let n = g.num_vertices();
-    let mut scratch = NeighborScratch::with_capacity(n);
+) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + '_ {
+    let mut scratch = NeighborScratch::with_capacity(g.num_vertices());
     move |state, active, gate, movers| {
+        let frontier = active.frontier().iter().copied();
         let push = |v: VertexId, _: Community| movers.push(v);
-        match active {
-            Some(set) => {
-                let frontier = set.frontier().iter().copied();
-                let converged =
-                    immediate_pass(g, state, &mut scratch, frontier, gate, |_, _| true, push);
-                (set.len(), converged)
-            }
-            None => {
-                let all = 0..n as VertexId;
-                let converged =
-                    immediate_pass(g, state, &mut scratch, all, gate, |_, _| true, push);
-                (n, converged)
-            }
-        }
+        let converged = immediate_pass(g, state, &mut scratch, frontier, gate, |_, _| true, push);
+        (active.len(), converged)
     }
 }
 
-/// Single-threaded modularity (Eq. 3) — same math as
-/// [`crate::modularity::modularity`] but with plain loops so the serial
-/// scheme never touches the rayon pool.
+/// Modularity (Eq. 3) with plain sequential loops — the same math as
+/// [`crate::modularity::modularity_with_resolution`], summed in vertex
+/// order instead of through `det_sum`'s fixed chunks, so the two can differ
+/// in the last bits. Every run evaluates Q with
+/// [`crate::modularity::modularity_with_resolution`]; this loop is an
+/// independent reference for it.
 pub fn serial_modularity(g: &CsrGraph, assignment: &[Community], gamma: f64) -> f64 {
     let m = g.total_weight();
     if m <= 0.0 {

@@ -34,9 +34,9 @@
 use crate::cancel::CancelToken;
 use crate::config::LouvainConfig;
 use crate::dendrogram::{Dendrogram, DendrogramLevel};
-use crate::driver::{detect, run_modularity, CommunityResult};
+use crate::driver::{detect, CommunityResult};
 use crate::history::RunTrace;
-use crate::modularity::Community;
+use crate::modularity::{modularity_with_resolution, Community};
 use grappolo_graph::{connected_components, extract_components, CsrGraph};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -154,7 +154,7 @@ pub(crate) fn detect_split(
         }
     }
 
-    let modularity = run_modularity(g, &assignment, config);
+    let modularity = modularity_with_resolution(g, &assignment, config.resolution);
     trace.total_time = t_start.elapsed();
 
     // A single synthetic dendrogram level keeps the flatten invariant
@@ -183,7 +183,6 @@ mod tests {
     use super::*;
     use crate::config::Scheme;
     use crate::driver::detect_communities;
-    use crate::modularity::modularity_with_resolution;
     use grappolo_graph::builder::GraphBuilder;
     use grappolo_graph::gen::{planted_partition, PlantedConfig};
     use grappolo_graph::VertexId;

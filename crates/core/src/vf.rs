@@ -56,12 +56,6 @@ impl VfResult {
     }
 }
 
-/// Applies one round of single-degree vertex merging (the paper's
-/// implemented variant).
-pub fn vf_preprocess(g: &CsrGraph) -> VfResult {
-    vf_round(g, false).unwrap_or_else(|| VfResult::identity(g.clone()))
-}
-
 /// For the recursive extension: `v` is a *single-neighbor* vertex (§5.3) if
 /// its adjacency is exactly one non-loop edge `(v, j)` plus an optional
 /// self-loop. Returns `(j, ω(v, j))`.
@@ -409,7 +403,7 @@ mod tests {
             ("weighted_mixed", weighted_mixed()),
         ];
         for (name, g) in &graphs {
-            let once = vf_preprocess(g);
+            let once = vf_preprocess_recursive(g, 1);
             assert!(once.graph.bitwise_eq(&condensed(g, &once)), "{name}");
 
             // The recursive chain, checked round by round against the
@@ -437,7 +431,7 @@ mod tests {
     fn star_collapses_to_single_vertex() {
         // Star: hub 0, spokes 1..5 — all spokes single-degree.
         let g = from_unweighted_edges(5, (1..5).map(|v| (0, v))).unwrap();
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert_eq!(r.graph.num_vertices(), 1);
         assert_eq!(r.merged, 4);
         assert!(r.mapping.iter().all(|&m| m == 0));
@@ -449,7 +443,7 @@ mod tests {
     #[test]
     fn pair_merges_to_one() {
         let g = from_unweighted_edges(2, [(0, 1)]).unwrap();
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert_eq!(r.graph.num_vertices(), 1);
         assert_eq!(r.merged, 1);
         assert_eq!(r.graph.total_weight(), g.total_weight());
@@ -458,7 +452,7 @@ mod tests {
     #[test]
     fn preserves_total_weight_on_hub_spoke() {
         let (g, _) = hub_spoke(&HubSpokeConfig::default());
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert!((r.graph.total_weight() - g.total_weight()).abs() < 1e-9);
         // All spokes merged: 64 hubs remain.
         assert_eq!(r.graph.num_vertices(), 64);
@@ -474,7 +468,7 @@ mod tests {
             spokes_per_hub: 3,
             ..Default::default()
         });
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         // Partition compacted hubs into two halves.
         let nc = r.graph.num_vertices();
         let compact: Vec<u32> = (0..nc as u32)
@@ -492,7 +486,7 @@ mod tests {
     #[test]
     fn no_single_degree_is_identity() {
         let g = from_unweighted_edges(3, [(0, 1), (1, 2), (2, 0)]).unwrap();
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert_eq!(r.merged, 0);
         assert_eq!(r.graph.num_vertices(), 3);
         assert_eq!(r.mapping, vec![0, 1, 2]);
@@ -502,7 +496,7 @@ mod tests {
     fn vertex_with_self_loop_and_one_edge_not_merged() {
         // v1 has entries [(0), (1,1 loop)] → degree 2, not single-degree.
         let g = from_weighted_edges(2, [(0, 1, 1.0), (1, 1, 2.0)]).unwrap();
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         // vertex 0 IS single-degree and merges into 1.
         assert_eq!(r.graph.num_vertices(), 1);
         assert_eq!(r.merged, 1);
@@ -514,7 +508,7 @@ mod tests {
     fn chain_needs_recursion() {
         // Path 0-1-2-3-4: single pass merges only the endpoints.
         let g = from_unweighted_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        let once = vf_preprocess(&g);
+        let once = vf_preprocess_recursive(&g, 1);
         assert_eq!(once.graph.num_vertices(), 3);
         let rec = vf_preprocess_recursive(&g, 16);
         assert_eq!(rec.graph.num_vertices(), 1, "chain should fully compress");
@@ -546,7 +540,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = CsrGraph::empty(0);
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert_eq!(r.merged, 0);
         assert_eq!(r.graph.num_vertices(), 0);
     }
@@ -554,7 +548,7 @@ mod tests {
     #[test]
     fn isolated_vertices_survive() {
         let g = from_unweighted_edges(4, [(0, 1)]).unwrap();
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         // 0,1 merge into one; isolated 2 and 3 survive.
         assert_eq!(r.graph.num_vertices(), 3);
         assert_eq!(r.merged, 1);

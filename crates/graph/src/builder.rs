@@ -118,16 +118,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Bulk-extends from unweighted `(u, v)` pairs.
-    pub fn extend_unweighted<I: IntoIterator<Item = (VertexId, VertexId)>>(
-        mut self,
-        iter: I,
-    ) -> Self {
-        self.edges
-            .extend(iter.into_iter().map(|(u, v)| (u, v, DEFAULT_WEIGHT)));
-        self
-    }
-
     /// Number of raw (pre-merge) edges added so far.
     pub fn len(&self) -> usize {
         self.edges.len()
@@ -453,7 +443,9 @@ pub fn from_unweighted_edges(
     n: usize,
     edges: impl IntoIterator<Item = (VertexId, VertexId)>,
 ) -> Result<CsrGraph, BuildError> {
-    GraphBuilder::new(n).extend_unweighted(edges).build()
+    GraphBuilder::new(n)
+        .extend_edges(edges.into_iter().map(|(u, v)| (u, v, DEFAULT_WEIGHT)))
+        .build()
 }
 
 /// Convenience: builds a graph from a weighted edge list.

@@ -6,9 +6,8 @@
 //! A batch is resolved *per undirected edge* before anything touches the
 //! CSR arrays: deltas are canonicalised to `(min, max)` endpoints, grouped,
 //! and replayed in batch order against the edge's current weight. Inserting
-//! on top of an existing edge follows the caller's [`MergePolicy`];
-//! [`MergePolicy::Sum`] merges exactly like duplicate edges fed to the
-//! builder.
+//! on top of an existing edge sums the weights, exactly like duplicate
+//! edges fed to the builder ([`MergePolicy::Sum`]).
 //!
 //! The net per-edge outcome (and nothing else) is then spliced in. Each
 //! touched row's new length shifts the offsets of the rows after it.
@@ -25,27 +24,14 @@ use rayon::prelude::*;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
-/// How an insert onto an existing edge is resolved.
+/// How an insert onto an existing edge is resolved. There is one merge
+/// rule; the enum keeps [`CsrGraph::apply_edge_batch_diff`]'s signature
+/// stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MergePolicy {
     /// Sum the weights, as the builder does with duplicate edges.
     #[default]
     Sum,
-    /// Keep the maximum weight.
-    Max,
-    /// Reject the batch with [`DeltaError::DuplicateEdge`].
-    Reject,
-}
-
-/// Applies the policy to an accumulator; `Err(())` means the policy
-/// rejects duplicates.
-fn merge_weight(acc: &mut f64, w: f64, policy: MergePolicy) -> Result<(), ()> {
-    match policy {
-        MergePolicy::Sum => *acc += w,
-        MergePolicy::Max => *acc = acc.max(w),
-        MergePolicy::Reject => return Err(()),
-    }
-    Ok(())
 }
 
 /// One edge mutation in a dynamic batch. Endpoints are unordered (the graph
@@ -54,7 +40,7 @@ fn merge_weight(acc: &mut f64, w: f64, policy: MergePolicy) -> Result<(), ()> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeDelta {
     /// Add an edge with the given weight. If the edge already exists (in the
-    /// graph or earlier in the batch) the weights merge per [`MergePolicy`].
+    /// graph or earlier in the batch) the weights sum ([`MergePolicy`]).
     /// Endpoints beyond the current vertex count grow the graph.
     Insert {
         /// One endpoint.
@@ -119,13 +105,6 @@ pub enum DeltaError {
         /// `"delete"` or `"reweight"`.
         op: &'static str,
     },
-    /// Insert collided with an existing weight under [`MergePolicy::Reject`].
-    DuplicateEdge {
-        /// Position of the offending delta in the batch.
-        index: usize,
-        /// Canonical endpoints.
-        edge: (VertexId, VertexId),
-    },
     /// The allocator cannot provide the arrays for the `n` vertices the
     /// batch grows the graph to (an insert naming a huge id).
     OutOfMemory {
@@ -153,13 +132,6 @@ impl std::fmt::Display for DeltaError {
                 edge: (u, v),
                 op,
             } => write!(f, "delta {index}: cannot {op} edge ({u}, {v}): no such edge"),
-            DeltaError::DuplicateEdge {
-                index,
-                edge: (u, v),
-            } => write!(
-                f,
-                "delta {index}: duplicate insert of edge ({u}, {v}) rejected by merge policy"
-            ),
             DeltaError::OutOfMemory { n } => {
                 write!(f, "cannot allocate adjacency arrays for n={n} vertices")
             }
@@ -195,25 +167,14 @@ impl EdgeChange {
 }
 
 impl CsrGraph {
-    /// Applies a batch of edge deltas, returning the updated graph. See
-    /// [`apply_edge_batch_diff`](CsrGraph::apply_edge_batch_diff) for the
-    /// variant that also reports the net per-edge changes.
-    pub fn apply_edge_batch(
-        &self,
-        batch: &[EdgeDelta],
-        policy: MergePolicy,
-    ) -> Result<CsrGraph, DeltaError> {
-        self.apply_edge_batch_diff(batch, policy).map(|(g, _)| g)
-    }
-
     /// Applies a batch of edge deltas, returning the updated graph plus the
     /// net per-edge changes (ascending canonical order, no-ops elided).
     ///
     /// Semantics:
     /// * deltas addressing the same undirected edge resolve in batch order
     ///   against the edge's pre-batch weight;
-    /// * `Insert` onto an existing weight merges per `policy`
-    ///   ([`MergePolicy::Reject`] errors); onto an absent edge it creates it;
+    /// * `Insert` onto an existing weight adds to it; onto an absent edge it
+    ///   creates it;
     /// * `Delete` / `Reweight` of an absent edge errors — but an edge
     ///   inserted earlier in the same batch counts as existing, so
     ///   insert-then-delete of a new edge cancels to a no-op;
@@ -229,9 +190,9 @@ impl CsrGraph {
     pub fn apply_edge_batch_diff(
         &self,
         batch: &[EdgeDelta],
-        policy: MergePolicy,
+        _policy: MergePolicy,
     ) -> Result<(CsrGraph, Vec<EdgeChange>), DeltaError> {
-        let (changes, new_n) = resolve(self, batch, policy)?;
+        let (changes, new_n) = resolve(self, batch)?;
         let graph = splice(self, &changes, new_n)?;
         Ok((graph, changes))
     }
@@ -240,11 +201,7 @@ impl CsrGraph {
 /// Replays each edge's deltas in batch order against its pre-batch weight.
 /// Returns the net changes (ascending canonical order, bitwise no-ops
 /// elided) and the vertex count after the batch.
-fn resolve(
-    g: &CsrGraph,
-    batch: &[EdgeDelta],
-    policy: MergePolicy,
-) -> Result<(Vec<EdgeChange>, usize), DeltaError> {
+fn resolve(g: &CsrGraph, batch: &[EdgeDelta]) -> Result<(Vec<EdgeChange>, usize), DeltaError> {
     let old_n = g.num_vertices();
 
     // Canonicalise and group by edge, keeping batch order within a group
@@ -282,17 +239,7 @@ fn resolve(
                             weight,
                         });
                     }
-                    match cur {
-                        None => cur = Some(weight),
-                        Some(ref mut acc) => {
-                            if merge_weight(acc, weight, policy).is_err() {
-                                return Err(DeltaError::DuplicateEdge {
-                                    index,
-                                    edge: (u, v),
-                                });
-                            }
-                        }
-                    }
+                    cur = Some(cur.map_or(weight, |acc| acc + weight));
                 }
                 EdgeDelta::Delete { .. } => {
                     if cur.is_none() {
@@ -735,9 +682,8 @@ mod tests {
     fn merge_oracle(
         g: &CsrGraph,
         batch: &[EdgeDelta],
-        policy: MergePolicy,
     ) -> Result<(CsrGraph, Vec<EdgeChange>), DeltaError> {
-        let (changes, new_n) = resolve(g, batch, policy)?;
+        let (changes, new_n) = resolve(g, batch)?;
         let old_n = g.num_vertices();
         let directed = entry_changes(&changes);
 
@@ -967,28 +913,23 @@ mod tests {
                 rng.gen_range(1_000..3_000)
             };
             let batch = random_batch(&mut rng, &g, len);
-            let policy = if rng.gen_bool(0.8) {
-                MergePolicy::Sum
-            } else {
-                MergePolicy::Max
-            };
-            cases.push((g, batch, policy));
+            cases.push((g, batch));
         }
         let large = cases[600..]
             .iter()
-            .map(|(g, _, _)| g.num_adjacency_entries() + g.num_vertices())
+            .map(|(g, _)| g.num_adjacency_entries() + g.num_vertices())
             .min()
             .unwrap();
         assert!(
             large >= 2 * SPLICE_GRAIN,
             "large cases must split into tasks"
         );
-        for (i, (g, batch, policy)) in cases.iter().enumerate() {
-            let (want, want_changes) = merge_oracle(g, batch, *policy).unwrap();
+        for (i, (g, batch)) in cases.iter().enumerate() {
+            let (want, want_changes) = merge_oracle(g, batch).unwrap();
             for pool in &pools {
                 let what = format!("case {i}, {} threads", pool.current_num_threads());
                 let (got, changes) = pool
-                    .install(|| g.apply_edge_batch_diff(batch, *policy))
+                    .install(|| g.apply_edge_batch_diff(batch, MergePolicy::Sum))
                     .unwrap();
                 assert_same_bits(&got, &want, &what);
                 assert_eq!(changes, want_changes, "{what}: changes differ");
@@ -1000,7 +941,7 @@ mod tests {
     fn out_of_range_weights_are_rejected() {
         let insert = |u, v, weight| EdgeDelta::Insert { u, v, weight };
         let range_err = |g: &CsrGraph, batch: &[EdgeDelta]| match g
-            .apply_edge_batch(batch, MergePolicy::Sum)
+            .apply_edge_batch_diff(batch, MergePolicy::Sum)
             .unwrap_err()
         {
             DeltaError::WeightRange(e) => e,
@@ -1039,8 +980,8 @@ mod tests {
         );
         assert!(e.to_string().contains("1e-160"), "{e}");
         // Deleting every edge leaves m = 0, which is in range.
-        let h = g
-            .apply_edge_batch(
+        let (h, _) = g
+            .apply_edge_batch_diff(
                 &[
                     EdgeDelta::Delete { u: 0, v: 1 },
                     EdgeDelta::Delete { u: 1, v: 2 },
@@ -1075,8 +1016,8 @@ mod tests {
     #[test]
     fn insert_matches_builder_result() {
         let g = triangle();
-        let h = g
-            .apply_edge_batch(
+        let (h, _) = g
+            .apply_edge_batch_diff(
                 &[EdgeDelta::Insert {
                     u: 3,
                     v: 1,
@@ -1094,8 +1035,8 @@ mod tests {
     #[test]
     fn delete_matches_builder_result() {
         let g = triangle();
-        let h = g
-            .apply_edge_batch(&[EdgeDelta::Delete { u: 2, v: 1 }], MergePolicy::Sum)
+        let (h, _) = g
+            .apply_edge_batch_diff(&[EdgeDelta::Delete { u: 2, v: 1 }], MergePolicy::Sum)
             .unwrap();
         let direct = from_weighted_edges(3, [(0, 1, 1.0), (0, 2, 3.0)]).unwrap();
         assert!(h.bitwise_eq(&direct));
@@ -1104,8 +1045,8 @@ mod tests {
     #[test]
     fn reweight_and_self_loop() {
         let g = triangle();
-        let h = g
-            .apply_edge_batch(
+        let (h, _) = g
+            .apply_edge_batch_diff(
                 &[
                     EdgeDelta::Reweight {
                         u: 1,
@@ -1132,7 +1073,7 @@ mod tests {
     fn delete_nonexistent_edge_errors() {
         let g = triangle();
         let err = g
-            .apply_edge_batch(&[EdgeDelta::Delete { u: 0, v: 5 }], MergePolicy::Sum)
+            .apply_edge_batch_diff(&[EdgeDelta::Delete { u: 0, v: 5 }], MergePolicy::Sum)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1148,7 +1089,7 @@ mod tests {
     fn reweight_nonexistent_edge_errors() {
         let g = from_weighted_edges(4, [(0, 1, 1.0)]).unwrap();
         let err = g
-            .apply_edge_batch(
+            .apply_edge_batch_diff(
                 &[EdgeDelta::Reweight {
                     u: 2,
                     v: 3,
@@ -1182,30 +1123,29 @@ mod tests {
                 weight: 3.0,
             },
         ];
-        let sum = g.apply_edge_batch(&batch, MergePolicy::Sum).unwrap();
+        let (sum, _) = g.apply_edge_batch_diff(&batch, MergePolicy::Sum).unwrap();
         assert_eq!(sum.edge_weight(0, 1), Some(5.0));
-        let max = g.apply_edge_batch(&batch, MergePolicy::Max).unwrap();
-        assert_eq!(max.edge_weight(0, 1), Some(3.0));
-        let err = g.apply_edge_batch(&batch, MergePolicy::Reject).unwrap_err();
-        assert_eq!(
-            err,
-            DeltaError::DuplicateEdge {
-                index: 1,
-                edge: (0, 1)
-            }
-        );
-        // Insert colliding with a pre-existing edge also follows the policy.
-        let err = sum
-            .apply_edge_batch(
+        // Insert colliding with a pre-existing edge sums too.
+        let (again, changes) = sum
+            .apply_edge_batch_diff(
                 &[EdgeDelta::Insert {
                     u: 0,
                     v: 1,
                     weight: 1.0,
                 }],
-                MergePolicy::Reject,
+                MergePolicy::Sum,
             )
-            .unwrap_err();
-        assert!(matches!(err, DeltaError::DuplicateEdge { .. }));
+            .unwrap();
+        assert_eq!(again.edge_weight(0, 1), Some(6.0));
+        assert_eq!(
+            changes,
+            vec![EdgeChange {
+                u: 0,
+                v: 1,
+                old: Some(5.0),
+                new: Some(6.0)
+            }]
+        );
     }
 
     #[test]
@@ -1236,9 +1176,7 @@ mod tests {
                 weight: 6.0,
             },
         ];
-        let (h, changes) = g
-            .apply_edge_batch_diff(&batch, MergePolicy::Reject)
-            .unwrap();
+        let (h, changes) = g.apply_edge_batch_diff(&batch, MergePolicy::Sum).unwrap();
         assert_eq!(
             changes,
             vec![EdgeChange {
@@ -1256,7 +1194,7 @@ mod tests {
         let g = triangle();
         for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = g
-                .apply_edge_batch(
+                .apply_edge_batch_diff(
                     &[EdgeDelta::Insert {
                         u: 0,
                         v: 4,
@@ -1277,8 +1215,8 @@ mod tests {
         assert_eq!(same.num_vertices(), 0);
         assert_eq!(same.num_edges(), 0);
 
-        let h = g
-            .apply_edge_batch(
+        let (h, _) = g
+            .apply_edge_batch_diff(
                 &[
                     EdgeDelta::Insert {
                         u: 0,
@@ -1300,7 +1238,7 @@ mod tests {
         assert!(h.bitwise_eq(&direct));
         // Deleting from an empty graph errors cleanly.
         let err = CsrGraph::empty(0)
-            .apply_edge_batch(&[EdgeDelta::Delete { u: 0, v: 1 }], MergePolicy::Sum)
+            .apply_edge_batch_diff(&[EdgeDelta::Delete { u: 0, v: 1 }], MergePolicy::Sum)
             .unwrap_err();
         assert!(matches!(err, DeltaError::MissingEdge { .. }));
     }
@@ -1308,8 +1246,8 @@ mod tests {
     #[test]
     fn grown_vertices_are_isolated_unless_touched() {
         let g = triangle();
-        let h = g
-            .apply_edge_batch(
+        let (h, _) = g
+            .apply_edge_batch_diff(
                 &[EdgeDelta::Insert {
                     u: 6,
                     v: 2,
@@ -1343,7 +1281,7 @@ mod tests {
                 weight: 0.5,
             },
         ];
-        let h = g.apply_edge_batch(&batch, MergePolicy::Reject).unwrap();
+        let (h, _) = g.apply_edge_batch_diff(&batch, MergePolicy::Sum).unwrap();
         assert_eq!(h.edge_weight(1, 2), Some(0.5));
     }
 }

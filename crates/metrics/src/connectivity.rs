@@ -222,20 +222,6 @@ pub fn summarize(per_community: &[CommunityConnectivity]) -> ConnectivityReport 
     }
 }
 
-/// Per-level audit of a dendrogram: one [`ConnectivityReport`] per level,
-/// where `levels` yields each level's assignment **flattened to the
-/// original graph's vertices** (e.g. `Dendrogram::flatten_to_level`),
-/// coarsest last.
-pub fn dendrogram_report<'a>(
-    g: &CsrGraph,
-    levels: impl IntoIterator<Item = &'a [u32]>,
-) -> Vec<ConnectivityReport> {
-    levels
-        .into_iter()
-        .map(|assignment| connectivity_report(g, assignment))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,8 +308,10 @@ mod tests {
         let g = from_unweighted_edges(4, [(0, 1), (2, 3), (1, 2)]).unwrap();
         let fine = vec![0, 0, 1, 1];
         let coarse = vec![0, 0, 0, 0];
-        let reports = dendrogram_report(&g, [fine.as_slice(), coarse.as_slice()]);
-        assert_eq!(reports.len(), 2);
+        let reports: Vec<ConnectivityReport> = [fine, coarse]
+            .iter()
+            .map(|level| connectivity_report(&g, level))
+            .collect();
         assert_eq!(reports[0].disconnected, 0);
         assert_eq!(reports[1].num_communities, 1);
         assert_eq!(reports[1].disconnected, 0);

@@ -24,8 +24,7 @@ pub mod pairwise;
 pub mod perf_profile;
 
 pub use connectivity::{
-    audit_communities, connectivity_report, dendrogram_report, CommunityConnectivity,
-    ConnectivityReport,
+    audit_communities, connectivity_report, CommunityConnectivity, ConnectivityReport,
 };
 pub use nmi::normalized_mutual_information;
 pub use pairwise::{pairwise_comparison, pairwise_comparison_bruteforce, PairwiseMetrics};

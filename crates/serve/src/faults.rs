@@ -9,7 +9,7 @@
 //! instance-based (one per server) and `Arc`-shared internally, so
 //! concurrent tests never interfere through global state.
 //!
-//! Plans parse from a compact spec (`GRAPPOLO_FAULTS` or `--faults`):
+//! Plans parse from a compact spec (the `serve` subcommand's `--faults`):
 //!
 //! ```text
 //! detect=panic:1,persist=err:2,persist-write=trunc:64
@@ -174,15 +174,6 @@ impl FaultPlan {
             plan.arm(point.trim(), act, times);
         }
         Ok(plan)
-    }
-
-    /// Parses the `GRAPPOLO_FAULTS` environment variable; unset or empty
-    /// yields an empty plan.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("GRAPPOLO_FAULTS") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => Ok(Self::new()),
-        }
     }
 }
 

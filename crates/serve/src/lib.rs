@@ -26,7 +26,7 @@
 //!   detection is bitwise deterministic, so response bytes are identical
 //!   across server thread counts.
 //!
-//! The [`faults`] failpoint layer (`GRAPPOLO_FAULTS=point=action,…`)
+//! The [`faults`] failpoint layer (`--faults point=action,…`)
 //! injects errors, panics, and mid-write truncations at the load,
 //! detect, persist, socket, and deadline paths — deterministically, per
 //! server instance.

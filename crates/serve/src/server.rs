@@ -27,7 +27,7 @@ use grappolo_core::{
 };
 use grappolo_graph::io::{self, IoError};
 use grappolo_graph::{parse_edge_batch, CsrGraph};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -312,38 +312,56 @@ impl ServerHandle {
     }
 }
 
+/// The longest request line a connection may send, newline excluded. Far
+/// above any verb plus a `PATH_MAX` path; it bounds what one connection can
+/// make the daemon buffer.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 fn handle_connection(
     stream: TcpStream,
     state: Arc<ServerState>,
     queue: Arc<BoundedQueue<WorkItem>>,
 ) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the limit tells an over-long line from one of
+        // exactly `MAX_REQUEST_LINE` bytes plus its newline.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let over_long = buf.last() != Some(&b'\n') && buf.len() > MAX_REQUEST_LINE;
+        let request = if over_long {
+            Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"))
+        } else {
+            match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => continue,
+                Ok("quit") => break,
+                Ok(line) => Ok(line),
+                Err(_) => Err("request line is not UTF-8".to_string()),
+            }
         };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "quit" {
-            break;
-        }
         state.metrics.requests.fetch_add(1, Ordering::SeqCst);
+        let mut response = match request {
+            Ok(line) => submit_and_wait(&state, &queue, line),
+            Err(message) => format!("err bad-request {message}"),
+        };
         // One write syscall per response: a split payload/newline write
         // would re-introduce the Nagle stall set_nodelay avoids.
-        let mut response = submit_and_wait(&state, &queue, line);
         response.push('\n');
-        if writer
+        let sent = writer
             .write_all(response.as_bytes())
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+            .and_then(|_| writer.flush());
+        // The rest of an over-long line is never read: the connection
+        // closes after its answer.
+        if sent.is_err() || over_long {
             break;
         }
     }

@@ -34,9 +34,9 @@ pub fn term_requested() -> bool {
     TERM_FLAG.load(Ordering::SeqCst)
 }
 
-/// Clears the latch (tests; or a supervisor that handles the signal
-/// itself and restarts the serve loop).
-pub fn reset_term_flag() {
+/// Clears the latch between test cases.
+#[cfg(test)]
+fn reset_term_flag() {
     TERM_FLAG.store(false, Ordering::SeqCst);
 }
 

@@ -110,6 +110,63 @@ fn serves_basic_queries() {
     handle.shutdown();
 }
 
+/// Reads one response line, failing (not hanging) when none arrives.
+fn read_response(reader: &mut BufReader<TcpStream>) -> String {
+    reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("a response line");
+    response
+}
+
+fn requests_served(handle: &ServerHandle) -> u64 {
+    handle
+        .metrics()
+        .requests
+        .load(std::sync::atomic::Ordering::SeqCst)
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_closes_its_connection() {
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    // A line of exactly the limit is still a request.
+    let mut c = Client::connect(&handle);
+    let padded = format!("ping{}", " ".repeat(65_536 - 4));
+    assert_eq!(c.req(&padded), "ok pong");
+    // One byte more, with no newline in sight: answered, then closed.
+    let mut c = Client::connect(&handle);
+    c.writer.write_all(&[b'x'; 65_537]).unwrap();
+    assert_eq!(
+        read_response(&mut c.reader),
+        "err bad-request request line longer than 65536 bytes\n"
+    );
+    assert_eq!(read_response(&mut c.reader), "", "connection must close");
+    // The daemon keeps serving new connections.
+    assert_eq!(Client::connect(&handle).req("ping"), "ok pong");
+    assert_eq!(requests_served(&handle), 3);
+    handle.shutdown();
+}
+
+#[test]
+fn non_utf8_request_line_is_answered_and_the_connection_keeps_serving() {
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    let mut c = Client::connect(&handle);
+    c.writer.write_all(b"ping\n\xff\xfe\nping\n").unwrap();
+    let responses: Vec<String> = (0..3).map(|_| read_response(&mut c.reader)).collect();
+    assert_eq!(
+        responses,
+        [
+            "ok pong\n",
+            "err bad-request request line is not UTF-8\n",
+            "ok pong\n"
+        ]
+    );
+    assert_eq!(requests_served(&handle), 3);
+    handle.shutdown();
+}
+
 #[test]
 fn responses_byte_identical_across_1_8_16_server_threads() {
     let mut transcripts = Vec::new();

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example road_network`
 
-use grappolo::core::vf::{vf_preprocess, vf_preprocess_recursive};
+use grappolo::core::vf::vf_preprocess_recursive;
 use grappolo::prelude::*;
 use std::time::Instant;
 
@@ -31,7 +31,7 @@ fn main() {
 
     // VF preprocessing in isolation.
     let t = Instant::now();
-    let single_pass = vf_preprocess(&graph);
+    let single_pass = vf_preprocess_recursive(&graph, 1);
     println!(
         "VF single pass:    merged {:>6} vertices ({} remain) in {:.2?}",
         single_pass.merged,

@@ -2,7 +2,7 @@
 //! solver → metrics, exercised through the umbrella crate's public API only.
 
 use grappolo::coloring::{color_classes, is_valid_distance1};
-use grappolo::core::vf::vf_preprocess;
+use grappolo::core::vf::vf_preprocess_recursive;
 use grappolo::prelude::*;
 
 /// Full pipeline: generate, detect with every scheme, compare to ground
@@ -69,7 +69,7 @@ fn vf_projection_is_consistent_with_driver() {
         spokes_per_hub: 6,
         ..Default::default()
     });
-    let vf = vf_preprocess(&g);
+    let vf = vf_preprocess_recursive(&g, 1);
     assert_eq!(vf.graph.num_vertices() + vf.merged, g.num_vertices());
 
     // Driver with VF produces an assignment over the ORIGINAL vertices where

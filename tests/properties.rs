@@ -26,7 +26,7 @@ use grappolo::core::reference::{
 };
 use grappolo::core::refine::refine_phase;
 use grappolo::core::serial::serial_modularity;
-use grappolo::core::vf::vf_preprocess;
+use grappolo::core::vf::vf_preprocess_recursive;
 use grappolo::core::{
     LouvainConfig, PhaseDriver, PhaseOutcome, RebuildStrategy, RefineMode, RenumberStrategy,
     Scheme, SweepMode,
@@ -269,7 +269,7 @@ fn vf_preserves_weight_and_projected_q() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
-        let r = vf_preprocess(&g);
+        let r = vf_preprocess_recursive(&g, 1);
         assert!(
             (r.graph.total_weight() - g.total_weight()).abs() < 1e-9,
             "seed {seed}"
@@ -458,7 +458,7 @@ fn tracker_random_independent_batches_bitwise_match_rescan() {
         let mut tracker = ModularityTracker::new(&g, &assignment, &a, 1.0);
         let mut scratch = NeighborScratch::default();
         for round in 0..8 {
-            for batch in batches.iter() {
+            for batch in batches.as_classes() {
                 // A random sub-batch with random (possibly silly) targets:
                 // correctness of the accounting must not depend on the moves
                 // being gainful.
@@ -1077,7 +1077,7 @@ fn tracker_state_bitwise_stable_across_thread_counts() {
                 let mut sizes = community_sizes(&assignment);
                 let mut tracker = ModularityTracker::new(&g, &assignment, &a, 1.0);
                 let mut scratch = NeighborScratch::default();
-                for batch in batches.iter().take(4) {
+                for batch in batches.as_classes().iter().take(4) {
                     let mut moves: Vec<IndependentMove> = Vec::new();
                     let mut movers: Vec<u32> = Vec::new();
                     for &v in batch.iter().take(512) {
