@@ -30,7 +30,7 @@ fn vf_ablation(ctx: &ExperimentContext) {
         table.row(vec![
             name.to_string(),
             format!("{:.5}", rec.modularity),
-            rec.iterations.to_string(),
+            rec.trace.total_iterations().to_string(),
             secs(rec.time),
         ]);
     }
@@ -50,7 +50,7 @@ fn balanced_coloring_ablation(ctx: &ExperimentContext) {
         table.row(vec![
             name.to_string(),
             format!("{:.5}", rec.modularity),
-            rec.iterations.to_string(),
+            rec.trace.total_iterations().to_string(),
             secs(rec.time),
         ]);
     }

@@ -38,20 +38,20 @@ pub fn run(ctx: &ExperimentContext) {
                 max_threads.min(2)
             };
             let rec = run_scheme(ctx, &g, *scheme, threads);
-            for (gi, it) in rec.trace.iterations.iter().enumerate() {
-                evolution.push_str(&format!(
-                    "{},{},{},{}\n",
-                    scheme.name(),
-                    gi,
-                    it.phase,
-                    it.modularity
-                ));
+            let curve = rec
+                .trace
+                .phases
+                .iter()
+                .enumerate()
+                .flat_map(|(phase, p)| p.iterations.iter().map(move |&(q, _)| (phase, q)));
+            for (gi, (phase, q)) in curve.enumerate() {
+                evolution.push_str(&format!("{},{gi},{phase},{q}\n", scheme.name()));
             }
             summary.row(vec![
                 name.to_string(),
                 scheme.name().to_string(),
                 format!("{:.5}", rec.modularity),
-                rec.iterations.to_string(),
+                rec.trace.total_iterations().to_string(),
                 rec.trace.num_phases().to_string(),
                 secs(rec.time),
             ]);

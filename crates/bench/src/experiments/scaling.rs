@@ -40,7 +40,7 @@ pub fn run(ctx: &ExperimentContext) {
                 g.num_vertices().to_string(),
                 g.num_edges().to_string(),
                 format!("{:.4}", rec.modularity),
-                rec.iterations.to_string(),
+                rec.trace.total_iterations().to_string(),
                 format!("{:.3}", rec.time.as_secs_f64()),
                 format!("{:.3}", b.clustering.as_secs_f64()),
                 format!("{:.3}", b.rebuild.as_secs_f64()),
@@ -52,7 +52,7 @@ pub fn run(ctx: &ExperimentContext) {
                 g.num_vertices(),
                 g.num_edges(),
                 rec.modularity,
-                rec.iterations,
+                rec.trace.total_iterations(),
                 rec.time.as_secs_f64(),
                 b.clustering.as_secs_f64(),
                 b.rebuild.as_secs_f64()

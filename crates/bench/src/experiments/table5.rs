@@ -42,7 +42,7 @@ pub fn run(ctx: &ExperimentContext) {
                 qmin = qmin.min(rec.modularity);
                 qmax = qmax.max(rec.modularity);
                 total_time += rec.time;
-                total_iters += rec.iterations;
+                total_iters += rec.trace.total_iterations();
             }
             cells.push(format!("[{qmin:.4}, {qmax:.4}]"));
             cells.push(format!(

@@ -98,9 +98,7 @@ pub struct RunRecord {
     pub num_communities: usize,
     /// Wall-clock for the whole detection call.
     pub time: Duration,
-    /// Total iterations across phases.
-    pub iterations: usize,
-    /// Full trace (modularity curve, per-phase timings).
+    /// Full trace (per-phase records and timings).
     pub trace: RunTrace,
     /// Final assignment (for qualitative comparisons).
     pub assignment: Vec<u32>,
@@ -133,7 +131,6 @@ pub fn run_config(
         modularity: result.modularity,
         num_communities: result.num_communities,
         time,
-        iterations: result.trace.total_iterations(),
         trace: result.trace,
         assignment: result.assignment,
     }
@@ -268,7 +265,7 @@ mod tests {
         let g = ctx.generate(PaperInput::CoPapersDblp);
         let rec = run_scheme(&ctx, &g, Scheme::Baseline, 1);
         assert!(rec.modularity > 0.0);
-        assert!(rec.iterations > 0);
+        assert!(rec.trace.total_iterations() > 0);
         assert_eq!(rec.assignment.len(), g.num_vertices());
     }
 }

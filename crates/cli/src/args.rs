@@ -29,6 +29,9 @@ USAGE:
       synthetic families (CI scenario matrix): er | planted | rmat | blocks
       (`blocks` is a disconnected union of planted-partition blocks plus
       isolated vertices — the component-splitter workload)
+      --scale: size multiplier (default 1; 40 000 vertices for the
+      families): finite and positive, asking for at most u32::MAX vertices
+      (2^30 for rmat)
   grappolo stats <graph-file>
   grappolo components <graph-file>
       print the weakly-connected-component profile: component count, largest
@@ -58,6 +61,12 @@ USAGE:
       independent run dispatched across the thread pool (no Louvain move
       ever crosses a component), then stitch labels in component-id order —
       bitwise independent of thread count
+      --gamma: resolution γ, finite and ≥ 0 (default 1; also for update
+      and serve)
+      --trace: write the run trace as JSON, one record per phase: its
+      graph size, colors and start/end Q, per-iteration Q and moves,
+      per-iteration gate/frontier/converged counters, refinement counters
+      and timings. The durations are its only nondeterministic part
   grappolo update <graph-file> <assignments-file> <batch-file>
                   [--assignments-out FILE] [--graph-out FILE]
                   [--threads N] [--gamma F] [--fallback F]
@@ -92,7 +101,10 @@ USAGE:
       (default 3 / 10)
       --threads / --gamma: detection thread count and resolution
       --faults: failpoint spec, e.g. `detect=panic:1,persist=err:2`
-      (testing only; without it no failpoint is armed)
+      (testing only; without it no failpoint is armed). Points `load`,
+      `detect`, `persist`, `socket` and `deadline` take `err[:N]` or
+      `panic[:N]`; `persist-write` takes `trunc:BYTES`. Any other spec
+      exits 4
   grappolo query --addr HOST:PORT (--script FILE | command…)
       one-shot client: send a single protocol command (the trailing
       words) or every non-comment line of --script FILE (not both) over

@@ -9,7 +9,7 @@ use grappolo_graph::gen::{
     erdos_renyi, planted_blocks, planted_partition, rmat, ErConfig, PlantedConfig, RmatConfig,
 };
 use grappolo_graph::io::{self, IoError};
-use grappolo_graph::{CsrGraph, GraphStats};
+use grappolo_graph::{CsrGraph, GraphStats, VertexId};
 use grappolo_metrics::{connectivity_report, normalized_mutual_information, pairwise_comparison};
 use grappolo_serve::{signal, FaultPlan, ServeError, Server};
 use std::fmt;
@@ -102,25 +102,54 @@ fn blocks(n: usize, seed: u64) -> CsrGraph {
     planted_blocks(&sizes, isolated, seed)
 }
 
+/// The synthetic families [`generate_family`] builds.
+const FAMILIES: [&str; 4] = ["er", "planted", "rmat", "blocks"];
+
+/// Vertices the synthetic families have at scale 1.0.
+const FAMILY_BASE_VERTICES: f64 = 40_000.0;
+
+/// Checks `--scale` before anything is generated: it must be finite and
+/// positive, and the vertices it asks for (`base × scale`) must fit a
+/// [`VertexId`] — and, for `rmat`, the RMAT generator's id space.
+fn check_scale(input: &str, scale: f64, base: f64) -> Result<(), CliError> {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(CliError::invalid(format!(
+            "--scale must be finite and positive, got {scale}"
+        )));
+    }
+    let limit = if input == "rmat" {
+        1u64 << RmatConfig::MAX_SCALE
+    } else {
+        u64::from(VertexId::MAX)
+    };
+    let wanted = base * scale;
+    if wanted > limit as f64 {
+        return Err(CliError::invalid(format!(
+            "--scale {scale} asks for {wanted:.0} vertices; `{input}` holds at most {limit}"
+        )));
+    }
+    Ok(())
+}
+
 /// Synthetic base-family generation for ids outside the paper suite — the
 /// graph classes the differential tests and the CI scenario matrix sweep:
 /// ER (no community structure, negative control), planted partition
 /// (community-rich), RMAT (skewed degrees), planted blocks (disconnected
 /// multi-component). `scale` multiplies the base sizes (n = 40 K at
 /// scale 1.0).
-fn generate_family(input: &str, scale: f64, seed: u64) -> Option<(&'static str, CsrGraph)> {
-    let n = ((40_000.0 * scale) as usize).max(16);
+fn generate_family(input: &str, scale: f64, seed: u64) -> (&'static str, CsrGraph) {
+    let n = ((FAMILY_BASE_VERTICES * scale) as usize).max(16);
     match input {
-        "blocks" => Some(("planted blocks", blocks(n.max(64), seed))),
-        "er" => Some((
+        "blocks" => ("planted blocks", blocks(n.max(64), seed)),
+        "er" => (
             "Erdős–Rényi",
             erdos_renyi(&ErConfig {
                 num_vertices: n,
                 num_edges: n * 5,
                 seed,
             }),
-        )),
-        "planted" => Some((
+        ),
+        "planted" => (
             "planted partition",
             planted_partition(&PlantedConfig {
                 num_vertices: n,
@@ -129,8 +158,8 @@ fn generate_family(input: &str, scale: f64, seed: u64) -> Option<(&'static str, 
                 ..Default::default()
             })
             .0,
-        )),
-        "rmat" => Some((
+        ),
+        "rmat" => (
             "RMAT",
             rmat(&RmatConfig {
                 scale: (n as f64).log2().ceil().max(4.0) as u32,
@@ -138,8 +167,8 @@ fn generate_family(input: &str, scale: f64, seed: u64) -> Option<(&'static str, 
                 seed,
                 ..Default::default()
             }),
-        )),
-        _ => None,
+        ),
+        other => unreachable!("`{other}` is not one of {FAMILIES:?}"),
     }
 }
 
@@ -151,15 +180,18 @@ fn generate(cmd: &Generate) -> Result<(), CliError> {
         output,
     } = cmd;
     let t = Instant::now();
-    let (name, g) = if let Some((name, g)) = generate_family(input, *scale, *seed) {
-        (name, g)
+    let (name, g) = if FAMILIES.contains(&input.as_str()) {
+        check_scale(input, *scale, FAMILY_BASE_VERTICES)?;
+        generate_family(input, *scale, *seed)
     } else {
         let proxy = PaperInput::from_id(input).ok_or_else(|| {
             CliError::invalid(format!(
-                "unknown input id `{input}`; valid: er, planted, rmat, blocks, {}",
+                "unknown input id `{input}`; valid: {}, {}",
+                FAMILIES.join(", "),
                 PaperInput::ALL.map(|p| p.id()).join(", ")
             ))
         })?;
+        check_scale(input, *scale, proxy.base_vertices() as f64)?;
         (proxy.reference().name, proxy.generate(*scale, *seed))
     };
     io::save_path(&g, output)
@@ -295,14 +327,18 @@ fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
         )));
     }
     // Files may omit trailing isolated vertices; pad them as singletons
-    // with fresh labels so the audit covers the whole graph, and say so.
+    // with labels no line uses (counting up from the largest, wrapping
+    // past `u32::MAX` to 0) so the audit covers the whole graph, and say so.
     let mut assignment = assignment;
     let padded = g.num_vertices() - assignment.len();
-    let mut next = assignment.iter().copied().max().map_or(0, |c| c + 1);
-    while assignment.len() < g.num_vertices() {
-        assignment.push(next);
-        next += 1;
-    }
+    let mut used = assignment.clone();
+    used.sort_unstable();
+    used.dedup();
+    let start = used.last().map_or(0, |&c| c.wrapping_add(1));
+    let fresh = (start..=u32::MAX)
+        .chain(0..start)
+        .filter(|c| used.binary_search(c).is_err());
+    assignment.extend(fresh.take(padded));
     if padded > 0 {
         say!("note: padded {padded} trailing vertices as singletons")?;
     }

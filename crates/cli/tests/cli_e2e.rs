@@ -5,6 +5,8 @@ use grappolo_cli::run;
 use grappolo_graph::gen::{planted_partition, PlantedConfig};
 use grappolo_serve::{ServeConfig, Server};
 use std::path::{Path, PathBuf};
+use std::process::Stdio;
+use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("grappolo_cli_e2e").join(name);
@@ -53,18 +55,28 @@ fn malformed_graph_file_exits_4() {
 
 /// Runs `grappolo <line>` in `dir` under a 4 GB address-space limit, so an
 /// allocation sized by a huge vertex id fails on any host, and returns its
-/// exit code and stderr.
-fn run_bounded(dir: &Path, line: &str) -> (Option<i32>, String) {
-    let out = std::process::Command::new("sh")
+/// exit code, stdout and stderr. A run still going after 60 s is killed
+/// and has no exit code: a `serve` that took flags it should refuse would
+/// otherwise serve forever.
+fn run_bounded(dir: &Path, line: &str) -> (Option<i32>, String, String) {
+    let mut child = std::process::Command::new("sh")
         .args(["-c", "ulimit -v 4000000; exec \"$0\" \"$@\""])
         .arg(env!("CARGO_BIN_EXE_grappolo"))
         .args(line.split_whitespace())
         .env("RAYON_NUM_THREADS", "2")
         .current_dir(dir)
-        .output()
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
         .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    (out.status.code(), stderr)
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
 }
 
 #[test]
@@ -91,7 +103,7 @@ fn huge_ids_exit_4_instead_of_allocating() {
         "stats in_range.edges",
         "update g.edges g.assign in_range.batch",
     ] {
-        let (code, stderr) = run_bounded(&dir, line);
+        let (code, _, stderr) = run_bounded(&dir, line);
         assert_eq!(code, Some(4), "{line}: {stderr}");
         assert!(!stderr.contains("memory allocation"), "{line}: {stderr}");
     }
@@ -116,7 +128,7 @@ fn invalid_update_inputs_exit_4_and_write_nothing() {
     ] {
         std::fs::write(dir.join("b.txt"), batch).unwrap();
         let line = format!("update g.edges {assignment} b.txt --assignments-out out.txt");
-        let (code, stderr) = run_bounded(&dir, &line);
+        let (code, _, stderr) = run_bounded(&dir, &line);
         assert_eq!(code, Some(4), "{line}: {stderr}");
         assert!(stderr.contains(message), "{line}: {stderr}");
         assert!(!dir.join("out.txt").exists(), "{line} wrote its output");
@@ -250,6 +262,108 @@ fn audit_distinguishes_finding_from_failure() {
         ])),
         3
     );
+}
+
+#[test]
+fn audit_pads_omitted_vertices_with_labels_no_line_uses() {
+    // The file names labels 0 and u32::MAX; vertices 2 and 3 are omitted.
+    // Their padding must neither wrap onto label 0 (joining vertex 0, with
+    // which neither is connected) nor overflow.
+    let dir = tmp_dir("audit-pad");
+    std::fs::write(dir.join("path.edges"), "0 1\n1 2\n2 3\n").unwrap();
+    std::fs::write(dir.join("a.txt"), "0 0\n1 4294967295\n").unwrap();
+    let (code, stdout, stderr) = run_bounded(&dir, "audit path.edges a.txt");
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stdout.contains("padded 2 trailing vertices"), "{stdout}");
+    assert!(stdout.contains("communities               4\n"), "{stdout}");
+    assert!(stdout.contains("internally disconnected   0\n"), "{stdout}");
+}
+
+#[test]
+fn infinite_gamma_exits_4_in_detect_update_and_serve() {
+    let dir = tmp_dir("gamma-inf");
+    std::fs::write(dir.join("g.edges"), "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n").unwrap();
+    std::fs::write(dir.join("a.txt"), "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n").unwrap();
+    std::fs::write(dir.join("b.txt"), "+ 0 4\n").unwrap();
+    for line in [
+        "detect g.edges --gamma inf --assignments out.txt",
+        "update g.edges a.txt b.txt --gamma inf --assignments-out out.txt",
+        "serve g.edges --gamma inf",
+    ] {
+        let (code, stdout, stderr) = run_bounded(&dir, line);
+        assert_eq!(code, Some(4), "{line}: {stdout}{stderr}");
+        assert!(
+            stderr.contains("resolution must be finite"),
+            "{line}: {stderr}"
+        );
+        assert!(!dir.join("out.txt").exists(), "{line} wrote its output");
+    }
+}
+
+/// Runs `grappolo generate <input> --scale <scale> -o g.grb` and checks that
+/// it exits 4 with a message naming `--scale` and writes nothing.
+fn assert_scale_refused(dir: &Path, input: &str, scale: &str) {
+    let line = format!("generate {input} --scale {scale} --seed 1 -o g.grb");
+    let (code, stdout, stderr) = run_bounded(dir, &line);
+    assert_eq!(code, Some(4), "{line}: {stdout}{stderr}");
+    assert!(stderr.contains("--scale"), "{line}: {stderr}");
+    assert!(!dir.join("g.grb").exists(), "{line} wrote a graph");
+}
+
+#[test]
+fn generate_refuses_a_scale_that_is_not_positive() {
+    let dir = tmp_dir("scale-negative");
+    for scale in ["-1", "0", "-0"] {
+        assert_scale_refused(&dir, "er", scale);
+    }
+}
+
+#[test]
+fn generate_refuses_a_scale_that_is_not_finite() {
+    let dir = tmp_dir("scale-nan");
+    for scale in ["nan", "inf", "-inf"] {
+        assert_scale_refused(&dir, "planted", scale);
+    }
+}
+
+#[test]
+fn generate_refuses_a_scale_past_vertex_ids() {
+    // 4e34 and 3e34 vertices: more than a `VertexId` can name.
+    let dir = tmp_dir("scale-ids");
+    for input in ["er", "cnr"] {
+        assert_scale_refused(&dir, input, "1e30");
+    }
+}
+
+#[test]
+fn generate_refuses_a_scale_past_the_rmat_limit() {
+    // 2e9 vertices fit a `VertexId` but not RMAT's 2^30 id space; 4e10 fit
+    // neither.
+    let dir = tmp_dir("scale-rmat");
+    for scale in ["50000", "1e6"] {
+        assert_scale_refused(&dir, "rmat", scale);
+    }
+}
+
+#[test]
+fn serve_refuses_a_fault_spec_that_arms_nothing() {
+    // A misspelled point, and `trunc` on a point that never truncates.
+    let dir = tmp_dir("serve-faults");
+    std::fs::write(dir.join("g.edges"), "0 1\n1 2\n2 0\n").unwrap();
+    for (spec, message) in [
+        (
+            "detcet=panic,persist-write=trunc:5",
+            "unknown fault point `detcet`",
+        ),
+        ("persist=trunc:5", "can never fire"),
+        ("persist-write=err", "can never fire"),
+    ] {
+        let line = format!("serve g.edges --faults {spec}");
+        let (code, stdout, stderr) = run_bounded(&dir, &line);
+        assert_eq!(code, Some(4), "{line}: {stdout}{stderr}");
+        assert!(stderr.contains(message), "{line}: {stderr}");
+        assert!(!stdout.contains("listening"), "{line}: {stdout}");
+    }
 }
 
 #[test]

@@ -281,8 +281,11 @@ impl LouvainConfig {
         if self.max_phases == 0 || self.max_iterations_per_phase == 0 {
             return Err("max_phases and max_iterations_per_phase must be ≥ 1".into());
         }
-        if !(self.resolution >= 0.0) {
-            return Err("resolution must be ≥ 0".into());
+        if !(self.resolution >= 0.0 && self.resolution.is_finite()) {
+            return Err(format!(
+                "resolution must be finite and ≥ 0, got {}",
+                self.resolution
+            ));
         }
         if self.vf_rounds == 0 && self.use_vf {
             return Err("use_vf requires vf_rounds ≥ 1".into());
@@ -443,11 +446,14 @@ mod tests {
             ..Default::default()
         };
         assert!(c2.validate().is_err());
-        let c3 = LouvainConfig {
-            resolution: -1.0,
-            ..Default::default()
-        };
-        assert!(c3.validate().is_err());
+        for resolution in [-1.0, f64::NAN, f64::INFINITY] {
+            let c3 = LouvainConfig {
+                resolution,
+                ..Default::default()
+            };
+            let err = c3.validate().unwrap_err();
+            assert!(err.contains("resolution"), "γ={resolution}: {err}");
+        }
         let mut c4 = LouvainConfig {
             use_vf: true,
             vf_rounds: 0,

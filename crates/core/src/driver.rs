@@ -5,7 +5,7 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{ColoringSchedule, LouvainConfig, Scheme};
 use crate::dendrogram::{Dendrogram, DendrogramLevel};
-use crate::history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
+use crate::history::{PhaseRecord, PhaseTimings, RunTrace};
 use crate::modularity::{modularity_with_resolution, Community};
 use crate::phase::{PhaseDriver, PhaseOutcome};
 use crate::rebuild::{condense, renumber_communities};
@@ -215,15 +215,6 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
         };
         let clustering_time = t_cluster.elapsed();
 
-        for (i, &(q, moves)) in outcome.iterations.iter().enumerate() {
-            trace.iterations.push(IterationRecord {
-                phase: phase_idx,
-                iteration: i,
-                modularity: q,
-                moves,
-            });
-        }
-
         // With refinement the phase's end Q is the refined value (never
         // lower than the sweep's); without it, an iteration-less phase
         // reports the identity partition's Q.
@@ -259,21 +250,20 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
                     .with_total_weight_override(m0),
             )
         };
-        let mut rebuild_time = t_rebuild.elapsed();
-        if phase_idx == 0 {
-            // Paper's accounting: VF cost is folded into rebuild time.
-            rebuild_time += trace.vf_time;
-        }
+        let rebuild_time = t_rebuild.elapsed();
 
+        // The phase's record takes the sweep's own lists; the assignment
+        // goes to the dendrogram.
         trace.phases.push(PhaseRecord {
-            phase: phase_idx,
             num_vertices: n,
             num_edges: m_edges,
             colored,
             num_colors,
-            iterations: outcome.num_iterations(),
             start_modularity: start_q,
             end_modularity: end_q,
+            iterations: outcome.iterations,
+            stats: outcome.stats,
+            refinement: outcome.refinement,
             timings: PhaseTimings {
                 coloring: coloring_time,
                 clustering: clustering_time,
@@ -573,11 +563,11 @@ mod tests {
         let (g, _) = planted();
         let result = detect_communities(&g, &colored_config());
         assert!(!result.trace.phases.is_empty());
-        assert!(!result.trace.iterations.is_empty());
-        assert_eq!(
-            result.trace.total_iterations(),
-            result.trace.iterations.len()
-        );
+        assert!(result.trace.total_iterations() > 0);
+        for p in &result.trace.phases {
+            assert_eq!(p.stats.len(), p.iterations.len());
+            assert_eq!(p.iterations.last().unwrap().0, p.end_modularity);
+        }
         // Phase 0 was colored under the test cutoff.
         assert!(result.trace.phases[0].colored);
         assert!(result.trace.phases[0].num_colors > 1);
@@ -677,13 +667,14 @@ mod tests {
                 refined.modularity,
                 plain.modularity
             );
-            for p in &refined.trace.phases {
+            for (i, p) in refined.trace.phases.iter().enumerate() {
                 assert!(
                     p.end_modularity >= p.start_modularity - 1e-12,
-                    "phase {} lost modularity under refinement",
-                    p.phase
+                    "phase {i} lost modularity under refinement"
                 );
+                assert_eq!(p.refinement.unwrap().refined_modularity, p.end_modularity);
             }
+            assert!(plain.trace.phases.iter().all(|p| p.refinement.is_none()));
             cfg.num_threads = Some(1);
             let r1 = detect_communities(&g, &cfg);
             cfg.num_threads = Some(2);

@@ -12,10 +12,11 @@
 //!    singletons labeled with their own id — old labels are `< old_n`, so
 //!    the label spaces cannot collide);
 //! 3. the [`ModularityTracker`] is reconstructed **algebraically**: given
-//!    the old partition's modularity, `Σ e_in` is inverted from Eq. 3 (the
-//!    same trick [`crate::refine`] uses for its `from_parts` tracker) and
-//!    patched with the touched edges' weight deltas — no O(m) rescan of the
-//!    updated graph;
+//!    the old partition's modularity (evaluated once when the caller did
+//!    not carry it), `Σ e_in` is inverted from Eq. 3 (the same trick
+//!    [`crate::refine`] uses for its `from_parts` tracker) and patched with
+//!    the touched edges' weight deltas — no O(m) rescan of the updated
+//!    graph;
 //! 4. the endpoints of changed edges seed the [`crate::ActiveSet`] frontier
 //!    and the phase driver's unordered sweep resumes from the carried state
 //!    with pruning engaged from iteration 0, so vertices outside the dirty
@@ -34,7 +35,7 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::LouvainConfig;
 use crate::driver::{detect, run_in_pool};
-use crate::modularity::{det_sum, intra_community_weight, Community, ModularityTracker};
+use crate::modularity::{det_sum, modularity_with_resolution, Community, ModularityTracker};
 use crate::phase::{PhaseDriver, PhaseOutcome, SweepState};
 use grappolo_graph::{CsrGraph, EdgeChange, EdgeDelta, MergePolicy, VertexId};
 
@@ -68,9 +69,9 @@ pub struct DynamicOutcome {
 ///
 /// `prev_modularity` is the modularity of (`g`, `assignment`) if the caller
 /// tracked it (e.g. from a previous [`detect_communities`] or
-/// `update_communities` run): the tracker is then seeded purely
-/// algebraically. With `None`, one deterministic O(m) intra-weight scan of
-/// the updated graph replaces it — still far cheaper than re-detection.
+/// `update_communities` run); with `None` the update evaluates it once, one
+/// O(m) pass over `g`. Either way the tracker is then seeded algebraically
+/// from it — the same seeding, the same bits for the same Q.
 ///
 /// Duplicate inserts merge with [`MergePolicy::Sum`], matching
 /// [`detect_communities`]' ingestion semantics.
@@ -209,15 +210,10 @@ fn update_inner(
     seeds.sort_unstable();
     seeds.dedup();
 
-    let (outcome, num_communities) = resume_inner(
-        g,
-        &g_new,
-        carried,
-        prev_modularity,
-        &changes,
-        &seeds,
-        config,
-    );
+    let q_old = prev_modularity
+        .unwrap_or_else(|| modularity_with_resolution(g, assignment, config.resolution));
+    let (outcome, num_communities) =
+        resume_inner(g, &g_new, carried, q_old, &changes, &seeds, config);
     Ok(DynamicOutcome {
         graph: g_new,
         modularity: outcome.final_modularity,
@@ -232,12 +228,13 @@ fn update_inner(
 
 /// Rebuilds the sweep state for the carried labels on the updated graph and
 /// resumes the phase driver's unordered sweep from the dirty `seeds`.
-/// Returns the outcome and its number of non-empty communities.
+/// `q_old` is the modularity of the carried labels on `g_old`. Returns the
+/// outcome and its number of non-empty communities.
 fn resume_inner(
     g_old: &CsrGraph,
     g_new: &CsrGraph,
     carried: Vec<Community>,
-    prev_modularity: Option<f64>,
+    q_old: f64,
     changes: &[EdgeChange],
     seeds: &[VertexId],
     config: &LouvainConfig,
@@ -245,16 +242,15 @@ fn resume_inner(
     let new_n = g_new.num_vertices();
     let gamma = config.resolution;
     let two_m_old = 2.0 * g_old.total_weight();
-    let inverts = prev_modularity.is_some() && two_m_old > 0.0;
 
     // One pass over the carried labels builds the community degrees on both
-    // graphs (`a_old` only when Q_old is inverted below) and the sizes,
-    // each adding in vertex order like `community_degrees` and
-    // `community_sizes`. Old vertices carry labels `< old_n`. `a_old` is
-    // allocated last and freed first, so the sweep reuses its space.
+    // graphs and the sizes, each adding in vertex order like
+    // `community_degrees` and `community_sizes`. Old vertices carry labels
+    // `< old_n`. `a_old` is allocated last and freed first, so the sweep
+    // reuses its space.
     let mut a_new = vec![0.0f64; new_n];
     let mut sizes = vec![0u32; new_n];
-    let mut a_old = vec![0.0f64; if inverts { g_old.num_vertices() } else { 0 }];
+    let mut a_old = vec![0.0f64; g_old.num_vertices()];
     for (v, &c) in carried.iter().enumerate() {
         let c = c as usize;
         a_new[c] += g_new.weighted_degree(v as VertexId);
@@ -265,23 +261,22 @@ fn resume_inner(
     }
 
     // Σ e_in on the updated graph under the carried labels, without scanning
-    // its m edges: invert Eq. 3 on the old graph (Q_old is known), then
-    // patch in the touched edges' weight deltas. An intra adjacency entry
-    // counts from both endpoints, self-loops once.
+    // its m edges: invert Eq. 3 on the old graph (an edgeless one has
+    // e_in = 0), then patch in the touched edges' weight deltas. An intra
+    // adjacency entry counts from both endpoints, self-loops once.
     let null_old = det_sum(a_old.len(), |c| a_old[c] * a_old[c]);
     drop(a_old);
-    let e_in_new = match prev_modularity {
-        Some(q_old) if inverts => {
-            let e_in_old = (q_old + gamma * null_old / (two_m_old * two_m_old)) * two_m_old;
-            let patch: f64 = changes
-                .iter()
-                .filter(|c| carried[c.u as usize] == carried[c.v as usize])
-                .map(|c| c.weight_delta() * if c.u == c.v { 1.0 } else { 2.0 })
-                .sum();
-            e_in_old + patch
-        }
-        _ => intra_community_weight(g_new, &carried),
+    let e_in_old = if two_m_old > 0.0 {
+        (q_old + gamma * null_old / (two_m_old * two_m_old)) * two_m_old
+    } else {
+        0.0
     };
+    let patch: f64 = changes
+        .iter()
+        .filter(|c| carried[c.u as usize] == carried[c.v as usize])
+        .map(|c| c.weight_delta() * if c.u == c.v { 1.0 } else { 2.0 })
+        .sum();
+    let e_in_new = e_in_old + patch;
     let null_new = det_sum(a_new.len(), |c| a_new[c] * a_new[c]);
     let tracker = ModularityTracker::from_parts(g_new, e_in_new, null_new, gamma);
 
@@ -501,7 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn algebraic_seeding_matches_rescan_seeding() {
+    fn unknown_prev_modularity_seeds_like_the_detected_one() {
+        // Without a carried Q the update evaluates it and takes the same
+        // algebraic seeding, so it matches the update handed detection's Q
+        // (the same evaluator's bits) bit for bit.
         let (g, _) = planted_partition(&PlantedConfig {
             num_vertices: 1_500,
             num_communities: 15,
@@ -510,7 +508,7 @@ mod tests {
         let config = base_config();
         let before = detect_communities(&g, &config);
         let batch = synth_batch(&g, 30, 50);
-        let algebraic = update_communities(
+        let carried = update_communities(
             &g,
             &before.assignment,
             Some(before.modularity),
@@ -518,14 +516,10 @@ mod tests {
             &config,
         )
         .unwrap();
-        let rescan = update_communities(&g, &before.assignment, None, &batch, &config).unwrap();
-        assert_eq!(algebraic.assignment, rescan.assignment);
-        assert!(
-            (algebraic.modularity - rescan.modularity).abs() < 1e-9,
-            "{} vs {}",
-            algebraic.modularity,
-            rescan.modularity
-        );
+        let evaluated = update_communities(&g, &before.assignment, None, &batch, &config).unwrap();
+        assert_eq!(carried.assignment, evaluated.assignment);
+        assert_eq!(carried.modularity.to_bits(), evaluated.modularity.to_bits());
+        assert_eq!(carried.iterations, evaluated.iterations);
     }
 
     #[test]
@@ -662,24 +656,31 @@ mod tests {
 
     #[test]
     fn update_on_empty_graph_is_well_defined() {
-        let g = CsrGraph::empty(0);
-        let out = update_communities(
-            &g,
-            &[],
-            None,
-            &[EdgeDelta::Insert {
-                u: 0,
-                v: 1,
-                weight: 1.0,
-            }],
-            &base_config(),
-        )
-        .unwrap();
+        let batch = [EdgeDelta::Insert {
+            u: 0,
+            v: 1,
+            weight: 1.0,
+        }];
+        let out =
+            update_communities(&CsrGraph::empty(0), &[], None, &batch, &base_config()).unwrap();
         // A single-edge batch on an empty graph exceeds any fallback
         // fraction < 1, so it re-detects from scratch — either way the two
         // endpoints must end up together.
         assert_eq!(out.graph.num_vertices(), 2);
         assert_eq!(out.assignment[0], out.assignment[1]);
+        // Incrementally, an edgeless old graph has e_in = 0 and no Eq. 3 to
+        // invert: Σ e_in comes from the batch alone, with or without a Q.
+        let config = LouvainConfig {
+            dynamic_fallback_fraction: 1.0,
+            ..base_config()
+        };
+        for prev in [None, Some(0.0)] {
+            let g = CsrGraph::empty(2);
+            let out = update_communities(&g, &[0, 1], prev, &batch, &config).unwrap();
+            assert!(!out.fell_back);
+            assert_eq!(out.assignment[0], out.assignment[1]);
+            assert!(out.modularity.abs() < 1e-12, "{prev:?}: {}", out.modularity);
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use driver::{
 pub use dynamic::{
     update_communities, update_communities_cancellable, DynamicError, DynamicOutcome,
 };
-pub use history::{IterationRecord, PhaseRecord, PhaseTimings, RunTrace};
+pub use history::{PhaseRecord, PhaseTimings, RunTrace};
 pub use modularity::{modularity, modularity_with_resolution, Community};
 pub use phase::{IterationStats, PhaseDriver, PhaseOutcome};
 pub use refine::{refine_phase, RefineStats};

@@ -51,12 +51,14 @@ use crate::refine::RefineStats;
 use crate::schedule::{Gate, ScheduleSpec};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
+use serde::Serialize;
 
 /// Per-iteration convergence-engine telemetry: what the schedule gated and
 /// what the sweep actually examined. Parallel to
-/// [`PhaseOutcome::iterations`]; the `active_trace` bin renders these as the
-/// schedule-trajectory columns.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// [`PhaseOutcome::iterations`]; the run trace keeps them per phase
+/// ([`crate::PhaseRecord::stats`]), and the `active_trace` bin renders them
+/// as the schedule-trajectory columns.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct IterationStats {
     /// Effective per-vertex gain gate this iteration decided under (the
     /// phase's convergence gate, [`crate::schedule`]; 0 when ungated).

@@ -78,8 +78,9 @@ use crate::serial::immediate_pass;
 use grappolo_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
-/// What one refinement pass did — attached to the phase outcome and the
-/// dendrogram trace.
+/// What one refinement pass did — attached to the phase outcome
+/// ([`crate::PhaseOutcome::refinement`]) and to the phase's record in the
+/// run trace ([`crate::PhaseRecord::refinement`]).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RefineStats {
     /// Parent communities entering refinement.

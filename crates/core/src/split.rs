@@ -113,45 +113,28 @@ pub(crate) fn detect_split(
 
     // Stitch: label blocks in component-id order (component ids are
     // ascending-min-vertex, a pure function of the graph), local labels
-    // mapped through each component's remap table. A component without a
+    // mapped through each component's remap table; the trace appends each
+    // component's phase records in the same order. A component without a
     // result (an isolated vertex, or one the token stopped) keeps one
     // community per vertex.
-    let mut bases = vec![0 as Community; k];
-    let mut total = 0usize;
-    for c in 0..k {
-        bases[c] = total as Community;
-        total += results[c]
-            .as_ref()
-            .map_or(subs[c].vertices.len(), |r| r.num_communities);
-    }
     let mut assignment = vec![0 as Community; n];
     let mut trace = RunTrace::default();
-    for c in 0..k {
-        match &results[c] {
+    let mut total = 0usize;
+    for (sub, result) in subs.iter().zip(results) {
+        let (labels, count) = match result {
             Some(r) => {
-                for (local, &global) in subs[c].vertices.iter().enumerate() {
-                    assignment[global as usize] = bases[c] + r.assignment[local];
-                }
-                let phase_base = trace.phases.len();
-                for rec in &r.trace.iterations {
-                    let mut rec = rec.clone();
-                    rec.phase += phase_base;
-                    trace.iterations.push(rec);
-                }
-                for rec in &r.trace.phases {
-                    let mut rec = rec.clone();
-                    rec.phase += phase_base;
-                    trace.phases.push(rec);
-                }
+                trace.phases.extend(r.trace.phases);
                 trace.vf_time += r.trace.vf_time;
                 trace.vf_merged += r.trace.vf_merged;
+                (Some(r.assignment), r.num_communities)
             }
-            None => {
-                for (local, &global) in subs[c].vertices.iter().enumerate() {
-                    assignment[global as usize] = bases[c] + local as Community;
-                }
-            }
+            None => (None, sub.vertices.len()),
+        };
+        for (local, &global) in sub.vertices.iter().enumerate() {
+            let label = labels.as_ref().map_or(local as Community, |l| l[local]);
+            assignment[global as usize] = total as Community + label;
         }
+        total += count;
     }
 
     let modularity = modularity_with_resolution(g, &assignment, config.resolution);
@@ -389,12 +372,32 @@ mod tests {
         for threshold in [2, usize::MAX] {
             let r = detect_split(&g, &Scheme::Baseline.config(), &token, threshold);
             assert!(r.trace.phases.is_empty(), "threshold {threshold}");
-            assert!(r.trace.iterations.is_empty(), "threshold {threshold}");
             assert_eq!(r.num_communities, g.num_vertices());
             let mut labels = r.assignment.clone();
             labels.sort_unstable();
             assert!(labels.iter().enumerate().all(|(i, &c)| c as usize == i));
         }
+    }
+
+    #[test]
+    fn trace_appends_component_phases_in_id_order() {
+        // The split trace is each component run's phase records, appended
+        // in component-id order (not in the largest-first run order).
+        let g = multi_component(&[300, 500, 200], 0, 21);
+        let cfg = Scheme::Baseline.config();
+        let split = detect_split(&g, &cfg, &CancelToken::new(), usize::MAX);
+        let mut expected = Vec::new();
+        for sub in extract_components(&g, &connected_components(&g)) {
+            if sub.vertices.len() > 1 || sub.graph.num_adjacency_entries() > 0 {
+                let graph = sub.graph.with_total_weight_override(g.total_weight());
+                expected.extend(detect(&graph, &cfg, &CancelToken::new()).trace.phases);
+            }
+        }
+        let key = |p: &crate::PhaseRecord| (p.num_vertices, p.iterations.clone());
+        assert_eq!(
+            split.trace.phases.iter().map(key).collect::<Vec<_>>(),
+            expected.iter().map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]

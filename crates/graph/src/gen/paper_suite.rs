@@ -254,17 +254,34 @@ impl PaperInput {
         )
     }
 
+    /// Vertices the proxy asks its generator for at scale 1.0;
+    /// [`PaperInput::generate`] asks for `base_vertices() × scale`, at
+    /// least 64.
+    pub fn base_vertices(&self) -> usize {
+        match self {
+            PaperInput::Cnr | PaperInput::CoPapersDblp | PaperInput::Channel | PaperInput::Mg1 => {
+                32_768
+            }
+            PaperInput::SocLiveJournal
+            | PaperInput::Rgg
+            | PaperInput::Uk2002
+            | PaperInput::Nlpkkt240
+            | PaperInput::Mg2 => 65_536,
+            PaperInput::EuropeOsm | PaperInput::Friendster => 131_072,
+        }
+    }
+
     /// Generates the synthetic proxy at size multiplier `scale`
     /// (1.0 ≈ 3 × 10⁴–10⁵ vertices) with the given seed.
     pub fn generate(&self, scale: f64, seed: u64) -> CsrGraph {
-        let sz = |base: usize| ((base as f64 * scale) as usize).max(64);
+        let n = ((self.base_vertices() as f64 * scale) as usize).max(64);
         match self {
             // Web crawl: heavy-tailed hubs over a strong community backbone
             // (Table 2: Q ≈ 0.91, Table 1: RSD 13).
             PaperInput::Cnr => {
                 web_graph(&WebConfig {
-                    num_vertices: sz(32_768),
-                    num_communities: sz(32_768) / 150,
+                    num_vertices: n,
+                    num_communities: n / 150,
                     avg_intra_degree: 14.0,
                     avg_inter_degree: 0.5,
                     overlay_per_vertex: 0.6,
@@ -276,8 +293,8 @@ impl PaperInput {
             // Dense co-authorship with strong planted communities.
             PaperInput::CoPapersDblp => {
                 planted_partition(&PlantedConfig {
-                    num_vertices: sz(32_768),
-                    num_communities: sz(32_768) / 80,
+                    num_vertices: n,
+                    num_communities: n / 80,
                     size_exponent: 1.2,
                     avg_intra_degree: 22.0,
                     avg_inter_degree: 2.0,
@@ -288,7 +305,7 @@ impl PaperInput {
             }
             // Uniform-degree 3-D mesh, weak communities.
             PaperInput::Channel => {
-                let side = ((sz(32_768) as f64).cbrt().round() as usize).max(4);
+                let side = ((n as f64).cbrt().round() as usize).max(4);
                 grid3d(&GridConfig {
                     side,
                     periodic: true,
@@ -298,7 +315,7 @@ impl PaperInput {
             }
             // Road network: chains, spurs, avg degree ≈ 2.1.
             PaperInput::EuropeOsm => road_network(&RoadConfig {
-                num_vertices: sz(131_072),
+                num_vertices: n,
                 spur_fraction: 0.15,
                 shortcut_per_vertex: 0.12,
                 seed,
@@ -306,8 +323,8 @@ impl PaperInput {
             // Social network: RSD ≈ 2.5, moderate communities (Q ≈ 0.75).
             PaperInput::SocLiveJournal => {
                 web_graph(&WebConfig {
-                    num_vertices: sz(65_536),
-                    num_communities: sz(65_536) / 250,
+                    num_vertices: n,
+                    num_communities: n / 250,
                     avg_intra_degree: 10.0,
                     avg_inter_degree: 1.2,
                     overlay_per_vertex: 1.2,
@@ -319,8 +336,8 @@ impl PaperInput {
             // Weighted homology graph, very strong communities.
             PaperInput::Mg1 => {
                 planted_partition(&PlantedConfig {
-                    num_vertices: sz(32_768),
-                    num_communities: sz(32_768) / 50,
+                    num_vertices: n,
+                    num_communities: n / 50,
                     size_exponent: 0.8,
                     avg_intra_degree: 28.0,
                     avg_inter_degree: 0.8,
@@ -331,7 +348,7 @@ impl PaperInput {
             }
             // Random geometric: uniform degree AND strong communities.
             PaperInput::Rgg => random_geometric(&RggConfig {
-                num_vertices: sz(65_536),
+                num_vertices: n,
                 radius: 0.0,
                 seed,
             }),
@@ -339,8 +356,8 @@ impl PaperInput {
             // strong communities (Q ≈ 0.99).
             PaperInput::Uk2002 => {
                 web_graph(&WebConfig {
-                    num_vertices: sz(65_536),
-                    num_communities: sz(65_536) / 120,
+                    num_vertices: n,
+                    num_communities: n / 120,
                     avg_intra_degree: 18.0,
                     avg_inter_degree: 0.15,
                     overlay_per_vertex: 0.35,
@@ -351,7 +368,7 @@ impl PaperInput {
             }
             // KKT mesh with noise: poorest community structure in the suite.
             PaperInput::Nlpkkt240 => {
-                let side = ((sz(65_536) as f64).cbrt().round() as usize).max(4);
+                let side = ((n as f64).cbrt().round() as usize).max(4);
                 grid3d(&GridConfig {
                     side,
                     periodic: true,
@@ -362,8 +379,8 @@ impl PaperInput {
             // Bigger weighted homology graph, Q ≈ 0.998.
             PaperInput::Mg2 => {
                 planted_partition(&PlantedConfig {
-                    num_vertices: sz(65_536),
-                    num_communities: sz(65_536) / 60,
+                    num_vertices: n,
+                    num_communities: n / 60,
                     size_exponent: 0.8,
                     avg_intra_degree: 30.0,
                     avg_inter_degree: 0.5,
@@ -376,8 +393,8 @@ impl PaperInput {
             // the suite (Q ≈ 0.63).
             PaperInput::Friendster => {
                 web_graph(&WebConfig {
-                    num_vertices: sz(131_072),
-                    num_communities: sz(131_072) / 400,
+                    num_vertices: n,
+                    num_communities: n / 400,
                     avg_intra_degree: 7.0,
                     avg_inter_degree: 1.8,
                     overlay_per_vertex: 1.4,

@@ -46,6 +46,9 @@ impl Default for RmatConfig {
 }
 
 impl RmatConfig {
+    /// The largest `scale` [`rmat`] accepts: at most 2^30 vertices.
+    pub const MAX_SCALE: u32 = 30;
+
     /// The implied `d = 1 - a - b - c`.
     pub fn d(&self) -> f64 {
         1.0 - self.a - self.b - self.c
@@ -55,8 +58,13 @@ impl RmatConfig {
 /// Generates an R-MAT graph. Self-pairs are re-rolled, duplicate samples are
 /// merged by the builder (weight = multiplicity, matching multigraph
 /// collapse), and isolated ids may remain (real web crawls have them too).
+///
+/// # Panics
+///
+/// When `cfg.scale` is outside `1..=RmatConfig::MAX_SCALE` or a quadrant
+/// probability is negative.
 pub fn rmat(cfg: &RmatConfig) -> CsrGraph {
-    assert!(cfg.scale >= 1 && cfg.scale < 31);
+    assert!((1..=RmatConfig::MAX_SCALE).contains(&cfg.scale));
     assert!(cfg.a > 0.0 && cfg.b >= 0.0 && cfg.c >= 0.0 && cfg.d() >= 0.0);
     let n = 1usize << cfg.scale;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);

@@ -1,13 +1,13 @@
 //! Deterministic fault injection — the failpoint layer behind every
 //! robustness test in this crate.
 //!
-//! A [`FaultPlan`] maps named *points* (`"load"`, `"detect"`, `"persist"`,
-//! `"persist-write"`, `"socket"`, `"deadline"`) to armed [`FaultAction`]s
-//! with a trigger budget. Instrumented code calls [`FaultPlan::hit`] at the
-//! point; an armed `Err` returns an injected error, an armed `Panic`
-//! panics, and an unarmed or exhausted point is a no-op. Plans are
-//! instance-based (one per server) and `Arc`-shared internally, so
-//! concurrent tests never interfere through global state.
+//! A [`FaultPlan`] arms the six instrumented [`FaultPoint`]s (`load`,
+//! `detect`, `persist`, `persist-write`, `socket`, `deadline`) with
+//! [`FaultAction`]s and a trigger budget. Instrumented code calls
+//! [`FaultPlan::hit`] at the point; an armed `Err` returns an injected
+//! error, an armed `Panic` panics, and an unarmed or exhausted point is a
+//! no-op. Plans are instance-based (one per server) and `Arc`-shared
+//! internally, so concurrent tests never interfere through global state.
 //!
 //! Plans parse from a compact spec (the `serve` subcommand's `--faults`):
 //!
@@ -15,13 +15,67 @@
 //! detect=panic:1,persist=err:2,persist-write=trunc:64
 //! ```
 //!
-//! `err`/`panic` take an optional `:N` trigger count (default: unlimited);
-//! `trunc:BYTES` arms a byte budget consumed by write paths through
-//! [`FaultWriter`].
+//! `err`/`panic` take an optional `:N` trigger count (default: unlimited)
+//! and arm every point but `persist-write`; `trunc:BYTES` arms a byte
+//! budget consumed by write paths through [`FaultWriter`], and only
+//! `persist-write` takes it. Any other point name or pairing is refused,
+//! so a typo cannot silently arm nothing.
 
-use rustc_hash::FxHashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+
+/// An instrumented point a [`FaultPlan`] can arm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultPoint {
+    /// Loading a graph: server startup and each `update`'s batch read.
+    Load,
+    /// An `update`'s re-detection.
+    Detect,
+    /// One whole persistence attempt of `snapshot-save`.
+    Persist,
+    /// The bytes a persistence attempt writes — the `trunc` point.
+    PersistWrite,
+    /// An accepted connection.
+    Socket,
+    /// A request's response deadline.
+    Deadline,
+}
+
+impl FaultPoint {
+    /// Every point, in spec order.
+    pub const ALL: [FaultPoint; 6] = [
+        FaultPoint::Load,
+        FaultPoint::Detect,
+        FaultPoint::Persist,
+        FaultPoint::PersistWrite,
+        FaultPoint::Socket,
+        FaultPoint::Deadline,
+    ];
+
+    /// The point's name in a spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultPoint::Load => "load",
+            FaultPoint::Detect => "detect",
+            FaultPoint::Persist => "persist",
+            FaultPoint::PersistWrite => "persist-write",
+            FaultPoint::Socket => "socket",
+            FaultPoint::Deadline => "deadline",
+        }
+    }
+
+    /// Whether `action` can fire here: `Truncate` at `persist-write`
+    /// only, `Err` and `Panic` everywhere else.
+    pub fn accepts(self, action: FaultAction) -> bool {
+        matches!(action, FaultAction::Truncate(_)) == (self == FaultPoint::PersistWrite)
+    }
+}
+
+impl std::fmt::Display for FaultPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// What an armed failpoint does when hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +100,7 @@ struct Armed {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultError {
     /// The failpoint that fired.
-    pub point: String,
+    pub point: FaultPoint,
 }
 
 impl std::fmt::Display for FaultError {
@@ -57,13 +111,14 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// A shared, mutable map of armed failpoints.
+/// A shared, mutable table of armed failpoints, one slot per
+/// [`FaultPoint`].
 ///
 /// Cloning shares the underlying plan: a test can keep a clone and
 /// re-arm points while the server runs.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    points: Arc<Mutex<FxHashMap<String, Armed>>>,
+    points: Arc<Mutex<[Option<Armed>; FaultPoint::ALL.len()]>>,
 }
 
 impl FaultPlan {
@@ -73,19 +128,23 @@ impl FaultPlan {
     }
 
     /// Arms `point` with `action` for `times` triggers (`u32::MAX` =
-    /// unlimited). Re-arming replaces any previous state.
-    pub fn arm(&self, point: &str, action: FaultAction, times: u32) {
-        let mut map = self.lock();
-        if times == 0 {
-            map.remove(point);
-        } else {
-            map.insert(point.to_string(), Armed { action, times });
-        }
+    /// unlimited; 0 disarms). Re-arming replaces any previous state.
+    ///
+    /// # Panics
+    ///
+    /// When `point` does not accept `action` ([`FaultPoint::accepts`]):
+    /// such an arm could never fire.
+    pub fn arm(&self, point: FaultPoint, action: FaultAction, times: u32) {
+        assert!(
+            point.accepts(action),
+            "`{point}` cannot fire {action:?}: `trunc` arms `persist-write` only"
+        );
+        self.lock()[point as usize] = (times > 0).then_some(Armed { action, times });
     }
 
     /// Whether no point is armed.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.lock().iter().all(Option::is_none)
     }
 
     /// Fires `point` if armed with `Err` or `Panic`, consuming one
@@ -95,58 +154,68 @@ impl FaultPlan {
     ///
     /// Panics (on purpose) when the point is armed with
     /// [`FaultAction::Panic`].
-    pub fn hit(&self, point: &str) -> Result<(), FaultError> {
+    pub fn hit(&self, point: FaultPoint) -> Result<(), FaultError> {
         match self.take(point, false) {
-            None => Ok(()),
-            Some(FaultAction::Truncate(_)) => Ok(()),
-            Some(FaultAction::Err) => Err(FaultError {
-                point: point.to_string(),
-            }),
+            None | Some(FaultAction::Truncate(_)) => Ok(()),
+            Some(FaultAction::Err) => Err(FaultError { point }),
             Some(FaultAction::Panic) => panic!("injected panic at `{point}`"),
         }
     }
 
-    /// Consumes one `Truncate` trigger at `point`, returning the byte
-    /// budget for a [`FaultWriter`]. `Err`/`Panic` arms are not consumed.
-    pub fn write_budget(&self, point: &str) -> Option<u64> {
-        match self.take(point, true) {
+    /// Consumes one `Truncate` trigger at `persist-write`, returning the
+    /// byte budget for a [`FaultWriter`].
+    pub fn write_budget(&self) -> Option<u64> {
+        match self.take(FaultPoint::PersistWrite, true) {
             Some(FaultAction::Truncate(bytes)) => Some(bytes),
             _ => None,
         }
     }
 
-    /// Takes one trigger from `point` if its armed action matches the
-    /// requested kind (`truncate_only` selects `Truncate` arms).
-    fn take(&self, point: &str, truncate_only: bool) -> Option<FaultAction> {
-        let mut map = self.lock();
-        let armed = map.get_mut(point)?;
-        if matches!(armed.action, FaultAction::Truncate(_)) != truncate_only {
+    /// Takes one trigger from `point` if its armed action is of the
+    /// requested kind (`truncate` selects `Truncate` arms).
+    fn take(&self, point: FaultPoint, truncate: bool) -> Option<FaultAction> {
+        let mut table = self.lock();
+        let slot = &mut table[point as usize];
+        let armed = slot.as_mut()?;
+        if matches!(armed.action, FaultAction::Truncate(_)) != truncate {
             return None;
         }
         let action = armed.action;
         if armed.times != u32::MAX {
             armed.times -= 1;
             if armed.times == 0 {
-                map.remove(point);
+                *slot = None;
             }
         }
         Some(action)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<String, Armed>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, [Option<Armed>; FaultPoint::ALL.len()]> {
         // A panic-armed point panicking while the lock is held is not
         // possible (hit() panics after release), but recover regardless.
         self.points.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Parses a plan spec: comma-separated `point=action` entries where
-    /// `action` is `err[:N]`, `panic[:N]`, or `trunc:BYTES`.
+    /// `point` is a [`FaultPoint`] name and `action` is `err[:N]`,
+    /// `panic[:N]`, or `trunc:BYTES` (see the module docs for which point
+    /// takes which).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let plan = Self::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-            let (point, action) = entry
+            let (name, action) = entry
                 .split_once('=')
                 .ok_or_else(|| format!("fault entry `{entry}` is not `point=action`"))?;
+            let name = name.trim();
+            let point = FaultPoint::ALL
+                .into_iter()
+                .find(|p| p.name() == name)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown fault point `{name}` in `{entry}`; points: {}",
+                        FaultPoint::ALL.map(FaultPoint::name).join(", ")
+                    )
+                })?;
             let (kind, arg) = match action.split_once(':') {
                 Some((k, a)) => (k, Some(a)),
                 None => (action, None),
@@ -171,7 +240,13 @@ impl FaultPlan {
                 }
                 other => return Err(format!("unknown fault action `{other}` in `{entry}`")),
             };
-            plan.arm(point.trim(), act, times);
+            if !point.accepts(act) {
+                return Err(format!(
+                    "`{entry}` can never fire: `trunc` arms `persist-write` only, \
+                     and `persist-write` takes nothing else"
+                ));
+            }
+            plan.arm(point, act, times);
         }
         Ok(plan)
     }
@@ -212,32 +287,33 @@ impl<W: Write> Write for FaultWriter<W> {
 
 #[cfg(test)]
 mod tests {
+    use super::FaultPoint::*;
     use super::*;
 
     #[test]
     fn unarmed_points_are_noops() {
         let plan = FaultPlan::new();
-        assert!(plan.hit("load").is_ok());
-        assert!(plan.write_budget("persist-write").is_none());
+        assert!(plan.hit(Load).is_ok());
+        assert!(plan.write_budget().is_none());
         assert!(plan.is_empty());
     }
 
     #[test]
     fn err_trigger_budget_counts_down() {
         let plan = FaultPlan::new();
-        plan.arm("persist", FaultAction::Err, 2);
-        assert!(plan.hit("persist").is_err());
-        assert!(plan.hit("persist").is_err());
-        assert!(plan.hit("persist").is_ok(), "budget exhausted");
+        plan.arm(Persist, FaultAction::Err, 2);
+        assert!(plan.hit(Persist).is_err());
+        assert!(plan.hit(Persist).is_err());
+        assert!(plan.hit(Persist).is_ok(), "budget exhausted");
         assert!(plan.is_empty());
     }
 
     #[test]
     fn unlimited_never_exhausts() {
         let plan = FaultPlan::new();
-        plan.arm("load", FaultAction::Err, u32::MAX);
+        plan.arm(Load, FaultAction::Err, u32::MAX);
         for _ in 0..100 {
-            assert!(plan.hit("load").is_err());
+            assert!(plan.hit(Load).is_err());
         }
     }
 
@@ -245,27 +321,27 @@ mod tests {
     #[should_panic(expected = "injected panic at `detect`")]
     fn panic_action_panics() {
         let plan = FaultPlan::new();
-        plan.arm("detect", FaultAction::Panic, 1);
-        let _ = plan.hit("detect");
+        plan.arm(Detect, FaultAction::Panic, 1);
+        let _ = plan.hit(Detect);
     }
 
     #[test]
     fn truncate_budget_is_separate_from_hit() {
         let plan = FaultPlan::new();
-        plan.arm("persist-write", FaultAction::Truncate(64), 1);
+        plan.arm(PersistWrite, FaultAction::Truncate(64), 1);
         // hit() ignores truncate arms.
-        assert!(plan.hit("persist-write").is_ok());
-        assert_eq!(plan.write_budget("persist-write"), Some(64));
-        assert!(plan.write_budget("persist-write").is_none(), "consumed");
+        assert!(plan.hit(PersistWrite).is_ok());
+        assert_eq!(plan.write_budget(), Some(64));
+        assert!(plan.write_budget().is_none(), "consumed");
     }
 
     #[test]
     fn clones_share_state() {
         let plan = FaultPlan::new();
         let other = plan.clone();
-        other.arm("socket", FaultAction::Err, 1);
-        assert!(plan.hit("socket").is_err());
-        assert!(other.hit("socket").is_ok());
+        other.arm(Socket, FaultAction::Err, 1);
+        assert!(plan.hit(Socket).is_err());
+        assert!(other.hit(Socket).is_ok());
     }
 
     #[test]
@@ -273,18 +349,62 @@ mod tests {
         let plan =
             FaultPlan::parse("detect=panic:1, persist=err:2 ,persist-write=trunc:100,load=err")
                 .unwrap();
-        assert!(plan.hit("persist").is_err());
-        assert!(plan.hit("persist").is_err());
-        assert!(plan.hit("persist").is_ok());
-        assert_eq!(plan.write_budget("persist-write"), Some(100));
-        assert!(plan.hit("load").is_err());
-        assert!(plan.hit("load").is_err()); // unlimited
+        assert!(plan.hit(Persist).is_err());
+        assert!(plan.hit(Persist).is_err());
+        assert!(plan.hit(Persist).is_ok());
+        assert_eq!(plan.write_budget(), Some(100));
+        assert!(plan.hit(Load).is_err());
+        assert!(plan.hit(Load).is_err()); // unlimited
 
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("nonsense").is_err());
-        assert!(FaultPlan::parse("p=warp").is_err());
-        assert!(FaultPlan::parse("p=err:x").is_err());
-        assert!(FaultPlan::parse("p=trunc").is_err());
+        assert!(FaultPlan::parse("load=warp").is_err());
+        assert!(FaultPlan::parse("load=err:x").is_err());
+        assert!(FaultPlan::parse("persist-write=trunc").is_err());
+    }
+
+    #[test]
+    fn every_point_round_trips_through_its_name() {
+        for point in FaultPoint::ALL {
+            let (spec, action) = if point == PersistWrite {
+                ("trunc:8", FaultAction::Truncate(8))
+            } else {
+                ("err:1", FaultAction::Err)
+            };
+            let plan = FaultPlan::parse(&format!("{point}={spec}")).unwrap();
+            assert!(!plan.is_empty(), "{point}");
+            plan.arm(point, action, 0);
+            assert!(plan.is_empty(), "{point}: 0 triggers disarms");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_a_misspelled_point() {
+        let err = FaultPlan::parse("detcet=panic,persist=trunc:5").unwrap_err();
+        assert!(err.contains("unknown fault point `detcet`"), "{err}");
+        assert!(err.contains("persist-write"), "lists the points: {err}");
+    }
+
+    #[test]
+    fn parse_rejects_trunc_off_persist_write() {
+        for point in ["load", "detect", "persist", "socket", "deadline"] {
+            let err = FaultPlan::parse(&format!("{point}=trunc:5")).unwrap_err();
+            assert!(err.contains("can never fire"), "{point}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_err_or_panic_on_persist_write() {
+        for action in ["err", "err:2", "panic", "panic:1"] {
+            let err = FaultPlan::parse(&format!("persist-write={action}")).unwrap_err();
+            assert!(err.contains("can never fire"), "{action}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`persist` cannot fire")]
+    fn arming_a_point_with_an_action_it_never_fires_panics() {
+        FaultPlan::new().arm(Persist, FaultAction::Truncate(5), 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod server;
 pub mod signal;
 pub mod snapshot;
 
-pub use faults::{FaultAction, FaultError, FaultPlan, FaultWriter};
+pub use faults::{FaultAction, FaultError, FaultPlan, FaultPoint, FaultWriter};
 pub use persist::{save_snapshot_atomic, with_retry, BackoffPolicy};
 pub use protocol::Request;
 pub use queue::{BoundedQueue, Push};

@@ -10,7 +10,7 @@
 //! `persist-write` truncates mid-write (exercising the temp-file
 //! cleanup path).
 
-use crate::faults::{FaultPlan, FaultWriter};
+use crate::faults::{FaultPlan, FaultPoint, FaultWriter};
 use crate::snapshot::Snapshot;
 use grappolo_graph::io::{self, IoError};
 use std::path::{Path, PathBuf};
@@ -84,9 +84,9 @@ pub fn save_snapshot_atomic(
 ) -> Result<(), IoError> {
     with_retry(policy, || {
         faults
-            .hit("persist")
+            .hit(FaultPoint::Persist)
             .map_err(|e| IoError::Io(std::io::Error::other(e.to_string())))?;
-        let budget = faults.write_budget("persist-write");
+        let budget = faults.write_budget();
         io::write_atomic(path, |w| match budget {
             Some(b) => {
                 let mut fw = FaultWriter::new(w, b);
@@ -191,7 +191,7 @@ mod tests {
         let dir = tmp_dir("retry");
         let path = dir.join("snap.grb");
         let faults = FaultPlan::new();
-        faults.arm("persist", FaultAction::Err, 2);
+        faults.arm(FaultPoint::Persist, FaultAction::Err, 2);
         let policy = BackoffPolicy {
             attempts: 3,
             base: Duration::from_millis(1),
@@ -212,7 +212,7 @@ mod tests {
         let good_assign = std::fs::read(assignment_path(&path)).unwrap();
 
         let faults = FaultPlan::new();
-        faults.arm("persist-write", FaultAction::Truncate(16), 1);
+        faults.arm(FaultPoint::PersistWrite, FaultAction::Truncate(16), 1);
         let policy = BackoffPolicy {
             attempts: 1,
             base: Duration::from_millis(1),
@@ -231,7 +231,7 @@ mod tests {
         let dir = tmp_dir("trunc_retry");
         let path = dir.join("snap.grb");
         let faults = FaultPlan::new();
-        faults.arm("persist-write", FaultAction::Truncate(16), 1);
+        faults.arm(FaultPoint::PersistWrite, FaultAction::Truncate(16), 1);
         let policy = BackoffPolicy {
             attempts: 2,
             base: Duration::from_millis(1),

@@ -16,7 +16,7 @@
 //! so the last good snapshot keeps serving — the crash-safety
 //! contract the fault-injection tests pin down.
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, FaultPoint};
 use crate::persist::{self, BackoffPolicy};
 use crate::protocol::{self, Request};
 use crate::queue::{BoundedQueue, Push};
@@ -155,7 +155,7 @@ impl Server {
     pub fn start_from_path(path: &Path, config: ServeConfig) -> Result<ServerHandle, ServeError> {
         config
             .faults
-            .hit("load")
+            .hit(FaultPoint::Load)
             .map_err(|e| ServeError::Load(IoError::Io(std::io::Error::other(e.to_string()))))?;
         let graph = io::load_path(path).map_err(ServeError::Load)?;
         Self::start_with_graph(graph, config)
@@ -224,7 +224,7 @@ impl Server {
                             // packet each way; Nagle + delayed ACK would
                             // add ~40ms per turn otherwise.
                             let _ = stream.set_nodelay(true);
-                            if state.faults.hit("socket").is_err() {
+                            if state.faults.hit(FaultPoint::Socket).is_err() {
                                 // Injected socket failure: drop the
                                 // connection on the floor; the client sees
                                 // EOF and may retry.
@@ -374,7 +374,7 @@ fn submit_and_wait(state: &ServerState, queue: &BoundedQueue<WorkItem>, line: &s
     };
     // The `deadline` failpoint makes deadline expiry deterministic: an
     // armed request is treated as already expired, no timing races.
-    if state.faults.hit("deadline").is_err() {
+    if state.faults.hit(FaultPoint::Deadline).is_err() {
         state
             .metrics
             .deadline_expired
@@ -430,7 +430,7 @@ fn run_update(state: &ServerState, path: &Path) -> String {
     if state.cancel.is_cancelled() {
         return "err shutting-down".to_string();
     }
-    if let Err(e) = state.faults.hit("load") {
+    if let Err(e) = state.faults.hit(FaultPoint::Load) {
         return format!("err load-failed {e}");
     }
     let batch = match std::fs::read_to_string(path)
@@ -447,7 +447,7 @@ fn run_update(state: &ServerState, path: &Path) -> String {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         state
             .faults
-            .hit("detect")
+            .hit(FaultPoint::Detect)
             .map_err(|e| DynamicError::Failed(e.to_string()))?;
         update_communities_cancellable(
             &snap.graph,

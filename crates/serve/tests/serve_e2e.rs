@@ -5,7 +5,8 @@
 use grappolo_graph::gen::{planted_partition, PlantedConfig};
 use grappolo_graph::{io, CsrGraph};
 use grappolo_serve::{
-    BackoffPolicy, FaultAction, FaultPlan, ServeConfig, ServeError, Server, ServerHandle,
+    BackoffPolicy, FaultAction, FaultPlan, FaultPoint, ServeConfig, ServeError, Server,
+    ServerHandle,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -225,7 +226,7 @@ fn injected_load_failure_keeps_snapshot() {
         let batch = dir.join("batch.txt");
         std::fs::write(&batch, "+ 0 150 5.0\n").unwrap();
         let handle = Server::start_with_graph(test_graph(), config_with_threads(threads)).unwrap();
-        handle.faults().arm("load", FaultAction::Err, 1);
+        handle.faults().arm(FaultPoint::Load, FaultAction::Err, 1);
         let mut c = Client::connect(&handle);
         let resp = c.req(&format!("update {}", batch.display()));
         assert!(resp.starts_with("err load-failed"), "{resp}");
@@ -248,7 +249,9 @@ fn detect_panic_preserves_last_good_snapshot() {
         let handle = Server::start_with_graph(test_graph(), config_with_threads(threads)).unwrap();
         let before = query_script(&handle);
 
-        handle.faults().arm("detect", FaultAction::Panic, 1);
+        handle
+            .faults()
+            .arm(FaultPoint::Detect, FaultAction::Panic, 1);
         let mut c = Client::connect(&handle);
         let resp = c.req(&format!("update {}", batch.display()));
         assert!(resp.starts_with("err detect-failed panic"), "{resp}");
@@ -289,7 +292,7 @@ fn detect_error_fault_preserves_snapshot() {
     let batch = dir.join("batch.txt");
     std::fs::write(&batch, "+ 0 150 5.0\n").unwrap();
     let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
-    handle.faults().arm("detect", FaultAction::Err, 1);
+    handle.faults().arm(FaultPoint::Detect, FaultAction::Err, 1);
     let mut c = Client::connect(&handle);
     let resp = c.req(&format!("update {}", batch.display()));
     assert!(resp.starts_with("err detect-failed"), "{resp}");
@@ -317,7 +320,9 @@ fn persist_fault_exhausts_retries_and_preserves_files() {
         let good = std::fs::read(&out).unwrap();
 
         // More failures than retry attempts: the save fails as a whole…
-        handle.faults().arm("persist", FaultAction::Err, 3);
+        handle
+            .faults()
+            .arm(FaultPoint::Persist, FaultAction::Err, 3);
         let resp = c.req(&format!("snapshot-save {}", out.display()));
         assert!(resp.starts_with("err persist-failed"), "{resp}");
         assert!(
@@ -329,7 +334,9 @@ fn persist_fault_exhausts_retries_and_preserves_files() {
         assert!(io::list_tmp_siblings(&dir).is_empty());
 
         // Fewer failures than attempts: backoff rides through.
-        handle.faults().arm("persist", FaultAction::Err, 2);
+        handle
+            .faults()
+            .arm(FaultPoint::Persist, FaultAction::Err, 2);
         assert!(c
             .req(&format!("snapshot-save {}", out.display()))
             .starts_with("ok saved"));
@@ -351,7 +358,7 @@ fn persist_truncation_fault_leaves_no_partial_file() {
     let handle = Server::start_with_graph(test_graph(), config).unwrap();
     handle
         .faults()
-        .arm("persist-write", FaultAction::Truncate(32), 1);
+        .arm(FaultPoint::PersistWrite, FaultAction::Truncate(32), 1);
     let mut c = Client::connect(&handle);
     let resp = c.req(&format!("snapshot-save {}", out.display()));
     assert!(resp.starts_with("err persist-failed"), "{resp}");
@@ -368,7 +375,9 @@ fn persist_truncation_fault_leaves_no_partial_file() {
 #[test]
 fn deadline_failpoint_reports_deterministically() {
     let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
-    handle.faults().arm("deadline", FaultAction::Err, 2);
+    handle
+        .faults()
+        .arm(FaultPoint::Deadline, FaultAction::Err, 2);
     let mut c = Client::connect(&handle);
     assert_eq!(c.req("ping"), "err deadline-exceeded");
     assert_eq!(c.req("stats"), "err deadline-exceeded");
@@ -401,7 +410,7 @@ fn zero_depth_queue_sheds_with_busy() {
 #[test]
 fn socket_fault_drops_connection_then_recovers() {
     let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
-    handle.faults().arm("socket", FaultAction::Err, 1);
+    handle.faults().arm(FaultPoint::Socket, FaultAction::Err, 1);
     // First connection is dropped by the injected accept fault: either the
     // connect itself fails or the first read sees EOF.
     if let Ok(stream) = TcpStream::connect(handle.addr()) {

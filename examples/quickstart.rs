@@ -45,11 +45,10 @@ fn main() {
 
     // The trace records the modularity climb, phase by phase.
     println!("\nmodularity evolution:");
-    for rec in &result.trace.iterations {
-        println!(
-            "  phase {} iteration {}: Q = {:+.4} ({} moves)",
-            rec.phase, rec.iteration, rec.modularity, rec.moves
-        );
+    for (phase, rec) in result.trace.phases.iter().enumerate() {
+        for (iteration, &(q, moves)) in rec.iterations.iter().enumerate() {
+            println!("  phase {phase} iteration {iteration}: Q = {q:+.4} ({moves} moves)");
+        }
     }
     println!(
         "total: {} iterations across {} phases in {:?}",
