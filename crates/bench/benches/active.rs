@@ -33,32 +33,25 @@
 //! perf gate tracks against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cached_graph;
-use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
+use grappolo_bench::inputs::{color_batches, planted, rmat1150k};
 use grappolo_core::{LouvainConfig, PhaseDriver, ScheduleSpec, SweepMode};
-use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
 /// Convergence threshold matching the driver's uncolored default; the same
 /// input therefore runs the same number of moving iterations every sample.
 const THRESHOLD: f64 = 1e-6;
 
-/// Safety cap well above any observed convergence length.
-const MAX_ITERS: usize = 10_000;
-
 fn bench_active(c: &mut Criterion) {
     let mut group = c.benchmark_group("active");
 
     let bench_input = |group: &mut criterion::BenchmarkGroup<'_>, label: &str, g: &CsrGraph| {
-        let batches =
-            ColorBatches::from_coloring(&color_parallel(g, &ParallelColoringConfig::default()));
+        let batches = color_batches(g);
         // One resolved driver per variant: fixed threshold, or the
         // geometric schedule the driver derives from this input's m
         // (start 4/m, factor 0.5, floor 0.5/m).
         let driver_for = |sweep: SweepMode, scheduled: bool| -> PhaseDriver {
             let config = LouvainConfig {
                 sweep_mode: sweep,
-                max_iterations_per_phase: MAX_ITERS,
                 schedule: if scheduled {
                     ScheduleSpec::Geometric
                 } else {
@@ -97,26 +90,11 @@ fn bench_active(c: &mut Criterion) {
         }
     };
 
-    let planted = cached_graph("sweep_planted_100000", || {
-        planted_partition(&PlantedConfig {
-            num_vertices: 100_000,
-            num_communities: 1_000,
-            ..Default::default()
-        })
-        .0
-    });
+    let planted = planted(100_000);
     bench_input(&mut group, "planted100k", &planted);
 
-    // The acceptance-bar input: the same cached ~1.15 M-edge RMAT graph the
-    // ingest and sweep benches use (shared .grb cache entry).
-    let big = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
+    // The acceptance-bar input.
+    let big = rmat1150k();
     bench_input(&mut group, "rmat1150k", &big);
 
     group.finish();

@@ -12,22 +12,14 @@
 //! `cargo bench --bench build` emits `BENCH_build.json` for the perf gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cached_graph;
-use grappolo_graph::gen::{rmat, RmatConfig};
+use grappolo_bench::inputs::rmat1150k;
 use grappolo_graph::{GraphBuilder, VertexId};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("build");
 
     // ≥1M-edge skewed-degree input (RMAT scale 18), the acceptance-bar size.
-    let g = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
+    let g = rmat1150k();
     let n = g.num_vertices();
     let edges: Vec<(VertexId, VertexId, f64)> = g.undirected_edges().collect();
     assert!(

@@ -8,7 +8,7 @@
 //! perf gate tracks against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grappolo_bench::cached_graph;
+use grappolo_bench::inputs::rmat1150k;
 use grappolo_coloring::{color_greedy_serial, color_parallel, ParallelColoringConfig};
 use grappolo_core::vf_preprocess_recursive;
 use grappolo_graph::gen::{erdos_renyi, rmat, ErConfig, RmatConfig};
@@ -37,18 +37,6 @@ fn inputs() -> Vec<(&'static str, CsrGraph)> {
             vf_preprocess_recursive(&rmat1150k(), 1).graph,
         ),
     ]
-}
-
-/// The ingest/sweep benches' shared cache entry.
-fn rmat1150k() -> CsrGraph {
-    cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    })
 }
 
 fn bench_coloring(c: &mut Criterion) {

@@ -10,8 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cache::cached_graph;
+use grappolo_bench::inputs::rmat1150k;
 use grappolo_core::{detect_communities, Scheme};
-use grappolo_graph::gen::{planted_blocks, rmat, RmatConfig};
+use grappolo_graph::gen::planted_blocks;
 use grappolo_graph::io;
 
 fn bench_split_detect(c: &mut Criterion) {
@@ -53,16 +54,7 @@ fn bench_split_detect(c: &mut Criterion) {
 fn bench_grb_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("grb_load");
 
-    // The shared cached ~1.15 M-edge RMAT input (same key as the ingest,
-    // sweep, active, scaling, and dynamic benches).
-    let g = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
+    let g = rmat1150k();
     group.throughput(Throughput::Elements(g.num_edges() as u64));
     let path = std::env::temp_dir().join("grappolo-bench-rmat1150k.grb");
     io::save_path(&g, &path).expect("write .grb");

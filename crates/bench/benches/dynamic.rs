@@ -10,9 +10,8 @@
 //! spliced `apply_edge_batch_diff` of the 0.1 % batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cache::cached_graph;
+use grappolo_bench::inputs::rmat1150k;
 use grappolo_core::{detect_communities, update_communities, LouvainConfig, SweepMode};
-use grappolo_graph::gen::{rmat, RmatConfig};
 use grappolo_graph::{CsrGraph, EdgeDelta, MergePolicy};
 
 /// Deterministic mixed batch: one third deletes and one third reweights
@@ -52,16 +51,8 @@ fn synth_batch(g: &CsrGraph, size: usize) -> Vec<EdgeDelta> {
 fn bench_dynamic(c: &mut Criterion) {
     let mut group = c.benchmark_group("dynamic");
 
-    // The acceptance-bar input: the same cached ~1.15 M-edge RMAT graph
-    // the ingest, sweep, active, and scaling benches share.
-    let g = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
+    // The acceptance-bar input.
+    let g = rmat1150k();
     let m = g.num_edges();
     group.throughput(Throughput::Elements(m as u64));
 

@@ -12,6 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grappolo_bench::cached_graph;
+use grappolo_bench::inputs::color_batches;
 use grappolo_core::modularity::{
     community_degrees, community_sizes, intra_community_weight, modularity, Community,
     IndependentMove, ModularityTracker, NeighborScratch,
@@ -91,11 +92,7 @@ fn bench_modularity(c: &mut Criterion) {
     // Movers come from one color class so they form a genuine independent
     // set (the batch-commit precondition); each is relabeled to the next
     // block over. The move set is fixed — only the accounting is timed.
-    let coloring = grappolo_coloring::color_parallel(
-        &g,
-        &grappolo_coloring::ParallelColoringConfig::default(),
-    );
-    let batches = grappolo_coloring::ColorBatches::from_coloring(&coloring);
+    let batches = color_batches(&g);
     let class = batches
         .as_classes()
         .iter()

@@ -14,24 +14,18 @@
 //! `cargo bench --bench refine` emits `BENCH_refine.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cached_graph;
-use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
+use grappolo_bench::inputs::{color_batches, planted, rmat1150k};
 use grappolo_core::{LouvainConfig, PhaseDriver, RefineMode, ScheduleSpec, SweepMode};
-use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
 /// Convergence threshold matching the driver's uncolored default.
 const THRESHOLD: f64 = 1e-6;
 
-/// Safety cap well above any observed convergence length.
-const MAX_ITERS: usize = 10_000;
-
 fn bench_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine");
 
     let bench_input = |group: &mut criterion::BenchmarkGroup<'_>, label: &str, g: &CsrGraph| {
-        let batches =
-            ColorBatches::from_coloring(&color_parallel(g, &ParallelColoringConfig::default()));
+        let batches = color_batches(g);
         group.throughput(Throughput::Elements(g.num_adjacency_entries() as u64));
         for (id, refine) in [
             ("colored_active_plain", RefineMode::None),
@@ -43,8 +37,6 @@ fn bench_refine(c: &mut Criterion) {
                 .refine(refine)
                 .build()
                 .expect("valid refine bench config");
-            let mut config = config;
-            config.max_iterations_per_phase = MAX_ITERS;
             let driver = PhaseDriver::from_config(&config, THRESHOLD);
             group.bench_with_input(
                 BenchmarkId::new(id, label),
@@ -56,26 +48,11 @@ fn bench_refine(c: &mut Criterion) {
         }
     };
 
-    let planted = cached_graph("sweep_planted_100000", || {
-        planted_partition(&PlantedConfig {
-            num_vertices: 100_000,
-            num_communities: 1_000,
-            ..Default::default()
-        })
-        .0
-    });
+    let planted = planted(100_000);
     bench_input(&mut group, "planted100k", &planted);
 
-    // The acceptance-bar input: the same cached ~1.15 M-edge RMAT graph the
-    // ingest, sweep, and active benches share.
-    let big = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
+    // The acceptance-bar input.
+    let big = rmat1150k();
     bench_input(&mut group, "rmat1150k", &big);
 
     group.finish();

@@ -24,14 +24,11 @@
 //! from whatever machine last regenerated it, so the gate is machine-aware).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cached_graph;
-use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
+use grappolo_bench::inputs::{color_batches, rmat1150k};
 use grappolo_core::{LouvainConfig, PhaseDriver, SweepMode};
-use grappolo_graph::gen::{rmat, RmatConfig};
 use grappolo_graph::{GraphBuilder, VertexId};
 
 const THRESHOLD: f64 = 1e-6;
-const MAX_ITERS: usize = 10_000;
 
 /// The strong-scaling axis. 16 exceeds any expected CI core count on
 /// purpose: oversubscription must degrade gracefully and stay bitwise
@@ -41,16 +38,8 @@ const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 fn bench_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling");
 
-    let g = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
-    let batches =
-        ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
+    let g = rmat1150k();
+    let batches = color_batches(&g);
     let edges: Vec<(VertexId, VertexId, f64)> = g.undirected_edges().collect();
     let n = g.num_vertices();
 
@@ -59,7 +48,6 @@ fn bench_scaling(c: &mut Criterion) {
     let driver = PhaseDriver::from_config(
         &LouvainConfig {
             sweep_mode: SweepMode::Active,
-            max_iterations_per_phase: MAX_ITERS,
             ..LouvainConfig::default()
         },
         THRESHOLD,

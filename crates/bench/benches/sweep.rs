@@ -27,11 +27,10 @@
 //! oracles in `grappolo_core::reference`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grappolo_bench::cached_graph;
-use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
+use grappolo_bench::inputs::{color_batches, planted, rmat1150k};
+use grappolo_coloring::ColorBatches;
 use grappolo_core::reference::{parallel_phase_colored_rescan, parallel_phase_unordered_sortbased};
 use grappolo_core::{LouvainConfig, PhaseDriver};
-use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 
 /// Fixed iteration budget so both kernels do identical sweep work per
@@ -56,16 +55,7 @@ fn driver(max_iterations: usize) -> PhaseDriver {
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
     for &n in &[20_000usize, 100_000] {
-        // The planted input is deterministic, so it lives in the .grb cache
-        // and only the first run pays generation + CSR construction.
-        let g = cached_graph(&format!("sweep_planted_{n}"), || {
-            planted_partition(&PlantedConfig {
-                num_vertices: n,
-                num_communities: n / 100,
-                ..Default::default()
-            })
-            .0
-        });
+        let g = planted(n);
         group.throughput(Throughput::Elements(g.num_adjacency_entries() as u64));
         let flat = driver(ITERS);
         group.bench_with_input(BenchmarkId::new("flat", n), &g, |b, g| {
@@ -103,27 +93,17 @@ fn bench_colored(c: &mut Criterion) {
         );
     };
 
-    let planted = cached_graph("sweep_planted_100000", || {
-        planted_partition(&PlantedConfig {
-            num_vertices: 100_000,
-            num_communities: 1_000,
-            ..Default::default()
-        })
-        .0
-    });
-    bench_pair(&mut group, "planted100k", &planted, &batches_of(&planted));
+    let planted = planted(100_000);
+    bench_pair(
+        &mut group,
+        "planted100k",
+        &planted,
+        &color_batches(&planted),
+    );
 
-    // The acceptance-bar input: the same cached ~1.15 M-edge RMAT graph the
-    // ingest bench builds (shared .grb cache entry).
-    let big = cached_graph("rmat_s18_m1200k_seed1", || {
-        rmat(&RmatConfig {
-            scale: 18,
-            num_edges: 1_200_000,
-            seed: 1,
-            ..Default::default()
-        })
-    });
-    let big_batches = batches_of(&big);
+    // The acceptance-bar input.
+    let big = rmat1150k();
+    let big_batches = color_batches(&big);
     bench_pair(&mut group, "rmat1150k", &big, &big_batches);
 
     // The accounting delta in isolation on the same input (noise-robust
@@ -212,11 +192,6 @@ fn bench_colored(c: &mut Criterion) {
     }
 
     group.finish();
-}
-
-/// Coloring for `g`, grouped into stable batches.
-fn batches_of(g: &CsrGraph) -> ColorBatches {
-    ColorBatches::from_coloring(&color_parallel(g, &ParallelColoringConfig::default()))
 }
 
 criterion_group! {

@@ -14,10 +14,8 @@
 //! The geometric schedule is the one `detect --schedule geometric` runs:
 //! start `4/m`, factor `0.5`, floor `0.5/m`, derived from the input's `m`.
 
-use grappolo_bench::cached_graph;
-use grappolo_coloring::{color_parallel, ColorBatches, ParallelColoringConfig};
+use grappolo_bench::inputs::{color_batches, planted, rmat1150k};
 use grappolo_core::{LouvainConfig, PhaseDriver, PhaseOutcome, ScheduleSpec, SweepMode};
-use grappolo_graph::gen::{planted_partition, rmat, PlantedConfig, RmatConfig};
 use grappolo_graph::CsrGraph;
 use std::time::Duration;
 
@@ -48,22 +46,8 @@ fn main() {
     }
     let which = args.first().map_or("rmat", String::as_str);
     let g = match which {
-        "planted" => cached_graph("sweep_planted_100000", || {
-            planted_partition(&PlantedConfig {
-                num_vertices: 100_000,
-                num_communities: 1_000,
-                ..Default::default()
-            })
-            .0
-        }),
-        _ => cached_graph("rmat_s18_m1200k_seed1", || {
-            rmat(&RmatConfig {
-                scale: 18,
-                num_edges: 1_200_000,
-                seed: 1,
-                ..Default::default()
-            })
-        }),
+        "planted" => planted(100_000),
+        _ => rmat1150k(),
     };
     println!(
         "input: n={} M={} (adjacency entries {})",
@@ -71,8 +55,7 @@ fn main() {
         g.num_edges(),
         g.num_adjacency_entries()
     );
-    let batches =
-        ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
+    let batches = color_batches(&g);
     let driver_for = |schedule: ScheduleSpec, sweep_mode: SweepMode| -> PhaseDriver {
         let config = LouvainConfig {
             sweep_mode,

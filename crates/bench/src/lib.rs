@@ -18,6 +18,7 @@
 pub mod cache;
 pub mod experiments;
 pub mod harness;
+pub mod inputs;
 
 pub use cache::cached_graph;
 pub use harness::{ExperimentContext, RunRecord, TextTable};

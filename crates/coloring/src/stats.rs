@@ -7,10 +7,9 @@
 
 use crate::Coloring;
 use grappolo_graph::{stats::relative_std_dev, CsrGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Summary of a coloring's shape.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ColoringStats {
     /// Number of distinct colors.
     pub num_colors: usize,

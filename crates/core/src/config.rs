@@ -6,11 +6,10 @@
 //! gain drops below the colored threshold.
 
 use crate::schedule::ScheduleSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which combination of the paper's heuristics to run — the four schemes of
 /// the evaluation section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// The original serial Louvain method (§3) — the comparison baseline.
     Serial,
@@ -67,7 +66,7 @@ impl Scheme {
 }
 
 /// When the coloring preprocessing is applied (§6.3 compares the first two).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ColoringSchedule {
     /// Never color (baseline / baseline+VF schemes).
     Off,
@@ -81,7 +80,7 @@ pub enum ColoringSchedule {
 /// How the colored sweep accounts per-iteration modularity. There is one
 /// way: the name survives only for callers that still pass it to
 /// [`LouvainConfigBuilder::accounting`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ColoredAccounting {
     /// Carry `Σ e_in` / `Σ a_C²` incrementally across color-batch barriers
     /// (O(#moves) per iteration, bitwise deterministic). The O(m) rescan
@@ -91,7 +90,7 @@ pub enum ColoredAccounting {
 }
 
 /// Which vertices a sweep iteration re-examines (PR 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SweepMode {
     /// Every iteration scans all `n` vertices and gathers all `m` adjacency
     /// entries — the paper's scheme, and the decision-trajectory reference
@@ -112,7 +111,7 @@ pub enum SweepMode {
 
 /// Whether a Leiden-style refinement pass runs between local-moving and the
 /// inter-phase rebuild ([`crate::refine`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RefineMode {
     /// No refinement — the paper's pipeline (default). Condensation may
     /// merge internally disconnected vertex sets (Louvain's known flaw).
@@ -129,7 +128,7 @@ pub enum RefineMode {
 /// How the inter-phase graph rebuild aggregates community edges (§5.5 step
 /// (iii)). There is one aggregation; the enum keeps the `rebuild` field and
 /// [`crate::rebuild::rebuild`]'s signature stable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RebuildStrategy {
     /// Per-community aggregation through the generation-stamped flat scratch
     /// (the same kernel as the local-moving sweep): O(deg) per community
@@ -141,7 +140,7 @@ pub enum RebuildStrategy {
 /// How new community ids are assigned during rebuild (§5.5 step (i)). There
 /// is one renumbering; the enum keeps the `renumber` field and
 /// [`crate::rebuild::renumber_communities`]'s signature stable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RenumberStrategy {
     /// Serial scan — what the paper ships ("currently implemented in
     /// serial").
@@ -149,7 +148,7 @@ pub enum RenumberStrategy {
 }
 
 /// Full algorithm configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LouvainConfig {
     /// Parallel sweep (Algorithm 1) vs the faithful serial method (§3).
     pub parallel: bool,

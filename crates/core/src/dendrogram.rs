@@ -8,10 +8,9 @@
 use crate::modularity::Community;
 use grappolo_graph::VertexId;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One phase's community structure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DendrogramLevel {
     /// Community label per phase-graph vertex (labels ⊆ `0..n_phase`).
     pub assignment: Vec<Community>,
@@ -23,7 +22,7 @@ pub struct DendrogramLevel {
 }
 
 /// The full hierarchy of a run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Dendrogram {
     /// Maps each original vertex to its phase-0 vertex (identity unless VF
     /// preprocessing merged it away).

@@ -76,12 +76,12 @@ use crate::modularity::{
 use crate::phase::SweepState;
 use crate::serial::immediate_pass;
 use grappolo_graph::{CsrGraph, VertexId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What one refinement pass did — attached to the phase outcome
 /// ([`crate::PhaseOutcome::refinement`]) and to the phase's record in the
 /// run trace ([`crate::PhaseRecord::refinement`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct RefineStats {
     /// Parent communities entering refinement.
     pub parents: usize,

@@ -39,15 +39,14 @@
 //! so every phase of one detection gates on the same `m`.
 
 use crate::config::{GEOMETRIC_FACTOR, GEOMETRIC_FLOOR_EDGE_UNITS, GEOMETRIC_START_EDGE_UNITS};
-use serde::{Deserialize, Serialize};
 
 /// Which convergence gate a [`crate::config::LouvainConfig`] selects — the
-/// serializable, graph-agnostic form. The phase driver resolves it per
+/// graph-agnostic form. The phase driver resolves it per
 /// phase: `Fixed` stops on that phase's θ (`colored_threshold` /
 /// `final_threshold`); `Geometric` derives its per-vertex gate from the
 /// phase graph's total weight (the gate lives on the per-vertex gain scale,
 /// not the aggregate one, so it does not inherit the phase θ).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScheduleSpec {
     /// Aggregate stop at the phase threshold (paper's scheme; default).
     Fixed,

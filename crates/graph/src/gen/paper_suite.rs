@@ -13,10 +13,9 @@ use super::{
     PlantedConfig, RggConfig, RoadConfig, WebConfig,
 };
 use crate::csr::CsrGraph;
-use serde::{Deserialize, Serialize};
 
 /// Identifier for one of the paper's Table 1 inputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PaperInput {
     /// CNR web crawl (325 K vertices / 2.7 M edges, RSD 13.0).
     Cnr,
@@ -43,7 +42,7 @@ pub enum PaperInput {
 }
 
 /// Statistics the paper published for the real input (Tables 1 and 2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PaperReference {
     /// Display name used in the paper.
     pub name: &'static str,

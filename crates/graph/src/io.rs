@@ -16,7 +16,8 @@
 //! [`IoError::Parse`] naming its 1-based line.
 //!
 //! Graph readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
-//! all writers round-trip exactly with their readers (under test).
+//! all writers round-trip exactly with their readers (under test), isolated
+//! vertices past the largest id included: the edge-list header carries `n`.
 
 use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
@@ -138,11 +139,56 @@ fn for_each_line(
     Ok(())
 }
 
+/// The first line [`write_edge_list`] writes, before ` n=N m=M`.
+const EDGE_LIST_HEADER: &str = "# grappolo edge list:";
+
+/// `(n, m)` from [`EDGE_LIST_HEADER`] when it starts the first line; every
+/// other comment line, and a header on any later line, is only a comment.
+fn edge_list_header(text: &str) -> Result<Option<(usize, usize)>, IoError> {
+    let Some(rest) = text
+        .lines()
+        .next()
+        .and_then(|first| first.trim().strip_prefix(EDGE_LIST_HEADER))
+    else {
+        return Ok(None);
+    };
+    let mut fields = rest.split_whitespace();
+    let mut count = |key: &str| -> Result<usize, IoError> {
+        let word = fields.next().unwrap_or_default();
+        let value = word
+            .strip_prefix(key)
+            .and_then(|v| v.strip_prefix('='))
+            .ok_or_else(|| parse_err(1, format!("header needs `{key}=<count>`, found `{word}`")))?;
+        value
+            .parse()
+            .map_err(|e| parse_err(1, format!("bad header {key}: {e}")))
+    };
+    let (n, m) = (count("n")?, count("m")?);
+    if fields.next().is_some() {
+        return Err(parse_err(1, "trailing tokens after header m"));
+    }
+    if n > VertexId::MAX as usize + 1 {
+        return Err(parse_err(
+            1,
+            format!("header n={n} exceeds the vertex id range"),
+        ));
+    }
+    Ok(Some((n, m)))
+}
+
 /// Reads a whitespace-separated edge list: `u v [w]` per line, 0-based vertex
 /// ids, optional weight (default 1). Lines starting with `#` or `%` are
-/// comments. The vertex count is `1 + max id` unless a larger `n` is given.
-pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, IoError> {
+/// comments.
+///
+/// When the first line is [`write_edge_list`]'s header
+/// `# grappolo edge list: n=N m=M`, the graph has `N` vertices, so isolated
+/// vertices past the largest id survive a round trip: an id `>= N` is a parse
+/// error on its line, and a file without exactly `M` edge lines is a parse
+/// error on the header's. Without the header the vertex count is
+/// `1 + max id`.
+pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let text = io::read_to_string(reader)?;
+    let header = edge_list_header(&text)?;
     let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
     // One past the largest id read; 0 while there are no edges.
     let mut inferred = 0;
@@ -152,23 +198,42 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<CsrGraph, 
         let u: VertexId = line.field("source id")?;
         let v: VertexId = line.field("target id")?;
         let w = line.optional("weight")?.unwrap_or(DEFAULT_WEIGHT);
-        inferred = inferred.max(u.max(v) as usize + 1);
+        let top = u.max(v) as usize;
+        if let Some((n, _)) = header {
+            if top >= n {
+                return Err(parse_err(
+                    line.number,
+                    format!("vertex id {top} out of 0..{n} (header n={n})"),
+                ));
+            }
+        }
+        inferred = inferred.max(top + 1);
         edges.push((u, v, w));
         Ok("weight")
     })?;
     drop(text); // not held through the build, which has its own copies
-    let n = n.unwrap_or(0).max(inferred);
+    let n = match header {
+        Some((_, m)) if edges.len() != m => {
+            return Err(parse_err(
+                1,
+                format!("header m={m} does not match the edge count {}", edges.len()),
+            ))
+        }
+        Some((n, _)) => n,
+        None => inferred,
+    };
     Ok(GraphBuilder::with_capacity(n, edges.len())
         .extend_edges(edges)
         .build()?)
 }
 
-/// Writes the graph as an edge list (`u v w` per undirected edge, once).
+/// Writes the graph as an edge list (`u v w` per undirected edge, once)
+/// under the header [`read_edge_list`] takes `n` and `m` from.
 pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
     writeln!(
         w,
-        "# grappolo edge list: n={} m={}",
+        "{EDGE_LIST_HEADER} n={} m={}",
         g.num_vertices(),
         g.num_edges()
     )?;
@@ -190,12 +255,18 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError>
 /// weights skipped. Vertex ids in the body are 1-based. METIS lists each
 /// edge in both endpoints' lines; the reader keeps only the `u <= v`
 /// occurrence, so the builder (which sums duplicates) sees each edge once.
+///
+/// The body must agree with the header: every occurrence of a non-loop edge
+/// needs its mirror on the other endpoint's line with the same weight bits
+/// (else a parse error on the first vertex line with an unmirrored entry),
+/// and the kept edges must number `m` (else a parse error on the header
+/// line).
 pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
 
     // Header: first non-comment line.
-    let (n, _m, has_edge_weights, has_vertex_weights) = loop {
+    let (header_line, n, m, has_edge_weights, has_vertex_weights) = loop {
         let (idx, line) = lines
             .next()
             .ok_or_else(|| parse_err(0, "empty METIS file"))?;
@@ -217,10 +288,25 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
             "11" => (true, true),
             other => return Err(parse_err(idx + 1, format!("unsupported fmt `{other}`"))),
         };
-        break (n, m, ew, vw);
+        break (idx + 1, n, m, ew, vw);
     };
 
     let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
+    // Per vertex line read so far: its 1-based line number, and where its
+    // kept entries start in `edges` together with the first of its non-loop
+    // ones that no later line has listed back yet.
+    let mut vertex_lines: Vec<usize> = Vec::new();
+    let mut rows: Vec<(usize, usize)> = Vec::new();
+    // This line's `u > v` entries as `(v, weight bits)`.
+    let mut back: Vec<(VertexId, u64)> = Vec::new();
+    // The entry on the earliest line whose edge the other endpoint does not
+    // list back with the same weight bits, as `(vertex, neighbor, weight)`.
+    let mut unmirrored: Option<(VertexId, VertexId, f64)> = None;
+    let mut note = |vertex: VertexId, neighbor: VertexId, w: f64| {
+        if unmirrored.is_none_or(|(first, _, _)| vertex < first) {
+            unmirrored = Some((vertex, neighbor, w));
+        }
+    };
     let mut vertex = 0usize;
     for (idx, line) in lines {
         let line = line?;
@@ -236,6 +322,9 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
         }
         let u = vertex as VertexId;
         vertex += 1;
+        vertex_lines.push(idx + 1);
+        let start = edges.len();
+        back.clear();
         // A blank line is a vertex without neighbors, so METIS does not go
         // through `for_each_line`, which skips blank lines.
         let mut row = Line::new(idx + 1, t);
@@ -260,6 +349,37 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
             // they appear on; METIS semantics list a loop on its own line).
             if u <= v {
                 edges.push((u, v, w));
+            } else {
+                back.push((v, w.to_bits()));
+            }
+        }
+        // Sorted by `(v, weight bits)`, this line's kept entries meet the
+        // later lines that list them back in order. The builder sorts every
+        // row by a total key of its own, so input order changes no bit of
+        // the graph.
+        edges[start..].sort_unstable_by_key(|&(_, v, w)| (v, w.to_bits()));
+        let loops = edges[start..].iter().take_while(|e| e.1 == u).count();
+        rows.push((start, start + loops));
+        // Pair each `u > v` entry with line `v`'s next kept entry; the ones
+        // it passes over no line up to `u` listed back.
+        back.sort_unstable();
+        for &(v, bits) in &back {
+            let end = rows[v as usize + 1].0;
+            loop {
+                let next = rows[v as usize].1;
+                match edges[next..end].first() {
+                    Some(&(_, h, w)) if (h, w.to_bits()) <= (u, bits) => {
+                        rows[v as usize].1 += 1;
+                        if (h, w.to_bits()) == (u, bits) {
+                            break;
+                        }
+                        note(v, h, w);
+                    }
+                    _ => {
+                        note(u, v, f64::from_bits(bits));
+                        break;
+                    }
+                }
             }
         }
     }
@@ -269,6 +389,29 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
             format!("expected {n} vertex lines, found {vertex}"),
         ));
     }
+    rows.push((edges.len(), edges.len()));
+    // Kept entries still unpaired: no later line listed them back.
+    if let Some(v) = (0..n).find(|&v| rows[v].1 < rows[v + 1].0) {
+        let (_, h, w) = edges[rows[v].1];
+        note(v as VertexId, h, w);
+    }
+    if let Some((u, v, w)) = unmirrored {
+        return Err(parse_err(
+            vertex_lines[u as usize],
+            format!(
+                "neighbor {} (weight {w}) is not listed back by vertex {}",
+                v + 1,
+                v + 1
+            ),
+        ));
+    }
+    if edges.len() != m {
+        return Err(parse_err(
+            header_line,
+            format!("header m={m} does not match the edge count {}", edges.len()),
+        ));
+    }
+    drop((vertex_lines, rows, back)); // not held through the build
     Ok(GraphBuilder::with_capacity(n, edges.len())
         .extend_edges(edges)
         .build()?)
@@ -955,7 +1098,7 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<CsrGraph, IoError> {
         Some("graph") | Some("metis") => read_metis(open()?),
         Some("grb") => read_grb(open()?),
         Some("bin") => Err(parse_err(0, BIN_REMOVED)),
-        _ => read_edge_list(open()?, None),
+        _ => read_edge_list(open()?),
     }
 }
 
@@ -995,17 +1138,22 @@ mod tests {
 
     #[test]
     fn edge_list_round_trip() {
-        // Inexact weights and a self-loop: the text round trip is bitwise.
-        let g = from_weighted_edges(2, [(0, 1, 0.1), (1, 1, 1.0 / 3.0)]).unwrap();
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        assert!(read_edge_list(&buf[..], None).unwrap().bitwise_eq(&g));
+        // Inexact weights and a self-loop, and a blocks graph whose trailing
+        // isolated vertices only the header's `n` keeps: both bitwise.
+        let inexact = from_weighted_edges(2, [(0, 1, 0.1), (1, 1, 1.0 / 3.0)]).unwrap();
+        let blocks = crate::gen::planted_blocks(&[200, 100], 16, 17);
+        for g in [inexact, blocks] {
+            let mut buf = Vec::new();
+            write_edge_list(&g, &mut buf).unwrap();
+            assert!(read_edge_list(&buf[..]).unwrap().bitwise_eq(&g));
+        }
     }
 
     #[test]
     fn line_formats_name_the_line_and_round_trip() {
         type Reader = fn(&str) -> Result<(), IoError>;
-        let edges: Reader = |text| read_edge_list(text.as_bytes(), None).map(drop);
+        let edges: Reader = |text| read_edge_list(text.as_bytes()).map(drop);
+        let metis: Reader = |text| read_metis(text.as_bytes()).map(drop);
         let batch: Reader = |text| parse_edge_batch(text).map(drop);
         let assign: Reader = |text| read_assignment(text.as_bytes()).map(drop);
         // The line formats' error contract, one malformed input per row: the
@@ -1015,6 +1163,44 @@ mod tests {
             (edges, "# c\n\n0 1\n0\n", "4: missing target id"),
             (edges, "0 1 w\n", "1: bad weight: invalid float literal"),
             (edges, "0 1 2 3\n", "1: trailing tokens after weight"),
+            // The writer's first-line header fixes `n` and `m`.
+            (
+                edges,
+                "# grappolo edge list: n=2 m=1\n0 2\n",
+                "2: vertex id 2 out of 0..2 (header n=2)",
+            ),
+            (
+                edges,
+                "# grappolo edge list: n=3 m=2\n0 1\n",
+                "1: header m=2 does not match the edge count 1",
+            ),
+            (
+                edges,
+                "# grappolo edge list: n=x m=1\n0 1\n",
+                "1: bad header n: invalid digit found in string",
+            ),
+            // A METIS body must mirror every edge and match the header's m.
+            (
+                metis,
+                "3 2\n\n1 3\n2\n",
+                "3: neighbor 1 (weight 1) is not listed back by vertex 1",
+            ),
+            (
+                metis,
+                "3 5\n2\n1 3\n2\n",
+                "1: header m=5 does not match the edge count 2",
+            ),
+            // The earliest line is named, even when a later line shows it.
+            (
+                metis,
+                "4 2\n4\n3\n2\n\n",
+                "2: neighbor 4 (weight 1) is not listed back by vertex 4",
+            ),
+            (
+                metis,
+                "2 1 1\n2 1.5\n1 2\n",
+                "2: neighbor 2 (weight 1.5) is not listed back by vertex 2",
+            ),
             (
                 batch,
                 "+ 0 1\n* 2 3\n",
@@ -1059,7 +1245,7 @@ mod tests {
     #[test]
     fn edge_list_comments_and_defaults() {
         let text = "# comment\n% another\n0 1\n1 2 2.5\n\n";
-        let g = read_edge_list(text.as_bytes(), None).unwrap();
+        let g = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.edge_weight(0, 1), Some(1.0));
         assert_eq!(g.edge_weight(1, 2), Some(2.5));
@@ -1067,15 +1253,16 @@ mod tests {
 
     #[test]
     fn edge_list_explicit_n_pads_isolated() {
-        let g = read_edge_list("0 1\n".as_bytes(), Some(10)).unwrap();
+        let text = "# grappolo edge list: n=10 m=1\n0 1\n";
+        let g = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 10);
     }
 
     #[test]
     fn edge_list_rejects_garbage() {
-        assert!(read_edge_list("0 x\n".as_bytes(), None).is_err());
-        assert!(read_edge_list("0\n".as_bytes(), None).is_err());
-        assert!(read_edge_list("0 1 2 3\n".as_bytes(), None).is_err());
+        assert!(read_edge_list("0 x\n".as_bytes()).is_err());
+        assert!(read_edge_list("0\n".as_bytes()).is_err());
+        assert!(read_edge_list("0 1 2 3\n".as_bytes()).is_err());
     }
 
     #[test]
@@ -1083,7 +1270,7 @@ mod tests {
         // 2^32 is no `VertexId`: an error naming its line, not edge (0, 1) on
         // a graph of 2^32 + 1 vertices.
         for (text, at) in [("0 1\n4294967296 1\n", 2), ("1 4294967296\n", 1)] {
-            match read_edge_list(text.as_bytes(), None) {
+            match read_edge_list(text.as_bytes()) {
                 Err(IoError::Parse { line, .. }) => assert_eq!(line, at),
                 other => panic!("{text:?}: {other:?}"),
             }
@@ -1096,9 +1283,7 @@ mod tests {
         let mut buf = Vec::new();
         write_metis(&g, &mut buf).unwrap();
         let g2 = read_metis(&buf[..]).unwrap();
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(g2.total_weight(), g.total_weight());
+        assert!(g2.bitwise_eq(&g));
         assert_eq!(g2.self_loop_weight(1), 3.0);
     }
 
@@ -1110,6 +1295,17 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edge_weight(0, 1), Some(1.0));
+    }
+
+    #[test]
+    fn metis_pairs_lines_in_any_order() {
+        // Unsorted neighbors, a self-loop and an edge listed twice on both
+        // ends: every entry pairs with its mirror, and the builder sums the
+        // duplicates as it would from any edge list.
+        let text = "3 4 1\n3 2 2 1 1 5 2 1\n1 1 1 1\n1 2\n";
+        let expected =
+            from_weighted_edges(3, [(0, 2, 2.0), (0, 1, 1.0), (0, 0, 5.0), (0, 1, 1.0)]).unwrap();
+        assert!(read_metis(text.as_bytes()).unwrap().bitwise_eq(&expected));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 
 use crate::csr::{CsrGraph, VertexId};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics for one graph (one row of Table 1).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices `n`.
     pub num_vertices: usize,

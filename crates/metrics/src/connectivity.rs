@@ -22,10 +22,9 @@
 
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
-use serde::Serialize;
 
 /// Audit result for one community with at least one member.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CommunityConnectivity {
     /// The community's label in the input assignment.
     pub community: u32,
@@ -43,7 +42,7 @@ pub struct CommunityConnectivity {
 
 /// Whole-assignment audit: the aggregate the CLI's `audit` subcommand and
 /// the paper-claims tests consume.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConnectivityReport {
     /// Non-empty communities in the assignment.
     pub num_communities: usize,

@@ -17,10 +17,9 @@
 //! the paper's scalability caveat.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Pair-counting comparison result.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairwiseMetrics {
     /// Pairs co-clustered in both partitions.
     pub true_positives: u128,

@@ -6,10 +6,8 @@
 //! its ratio-to-best across the input collection; "the closer a heuristic
 //! curve is to the Y-axis the more superior its performance".
 
-use serde::{Deserialize, Serialize};
-
 /// Whether larger metric values are better (modularity) or worse (runtime).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
     /// Higher values win (e.g. modularity). Ratio = best / value.
     HigherIsBetter,
@@ -18,7 +16,7 @@ pub enum Direction {
 }
 
 /// One scheme's profile curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProfileCurve {
     /// Scheme name.
     pub name: String,
@@ -54,7 +52,7 @@ impl ProfileCurve {
 }
 
 /// The full profile for a set of schemes over a set of inputs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PerfProfile {
     /// One curve per scheme, in input order of `values`.
     pub curves: Vec<ProfileCurve>,

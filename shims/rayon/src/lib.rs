@@ -45,7 +45,7 @@
 //! `flat_map_iter` / `copied` / `zip` / `enumerate` / `fold` /
 //! `with_min_len`, the terminals `collect` / `count` / `sum` / `reduce` /
 //! `for_each`, plus `join`, a real parallel merge sort behind
-//! `par_sort_unstable{,_by,_by_key}`, `par_chunks`, `par_chunks_mut`,
+//! `par_sort_unstable{,_by,_by_key}`, `par_chunks`,
 //! `ThreadPoolBuilder`/`ThreadPool::install` (a built pool owns resident
 //! workers and `install` binds execution to them), and
 //! [`current_worker_index`] for persistent per-worker arenas. Like the real
@@ -850,8 +850,6 @@ pub trait ParallelSliceMut<T: Send> {
     where
         K: Ord,
         F: Fn(&T) -> K + Sync + Send;
-
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -875,12 +873,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         F: Fn(&T) -> K + Sync + Send,
     {
         par_merge_sort_by(self, &|a, b| key(a).cmp(&key(b)));
-    }
-
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut {
-            chunks: self.chunks_mut(chunk_size).collect(),
-        }
     }
 }
 
@@ -1010,58 +1002,6 @@ where
         std::ptr::copy_nonoverlapping(b.add(i), p.add(k), mid - i);
     }
     // Any leftover right-run suffix is already in its final position.
-}
-
-pub struct ParChunksMut<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
-        ParChunksMutEnumerate {
-            items: self.chunks.into_iter().enumerate().collect(),
-        }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a mut [T]) + Sync + Send,
-    {
-        self.enumerate().for_each(|(_, c)| f(c));
-    }
-}
-
-pub struct ParChunksMutEnumerate<'a, T> {
-    items: Vec<(usize, &'a mut [T])>,
-}
-
-impl<'a, T: Send> ParChunksMutEnumerate<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &'a mut [T])) + Sync + Send,
-    {
-        let items = self.items;
-        if pool::current_threads() <= 1 || items.len() <= 1 {
-            for item in items {
-                f(item);
-            }
-            return;
-        }
-        // One task per chunk (chunks are caller-sized coarse work units),
-        // claimed in stolen order; each slot is taken by exactly its own
-        // task, so the mutable borrows never alias.
-        #[allow(clippy::type_complexity)]
-        let slots: Vec<Mutex<Option<(usize, &'a mut [T])>>> =
-            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        pool::current_pool().run_region(slots.len(), &|t| {
-            let item = slots[t]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("chunk task ran twice");
-            f(item);
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,19 +1191,6 @@ mod tests {
                 .collect()
         });
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn par_chunks_mut_enumerate() {
-        let mut v = vec![0usize; 10_000];
-        v.par_chunks_mut(128).enumerate().for_each(|(i, chunk)| {
-            for x in chunk {
-                *x = i;
-            }
-        });
-        assert_eq!(v[0], 0);
-        assert_eq!(v[129], 1);
-        assert_eq!(v[9_999], 9_999 / 128);
     }
 
     #[test]

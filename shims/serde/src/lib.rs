@@ -1,12 +1,12 @@
-//! Minimal stand-in for `serde`: instead of the visitor architecture, the
-//! traits serialize directly to (and deserialize directly from) a [`Json`]
-//! value tree. The companion `serde_derive` shim generates impls for
-//! named-field structs and unit-variant enums — the only shapes this
-//! workspace derives.
+//! Minimal stand-in for `serde`: instead of the visitor architecture,
+//! [`Serialize`] renders directly to a [`Json`] value tree. The companion
+//! `serde_derive` shim generates impls for named-field structs. Nothing is
+//! decoded back into a type: JSON text parses only into an untyped [`Json`]
+//! (`serde_json::from_str`).
 
 use std::time::Duration;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A JSON value. Object fields keep insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,13 +74,6 @@ impl Json {
         self.write(&mut s, true, 0);
         s
     }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
 }
 
 fn write_seq(
@@ -135,13 +128,8 @@ pub trait Serialize {
     fn to_json(&self) -> Json;
 }
 
-/// Deserialization straight from a [`Json`] tree.
-pub trait Deserialize: Sized {
-    fn from_json(v: &Json) -> Result<Self, String>;
-}
-
 // ---------------------------------------------------------------------------
-// Primitive impls
+// Impls for the field types the run trace's records use
 // ---------------------------------------------------------------------------
 
 macro_rules! impl_num {
@@ -151,57 +139,14 @@ macro_rules! impl_num {
                 Json::Num(*self as f64)
             }
         }
-
-        impl Deserialize for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                Ok(v.as_f64()? as $t)
-            }
-        }
     )*};
 }
 
-impl_num!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_num!(usize, f64);
 
 impl Serialize for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, got {other:?}")),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-}
-
-impl Serialize for &str {
-    fn to_json(&self) -> Json {
-        Json::Str((*self).to_string())
-    }
-}
-
-impl Deserialize for &'static str {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        // Only reachable from derived test round-trips; leaking is fine there.
-        String::from_json(v).map(|s| &*Box::leak(s.into_boxed_str()))
     }
 }
 
@@ -214,27 +159,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Arr(items) => items.iter().map(T::from_json).collect(),
-            other => Err(format!("expected array, got {other:?}")),
-        }
     }
 }
 
@@ -253,46 +180,9 @@ impl Serialize for Duration {
     }
 }
 
-impl Deserialize for Duration {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let secs = v.get_field("secs")?.as_f64()? as u64;
-        let nanos = v.get_field("nanos")?.as_f64()? as u32;
-        Ok(Duration::new(secs, nanos))
-    }
-}
-
-impl<T: Serialize> Serialize for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
-    }
-}
-
-impl Serialize for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl Deserialize for Json {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalars_round_trip() {
-        assert_eq!(u32::from_json(&42u32.to_json()).unwrap(), 42);
-        assert_eq!(f64::from_json(&0.25f64.to_json()).unwrap(), 0.25);
-        assert_eq!(
-            Duration::from_json(&Duration::from_millis(1234).to_json()).unwrap(),
-            Duration::from_millis(1234)
-        );
-        assert_eq!(Option::<u32>::from_json(&Json::Null).unwrap(), None);
-    }
 
     #[test]
     fn render_shapes() {

@@ -1,18 +1,10 @@
-//! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
-//! serde shim. No `syn`/`quote`: the token stream is parsed directly, which
-//! is enough for the two shapes this workspace derives —
-//! **named-field structs** and **unit-variant enums**. Anything else panics
-//! at compile time with a clear message so the shim is extended rather than
-//! silently mis-derived.
+//! Hand-rolled `#[derive(Serialize)]` for the serde shim. No `syn`/`quote`:
+//! the token stream is parsed directly, which is enough for the one shape
+//! this workspace derives — **named-field structs**, the run trace's
+//! records. Anything else panics at compile time with a clear message so the
+//! shim is extended rather than silently mis-derived.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-enum Shape {
-    /// Struct with named fields.
-    Struct { name: String, fields: Vec<String> },
-    /// Enum with unit variants only.
-    Enum { name: String, variants: Vec<String> },
-}
 
 /// Skips a `#[...]` attribute if `tokens[i]` starts one; returns the new i.
 fn skip_attrs(tokens: &[TokenTree], mut i: usize) -> usize {
@@ -44,15 +36,16 @@ fn skip_vis(tokens: &[TokenTree], mut i: usize) -> usize {
     i
 }
 
-fn parse(input: TokenStream) -> Shape {
+/// The struct's name and its field names, in declaration order.
+fn parse(input: TokenStream) -> (String, Vec<String>) {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = skip_attrs(&tokens, 0);
     i = skip_vis(&tokens, i);
 
-    let kind = match tokens.get(i) {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("serde_derive shim: expected struct/enum, got {other:?}"),
-    };
+    match tokens.get(i) {
+        Some(TokenTree::Ident(id)) if id.to_string() == "struct" => {}
+        other => panic!("serde_derive shim: only named-field structs are supported, got {other:?}"),
+    }
     i += 1;
     let name = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -67,18 +60,7 @@ fn parse(input: TokenStream) -> Shape {
         ),
     };
     let body: Vec<TokenTree> = body.into_iter().collect();
-
-    match kind.as_str() {
-        "struct" => Shape::Struct {
-            name,
-            fields: parse_named_fields(&body),
-        },
-        "enum" => Shape::Enum {
-            name,
-            variants: parse_unit_variants(&body),
-        },
-        other => panic!("serde_derive shim: cannot derive for `{other}`"),
-    }
+    (name, parse_named_fields(&body))
 }
 
 fn parse_named_fields(body: &[TokenTree]) -> Vec<String> {
@@ -117,114 +99,27 @@ fn parse_named_fields(body: &[TokenTree]) -> Vec<String> {
     fields
 }
 
-fn parse_unit_variants(body: &[TokenTree]) -> Vec<String> {
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < body.len() {
-        i = skip_attrs(body, i);
-        let Some(TokenTree::Ident(variant)) = body.get(i) else {
-            panic!(
-                "serde_derive shim: expected variant name, got {:?}",
-                body.get(i)
-            );
-        };
-        variants.push(variant.to_string());
-        i += 1;
-        match body.get(i) {
-            None => break,
-            Some(TokenTree::Punct(p)) if p.as_char() == ',' => i += 1,
-            Some(TokenTree::Group(_)) => panic!(
-                "serde_derive shim: only unit enum variants are supported \
-                 (variant `{}` carries data)",
-                variants.last().unwrap()
-            ),
-            other => panic!("serde_derive shim: unexpected token {other:?}"),
-        }
-    }
-    variants
-}
-
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let generated = match parse(input) {
-        Shape::Struct { name, fields } => {
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "fields.push(({f:?}.to_string(), \
-                         serde::Serialize::to_json(&self.{f})));\n"
-                    )
-                })
-                .collect();
+    let (name, fields) = parse(input);
+    let pushes: String = fields
+        .iter()
+        .map(|f| {
             format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn to_json(&self) -> serde::Json {{\n\
-                         let mut fields: Vec<(String, serde::Json)> = Vec::new();\n\
-                         {pushes}\
-                         serde::Json::Obj(fields)\n\
-                     }}\n\
-                 }}"
+                "fields.push(({f:?}.to_string(), \
+                 serde::Serialize::to_json(&self.{f})));\n"
             )
-        }
-        Shape::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("{name}::{v} => serde::Json::Str({v:?}.to_string()),\n"))
-                .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn to_json(&self) -> serde::Json {{\n\
-                         match self {{\n{arms}}}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-    };
-    generated
-        .parse()
-        .expect("serde_derive shim: generated Serialize impl must parse")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let generated = match parse(input) {
-        Shape::Struct { name, fields } => {
-            let inits: String = fields
-                .iter()
-                .map(|f| format!("{f}: serde::Deserialize::from_json(v.get_field({f:?})?)?,\n"))
-                .collect();
-            format!(
-                "impl serde::Deserialize for {name} {{\n\
-                     fn from_json(v: &serde::Json) -> Result<Self, String> {{\n\
-                         Ok(Self {{\n{inits}}})\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Shape::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("{v:?} => Ok({name}::{v}),\n"))
-                .collect();
-            format!(
-                "impl serde::Deserialize for {name} {{\n\
-                     fn from_json(v: &serde::Json) -> Result<Self, String> {{\n\
-                         match v {{\n\
-                             serde::Json::Str(s) => match s.as_str() {{\n\
-                                 {arms}\
-                                 other => Err(format!(\
-                                     \"unknown {name} variant `{{other}}`\")),\n\
-                             }},\n\
-                             other => Err(format!(\
-                                 \"expected {name} variant string, got {{other:?}}\")),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-    };
-    generated
-        .parse()
-        .expect("serde_derive shim: generated Deserialize impl must parse")
+        })
+        .collect();
+    format!(
+        "impl serde::Serialize for {name} {{\n\
+             fn to_json(&self) -> serde::Json {{\n\
+                 let mut fields: Vec<(String, serde::Json)> = Vec::new();\n\
+                 {pushes}\
+                 serde::Json::Obj(fields)\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde_derive shim: generated Serialize impl must parse")
 }

@@ -1,8 +1,9 @@
-//! Minimal stand-in for `serde_json`: renders and parses JSON text against
-//! the serde shim's [`Json`] value tree.
+//! Minimal stand-in for `serde_json`: renders [`Serialize`] values as JSON
+//! text and parses JSON text into the serde shim's untyped [`Json`] value
+//! tree ([`Value`]).
 
 pub use serde::Json as Value;
-use serde::{Deserialize, Json, Serialize};
+use serde::{Json, Serialize};
 
 /// Serialization/parse error.
 #[derive(Clone, Debug)]
@@ -24,13 +25,16 @@ pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
     Ok(value.to_json().to_json_string_pretty())
 }
 
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = Parser {
+/// Parses JSON text into a [`Value`]; `T` is `Value` itself, so both
+/// `from_str::<Value>(..)` and `let v: Value = from_str(..)` read as they do
+/// with the real crate.
+pub fn from_str<T: From<Value>>(s: &str) -> Result<T, Error> {
+    Parser {
         bytes: s.as_bytes(),
         pos: 0,
     }
-    .parse_document()?;
-    T::from_json(&value).map_err(Error)
+    .parse_document()
+    .map(T::from)
 }
 
 struct Parser<'a> {

@@ -199,7 +199,7 @@ fn max_phases_one_still_terminates() {
 
 #[test]
 fn io_malformed_inputs_error_not_panic() {
-    assert!(io::read_edge_list("1 2 zzz\n".as_bytes(), None).is_err());
+    assert!(io::read_edge_list("1 2 zzz\n".as_bytes()).is_err());
     assert!(io::read_metis("not a header\n".as_bytes()).is_err());
     assert!(io::read_grb(&b"garbage"[..]).is_err());
     assert!(io::load_path("/nonexistent/path/graph.grb").is_err());
@@ -207,7 +207,7 @@ fn io_malformed_inputs_error_not_panic() {
 
 #[test]
 fn io_negative_weight_rejected_at_build() {
-    let err = io::read_edge_list("0 1 -3.0\n".as_bytes(), None).unwrap_err();
+    let err = io::read_edge_list("0 1 -3.0\n".as_bytes()).unwrap_err();
     assert!(matches!(err, io::IoError::Build(_)), "{err}");
 }
 
@@ -310,7 +310,7 @@ fn tracker_move_away_and_back_restores_state_bitwise() {
 #[test]
 fn colored_accounting_zero_weight_and_self_loop_contract() {
     assert!(GraphBuilder::new(2).add_edge(0, 1, 0.0).build().is_err());
-    assert!(io::read_edge_list("0 1 0.0\n".as_bytes(), None).is_err());
+    assert!(io::read_edge_list("0 1 0.0\n".as_bytes()).is_err());
 
     // Mixed self-loops + a real edge + an isolated vertex, exact weights.
     let g = from_weighted_edges(4, [(0, 0, 2.5), (0, 1, 1.5), (2, 2, 3.0)]).unwrap();
