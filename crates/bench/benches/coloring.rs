@@ -41,10 +41,7 @@ fn inputs() -> Vec<(&'static str, CsrGraph)> {
 
 fn bench_coloring(c: &mut Criterion) {
     let mut group = c.benchmark_group("coloring");
-    let cfg = ParallelColoringConfig {
-        serial_cutoff: 0,
-        ..Default::default()
-    };
+    let cfg = ParallelColoringConfig { serial_cutoff: 0 };
     for (name, g) in inputs() {
         group.bench_with_input(BenchmarkId::new("parallel", name), &g, |b, g| {
             b.iter(|| color_parallel(g, &cfg));

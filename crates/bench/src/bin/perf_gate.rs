@@ -44,19 +44,19 @@ fn check_ratio(spec: &str, fresh: &BTreeMap<String, f64>) -> Result<bool, String
 fn load_medians(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let value: Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let Value::Arr(records) = value else {
-        return Err(format!("{path}: expected a JSON array of bench records"));
-    };
+    let records = value
+        .as_array()
+        .ok_or_else(|| format!("{path}: expected a JSON array of bench records"))?;
     let mut out = BTreeMap::new();
-    for rec in &records {
-        let field = |k: &str| rec.get_field(k).map_err(|e| format!("{path}: {e}"));
-        let (Value::Str(group), Value::Str(id)) = (field("group")?, field("id")?) else {
+    for rec in records {
+        let text_field = |k: &str| rec.get(k).and_then(Value::as_str);
+        let (Some(group), Some(id)) = (text_field("group"), text_field("id")) else {
             return Err(format!("{path}: group/id must be strings"));
         };
-        let Value::Num(median) = field("median_ns")? else {
+        let Some(median) = rec.get("median_ns").and_then(Value::as_f64) else {
             return Err(format!("{path}: median_ns must be a number"));
         };
-        out.insert(format!("{group}/{id}"), *median);
+        out.insert(format!("{group}/{id}"), median);
     }
     Ok(out)
 }
@@ -144,5 +144,58 @@ fn main() -> ExitCode {
             eprintln!("perf_gate: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Loads `text` through a file named `name` under the system temp dir;
+    /// returns the path with the result.
+    fn load(name: &str, text: &str) -> (String, Result<BTreeMap<String, f64>, String>) {
+        let path = std::env::temp_dir().join(format!("perf_gate_{}_{name}", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap().to_string();
+        let result = load_medians(&path);
+        std::fs::remove_file(&path).unwrap();
+        (path, result)
+    }
+
+    #[test]
+    fn load_medians_keys_each_record_by_group_and_id() {
+        let (_, medians) = load(
+            "ok.json",
+            r#"[
+  {"group": "coloring", "id": "parallel/uniform", "samples": 10, "median_ns": 4159778.0, "throughput_elems": null},
+  {"group": "sweep", "id": "flat/100k", "median_ns": 12.5}
+]"#,
+        );
+        let medians = medians.unwrap();
+        assert_eq!(medians.len(), 2);
+        assert_eq!(medians["coloring/parallel/uniform"], 4159778.0);
+        assert_eq!(medians["sweep/flat/100k"], 12.5);
+    }
+
+    #[test]
+    fn load_medians_rejects_a_document_that_is_not_an_array() {
+        let (path, result) = load(
+            "object.json",
+            r#"{"group": "g", "id": "i", "median_ns": 1}"#,
+        );
+        let err = result.unwrap_err();
+        assert!(err.starts_with(&format!("{path}: ")), "{err}");
+        assert!(err.contains("expected a JSON array"), "{err}");
+    }
+
+    #[test]
+    fn load_medians_rejects_a_median_that_is_a_string() {
+        let (path, result) = load(
+            "string.json",
+            r#"[{"group": "g", "id": "i", "median_ns": "1.5"}]"#,
+        );
+        let err = result.unwrap_err();
+        assert!(err.starts_with(&format!("{path}: ")), "{err}");
+        assert!(err.contains("median_ns must be a number"), "{err}");
     }
 }

@@ -1,24 +1,48 @@
 //! Speculative iterative parallel distance-1 coloring (Çatalyürek et al.,
 //! the paper's reference \[12\]).
 //!
-//! Each round has two parallel phases over the currently-uncolored vertices:
+//! Each round works on the worklist, the vertices still uncolored at its
+//! start, in two parallel phases:
 //!
-//! 1. **Tentative coloring** — every uncolored vertex picks the smallest
-//!    color not used by any neighbor, reading the colors frozen at the start
-//!    of the round (Jacobi style, so the result is independent of the
-//!    thread count).
-//! 2. **Conflict detection** — every just-colored vertex re-checks its
-//!    neighbors; if an adjacent pair ended up with equal colors, the
-//!    higher-id endpoint is uncolored and re-queued for the next round.
+//! 1. **Tentative coloring** — every worklist vertex picks the smallest
+//!    color no neighbor holds in the colors frozen at the round start
+//!    (Jacobi style, so the result is independent of the thread count), and
+//!    a parallel scatter writes the picks.
+//! 2. **Conflict detection** — when two adjacent worklist vertices picked
+//!    the same color, the higher id loses: a second scatter un-colors it,
+//!    and the losers form the next round's worklist. Every other pick is
+//!    final.
 //!
-//! The loop terminates because at least one vertex of every conflicting pair
-//! keeps its color each round.
+//! Because a kept color is final, the neighbors of a vertex that are
+//! uncolored at a round start are exactly its neighbors in that round's
+//! worklist, and a round only needs to read what changed since the last:
 //!
-//! Both phases do O(deg) work per vertex and allocate nothing per vertex:
-//! the first fit runs on a generation-stamped forbidden-color mask, and the
-//! conflict scan stops at the first neighbor id ≥ v (adjacency is sorted and
-//! only a lower id can win a conflict). Vertices with no neighbor but
-//! themselves take color 0 up front and never enter the worklist.
+//! - **Round 1 is closed-form.** Nothing is colored yet, so every first fit
+//!   is 0, and a vertex loses exactly when its smallest neighbor id is below
+//!   its own. Rows are sorted, so the round reads one entry per row: an
+//!   isolate, or a row that starts with its own self-loop, keeps 0.
+//! - **Rows longer than 64 entries** (the hubs of skewed graphs) keep their
+//!   own bookkeeping from round 2 on: the neighbors uncolored at the round
+//!   start, compacted in id order, and a mark for each color a settled
+//!   neighbor holds. At a round start the pending neighbors that settled
+//!   mark their colors and leave the list, and the first fit is a cursor
+//!   that advances past the marks (marks are never cleared, so it only moves
+//!   up). The conflict scan walks the pending neighbors of lower id. A round
+//!   reads the pending list instead of the whole row, and the list shrinks
+//!   as the neighborhood settles. The state is one id and one bit per row
+//!   entry, for these rows only, cut from two arenas that are freed whole
+//!   when the coloring ends.
+//! - **Shorter rows** are rescanned every round: the first fit reads the
+//!   row's colors into a 64-bit mask (a row of at most 64 entries has a
+//!   first fit of at most 64), and the conflict scan stops at the first
+//!   neighbor id ≥ v, since only a lower id can win.
+//!
+//! Each rule reads the colors a full rescan of every row would read, so the
+//! result is bitwise that of rescanning every row every round, which the
+//! tests keep as the oracle.
+//!
+//! The loop ends: the lowest-id worklist vertex has no lower-id rival in the
+//! worklist, so every round settles at least one vertex.
 
 use crate::Coloring;
 use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
@@ -30,57 +54,139 @@ pub struct ParallelColoringConfig {
     /// Below this vertex count the serial greedy algorithm is used directly
     /// (parallel setup costs dominate on tiny inputs).
     pub serial_cutoff: usize,
-    /// Safety bound on speculative rounds; the algorithm converges long
-    /// before this on any input (each round permanently colors ≥ half of
-    /// every conflicting pair).
-    pub max_rounds: usize,
 }
 
 impl Default for ParallelColoringConfig {
     fn default() -> Self {
         Self {
             serial_cutoff: 1_024,
-            max_rounds: 10_000,
         }
     }
 }
 
 const UNCOLORED: u32 = u32::MAX;
 
-/// Per-task forbidden-color mask: `stamps[c] == generation` marks color `c`
-/// as used by a neighbor of the vertex being decided, so no clearing is
-/// needed between vertices. A mask lives for one pool task, which decides
-/// fewer than `u32::MAX` vertices, so the generation never wraps.
-#[derive(Default)]
-struct ForbiddenMask {
-    stamps: Vec<u32>,
-    generation: u32,
+/// Rows longer than this keep a [`Hub`] across rounds; shorter rows are
+/// cheaper to rescan.
+const HUB_DEGREE: usize = 64;
+// A short row's first fit is at most its length, so a u64 mask holds it.
+const _: () = assert!(HUB_DEGREE <= 64);
+
+/// The smallest color no neighbor of `v` holds in `colors`, for a row of
+/// at most [`HUB_DEGREE`] entries: when colors 0..64 are all taken, the
+/// fit is 64. `v` is uncolored, so a self-loop marks nothing.
+fn light_first_fit(g: &CsrGraph, colors: &[u32], v: VertexId) -> u32 {
+    let taken = g.neighbor_ids(v).iter().fold(0u64, |mask, &u| {
+        let c = colors[u as usize];
+        if c < 64 {
+            mask | 1 << c
+        } else {
+            mask
+        }
+    });
+    (!taken).trailing_zeros()
 }
 
-impl ForbiddenMask {
-    /// The smallest color no neighbor of `v` holds in `colors`. A vertex
-    /// with `d` neighbors can see at most `d` distinct colors, so its first
-    /// fit is at most `d` and colors above `d` (including [`UNCOLORED`])
-    /// never need marking.
-    fn first_fit(&mut self, g: &CsrGraph, colors: &[u32], v: VertexId) -> u32 {
-        let ids = g.neighbor_ids(v);
-        let bound = ids.len();
-        if self.stamps.len() <= bound {
-            self.stamps.resize(bound + 1, 0);
-        }
-        self.generation += 1;
-        for &u in ids {
-            let c = colors[u as usize] as usize;
-            if u != v && c <= bound {
-                self.stamps[c] = self.generation;
+/// A worklist vertex with a row longer than [`HUB_DEGREE`], and what the
+/// rounds so far have settled around it. Its two buffers are cut from
+/// arenas shared by all hubs, so the heap gets back two blocks when the
+/// coloring ends, not thousands of lists freed round by round, which
+/// fragment it for the sweep that follows.
+struct Hub<'a> {
+    v: VertexId,
+    /// Room for the row; the first `len` entries are the neighbors
+    /// (ascending, without `v`) uncolored at the start of the current round.
+    room: &'a mut [VertexId],
+    len: usize,
+    /// Bit `c` is set when a settled neighbor holds color `c`. The bits
+    /// cover `0..=degree`, every color a first fit can reach; higher colors
+    /// are not marked.
+    taken: &'a mut [u64],
+    /// The smallest color no settled neighbor holds.
+    fit: u32,
+}
+
+impl Hub<'_> {
+    /// Words of `taken` for a row of `degree` entries.
+    fn words(degree: usize) -> usize {
+        degree / 64 + 1
+    }
+
+    /// Reads `v`'s row once, against the colors at the start of its first
+    /// worklist round.
+    fn scan_row(&mut self, g: &CsrGraph, colors: &[u32]) {
+        for &u in g.neighbor_ids(self.v).iter().filter(|&&u| u != self.v) {
+            match colors[u as usize] {
+                UNCOLORED => {
+                    self.room[self.len] = u;
+                    self.len += 1;
+                }
+                c => mark(self.taken, c),
             }
         }
-        let mut c = 0;
-        while self.stamps[c] == self.generation {
-            c += 1;
-        }
-        c as u32
     }
+
+    /// Brings the hub to the colors frozen at a round start: pending
+    /// neighbors that settled mark their colors and leave the list, and the
+    /// first fit advances past the marks.
+    fn refit(&mut self, colors: &[u32]) {
+        let live = &mut self.room[..self.len];
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let u = live[i];
+            match colors[u as usize] {
+                UNCOLORED => {
+                    live[kept] = u;
+                    kept += 1;
+                }
+                c => mark(self.taken, c),
+            }
+        }
+        self.len = kept;
+        while self.taken[self.fit as usize / 64] >> (self.fit % 64) & 1 == 1 {
+            self.fit += 1;
+        }
+    }
+
+    /// Whether a lower-id neighbor picked the hub's color this round. Only a
+    /// pending neighbor can have: a settled one holds a marked color.
+    fn loses(&self, colors: &[u32]) -> bool {
+        self.room[..self.len]
+            .iter()
+            .take_while(|&&u| u < self.v)
+            .any(|&u| colors[u as usize] == self.fit)
+    }
+}
+
+/// Cuts `arena` into consecutive pieces of the given sizes.
+fn carve<T>(mut arena: &mut [T], sizes: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    sizes
+        .map(|size| {
+            let (piece, rest) = std::mem::take(&mut arena).split_at_mut(size);
+            arena = rest;
+            piece
+        })
+        .collect()
+}
+
+/// Sets bit `c` of `taken`; a color past its last word is above every
+/// first fit the bits serve, so it is dropped.
+fn mark(taken: &mut [u64], c: u32) {
+    if let Some(word) = taken.get_mut(c as usize / 64) {
+        *word |= 1 << (c % 64);
+    }
+}
+
+/// The colors after round 1: 0, except [`UNCOLORED`] for every vertex with
+/// a lower-id neighbor.
+fn round_one(g: &CsrGraph) -> Coloring {
+    (0..g.num_vertices() as VertexId)
+        .into_par_iter()
+        .map(|v| match g.neighbor_ids(v).first() {
+            Some(&u) if u < v => UNCOLORED,
+            _ => 0,
+        })
+        .collect()
 }
 
 /// Writes `value(i)` to `colors[vertices[i]]` for every `i`, in parallel.
@@ -107,35 +213,55 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
         return crate::greedy::color_greedy_serial(g);
     }
 
-    // A vertex without a neighbor other than itself sees no colors and
-    // conflicts with nothing, so its first fit, 0, is final.
-    let has_neighbor = |v: VertexId| g.neighbor_ids(v).iter().any(|&u| u != v);
-    let mut colors: Coloring = (0..n as VertexId)
+    let mut colors = round_one(g);
+    let in_worklist = |v: VertexId| colors[v as usize] == UNCOLORED;
+    let mut light: Vec<VertexId> = (0..n as VertexId)
         .into_par_iter()
-        .map(|v| if has_neighbor(v) { UNCOLORED } else { 0 })
+        .filter(|&v| in_worklist(v) && g.degree(v) <= HUB_DEGREE)
         .collect();
-    let mut worklist: Vec<VertexId> = (0..n as VertexId)
+    let hub_ids: Vec<VertexId> = (0..n as VertexId)
         .into_par_iter()
-        .filter(|&v| colors[v as usize] == UNCOLORED)
+        .filter(|&v| in_worklist(v) && g.degree(v) > HUB_DEGREE)
         .collect();
+    let degrees = || hub_ids.iter().map(|&v| g.degree(v));
+    let mut id_arena = vec![0; degrees().sum()];
+    let mut bit_arena = vec![0; degrees().map(Hub::words).sum()];
+    let rooms = carve(&mut id_arena, degrees());
+    let bits = carve(&mut bit_arena, degrees().map(Hub::words));
+    let mut hubs: Vec<Hub> = hub_ids
+        .iter()
+        .zip(rooms)
+        .zip(bits)
+        .map(|((&v, room), taken)| Hub {
+            v,
+            room,
+            len: 0,
+            taken,
+            fit: 0,
+        })
+        .collect();
+    // One hub is a coarse unit of work, and hubs differ widely in degree.
+    hubs.par_iter_mut()
+        .with_min_len(1)
+        .for_each(|hub| hub.scan_row(g, &colors));
 
-    for _round in 0..cfg.max_rounds {
-        if worklist.is_empty() {
-            break;
-        }
-
+    while !(light.is_empty() && hubs.is_empty()) {
         // Phase 1: tentative speculative coloring against the frozen colors.
-        let tentative: Vec<u32> = worklist
+        let fits: Vec<u32> = light
             .par_iter()
-            .map_init(ForbiddenMask::default, |mask, &v| {
-                mask.first_fit(g, &colors, v)
-            })
+            .map(|&v| light_first_fit(g, &colors, v))
             .collect();
-        scatter(&mut colors, &worklist, |i| tentative[i]);
+        hubs.par_iter_mut()
+            .with_min_len(1)
+            .for_each(|hub| hub.refit(&colors));
+        scatter(&mut colors, &light, |i| fits[i]);
+        for hub in &hubs {
+            colors[hub.v as usize] = hub.fit;
+        }
 
         // Phase 2: conflict detection — the higher id of a conflicting pair
         // loses its color and is retried next round.
-        let losers: Vec<VertexId> = worklist
+        let lost: Vec<VertexId> = light
             .par_iter()
             .copied()
             .filter(|&v| {
@@ -146,13 +272,19 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
                     .any(|&u| colors[u as usize] == cv)
             })
             .collect();
-        scatter(&mut colors, &losers, |_| UNCOLORED);
-        worklist = losers;
+        let hub_lost: Vec<bool> = hubs
+            .par_iter()
+            .with_min_len(1)
+            .map(|hub| hub.loses(&colors))
+            .collect();
+        let mut hub_lost = hub_lost.into_iter();
+        hubs.retain(|_| hub_lost.next() == Some(true));
+        scatter(&mut colors, &lost, |_| UNCOLORED);
+        for hub in &hubs {
+            colors[hub.v as usize] = UNCOLORED;
+        }
+        light = lost;
     }
-    assert!(
-        worklist.is_empty(),
-        "speculative coloring failed to converge within max_rounds"
-    );
     colors
 }
 
@@ -165,18 +297,19 @@ mod tests {
         GridConfig, HubSpokeConfig, PlantedConfig, RmatConfig, RoadConfig, WebConfig,
     };
     use grappolo_graph::{from_unweighted_edges, from_weighted_edges};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn cfg_parallel_always() -> ParallelColoringConfig {
-        ParallelColoringConfig {
-            serial_cutoff: 0,
-            ..Default::default()
-        }
+        ParallelColoringConfig { serial_cutoff: 0 }
     }
 
-    /// The kernel's previous form, kept as its bitwise oracle: the same
-    /// rounds, frozen reads and higher-id-loses rule, but each tentative
-    /// color comes from a per-vertex `Vec` of neighbor colors, sorted, and
-    /// commits and un-colorings are serial loops.
+    /// The rescanning form, kept as the kernel's bitwise oracle: the same
+    /// rounds, frozen reads and higher-id-loses rule, but every round
+    /// rescans the whole row of every worklist vertex, starting from all
+    /// vertices in round 1. Each tentative color comes from a per-vertex
+    /// `Vec` of neighbor colors, sorted, and commits and un-colorings are
+    /// serial loops.
     fn color_parallel_alloc_sort(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
         let n = g.num_vertices();
         if n == 0 {
@@ -187,10 +320,7 @@ mod tests {
         }
         let mut colors: Coloring = vec![UNCOLORED; n];
         let mut worklist: Vec<VertexId> = (0..n as VertexId).collect();
-        for _round in 0..cfg.max_rounds {
-            if worklist.is_empty() {
-                break;
-            }
+        while !worklist.is_empty() {
             let tentative: Vec<u32> = worklist
                 .par_iter()
                 .map(|&v| {
@@ -230,7 +360,6 @@ mod tests {
             }
             worklist = losers;
         }
-        assert!(worklist.is_empty());
         colors
     }
 
@@ -247,6 +376,99 @@ mod tests {
             .map(|(u, v, w)| (3 * u, 3 * v, w))
             .chain((0..n).step_by(2).map(|v| (v, v, 1.5)));
         from_weighted_edges(n as usize, edges).unwrap()
+    }
+
+    /// Worklist vertices on both sides of the hub split: light ER rows, ten
+    /// rows of exactly `HUB_DEGREE` entries and ten of `HUB_DEGREE + 1`, and
+    /// two hubs with self-loops — vertex 1, whose self-loop sits behind
+    /// neighbor 0, and the highest id, whose self-loop ends its row.
+    fn split_straddling() -> CsrGraph {
+        let core_n = 4_000u32;
+        let core = erdos_renyi(&ErConfig {
+            num_vertices: core_n as usize,
+            num_edges: 16_000,
+            seed: 4,
+        });
+        let split = HUB_DEGREE as u32;
+        let at_split = (0..20u32).flat_map(move |i| {
+            (0..split + i % 2).map(move |k| (core_n + i, (i * 131 + k * 53) % core_n))
+        });
+        let high = core_n + 20;
+        let low_hub = [(1, 1), (0, 1)]
+            .into_iter()
+            .chain((2..core_n).step_by(7).map(|u| (1, u)));
+        let high_hub = (0..core_n)
+            .step_by(5)
+            .map(move |u| (u, high))
+            .chain([(high, high)]);
+        let edges = core
+            .undirected_edges()
+            .map(|(u, v, _)| (u, v))
+            .chain(at_split)
+            .chain(low_hub)
+            .chain(high_hub);
+        let g = from_unweighted_edges(high as usize + 1, edges).unwrap();
+        let degrees: Vec<usize> = (core_n..=high).map(|v| g.degree(v)).collect();
+        assert!(degrees[..20]
+            .iter()
+            .all(|&d| d == HUB_DEGREE || d == HUB_DEGREE + 1));
+        assert!(g.degree(1) > HUB_DEGREE && g.degree(high) > HUB_DEGREE);
+        g
+    }
+
+    /// Three interleaved 100-cliques over sparse ER background edges: every
+    /// clique member is a hub, and its first fit climbs past 64.
+    fn interleaved_cliques() -> CsrGraph {
+        let background = erdos_renyi(&ErConfig {
+            num_vertices: 300,
+            num_edges: 600,
+            seed: 6,
+        });
+        let cliques = (0..300u32).flat_map(|u| (u + 3..300).step_by(3).map(move |v| (u, v)));
+        let edges = background
+            .undirected_edges()
+            .map(|(u, v, _)| (u, v))
+            .chain(cliques);
+        from_unweighted_edges(300, edges).unwrap()
+    }
+
+    /// A small multigraph: duplicate and reversed edges, self-loops,
+    /// isolates, and up to three hubs whose rows usually pass the split.
+    fn random_multigraph(rng: &mut SmallRng) -> CsrGraph {
+        let n = rng.gen_range(1..300u32);
+        let hubs: Vec<VertexId> = (0..rng.gen_range(0..4usize))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let u = if !hubs.is_empty() && rng.gen_bool(0.4) {
+                hubs[rng.gen_range(0..hubs.len())]
+            } else {
+                rng.gen_range(0..n)
+            };
+            let v = if rng.gen_bool(0.05) {
+                u
+            } else {
+                rng.gen_range(0..n)
+            };
+            edges.push((u, v));
+            if rng.gen_bool(0.1) {
+                edges.push((v, u));
+            }
+        }
+        from_unweighted_edges(n as usize, edges).unwrap()
+    }
+
+    fn pools(threads: &[usize]) -> Vec<rayon::ThreadPool> {
+        threads
+            .iter()
+            .map(|&t| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
+                    .build()
+                    .unwrap()
+            })
+            .collect()
     }
 
     #[test]
@@ -310,20 +532,72 @@ mod tests {
                 }),
             ),
             ("isolated_heavy", isolated_heavy()),
+            ("split_straddling", split_straddling()),
+            ("interleaved_cliques", interleaved_cliques()),
         ];
+        let threads = [1usize, 2, 8, 16];
+        let pools = pools(&threads);
         for (name, g) in &graphs {
             for cfg in [cfg_parallel_always(), ParallelColoringConfig::default()] {
                 let oracle = color_parallel_alloc_sort(g, &cfg);
-                for threads in [1usize, 2, 8, 16] {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .unwrap();
+                for (pool, t) in pools.iter().zip(threads) {
                     let got = pool.install(|| color_parallel(g, &cfg));
-                    assert_eq!(got, oracle, "{name} differs at {threads} threads");
+                    assert_eq!(got, oracle, "{name} differs at {t} threads");
                 }
             }
         }
+    }
+
+    #[test]
+    fn matches_oracle_on_random_multigraphs() {
+        let threads = [1usize, 2, 8];
+        let pools = pools(&threads);
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut with_hub_in_worklist = 0;
+        for case in 0..250 {
+            let g = random_multigraph(&mut rng);
+            with_hub_in_worklist += (0..g.num_vertices() as VertexId)
+                .any(|v| g.degree(v) > HUB_DEGREE && g.neighbor_ids(v)[0] < v)
+                as usize;
+            let oracle = color_parallel_alloc_sort(&g, &cfg_parallel_always());
+            for (pool, t) in pools.iter().zip(threads) {
+                let got = pool.install(|| color_parallel(&g, &cfg_parallel_always()));
+                assert_eq!(got, oracle, "case {case} differs at {t} threads");
+            }
+        }
+        assert!(with_hub_in_worklist >= 50, "{with_hub_in_worklist} cases");
+    }
+
+    #[test]
+    fn round_one_keeps_exactly_the_rows_without_a_lower_neighbor() {
+        // Vertex 2's row starts with its own self-loop and continues with
+        // 100..200 only; vertex 4's row is 3, its self-loop, then 100..200.
+        // 0 is isolated, 1 has only a self-loop, 3's row is 4.
+        let hub_rows = (100..200).flat_map(|u| [(2, u), (4, u)]);
+        let edges = [(2, 2), (4, 4), (3, 4), (1, 1)].into_iter().chain(hub_rows);
+        let g = from_unweighted_edges(200, edges).unwrap();
+        let first = round_one(&g);
+        assert_eq!(first[..5], [0, 0, 0, 0, UNCOLORED]);
+        assert!(first[100..].iter().all(|&c| c == UNCOLORED));
+
+        // 2 keeps 0 for good; 4 meets 3's settled 0 in round 2 and takes 1.
+        let colors = color_parallel(&g, &cfg_parallel_always());
+        assert_eq!((colors[2], colors[4]), (0, 1));
+        assert_eq!(
+            colors,
+            color_parallel_alloc_sort(&g, &cfg_parallel_always())
+        );
+    }
+
+    #[test]
+    fn light_first_fit_reaches_the_row_length() {
+        // Vertex 64's row is 0..64, the longest a short row gets.
+        let g = from_unweighted_edges(65, (0..64).map(|u| (u, 64))).unwrap();
+        assert_eq!(g.degree(64), HUB_DEGREE);
+        let mut colors: Vec<u32> = (0..64).chain([UNCOLORED]).collect();
+        assert_eq!(light_first_fit(&g, &colors, 64), 64);
+        colors[17] = 200;
+        assert_eq!(light_first_fit(&g, &colors, 64), 17);
     }
 
     #[test]

@@ -11,9 +11,7 @@ use crate::phase::{PhaseDriver, PhaseOutcome};
 use crate::rebuild::{condense, renumber_communities};
 use crate::split::{detect_split, SPLIT_SERIAL_THRESHOLD};
 use crate::vf::vf_compact;
-use grappolo_coloring::{
-    balance_colors, color_parallel, ColorBatches, ColoringStats, ParallelColoringConfig,
-};
+use grappolo_coloring::{balance_colors, color_parallel, ColorBatches, ParallelColoringConfig};
 use grappolo_graph::{CsrGraph, VertexId};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -184,8 +182,9 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
             if config.balanced_coloring {
                 balance_colors(&work, &mut coloring, 0.1);
             }
-            let stats = ColoringStats::compute(&coloring);
-            (ColorBatches::from_coloring(&coloring), stats.num_colors)
+            let batches = ColorBatches::from_coloring(&coloring);
+            let num_colors = batches.as_classes().len();
+            (batches, num_colors)
         } else {
             (ColorBatches::default(), 0)
         };

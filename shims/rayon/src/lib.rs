@@ -41,7 +41,7 @@
 //! still parallelizes.
 //!
 //! Supported surface: `into_par_iter` on integer ranges and `Vec<T>`,
-//! `par_iter` on slices, the adapters `map` / `map_init` / `filter` /
+//! `par_iter` and `par_iter_mut` on slices, the adapters `map` / `map_init` / `filter` /
 //! `flat_map_iter` / `copied` / `zip` / `enumerate` / `fold` /
 //! `with_min_len`, the terminals `collect` / `count` / `sum` / `reduce` /
 //! `for_each`, plus `join`, a real parallel merge sort behind
@@ -53,6 +53,7 @@
 //! variable when no pool is installed.
 
 use std::cmp::Ordering as CmpOrdering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
 mod pool;
@@ -775,6 +776,81 @@ impl<'a, T: Sync + Send + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
+/// `par_iter_mut()` on slices / Vecs (receiver auto-derefs to `[T]`).
+pub trait IntoParallelRefMutIterator<'a> {
+    type Iter: ParallelIterator<Item = Self::Item>;
+    type Item: Send + 'a;
+    fn par_iter_mut(&'a mut self) -> Self::Iter;
+}
+
+impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
+    type Iter = SliceParMut<'a, T>;
+    type Item = &'a mut T;
+
+    fn par_iter_mut(&'a mut self) -> SliceParMut<'a, T> {
+        SliceParMut {
+            ptr: self.as_mut_ptr(),
+            len: self.len(),
+            claimed: (0..self.len().div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            _borrow: std::marker::PhantomData,
+        }
+    }
+}
+
+/// Parallel iterator over a mutable slice. Elements are handed out through
+/// a raw pointer; a claim bit per index makes a second request for any
+/// index panic before it is produced, so no two `&mut` ever alias.
+pub struct SliceParMut<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    claimed: Vec<AtomicU64>,
+    _borrow: std::marker::PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `ptr` and `len` stand for the `&mut [T]` the iterator was made
+// from (`_borrow` keeps it borrowed), which may move to another thread when
+// `T: Send`. Shared use hands each index out once (`claimed`, atomics, see
+// `claim`), so other threads only ever get distinct `&mut T`, which
+// `T: Send` permits; no `&T` is shared, so `T: Sync` is not needed.
+unsafe impl<T: Send> Send for SliceParMut<'_, T> {}
+unsafe impl<T: Send> Sync for SliceParMut<'_, T> {}
+
+impl<T> SliceParMut<'_, T> {
+    /// Claims indices `lo..hi`, panicking if any was claimed before.
+    fn claim(&self, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi <= self.len, "index range out of bounds");
+        let mut i = lo;
+        while i < hi {
+            let word = i / 64;
+            let end = hi.min((word + 1) * 64);
+            let width = end - i;
+            let mask = (u64::MAX >> (64 - width)) << (i % 64);
+            let before = self.claimed[word].fetch_or(mask, AtomicOrdering::AcqRel);
+            assert!(before & mask == 0, "par_iter_mut index produced twice");
+            i = end;
+        }
+    }
+}
+
+impl<'a, T: Send> ParallelIterator for SliceParMut<'a, T> {
+    type Item = &'a mut T;
+
+    fn pi_len(&self) -> usize {
+        self.len
+    }
+
+    fn pi_chunk<S: FnMut(&'a mut T)>(&self, lo: usize, hi: usize, sink: &mut S) {
+        self.claim(lo, hi);
+        for i in lo..hi {
+            // SAFETY: `i < len`, and `claim` handed index `i` to this call
+            // alone, so this is the only reference to element `i`.
+            sink(unsafe { &mut *self.ptr.add(i) });
+        }
+    }
+}
+
 /// Parallel iterator that moves items out of a `Vec`. Slots are mutexed so
 /// tasks can take ownership through a shared reference.
 pub struct VecPar<T> {
@@ -1010,8 +1086,8 @@ where
 
 pub mod prelude {
     pub use crate::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice, ParallelSliceMut,
+        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
+        IntoParallelRefMutIterator, ParallelIterator, ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -1191,6 +1267,29 @@ mod tests {
                 .collect()
         });
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    fn par_iter_mut_visits_each_element_once() {
+        let mut v: Vec<usize> = (0..10_000).collect();
+        v.par_iter_mut().for_each(|x| *x *= 3);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i));
+        let mut coarse = vec![0u32; 70];
+        coarse
+            .par_iter_mut()
+            .with_min_len(1)
+            .enumerate()
+            .for_each(|(i, x)| *x = i as u32);
+        assert_eq!(coarse, (0..70).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "par_iter_mut index produced twice")]
+    fn par_iter_mut_refuses_an_index_twice() {
+        let mut v = [0u8; 130];
+        let it = v.par_iter_mut();
+        it.pi_chunk(0, 65, &mut |_| {});
+        it.pi_chunk(64, 130, &mut |_| {});
     }
 
     #[test]

@@ -20,15 +20,36 @@ pub enum Json {
 }
 
 impl Json {
-    /// Looks up a field of an object; `Err` on non-objects/missing keys.
-    pub fn get_field(&self, key: &str) -> Result<&Json, String> {
+    /// The items of an array; `None` for any other value.
+    pub fn as_array(&self) -> Option<&Vec<Json>> {
         match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{key}`")),
-            other => Err(format!("expected object with field `{key}`, got {other:?}")),
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The value of an object's field `key`; `None` for a missing key or a
+    /// value that is not an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The text of a string; `None` for any other value.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value of a number; `None` for any other value.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
         }
     }
 

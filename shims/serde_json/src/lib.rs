@@ -237,10 +237,18 @@ mod tests {
         let back = v.to_json_string();
         let v2: Value = from_str(&back).unwrap();
         assert_eq!(v, v2);
-        assert_eq!(
-            v.get_field("a").unwrap(),
-            &Json::Arr(vec![Json::Num(1.0), Json::Num(2.5), Json::Num(-300.0),])
-        );
+        let a: Vec<f64> = v
+            .get("a")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|x| x.as_f64().unwrap())
+            .collect();
+        assert_eq!(a, [1.0, 2.5, -300.0]);
+        assert_eq!(v.get("b").and_then(Value::as_str), Some("x\ny"));
+        assert_eq!(v.get("c").and_then(Value::as_f64), None);
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.as_array(), None);
     }
 
     #[test]
