@@ -1,10 +1,12 @@
 //! **Table 4** — first-phase-only coloring vs multi-phase coloring:
-//! [min, max] modularity over trials, run-time, and iteration count.
+//! modularity, run-time, and iteration count.
 //!
 //! Paper setup (§6.3): inputs where at least two colored phases apply
 //! (Channel, uk-2002, Europe-osm, MG2), two-thread runs, colored threshold
-//! 1e-2. Multiple trials expose the colored scheme's (small) run-to-run
-//! variation, hence the \[min,max\] columns.
+//! 1e-2. The paper reports a \[min,max\] modularity over trials because its
+//! colored runs vary from run to run; these are bitwise deterministic, so
+//! the table prints the one Q every trial reaches (asserted) and averages
+//! the trials' run-times.
 
 use crate::harness::{run_config, secs, ExperimentContext, TextTable};
 use grappolo_core::{ColoringSchedule, Scheme};
@@ -27,9 +29,9 @@ pub fn run(ctx: &ExperimentContext) {
     );
     let mut table = TextTable::new(vec![
         "input",
-        "1-phase [min,max] Q",
+        "1-phase Q",
         "1-phase t(s) (#iter)",
-        "multi [min,max] Q",
+        "multi Q",
         "multi t(s) (#iter)",
     ]);
 
@@ -40,24 +42,23 @@ pub fn run(ctx: &ExperimentContext) {
             ColoringSchedule::FirstPhaseOnly,
             ColoringSchedule::MultiPhase,
         ] {
-            let mut qmin = f64::INFINITY;
-            let mut qmax = f64::NEG_INFINITY;
+            let mut qs = Vec::with_capacity(TRIALS);
             let mut total_time = Duration::ZERO;
             let mut total_iters = 0usize;
-            for trial in 0..TRIALS {
+            for _ in 0..TRIALS {
                 let mut cfg = ctx.config(Scheme::BaselineVfColor, 2);
                 cfg.coloring = schedule;
-                // Vary nothing but the run itself: colored-scheme variation
-                // comes from thread scheduling (§5.4's caveat), so reuse the
-                // same graph; the trial index only namespaces the run.
-                let _ = trial;
                 let rec = run_config(&g, Scheme::BaselineVfColor, 2, &cfg);
-                qmin = qmin.min(rec.modularity);
-                qmax = qmax.max(rec.modularity);
+                qs.push(rec.modularity);
                 total_time += rec.time;
                 total_iters += rec.trace.total_iterations();
             }
-            cells.push(format!("[{qmin:.4}, {qmax:.4}]"));
+            assert!(
+                qs.iter().all(|q| q.to_bits() == qs[0].to_bits()),
+                "{}: colored trials disagree on Q: {qs:?}",
+                cells[0]
+            );
+            cells.push(format!("{:.4}", qs[0]));
             cells.push(format!(
                 "{} ({})",
                 secs(total_time / TRIALS as u32),

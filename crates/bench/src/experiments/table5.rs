@@ -1,6 +1,8 @@
 //! **Table 5** — effect of the modularity-gain threshold inside colored
-//! phases: θ = 1e-4 vs θ = 1e-2, reporting \[min,max\] modularity, run-time,
-//! and iteration counts over trials.
+//! phases: θ = 1e-4 vs θ = 1e-2, reporting modularity, run-time, and
+//! iteration counts over trials. Colored runs are bitwise deterministic, so
+//! every trial reaches the same Q (asserted); the trials only average the
+//! run-time.
 //!
 //! The paper's conclusion under test: "the modularities achieved by both
 //! schemes are highly comparable, while there is a marked run-time advantage
@@ -19,9 +21,9 @@ pub fn run(ctx: &ExperimentContext) {
     println!("\n=== Table 5: colored-phase threshold 1e-4 vs 1e-2 ({TRIALS} trials) ===\n");
     let mut table = TextTable::new(vec![
         "input",
-        "θ=1e-4 [min,max] Q",
+        "θ=1e-4 Q",
         "θ=1e-4 t(s) (#iter)",
-        "θ=1e-2 [min,max] Q",
+        "θ=1e-2 Q",
         "θ=1e-2 t(s) (#iter)",
     ]);
 
@@ -29,8 +31,7 @@ pub fn run(ctx: &ExperimentContext) {
         let g = ctx.generate(input);
         let mut cells = vec![input.reference().name.to_string()];
         for threshold in [1e-4, 1e-2] {
-            let mut qmin = f64::INFINITY;
-            let mut qmax = f64::NEG_INFINITY;
+            let mut qs = Vec::with_capacity(TRIALS);
             let mut total_time = Duration::ZERO;
             let mut total_iters = 0usize;
             for _ in 0..TRIALS {
@@ -39,12 +40,16 @@ pub fn run(ctx: &ExperimentContext) {
                 // The paper couples the coloring shutoff to the same value.
                 cfg.coloring_phase_gain_cutoff = threshold.max(1e-2);
                 let rec = run_config(&g, Scheme::BaselineVfColor, 2, &cfg);
-                qmin = qmin.min(rec.modularity);
-                qmax = qmax.max(rec.modularity);
+                qs.push(rec.modularity);
                 total_time += rec.time;
                 total_iters += rec.trace.total_iterations();
             }
-            cells.push(format!("[{qmin:.4}, {qmax:.4}]"));
+            assert!(
+                qs.iter().all(|q| q.to_bits() == qs[0].to_bits()),
+                "{}: colored trials disagree on Q: {qs:?}",
+                cells[0]
+            );
+            cells.push(format!("{:.4}", qs[0]));
             cells.push(format!(
                 "{} ({})",
                 secs(total_time / TRIALS as u32),

@@ -289,10 +289,10 @@ impl GraphBuilder {
             let sw = SharedSlice::new(&mut scratch_weights);
             let offsets = &offsets[..];
             hists
-                .into_par_iter()
+                .par_iter_mut()
                 .enumerate()
                 .with_min_len(1)
-                .for_each(|(ci, mut cursor)| {
+                .for_each(|(ci, cursor)| {
                     let lo = ci * chunk;
                     let hi = (lo + chunk).min(m);
                     let mut put = |x: VertexId, y: VertexId, w: f64| {
@@ -314,6 +314,8 @@ impl GraphBuilder {
                     }
                 });
         }
+        // The cursors are spent; free them before the later stages allocate.
+        drop(hists);
 
         // 5. Per-vertex sort + duplicate sum, in place in the scratch
         // arrays; collect merged degrees.
@@ -565,7 +567,7 @@ mod tests {
     #[test]
     fn large_random_graph_symmetry() {
         // Deterministic pseudo-random multigraph; checks symmetrization +
-        // merge at a scale where parallel sort paths actually engage.
+        // merge at a scale where the parallel build stages actually engage.
         let n = 2_000u32;
         let mut edges = Vec::new();
         let mut state = 12345u64;

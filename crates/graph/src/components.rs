@@ -143,9 +143,10 @@ pub fn extract_components(g: &CsrGraph, labeling: &ComponentLabeling) -> Vec<Com
         members[labels[v] as usize].push(v as VertexId);
     }
     members
-        .into_par_iter()
+        .par_iter_mut()
         .enumerate()
         .map(|(c, vertices)| {
+            let vertices = std::mem::take(vertices);
             let mut offsets = Vec::with_capacity(vertices.len() + 1);
             offsets.push(0usize);
             let mut targets = Vec::new();

@@ -428,7 +428,7 @@ fn splice(g: &CsrGraph, changes: &[EdgeChange], new_n: usize) -> Result<CsrGraph
         let mut degrees = &mut degrees.spare_capacity_mut()[..new_n];
         let mut targets = &mut targets.spare_capacity_mut()[..new_entries];
         let mut weights = &mut weights.spare_capacity_mut()[..new_entries];
-        let jobs: Vec<SpliceTask> = bounds
+        let mut jobs: Vec<SpliceTask> = bounds
             .windows(2)
             .map(|b| {
                 let (first_entry, end_entry) = (offset_after(b[0]), offset_after(b[1]));
@@ -442,7 +442,7 @@ fn splice(g: &CsrGraph, changes: &[EdgeChange], new_n: usize) -> Result<CsrGraph
                 }
             })
             .collect();
-        jobs.into_par_iter()
+        jobs.par_iter_mut()
             .with_min_len(1)
             .map(|job| job.run(g, &entries, &rows))
             .collect()
@@ -520,12 +520,12 @@ impl SpliceTask<'_> {
     /// Writes the task's rows in order. Returns the first touched row whose
     /// weighted degree is not finite.
     fn run(
-        mut self,
+        &mut self,
         g: &CsrGraph,
         entries: &[EntryChange],
         rows: &[TouchedRow],
     ) -> Option<(VertexId, f64)> {
-        let Range { start: lo, end: hi } = self.vertices;
+        let Range { start: lo, end: hi } = self.vertices.clone();
         let first = rows.partition_point(|r| r.row < lo);
         let mut overflow = None;
         let (mut v, mut out) = (lo, 0);

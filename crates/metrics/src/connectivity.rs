@@ -173,7 +173,7 @@ pub fn audit_communities(g: &CsrGraph, assignment: &[u32]) -> Vec<CommunityConne
         .enumerate()
         .map(|(v, &c)| (c, v as VertexId))
         .collect();
-    pairs.par_sort_unstable();
+    pairs.sort_unstable();
     let mut groups: Vec<(u32, Vec<VertexId>)> = Vec::new();
     for (c, v) in pairs {
         match groups.last_mut() {

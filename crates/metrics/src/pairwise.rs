@@ -16,8 +16,6 @@
 //! `TP+FP = Σ_j C(|P_j|, 2)` — reducing the cost to sort+scan and removing
 //! the paper's scalability caveat.
 
-use rayon::prelude::*;
-
 /// Pair-counting comparison result.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PairwiseMetrics {
@@ -120,11 +118,11 @@ pub fn pairwise_comparison(benchmark: &[u32], candidate: &[u32]) -> PairwiseMetr
 
     // Intersection sizes via sort of (s, p) label pairs.
     let mut pairs: Vec<(u32, u32)> = benchmark
-        .par_iter()
-        .zip(candidate.par_iter())
+        .iter()
+        .zip(candidate)
         .map(|(&s, &p)| (s, p))
         .collect();
-    pairs.par_sort_unstable();
+    pairs.sort_unstable();
 
     let mut tp: u128 = 0;
     let mut idx = 0;
@@ -154,7 +152,7 @@ pub fn pairwise_comparison(benchmark: &[u32], candidate: &[u32]) -> PairwiseMetr
 
 fn label_counts(assignment: &[u32]) -> Vec<u128> {
     let mut sorted: Vec<u32> = assignment.to_vec();
-    sorted.par_sort_unstable();
+    sorted.sort_unstable();
     let mut counts = Vec::new();
     let mut idx = 0;
     while idx < sorted.len() {

@@ -1,17 +1,19 @@
 //! Minimal work-alike for the subset of `rayon` this workspace uses.
 //!
 //! The build environment has no registry access, so the workspace provides
-//! its own data-parallel layer behind the same names. Parallelism is real
-//! and resident: a lazily-initialized worker pool (the private `pool` module) executes
-//! every parallel region, so regions pay no thread-spawn latency, and tasks
-//! are claimed in stolen order from a shared counter so heavy-tailed
-//! workloads keep all workers busy. Determinism survives the stealing
-//! because the *decomposition* is fixed and the *reduction* is ordered:
+//! its own data-parallel layer behind the same names. Every parallel step
+//! the workspace takes is a parallel loop over an index space (the paper's
+//! OpenMP `parallel for`), so the shim has one kind of parallel work: the
+//! region. Parallelism is real and resident: a lazily-initialized worker
+//! pool (the private `pool` module) executes every parallel region, so
+//! regions pay no thread-spawn latency, and tasks are claimed in stolen
+//! order from a shared counter so heavy-tailed workloads keep all workers
+//! busy. Determinism survives the stealing because the *decomposition* is
+//! fixed and the *reduction* is ordered:
 //!
 //! * **Fixed task tree.** A region over `0..n` splits into tasks at
 //!   boundaries computed by `task_layout` — a pure function of `n` and
-//!   the grain size, never of the worker count (the same contract the
-//!   parallel merge sort's fixed split layout follows).
+//!   the grain size, never of the worker count.
 //! * **Stolen execution.** Which worker runs a task, and in what order, is
 //!   scheduling-dependent; the task's input range and output are not.
 //! * **Ordered reduction.** Per-task results land in task-indexed slots and
@@ -23,11 +25,10 @@
 //! # Grain-size rule
 //!
 //! Every terminal operation applies one uniform sequential-fallback rule,
-//! shared by `for_each` / `map` / `map_init` / `fold`+`reduce` / `sum` /
-//! `collect` (and therefore by `grappolo_core`'s `det_sum`, which is built
-//! on these): with grain `g` — the innermost source's
-//! [`ParallelIterator::with_min_len`] value, default `SEQ_CUTOFF` = 1024
-//! items —
+//! shared by `for_each` / `count` / `fold`+`reduce` / `collect` (and
+//! therefore by `grappolo_core`'s `det_sum`, which is built on these): with
+//! grain `g` — the innermost source's [`ParallelIterator::with_min_len`]
+//! value, default `SEQ_CUTOFF` = 1024 items —
 //!
 //! 1. a region of `n ≤ g` items runs inline on the caller (no pool, no
 //!    atomics — identical results, ordered combines);
@@ -40,19 +41,17 @@
 //! override the grain via `with_min_len(1)` so a handful of heavy items
 //! still parallelizes.
 //!
-//! Supported surface: `into_par_iter` on integer ranges and `Vec<T>`,
-//! `par_iter` and `par_iter_mut` on slices, the adapters `map` / `map_init` / `filter` /
-//! `flat_map_iter` / `copied` / `zip` / `enumerate` / `fold` /
-//! `with_min_len`, the terminals `collect` / `count` / `sum` / `reduce` /
-//! `for_each`, plus `join`, a real parallel merge sort behind
-//! `par_sort_unstable{,_by,_by_key}`, `par_chunks`,
-//! `ThreadPoolBuilder`/`ThreadPool::install` (a built pool owns resident
-//! workers and `install` binds execution to them), and
-//! [`current_worker_index`] for persistent per-worker arenas. Like the real
-//! rayon, the worker count honours the `RAYON_NUM_THREADS` environment
-//! variable when no pool is installed.
+//! Supported surface: the sources `into_par_iter` on integer ranges,
+//! `par_iter` and `par_iter_mut` on slices and `par_chunks`; the adapters
+//! `map` / `map_init` / `filter` / `flat_map_iter` / `copied` / `zip` /
+//! `enumerate` / `with_min_len`; the terminals `collect` / `count` /
+//! `for_each` and `fold(..).reduce(..)`; `ThreadPoolBuilder` /
+//! `ThreadPool::install` (a built pool owns resident workers and `install`
+//! binds execution to them); and [`current_worker_index`] for persistent
+//! per-worker arenas. A region may launch nested regions from inside its
+//! tasks. Like the real rayon, the worker count honours the
+//! `RAYON_NUM_THREADS` environment variable when no pool is installed.
 
-use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -157,32 +156,10 @@ impl Drop for ThreadPool {
         self.core.shutdown();
         for handle in self.workers.drain(..) {
             // A worker that panicked outside catch_unwind already aborted
-            // its job; surface nothing here.
+            // its region; surface nothing here.
             let _ = handle.join();
         }
     }
-}
-
-/// Runs both closures, potentially in parallel, and returns both results
-/// (mirrors `rayon::join`). The second closure is offered to the resident
-/// pool as a stealable job while the first runs on the caller; if no worker
-/// claims it in time the caller reclaims it and runs it inline, and with a
-/// single-thread budget both run inline outright. Results are returned in
-/// argument order either way, and panics from either closure propagate on
-/// the caller.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::current_threads() <= 1 {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    }
-    pool::join_on_pool(&pool::current_pool(), oper_a, oper_b)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,30 +279,6 @@ pub trait ParallelIterator: Sized + Send + Sync {
         drive_chunks(&self, || 0usize, |acc, _| *acc += 1)
             .into_iter()
             .sum()
-    }
-
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
-    {
-        let buffers = drive_chunks(&self, Vec::new, |v, item| v.push(item));
-        buffers.into_iter().map(|v| v.into_iter().sum::<S>()).sum()
-    }
-
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync + Send,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
-    {
-        let partials = drive_chunks(
-            &self,
-            || None::<Self::Item>,
-            |acc, item| {
-                let prev = acc.take().unwrap_or_else(&identity);
-                *acc = Some(op(prev, item));
-            },
-        );
-        partials.into_iter().flatten().fold(identity(), &op)
     }
 }
 
@@ -697,24 +650,6 @@ impl<'a, T: Sync> ParallelIterator for SlicePar<'a, T> {
     }
 }
 
-impl<'a, T: Sync + Send> IntoParallelIterator for &'a [T] {
-    type Iter = SlicePar<'a, T>;
-    type Item = &'a T;
-
-    fn into_par_iter(self) -> SlicePar<'a, T> {
-        SlicePar { slice: self }
-    }
-}
-
-impl<'a, T: Sync + Send> IntoParallelIterator for &'a Vec<T> {
-    type Iter = SlicePar<'a, T>;
-    type Item = &'a T;
-
-    fn into_par_iter(self) -> SlicePar<'a, T> {
-        SlicePar { slice: self }
-    }
-}
-
 /// Immutable chunked view of a slice (mirrors rayon's `ParallelSlice`):
 /// `par_chunks(size)` yields `&[T]` windows of `size` elements (last one may
 /// be shorter) with a caller-controlled, thread-count-independent layout —
@@ -851,42 +786,6 @@ impl<'a, T: Send> ParallelIterator for SliceParMut<'a, T> {
     }
 }
 
-/// Parallel iterator that moves items out of a `Vec`. Slots are mutexed so
-/// tasks can take ownership through a shared reference.
-pub struct VecPar<T> {
-    slots: Vec<Mutex<Option<T>>>,
-}
-
-impl<T: Send> ParallelIterator for VecPar<T> {
-    type Item = T;
-
-    fn pi_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn pi_chunk<S: FnMut(T)>(&self, lo: usize, hi: usize, sink: &mut S) {
-        for slot in &self.slots[lo..hi] {
-            let item = slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("VecPar item taken twice");
-            sink(item);
-        }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Iter = VecPar<T>;
-    type Item = T;
-
-    fn into_par_iter(self) -> VecPar<T> {
-        VecPar {
-            slots: self.into_iter().map(|x| Mutex::new(Some(x))).collect(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Collection
 // ---------------------------------------------------------------------------
@@ -908,186 +807,13 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Mutable slice operations
-// ---------------------------------------------------------------------------
-
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel unstable sort (recursive-`join` merge sort; see
-    /// `par_merge_sort_by` for the determinism argument).
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
-
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> CmpOrdering + Sync + Send;
-
-    fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync + Send;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        par_merge_sort_by(self, &|a, b| a.cmp(b));
-    }
-
-    fn par_sort_unstable_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(&T, &T) -> CmpOrdering + Sync + Send,
-    {
-        par_merge_sort_by(self, &cmp);
-    }
-
-    fn par_sort_unstable_by_key<K, F>(&mut self, key: F)
-    where
-        K: Ord,
-        F: Fn(&T) -> K + Sync + Send,
-    {
-        par_merge_sort_by(self, &|a, b| key(a).cmp(&key(b)));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel merge sort
-// ---------------------------------------------------------------------------
-
-/// Below this length a (sub)slice is sorted inline with the standard
-/// library's pdqsort; above it the slice is split at its midpoint. Splitting
-/// always recurses down to this cutoff regardless of the thread budget, so
-/// the leaf layout — and therefore the exact output permutation — is
-/// **independent of the worker count**: only whether the two halves run
-/// concurrently varies. Combined with a left-biased merge this makes
-/// `par_sort_unstable*` bitwise deterministic across `RAYON_NUM_THREADS`,
-/// which is the property the ingest pipeline's determinism argument needs.
-const SORT_LEAF: usize = 4096;
-
-/// Raw pointer that may cross a `join` boundary. The sort hands each
-/// recursive call a disjoint scratch region, so sharing is sound.
-struct SendPtr<T>(*mut T);
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Aborts the process if dropped during unwinding: the merge moves elements
-/// through raw scratch memory, so a panicking comparator mid-merge would
-/// otherwise leave duplicated elements behind and double-drop them.
-struct AbortOnUnwind;
-
-impl Drop for AbortOnUnwind {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            std::process::abort();
-        }
-    }
-}
-
-/// Parallel merge sort: recursive `join` down to a fixed [`SORT_LEAF`]
-/// layout, pdqsort at the leaves, left-biased merges on the way up. The
-/// `join` halves execute as stealable jobs on the resident pool, so the
-/// recursion spawns no threads.
-fn par_merge_sort_by<T, F>(v: &mut [T], cmp: &F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> CmpOrdering + Sync,
-{
-    let len = v.len();
-    if len <= SORT_LEAF {
-        v.sort_unstable_by(cmp);
-        return;
-    }
-    // Spawn budget: one extra level past the worker count for load balance.
-    // The budget gates only *concurrency*, never the split layout.
-    let threads = current_num_threads().max(1);
-    let spawn_depth = threads.next_power_of_two().trailing_zeros() as usize + 1;
-    let mut buf: Vec<T> = Vec::with_capacity(len);
-    let guard = AbortOnUnwind;
-    // SAFETY: `buf` has capacity for `len` elements and is handed to exactly
-    // one recursive call per disjoint subrange; its length stays 0, elements
-    // only move *through* its storage during merges.
-    unsafe { sort_rec(v, SendPtr(buf.as_mut_ptr()), cmp, spawn_depth) };
-    std::mem::forget(guard);
-}
-
-/// # Safety
-/// `buf` must point to uninitialized scratch of capacity `v.len()` not
-/// aliased by any concurrent call.
-unsafe fn sort_rec<T, F>(v: &mut [T], buf: SendPtr<T>, cmp: &F, spawn_depth: usize)
-where
-    T: Send,
-    F: Fn(&T, &T) -> CmpOrdering + Sync,
-{
-    let len = v.len();
-    if len <= SORT_LEAF {
-        v.sort_unstable_by(cmp);
-        return;
-    }
-    let mid = len / 2;
-    let (lo, hi) = v.split_at_mut(mid);
-    let buf_hi = SendPtr(buf.0.add(mid));
-    if spawn_depth > 0 {
-        join(
-            move || sort_rec(lo, buf, cmp, spawn_depth - 1),
-            move || sort_rec(hi, buf_hi, cmp, spawn_depth - 1),
-        );
-    } else {
-        sort_rec(lo, buf, cmp, 0);
-        sort_rec(hi, buf_hi, cmp, 0);
-    }
-    merge_halves(v, mid, buf, cmp);
-}
-
-/// Merges the sorted halves `v[..mid]` / `v[mid..]` in place using `buf` as
-/// scratch for the left run. Ties take the left element, so the merge is
-/// stable with respect to the (fixed) split layout.
-///
-/// # Safety
-/// `buf` must have capacity `mid`; both halves must be sorted under `cmp`.
-unsafe fn merge_halves<T, F>(v: &mut [T], mid: usize, buf: SendPtr<T>, cmp: &F)
-where
-    F: Fn(&T, &T) -> CmpOrdering,
-{
-    let len = v.len();
-    let p = v.as_mut_ptr();
-    let b = buf.0;
-    std::ptr::copy_nonoverlapping(p, b, mid);
-    let (mut i, mut j, mut k) = (0usize, mid, 0usize);
-    while i < mid && j < len {
-        // Write cursor `k = i + (j - mid)` trails the right-run read cursor
-        // `j` strictly while `i < mid`, so no unread element is overwritten.
-        if cmp(&*b.add(i), &*p.add(j)) != CmpOrdering::Greater {
-            std::ptr::copy_nonoverlapping(b.add(i), p.add(k), 1);
-            i += 1;
-        } else {
-            std::ptr::copy_nonoverlapping(p.add(j), p.add(k), 1);
-            j += 1;
-        }
-        k += 1;
-    }
-    if i < mid {
-        std::ptr::copy_nonoverlapping(b.add(i), p.add(k), mid - i);
-    }
-    // Any leftover right-run suffix is already in its final position.
-}
-
-// ---------------------------------------------------------------------------
 // Prelude
 // ---------------------------------------------------------------------------
 
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator, ParallelSlice, ParallelSliceMut,
+        IntoParallelRefMutIterator, ParallelIterator, ParallelSlice,
     };
 }
 
@@ -1110,8 +836,12 @@ mod tests {
             .filter(|&x| x % 3 == 0)
             .count();
         assert_eq!(n, 16_667);
-        let s: usize = (0usize..10_000).into_par_iter().sum();
-        assert_eq!(s, 9_999 * 10_000 / 2);
+        let s = (0usize..10_000)
+            .into_par_iter()
+            .filter(|&x| x % 3 == 0)
+            .fold(|| 0usize, |acc, x| acc + x)
+            .reduce(|| 0, |a, b| a + b);
+        assert_eq!(s, 3 * 3_333 * 3_334 / 2);
     }
 
     #[test]
@@ -1136,13 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_into_par_iter_moves_items() {
-        let v: Vec<String> = (0..3_000).map(|i| i.to_string()).collect();
-        let out: Vec<usize> = v.into_par_iter().map(|s| s.len()).collect();
-        assert_eq!(out.len(), 3_000);
-    }
-
-    #[test]
     fn zip_and_copied() {
         let a: Vec<u32> = (0..5_000).collect();
         let b: Vec<u32> = (0..5_000).map(|x| x + 1).collect();
@@ -1152,8 +875,8 @@ mod tests {
             .filter(|(x, y)| **y == **x + 1)
             .count();
         assert_eq!(n, 5_000);
-        let s: u32 = a.par_iter().copied().filter(|&x| x < 10).sum();
-        assert_eq!(s, 45);
+        let small: Vec<u32> = a.par_iter().copied().filter(|&x| x < 10).collect();
+        assert_eq!(small, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -1163,81 +886,6 @@ mod tests {
             .fold(|| 0u64, |acc, x| acc + x)
             .reduce(|| 0u64, |a, b| a + b);
         assert_eq!(total, 99_999 * 100_000 / 2);
-    }
-
-    /// Deterministic pseudo-random u64 stream for sort tests.
-    fn splitmix(seed: u64, n: usize) -> Vec<u64> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_add(0x9e3779b97f4a7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                z ^ (z >> 31)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn par_sort_matches_std_sort() {
-        let mut a = splitmix(7, 200_000);
-        let mut b = a.clone();
-        a.par_sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn par_sort_by_and_by_key() {
-        let base: Vec<(u64, u64)> = splitmix(11, 50_000).into_iter().map(|x| (x, !x)).collect();
-        let mut by = base.clone();
-        by.par_sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        assert!(by.windows(2).all(|w| (w[1].1, w[0].0) <= (w[0].1, w[1].0)));
-        let mut by_key = base.clone();
-        by_key.par_sort_unstable_by_key(|&(_, snd)| snd);
-        assert!(by_key.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn par_sort_deterministic_across_pool_sizes_with_ties() {
-        // Many duplicate keys: the fixed split layout + left-biased merges
-        // must give the same permutation for every thread budget — under
-        // the stealing scheduler the halves complete in arbitrary order,
-        // but the merge tree is fixed.
-        let base: Vec<(u64, usize)> = splitmix(3, 100_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| (x % 64, i))
-            .collect();
-        let run = |threads: usize| {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut v = base.clone();
-            pool.install(|| v.par_sort_unstable_by(|a, b| a.0.cmp(&b.0)));
-            v
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-        assert_eq!(one, run(16));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn join_on_pool_returns_both_results() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let (a, b) = pool.install(|| join(|| 2 + 2, || "ok".to_string()));
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]
@@ -1381,31 +1029,16 @@ mod tests {
             });
         }));
         let payload = result.expect_err("task panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
+        let msg = panic_message(&*payload);
         assert!(msg.contains("boom"), "unexpected payload: {msg}");
         // The pool still works after the unwound region.
-        let sum: usize = pool.install(|| (0usize..10_000).into_par_iter().sum());
-        assert_eq!(sum, 9_999 * 10_000 / 2);
-    }
-
-    #[test]
-    fn panic_in_stolen_join_half_propagates() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.install(|| {
-                join(
-                    || std::thread::sleep(std::time::Duration::from_millis(5)),
-                    || panic!("boom from join"),
-                )
-            });
-        }));
-        assert!(result.is_err(), "join-half panic must propagate");
-        let (a, b) = pool.install(|| join(|| 1, || 2));
-        assert_eq!((a, b), (1, 2));
+        let evens = pool.install(|| {
+            (0usize..10_000)
+                .into_par_iter()
+                .filter(|&i| i % 2 == 0)
+                .count()
+        });
+        assert_eq!(evens, 5_000);
     }
 
     /// Stealing changes execution order, never results: a region whose
@@ -1427,6 +1060,63 @@ mod tests {
                 .collect()
         });
         assert_eq!(out, (0usize..48).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    /// A region launched from inside a pool task (the splitter's
+    /// small-component fan-out, the `.grb` chunk decode) completes and
+    /// collects in task order at every pool size; a panic in an inner
+    /// region reaches the outer `install` caller, and the pool keeps
+    /// working afterwards.
+    #[test]
+    fn nested_regions_complete_in_task_order() {
+        // The first `threads` outer tasks meet at a barrier, so each
+        // executor (every worker and the caller) holds one of them and
+        // launches a nested region from it. With `fail`, those nested
+        // regions panic.
+        let nested = |threads: usize, fail: bool| -> Vec<Vec<usize>> {
+            let meet = std::sync::Barrier::new(threads);
+            (0usize..16)
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|i| {
+                    if i < threads {
+                        meet.wait();
+                    }
+                    (0usize..8)
+                        .into_par_iter()
+                        .with_min_len(1)
+                        .map(|j| {
+                            if fail && i < threads && j == 5 {
+                                panic!("boom from nested task {i}.{j}");
+                            }
+                            i * 8 + j
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let expected: Vec<Vec<usize>> = (0..16).map(|i| (i * 8..i * 8 + 8).collect()).collect();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let run = |fail| pool.install(|| nested(threads, fail));
+            assert_eq!(run(false), expected, "{threads} threads");
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(true)));
+            let payload = result.expect_err("nested task panic must propagate");
+            let msg = panic_message(&*payload);
+            assert!(msg.contains("boom"), "{threads} threads: {msg}");
+            assert_eq!(run(false), expected, "{threads} threads, after a panic");
+        }
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("")
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //!   by its task id, and the caller combines slots in ascending task order
 //!   after the region completes. Results are therefore bitwise independent
 //!   of the worker count and of the stealing schedule — the repo-wide
-//!   determinism contract (`par_iter` terminals, `det_sum`, `join`, the
-//!   parallel sort) is preserved by construction.
+//!   determinism contract (`par_iter` terminals, `det_sum`) is preserved by
+//!   construction.
+//!
+//! The region is the pool's only kind of work: the injector lists regions,
+//! and a worker's loop takes the first one with unclaimed tasks or parks.
 //!
 //! ## Lifetime & panic safety
 //!
@@ -34,14 +37,22 @@
 //! until `pending == 0` before its frame can unwind — so no worker can touch
 //! the closure after `run_region` returns. Panics inside a task are caught
 //! on the executing worker, recorded in the region, and re-thrown on the
-//! submitting caller once the region has quiesced (same for `join`'s stolen
-//! closure), mirroring rayon's propagation semantics.
+//! submitting caller once the region has quiesced, mirroring rayon's
+//! propagation semantics.
+//!
+//! ## Nesting
+//!
+//! A task may launch a region of its own (the splitter's per-component
+//! runs, the `.grb` chunk decode). Workers bind their pool as the thread's
+//! region target, so the nested region runs on the same pool, and its
+//! submitting worker drains that region's own claim counter before it
+//! waits, so it never blocks on tasks nobody will claim. A nested panic
+//! unwinds out of the enclosing task and is re-thrown one level up.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -132,7 +143,7 @@ pub fn current_worker_index() -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Jobs
+// Regions
 // ---------------------------------------------------------------------------
 
 /// A lifetime-erased reference to a region's task body (`Fn(task_index)`).
@@ -141,7 +152,7 @@ pub fn current_worker_index() -> Option<usize> {
 type TaskBody = &'static (dyn Fn(usize) + Sync);
 
 /// Shared state of one parallel region. Lives in an `Arc` so a worker that
-/// still holds the job after the region drained only ever touches heap
+/// still holds the region after it drained only ever touches heap
 /// state, never the caller's (possibly popped) stack frame.
 struct Region {
     body: TaskBody,
@@ -206,62 +217,12 @@ impl Region {
     }
 }
 
-/// A single stealable closure — the unit [`crate::join`] offers to the pool.
-/// Exactly one thread wins the `claimed` flag and runs the body; the
-/// submitter either wins it back (and runs inline) or waits for `done`.
-pub(crate) struct OnceJob {
-    body: TaskBody,
-    claimed: AtomicBool,
-    done: Mutex<bool>,
-    finished: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl OnceJob {
-    fn new(body: TaskBody) -> Self {
-        Self {
-            body,
-            claimed: AtomicBool::new(false),
-            done: Mutex::new(false),
-            finished: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn try_claim(&self) -> bool {
-        !self.claimed.swap(true, Ordering::AcqRel)
-    }
-
-    fn execute(&self) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.body)(0)));
-        if let Err(payload) = result {
-            *self.panic.lock().unwrap_or_else(|e| e.into_inner()) = Some(payload);
-        }
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.finished.notify_all();
-    }
-
-    fn wait_done(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self.finished.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------------
 
 /// Work queued for the resident workers.
 struct Injector {
-    /// Latency-sensitive single closures (`join` halves, sort recursion).
-    once: VecDeque<Arc<OnceJob>>,
     /// Regions with unclaimed tasks. Not a queue: every idle worker may work
     /// any listed region concurrently (that *is* the stealing).
     regions: Vec<Arc<Region>>,
@@ -286,7 +247,6 @@ impl PoolCore {
         let core = Arc::new(PoolCore {
             threads,
             injector: Mutex::new(Injector {
-                once: VecDeque::new(),
                 regions: Vec::new(),
                 shutdown: false,
             }),
@@ -304,7 +264,7 @@ impl PoolCore {
         (core, handles)
     }
 
-    /// Tells the workers to exit once the queue drains. Pending jobs are
+    /// Tells the workers to exit once the queue drains. Listed regions are
     /// still completed; only used by `ThreadPool::drop`.
     pub(crate) fn shutdown(&self) {
         let mut inj = self.injector.lock().unwrap_or_else(|e| e.into_inner());
@@ -352,92 +312,22 @@ impl PoolCore {
             std::panic::resume_unwind(payload);
         }
     }
-
-    /// Offers one closure to the workers (the spawned half of a `join`).
-    pub(crate) fn push_once(self: &Arc<Self>, job: Arc<OnceJob>) {
-        let mut inj = self.injector.lock().unwrap_or_else(|e| e.into_inner());
-        inj.once.push_back(job);
-        drop(inj);
-        self.work_ready.notify_one();
-    }
 }
 
-/// Runs `b` as a stealable job on `pool` while the caller runs `a`; the
-/// execution half of [`crate::join`]. Panics from either closure propagate
-/// on the caller, and `b` is guaranteed retired (run or reclaimed) before
-/// this returns — even when `a` panics — so both closures' borrows stay
-/// sound.
-pub(crate) fn join_on_pool<A, B, RA, RB>(pool: &Arc<PoolCore>, oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    // The FnOnce and its result travel through stack slots so the stealable
-    // body can be a plain `Fn`.
-    let b_slot: Mutex<Option<B>> = Mutex::new(Some(oper_b));
-    let rb_slot: Mutex<Option<RB>> = Mutex::new(None);
-    let body = |_task: usize| {
-        let f = b_slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("join body claimed twice");
-        let rb = f();
-        *rb_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(rb);
-    };
-    // SAFETY: the job is retired (executed somewhere or reclaimed below)
-    // before this frame returns or unwinds, so the erased borrows are live
-    // for every possible execution.
-    let erased: TaskBody =
-        unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), TaskBody>(&body) };
-    let job = Arc::new(OnceJob::new(erased));
-    pool.push_once(job.clone());
-
-    let ra = catch_unwind(AssertUnwindSafe(oper_a));
-    // Retire `b` before touching `ra`: win the claim and run inline, or wait
-    // for the worker that won it.
-    if job.try_claim() {
-        job.execute();
-    } else {
-        job.wait_done();
-    }
-    let ra = match ra {
-        Ok(ra) => ra,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    if let Some(payload) = job.take_panic() {
-        std::panic::resume_unwind(payload);
-    }
-    let rb = rb_slot
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("join body did not run");
-    (ra, rb)
-}
-
-/// The resident worker body: pick a once-job or an undrained region, run it,
-/// park when idle. Workers bind their pool as the thread's region target so
-/// nested regions launched from inside a task stay on the same pool.
+/// The resident worker body: work the first region with unclaimed tasks,
+/// park when there is none. Workers bind their pool as the thread's region
+/// target so nested regions launched from inside a task stay on the same
+/// pool.
 fn worker_loop(core: Arc<PoolCore>, slot: usize) {
     CURRENT_POOL.with(|c| *c.borrow_mut() = Some(core.clone()));
     WORKER_INDEX.with(|c| c.set(slot + 1));
     loop {
-        enum Picked {
-            Once(Arc<OnceJob>),
-            Region(Arc<Region>),
-        }
-        let picked = {
+        let region = {
             let mut inj = core.injector.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 inj.regions.retain(|r| !r.drained());
-                if let Some(job) = inj.once.pop_front() {
-                    break Picked::Once(job);
-                }
                 if let Some(region) = inj.regions.first().cloned() {
-                    break Picked::Region(region);
+                    break region;
                 }
                 if inj.shutdown {
                     return;
@@ -445,13 +335,6 @@ fn worker_loop(core: Arc<PoolCore>, slot: usize) {
                 inj = core.work_ready.wait(inj).unwrap_or_else(|e| e.into_inner());
             }
         };
-        match picked {
-            Picked::Once(job) => {
-                if job.try_claim() {
-                    job.execute();
-                }
-            }
-            Picked::Region(region) => region.work(),
-        }
+        region.work();
     }
 }

@@ -34,7 +34,6 @@ use grappolo::core::{
 use grappolo::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::ParallelSliceMut;
 
 const CASES: u64 = 64;
 
@@ -1017,37 +1016,6 @@ fn serial_trace_is_monotone() {
             result.trace.check_monotone_within_phases(1e-9).is_ok(),
             "seed {seed}"
         );
-    }
-}
-
-/// **Sort permutation stability under stealing**: `par_sort_unstable_by_key`
-/// on tie-heavy keys derived from the ER/planted/RMAT suite yields the same
-/// *permutation* — not just the same multiset — at 1/2/4/8/16 worker
-/// threads. Degrees make natural tie-heavy keys (RMAT especially: most
-/// vertices share low degrees), so equal-key runs exercise the fixed split
-/// layout + left-biased merge guarantee under maximally varying stolen
-/// execution order.
-#[test]
-fn par_sort_permutation_bitwise_stable_across_thread_counts() {
-    for (name, g) in colored_suite() {
-        let base: Vec<(u32, u32)> = (0..g.num_vertices() as u32)
-            .map(|v| (g.neighbors(v).count() as u32, v))
-            .collect();
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut v = base.clone();
-            // Key ignores the vertex id, so every same-degree run is a tie
-            // the merge must break identically at every thread count.
-            pool.install(|| v.par_sort_unstable_by_key(|&(deg, _)| deg));
-            v
-        };
-        let reference = run(1);
-        for threads in [2usize, 4, 8, 16] {
-            assert_eq!(reference, run(threads), "{name}@{threads}");
-        }
     }
 }
 
