@@ -63,13 +63,11 @@ impl ExperimentContext {
     }
 
     /// Scheme configuration with the context's scaled coloring cutoff and a
-    /// thread count.
+    /// thread count (a serial scheme runs on one thread whatever the count).
     pub fn config(&self, scheme: Scheme, threads: usize) -> LouvainConfig {
         let mut cfg = scheme.config();
         cfg.coloring_vertex_cutoff = self.coloring_vertex_cutoff;
-        if scheme != Scheme::Serial {
-            cfg.num_threads = Some(threads);
-        }
+        cfg.num_threads = Some(threads);
         cfg
     }
 

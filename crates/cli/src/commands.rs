@@ -296,14 +296,20 @@ fn detect(cmd: Detect) -> Result<(), CliError> {
         say!("trace → {}", out.display())?;
     }
     if config.refine == RefineMode::Leiden {
-        let report = connectivity_report(&g, &result.assignment);
+        // The split leaves no community disconnected, so print what it did,
+        // summed over the phases; `grappolo audit` re-checks connectivity.
+        let (mut parents, mut split, mut sub, mut absorbed, mut polished) = (0, 0, 0, 0, 0);
+        for stats in result.trace.phases.iter().flat_map(|p| &p.refinement) {
+            parents += stats.parents;
+            split += stats.split_parents;
+            sub += stats.sub_communities;
+            absorbed += stats.absorbed;
+            polished += stats.polished;
+        }
         say!(
-            "refined: {} internally disconnected of {} communities ({:.2}%), \
-             min internal conductance {:.4}",
-            report.disconnected,
-            report.num_communities,
-            100.0 * report.disconnected_fraction,
-            report.min_internal_conductance,
+            "refined: {split} of {parents} parents split into {sub} sub-communities; \
+             {absorbed} absorbed, {polished} polished (summed over {} phases)",
+            result.trace.num_phases()
         )?;
     }
     Ok(())

@@ -34,10 +34,10 @@ pub struct CommunityResult {
 
 /// Runs community detection on `g` under `config`.
 ///
-/// If `config.num_threads` is set, the run executes inside a dedicated rayon
-/// pool of that size; otherwise a serial (`parallel = false`) run uses a
-/// 1-thread pool (so "serial" never silently parallelizes) and a parallel
-/// run uses the ambient pool.
+/// A serial (`parallel = false`) run executes inside a 1-thread pool
+/// whatever `config.num_threads` says, so "serial" never silently
+/// parallelizes. A parallel run executes inside a dedicated rayon pool of
+/// `config.num_threads` when set, and in the ambient pool otherwise.
 ///
 /// # Panics
 ///
@@ -74,11 +74,11 @@ pub fn detect_communities_cancellable(
 }
 
 /// The front door of every detection and update run: polls `token`, runs
-/// `job` in the pool `config` asks for — a dedicated pool of
-/// `config.num_threads` when set, a 1-thread pool for a serial config (so
-/// "serial" never silently parallelizes), the ambient pool otherwise — and
-/// polls `token` again, so a job the token interrupted never hands back its
-/// partial result.
+/// `job` in the pool `config` asks for — a 1-thread pool for a serial
+/// config, whatever its `num_threads` (so "serial" never silently
+/// parallelizes), a dedicated pool of `config.num_threads` when set, the
+/// ambient pool otherwise — and polls `token` again, so a job the token
+/// interrupted never hands back its partial result.
 pub(crate) fn run_in_pool<R: Send>(
     config: &LouvainConfig,
     token: &CancelToken,
@@ -87,7 +87,12 @@ pub(crate) fn run_in_pool<R: Send>(
     if token.is_cancelled() {
         return Err(Cancelled);
     }
-    let result = match config.num_threads.or((!config.parallel).then_some(1)) {
+    let threads = if config.parallel {
+        config.num_threads
+    } else {
+        Some(1)
+    };
+    let result = match threads {
         Some(t) => rayon::ThreadPoolBuilder::new()
             .num_threads(t.max(1))
             .build()
@@ -437,6 +442,18 @@ mod tests {
         assert_eq!(r1.modularity, r2.modularity);
         assert_eq!(r1.modularity, r4.modularity);
         assert_eq!(r1.trace.total_iterations(), r4.trace.total_iterations());
+    }
+
+    #[test]
+    fn serial_config_runs_on_one_thread_whatever_num_threads_says() {
+        let token = CancelToken::new();
+        let mut cfg = Scheme::Serial.config();
+        cfg.num_threads = Some(4);
+        let seen = run_in_pool(&cfg, &token, rayon::current_num_threads).unwrap();
+        assert_eq!(seen, 1, "a serial run got a {seen}-thread pool");
+        cfg.parallel = true;
+        let seen = run_in_pool(&cfg, &token, rayon::current_num_threads).unwrap();
+        assert_eq!(seen, 4, "a parallel run keeps its num_threads");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! same generation-stamped flat scratch
 //! ([`NeighborScratch`](crate::modularity::NeighborScratch)) the
 //! local-moving sweep uses: O(deg) per row, a small per-row sort for CSR
-//! ordering, and results bitwise identical at any thread count.
+//! ordering, and results bitwise identical at any thread count. There is
+//! one assembly: each row is gathered once into the buffers of the task
+//! that owns its contiguous row range, and the parts are copied in row
+//! order into the CSR arrays (`condense_stamped`).
 //!
 //! Weight convention: traversing every adjacency entry means an intra-
 //! community non-loop edge contributes twice to the meta-vertex self-loop and
@@ -92,15 +95,13 @@ pub(crate) fn condense(
     num_communities: usize,
 ) -> CsrGraph {
     assert_eq!(assignment.len(), g.num_vertices());
-    let row_of = |u: usize| renumber[assignment[u] as usize];
-    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
-    condense_stamped(g, num_communities, &offsets, &members, row_of)
+    condense_stamped(g, num_communities, |u| renumber[assignment[u] as usize])
 }
 
 /// Groups vertices `0..n` by output row: returns `(offsets, members)` with
 /// `members[offsets[r]..offsets[r + 1]]` listing row `r`'s vertices in
 /// ascending id order (counting sort — deterministic).
-pub(crate) fn group_by_row(
+fn group_by_row(
     n: usize,
     num_rows: usize,
     row_of: impl Fn(usize) -> Community,
@@ -157,172 +158,89 @@ fn mirrored_csr(offsets: Vec<usize>, targets: Vec<Community>, mut weights: Vec<f
     CsrGraph::from_sorted_adjacency(offsets, targets, weights)
 }
 
-/// Assembles sorted per-community rows into a CSR graph, mirrored
-/// ([`mirrored_csr`]).
-fn rows_to_csr(rows: Vec<Vec<(Community, f64)>>) -> CsrGraph {
-    let num_rows = rows.len();
-    let mut offsets = vec![0usize; num_rows + 1];
-    for (c, row) in rows.iter().enumerate() {
-        offsets[c + 1] = offsets[c] + row.len();
-    }
-    let mut targets = Vec::with_capacity(offsets[num_rows]);
-    let mut weights = Vec::with_capacity(offsets[num_rows]);
-    for row in rows {
-        for (c, w) in row {
-            targets.push(c);
-            weights.push(w);
-        }
-    }
-    mirrored_csr(offsets, targets, weights)
-}
-
-/// Row count above which [`condense_stamped`] switches from the rows-based
-/// assembly to the flat two-pass scatter. Measured crossover: with few
-/// output rows the stamped mark array stays cache-resident, making the
-/// flat path's second gather pass pure overhead (≈ 1.8× slower on a
-/// 200-row condensation); by ~10⁵ rows the mark array spills past L2, the
-/// two assemblies run at parity speed-wise, and the flat path wins on
-/// memory — no per-row heap `Vec`s (one per community) and no doubled
-/// `rows_to_csr` copy. 64 K rows ≈ a 512 KB mark array, the L2 boundary on
-/// the reference container.
-const FLAT_ASSEMBLY_MIN_ROWS: usize = 1 << 16;
+/// Most tasks [`condense_stamped`] splits its rows into: the rayon shim's
+/// bound on the tasks of one region, so every task is one pool task.
+const MAX_TASKS: usize = 64;
 
 /// Stamped-scratch condensation of the inter-phase rebuild (and the
 /// bitwise oracle of VF's linear fold in `vf`'s tests), with `row_of`
-/// mapping any original vertex to its output row.
-/// Dispatches between the two bitwise-identical assemblies
-/// ([`condense_stamped_flat`] / [`condense_stamped_rows`]) on
-/// [`FLAT_ASSEMBLY_MIN_ROWS`]; since both produce identical CSR arrays
-/// (property-tested), the dispatch cannot affect results — only speed and
-/// peak memory.
+/// mapping any vertex of `g` to its output row in `0..num_rows`.
+///
+/// The rows split into at most [`MAX_TASKS`] contiguous ranges, one task
+/// each; a 1-thread pool runs the tasks inline. A task gathers each of its
+/// rows once, appends it to the task's own target and weight buffers, and
+/// writes its length into the row's slot of the offsets array. A gather
+/// accumulates every directed adjacency entry of the row's members in the
+/// stamped scratch, members ascending ([`group_by_row`]), then adjacency
+/// order: intra non-loop edges are seen from both endpoints (doubling into
+/// the meta self-loop, the m-preserving convention) and self-loops once.
+/// That order is fixed by the CSR layout, so every row is bitwise
+/// independent of the thread count and of the task split; a per-row sort
+/// (unique keys) then orders the row's targets.
+///
+/// A row has at most one entry per adjacency entry of its members, so a
+/// task reserves its buffers for its members' degrees and returns the
+/// unused tail once its rows are in. Buffers that grew by doubling raised
+/// `detect`'s peak RSS on the RMAT benchmark input by 4 % (2 threads on a
+/// 2-vCPU VM), through their slack and the holes their moves left in the
+/// heap.
+///
+/// Once every task is done, the grouping is freed, a prefix sum turns the
+/// lengths into offsets, and the parts are copied in row order into
+/// exactly sized arrays, each part freed once copied. The mirror weights
+/// are then unified ([`mirror_low_id_csr`]) so the CSR stays bitwise
+/// symmetric.
 pub(crate) fn condense_stamped(
     g: &CsrGraph,
     num_rows: usize,
-    offsets: &[usize],
-    members: &[VertexId],
     row_of: impl Fn(usize) -> Community + Sync + Send,
 ) -> CsrGraph {
-    if num_rows >= FLAT_ASSEMBLY_MIN_ROWS {
-        condense_stamped_flat(g, num_rows, offsets, members, row_of)
-    } else {
-        condense_stamped_rows(g, num_rows, offsets, members, row_of)
-    }
-}
-
-/// Flat **two-pass** assembly directly into the output CSR arrays.
-///
-/// Pass 1 runs the stamped gather per output row counting its distinct
-/// target rows; an exclusive prefix sum turns the counts into CSR offsets.
-/// Pass 2 re-runs the gather and scatters each row's sorted `(target,
-/// weight)` entries straight into its preallocated `targets`/`weights`
-/// span — no per-row `Vec`, no `rows_to_csr` copy. Rows own disjoint
-/// output spans, so the parallel scatter is race-free.
-///
-/// Every directed adjacency entry of the row's members is accumulated in
-/// (member, adjacency) order — intra non-loop edges are seen from both
-/// endpoints (doubling into the meta self-loop, the m-preserving
-/// convention) and self-loops once. The accumulation order is fixed by the
-/// CSR layout, so results are bitwise independent of the thread count; only
-/// the final per-row sort (unique keys) orders the typically-short target
-/// list. Mirror weights are then unified ([`mirror_low_id_csr`]) so the CSR
-/// stays bitwise symmetric.
-pub(crate) fn condense_stamped_flat(
-    g: &CsrGraph,
-    num_rows: usize,
-    offsets: &[usize],
-    members: &[VertexId],
-    row_of: impl Fn(usize) -> Community + Sync + Send,
-) -> CsrGraph {
-    // Pass 1: count each row's distinct neighbor rows (the gather without
-    // materializing entries beyond the scratch).
-    let counts: Vec<usize> = (0..num_rows as Community)
-        .into_par_iter()
+    let (offsets, members) = group_by_row(g.num_vertices(), num_rows, &row_of);
+    let task_rows = num_rows.div_ceil(MAX_TASKS).max(1);
+    let mut row_offsets = vec![0usize; num_rows + 1];
+    let mut task_lens: Vec<&mut [usize]> = row_offsets[1..].chunks_mut(task_rows).collect();
+    let parts: Vec<(Vec<Community>, Vec<f64>)> = task_lens
+        .par_iter_mut()
+        .with_min_len(1)
+        .enumerate()
         .map_init(
             || ScratchPool::global().take(),
-            |scratch, c| {
-                scratch.begin(num_rows);
-                for &v in &members[offsets[c as usize]..offsets[c as usize + 1]] {
-                    for (u, w) in g.neighbors(v) {
-                        scratch.accumulate(row_of(u as usize), w);
+            |scratch, (t, lens)| {
+                let first = t * task_rows;
+                let span = offsets[first]..offsets[first + lens.len()];
+                let bound: usize = members[span].iter().map(|&v| g.degree(v)).sum();
+                let (mut targets, mut weights) =
+                    (Vec::with_capacity(bound), Vec::with_capacity(bound));
+                for (r, len) in (first..).zip(lens.iter_mut()) {
+                    scratch.begin(num_rows);
+                    for &v in &members[offsets[r]..offsets[r + 1]] {
+                        for (u, w) in g.neighbors(v) {
+                            scratch.accumulate(row_of(u as usize), w);
+                        }
                     }
+                    scratch.entries.sort_unstable_by_key(|&(c, _)| c);
+                    targets.extend(scratch.entries.iter().map(|&(c, _)| c));
+                    weights.extend(scratch.entries.iter().map(|&(_, w)| w));
+                    *len = scratch.entries.len();
                 }
-                scratch.entries.len()
+                targets.shrink_to_fit();
+                weights.shrink_to_fit();
+                (targets, weights)
             },
         )
         .collect();
-    let mut row_offsets = vec![0usize; num_rows + 1];
+    drop((offsets, members));
     for r in 0..num_rows {
-        row_offsets[r + 1] = row_offsets[r] + counts[r];
+        row_offsets[r + 1] += row_offsets[r];
     }
     let total = row_offsets[num_rows];
-
-    // Pass 2: re-gather and scatter each row's sorted entries into its
-    // span. Disjointness: row `r` writes exactly
-    // `targets/weights[row_offsets[r]..row_offsets[r + 1]]`, and the
-    // prefix-sum spans are non-overlapping by construction.
-    let mut targets = vec![0 as Community; total];
-    let mut weights = vec![0.0f64; total];
-    let t_shared = SharedSlice::new(&mut targets);
-    let w_shared = SharedSlice::new(&mut weights);
-    (0..num_rows as Community)
-        .into_par_iter()
-        .map_init(
-            || ScratchPool::global().take(),
-            |scratch, c| {
-                scratch.begin(num_rows);
-                for &v in &members[offsets[c as usize]..offsets[c as usize + 1]] {
-                    for (u, w) in g.neighbors(v) {
-                        scratch.accumulate(row_of(u as usize), w);
-                    }
-                }
-                scratch.entries.sort_unstable_by_key(|&(t, _)| t);
-                let base = row_offsets[c as usize];
-                debug_assert_eq!(scratch.entries.len(), counts[c as usize]);
-                for (i, &(t, w)) in scratch.entries.iter().enumerate() {
-                    // Safety: in bounds (base + i < row_offsets[c + 1] ≤ total)
-                    // and this row's span is written by this worker only.
-                    unsafe {
-                        t_shared.write(base + i, t);
-                        w_shared.write(base + i, w);
-                    }
-                }
-            },
-        )
-        .for_each(drop);
+    let mut targets = Vec::with_capacity(total);
+    let mut weights = Vec::with_capacity(total);
+    for (part_targets, part_weights) in parts {
+        targets.extend_from_slice(&part_targets);
+        weights.extend_from_slice(&part_weights);
+    }
     mirrored_csr(row_offsets, targets, weights)
-}
-
-/// The rows-based assembly of the stamped condensation — per-row
-/// `Vec<(Community, f64)>`s collected then copied through [`rows_to_csr`].
-/// Bitwise identical output to [`condense_stamped_flat`]
-/// (property-tested); the faster assembly while the mark array stays
-/// cache-resident (small row counts), and the `rebuild` bench's
-/// `assembly_rows` arm.
-pub(crate) fn condense_stamped_rows(
-    g: &CsrGraph,
-    num_rows: usize,
-    offsets: &[usize],
-    members: &[VertexId],
-    row_of: impl Fn(usize) -> Community + Sync + Send,
-) -> CsrGraph {
-    let rows: Vec<Vec<(Community, f64)>> = (0..num_rows as Community)
-        .into_par_iter()
-        .map_init(
-            || ScratchPool::global().take(),
-            |scratch, c| {
-                scratch.begin(num_rows);
-                for &v in &members[offsets[c as usize]..offsets[c as usize + 1]] {
-                    for (u, w) in g.neighbors(v) {
-                        scratch.accumulate(row_of(u as usize), w);
-                    }
-                }
-                let mut row = std::mem::take(&mut scratch.entries);
-                row.sort_unstable_by_key(|&(t, _)| t);
-                row
-            },
-        )
-        .collect();
-    rows_to_csr(rows)
 }
 
 #[cfg(test)]
@@ -404,29 +322,57 @@ mod tests {
     }
 
     #[test]
-    fn flat_assembly_bitwise_matches_rows_reference() {
-        // The two-pass count + scatter assembly must reproduce the retained
-        // rows-based reference exactly: same offsets, same targets, weights
-        // bit-for-bit — on a community-rich partition, a scattered one, and
-        // a singleton one.
+    fn condense_bitwise_matches_serial_condensation() {
+        // The assembly against a serial condensation built here: one
+        // `BTreeMap` per community, filled members ascending in adjacency
+        // order, then the low-id mirror — weights bit for bit, on real-valued
+        // weights under a community-rich, a scattered and a singleton
+        // partition, at 1, 2 and 8 threads.
+        use std::collections::BTreeMap;
         let (g, truth) = planted_partition(&PlantedConfig {
             num_vertices: 2_000,
             num_communities: 20,
+            weight_range: Some((0.1, 10.0)),
             ..Default::default()
         });
-        let scattered: Vec<Community> = (0..g.num_vertices() as u32).map(|v| v % 97).collect();
-        let singleton: Vec<Community> = (0..g.num_vertices() as u32).collect();
+        let scattered: Vec<Community> =
+            (0..g.num_vertices() as Community).map(|v| v % 97).collect();
+        let singleton: Vec<Community> = (0..g.num_vertices() as Community).collect();
         for assignment in [&truth, &scattered, &singleton] {
-            let flat = crate::reference::rebuild_stamp_flat_assembly(&g, assignment);
-            let rows = crate::reference::rebuild_stamp_rows_reference(&g, assignment);
-            assert_eq!(flat.num_vertices(), rows.num_vertices());
-            assert_eq!(flat.num_edges(), rows.num_edges());
-            for v in 0..flat.num_vertices() as VertexId {
-                let a: Vec<(VertexId, u64)> =
-                    flat.neighbors(v).map(|(u, w)| (u, w.to_bits())).collect();
-                let b: Vec<(VertexId, u64)> =
-                    rows.neighbors(v).map(|(u, w)| (u, w.to_bits())).collect();
-                assert_eq!(a, b, "row {v} differs between assemblies");
+            let (renum, k) = renumber_communities(assignment, RenumberStrategy::Serial);
+            let mut rows: Vec<BTreeMap<Community, f64>> = vec![BTreeMap::new(); k];
+            for v in 0..g.num_vertices() as VertexId {
+                let row = &mut rows[renum[assignment[v as usize] as usize] as usize];
+                for (u, w) in g.neighbors(v) {
+                    *row.entry(renum[assignment[u as usize] as usize])
+                        .or_insert(0.0) += w;
+                }
+            }
+            let expected: Vec<Vec<(Community, u64)>> = (0..k)
+                .map(|c| {
+                    rows[c]
+                        .iter()
+                        .map(|(&d, &w)| {
+                            let w = if (d as usize) < c {
+                                rows[d as usize][&(c as Community)]
+                            } else {
+                                w
+                            };
+                            (d, w.to_bits())
+                        })
+                        .collect()
+                })
+                .collect();
+            for threads in [1usize, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let graph = pool.install(|| condense(&g, assignment).graph);
+                let got: Vec<Vec<(Community, u64)>> = (0..graph.num_vertices() as VertexId)
+                    .map(|c| graph.neighbors(c).map(|(d, w)| (d, w.to_bits())).collect())
+                    .collect();
+                assert_eq!(got, expected, "rows differ at {threads} threads");
             }
         }
     }

@@ -13,20 +13,12 @@
 //! bitwise-identical decisions to the optimized paths (all sums are exact),
 //! which is what the equivalence tests in `tests/properties.rs` assert; the
 //! optimized paths' advantage is purely time.
-//!
-//! [`rebuild_stamp_rows_reference`] and [`rebuild_stamp_flat_assembly`]
-//! force one of the rebuild's two bitwise-identical CSR assemblies, which
-//! the production rebuild picks between by size.
 
-use crate::config::RenumberStrategy;
 use crate::modularity::{
     best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
     ModularityTracker, MoveContext, ScratchPool,
 };
 use crate::phase::{evaluate, singlet_veto, IterationStats, PhaseOutcome};
-use crate::rebuild::{
-    condense_stamped_flat, condense_stamped_rows, group_by_row, renumber_communities,
-};
 use crate::schedule::{Gate, ScheduleSpec};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
@@ -242,34 +234,6 @@ pub fn parallel_phase_colored_rescan(
         final_modularity,
         refinement: None,
     }
-}
-
-/// The historical **rows-based** stamped rebuild assembly: per-community
-/// `Vec<(Community, f64)>` rows collected in parallel, copied into CSR
-/// arrays and mirrored (`rows_to_csr`). The production path now assembles
-/// directly into preallocated `offsets`/`targets`/`weights` arrays
-/// (two-pass count + scatter, [`crate::rebuild`]); this reference produces
-/// bitwise-identical graphs (property-tested) and is the `rebuild` bench's
-/// `assembly_rows` baseline.
-pub fn rebuild_stamp_rows_reference(g: &CsrGraph, assignment: &[Community]) -> CsrGraph {
-    assert_eq!(assignment.len(), g.num_vertices());
-    let (renumber, num_communities) = renumber_communities(assignment, RenumberStrategy::Serial);
-    let row_of = |u: usize| renumber[assignment[u] as usize];
-    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
-    condense_stamped_rows(g, num_communities, &offsets, &members, row_of)
-}
-
-/// The flat two-pass stamped rebuild assembly (count pass → prefix-sum
-/// offsets → parallel scatter into preallocated `targets`/`weights`),
-/// forced regardless of the production path's size-adaptive dispatch —
-/// the `rebuild` bench's `assembly_flat` arm and the other half of the
-/// assembly differential tests.
-pub fn rebuild_stamp_flat_assembly(g: &CsrGraph, assignment: &[Community]) -> CsrGraph {
-    assert_eq!(assignment.len(), g.num_vertices());
-    let (renumber, num_communities) = renumber_communities(assignment, RenumberStrategy::Serial);
-    let row_of = |u: usize| renumber[assignment[u] as usize];
-    let (offsets, members) = group_by_row(assignment.len(), num_communities, row_of);
-    condense_stamped_flat(g, num_communities, &offsets, &members, row_of)
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //! the rest of a serial run (the modularity evaluations, the rebuild and
 //! refinement) is the parallel runs' code, which the multi-phase driver
 //! keeps on one thread by running the whole serial run in a 1-thread pool,
-//! where every parallel iterator runs inline.
+//! whatever thread count the config asks for, where every parallel iterator
+//! runs inline.
 //!
 //! [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
 

@@ -268,7 +268,7 @@ pub(crate) fn vf_compact(g: &CsrGraph, max_rounds: usize) -> Option<VfResult> {
 mod tests {
     use super::*;
     use crate::modularity::modularity;
-    use crate::rebuild::{condense_stamped, group_by_row};
+    use crate::rebuild::condense_stamped;
     use grappolo_graph::gen::{
         erdos_renyi, grid2d, hub_spoke, planted_partition, rmat, road_network, web_graph, ErConfig,
         GridConfig, HubSpokeConfig, PlantedConfig, RmatConfig, RoadConfig, WebConfig,
@@ -278,10 +278,7 @@ mod tests {
     /// The stamped condensation of `g` under `r.mapping`: how VF compacted
     /// before the linear fold, and the fold's bitwise oracle.
     fn condensed(g: &CsrGraph, r: &VfResult) -> CsrGraph {
-        let rows = r.graph.num_vertices();
-        let row_of = |u: usize| r.mapping[u];
-        let (offsets, members) = group_by_row(g.num_vertices(), rows, row_of);
-        condense_stamped(g, rows, &offsets, &members, row_of)
+        condense_stamped(g, r.graph.num_vertices(), |u| r.mapping[u])
     }
 
     /// Fractional weights (so the summation order shows in the bits), hubs

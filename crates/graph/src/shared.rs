@@ -1,6 +1,7 @@
 //! A raw view of a slice written at provably disjoint indices by parallel
 //! workers — the scatter idiom shared by the graph builder's histogram /
-//! scatter stages and the core crate's flat rebuild assembly.
+//! scatter stages, the `.grb` chunk decode, the coloring commit, VF's fill
+//! pass and the rebuild's mirror pass.
 
 /// Raw view of a slice written at provably disjoint indices by parallel
 /// workers. Every use site must state its disjointness argument: no index

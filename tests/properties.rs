@@ -7,7 +7,9 @@
 //! dependency set): every run explores the same `CASES` random graphs, so
 //! failures are reproducible by seed. Edge weights are dyadic rationals
 //! (k/16) — exactly representable in f64 with exact sums — so equivalence
-//! properties can assert *bitwise* equality, not just tolerance.
+//! properties can assert *bitwise* equality, not just tolerance. The
+//! rebuild's serial oracle sums in the order the rebuild documents, so it
+//! asserts bitwise equality on real-valued weights too.
 //!
 //! The differential properties pin the production `PhaseDriver` against the
 //! retained oracles in `grappolo::core::reference`.
@@ -22,7 +24,6 @@ use grappolo::core::modularity::{
 use grappolo::core::rebuild::rebuild;
 use grappolo::core::reference::{
     gather_sorted, parallel_phase_colored_rescan, parallel_phase_unordered_sortbased,
-    rebuild_stamp_flat_assembly, rebuild_stamp_rows_reference,
 };
 use grappolo::core::refine::refine_phase;
 use grappolo::core::serial::serial_modularity;
@@ -34,6 +35,7 @@ use grappolo::core::{
 use grappolo::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 64;
 
@@ -983,22 +985,114 @@ fn refined_phase_bitwise_stable_across_thread_counts() {
     }
 }
 
-/// **Assembly equivalence**: the flat two-pass rebuild assembly produces
-/// bitwise-identical condensed graphs to the retained rows-based reference
-/// on random dyadic-weight graphs and random assignments.
+/// The condensed rows of `g` under `assignment`, built serially and apart
+/// from the library: one `BTreeMap` per community (ascending labels), each
+/// filled by walking the vertices in ascending order and every vertex's
+/// adjacency in CSR order — the accumulation order the rebuild documents —
+/// then every entry `v → u` with `u < v` given row `u`'s weight for `v` (the
+/// low-id mirror). Weights come back as bits.
+fn serial_condensation(g: &CsrGraph, assignment: &[Community]) -> Vec<Vec<(u32, u64)>> {
+    let labels: BTreeSet<Community> = assignment.iter().copied().collect();
+    let row_of: BTreeMap<Community, u32> = labels
+        .iter()
+        .enumerate()
+        .map(|(r, &c)| (c, r as u32))
+        .collect();
+    let mut rows: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); labels.len()];
+    for v in 0..g.num_vertices() as u32 {
+        let row = &mut rows[row_of[&assignment[v as usize]] as usize];
+        for (u, w) in g.neighbors(v) {
+            row.entry(row_of[&assignment[u as usize]])
+                .and_modify(|acc| *acc += w)
+                .or_insert(w);
+        }
+    }
+    (0..rows.len())
+        .map(|v| {
+            rows[v]
+                .iter()
+                .map(|(&u, &w)| {
+                    let w = if (u as usize) < v {
+                        rows[u as usize][&(v as u32)]
+                    } else {
+                        w
+                    };
+                    (u, w.to_bits())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A random weighted graph of up to 300 vertices whose weights are
+/// arbitrary reals, so every summation order shows in the bits.
+fn random_real_graph(rng: &mut SmallRng) -> CsrGraph {
+    let n = rng.gen_range(2usize..300);
+    let num_edges = rng.gen_range(0usize..1200);
+    let edges: Vec<(u32, u32, f64)> = (0..num_edges)
+        .map(|_| {
+            (
+                rng.gen_range(0..n as u32),
+                rng.gen_range(0..n as u32),
+                rng.gen_range(0.01..10.0),
+            )
+        })
+        .collect();
+    GraphBuilder::new(n)
+        .extend_edges(edges)
+        .build()
+        .expect("random edges are valid")
+}
+
+/// **Rebuild against an independent oracle**: the production rebuild's
+/// condensed graph equals [`serial_condensation`] bit for bit, on random
+/// dyadic- and real-weight graphs under a random, a singleton, a scattered
+/// (`v % 97`) and a one-community partition, at 1, 2 and 8 threads.
 #[test]
-fn flat_rebuild_assembly_matches_rows_reference() {
+fn rebuild_bitwise_matches_serial_condensation() {
+    let pools: Vec<(usize, rayon::ThreadPool)> = [1usize, 2, 8]
+        .into_iter()
+        .map(|t| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap();
+            (t, pool)
+        })
+        .collect();
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let g = random_graph(&mut rng);
-        let a = random_assignment(&mut rng, &g);
-        let flat = rebuild_stamp_flat_assembly(&g, &a);
-        let rows = rebuild_stamp_rows_reference(&g, &a);
-        assert_eq!(flat.num_vertices(), rows.num_vertices(), "seed {seed}");
-        for v in 0..flat.num_vertices() as u32 {
-            let fa: Vec<(u32, u64)> = flat.neighbors(v).map(|(u, w)| (u, w.to_bits())).collect();
-            let ra: Vec<(u32, u64)> = rows.neighbors(v).map(|(u, w)| (u, w.to_bits())).collect();
-            assert_eq!(fa, ra, "seed {seed} row {v}");
+        for g in [random_graph(&mut rng), random_real_graph(&mut rng)] {
+            let n = g.num_vertices() as Community;
+            let partitions = [
+                ("random", random_assignment(&mut rng, &g)),
+                ("singleton", (0..n).collect()),
+                ("scattered", (0..n).map(|v| v % 97).collect()),
+                ("one community", vec![0; n as usize]),
+            ];
+            for (name, a) in &partitions {
+                let expected = serial_condensation(&g, a);
+                for (threads, pool) in &pools {
+                    let res = pool.install(|| {
+                        rebuild(
+                            &g,
+                            a,
+                            RebuildStrategy::StampAggregate,
+                            RenumberStrategy::Serial,
+                        )
+                    });
+                    let got: Vec<Vec<(u32, u64)>> = (0..res.graph.num_vertices() as u32)
+                        .map(|v| {
+                            res.graph
+                                .neighbors(v)
+                                .map(|(u, w)| (u, w.to_bits()))
+                                .collect()
+                        })
+                        .collect();
+                    assert_eq!(res.num_communities, expected.len(), "seed {seed} {name}");
+                    assert_eq!(got, expected, "seed {seed} {name} at {threads} threads");
+                }
+            }
         }
     }
 }
