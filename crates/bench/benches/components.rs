@@ -1,5 +1,6 @@
 //! Criterion benchmark: component-split detection vs the single driver, and
-//! the sectioned `.grb` parallel load.
+//! the sectioned `.grb` load (one chunk at a time, each against its
+//! checksum).
 //!
 //! Acceptance bar (CI gates the ratio from this file's JSON):
 //! `components/split/blocks90k` must be ≥1.5× faster than

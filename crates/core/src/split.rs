@@ -12,10 +12,10 @@
 //!    ascending-min-vertex ids) and extracts per-component subgraphs with
 //!    vertex remap tables ([`grappolo_graph::extract_components`]);
 //! 2. runs full detection per component in **largest-first** order — big
-//!    components one at a time with the whole pool inside the run, small
-//!    ones (below [`SPLIT_SERIAL_THRESHOLD`] vertices) fanned out as
-//!    independent pool jobs whose inner regions execute inline on their
-//!    worker;
+//!    components one at a time with the whole pool inside the run, the `k`
+//!    small ones (below [`SPLIT_SERIAL_THRESHOLD`] vertices) fanned out
+//!    across the pool in tasks of ⌈k/64⌉ consecutive components, each run's
+//!    own regions nesting on the same pool;
 //! 3. stitches per-component assignments back into global labels, with
 //!    label blocks laid out in **component-id order** — never completion
 //!    order — so the result is bitwise independent of thread count.
@@ -42,8 +42,8 @@ use rayon::prelude::*;
 use std::time::Instant;
 
 /// Vertex count at or above which a component runs alone with the full
-/// intra-run parallel pipeline; smaller components become pool-dispatched
-/// jobs whose inner regions execute inline on their worker.
+/// intra-run parallel pipeline; smaller components are fanned out across
+/// the pool, many to a task.
 pub const SPLIT_SERIAL_THRESHOLD: usize = 8192;
 
 /// Detects communities per weakly connected component and stitches the
@@ -101,12 +101,17 @@ pub(crate) fn detect_split(
         }
         // Isolated vertices (no self-loop) stay trivial singletons — no run.
     }
-    // Small components: one pool job each, in the same largest-first order.
-    // Nested parallel regions inside a job execute on the shared pool (the
-    // claiming worker drains them), and per-component detection is bitwise
-    // deterministic, so the fan-out cannot perturb any result.
-    let small_results: Vec<(usize, Option<CommunityResult>)> =
-        small.par_iter().map(|&c| (c, run(c))).collect();
+    // Small components: pool tasks of ⌈k/64⌉ consecutive components each,
+    // in the same largest-first order; `with_min_len(1)` keeps a few hundred
+    // of them from running inline on the caller. Nested parallel regions
+    // inside a task execute on the shared pool (the claiming worker drains
+    // them), and per-component detection is bitwise deterministic, so the
+    // fan-out cannot perturb any result.
+    let small_results: Vec<(usize, Option<CommunityResult>)> = small
+        .par_iter()
+        .with_min_len(1)
+        .map(|&c| (c, run(c)))
+        .collect();
     for (c, r) in small_results {
         results[c] = r;
     }

@@ -118,8 +118,10 @@ pub struct ComponentSubgraph {
 /// order (singletons included — their subgraphs are single isolated
 /// vertices, or a lone self-loop).
 ///
-/// Components are materialized in parallel — each one's arrays are written
-/// by exactly one task, so the output is independent of thread count.
+/// Components are materialized in parallel, in pool tasks of ⌈k/64⌉
+/// consecutive components for `k` components — each one's arrays are
+/// written by exactly one task, so the output is independent of thread
+/// count.
 pub fn extract_components(g: &CsrGraph, labeling: &ComponentLabeling) -> Vec<ComponentSubgraph> {
     let n = g.num_vertices();
     let labels = labeling.labels();
@@ -144,6 +146,7 @@ pub fn extract_components(g: &CsrGraph, labeling: &ComponentLabeling) -> Vec<Com
     }
     members
         .par_iter_mut()
+        .with_min_len(1)
         .enumerate()
         .map(|(c, vertices)| {
             let vertices = std::mem::take(vertices);

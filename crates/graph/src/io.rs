@@ -22,8 +22,6 @@
 use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
 use crate::delta::EdgeDelta;
-use crate::shared::SharedSlice;
-use rayon::prelude::*;
 use std::fmt::Display;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -547,7 +545,8 @@ pub fn parse_edge_batch(text: &str) -> Result<Vec<EdgeDelta>, IoError> {
 /// Magic prefix of a `.grb` file.
 pub const GRB_MAGIC: &[u8; 8] = b"GRPLGRB\0";
 /// The one `.grb` layout version written and read: vertex-range chunks
-/// behind a chunk table, written streamed and decoded in parallel.
+/// behind a chunk table, written streamed and decoded one chunk at a time,
+/// each against its own checksum.
 pub const GRB_VERSION: u16 = 2;
 /// Fixed v2 header size: magic (8) + version (2) + flags (2) + n (8) +
 /// entries (8) + chunk size (8) + chunk count (8).
@@ -614,9 +613,9 @@ fn parse_grb(data: &[u8]) -> Result<CsrGraph, IoError> {
 }
 
 /// Vertices per chunk [`write_grb`] sections a graph into: about 64 chunks
-/// on large graphs (plenty of parallel decode slack for any realistic pool,
-/// with stealing absorbing degree skew between vertex ranges), floored so
-/// tiny graphs don't pay table overhead per handful of vertices.
+/// on large graphs, so each checksum, each load error and the writer's
+/// reused buffer cover a 64th of the graph, floored so tiny graphs don't
+/// pay table overhead per handful of vertices.
 fn grb_chunk_vertices(n: usize) -> usize {
     n.div_ceil(64).max(4096)
 }
@@ -645,8 +644,9 @@ fn grb_chunk_vertices(n: usize) -> usize {
 /// The write is **streamed**: header and table first, then one chunk's
 /// sections at a time through a reused buffer, so peak transient memory is
 /// one chunk rather than the whole serialized graph. The chunk table gives
-/// the reader an independent byte range and entry range per chunk, which is
-/// what lets [`read_grb`] decode and bounds-check chunks in parallel.
+/// the reader each chunk's byte range and entry range, so [`read_grb`]
+/// bounds-checks and checksums every chunk on its own and names the first
+/// one that fails.
 ///
 /// The per-chunk checksum carries the writer's validity guarantee across the
 /// round-trip: only already-validated [`CsrGraph`]s are ever serialized, so a
@@ -727,7 +727,6 @@ fn write_grb_chunked<W: Write>(
 }
 
 /// One parsed chunk-table record of a v2 file.
-#[derive(Clone, Copy)]
 struct GrbChunk {
     first_vertex: usize,
     num_vertices: usize,
@@ -735,16 +734,6 @@ struct GrbChunk {
     num_entries: usize,
     /// Stored payload checksum ([`GrbChecksum`] over the decoded words).
     checksum: u64,
-    /// Byte offset of this chunk's payload within the file.
-    payload_at: usize,
-}
-
-impl GrbChunk {
-    fn payload_len(&self) -> Option<usize> {
-        let v = self.num_vertices.checked_mul(8)?;
-        let e = self.num_entries.checked_mul(12)?;
-        v.checked_add(e)
-    }
 }
 
 fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
@@ -788,7 +777,8 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
     // The chunk table must tile 0..n and 0..entries contiguously; every
     // violation names the offending chunk.
     let mut chunks = Vec::with_capacity(num_chunks);
-    let mut payload_at = GRB_V2_HEADER_LEN + num_chunks * GRB_V2_TABLE_RECORD;
+    let payload_at = GRB_V2_HEADER_LEN + num_chunks * GRB_V2_TABLE_RECORD;
+    let mut payload_end = payload_at;
     let (mut next_vertex, mut next_entry) = (0usize, 0usize);
     for c in 0..num_chunks {
         let at = GRB_V2_HEADER_LEN + c * GRB_V2_TABLE_RECORD;
@@ -800,7 +790,6 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
             first_entry: field(2) as usize,
             num_entries: field(3) as usize,
             checksum: field(4),
-            payload_at,
         };
         if chunk.first_vertex != next_vertex {
             return Err(chunk_err(
@@ -838,16 +827,18 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
             .checked_add(chunk.num_entries)
             .ok_or_else(|| chunk_err(c, "entry range overflows".into()))?;
         let len = chunk
-            .payload_len()
+            .num_vertices
+            .checked_mul(8)
+            .and_then(|v| v.checked_add(chunk.num_entries.checked_mul(12)?))
             .ok_or_else(|| chunk_err(c, "payload size overflows".into()))?;
-        payload_at = payload_at
+        payload_end = payload_end
             .checked_add(len)
             .ok_or_else(|| chunk_err(c, "payload offset overflows".into()))?;
-        if payload_at > data.len() {
+        if payload_end > data.len() {
             return Err(chunk_err(
                 c,
                 format!(
-                    "payload truncated: section ends at byte {payload_at}, file has {}",
+                    "payload truncated: section ends at byte {payload_end}, file has {}",
                     data.len()
                 ),
             ));
@@ -867,123 +858,100 @@ fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
         ));
     }
 
-    // Parallel chunk decode: every chunk owns a disjoint slice of each CSR
-    // array (its vertex range / entry range from the validated table), so
-    // workers scatter through raw views and any thread may decode any chunk.
+    // Chunks decode in table order, each into its own slices of the CSR
+    // arrays (its vertex range of `offsets[1..]`, its entry range of
+    // `targets` and `weights`); the first chunk that fails names the error.
     let mut offsets = vec![0usize; n + 1];
     let mut targets = vec![0 as VertexId; entries];
     let mut weights = vec![0.0f64; entries];
-    let offsets_view = SharedSlice::new(&mut offsets);
-    let targets_view = SharedSlice::new(&mut targets);
-    let weights_view = SharedSlice::new(&mut weights);
-    let errors: Vec<Option<(usize, String)>> = (0..num_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let chunk = &chunks[c];
-            let mut at = chunk.payload_at;
-            let mut sum = GrbChecksum::new();
-            // Chunk-local offsets (closing boundary of each vertex's
-            // adjacency run) — kept so the target scan below can check
-            // per-vertex sorted order without re-reading the shared array.
-            let mut local_off = Vec::with_capacity(chunk.num_vertices + 1);
-            local_off.push(chunk.first_entry);
-            let mut prev = chunk.first_entry;
-            for i in 0..chunk.num_vertices {
-                let off = u64::from_le_bytes(data[at..at + 8].try_into().unwrap()) as usize;
-                sum.push(off as u64);
-                if off < prev || off > chunk.first_entry + chunk.num_entries {
-                    return Some((
-                        c,
-                        format!(
-                            "offset {off} for vertex {} outside its entry range \
-                             {}..={} or non-monotonic",
-                            chunk.first_vertex + i,
-                            chunk.first_entry,
-                            chunk.first_entry + chunk.num_entries,
-                        ),
-                    ));
-                }
-                // SAFETY: slot first_vertex+i+1 belongs to this chunk alone
-                // (the table tiles vertex ranges disjointly).
-                unsafe { offsets_view.write(chunk.first_vertex + i + 1, off) };
-                local_off.push(off);
-                prev = off;
-                at += 8;
-            }
-            if prev != chunk.first_entry + chunk.num_entries {
-                return Some((
+    let mut payload = &data[payload_at..];
+    for (c, chunk) in chunks.iter().enumerate() {
+        let (first, end) = (chunk.first_entry, chunk.first_entry + chunk.num_entries);
+        let (offset_bytes, rest) = payload.split_at(chunk.num_vertices * 8);
+        let (target_bytes, rest) = rest.split_at(chunk.num_entries * 4);
+        let (weight_bytes, rest) = rest.split_at(chunk.num_entries * 8);
+        payload = rest;
+        let mut sum = GrbChecksum::new();
+        // Each vertex's closing boundary: the target scan below reads it to
+        // check per-vertex sorted order.
+        let ends = &mut offsets[chunk.first_vertex + 1..][..chunk.num_vertices];
+        let mut prev = first;
+        let offset_words = ends.iter_mut().zip(offset_bytes.chunks_exact(8));
+        for (v, (slot, bytes)) in (chunk.first_vertex..).zip(offset_words) {
+            let off = u64::from_le_bytes(bytes.try_into().unwrap()) as usize;
+            sum.push(off as u64);
+            if off < prev || off > end {
+                return Err(chunk_err(
                     c,
                     format!(
-                        "last offset {prev} does not close the chunk's entry range at {}",
-                        chunk.first_entry + chunk.num_entries
+                        "offset {off} for vertex {v} outside its entry range \
+                         {first}..={end} or non-monotonic"
                     ),
                 ));
             }
-            let mut v_idx = 0usize;
-            let mut prev_t: Option<VertexId> = None;
-            for i in 0..chunk.num_entries {
-                let e = chunk.first_entry + i;
-                while e >= local_off[v_idx + 1] {
-                    v_idx += 1;
-                    prev_t = None;
-                }
-                let t = u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
-                sum.push(t as u64);
-                if t as usize >= n {
-                    return Some((
-                        c,
-                        format!(
-                            "neighbor id {t} of vertex {} out of range (n = {n})",
-                            chunk.first_vertex + v_idx
-                        ),
-                    ));
-                }
-                if prev_t.is_some_and(|p| t <= p) {
-                    return Some((
-                        c,
-                        format!(
-                            "adjacency of vertex {} not strictly ascending at entry {e}",
-                            chunk.first_vertex + v_idx
-                        ),
-                    ));
-                }
-                prev_t = Some(t);
-                // SAFETY: entry slot belongs to this chunk alone.
-                unsafe { targets_view.write(e, t) };
-                at += 4;
+            *slot = off;
+            prev = off;
+        }
+        if prev != end {
+            return Err(chunk_err(
+                c,
+                format!("last offset {prev} does not close the chunk's entry range at {end}"),
+            ));
+        }
+        let mut v_idx = 0usize;
+        let mut prev_t: Option<VertexId> = None;
+        let chunk_targets = targets[first..end].iter_mut();
+        for (e, (slot, bytes)) in (first..).zip(chunk_targets.zip(target_bytes.chunks_exact(4))) {
+            while e >= ends[v_idx] {
+                v_idx += 1;
+                prev_t = None;
             }
-            for i in 0..chunk.num_entries {
-                let bits = u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
-                sum.push(bits);
-                let w = f64::from_bits(bits);
-                if !(w.is_finite() && w > 0.0) {
-                    return Some((
-                        c,
-                        format!(
-                            "weight {w} at entry {} not finite and positive",
-                            chunk.first_entry + i
-                        ),
-                    ));
-                }
-                // SAFETY: entry slot belongs to this chunk alone.
-                unsafe { weights_view.write(chunk.first_entry + i, w) };
-                at += 8;
-            }
-            if sum.finish() != chunk.checksum {
-                return Some((
+            let t = u32::from_le_bytes(bytes.try_into().unwrap());
+            sum.push(t as u64);
+            if t as usize >= n {
+                return Err(chunk_err(
                     c,
                     format!(
-                        "payload checksum mismatch (stored {:#018x}, computed {:#018x})",
-                        chunk.checksum,
-                        sum.finish()
+                        "neighbor id {t} of vertex {} out of range (n = {n})",
+                        chunk.first_vertex + v_idx
                     ),
                 ));
             }
-            None
-        })
-        .collect();
-    if let Some((c, msg)) = errors.into_iter().flatten().min_by_key(|(c, _)| *c) {
-        return Err(chunk_err(c, msg));
+            if prev_t.is_some_and(|p| t <= p) {
+                return Err(chunk_err(
+                    c,
+                    format!(
+                        "adjacency of vertex {} not strictly ascending at entry {e}",
+                        chunk.first_vertex + v_idx
+                    ),
+                ));
+            }
+            prev_t = Some(t);
+            *slot = t;
+        }
+        let chunk_weights = weights[first..end].iter_mut();
+        for (e, (slot, bytes)) in (first..).zip(chunk_weights.zip(weight_bytes.chunks_exact(8))) {
+            let bits = u64::from_le_bytes(bytes.try_into().unwrap());
+            sum.push(bits);
+            let w = f64::from_bits(bits);
+            if !(w.is_finite() && w > 0.0) {
+                return Err(chunk_err(
+                    c,
+                    format!("weight {w} at entry {e} not finite and positive"),
+                ));
+            }
+            *slot = w;
+        }
+        if sum.finish() != chunk.checksum {
+            return Err(chunk_err(
+                c,
+                format!(
+                    "payload checksum mismatch (stored {:#018x}, computed {:#018x})",
+                    chunk.checksum,
+                    sum.finish()
+                ),
+            ));
+        }
     }
 
     // Trust model: the decode above already enforced every CSR invariant a
@@ -1118,11 +1086,14 @@ pub fn save_path(g: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
 }
 
 #[cfg(test)]
+mod grb_mutations;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::from_weighted_edges;
 
-    fn sample() -> CsrGraph {
+    pub(super) fn sample() -> CsrGraph {
         from_weighted_edges(
             4,
             [
@@ -1482,7 +1453,7 @@ mod tests {
 
     /// A multi-chunk v2 sample: enough vertices that `chunk_vertices = 3`
     /// sections it into several chunks with uneven entry counts.
-    fn chain(n: usize) -> CsrGraph {
+    pub(super) fn chain(n: usize) -> CsrGraph {
         let edges: Vec<(VertexId, VertexId, f64)> = (0..n - 1)
             .map(|i| (i as VertexId, (i + 1) as VertexId, 1.0 + i as f64 * 0.25))
             .collect();
@@ -1558,6 +1529,18 @@ mod tests {
         bad[len - 8..].copy_from_slice(&0u64.to_le_bytes());
         let err = read_grb(&bad[..]).unwrap_err();
         assert!(err.to_string().contains("chunk 2"), "{err}");
+
+        // Chunks 1 and 2 both fail their checksums (the lowest bit of each
+        // one's last weight flipped): the first failing chunk is named.
+        let mut bad = buf.clone();
+        bad[chunk2_payload - 8] ^= 0x01;
+        bad[len - 8] ^= 0x01;
+        let err = read_grb(&bad[..]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("chunk 1: payload checksum mismatch"),
+            "{err}"
+        );
     }
 
     #[test]

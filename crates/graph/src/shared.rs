@@ -1,7 +1,7 @@
 //! A raw view of a slice written at provably disjoint indices by parallel
 //! workers — the scatter idiom shared by the graph builder's histogram /
-//! scatter stages, the `.grb` chunk decode, the coloring commit, VF's fill
-//! pass and the rebuild's mirror pass.
+//! scatter stages, the coloring commit, VF's fill pass and the rebuild's
+//! mirror pass.
 
 /// Raw view of a slice written at provably disjoint indices by parallel
 /// workers. Every use site must state its disjointness argument: no index

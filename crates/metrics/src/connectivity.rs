@@ -17,8 +17,10 @@
 //!   connected".
 //!
 //! Everything here is read-only and deterministic: communities are audited
-//! in parallel, but each per-community result is a pure function of the
-//! input and the reduction (min / sum) is order-independent.
+//! in parallel, in pool tasks of ⌈k/64⌉ consecutive communities for `k`
+//! communities, but each per-community result is a pure function of the
+//! input, collected in label order, and the reduction (min / sum) is
+//! order-independent.
 
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -183,6 +185,7 @@ pub fn audit_communities(g: &CsrGraph, assignment: &[u32]) -> Vec<CommunityConne
     }
     groups
         .par_iter()
+        .with_min_len(1)
         .map(|(label, members)| audit_community(g, assignment, *label, members))
         .collect()
 }

@@ -1062,8 +1062,8 @@ mod tests {
         assert_eq!(out, (0usize..48).map(|i| i * 3).collect::<Vec<_>>());
     }
 
-    /// A region launched from inside a pool task (the splitter's
-    /// small-component fan-out, the `.grb` chunk decode) completes and
+    /// A region launched from inside a pool task (a component run of the
+    /// splitter's small-component fan-out) completes and
     /// collects in task order at every pool size; a panic in an inner
     /// region reaches the outer `install` caller, and the pool keeps
     /// working afterwards.

@@ -42,8 +42,8 @@
 //!
 //! ## Nesting
 //!
-//! A task may launch a region of its own (the splitter's per-component
-//! runs, the `.grb` chunk decode). Workers bind their pool as the thread's
+//! A task may launch a region of its own: each of the splitter's
+//! small-component runs does. Workers bind their pool as the thread's
 //! region target, so the nested region runs on the same pool, and its
 //! submitting worker drains that region's own claim counter before it
 //! waits, so it never blocks on tasks nobody will claim. A nested panic
