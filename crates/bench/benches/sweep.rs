@@ -17,7 +17,9 @@
 //! accounting cost. The PR 3 acceptance bar is incremental ≥ 1.3× per
 //! iteration on the cached 1.15 M-edge RMAT graph (the ingest bench's
 //! input). Coloring is precomputed outside the timed region — the sweep,
-//! not the coloring, is under test.
+//! not the coloring, is under test. `colored_incremental/rmat1150k_vf`
+//! sweeps the same input after vertex following, the graph `detect`'s
+//! first phase sweeps.
 //!
 //! `cargo bench --bench sweep` emits `BENCH_sweep.json` for the perf
 //! trajectory.
@@ -30,7 +32,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use grappolo_bench::inputs::{color_batches, planted, rmat1150k};
 use grappolo_coloring::ColorBatches;
 use grappolo_core::reference::{parallel_phase_colored_rescan, parallel_phase_unordered_sortbased};
-use grappolo_core::{LouvainConfig, PhaseDriver};
+use grappolo_core::{vf_preprocess_recursive, LouvainConfig, PhaseDriver, SweepMode};
 use grappolo_graph::CsrGraph;
 
 /// Fixed iteration budget so both kernels do identical sweep work per
@@ -88,7 +90,16 @@ fn bench_colored(c: &mut Criterion) {
             BenchmarkId::new("colored_rescan", label),
             &(g, batches),
             |b, (g, batches)| {
-                b.iter(|| parallel_phase_colored_rescan(g, batches, 1e-9, COLORED_ITERS, 1.0));
+                b.iter(|| {
+                    parallel_phase_colored_rescan(
+                        g,
+                        batches,
+                        SweepMode::Full,
+                        1e-9,
+                        COLORED_ITERS,
+                        1.0,
+                    )
+                });
             },
         );
     };
@@ -105,6 +116,21 @@ fn bench_colored(c: &mut Criterion) {
     let big = rmat1150k();
     let big_batches = color_batches(&big);
     bench_pair(&mut group, "rmat1150k", &big, &big_batches);
+
+    // The graph `detect` sweeps first on that input, once VF has folded
+    // its single-degree vertices into their neighbors. Colored outside the
+    // timed loop.
+    let vf = vf_preprocess_recursive(&big, 1).graph;
+    let vf_batches = color_batches(&vf);
+    let incremental = driver(COLORED_ITERS);
+    group.throughput(Throughput::Elements(vf.num_adjacency_entries() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("colored_incremental", "rmat1150k_vf"),
+        &(&vf, &vf_batches),
+        |b, (g, batches)| {
+            b.iter(|| incremental.run_colored(g, batches));
+        },
+    );
 
     // The accounting delta in isolation on the same input (noise-robust
     // complement to the whole-phase pair, whose O(m) decision pass is

@@ -3,7 +3,7 @@
 use crate::args::{Command, Detect, Generate, Query, Requests, Serve, Update, USAGE};
 use crate::error::CliError;
 use grappolo_coloring::{balance_colors, color_parallel, ColoringStats, ParallelColoringConfig};
-use grappolo_core::{detect_communities, update_communities, RefineMode};
+use grappolo_core::{detect_communities, update_communities, with_thread_budget, RefineMode};
 use grappolo_graph::gen::paper_suite::PaperInput;
 use grappolo_graph::gen::{
     erdos_renyi, planted_blocks, planted_partition, rmat, ErConfig, PlantedConfig, RmatConfig,
@@ -262,19 +262,24 @@ fn detect(cmd: Detect) -> Result<(), CliError> {
         assignments,
         trace,
     } = cmd;
-    let g = load(&path)?;
-    // A bad parameter (a negative γ, a negative vertex epsilon, …) is a
-    // clean CLI error instead of the library's panic.
-    config.validate().map_err(CliError::invalid)?;
-    // Scale the paper's 100 K coloring cutoff down for small inputs so the
-    // colored scheme stays meaningful on laptop-sized graphs.
-    config.coloring_vertex_cutoff = config
-        .coloring_vertex_cutoff
-        .min(g.num_vertices() / 8)
-        .max(64);
-
-    let t = Instant::now();
-    let result = detect_communities(&g, &config);
+    // The load runs under the thread budget the detection gets, in the same
+    // pool: a serial scheme or `--threads 1` loads on one thread.
+    let budget = config.clone();
+    let (result, elapsed) = with_thread_budget(&budget, || {
+        let g = load(&path)?;
+        // A bad parameter (a negative γ, a negative vertex epsilon, …) is a
+        // clean CLI error instead of the library's panic.
+        config.validate().map_err(CliError::invalid)?;
+        // Scale the paper's 100 K coloring cutoff down for small inputs so
+        // the colored scheme stays meaningful on laptop-sized graphs.
+        config.coloring_vertex_cutoff = config
+            .coloring_vertex_cutoff
+            .min(g.num_vertices() / 8)
+            .max(64);
+        let t = Instant::now();
+        let result = detect_communities(&g, &config);
+        Ok::<_, CliError>((result, t.elapsed()))
+    })?;
     say!(
         "{}: {} communities, Q = {:.6}, {} iterations / {} phases, {:.2?}",
         scheme.name(),
@@ -282,7 +287,7 @@ fn detect(cmd: Detect) -> Result<(), CliError> {
         result.modularity,
         result.trace.total_iterations(),
         result.trace.num_phases(),
-        t.elapsed()
+        elapsed
     )?;
 
     if let Some(out) = &assignments {
@@ -379,16 +384,20 @@ fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
 /// The `update` subcommand: apply a batch of edge deltas to a stored
 /// graph and incrementally re-converge the stored assignment.
 fn update(cmd: Update) -> Result<(), CliError> {
-    let g = load(&cmd.graph)?;
-    let assignment = read_file(&cmd.assignments, io::read_assignment)?;
-    let deltas = read_file(&cmd.batch, |f| {
-        io::parse_edge_batch(&std::io::read_to_string(f)?)
+    // The inputs load under the thread budget the update gets, in its pool.
+    let (outcome, t) = with_thread_budget(&cmd.config, || {
+        let g = load(&cmd.graph)?;
+        let assignment = read_file(&cmd.assignments, io::read_assignment)?;
+        let deltas = read_file(&cmd.batch, |f| {
+            io::parse_edge_batch(&std::io::read_to_string(f)?)
+        })?;
+        let t = Instant::now();
+        // The library checks the config, the assignment and the batch:
+        // every error it returns is invalid input.
+        let outcome = update_communities(&g, &assignment, None, &deltas, &cmd.config)
+            .map_err(CliError::invalid)?;
+        Ok::<_, CliError>((outcome, t))
     })?;
-    let t = Instant::now();
-    // The library checks the config, the assignment and the batch: every
-    // error it returns is invalid input.
-    let outcome = update_communities(&g, &assignment, None, &deltas, &cmd.config)
-        .map_err(CliError::invalid)?;
     say!(
         "update: {} changed edges, {} seed vertices → {} communities, Q = {:.6}, \
          {} iterations{}, {:.2?}",

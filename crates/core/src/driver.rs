@@ -14,6 +14,7 @@ use crate::vf::vf_compact;
 use grappolo_coloring::{balance_colors, color_parallel, ColorBatches, ParallelColoringConfig};
 use grappolo_graph::{CsrGraph, VertexId};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Result of a community-detection run.
@@ -74,10 +75,8 @@ pub fn detect_communities_cancellable(
 }
 
 /// The front door of every detection and update run: polls `token`, runs
-/// `job` in the pool `config` asks for — a 1-thread pool for a serial
-/// config, whatever its `num_threads` (so "serial" never silently
-/// parallelizes), a dedicated pool of `config.num_threads` when set, the
-/// ambient pool otherwise — and polls `token` again, so a job the token
+/// `job` under the thread budget `config` gives a run
+/// ([`with_thread_budget`]), and polls `token` again, so a job the token
 /// interrupted never hands back its partial result.
 pub(crate) fn run_in_pool<R: Send>(
     config: &LouvainConfig,
@@ -87,23 +86,50 @@ pub(crate) fn run_in_pool<R: Send>(
     if token.is_cancelled() {
         return Err(Cancelled);
     }
-    let threads = if config.parallel {
-        config.num_threads
-    } else {
-        Some(1)
-    };
-    let result = match threads {
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t.max(1))
-            .build()
-            .expect("failed to build rayon pool")
-            .install(job),
-        None => job(),
-    };
+    let result = with_thread_budget(config, job);
     if token.is_cancelled() {
         Err(Cancelled)
     } else {
         Ok(result)
+    }
+}
+
+thread_local! {
+    /// The thread count of the pool [`with_thread_budget`] runs this
+    /// thread's job in, while it does.
+    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `job` under the thread budget a run of `config` gets: a 1-thread
+/// pool for a serial config, whatever its `num_threads` (so "serial" never
+/// silently parallelizes), a dedicated pool of `config.num_threads` when
+/// set, the ambient pool otherwise.
+///
+/// A detection or update that `job` starts under the same budget runs in
+/// the same pool instead of building its own. Callers load their graph in
+/// `job`, so the load uses no more threads than the run it feeds.
+pub fn with_thread_budget<R: Send>(config: &LouvainConfig, job: impl FnOnce() -> R + Send) -> R {
+    let threads = if config.parallel {
+        config.num_threads.map(|t| t.max(1))
+    } else {
+        Some(1)
+    };
+    match threads {
+        Some(t) if BUDGET.get() != Some(t) => rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .expect("failed to build rayon pool")
+            .install(|| {
+                struct Restore(Option<usize>);
+                impl Drop for Restore {
+                    fn drop(&mut self) {
+                        BUDGET.set(self.0);
+                    }
+                }
+                let _restore = Restore(BUDGET.replace(Some(t)));
+                job()
+            }),
+        _ => job(),
     }
 }
 
@@ -454,6 +480,28 @@ mod tests {
         cfg.parallel = true;
         let seen = run_in_pool(&cfg, &token, rayon::current_num_threads).unwrap();
         assert_eq!(seen, 4, "a parallel run keeps its num_threads");
+    }
+
+    #[test]
+    fn a_load_in_the_thread_budget_sees_the_run_threads() {
+        // `detect --scheme serial --threads 4` loads on one thread, and a
+        // parallel `--threads 3` on three; the run then keeps that budget.
+        for (mut cfg, threads, budget) in
+            [(Scheme::Serial.config(), 4, 1), (colored_config(), 3, 3)]
+        {
+            cfg.num_threads = Some(threads);
+            let (load, run) = with_thread_budget(&cfg, || {
+                let load = rayon::current_num_threads();
+                let token = CancelToken::new();
+                let run = run_in_pool(&cfg, &token, || {
+                    (rayon::current_num_threads(), BUDGET.get())
+                });
+                (load, run.unwrap())
+            });
+            assert_eq!(load, budget, "the load got a {load}-thread pool");
+            assert_eq!(run, (budget, Some(budget)), "the run got another budget");
+            assert_eq!(BUDGET.get(), None, "the budget outlived its job");
+        }
     }
 
     #[test]

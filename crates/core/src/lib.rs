@@ -63,7 +63,8 @@ pub use config::{
 };
 pub use dendrogram::{Dendrogram, DendrogramLevel};
 pub use driver::{
-    detect_communities, detect_communities_cancellable, detect_with_scheme, CommunityResult,
+    detect_communities, detect_communities_cancellable, detect_with_scheme, with_thread_budget,
+    CommunityResult,
 };
 pub use dynamic::{
     update_communities, update_communities_cancellable, DynamicError, DynamicOutcome,

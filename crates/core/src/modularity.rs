@@ -252,15 +252,15 @@ impl NeighborScratch {
 const SCRATCH_SLOTS: usize = 33;
 
 /// The persistent per-worker arena of [`NeighborScratch`]es behind every
-/// `map_init` gather in the sweeps, the rebuild, and the reference ladder.
+/// gather in the sweeps' slices, the rebuild, and the reference ladder.
 ///
-/// `map_init` builds one state value per executed task and drops it when
-/// the task ends, so a sweep that launches many small parallel regions (one
-/// per color batch per iteration) would otherwise allocate — and fault in —
-/// a fresh `n`-sized `marks` array for every region. Checking scratches out
-/// of the pool makes the allocation amortize across the whole run: a task's
-/// `init` pops a warmed scratch (marks sized, generation valid) from the
-/// slot owned by the executing worker and the guard pushes it back on drop.
+/// A parallel task that built its own scratch would drop it when the task
+/// ends, so a sweep that launches many small parallel regions (one per
+/// color batch per iteration) would allocate — and fault in — a fresh
+/// `n`-sized `marks` array for every region. Checking scratches out of the
+/// pool makes the allocation amortize across the whole run: a task pops a
+/// warmed scratch (marks sized, generation valid) from the slot owned by
+/// the executing worker and the guard pushes it back on drop.
 ///
 /// Scratches live in **worker-indexed slots**, so on the resident pool a
 /// worker keeps re-checking-out the scratch it warmed — cache- and
@@ -366,7 +366,7 @@ pub struct MoveContext {
 }
 
 /// The outcome of a migration decision.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MoveDecision {
     /// Chosen community (may equal the current one).
     pub target: Community,

@@ -29,15 +29,143 @@
 //! iteration's gate is suppressed (the vertex is locally converged), and a
 //! surviving move is subject to the §5.1 singlet veto.
 //!
+//! # The sliced decide
+//!
+//! Both steps decide a vertex list (a color class, or the frontier) in
+//! contiguous slices of about equal adjacency work ([`slice_bounds`]): a
+//! vertex costs its degree plus a fixed [`VERTEX_WORK`], and each slice is
+//! one pool task. Cutting by work rather than by vertex count matters on
+//! skewed graphs: an RMAT class of a few hundred vertices can hold a hub
+//! with tens of thousands of entries, and a count-cut region of 1 024 or
+//! fewer vertices would run on the caller alone. A slice is a plain loop
+//! that, before deciding `slice[j]`, prefetches the first neighbor-id and
+//! weight cache lines of `slice[j + PREFETCH_AHEAD]`'s row, so a color
+//! class's scattered rows are on their way while the vertices before them
+//! decide. Decisions land in one buffer the step keeps across classes and
+//! iterations, slot `i` for `list[i]`.
+//!
+//! None of this can change an output bit. Every decision is a pure
+//! function of the state frozen at the barrier and of its vertex, the
+//! commit stays serial in ascending vertex order, and the bounds are a pure
+//! function of the list and the degrees, never of the thread count. The
+//! slicing only chooses which thread fills which slot; the prefetch is a
+//! hint that reads nothing the program sees.
+//!
 //! [`ModularityTracker::apply_batch`]: crate::modularity::ModularityTracker::apply_batch
 //! [`ModularityTracker::apply_independent_batch`]: crate::modularity::ModularityTracker::apply_independent_batch
 
 use crate::active::ActiveSet;
-use crate::modularity::{Community, IndependentMove, MoveDecision, ScratchPool};
+use crate::modularity::{Community, IndependentMove, MoveDecision, NeighborScratch, ScratchPool};
 use crate::phase::{evaluate, singlet_veto, SweepState};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
+
+/// The fixed cost of deciding one vertex, in adjacency entries: a slice's
+/// work is `degree(v) + VERTEX_WORK` summed over its vertices.
+pub const VERTEX_WORK: usize = 4;
+
+/// The most slices a list is cut into: the rayon shim's per-region task
+/// bound.
+pub const MAX_SLICES: usize = 64;
+
+/// The least work a slice holds, the last one excepted, so a light list
+/// stays one slice, which runs inline on the caller.
+pub const MIN_SLICE_WORK: usize = 4096;
+
+/// How far ahead of the vertex it decides a slice prefetches a row.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Cuts `list` into contiguous slices of about equal decide work and writes
+/// their bounds to `bounds`: slice `s` is `list[bounds[s]..bounds[s + 1]]`.
+///
+/// The bounds start at 0, end at `list.len()` and strictly increase (an
+/// empty list has the single bound 0 and no slice). Each slice but the last
+/// holds at least `max(total / MAX_SLICES, MIN_SLICE_WORK)` work, so there
+/// are at most [`MAX_SLICES`] of them, and a vertex whose row alone
+/// reaches that target closes its slice, so a hub after a closed slice
+/// stands alone. The bounds are a pure function of the list and the
+/// degrees, never of the thread count.
+pub fn slice_bounds(g: &CsrGraph, list: &[VertexId], bounds: &mut Vec<usize>) {
+    let work = |v: VertexId| g.degree(v) + VERTEX_WORK;
+    let total: usize = list.iter().map(|&v| work(v)).sum();
+    let target = total.div_ceil(MAX_SLICES).max(MIN_SLICE_WORK);
+    bounds.clear();
+    bounds.push(0);
+    let mut held = 0;
+    for (i, &v) in list.iter().enumerate() {
+        held += work(v);
+        if held >= target {
+            bounds.push(i + 1);
+            held = 0;
+        }
+    }
+    if held > 0 {
+        bounds.push(list.len());
+    }
+}
+
+/// Decides every vertex of `list` into `out`, slot `i` for `list[i]`: one
+/// pool task per slice of `bounds` ([`slice_bounds`] of `list`), each a
+/// loop that checks one scratch out of the global [`ScratchPool`] and
+/// prefetches the row [`PREFETCH_AHEAD`] places ahead. `out` grows to the
+/// list's length and is never shrunk, so one buffer serves a whole phase.
+fn decide_sliced<D: Default + Copy + Send>(
+    g: &CsrGraph,
+    list: &[VertexId],
+    bounds: &[usize],
+    out: &mut Vec<D>,
+    decide: impl Fn(&mut NeighborScratch, VertexId) -> D + Sync,
+) {
+    if out.len() < list.len() {
+        out.resize(list.len(), D::default());
+    }
+    let mut rest = &mut out[..list.len()];
+    let mut slices: Vec<(&[VertexId], &mut [D])> = bounds
+        .windows(2)
+        .map(|w| {
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            rest = tail;
+            (&list[w[0]..w[1]], slots)
+        })
+        .collect();
+    // A slice is a coarse unit of work, and slices differ in length.
+    slices
+        .par_iter_mut()
+        .with_min_len(1)
+        .for_each(|(vertices, slots)| {
+            let mut scratch = ScratchPool::global().take();
+            for (j, (&v, slot)) in vertices.iter().zip(slots.iter_mut()).enumerate() {
+                if let Some(&ahead) = vertices.get(j + PREFETCH_AHEAD) {
+                    prefetch_row(g, ahead);
+                }
+                *slot = decide(&mut scratch, v);
+            }
+        });
+}
+
+/// Asks the CPU to start loading the first cache line of `v`'s neighbor ids
+/// and of its weights. A no-op off x86-64.
+#[inline(always)]
+fn prefetch_row(g: &CsrGraph, v: VertexId) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = g.adjacency_offsets()[v as usize];
+        let ids = g.adjacency_targets().as_ptr().wrapping_add(start);
+        let weights = g.adjacency_weights().as_ptr().wrapping_add(start);
+        // SAFETY: `_mm_prefetch` is a hint: it never faults, whatever the
+        // address, and neither reads nor writes anything the program can
+        // observe. The pointers are never dereferenced (an empty last row
+        // points one past its array, which a prefetch may name).
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(ids.cast::<i8>());
+            _mm_prefetch::<_MM_HINT_T0>(weights.cast::<i8>());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (g, v);
+}
 
 /// The snapshot sweeps' per-vertex policy on the kernel's decision `d` for
 /// a vertex in community `cur`: a move gaining less than `gate` is
@@ -77,25 +205,20 @@ fn snapshot_policy(
 pub(crate) fn unordered_step(
     g: &CsrGraph,
 ) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + '_ {
-    // The process-global per-worker arena: scratches checked out here were
-    // warmed by earlier iterations — and earlier *phases* — on the same
-    // resident worker.
-    let scratches = ScratchPool::global();
+    let mut bounds: Vec<usize> = Vec::new();
+    let mut decisions: Vec<(Community, bool)> = Vec::new();
     let mut spare: Vec<Community> = Vec::new();
     move |state, active, gate, movers| {
         let gamma = state.tracker.gamma();
-        let frozen = &*state;
         let frontier = active.frontier();
-        let decisions: Vec<(Community, bool)> = frontier
-            .par_iter()
-            .map_init(
-                || scratches.take(),
-                |scratch, &v| {
-                    let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
-                    snapshot_policy(&d, frozen.assignment[v as usize], gate, &frozen.sizes)
-                },
-            )
-            .collect();
+        // O(frontier) reads of the offsets, next to the frontier's O(m)
+        // gathers.
+        slice_bounds(g, frontier, &mut bounds);
+        let frozen = &*state;
+        decide_sliced(g, frontier, &bounds, &mut decisions, |scratch, v| {
+            let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+            snapshot_policy(&d, frozen.assignment[v as usize], gate, &frozen.sizes)
+        });
         // Copy the snapshot (an O(n) memcpy, cheap next to the O(m)
         // gathers), then apply the frontier's decisions in ascending vertex
         // order.
@@ -139,45 +262,51 @@ pub(crate) fn unordered_step(
 /// mid-iteration (an earlier batch's commit) are picked up by the next
 /// iteration's frontier, which the driver rebuilds from all the batches'
 /// movers.
+///
+/// A whole class is the same list all phase long, so its slices are cut
+/// once, when the step is made; a filtered class is cut each iteration.
 pub(crate) fn colored_step<'a>(
     g: &'a CsrGraph,
     batches: &'a ColorBatches,
 ) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + 'a {
-    // Scratch allocations amortize across all color batches, iterations,
-    // and phases instead of recurring per parallel region.
-    let scratches = ScratchPool::global();
+    let class_bounds: Vec<Vec<usize>> = batches
+        .as_classes()
+        .iter()
+        .map(|class| {
+            let mut bounds = Vec::new();
+            slice_bounds(g, class, &mut bounds);
+            bounds
+        })
+        .collect();
     let mut filtered: Vec<VertexId> = Vec::new();
+    let mut filtered_bounds: Vec<usize> = Vec::new();
+    let mut decisions: Vec<(MoveDecision, bool)> = Vec::new();
     let mut moved: Vec<IndependentMove> = Vec::new();
     move |state, active, gate, movers| {
         let gamma = state.tracker.gamma();
         let mut examined = 0usize;
         let mut converged = 0usize;
         for (color, full_batch) in batches.as_classes().iter().enumerate() {
-            let batch: &[VertexId] = if active.is_saturated() {
-                full_batch
+            let (batch, bounds): (&[VertexId], &[usize]) = if active.is_saturated() {
+                (full_batch, &class_bounds[color])
             } else {
                 // A filtered batch is a subset of an independent set —
                 // still independent, still ascending.
                 batches.filter_batch_into(color, |v| active.contains(v), &mut filtered);
-                &filtered
+                slice_bounds(g, &filtered, &mut filtered_bounds);
+                (&filtered, &filtered_bounds)
             };
             if batch.is_empty() {
                 continue;
             }
             examined += batch.len();
             let frozen = &*state;
-            let decisions: Vec<(MoveDecision, bool)> = batch
-                .par_iter()
-                .map_init(
-                    || scratches.take(),
-                    |scratch, &v| {
-                        let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
-                        let cur = frozen.assignment[v as usize];
-                        let (target, gated) = snapshot_policy(&d, cur, gate, &frozen.sizes);
-                        (MoveDecision { target, ..d }, gated)
-                    },
-                )
-                .collect();
+            decide_sliced(g, batch, bounds, &mut decisions, |scratch, v| {
+                let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+                let cur = frozen.assignment[v as usize];
+                let (target, gated) = snapshot_policy(&d, cur, gate, &frozen.sizes);
+                (MoveDecision { target, ..d }, gated)
+            });
             moved.clear();
             for (&v, &(d, gated)) in batch.iter().zip(&decisions) {
                 converged += gated as usize;
@@ -592,6 +721,71 @@ mod tests {
         );
         // Iterations should be recorded in order with the final Q last.
         assert_eq!(out.final_modularity, out.iterations.last().unwrap().0);
+    }
+
+    /// The slice layout's contract on `list`: bounds from 0 to the list's
+    /// length, strictly increasing, at most [`MAX_SLICES`] slices, every
+    /// slice but the last holding the target work. Returns the bounds.
+    fn checked_bounds(g: &CsrGraph, list: &[VertexId]) -> Vec<usize> {
+        let mut bounds = vec![7, 7]; // stale contents are cleared
+        slice_bounds(g, list, &mut bounds);
+        assert_eq!(bounds.first(), Some(&0));
+        assert_eq!(bounds.last(), Some(&list.len()));
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
+        assert!(
+            bounds.len() - 1 <= MAX_SLICES,
+            "{} slices",
+            bounds.len() - 1
+        );
+        let work = |s: &[VertexId]| s.iter().map(|&v| g.degree(v) + VERTEX_WORK).sum::<usize>();
+        let target = work(list).div_ceil(MAX_SLICES).max(MIN_SLICE_WORK);
+        for w in bounds.windows(2).take(bounds.len().saturating_sub(2)) {
+            assert!(work(&list[w[0]..w[1]]) >= target, "slice {w:?} is light");
+        }
+        bounds
+    }
+
+    #[test]
+    fn slice_bounds_cut_lists_by_adjacency_work() {
+        // A star: hub 0 has 9 999 entries, each leaf one.
+        let star = from_unweighted_edges(10_000, (1..10_000u32).map(|v| (0, v))).unwrap();
+        let leaves: Vec<VertexId> = (1..10_000).collect();
+        let all: Vec<VertexId> = (0..10_000).collect();
+
+        // Below the minimum work: one slice, which runs inline.
+        assert_eq!(checked_bounds(&star, &leaves[..100]), vec![0, 100]);
+        assert_eq!(checked_bounds(&star, &[0]), vec![0, 1]);
+        assert_eq!(checked_bounds(&star, &[]), vec![0]);
+        // 9 999 leaves of work 5: the minimum (4 096) closes a slice every
+        // 820 leaves, well under 64 slices.
+        let bounds = checked_bounds(&star, &leaves);
+        assert_eq!(bounds[1], 820);
+        assert_eq!(bounds.len() - 1, 9_999usize.div_ceil(820));
+        // The hub leads its list, so it is a slice on its own.
+        let bounds = checked_bounds(&star, &all);
+        assert_eq!(bounds[1], 1, "the hub does not stand alone");
+
+        // A heavy list is cut into at most 64 slices.
+        let (g, _) = planted_partition(&PlantedConfig {
+            num_vertices: 20_000,
+            num_communities: 200,
+            ..Default::default()
+        });
+        let list: Vec<VertexId> = (0..20_000).collect();
+        let heavy = checked_bounds(&g, &list);
+        assert!(heavy.len() - 1 > 32, "{} slices", heavy.len() - 1);
+
+        // The bounds depend on the list alone, not on the pool.
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                assert_eq!(checked_bounds(&g, &list), heavy, "{threads} threads");
+                assert_eq!(checked_bounds(&star, &all)[1], 1, "{threads} threads");
+            });
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! which is what the equivalence tests in `tests/properties.rs` assert; the
 //! optimized paths' advantage is purely time.
 
+use crate::active::ActiveSet;
+use crate::config::SweepMode;
 use crate::modularity::{
     best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
     ModularityTracker, MoveContext, ScratchPool,
@@ -132,21 +134,26 @@ pub fn parallel_phase_unordered_sortbased(
     }
 }
 
-/// The historical **recompute** variant of the colored phase (full sweep,
-/// fixed threshold): identical decisions and barrier commits to the
-/// production colored sweep (the same move kernel and singlet veto, the
-/// same ascending commit order), but the per-iteration modularity comes
-/// from a full O(m) + O(n) rescan — a fresh [`ModularityTracker::new`]
-/// every iteration — instead of the carried incremental state. This is the
-/// differential baseline: on exact-weight graphs its assignments, move
-/// counts, and per-iteration modularities are bitwise identical to the
-/// incremental path (both
-/// evaluate `e_in/2m − γ·Σa²/(2m)²` over exactly representable sums), so
-/// any divergence indicts the incremental accounting. The benches measure
-/// the rescan's per-iteration overhead.
+/// The historical **recompute** variant of the colored phase (fixed
+/// threshold): identical decisions and barrier commits to the production
+/// colored sweep (the same move kernel and singlet veto, the same ascending
+/// commit order), but the per-iteration modularity comes from a full
+/// O(m) + O(n) rescan — a fresh [`ModularityTracker::new`] every iteration
+/// — instead of the carried incremental state. This is the differential
+/// baseline: on exact-weight graphs its assignments, move counts, and
+/// per-iteration modularities are bitwise identical to the incremental path
+/// (both evaluate `e_in/2m − γ·Σa²/(2m)²` over exactly representable sums),
+/// so any divergence indicts the incremental accounting. The benches
+/// measure the rescan's per-iteration overhead.
+///
+/// Under [`SweepMode::Active`] it prunes as the production driver does:
+/// once an iteration moves at most [`ActiveSet::engages`]' share of the
+/// vertices, each later iteration decides only the movers of the one
+/// before and their neighbors, each class filtered to them.
 pub fn parallel_phase_colored_rescan(
     g: &CsrGraph,
     batches: &ColorBatches,
+    sweep: SweepMode,
     threshold: f64,
     max_iterations: usize,
     resolution: f64,
@@ -166,10 +173,29 @@ pub fn parallel_phase_colored_rescan(
     let mut q_prev = ModularityTracker::new(g, &assignment, &a, resolution).modularity();
     let gate = Gate::new(ScheduleSpec::Fixed, threshold, 0.0, m);
     let scratches = ScratchPool::global();
+    let mut active = ActiveSet::full(n);
+    let mut engaged = false;
+    let mut movers: Vec<VertexId> = Vec::new();
 
     for iter in 0..max_iterations {
-        let mut moves = 0usize;
-        for batch in batches.as_classes() {
+        if active.is_empty() {
+            break;
+        }
+        movers.clear();
+        let mut examined = 0usize;
+        for class in batches.as_classes() {
+            let filtered: Vec<VertexId>;
+            let batch = if active.is_saturated() {
+                class
+            } else {
+                filtered = class
+                    .iter()
+                    .copied()
+                    .filter(|&v| active.contains(v))
+                    .collect();
+                &filtered
+            };
+            examined += batch.len();
             // Decide through the production move kernel against the state
             // frozen at the barrier, with the singlet veto and no gate.
             let targets: Vec<Community> = batch
@@ -202,8 +228,13 @@ pub fn parallel_phase_colored_rescan(
                 sizes[from as usize] -= 1;
                 sizes[to as usize] += 1;
                 assignment[v as usize] = to;
-                moves += 1;
+                movers.push(v);
             }
+        }
+        let moves = movers.len();
+        engaged = engaged || (sweep == SweepMode::Active && ActiveSet::engages(n, moves));
+        if engaged {
+            active.rebuild_from_moves(g, &movers);
         }
 
         // The full rescan the incremental path eliminated: O(n) community-
@@ -217,7 +248,7 @@ pub fn parallel_phase_colored_rescan(
         iterations.push((q_curr, moves));
         stats.push(IterationStats {
             gate: 0.0,
-            frontier: n,
+            frontier: examined,
             converged: 0,
         });
         if gate.should_stop(iter, q_prev, q_curr, moves, 0) {
@@ -279,7 +310,7 @@ mod tests {
             &grappolo_coloring::ParallelColoringConfig::default(),
         );
         let batches = ColorBatches::from_coloring(&coloring);
-        let out = parallel_phase_colored_rescan(&g, &batches, 1e-6, 1000, 1.0);
+        let out = parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-6, 1000, 1.0);
         assert!(out.final_modularity > 0.7);
     }
 }

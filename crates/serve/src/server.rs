@@ -22,8 +22,8 @@ use crate::protocol::{self, Request};
 use crate::queue::{BoundedQueue, Push};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use grappolo_core::{
-    detect_communities_cancellable, update_communities_cancellable, CancelToken, DynamicError,
-    LouvainConfig, SweepMode,
+    detect_communities_cancellable, update_communities_cancellable, with_thread_budget,
+    CancelToken, DynamicError, LouvainConfig, SweepMode,
 };
 use grappolo_graph::io::{self, IoError};
 use grappolo_graph::{parse_edge_batch, CsrGraph};
@@ -151,14 +151,18 @@ pub struct Server;
 
 impl Server {
     /// Loads a graph (any `grappolo` format), runs the initial detection,
-    /// and starts serving.
+    /// and starts serving. The load and the initial detection share one
+    /// pool, under the thread budget `config.detect` gives a run.
     pub fn start_from_path(path: &Path, config: ServeConfig) -> Result<ServerHandle, ServeError> {
         config
             .faults
             .hit(FaultPoint::Load)
             .map_err(|e| ServeError::Load(IoError::Io(std::io::Error::other(e.to_string()))))?;
-        let graph = io::load_path(path).map_err(ServeError::Load)?;
-        Self::start_with_graph(graph, config)
+        let budget = config.detect.clone();
+        with_thread_budget(&budget, || {
+            let graph = io::load_path(path).map_err(ServeError::Load)?;
+            Self::start_with_graph(graph, config)
+        })
     }
 
     /// Runs the initial detection on `graph` and starts serving. The

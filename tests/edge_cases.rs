@@ -5,7 +5,7 @@
 //! the rescan reference in `grappolo::core::reference`.
 
 use grappolo::coloring::color_parallel;
-use grappolo::core::config::LouvainConfig;
+use grappolo::core::config::{LouvainConfig, SweepMode};
 use grappolo::core::modularity::{
     community_degrees, community_sizes, IndependentMove, ModularityTracker, NeighborScratch,
 };
@@ -243,7 +243,7 @@ fn colored_phase_singleton_communities_and_self_loops() {
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     let batches = ColorBatches::from_coloring(&coloring);
     let inc = colored_phase(&g, &batches, 50);
-    let ref_ = parallel_phase_colored_rescan(&g, &batches, 1e-9, 50, 1.0);
+    let ref_ = parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-9, 50, 1.0);
     assert_eq!(inc.assignment, vec![0, 1, 2, 3]);
     assert_eq!(inc.assignment, ref_.assignment);
     assert_eq!(inc.iterations.len(), 1);
@@ -317,7 +317,7 @@ fn colored_accounting_zero_weight_and_self_loop_contract() {
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     let batches = ColorBatches::from_coloring(&coloring);
     let inc = colored_phase(&g, &batches, 50);
-    let ref_ = parallel_phase_colored_rescan(&g, &batches, 1e-9, 50, 1.0);
+    let ref_ = parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-9, 50, 1.0);
     assert_eq!(inc.assignment, ref_.assignment);
     assert_eq!(inc.assignment[3], 3, "isolated vertex must stay singleton");
     assert_eq!(

@@ -572,7 +572,7 @@ fn colored_phase_matches_rescan_reference() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
         let fast = fixed_driver(SweepMode::Full, 1e-9, 64).run_colored(&g, &batches);
-        let slow = parallel_phase_colored_rescan(&g, &batches, 1e-9, 64, 1.0);
+        let slow = parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-9, 64, 1.0);
         assert_outcomes_bitwise_equal(&fast, &slow, name);
     }
 }
@@ -701,6 +701,108 @@ fn active_sweep_bitwise_stable_across_thread_counts() {
     }
 }
 
+/// A skewed graph with arbitrary real weights: RMAT at scale 14 whose
+/// vertex 0 gets 5 % more edges (a hub of 7 017 entries, where the
+/// plain graph's largest row has 2 484), every edge's weight redrawn from
+/// a seeded generator, so summation order shows in the bits.
+fn skewed_real_graph() -> CsrGraph {
+    let shape = rmat(&RmatConfig {
+        hub_boost: 0.05,
+        seed: 21,
+        ..Default::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(21);
+    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+    for v in 0..shape.num_vertices() as u32 {
+        for &u in shape.neighbor_ids(v).iter().filter(|&&u| u >= v) {
+            edges.push((v, u, rng.gen_range(0.01..10.0)));
+        }
+    }
+    GraphBuilder::new(shape.num_vertices())
+        .extend_edges(edges)
+        .build()
+        .expect("redrawn weights are valid")
+}
+
+/// Assignments, move counts and frontiers equal; Q equal up to the last
+/// bits, since the oracles rescan Q where the driver tracks it.
+fn assert_same_trajectory(a: &PhaseOutcome, oracle: &PhaseOutcome, what: &str) {
+    assert_eq!(
+        a.assignment, oracle.assignment,
+        "{what}: assignments differ"
+    );
+    let moves = |o: &PhaseOutcome| o.iterations.iter().map(|&(_, m)| m).collect::<Vec<_>>();
+    assert_eq!(moves(a), moves(oracle), "{what}: move counts differ");
+    let frontiers = |o: &PhaseOutcome| o.stats.iter().map(|s| s.frontier).collect::<Vec<_>>();
+    assert_eq!(frontiers(a), frontiers(oracle), "{what}: frontiers differ");
+    for (x, y) in a.iterations.iter().zip(&oracle.iterations) {
+        assert!((x.0 - y.0).abs() < 1e-12, "{what}: Q {} vs {}", x.0, y.0);
+    }
+}
+
+/// **The sliced decide on a skewed graph**: the colored phase (full and
+/// active) and the unordered phase decide each list in slices of equal
+/// adjacency work, and still match the oracles, which decide through their
+/// own per-vertex loops, and are bitwise identical at 1/2/3/8/16 threads.
+/// The graph has what the slicing must get right: a class of at most 1 024
+/// vertices (which a count-cut region would run on one thread) cut into
+/// several slices, and a hub that is a slice on its own.
+#[test]
+fn sliced_decide_matches_oracles_on_a_skewed_real_weight_graph() {
+    use grappolo::core::parallel::{slice_bounds, MIN_SLICE_WORK, VERTEX_WORK};
+    const ITERATIONS: usize = 24;
+    let g = skewed_real_graph();
+    let batches =
+        ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
+    let mut bounds = Vec::new();
+    let (mut small_class_cut, mut lone_hub) = (false, false);
+    for class in batches.as_classes() {
+        slice_bounds(&g, class, &mut bounds);
+        small_class_cut |= class.len() <= 1024 && bounds.len() > 2;
+        lone_hub |= bounds
+            .windows(2)
+            .any(|w| w[1] - w[0] == 1 && g.degree(class[w[0]]) + VERTEX_WORK >= MIN_SLICE_WORK);
+    }
+    assert!(
+        small_class_cut,
+        "no class of ≤ 1 024 vertices is cut in two"
+    );
+    assert!(lone_hub, "no hub is a slice on its own");
+
+    let full = fixed_driver(SweepMode::Full, 1e-9, ITERATIONS);
+    let active = fixed_driver(SweepMode::Active, 1e-9, ITERATIONS);
+    let phases: [(&str, &dyn Fn() -> PhaseOutcome); 3] = [
+        ("colored/full", &|| full.run_colored(&g, &batches)),
+        ("colored/active", &|| active.run_colored(&g, &batches)),
+        ("unordered", &|| full.run(&g)),
+    ];
+    let oracles = [
+        parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-9, ITERATIONS, 1.0),
+        parallel_phase_colored_rescan(&g, &batches, SweepMode::Active, 1e-9, ITERATIONS, 1.0),
+        parallel_phase_unordered_sortbased(&g, 1e-9, ITERATIONS, 1.0),
+    ];
+    for ((name, phase), oracle) in phases.iter().zip(&oracles) {
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(phase)
+        };
+        let reference = run(1);
+        assert_same_trajectory(&reference, oracle, name);
+        for threads in [2usize, 3, 8, 16] {
+            assert_outcomes_bitwise_equal(&reference, &run(threads), &format!("{name}@{threads}"));
+        }
+    }
+    // The active phase pruned, so it decided filtered classes too.
+    let pruned = oracles[1]
+        .stats
+        .iter()
+        .any(|s| s.frontier < g.num_vertices());
+    assert!(pruned, "the active phase never pruned");
+}
+
 /// **Scheduled-engine identity**: `Fixed(θ)` + `vertex_epsilon = 0` through
 /// the production driver reproduces the historical fixed-threshold
 /// trajectories **bit-for-bit** — pinned against the retained sort-based and
@@ -727,7 +829,7 @@ fn fixed_zero_epsilon_scheduled_bitwise_matches_references() {
         let coloring = color_parallel(&g, &ParallelColoringConfig::default());
         let batches = ColorBatches::from_coloring(&coloring);
         let sched_c = fixed.run_colored(&g, &batches);
-        let rescan = parallel_phase_colored_rescan(&g, &batches, 1e-9, 64, 1.0);
+        let rescan = parallel_phase_colored_rescan(&g, &batches, SweepMode::Full, 1e-9, 64, 1.0);
         assert_outcomes_bitwise_equal(&sched_c, &rescan, &format!("{name}/colored"));
     }
 }
