@@ -262,14 +262,14 @@ fn detect(cmd: Detect) -> Result<(), CliError> {
         assignments,
         trace,
     } = cmd;
+    // A bad parameter (a negative γ, a negative vertex epsilon, …) is a
+    // clean CLI error instead of the library's panic, before any load.
+    config.validate().map_err(CliError::invalid)?;
     // The load runs under the thread budget the detection gets, in the same
     // pool: a serial scheme or `--threads 1` loads on one thread.
     let budget = config.clone();
     let (result, elapsed) = with_thread_budget(&budget, || {
         let g = load(&path)?;
-        // A bad parameter (a negative γ, a negative vertex epsilon, …) is a
-        // clean CLI error instead of the library's panic.
-        config.validate().map_err(CliError::invalid)?;
         // Scale the paper's 100 K coloring cutoff down for small inputs so
         // the colored scheme stays meaningful on laptop-sized graphs.
         config.coloring_vertex_cutoff = config
@@ -384,6 +384,7 @@ fn audit(graph: &Path, assignments: &Path) -> Result<(), CliError> {
 /// The `update` subcommand: apply a batch of edge deltas to a stored
 /// graph and incrementally re-converge the stored assignment.
 fn update(cmd: Update) -> Result<(), CliError> {
+    cmd.config.validate().map_err(CliError::invalid)?;
     // The inputs load under the thread budget the update gets, in its pool.
     let (outcome, t) = with_thread_budget(&cmd.config, || {
         let g = load(&cmd.graph)?;

@@ -285,10 +285,15 @@ fn infinite_gamma_exits_4_in_detect_update_and_serve() {
     std::fs::write(dir.join("g.edges"), "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n").unwrap();
     std::fs::write(dir.join("a.txt"), "0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n").unwrap();
     std::fs::write(dir.join("b.txt"), "+ 0 4\n").unwrap();
+    // The resolution is refused before the graph is read, so a missing
+    // graph file changes nothing.
     for line in [
         "detect g.edges --gamma inf --assignments out.txt",
         "update g.edges a.txt b.txt --gamma inf --assignments-out out.txt",
         "serve g.edges --gamma inf",
+        "detect missing.grb --gamma inf --assignments out.txt",
+        "update missing.grb a.txt b.txt --gamma inf --assignments-out out.txt",
+        "serve missing.grb --gamma inf",
     ] {
         let (code, stdout, stderr) = run_bounded(&dir, line);
         assert_eq!(code, Some(4), "{line}: {stdout}{stderr}");

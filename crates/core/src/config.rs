@@ -219,7 +219,7 @@ pub struct LouvainConfig {
     /// unsplit run — and always bitwise stable across thread counts. A
     /// single-component graph falls through to the plain driver.
     pub split_components: bool,
-    /// If set, run inside a dedicated rayon pool with this many threads;
+    /// If set, run inside the resident rayon pool of this many threads;
     /// otherwise use the ambient pool.
     pub num_threads: Option<usize>,
 }

@@ -14,7 +14,7 @@ use crate::vf::vf_compact;
 use grappolo_coloring::{balance_colors, color_parallel, ColorBatches, ParallelColoringConfig};
 use grappolo_graph::{CsrGraph, VertexId};
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Result of a community-detection run.
@@ -37,8 +37,9 @@ pub struct CommunityResult {
 ///
 /// A serial (`parallel = false`) run executes inside a 1-thread pool
 /// whatever `config.num_threads` says, so "serial" never silently
-/// parallelizes. A parallel run executes inside a dedicated rayon pool of
-/// `config.num_threads` when set, and in the ambient pool otherwise.
+/// parallelizes. A parallel run executes inside the resident pool of
+/// `config.num_threads` threads when set, and in the ambient pool otherwise
+/// ([`with_thread_budget`]).
 ///
 /// # Panics
 ///
@@ -94,20 +95,16 @@ pub(crate) fn run_in_pool<R: Send>(
     }
 }
 
-thread_local! {
-    /// The thread count of the pool [`with_thread_budget`] runs this
-    /// thread's job in, while it does.
-    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `job` under the thread budget a run of `config` gets: a 1-thread
-/// pool for a serial config, whatever its `num_threads` (so "serial" never
-/// silently parallelizes), a dedicated pool of `config.num_threads` when
-/// set, the ambient pool otherwise.
+/// Runs `job` under the thread budget a run of `config` gets: one thread
+/// for a serial config, whatever its `num_threads` (so "serial" never
+/// silently parallelizes), `config.num_threads` when set, the ambient pool
+/// otherwise.
 ///
-/// A detection or update that `job` starts under the same budget runs in
-/// the same pool instead of building its own. Callers load their graph in
-/// `job`, so the load uses no more threads than the run it feeds.
+/// A budget of `t` threads is one pool that lives as long as the process,
+/// built on first use, so a daemon's updates, a load and the detection it
+/// feeds, and a run nested in a run of the same budget all execute on the
+/// same threads. Callers load their graph in `job`, so the load uses no
+/// more threads than the run it feeds.
 pub fn with_thread_budget<R: Send>(config: &LouvainConfig, job: impl FnOnce() -> R + Send) -> R {
     let threads = if config.parallel {
         config.num_threads.map(|t| t.max(1))
@@ -115,22 +112,26 @@ pub fn with_thread_budget<R: Send>(config: &LouvainConfig, job: impl FnOnce() ->
         Some(1)
     };
     match threads {
-        Some(t) if BUDGET.get() != Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("failed to build rayon pool")
-            .install(|| {
-                struct Restore(Option<usize>);
-                impl Drop for Restore {
-                    fn drop(&mut self) {
-                        BUDGET.set(self.0);
-                    }
-                }
-                let _restore = Restore(BUDGET.replace(Some(t)));
-                job()
-            }),
-        _ => job(),
+        Some(t) => budget_pool(t).install(job),
+        None => job(),
     }
+}
+
+/// The resident pool of `threads` threads: built the first time a budget
+/// asks for it, never dropped.
+fn budget_pool(threads: usize) -> &'static rayon::ThreadPool {
+    static POOLS: Mutex<Vec<(usize, &'static rayon::ThreadPool)>> = Mutex::new(Vec::new());
+    let mut pools = POOLS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&(_, pool)) = pools.iter().find(|&&(t, _)| t == threads) {
+        return pool;
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("failed to build rayon pool");
+    let pool: &'static rayon::ThreadPool = Box::leak(Box::new(pool));
+    pools.push((threads, pool));
+    pool
 }
 
 /// Convenience: runs one of the paper's four schemes with default settings.
@@ -486,6 +487,7 @@ mod tests {
     fn a_load_in_the_thread_budget_sees_the_run_threads() {
         // `detect --scheme serial --threads 4` loads on one thread, and a
         // parallel `--threads 3` on three; the run then keeps that budget.
+        let ambient = rayon::current_num_threads();
         for (mut cfg, threads, budget) in
             [(Scheme::Serial.config(), 4, 1), (colored_config(), 3, 3)]
         {
@@ -493,15 +495,50 @@ mod tests {
             let (load, run) = with_thread_budget(&cfg, || {
                 let load = rayon::current_num_threads();
                 let token = CancelToken::new();
-                let run = run_in_pool(&cfg, &token, || {
-                    (rayon::current_num_threads(), BUDGET.get())
-                });
+                let run = run_in_pool(&cfg, &token, rayon::current_num_threads);
                 (load, run.unwrap())
             });
             assert_eq!(load, budget, "the load got a {load}-thread pool");
-            assert_eq!(run, (budget, Some(budget)), "the run got another budget");
-            assert_eq!(BUDGET.get(), None, "the budget outlived its job");
+            assert_eq!(run, budget, "the run got a {run}-thread pool");
+            assert_eq!(
+                rayon::current_num_threads(),
+                ambient,
+                "the budget outlived its job"
+            );
         }
+    }
+
+    #[test]
+    fn successive_runs_of_one_budget_share_one_pool() {
+        // Three runs under `--threads 2` install the one resident 2-thread
+        // pool, so every task that runs off the caller runs on its one
+        // worker; a pool built per run would bring a new worker each time.
+        // Tests that share the pool meanwhile add no other worker.
+        use rayon::prelude::*;
+        use std::collections::HashSet;
+        let cfg = LouvainConfig {
+            num_threads: Some(2),
+            ..colored_config()
+        };
+        let caller = std::thread::current().id();
+        let workers = Mutex::new(HashSet::new());
+        for _ in 0..3 {
+            with_thread_budget(&cfg, || {
+                (0usize..16).into_par_iter().with_min_len(1).for_each(|_| {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    let id = std::thread::current().id();
+                    if id != caller {
+                        workers.lock().unwrap().insert(id);
+                    }
+                });
+            });
+        }
+        let workers = workers.into_inner().unwrap();
+        assert!(
+            workers.len() <= 1,
+            "three runs of one budget ran on {} workers",
+            workers.len()
+        );
     }
 
     #[test]

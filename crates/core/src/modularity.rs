@@ -44,6 +44,7 @@
 
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Community identifier. Community labels are vertex ids of the current
 /// phase's graph (`0..n`), exactly as in the paper's minimum-label heuristic
@@ -147,11 +148,12 @@ pub fn modularity_with_resolution(g: &CsrGraph, assignment: &[Community], gamma:
 /// stamped dense map from community label to an accumulator slot in
 /// [`NeighborScratch::entries`].
 ///
-/// One instance per worker (rayon `map_init`), reused across vertices so a
-/// gather is O(deg) with no allocation and no sort. `stamp[c] == generation`
-/// marks community `c` as touched in the current gather and `slot[c]` holds
-/// the index of its `(c, weight)` accumulator; bumping `generation`
-/// invalidates everything in O(1).
+/// One instance per thread, kept in a thread-local between the tasks that
+/// check it out, and reused across vertices so a gather is O(deg) with no
+/// allocation and no sort. `stamp[c] == generation` marks community `c` as
+/// touched in the current gather and `slot[c]` holds the index of its
+/// `(c, weight)` accumulator; bumping `generation` invalidates everything in
+/// O(1).
 #[derive(Clone, Debug, Default)]
 pub struct NeighborScratch {
     /// Distinct neighboring communities with accumulated edge weight, in
@@ -243,112 +245,49 @@ impl NeighborScratch {
     }
 }
 
-/// Worker slots in a [`ScratchPool`]: slot 0 serves threads outside any
-/// resident pool (the caller participating in its own region, tests, the
-/// serial path); slots `1..` serve resident workers by
-/// [`rayon::current_worker_index`]. 32 worker slots cover every realistic
-/// pool; larger pools wrap modulo and merely share a slot (contention, not
-/// incorrectness).
-const SCRATCH_SLOTS: usize = 33;
+thread_local! {
+    /// The executing thread's gather scratch while no [`thread_scratch`]
+    /// guard holds it.
+    static SPARE: Cell<Option<NeighborScratch>> = const { Cell::new(None) };
+}
 
-/// The persistent per-worker arena of [`NeighborScratch`]es behind every
-/// gather in the sweeps' slices, the rebuild, and the reference ladder.
+/// Checks out the executing thread's [`NeighborScratch`] (a fresh one if
+/// the thread has none, or if an outer guard holds it); the guard gives it
+/// back to the thread on drop.
 ///
-/// A parallel task that built its own scratch would drop it when the task
-/// ends, so a sweep that launches many small parallel regions (one per
-/// color batch per iteration) would allocate — and fault in — a fresh
-/// `n`-sized `marks` array for every region. Checking scratches out of the
-/// pool makes the allocation amortize across the whole run: a task pops a
-/// warmed scratch (marks sized, generation valid) from the slot owned by
-/// the executing worker and the guard pushes it back on drop.
-///
-/// Scratches live in **worker-indexed slots**, so on the resident pool a
-/// worker keeps re-checking-out the scratch it warmed — cache- and
-/// NUMA-friendly — and the checkout is an uncontended lock in the steady
-/// state. [`ScratchPool::global`] is the process-wide instance: because
-/// the resident workers are themselves process-wide, scratches persist not
-/// just across iterations but across *phases* (each phase's smaller graph
-/// reuses the previous phase's already-faulted marks; `begin` re-sizes).
-/// Checkout order has no effect on results — the generation stamp makes any
-/// scratch state equivalent — so determinism is untouched.
-#[derive(Debug)]
-pub struct ScratchPool {
-    slots: Vec<std::sync::Mutex<Vec<NeighborScratch>>>,
+/// Every gather in the sweeps' slices, the rebuild, the refinement, the
+/// serial sweep and the reference oracle goes through here, so each thread
+/// keeps one warmed scratch (marks sized, generation valid) for the life of
+/// the thread: across tasks, regions, phases and runs, and on a resident
+/// pool's workers across a daemon's updates. Which scratch serves a gather
+/// has no effect on results, because the generation stamp makes any
+/// scratch state equivalent.
+pub(crate) fn thread_scratch() -> ThreadScratch {
+    ThreadScratch(SPARE.take().unwrap_or_default())
 }
 
-impl Default for ScratchPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A checked-out thread scratch; derefs to the scratch and gives it back to
+/// the thread that drops it.
+pub(crate) struct ThreadScratch(NeighborScratch);
 
-impl ScratchPool {
-    /// An empty pool; scratches are created on first checkout.
-    pub fn new() -> Self {
-        Self {
-            slots: (0..SCRATCH_SLOTS)
-                .map(|_| std::sync::Mutex::new(Vec::new()))
-                .collect(),
-        }
-    }
-
-    /// The process-global pool — the arena the resident workers keep warm
-    /// for the lifetime of the process. Prefer this over per-phase pools so
-    /// buffers survive phase transitions.
-    pub fn global() -> &'static ScratchPool {
-        static GLOBAL: std::sync::OnceLock<ScratchPool> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(ScratchPool::new)
-    }
-
-    /// The slot owned by the executing thread.
-    fn slot(&self) -> &std::sync::Mutex<Vec<NeighborScratch>> {
-        let idx = match rayon::current_worker_index() {
-            Some(i) => 1 + i % (self.slots.len() - 1),
-            None => 0,
-        };
-        &self.slots[idx]
-    }
-
-    /// Checks a scratch out of the executing worker's slot (creating one if
-    /// the slot is dry). The guard returns it to the same slot on drop.
-    pub fn take(&self) -> PooledScratch<'_> {
-        let slot = self.slot();
-        let scratch = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        PooledScratch { scratch, slot }
-    }
-}
-
-/// A checked-out [`NeighborScratch`]; derefs to the scratch and returns it
-/// to its worker's [`ScratchPool`] slot on drop.
-#[derive(Debug)]
-pub struct PooledScratch<'a> {
-    scratch: NeighborScratch,
-    slot: &'a std::sync::Mutex<Vec<NeighborScratch>>,
-}
-
-impl std::ops::Deref for PooledScratch<'_> {
+impl std::ops::Deref for ThreadScratch {
     type Target = NeighborScratch;
     fn deref(&self) -> &NeighborScratch {
-        &self.scratch
+        &self.0
     }
 }
 
-impl std::ops::DerefMut for PooledScratch<'_> {
+impl std::ops::DerefMut for ThreadScratch {
     fn deref_mut(&mut self) -> &mut NeighborScratch {
-        &mut self.scratch
+        &mut self.0
     }
 }
 
-impl Drop for PooledScratch<'_> {
+impl Drop for ThreadScratch {
     fn drop(&mut self) {
-        self.slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(std::mem::take(&mut self.scratch));
+        let scratch = std::mem::take(&mut self.0);
+        // A thread that is exiting has no slot left; its scratch is freed.
+        let _ = SPARE.try_with(|spare| spare.set(Some(scratch)));
     }
 }
 
@@ -658,6 +597,7 @@ pub const TRACKER_DRIFT_TOLERANCE: f64 = 1e-9;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grappolo_graph::gen::{planted_partition, PlantedConfig};
     use grappolo_graph::{from_unweighted_edges, from_weighted_edges};
 
     fn two_triangles() -> CsrGraph {
@@ -765,6 +705,47 @@ mod tests {
         // Reuse on another vertex resets cleanly.
         s.gather(&g, &assignment, 3);
         assert_eq!(s.entries, vec![(assignment[0], 4.0)]);
+    }
+
+    #[test]
+    fn thread_scratch_gathers_like_a_fresh_scratch_as_graphs_grow_and_shrink() {
+        // The thread's scratch gathers on a small graph, then on a larger
+        // one (the resize a growing `serve` graph takes), then on the small
+        // one again; every gather equals a fresh scratch's, bit for bit.
+        let (small, _) = planted_partition(&PlantedConfig {
+            num_vertices: 300,
+            num_communities: 6,
+            weight_range: Some((0.5, 2.0)),
+            seed: 5,
+            ..Default::default()
+        });
+        let (large, _) = planted_partition(&PlantedConfig {
+            num_vertices: 3_000,
+            num_communities: 30,
+            weight_range: Some((0.5, 2.0)),
+            seed: 6,
+            ..Default::default()
+        });
+        let bits = |entries: &[(Community, f64)]| -> Vec<(Community, u64)> {
+            entries.iter().map(|&(c, w)| (c, w.to_bits())).collect()
+        };
+        for g in [&small, &large, &small] {
+            let n = g.num_vertices();
+            let labels: Vec<Community> = (0..n as Community).map(|v| v / 7).collect();
+            let mut scratch = thread_scratch();
+            for v in 0..n as VertexId {
+                scratch.gather(g, &labels, v);
+                let mut fresh = NeighborScratch::default();
+                fresh.gather(g, &labels, v);
+                assert_eq!(
+                    bits(&scratch.entries),
+                    bits(&fresh.entries),
+                    "n {n}, vertex {v}"
+                );
+            }
+        }
+        // The guard gave the grown scratch back to the thread.
+        assert!(thread_scratch().marks.len() >= large.num_vertices());
     }
 
     #[test]

@@ -55,7 +55,9 @@
 //! [`ModularityTracker::apply_independent_batch`]: crate::modularity::ModularityTracker::apply_independent_batch
 
 use crate::active::ActiveSet;
-use crate::modularity::{Community, IndependentMove, MoveDecision, NeighborScratch, ScratchPool};
+use crate::modularity::{
+    thread_scratch, Community, IndependentMove, MoveDecision, NeighborScratch,
+};
 use crate::phase::{evaluate, singlet_veto, SweepState};
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
@@ -107,7 +109,7 @@ pub fn slice_bounds(g: &CsrGraph, list: &[VertexId], bounds: &mut Vec<usize>) {
 
 /// Decides every vertex of `list` into `out`, slot `i` for `list[i]`: one
 /// pool task per slice of `bounds` ([`slice_bounds`] of `list`), each a
-/// loop that checks one scratch out of the global [`ScratchPool`] and
+/// loop that gathers in its thread's scratch ([`thread_scratch`]) and
 /// prefetches the row [`PREFETCH_AHEAD`] places ahead. `out` grows to the
 /// list's length and is never shrunk, so one buffer serves a whole phase.
 fn decide_sliced<D: Default + Copy + Send>(
@@ -134,7 +136,7 @@ fn decide_sliced<D: Default + Copy + Send>(
         .par_iter_mut()
         .with_min_len(1)
         .for_each(|(vertices, slots)| {
-            let mut scratch = ScratchPool::global().take();
+            let mut scratch = thread_scratch();
             for (j, (&v, slot)) in vertices.iter().zip(slots.iter_mut()).enumerate() {
                 if let Some(&ahead) = vertices.get(j + PREFETCH_AHEAD) {
                     prefetch_row(g, ahead);

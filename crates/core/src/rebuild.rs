@@ -20,7 +20,7 @@
 //! modularity across the phase transition (tested below).
 
 use crate::config::{RebuildStrategy, RenumberStrategy};
-use crate::modularity::{Community, ScratchPool};
+use crate::modularity::{thread_scratch, Community};
 use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
 use rayon::prelude::*;
 
@@ -203,31 +203,27 @@ pub(crate) fn condense_stamped(
         .par_iter_mut()
         .with_min_len(1)
         .enumerate()
-        .map_init(
-            || ScratchPool::global().take(),
-            |scratch, (t, lens)| {
-                let first = t * task_rows;
-                let span = offsets[first]..offsets[first + lens.len()];
-                let bound: usize = members[span].iter().map(|&v| g.degree(v)).sum();
-                let (mut targets, mut weights) =
-                    (Vec::with_capacity(bound), Vec::with_capacity(bound));
-                for (r, len) in (first..).zip(lens.iter_mut()) {
-                    scratch.begin(num_rows);
-                    for &v in &members[offsets[r]..offsets[r + 1]] {
-                        for (u, w) in g.neighbors(v) {
-                            scratch.accumulate(row_of(u as usize), w);
-                        }
+        .map_init(thread_scratch, |scratch, (t, lens)| {
+            let first = t * task_rows;
+            let span = offsets[first]..offsets[first + lens.len()];
+            let bound: usize = members[span].iter().map(|&v| g.degree(v)).sum();
+            let (mut targets, mut weights) = (Vec::with_capacity(bound), Vec::with_capacity(bound));
+            for (r, len) in (first..).zip(lens.iter_mut()) {
+                scratch.begin(num_rows);
+                for &v in &members[offsets[r]..offsets[r + 1]] {
+                    for (u, w) in g.neighbors(v) {
+                        scratch.accumulate(row_of(u as usize), w);
                     }
-                    scratch.entries.sort_unstable_by_key(|&(c, _)| c);
-                    targets.extend(scratch.entries.iter().map(|&(c, _)| c));
-                    weights.extend(scratch.entries.iter().map(|&(_, w)| w));
-                    *len = scratch.entries.len();
                 }
-                targets.shrink_to_fit();
-                weights.shrink_to_fit();
-                (targets, weights)
-            },
-        )
+                scratch.entries.sort_unstable_by_key(|&(c, _)| c);
+                targets.extend(scratch.entries.iter().map(|&(c, _)| c));
+                weights.extend(scratch.entries.iter().map(|&(_, w)| w));
+                *len = scratch.entries.len();
+            }
+            targets.shrink_to_fit();
+            weights.shrink_to_fit();
+            (targets, weights)
+        })
         .collect();
     drop((offsets, members));
     for r in 0..num_rows {

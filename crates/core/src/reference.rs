@@ -17,8 +17,8 @@
 use crate::active::ActiveSet;
 use crate::config::SweepMode;
 use crate::modularity::{
-    best_move, community_degrees, community_sizes, modularity_with_resolution, Community,
-    ModularityTracker, MoveContext, ScratchPool,
+    best_move, community_degrees, community_sizes, modularity_with_resolution, thread_scratch,
+    Community, ModularityTracker, MoveContext,
 };
 use crate::phase::{evaluate, singlet_veto, IterationStats, PhaseOutcome};
 use crate::schedule::{Gate, ScheduleSpec};
@@ -172,7 +172,6 @@ pub fn parallel_phase_colored_rescan(
     let mut stats: Vec<IterationStats> = Vec::new();
     let mut q_prev = ModularityTracker::new(g, &assignment, &a, resolution).modularity();
     let gate = Gate::new(ScheduleSpec::Fixed, threshold, 0.0, m);
-    let scratches = ScratchPool::global();
     let mut active = ActiveSet::full(n);
     let mut engaged = false;
     let mut movers: Vec<VertexId> = Vec::new();
@@ -200,18 +199,15 @@ pub fn parallel_phase_colored_rescan(
             // frozen at the barrier, with the singlet veto and no gate.
             let targets: Vec<Community> = batch
                 .par_iter()
-                .map_init(
-                    || scratches.take(),
-                    |scratch, &v| {
-                        let cur = assignment[v as usize];
-                        let d = evaluate(g, &assignment, &a, resolution, scratch, v);
-                        if singlet_veto(cur, d.target, |c| sizes[c as usize]) {
-                            cur
-                        } else {
-                            d.target
-                        }
-                    },
-                )
+                .map_init(thread_scratch, |scratch, &v| {
+                    let cur = assignment[v as usize];
+                    let d = evaluate(g, &assignment, &a, resolution, scratch, v);
+                    if singlet_veto(cur, d.target, |c| sizes[c as usize]) {
+                        cur
+                    } else {
+                        d.target
+                    }
+                })
                 .collect();
             // Commit in ascending vertex order. Same arithmetic, same order
             // as ModularityTracker's commit, so the maintained `a` evolves

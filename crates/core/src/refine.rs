@@ -70,8 +70,8 @@
 
 use crate::active::ActiveSet;
 use crate::modularity::{
-    community_sizes, det_sum, modularity_with_resolution, Community, ModularityTracker,
-    NeighborScratch, ScratchPool,
+    community_sizes, det_sum, modularity_with_resolution, thread_scratch, Community,
+    ModularityTracker, NeighborScratch,
 };
 use crate::phase::SweepState;
 use crate::serial::immediate_pass;
@@ -354,7 +354,7 @@ pub(crate) fn refine_phase_from(
     };
 
     let mut movers: Vec<VertexId> = Vec::new();
-    let mut scratch = ScratchPool::global().take();
+    let mut scratch = thread_scratch();
     let mut polished = 0usize;
 
     // ── 2a. Absorption sweeps over the full frontier ────────────────────

@@ -25,7 +25,7 @@
 //! [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
 
 use crate::active::ActiveSet;
-use crate::modularity::{Community, NeighborScratch};
+use crate::modularity::{thread_scratch, Community, NeighborScratch};
 use crate::phase::{evaluate, SweepState};
 use grappolo_graph::{CsrGraph, VertexId};
 
@@ -81,7 +81,7 @@ pub(crate) fn immediate_pass(
 pub(crate) fn immediate_step(
     g: &CsrGraph,
 ) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + '_ {
-    let mut scratch = NeighborScratch::with_capacity(g.num_vertices());
+    let mut scratch = thread_scratch();
     move |state, active, gate, movers| {
         let frontier = active.frontier().iter().copied();
         let push = |v: VertexId, _: Community| movers.push(v);

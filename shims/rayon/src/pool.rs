@@ -50,7 +50,7 @@
 //! unwinds out of the enclosing task and is re-thrown one level up.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -63,9 +63,6 @@ thread_local! {
     /// The pool parallel regions on this thread execute on. `None` means
     /// "no pool installed": regions go to the lazily-created global pool.
     static CURRENT_POOL: RefCell<Option<Arc<PoolCore>>> = const { RefCell::new(None) };
-
-    /// `1 + slot` on a resident worker thread, 0 elsewhere.
-    static WORKER_INDEX: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Reads `RAYON_NUM_THREADS` (once) or falls back to the machine's
@@ -129,17 +126,6 @@ pub(crate) fn with_pool<R>(pool: &Arc<PoolCore>, op: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(CURRENT_POOL.with(|c| c.borrow_mut().replace(pool.clone())));
     op()
-}
-
-/// Dense identity of the executing thread within its resident pool:
-/// `Some(i)` (with `i < num_threads - 1`) on a resident worker, `None` on
-/// any other thread — including a caller participating in its own region.
-/// Stable for the lifetime of the worker, so callers can index persistent
-/// per-worker arenas with it. Indices are per-pool; threads of distinct
-/// pools may report the same index.
-pub fn current_worker_index() -> Option<usize> {
-    let raw = WORKER_INDEX.with(|c| c.get());
-    raw.checked_sub(1)
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +243,7 @@ impl PoolCore {
                 let core = core.clone();
                 std::thread::Builder::new()
                     .name(format!("rayon-shim-{slot}"))
-                    .spawn(move || worker_loop(core, slot))
+                    .spawn(move || worker_loop(core))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -318,9 +304,8 @@ impl PoolCore {
 /// park when there is none. Workers bind their pool as the thread's region
 /// target so nested regions launched from inside a task stay on the same
 /// pool.
-fn worker_loop(core: Arc<PoolCore>, slot: usize) {
+fn worker_loop(core: Arc<PoolCore>) {
     CURRENT_POOL.with(|c| *c.borrow_mut() = Some(core.clone()));
-    WORKER_INDEX.with(|c| c.set(slot + 1));
     loop {
         let region = {
             let mut inj = core.injector.lock().unwrap_or_else(|e| e.into_inner());
