@@ -1,10 +1,12 @@
 //! Criterion benchmark for the ingest pipeline: edge list → CSR.
 //!
-//! `parallel/<t>` is `GraphBuilder::build` (chunked histogram → scatter →
-//! per-vertex merge) under a `t`-thread pool; `serial` is the retained
-//! sort-based reference path `build_serial`. The acceptance bar for the
-//! parallel rewrite was ≥2× over serial on a ≥1M-edge generated graph at 8
-//! threads, with bitwise-identical output (asserted here on every run).
+//! `parallel/<t>` is `GraphBuilder::build` (row counts → a scatter in input
+//! order by tasks that own contiguous row ranges → per-row sort + merge →
+//! in-place packing) under a `t`-thread pool; `serial` is the sort-based
+//! oracle `build_serial`, which only tests and benches call. The acceptance
+//! bar for the parallel builder was ≥2× over the oracle on a ≥1M-edge
+//! generated graph at 8 threads, with bitwise-identical output (asserted
+//! here on every run).
 //!
 //! The ~1.2M-edge RMAT input is cached as a `.grb` file (see
 //! `grappolo_bench::cache`), so only the first run pays generation.
@@ -31,7 +33,8 @@ fn bench_build(c: &mut Criterion) {
     let build_input =
         || GraphBuilder::with_capacity(n, edges.len()).extend_edges(edges.iter().copied());
 
-    // The two paths must agree bitwise before we bother timing them.
+    // The pipeline must agree bitwise with the oracle before we bother
+    // timing them.
     let reference = build_input().build_serial().unwrap();
     let parallel = rayon::ThreadPoolBuilder::new()
         .num_threads(8)

@@ -9,8 +9,9 @@
 //!   convergence, the tentpole's target path (many small parallel regions
 //!   per iteration: one per color batch, plus the rebuild-free bookkeeping
 //!   passes — the shape that used to pay thread-spawn latency per region);
-//! * `build/rmat1150k/t<t>` — `GraphBuilder::build` (chunked histogram →
-//!   scatter → per-vertex merge), the bandwidth-bound ingest path.
+//! * `build/rmat1150k/t<t>` — `GraphBuilder::build` (row counts → a scatter
+//!   by tasks that own contiguous row ranges → per-row sort + merge), the
+//!   bandwidth-bound ingest path.
 //!
 //! Before timing, the bench asserts the determinism contract the scheduler
 //! must preserve: **bitwise-identical sweep assignments at every measured

@@ -45,6 +45,7 @@
 //! worklist, so every round settles at least one vertex.
 
 use crate::Coloring;
+use grappolo_graph::shared::carve;
 use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
 use rayon::prelude::*;
 
@@ -156,17 +157,6 @@ impl Hub<'_> {
             .take_while(|&&u| u < self.v)
             .any(|&u| colors[u as usize] == self.fit)
     }
-}
-
-/// Cuts `arena` into consecutive pieces of the given sizes.
-fn carve<T>(mut arena: &mut [T], sizes: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
-    sizes
-        .map(|size| {
-            let (piece, rest) = std::mem::take(&mut arena).split_at_mut(size);
-            arena = rest;
-            piece
-        })
-        .collect()
 }
 
 /// Sets bit `c` of `taken`; a color past its last word is above every

@@ -60,6 +60,7 @@ use crate::modularity::{
 };
 use crate::phase::{evaluate, singlet_veto, SweepState};
 use grappolo_coloring::ColorBatches;
+use grappolo_graph::shared::{carve, cut_by_work, MAX_PIECES, MIN_PIECE_WORK};
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
@@ -68,12 +69,12 @@ use rayon::prelude::*;
 pub const VERTEX_WORK: usize = 4;
 
 /// The most slices a list is cut into: the rayon shim's per-region task
-/// bound.
-pub const MAX_SLICES: usize = 64;
+/// bound, shared by every row-parallel step.
+pub const MAX_SLICES: usize = MAX_PIECES;
 
 /// The least work a slice holds, the last one excepted, so a light list
 /// stays one slice, which runs inline on the caller.
-pub const MIN_SLICE_WORK: usize = 4096;
+pub const MIN_SLICE_WORK: usize = MIN_PIECE_WORK;
 
 /// How far ahead of the vertex it decides a slice prefetches a row.
 const PREFETCH_AHEAD: usize = 16;
@@ -81,30 +82,21 @@ const PREFETCH_AHEAD: usize = 16;
 /// Cuts `list` into contiguous slices of about equal decide work and writes
 /// their bounds to `bounds`: slice `s` is `list[bounds[s]..bounds[s + 1]]`.
 ///
-/// The bounds start at 0, end at `list.len()` and strictly increase (an
-/// empty list has the single bound 0 and no slice). Each slice but the last
-/// holds at least `max(total / MAX_SLICES, MIN_SLICE_WORK)` work, so there
-/// are at most [`MAX_SLICES`] of them, and a vertex whose row alone
-/// reaches that target closes its slice, so a hub after a closed slice
-/// stands alone. The bounds are a pure function of the list and the
-/// degrees, never of the thread count.
+/// The cut is [`cut_by_work`]'s greedy rule with a vertex costing
+/// `degree + VERTEX_WORK`: the bounds start at 0, end at `list.len()` and
+/// strictly increase (an empty list has the single bound 0 and no slice).
+/// Each slice but the last holds at least `max(total / MAX_SLICES,
+/// MIN_SLICE_WORK)` work, so there are at most [`MAX_SLICES`] of them, and a
+/// vertex whose row alone reaches that target closes its slice, so a hub
+/// after a closed slice stands alone. The bounds are a pure function of the
+/// list and the degrees, never of the thread count.
 pub fn slice_bounds(g: &CsrGraph, list: &[VertexId], bounds: &mut Vec<usize>) {
-    let work = |v: VertexId| g.degree(v) + VERTEX_WORK;
-    let total: usize = list.iter().map(|&v| work(v)).sum();
-    let target = total.div_ceil(MAX_SLICES).max(MIN_SLICE_WORK);
-    bounds.clear();
-    bounds.push(0);
-    let mut held = 0;
-    for (i, &v) in list.iter().enumerate() {
-        held += work(v);
-        if held >= target {
-            bounds.push(i + 1);
-            held = 0;
-        }
-    }
-    if held > 0 {
-        bounds.push(list.len());
-    }
+    cut_by_work(
+        list.len(),
+        MAX_SLICES,
+        |i| g.degree(list[i]) + VERTEX_WORK,
+        bounds,
+    );
 }
 
 /// Decides every vertex of `list` into `out`, slot `i` for `list[i]`: one
@@ -122,14 +114,10 @@ fn decide_sliced<D: Default + Copy + Send>(
     if out.len() < list.len() {
         out.resize(list.len(), D::default());
     }
-    let mut rest = &mut out[..list.len()];
     let mut slices: Vec<(&[VertexId], &mut [D])> = bounds
         .windows(2)
-        .map(|w| {
-            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
-            rest = tail;
-            (&list[w[0]..w[1]], slots)
-        })
+        .map(|w| &list[w[0]..w[1]])
+        .zip(carve(out, bounds.windows(2).map(|w| w[1] - w[0])))
         .collect();
     // A slice is a coarse unit of work, and slices differ in length.
     slices

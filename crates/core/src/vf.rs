@@ -20,8 +20,10 @@
 //! extension "to lead to fast compression of chains within the input graph").
 
 use crate::config::RenumberStrategy;
+use crate::parallel::slice_bounds;
 use crate::rebuild::renumber_communities;
-use grappolo_graph::{stats::is_single_degree, CsrGraph, SharedSlice, VertexId};
+use grappolo_graph::shared::carve;
+use grappolo_graph::{stats::is_single_degree, CsrGraph, VertexId};
 use rayon::prelude::*;
 
 /// Result of VF preprocessing.
@@ -155,7 +157,9 @@ fn vf_round(g: &CsrGraph, allow_single_neighbor: bool) -> Option<VfResult> {
 }
 
 /// The compacted graph of one VF round: one count pass and one fill pass
-/// over the survivors' rows ([`folded_row`]).
+/// over the survivors' rows ([`folded_row`]). The fill runs one task per
+/// slice of the survivors ([`slice_bounds`]), each writing its rows into its
+/// own carved pieces of the output arrays.
 fn fold_into_survivors(
     g: &CsrGraph,
     rep: &[VertexId],
@@ -176,22 +180,29 @@ fn fold_into_survivors(
     let total = offsets[survivors.len()];
     let mut targets = vec![0 as VertexId; total];
     let mut weights = vec![0.0f64; total];
-    let t_shared = SharedSlice::new(&mut targets);
-    let w_shared = SharedSlice::new(&mut weights);
-    survivors.par_iter().enumerate().for_each(|(r, &s)| {
-        let mut row = folded_row(g, rep, new_id, s);
-        for idx in offsets[r]..offsets[r + 1] {
-            let (t, w) = row.next().expect("VF row shorter than counted");
-            // SAFETY: `idx` lies in row `r`'s span, which is inside the
-            // arrays and disjoint from every other row's by the prefix sum,
-            // so no other task touches it.
-            unsafe {
-                t_shared.write(idx, t);
-                w_shared.write(idx, w);
+    let mut bounds = Vec::new();
+    slice_bounds(g, survivors, &mut bounds);
+    let entries = || bounds.windows(2).map(|w| offsets[w[1]] - offsets[w[0]]);
+    let mut slices: Vec<_> = bounds
+        .windows(2)
+        .zip(carve(&mut targets, entries()))
+        .zip(carve(&mut weights, entries()))
+        .collect();
+    // A slice is a coarse unit of work, and slices differ in length.
+    slices
+        .par_iter_mut()
+        .with_min_len(1)
+        .for_each(|((w, targets), weights)| {
+            let first = offsets[w[0]];
+            for r in w[0]..w[1] {
+                let row = offsets[r] - first..offsets[r + 1] - first;
+                let mut folded = folded_row(g, rep, new_id, survivors[r]);
+                for (t, x) in targets[row.clone()].iter_mut().zip(&mut weights[row]) {
+                    (*t, *x) = folded.next().expect("VF row shorter than counted");
+                }
+                assert!(folded.next().is_none(), "VF row longer than counted");
             }
-        }
-        assert!(row.next().is_none(), "VF row longer than counted");
-    });
+        });
     CsrGraph::from_sorted_adjacency(offsets, targets, weights)
 }
 

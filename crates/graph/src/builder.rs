@@ -7,15 +7,18 @@
 //! suit. Multi-edges are not allowed in the paper's model (§2); the builder
 //! sums the weights of duplicate edges.
 //!
-//! [`GraphBuilder::build`] runs a chunked parallel pipeline (per-chunk degree
-//! histograms → prefix-sum offsets → parallel scatter → per-vertex sort +
-//! duplicate merge) that produces a CSR **bitwise identical** to the retained
-//! sort-based reference path [`GraphBuilder::build_serial`]; the equivalence
-//! is property-tested across thread counts.
+//! [`GraphBuilder::build`] is one counting-sort pipeline, whatever the
+//! input and the pool: row counts → prefix-sum offsets → a scatter of each
+//! row's entries in input order by tasks that own contiguous row ranges →
+//! per-row sort + duplicate merge → packing the merged rows. No output bit
+//! depends on the task layout, so its CSR is **bitwise identical** to the
+//! sort-based oracle [`GraphBuilder::build_serial`] at every thread count;
+//! the tests and benches check that, and production never calls the oracle.
 
 use crate::csr::{CsrGraph, VertexId, WeightRangeError, DEFAULT_WEIGHT};
-use crate::shared::SharedSlice;
+use crate::shared::{carve, cut_by_work};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Errors produced by [`GraphBuilder::build`].
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +38,8 @@ pub enum BuildError {
         /// The rejected weight value.
         weight: f64,
     },
-    /// The allocator cannot provide the CSR offsets for `n` vertices (a
-    /// huge vertex id in a sparse input).
+    /// The allocator cannot provide the builder's `n`-sized arrays, the
+    /// CSR offsets among them (a huge vertex id in a sparse input).
     OutOfMemory {
         /// Declared vertex count.
         n: usize,
@@ -130,28 +133,108 @@ impl GraphBuilder {
 
     /// Validates, symmetrizes, sums duplicates, and builds the CSR graph.
     ///
-    /// Large inputs take the chunked parallel path (per-chunk degree
-    /// histograms, prefix-sum offsets, parallel scatter, per-vertex sort +
-    /// merge); small inputs or single-thread budgets fall back to
-    /// [`GraphBuilder::build_serial`]. Both paths produce bitwise-identical
-    /// CSR arrays, independent of the thread count.
+    /// Every input and pool size runs the same five steps:
+    ///
+    /// 1. the edges are validated in input order (the first invalid one is
+    ///    the error);
+    /// 2. each row's directed entries (`{u, v}` gives `u → v` and `v → u`,
+    ///    a loop one entry) are counted into the offsets;
+    /// 3. the rows are cut into at most 8 contiguous ranges of about equal
+    ///    entries ([`cut_by_work`]), and one task per range scans the edge
+    ///    list and writes its rows' entries, in input order, into its own
+    ///    carved slices of the scratch arrays ([`carve`]);
+    /// 4. the same task sorts each of its rows by `(target, weight bits)`
+    ///    and sums each run of equal targets in sorted order;
+    /// 5. the merged rows are packed in place, in row order.
+    ///
+    /// No bit depends on the task layout: a row's entries reach its sort in
+    /// input order whichever task owns the row, entries that compare equal
+    /// under the full key are bitwise identical, and the sort key is the one
+    /// [`GraphBuilder::build_serial`] applies globally, so both sum every
+    /// duplicate run in the same order. The layout itself is a pure function
+    /// of the row counts, never of the thread count.
+    ///
+    /// Errors: the first invalid edge in input order,
+    /// [`BuildError::OutOfMemory`] when the allocator cannot provide the
+    /// n-sized arrays (a huge vertex id in a sparse input), and
+    /// [`BuildError::WeightRange`] when the merged weights are out of the
+    /// range modularity arithmetic needs.
     pub fn build(self) -> Result<CsrGraph, BuildError> {
-        // The parallel path keeps one dense n-sized histogram per chunk, so
-        // it only pays off when the edge count dominates the vertex count;
-        // extremely sparse id spaces (n ≫ m) stay serial.
-        if self.edges.len() < PARALLEL_EDGE_CUTOFF
-            || self.num_vertices > self.edges.len().saturating_mul(4)
-            || rayon::current_num_threads() <= 1
-        {
-            self.build_serial()
-        } else {
-            self.build_parallel()
+        let n = self.num_vertices;
+        let edges = &self.edges[..];
+        validate_edges(edges, n)?;
+
+        // 2. Row counts, then their prefix sums: row v's entries go to
+        // `offsets[v]..offsets[v + 1]` of the scratch arrays.
+        let mut offsets = try_zeroed(n + 1).ok_or(BuildError::OutOfMemory { n })?;
+        for &(u, v, _) in edges {
+            offsets[u as usize + 1] += 1;
+            if u != v {
+                offsets[v as usize + 1] += 1;
+            }
         }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `ends[v]` ends row v's live entries: the scatter's cursor, then the
+        // merged row's end.
+        let mut ends = try_zeroed(n).ok_or(BuildError::OutOfMemory { n })?;
+        ends.copy_from_slice(&offsets[..n]);
+        let total = offsets[n];
+        let mut targets = vec![0 as VertexId; total];
+        let mut weights = vec![0f64; total];
+
+        // 3 and 4. A row costs its entries plus one for its offsets.
+        let mut bounds = Vec::new();
+        cut_by_work(
+            n,
+            SCAN_PIECES,
+            |v| offsets[v + 1] - offsets[v] + 1,
+            &mut bounds,
+        );
+        let rows = || bounds.windows(2).map(|w| w[0]..w[1]);
+        let entries = || rows().map(|r| offsets[r.end] - offsets[r.start]);
+        let mut tasks: Vec<RowTask> = rows()
+            .zip(carve(&mut ends, rows().map(|r| r.len())))
+            .zip(carve(&mut targets, entries()))
+            .zip(carve(&mut weights, entries()))
+            .map(|(((rows, ends), targets), weights)| RowTask {
+                rows,
+                ends,
+                targets,
+                weights,
+            })
+            .collect();
+        // A task is a coarse unit of work: one scan of the whole edge list.
+        tasks
+            .par_iter_mut()
+            .with_min_len(1)
+            .for_each(|task| task.fill(edges, &offsets));
+
+        // 5. Pack the merged rows to the front, in row order; the offsets
+        // become the final ones.
+        let mut packed = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], ends[v]);
+            offsets[v] = packed;
+            if start != packed {
+                targets.copy_within(start..end, packed);
+                weights.copy_within(start..end, packed);
+            }
+            packed += end - start;
+        }
+        offsets[n] = packed;
+        targets.truncate(packed);
+        targets.shrink_to_fit();
+        weights.truncate(packed);
+        weights.shrink_to_fit();
+
+        checked(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
     }
 
-    /// Sequential reference path: global sort of the symmetrized entries,
-    /// then a single merge scan. Retained as the cross-check oracle for the
-    /// parallel path (the two must agree bitwise; see the tests).
+    /// The sort-based oracle: global sort of the symmetrized entries, then a
+    /// single merge scan. Tests and benches check [`GraphBuilder::build`]
+    /// against it bitwise; production never calls it.
     pub fn build_serial(self) -> Result<CsrGraph, BuildError> {
         let n = self.num_vertices;
         validate_edges(&self.edges, n)?;
@@ -180,8 +263,8 @@ impl GraphBuilder {
             }
         }
 
-        // Offsets by counting per-vertex entries, then fill. A sparse input
-        // always takes this path, so `n` may come from one huge vertex id.
+        // Offsets by counting per-vertex entries, then fill. `n` may come
+        // from one huge vertex id in a sparse input.
         let mut offsets = try_zeroed(n + 1).ok_or(BuildError::OutOfMemory { n })?;
         for &(u, _, _) in &merged {
             offsets[u as usize + 1] += 1;
@@ -198,216 +281,85 @@ impl GraphBuilder {
 
         checked(CsrGraph::from_sorted_adjacency(offsets, targets, weights))
     }
+}
 
-    /// Chunked parallel construction. Stages (edge chunks are contiguous
-    /// input ranges of size `⌈m / threads⌉` — the layout therefore **varies
-    /// with the thread count**; see the determinism note below for why the
-    /// output does not):
-    ///
-    /// 1. chunked validation (first input-order error, matching serial);
-    /// 2. per-chunk degree histograms of the symmetrized directed entries;
-    /// 3. a column pass turning the histograms into per-chunk write cursors
-    ///    plus the pre-merge CSR offsets (prefix sum);
-    /// 4. parallel scatter of every directed entry into its vertex's slot
-    ///    range (chunks own disjoint sub-ranges, so writes never race);
-    /// 5. per-vertex sort by `(target, weight-bits)` + duplicate merge in
-    ///    place, yielding merged degrees;
-    /// 6. prefix sum of merged degrees + parallel compaction into the final
-    ///    arrays.
-    ///
-    /// Determinism: scatter order *within* a vertex's range depends on the
-    /// thread-count-dependent chunk layout, so cross-thread-count
-    /// reproducibility rests **entirely** on stage 5 sorting each range by
-    /// the full `(target, total_cmp(weight))` key: entries comparing equal
-    /// under that key are bitwise identical, so every thread count yields
-    /// the same sorted sequence, the same merge order, and therefore
-    /// bitwise-identical output (equal to [`GraphBuilder::build_serial`],
-    /// which sorts by the same key globally). Do not weaken that sort key —
-    /// dropping the weight component would break the §5.4-style determinism
-    /// contract that CI's determinism job and `tests/ingest.rs` enforce.
-    fn build_parallel(self) -> Result<CsrGraph, BuildError> {
-        let n = self.num_vertices;
-        let edges = &self.edges[..];
-        let m = edges.len();
-        let threads = rayon::current_num_threads().max(1);
-        let chunk = m.div_ceil(threads).max(1);
+/// The most tasks [`GraphBuilder::build`] cuts the rows into. Each task
+/// scans the whole edge list, so the scans read `SCAN_PIECES` edges per two
+/// entries written.
+const SCAN_PIECES: usize = 8;
 
-        // 1. Validation, first error in input order (chunks are in input
-        // order and each chunk reports its first offender).
-        let errors: Vec<Option<BuildError>> = edges
-            .par_chunks(chunk)
-            .map(|c| validate_edges(c, n).err())
-            .collect();
-        if let Some(e) = errors.into_iter().flatten().next() {
-            return Err(e);
-        }
+/// One task of [`GraphBuilder::build`]: rows `rows`, their live-entry ends,
+/// and the scratch slots they own, from the first row's offset on.
+struct RowTask<'a> {
+    rows: Range<usize>,
+    ends: &'a mut [usize],
+    targets: &'a mut [VertexId],
+    weights: &'a mut [f64],
+}
 
-        // 2. Per-chunk histograms of directed-entry counts per source vertex.
-        let mut hists: Vec<Vec<u32>> = edges
-            .par_chunks(chunk)
-            .map(|c| {
-                let mut h = vec![0u32; n];
-                for &(u, v, _) in c {
-                    h[u as usize] += 1;
-                    if u != v {
-                        h[v as usize] += 1;
-                    }
-                }
-                h
-            })
-            .collect();
-
-        // 3. Column pass: rewrite hists[c][v] into the exclusive prefix of
-        // counts over chunks (the chunk's first write slot, relative to the
-        // vertex start) and collect total pre-merge degrees.
-        let rows: Vec<SharedSlice<u32>> = hists.iter_mut().map(|h| SharedSlice::new(h)).collect();
-        let degrees: Vec<u32> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let mut running = 0u32;
-                for row in &rows {
-                    // SAFETY: each column v is touched by exactly one closure
-                    // invocation; rows outlive the loop.
-                    let count = unsafe { row.read(v) };
-                    unsafe { row.write(v, running) };
-                    running += count;
-                }
-                running
-            })
-            .collect();
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degrees[v] as usize;
-        }
-        let total = offsets[n];
-
-        // 4. Scatter each chunk's directed entries into its reserved slots.
-        let mut scratch_targets = vec![0 as VertexId; total];
-        let mut scratch_weights = vec![0f64; total];
-        {
-            let st = SharedSlice::new(&mut scratch_targets);
-            let sw = SharedSlice::new(&mut scratch_weights);
-            let offsets = &offsets[..];
-            hists
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(ci, cursor)| {
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(m);
-                    let mut put = |x: VertexId, y: VertexId, w: f64| {
-                        let slot = offsets[x as usize] + cursor[x as usize] as usize;
-                        cursor[x as usize] += 1;
-                        // SAFETY: slot lies in the sub-range of vertex x's
-                        // slots reserved for chunk ci by the column pass;
-                        // ranges of distinct chunks are disjoint.
-                        unsafe {
-                            st.write(slot, y);
-                            sw.write(slot, w);
-                        }
-                    };
-                    for &(u, v, w) in &edges[lo..hi] {
-                        put(u, v, w);
-                        if u != v {
-                            put(v, u, w);
-                        }
-                    }
-                });
-        }
-        // The cursors are spent; free them before the later stages allocate.
-        drop(hists);
-
-        // 5. Per-vertex sort + duplicate sum, in place in the scratch
-        // arrays; collect merged degrees.
-        let merged_degrees: Vec<u32> = {
-            let st = SharedSlice::new(&mut scratch_targets);
-            let sw = SharedSlice::new(&mut scratch_weights);
-            let offsets = &offsets[..];
-            (0..n)
-                .into_par_iter()
-                .map_init(Vec::new, move |buf: &mut Vec<(VertexId, u64)>, v| {
-                    let (start, end) = (offsets[v], offsets[v + 1]);
-                    buf.clear();
-                    for slot in start..end {
-                        // SAFETY: vertex ranges are disjoint across closure
-                        // invocations; the scatter stage has finished.
-                        unsafe { buf.push((st.read(slot), sw.read(slot).to_bits())) };
-                    }
-                    // Same key as the serial global sort restricted to this
-                    // vertex: (target, weight by total order). total_cmp
-                    // agrees with the lexicographic order of sign-flipped
-                    // bits, but all builder weights are validated > 0, so
-                    // plain bit order suffices.
-                    buf.sort_unstable();
-                    let mut out = start;
-                    for &(t, wbits) in buf.iter() {
-                        let w = f64::from_bits(wbits);
-                        // SAFETY: in-place rewrite of this vertex's range;
-                        // `out` never overtakes the read position.
-                        unsafe {
-                            if out > start && st.read(out - 1) == t {
-                                sw.write(out - 1, sw.read(out - 1) + w);
-                            } else {
-                                st.write(out, t);
-                                sw.write(out, w);
-                                out += 1;
-                            }
-                        }
-                    }
-                    (out - start) as u32
-                })
-                .collect()
+impl RowTask<'_> {
+    /// Writes the task's rows' entries in input order (step 3), then sorts
+    /// and merges each row (step 4), leaving each row's merged end in
+    /// `ends`.
+    fn fill(&mut self, edges: &[(VertexId, VertexId, f64)], offsets: &[usize]) {
+        let (lo, first) = (self.rows.start, offsets[self.rows.start]);
+        let mut put = |row: VertexId, target: VertexId, w: f64| {
+            // A row outside the task's misses: one below them wraps past
+            // their count.
+            if let Some(end) = self.ends.get_mut((row as usize).wrapping_sub(lo)) {
+                self.targets[*end - first] = target;
+                self.weights[*end - first] = w;
+                *end += 1;
+            }
         };
-
-        // 6. Final offsets + parallel compaction.
-        let mut final_offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            final_offsets[v + 1] = final_offsets[v] + merged_degrees[v] as usize;
+        for &(u, v, w) in edges {
+            put(u, v, w);
+            if u != v {
+                put(v, u, w);
+            }
         }
-        let final_total = final_offsets[n];
-        let mut targets = vec![0 as VertexId; final_total];
-        let mut weights = vec![0f64; final_total];
-        {
-            let ft = SharedSlice::new(&mut targets);
-            let fw = SharedSlice::new(&mut weights);
-            let scratch_targets = &scratch_targets[..];
-            let scratch_weights = &scratch_weights[..];
-            let offsets = &offsets[..];
-            let final_offsets = &final_offsets[..];
-            (0..n).into_par_iter().for_each(|v| {
-                let deg = final_offsets[v + 1] - final_offsets[v];
-                let (src, dst) = (offsets[v], final_offsets[v]);
-                for i in 0..deg {
-                    // SAFETY: destination ranges are disjoint per vertex.
-                    unsafe {
-                        ft.write(dst + i, scratch_targets[src + i]);
-                        fw.write(dst + i, scratch_weights[src + i]);
-                    }
+
+        let mut sorted: Vec<(VertexId, u64)> = Vec::new();
+        for (v, end) in self.rows.clone().zip(self.ends.iter_mut()) {
+            let start = offsets[v] - first;
+            let (targets, weights) = (
+                &mut self.targets[start..*end - first],
+                &mut self.weights[start..*end - first],
+            );
+            // All builder weights are validated > 0, so their bit order is
+            // their order under IEEE total order, the oracle's key.
+            sorted.clear();
+            sorted.extend(
+                targets
+                    .iter()
+                    .zip(weights.iter())
+                    .map(|(&t, &w)| (t, w.to_bits())),
+            );
+            sorted.sort_unstable();
+            let mut len = 0;
+            for &(t, bits) in &sorted {
+                let w = f64::from_bits(bits);
+                if len > 0 && targets[len - 1] == t {
+                    weights[len - 1] += w;
+                } else {
+                    targets[len] = t;
+                    weights[len] = w;
+                    len += 1;
                 }
-            });
+            }
+            *end = offsets[v] + len;
         }
-
-        checked(CsrGraph::from_sorted_adjacency(
-            final_offsets,
-            targets,
-            weights,
-        ))
     }
 }
 
-/// Both build paths' last step: the merged graph, unless its weights are
+/// Both builders' last step: the merged graph, unless its weights are
 /// out of the range modularity arithmetic needs.
 fn checked(g: CsrGraph) -> Result<CsrGraph, BuildError> {
     g.check_weight_range().map_err(BuildError::WeightRange)?;
     Ok(g)
 }
 
-/// Edge count below which [`GraphBuilder::build`] stays on the serial path:
-/// the parallel pipeline's histogram/scatter setup only pays for itself on
-/// inputs big enough to amortize it.
-const PARALLEL_EDGE_CUTOFF: usize = 1 << 14;
-
-/// The serial path's global entry order: `(source, target)` then the weight
+/// The oracle's global entry order: `(source, target)` then the weight
 /// under IEEE total order, so duplicate runs merge identically for both
 /// directions of an edge.
 fn entry_order(a: &(VertexId, VertexId, f64), b: &(VertexId, VertexId, f64)) -> std::cmp::Ordering {
@@ -536,7 +488,7 @@ mod tests {
                 "w={w}: {err}"
             );
         }
-        // The parallel path checks too.
+        // A pool of several threads checks too.
         let mut edges: Vec<(VertexId, VertexId, f64)> =
             (0..20_000u32).map(|i| (i, (i + 1) % 20_000, 1.0)).collect();
         edges.extend([(7, 8, f64::MAX), (8, 7, f64::MAX)]);
@@ -567,7 +519,7 @@ mod tests {
     #[test]
     fn large_random_graph_symmetry() {
         // Deterministic pseudo-random multigraph; checks symmetrization +
-        // merge at a scale where the parallel build stages actually engage.
+        // merge at a scale where the rows are cut into several tasks.
         let n = 2_000u32;
         let mut edges = Vec::new();
         let mut state = 12345u64;
@@ -586,9 +538,8 @@ mod tests {
         assert!(g.validate().is_ok());
     }
 
-    /// Deterministic multigraph big enough to engage the parallel path
-    /// (≥ `PARALLEL_EDGE_CUTOFF` edges), with duplicate edges, self-loops,
-    /// and repeated identical weights.
+    /// Deterministic multigraph with duplicate edges, self-loops, and
+    /// repeated identical weights.
     fn dense_multigraph_edges(n: u32, m: usize, seed: u64) -> Vec<(VertexId, VertexId, f64)> {
         let mut state = seed;
         let mut next = move || {
@@ -611,72 +562,118 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_equal(a: &CsrGraph, b: &CsrGraph) {
-        assert_eq!(a.adjacency_offsets(), b.adjacency_offsets());
-        assert_eq!(a.adjacency_targets(), b.adjacency_targets());
-        assert!(a.bitwise_eq(b), "weight bit patterns differ");
+    fn assert_bitwise_equal(a: &CsrGraph, b: &CsrGraph, what: &str) {
+        assert_eq!(a.adjacency_offsets(), b.adjacency_offsets(), "{what}");
+        assert_eq!(a.adjacency_targets(), b.adjacency_targets(), "{what}");
+        assert!(a.bitwise_eq(b), "{what}: weight bit patterns differ");
+    }
+
+    type EdgeList = Vec<(VertexId, VertexId, f64)>;
+
+    /// `edges` in a seeded random order.
+    fn permuted(mut edges: EdgeList, seed: u64) -> EdgeList {
+        let mut state = seed;
+        for i in (1..edges.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            edges.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        edges
     }
 
     #[test]
     fn parallel_build_bitwise_matches_serial_across_thread_counts() {
-        let n = 1_500u32;
-        let edges = dense_multigraph_edges(n, 50_000, 42);
-        let reference = GraphBuilder::new(n as usize)
-            .extend_edges(edges.iter().copied())
-            .build_serial()
-            .unwrap();
-        assert!(reference.validate().is_ok());
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let parallel = pool.install(|| {
-                GraphBuilder::new(n as usize)
-                    .extend_edges(edges.iter().copied())
-                    .build()
-                    .unwrap()
-            });
-            assert_bitwise_equal(&reference, &parallel);
+        let multigraph = dense_multigraph_edges(1_500, 50_000, 42);
+        let inputs: Vec<(&str, usize, EdgeList)> = vec![
+            ("multigraph", 1_500, multigraph.clone()),
+            ("permuted multigraph", 1_500, permuted(multigraph, 5)),
+            (
+                "under 16 384 edges",
+                300,
+                dense_multigraph_edges(300, 5_000, 7),
+            ),
+            // A sparse id space: n > 4m.
+            ("n > 4m", 200_000, {
+                let edges = dense_multigraph_edges(1_500, 20_000, 11);
+                edges
+                    .into_iter()
+                    .map(|(u, v, w)| (u * 133, v * 133, w))
+                    .collect()
+            }),
+            ("no edges", 10, Vec::new()),
+            ("no vertices", 0, Vec::new()),
+            (
+                "self-loops only",
+                1_000,
+                (0..30_000u32)
+                    .map(|i| (i % 1_000, i % 1_000, 0.5 + (i % 3) as f64))
+                    .collect(),
+            ),
+        ];
+        // One thread, a few, and more than the machine has.
+        let pools: Vec<(usize, rayon::ThreadPool)> = [1usize, 2, 3, 8, 16]
+            .into_iter()
+            .map(|t| {
+                (
+                    t,
+                    rayon::ThreadPoolBuilder::new()
+                        .num_threads(t)
+                        .build()
+                        .unwrap(),
+                )
+            })
+            .collect();
+        for (name, n, edges) in &inputs {
+            let input = || GraphBuilder::new(*n).extend_edges(edges.iter().copied());
+            let reference = input().build_serial().unwrap();
+            assert!(reference.validate().is_ok(), "{name}");
+            for (threads, pool) in &pools {
+                let built = pool.install(|| input().build().unwrap());
+                assert_bitwise_equal(&reference, &built, &format!("{name} at {threads} threads"));
+            }
         }
     }
 
     #[test]
     fn parallel_build_validation_errors_match_serial() {
-        let n = 30_000usize;
-        let mut edges: Vec<(VertexId, VertexId, f64)> = (0..20_000u32)
-            .map(|i| (i, (i + 1) % n as u32, 1.0))
-            .collect();
-        edges[17_000] = (5, n as u32, 1.0); // out of range
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let par_err = pool.install(|| {
-            GraphBuilder::new(n)
-                .extend_edges(edges.iter().copied())
-                .build()
-                .unwrap_err()
-        });
-        let ser_err = GraphBuilder::new(n)
-            .extend_edges(edges.iter().copied())
-            .build_serial()
-            .unwrap_err();
-        assert_eq!(par_err, ser_err);
-
-        let mut edges2: Vec<(VertexId, VertexId, f64)> = (0..20_000u32)
-            .map(|i| (i, (i + 1) % n as u32, 1.0))
-            .collect();
-        edges2[100] = (1, 2, f64::NAN);
-        let par_err2 = pool.install(|| {
-            GraphBuilder::new(n)
-                .extend_edges(edges2.iter().copied())
-                .build()
-                .unwrap_err()
-        });
-        assert!(matches!(
-            par_err2,
-            BuildError::InvalidWeight { edge: (1, 2), .. }
-        ));
+        // Over and under 16 384 edges; each list holds an out-of-range edge
+        // and, later, an invalid weight, then only the invalid weight.
+        for m in [20_000u32, 5_000] {
+            let n = 30_000usize;
+            let ring = || (0..m).map(|i| (i, (i + 1) % n as u32, 1.0));
+            let mut edges: Vec<(VertexId, VertexId, f64)> = ring().collect();
+            edges[m as usize * 17 / 20] = (5, n as u32, 1.0); // out of range
+            edges[m as usize * 9 / 10] = (1, 2, f64::NAN);
+            let mut edges2: Vec<(VertexId, VertexId, f64)> = ring().collect();
+            edges2[100] = (1, 2, f64::NAN);
+            for edges in [edges, edges2] {
+                let input = || GraphBuilder::new(n).extend_edges(edges.iter().copied());
+                let ser_err = input().build_serial().unwrap_err();
+                assert!(
+                    matches!(
+                        ser_err,
+                        BuildError::VertexOutOfRange {
+                            edge: (5, 30_000),
+                            ..
+                        } | BuildError::InvalidWeight { edge: (1, 2), .. }
+                    ),
+                    "{ser_err}"
+                );
+                for threads in [1usize, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let par_err = pool.install(|| input().build().unwrap_err());
+                    // Debug, since a NaN weight never equals itself.
+                    assert_eq!(
+                        format!("{par_err:?}"),
+                        format!("{ser_err:?}"),
+                        "{m} edges at {threads} threads"
+                    );
+                }
+            }
+        }
     }
 }

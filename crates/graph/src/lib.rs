@@ -10,7 +10,11 @@
 //!   conventions (symmetric adjacency, self-loops stored once, `k_i` counts
 //!   self-loops once, `m = ½ Σ k_i`);
 //! * [`GraphBuilder`] — parallel edge-list → CSR construction with
-//!   multi-edge merging;
+//!   multi-edge merging: one counting-sort pipeline for every input and
+//!   thread count, bitwise equal to its sort-based oracle;
+//! * [`shared`] — how parallel tasks write one array: the row-range cutter
+//!   and carver the builder, VF and the sweeps use, and the raw
+//!   [`SharedSlice`] for scatters by vertex id;
 //! * [`io`] — every file format the tools exchange: graphs (edge-list and
 //!   METIS (DIMACS10) text, the `.grb` binary format), `vertex community`
 //!   assignments, and `+`/`-`/`=` edge batches;

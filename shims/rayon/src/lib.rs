@@ -37,12 +37,12 @@
 //!    `MAX_TASKS_PER_REGION` tasks, so per-task bookkeeping stays
 //!    amortized), executed by the pool in stolen order.
 //!
-//! Iterators whose items are coarse units of work (e.g. whole slice chunks)
-//! override the grain via `with_min_len(1)` so a handful of heavy items
-//! still parallelizes.
+//! Iterators whose items are coarse units of work (e.g. a task's carved
+//! rows) override the grain via `with_min_len(1)` so a handful of heavy
+//! items still parallelizes.
 //!
-//! Supported surface: the sources `into_par_iter` on integer ranges,
-//! `par_iter` and `par_iter_mut` on slices and `par_chunks`; the adapters
+//! Supported surface: the sources `into_par_iter` on integer ranges, and
+//! `par_iter` and `par_iter_mut` on slices; the adapters
 //! `map` / `map_init` / `filter` / `flat_map_iter` / `copied` / `zip` /
 //! `enumerate` / `with_min_len`; the terminals `collect` / `count` /
 //! `for_each` and `fold(..).reduce(..)`; `ThreadPoolBuilder` /
@@ -182,7 +182,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     /// operations run inline, and the minimum per-task extent of the fixed
     /// task tree (see the module docs' grain-size rule). Adapters forward
     /// the innermost source's value; [`MinLen`] overrides it so
-    /// coarse-grained items (e.g. whole slice chunks) still parallelize.
+    /// coarse-grained items (e.g. whole row ranges) still parallelize.
     fn pi_seq_threshold(&self) -> usize {
         SEQ_CUTOFF
     }
@@ -651,51 +651,6 @@ impl<'a, T: Sync> ParallelIterator for SlicePar<'a, T> {
     }
 }
 
-/// Immutable chunked view of a slice (mirrors rayon's `ParallelSlice`):
-/// `par_chunks(size)` yields `&[T]` windows of `size` elements (last one may
-/// be shorter) with a caller-controlled, thread-count-independent layout —
-/// chunk `i` always covers `i*size ..`. Chunks are coarse units of work, so
-/// the sequential-fallback grain is 1.
-pub trait ParallelSlice<T: Sync> {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync + Send> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunks {
-            slice: self,
-            size: chunk_size,
-        }
-    }
-}
-
-/// See [`ParallelSlice::par_chunks`].
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn pi_len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-
-    fn pi_chunk<S: FnMut(&'a [T])>(&self, lo: usize, hi: usize, sink: &mut S) {
-        for ci in lo..hi {
-            let start = ci * self.size;
-            let end = (start + self.size).min(self.slice.len());
-            sink(&self.slice[start..end]);
-        }
-    }
-
-    fn pi_seq_threshold(&self) -> usize {
-        1
-    }
-}
-
 /// `par_iter()` on slices / Vecs (receiver auto-derefs to `[T]`).
 pub trait IntoParallelRefIterator<'a> {
     type Iter: ParallelIterator<Item = Self::Item>;
@@ -814,7 +769,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator,
-        IntoParallelRefMutIterator, ParallelIterator, ParallelSlice,
+        IntoParallelRefMutIterator, ParallelIterator,
     };
 }
 
@@ -887,22 +842,6 @@ mod tests {
             .fold(|| 0u64, |acc, x| acc + x)
             .reduce(|| 0u64, |a, b| a + b);
         assert_eq!(total, 99_999 * 100_000 / 2);
-    }
-
-    #[test]
-    fn par_chunks_fixed_layout() {
-        let data: Vec<u32> = (0..10_000).collect();
-        // 7 coarse chunks: well under SEQ_CUTOFF items, must still map in
-        // chunk order thanks to the grain override.
-        let sums: Vec<(usize, u32)> = data
-            .par_chunks(1536)
-            .enumerate()
-            .map(|(i, c)| (i, c.iter().sum()))
-            .collect();
-        assert_eq!(sums.len(), 7);
-        assert!(sums.iter().enumerate().all(|(i, &(ci, _))| i == ci));
-        let total: u32 = sums.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, data.iter().sum());
     }
 
     #[test]

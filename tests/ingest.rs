@@ -1,20 +1,22 @@
-//! Integration tests for the parallel ingest pipeline: chunked parallel CSR
-//! construction (bitwise-equal to the serial reference at every thread
-//! count) and the `.grb` binary graph format, end to end through the
-//! umbrella crate's public API.
+//! Integration tests for the ingest pipeline: the parallel CSR builder
+//! (bitwise-equal to the sort-based oracle at every thread count) and the
+//! `.grb` binary graph format, end to end through the umbrella crate's
+//! public API.
 
 use grappolo::graph::gen::{rmat, web_graph, RmatConfig, WebConfig};
 use grappolo::graph::{io, CsrGraph, GraphBuilder, VertexId};
 use rayon::ThreadPoolBuilder;
 
+type EdgeList = Vec<(VertexId, VertexId, f64)>;
+
 fn bitwise_equal(a: &CsrGraph, b: &CsrGraph) -> bool {
     a.bitwise_eq(b)
 }
 
-/// A generated edge list big enough (≥ the builder's parallel cutoff) and
+/// A generated edge list big enough to cut into several build tasks and
 /// nasty enough (duplicates, self-loops, skewed degrees) to exercise every
-/// stage of the chunked parallel build.
-fn skewed_edges() -> (usize, Vec<(VertexId, VertexId, f64)>) {
+/// stage of the build.
+fn skewed_edges() -> (usize, EdgeList) {
     let g = rmat(&RmatConfig {
         scale: 13,
         num_edges: 60_000,
@@ -39,26 +41,43 @@ fn skewed_edges() -> (usize, Vec<(VertexId, VertexId, f64)>) {
 #[test]
 fn parallel_ingest_bitwise_deterministic_across_thread_counts() {
     let (n, edges) = skewed_edges();
-    let serial = GraphBuilder::with_capacity(n, edges.len())
-        .extend_edges(edges.iter().copied())
-        .build_serial()
-        .unwrap();
-    assert!(serial.validate().is_ok());
-    for threads in [1usize, 2, 3, 8] {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let parallel = pool.install(|| {
-            GraphBuilder::with_capacity(n, edges.len())
-                .extend_edges(edges.iter().copied())
-                .build()
-                .unwrap()
-        });
-        assert!(
-            bitwise_equal(&serial, &parallel),
-            "parallel build diverged from serial at {threads} threads"
-        );
+    let mut permuted = edges.clone();
+    let mut state = 3u64;
+    for i in (1..permuted.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        permuted.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let inputs: Vec<(&str, usize, EdgeList)> = vec![
+        ("skewed", n, edges.clone()),
+        ("permuted", n, permuted),
+        ("under 16 384 edges", n, edges[..10_000].to_vec()),
+        // 2 000 edges over 8 192 ids: n > 4m.
+        ("n > 4m", n, edges[..2_000].to_vec()),
+        ("no edges", n, Vec::new()),
+        (
+            "self-loops only",
+            n,
+            edges.iter().map(|&(u, _, w)| (u, u, w)).collect(),
+        ),
+    ];
+    let pools: Vec<(usize, rayon::ThreadPool)> = [1usize, 2, 3, 8, 16]
+        .into_iter()
+        .map(|t| (t, ThreadPoolBuilder::new().num_threads(t).build().unwrap()))
+        .collect();
+    for (name, n, edges) in &inputs {
+        let input =
+            || GraphBuilder::with_capacity(*n, edges.len()).extend_edges(edges.iter().copied());
+        let serial = input().build_serial().unwrap();
+        assert!(serial.validate().is_ok(), "{name}");
+        for (threads, pool) in &pools {
+            let parallel = pool.install(|| input().build().unwrap());
+            assert!(
+                bitwise_equal(&serial, &parallel),
+                "{name}: parallel build diverged from serial at {threads} threads"
+            );
+        }
     }
 }
 
