@@ -17,6 +17,7 @@
 //! coloring sets").
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod balanced;
 pub mod batches;

@@ -45,8 +45,8 @@
 //! worklist, so every round settles at least one vertex.
 
 use crate::Coloring;
-use grappolo_graph::shared::carve;
-use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
+use grappolo_graph::shared::{carve, cut_by_work, MAX_PIECES};
+use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
 /// Tuning knobs for [`color_parallel`].
@@ -180,15 +180,36 @@ fn round_one(g: &CsrGraph) -> Coloring {
 }
 
 /// Writes `value(i)` to `colors[vertices[i]]` for every `i`, in parallel.
-/// `vertices` must be duplicate-free (every worklist is).
+/// `vertices` must be strictly ascending (every worklist is: each comes out
+/// of an ordered filter over an ascending list). The list is cut into
+/// pieces of about equal length ([`cut_by_work`]), and `colors` is carved at
+/// the ids where the pieces start, so each task writes its own slice.
 fn scatter(colors: &mut [u32], vertices: &[VertexId], value: impl Fn(usize) -> u32 + Sync + Send) {
-    let shared = SharedSlice::new(colors);
-    (0..vertices.len()).into_par_iter().for_each(|i| {
-        // SAFETY: `vertices[i] < colors.len()` (a vertex of the graph), and
-        // distinct `i` name distinct vertices, so no slot is written twice
-        // and nothing reads `colors` during the scatter.
-        unsafe { shared.write(vertices[i] as usize, value(i)) }
-    });
+    debug_assert!(
+        vertices.windows(2).all(|w| w[0] < w[1]),
+        "scatter list not strictly ascending"
+    );
+    let mut bounds = Vec::new();
+    cut_by_work(vertices.len(), MAX_PIECES, |_| 1, &mut bounds);
+    // Piece `s` owns the ids from its first vertex up to the next piece's
+    // first vertex, the last one up to the end.
+    let starts: Vec<usize> = bounds
+        .iter()
+        .map(|&b| vertices.get(b).map_or(colors.len(), |&v| v as usize))
+        .collect();
+    let mut pieces = carve(
+        &mut colors[starts[0]..],
+        starts.windows(2).map(|w| w[1] - w[0]),
+    );
+    pieces
+        .par_iter_mut()
+        .with_min_len(1)
+        .enumerate()
+        .for_each(|(s, piece)| {
+            for i in bounds[s]..bounds[s + 1] {
+                piece[vertices[i] as usize - starts[s]] = value(i);
+            }
+        });
 }
 
 /// Colors `g` with distance-1 semantics using speculation + conflict
@@ -577,6 +598,32 @@ mod tests {
             colors,
             color_parallel_alloc_sort(&g, &cfg_parallel_always())
         );
+    }
+
+    #[test]
+    fn scatter_writes_exactly_the_listed_ids() {
+        // An ascending list with gaps that starts past id 0, ends before the
+        // last id and is long enough to cut into several pieces: each listed
+        // id takes its value and every other id keeps its color.
+        let n = 40_000u32;
+        let vertices: Vec<VertexId> = (5..n - 9).filter(|v| v % 3 != 1 && v % 7 != 0).collect();
+        let mut bounds = Vec::new();
+        cut_by_work(vertices.len(), MAX_PIECES, |_| 1, &mut bounds);
+        assert!(bounds.len() > 3, "{} pieces", bounds.len() - 1);
+        let before: Vec<u32> = (0..n).map(|v| v ^ 0x5555).collect();
+        let mut expected = before.clone();
+        for (i, &v) in vertices.iter().enumerate() {
+            expected[v as usize] = i as u32;
+        }
+        for pool in pools(&[1, 2, 8]) {
+            let mut colors = before.clone();
+            pool.install(|| scatter(&mut colors, &vertices, |i| i as u32));
+            assert_eq!(colors, expected);
+            pool.install(|| scatter(&mut colors, &[], |_| 0));
+            pool.install(|| scatter(&mut colors, &[n - 1], |_| 7));
+            assert_eq!(colors[..n as usize - 1], expected[..n as usize - 1]);
+            assert_eq!(colors[n as usize - 1], 7);
+        }
     }
 
     #[test]

@@ -241,7 +241,6 @@ fn resume_inner(
 ) -> (PhaseOutcome, usize) {
     let new_n = g_new.num_vertices();
     let gamma = config.resolution;
-    let two_m_old = 2.0 * g_old.total_weight();
 
     // One pass over the carried labels builds the community degrees on both
     // graphs and the sizes, each adding in vertex order like
@@ -266,11 +265,7 @@ fn resume_inner(
     // adjacency entry counts from both endpoints, self-loops once.
     let null_old = det_sum(a_old.len(), |c| a_old[c] * a_old[c]);
     drop(a_old);
-    let e_in_old = if two_m_old > 0.0 {
-        (q_old + gamma * null_old / (two_m_old * two_m_old)) * two_m_old
-    } else {
-        0.0
-    };
+    let e_in_old = ModularityTracker::e_in_from_modularity(g_old, q_old, null_old, gamma);
     let patch: f64 = changes
         .iter()
         .filter(|c| carried[c.u as usize] == carried[c.v as usize])

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod active;
 pub mod cancel;

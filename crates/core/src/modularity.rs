@@ -440,6 +440,19 @@ impl ModularityTracker {
         self.e_in / self.two_m - self.gamma * self.null_sum / (self.two_m * self.two_m)
     }
 
+    /// Inverts [`Self::modularity`] on `g`: the `e_in` of an assignment
+    /// whose modularity at resolution `gamma` is `q` and whose `Σ a_C²` is
+    /// `null_sum`, for callers that know Q and must not rescan the edges.
+    /// An edgeless graph has no Eq. 3 to invert and `e_in = 0`.
+    pub(crate) fn e_in_from_modularity(g: &CsrGraph, q: f64, null_sum: f64, gamma: f64) -> f64 {
+        let two_m = 2.0 * g.total_weight();
+        if two_m > 0.0 {
+            (q + gamma * null_sum / (two_m * two_m)) * two_m
+        } else {
+            0.0
+        }
+    }
+
     /// The resolution γ this tracker's modularity is measured at.
     #[inline]
     pub(crate) fn gamma(&self) -> f64 {

@@ -137,6 +137,7 @@ fn decide_sliced<D: Default + Copy + Send>(
 /// Asks the CPU to start loading the first cache line of `v`'s neighbor ids
 /// and of its weights. A no-op off x86-64.
 #[inline(always)]
+#[allow(unsafe_code)]
 fn prefetch_row(g: &CsrGraph, v: VertexId) {
     #[cfg(target_arch = "x86_64")]
     {

@@ -11,8 +11,11 @@
 //! local-moving sweep uses: O(deg) per row, a small per-row sort for CSR
 //! ordering, and results bitwise identical at any thread count. There is
 //! one assembly: each row is gathered once into the buffers of the task
-//! that owns its contiguous row range, and the parts are copied in row
-//! order into the CSR arrays (`condense_stamped`).
+//! that owns its contiguous row range, the parts are copied in row order
+//! into the CSR arrays, and a mirror pass over the same ranges copies each
+//! low-id row's weights onto their mirrors, each task writing only its own
+//! carved piece of the weights (`condense_stamped`). No task writes an
+//! index another task reads or writes, so nothing needs a lock.
 //!
 //! Weight convention: traversing every adjacency entry means an intra-
 //! community non-loop edge contributes twice to the meta-vertex self-loop and
@@ -21,7 +24,8 @@
 
 use crate::config::{RebuildStrategy, RenumberStrategy};
 use crate::modularity::{thread_scratch, Community};
-use grappolo_graph::{CsrGraph, SharedSlice, VertexId};
+use grappolo_graph::shared::carve;
+use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
 /// Result of one rebuild.
@@ -123,41 +127,6 @@ fn group_by_row(
     (offsets, members)
 }
 
-/// Makes the low-id row authoritative for each inter-row pair: every entry
-/// `v → u` with `u < v` takes the weight of row `u`'s entry for `v` (rows
-/// sorted by target, binary-searched). This restores exact CSR symmetry
-/// when the two directions were accumulated in different orders.
-///
-/// Rows run in parallel. A row writes only its entries that point to a
-/// lower row and reads only entries that point to a higher row, so no entry
-/// is both read and written, and the result equals the serial pass that
-/// pushes each low-id weight onto its mirror.
-pub(crate) fn mirror_low_id_csr(offsets: &[usize], targets: &[Community], weights: &mut [f64]) {
-    let num_rows = offsets.len() - 1;
-    let shared = SharedSlice::new(weights);
-    (0..num_rows).into_par_iter().for_each(|v| {
-        for idx in offsets[v]..offsets[v + 1] {
-            let u = targets[idx] as usize;
-            if u >= v {
-                break; // sorted: the rest point at `v` or above
-            }
-            let row_u = &targets[offsets[u]..offsets[u + 1]];
-            if let Ok(pos) = row_u.binary_search(&(v as Community)) {
-                // SAFETY: `idx` (row `v`, target below `v`) is written only
-                // by row `v`'s task; `offsets[u] + pos` (row `u`, target
-                // above `u`) is never written by any task.
-                unsafe { shared.write(idx, shared.read(offsets[u] + pos)) };
-            }
-        }
-    });
-}
-
-/// Mirrors the low-id weights ([`mirror_low_id_csr`]) and builds the graph.
-fn mirrored_csr(offsets: Vec<usize>, targets: Vec<Community>, mut weights: Vec<f64>) -> CsrGraph {
-    mirror_low_id_csr(&offsets, &targets, &mut weights);
-    CsrGraph::from_sorted_adjacency(offsets, targets, weights)
-}
-
 /// Most tasks [`condense_stamped`] splits its rows into: the rayon shim's
 /// bound on the tasks of one region, so every task is one pool task.
 const MAX_TASKS: usize = 64;
@@ -187,9 +156,13 @@ const MAX_TASKS: usize = 64;
 ///
 /// Once every task is done, the grouping is freed, a prefix sum turns the
 /// lengths into offsets, and the parts are copied in row order into
-/// exactly sized arrays, each part freed once copied. The mirror weights
-/// are then unified ([`mirror_low_id_csr`]) so the CSR stays bitwise
-/// symmetric.
+/// exactly sized arrays. The mirror pass then makes the CSR bitwise
+/// symmetric: the two directions of an inter-row pair sum their weights in
+/// different orders, so the low-id row is authoritative, and every entry
+/// `v → u` with `u < v` takes row `u`'s weight for `v`. It runs one task per
+/// row range again, each writing its own carved piece of the weights
+/// ([`carve`]) and reading row `u`'s weight from the buffer of `u`'s task,
+/// which nothing writes; the buffers are freed after it.
 pub(crate) fn condense_stamped(
     g: &CsrGraph,
     num_rows: usize,
@@ -232,11 +205,36 @@ pub(crate) fn condense_stamped(
     let total = row_offsets[num_rows];
     let mut targets = Vec::with_capacity(total);
     let mut weights = Vec::with_capacity(total);
-    for (part_targets, part_weights) in parts {
-        targets.extend_from_slice(&part_targets);
-        weights.extend_from_slice(&part_weights);
+    for (part_targets, part_weights) in &parts {
+        targets.extend_from_slice(part_targets);
+        weights.extend_from_slice(part_weights);
     }
-    mirrored_csr(row_offsets, targets, weights)
+    let mut pieces = carve(&mut weights, parts.iter().map(|(_, w)| w.len()));
+    pieces
+        .par_iter_mut()
+        .with_min_len(1)
+        .enumerate()
+        .for_each(|(t, piece)| {
+            let first = t * task_rows;
+            for v in first..(first + task_rows).min(num_rows) {
+                for idx in row_offsets[v]..row_offsets[v + 1] {
+                    let u = targets[idx];
+                    if u as usize >= v {
+                        break; // sorted: the rest point at `v` or above
+                    }
+                    let row_u = row_offsets[u as usize]..row_offsets[u as usize + 1];
+                    if let Ok(pos) = targets[row_u.clone()].binary_search(&(v as Community)) {
+                        // A 32-bit division (row ids are `Community`
+                        // values): cheaper than a 64-bit one on many cores.
+                        let owner = (u / task_rows as Community) as usize;
+                        let local = row_u.start + pos - row_offsets[owner * task_rows];
+                        piece[idx - row_offsets[first]] = parts[owner].1[local];
+                    }
+                }
+            }
+        });
+    drop(parts);
+    CsrGraph::from_sorted_adjacency(row_offsets, targets, weights)
 }
 
 #[cfg(test)]
@@ -317,111 +315,117 @@ mod tests {
         }
     }
 
+    /// The rows of `graph`, weights as bits.
+    fn row_bits(graph: &CsrGraph) -> Vec<Vec<(Community, u64)>> {
+        (0..graph.num_vertices() as VertexId)
+            .map(|c| graph.neighbors(c).map(|(d, w)| (d, w.to_bits())).collect())
+            .collect()
+    }
+
+    /// A serial condensation of `g` under `assignment`: one `BTreeMap` per
+    /// community, filled members ascending in adjacency order, then the
+    /// low-id mirror (each entry below its row takes the lower row's weight).
+    fn serial_condensation(g: &CsrGraph, assignment: &[Community]) -> Vec<Vec<(Community, u64)>> {
+        use std::collections::BTreeMap;
+        let (renum, k) = renumber_communities(assignment, RenumberStrategy::Serial);
+        let mut rows: Vec<BTreeMap<Community, f64>> = vec![BTreeMap::new(); k];
+        for v in 0..g.num_vertices() as VertexId {
+            let row = &mut rows[renum[assignment[v as usize] as usize] as usize];
+            for (u, w) in g.neighbors(v) {
+                *row.entry(renum[assignment[u as usize] as usize])
+                    .or_insert(0.0) += w;
+            }
+        }
+        (0..k)
+            .map(|c| {
+                rows[c]
+                    .iter()
+                    .map(|(&d, &w)| {
+                        let w = if (d as usize) < c {
+                            rows[d as usize][&(c as Community)]
+                        } else {
+                            w
+                        };
+                        (d, w.to_bits())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn condense_bitwise_matches_serial_condensation() {
-        // The assembly against a serial condensation built here: one
-        // `BTreeMap` per community, filled members ascending in adjacency
-        // order, then the low-id mirror — weights bit for bit, on real-valued
-        // weights under a community-rich, a scattered and a singleton
-        // partition, at 1, 2 and 8 threads.
-        use std::collections::BTreeMap;
-        let (g, truth) = planted_partition(&PlantedConfig {
+        // The assembly and its mirror pass against the serial condensation,
+        // weights bit for bit, at 1, 2, 8 and 16 threads. The planted graph
+        // has real-valued weights, so a mirror entry read from the wrong
+        // place shows. The degenerate shapes: a star whose hub sits mid-range
+        // (under singletons its row has entries in every task, and reads
+        // every lower task's buffer), a path, isolated vertices only, and one
+        // edge of weight 2^53 among unit weights. Under blocks of 16 the
+        // heavy edge joins blocks 0 and 1 beside 16 unit edges: block 0 adds
+        // it first (vertex 0) and drops every unit after it, as 2^53 + 1
+        // rounds back to 2^53, while block 1 adds it last (vertex 31), so the
+        // two directions differ by 16 until the mirror unifies them.
+        let (planted, truth) = planted_partition(&PlantedConfig {
             num_vertices: 2_000,
             num_communities: 20,
             weight_range: Some((0.1, 10.0)),
             ..Default::default()
         });
-        let scattered: Vec<Community> =
-            (0..g.num_vertices() as Community).map(|v| v % 97).collect();
-        let singleton: Vec<Community> = (0..g.num_vertices() as Community).collect();
-        for assignment in [&truth, &scattered, &singleton] {
-            let (renum, k) = renumber_communities(assignment, RenumberStrategy::Serial);
-            let mut rows: Vec<BTreeMap<Community, f64>> = vec![BTreeMap::new(); k];
-            for v in 0..g.num_vertices() as VertexId {
-                let row = &mut rows[renum[assignment[v as usize] as usize] as usize];
-                for (u, w) in g.neighbors(v) {
-                    *row.entry(renum[assignment[u as usize] as usize])
-                        .or_insert(0.0) += w;
-                }
-            }
-            let expected: Vec<Vec<(Community, u64)>> = (0..k)
-                .map(|c| {
-                    rows[c]
-                        .iter()
-                        .map(|(&d, &w)| {
-                            let w = if (d as usize) < c {
-                                rows[d as usize][&(c as Community)]
-                            } else {
-                                w
-                            };
-                            (d, w.to_bits())
-                        })
-                        .collect()
-                })
-                .collect();
-            for threads in [1usize, 2, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
+        let n = 1_000u32;
+        let star = grappolo_graph::from_weighted_edges(
+            n as usize,
+            (0..n)
+                .filter(|&v| v != n / 2)
+                .map(|v| (n / 2, v, 1.0 + f64::from(v % 7) / 4.0)),
+        )
+        .unwrap();
+        let path = grappolo_graph::from_weighted_edges(
+            n as usize,
+            (1..n).map(|v| (v - 1, v, 0.5 + f64::from(v % 5) / 3.0)),
+        )
+        .unwrap();
+        let isolated = CsrGraph::empty(n as usize);
+        let units = (1..n).map(|v| (v - 1, v, 1.0));
+        let chords = (1..16).map(|v| (v, v + 15, 1.0));
+        let dominant = grappolo_graph::from_weighted_edges(
+            n as usize,
+            units.chain(chords).chain([(0, 31, 2f64.powi(53))]),
+        )
+        .unwrap();
+        let threads = [1usize, 2, 8, 16];
+        let pools: Vec<rayon::ThreadPool> = threads
+            .iter()
+            .map(|&t| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
                     .build()
-                    .unwrap();
-                let graph = pool.install(|| condense(&g, assignment).graph);
-                let got: Vec<Vec<(Community, u64)>> = (0..graph.num_vertices() as VertexId)
-                    .map(|c| graph.neighbors(c).map(|(d, w)| (d, w.to_bits())).collect())
-                    .collect();
-                assert_eq!(got, expected, "rows differ at {threads} threads");
+                    .unwrap()
+            })
+            .collect();
+        for (name, g) in [
+            ("planted", &planted),
+            ("star", &star),
+            ("path", &path),
+            ("isolated", &isolated),
+            ("dominant", &dominant),
+        ] {
+            let ids = 0..g.num_vertices() as Community;
+            let mut assignments = vec![
+                ids.clone().collect::<Vec<Community>>(),
+                ids.clone().map(|v| v / 16).collect(),
+                ids.map(|v| v % 97).collect(),
+            ];
+            if name == "planted" {
+                assignments.push(truth.clone());
             }
-        }
-    }
-
-    /// The serial form of [`mirror_low_id_csr`]: each row pushes its
-    /// weights onto the mirrors in higher rows.
-    fn mirror_serial_push(offsets: &[usize], targets: &[Community], weights: &mut [f64]) {
-        for u in 0..offsets.len() - 1 {
-            for idx in offsets[u]..offsets[u + 1] {
-                let v = targets[idx] as usize;
-                if v > u {
-                    let row_v = &targets[offsets[v]..offsets[v + 1]];
-                    if let Ok(pos) = row_v.binary_search(&(u as Community)) {
-                        weights[offsets[v] + pos] = weights[idx];
-                    }
+            for assignment in &assignments {
+                let expected = serial_condensation(g, assignment);
+                for (pool, t) in pools.iter().zip(threads) {
+                    let graph = pool.install(|| condense(g, assignment).graph);
+                    assert_eq!(row_bits(&graph), expected, "{name} differs at {t} threads");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_mirror_matches_serial_push() {
-        // A small asymmetric input: low-id row authoritative, (0,1) = 1.0
-        // both ways and (0,2) = 2.0.
-        let offsets = vec![0usize, 2, 3, 4];
-        let targets = vec![1u32, 2, 0, 0];
-        let mut weights = vec![1.0, 2.0, 1.5, 2.5];
-        mirror_low_id_csr(&offsets, &targets, &mut weights);
-        assert_eq!(weights, vec![1.0, 2.0, 1.0, 2.0]);
-
-        // A planted graph's rows with every weight perturbed per direction,
-        // at several pool sizes.
-        let (g, _) = planted_partition(&PlantedConfig {
-            num_vertices: 3_000,
-            num_communities: 30,
-            ..Default::default()
-        });
-        let offsets = g.adjacency_offsets().to_vec();
-        let targets = g.adjacency_targets().to_vec();
-        let skewed: Vec<f64> = (0..targets.len())
-            .map(|i| 1.0 + (i % 13) as f64 / 3.0)
-            .collect();
-        let mut expected = skewed.clone();
-        mirror_serial_push(&offsets, &targets, &mut expected);
-        for threads in [1usize, 2, 8, 16] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut got = skewed.clone();
-            pool.install(|| mirror_low_id_csr(&offsets, &targets, &mut got));
-            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&expected), "{threads} threads");
         }
     }
 

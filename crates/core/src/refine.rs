@@ -340,12 +340,11 @@ pub(crate) fn refine_phase_from(
         &mut a_parent,
     );
     let null_sum = det_sum(n, |c| a[c] * a[c]);
-    let two_m = 2.0 * m;
     // Splitting changes no intra-community edge, so the parent
     // assignment's `e_in` carries over exactly: invert the Q formula on the
     // parent modularity instead of paying an O(m) edge rescan.
     let null_parent = det_sum(n, |c| a_parent[c] * a_parent[c]);
-    let e_in = (pre_modularity + gamma * null_parent / (two_m * two_m)) * two_m;
+    let e_in = ModularityTracker::e_in_from_modularity(g, pre_modularity, null_parent, gamma);
     let mut state = SweepState {
         assignment: refined,
         a,

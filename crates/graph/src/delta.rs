@@ -20,6 +20,7 @@
 //! thread count — the bits a full rebuild from the updated adjacency gives.
 
 use crate::csr::{CsrGraph, VertexId, WeightRangeError};
+use crate::shared::carve;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
 use std::ops::Range;
@@ -423,23 +424,35 @@ fn splice(g: &CsrGraph, changes: &[EdgeChange], new_n: usize) -> Result<CsrGraph
     let mut targets: Vec<VertexId> = try_buffer(capacity, new_n)?;
     let mut offsets: Vec<usize> = try_buffer(new_n + 1, new_n)?;
     let mut degrees: Vec<f64> = try_buffer(new_n, new_n)?;
+    // Where each task's entries start, and the end of the last.
+    let entry_bounds: Vec<usize> = bounds.iter().map(|&b| offset_after(b)).collect();
+    assert_eq!(
+        (
+            bounds[0],
+            bounds[tasks],
+            entry_bounds[0],
+            entry_bounds[tasks]
+        ),
+        (0, new_n, 0, new_entries),
+        "splice tasks must tile the output arrays"
+    );
+    let row_counts = || bounds.windows(2).map(|b| b[1] - b[0]);
+    let entry_counts = || entry_bounds.windows(2).map(|e| e[1] - e[0]);
     let overflow: Vec<Option<(VertexId, f64)>> = {
-        let mut offsets = &mut offsets.spare_capacity_mut()[..new_n];
-        let mut degrees = &mut degrees.spare_capacity_mut()[..new_n];
-        let mut targets = &mut targets.spare_capacity_mut()[..new_entries];
-        let mut weights = &mut weights.spare_capacity_mut()[..new_entries];
-        let mut jobs: Vec<SpliceTask> = bounds
-            .windows(2)
-            .map(|b| {
-                let (first_entry, end_entry) = (offset_after(b[0]), offset_after(b[1]));
-                SpliceTask {
-                    vertices: b[0]..b[1],
-                    first_entry,
-                    offsets: take_front(&mut offsets, b[1] - b[0]),
-                    degrees: take_front(&mut degrees, b[1] - b[0]),
-                    targets: take_front(&mut targets, end_entry - first_entry),
-                    weights: take_front(&mut weights, end_entry - first_entry),
-                }
+        let pieces = carve(offsets.spare_capacity_mut(), row_counts())
+            .into_iter()
+            .zip(carve(degrees.spare_capacity_mut(), row_counts()))
+            .zip(carve(targets.spare_capacity_mut(), entry_counts()))
+            .zip(carve(weights.spare_capacity_mut(), entry_counts()));
+        let mut jobs: Vec<SpliceTask> = pieces
+            .enumerate()
+            .map(|(t, (((offsets, degrees), targets), weights))| SpliceTask {
+                vertices: bounds[t]..bounds[t + 1],
+                first_entry: entry_bounds[t],
+                offsets,
+                degrees,
+                targets,
+                weights,
             })
             .collect();
         jobs.par_iter_mut()
@@ -447,9 +460,11 @@ fn splice(g: &CsrGraph, changes: &[EdgeChange], new_n: usize) -> Result<CsrGraph
             .map(|job| job.run(g, &entries, &rows))
             .collect()
     };
-    // SAFETY: the tasks tile `0..new_n` and `0..new_entries`, and each one
-    // wrote every slot it owns (`SpliceTask::run` asserts its entry count;
-    // its rows are written in order). A panicking task never gets here.
+    // SAFETY: the tasks tile `0..new_n` and `0..new_entries` (asserted
+    // above), and each one wrote every slot it owns (`SpliceTask::run`
+    // asserts its entry count; its rows are written in order). A panicking
+    // task never gets here.
+    #[allow(unsafe_code)]
     unsafe {
         offsets.set_len(new_n);
         degrees.set_len(new_n);
@@ -488,21 +503,6 @@ fn try_buffer<T>(capacity: usize, n: usize) -> Result<Vec<T>, DeltaError> {
         .try_reserve_exact(capacity)
         .map_err(|_| DeltaError::OutOfMemory { n })?;
     Ok(buffer)
-}
-
-/// Splits the first `len` slots off `rest`.
-fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
-    let (front, back) = std::mem::take(rest).split_at_mut(len);
-    *rest = back;
-    front
-}
-
-/// Copies `src` into the equally long uninitialized `dst`: one `memcpy`.
-fn copy_into<T: Copy>(dst: &mut [MaybeUninit<T>], src: &[T]) {
-    assert_eq!(dst.len(), src.len());
-    // SAFETY: `MaybeUninit<T>` has `T`'s layout, the lengths match, and a
-    // shared and a unique borrow never overlap.
-    unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr().cast::<T>(), src.len()) }
 }
 
 /// One splice task: rows `vertices` and the output slots they own — their
@@ -573,18 +573,10 @@ impl SpliceTask<'_> {
         if run.start < grown {
             let src = old_off[run.start]..old_off[grown];
             end += src.len();
-            copy_into(
-                &mut self.targets[out..end],
-                &g.adjacency_targets()[src.clone()],
-            );
-            copy_into(
-                &mut self.weights[out..end],
-                &g.adjacency_weights()[src.clone()],
-            );
-            copy_into(
-                &mut self.degrees[run.start - lo..grown - lo],
-                &g.weighted_degrees()[run.start..grown],
-            );
+            self.targets[out..end].write_copy_of_slice(&g.adjacency_targets()[src.clone()]);
+            self.weights[out..end].write_copy_of_slice(&g.adjacency_weights()[src.clone()]);
+            self.degrees[run.start - lo..grown - lo]
+                .write_copy_of_slice(&g.weighted_degrees()[run.start..grown]);
             let base = self.first_entry + out;
             for (slot, &o) in self.offsets[run.start - lo..grown - lo]
                 .iter_mut()
@@ -649,8 +641,8 @@ struct RowWriter<'a> {
 impl RowWriter<'_> {
     fn extend(&mut self, ids: &[VertexId], ws: &[f64]) {
         let end = self.len + ids.len();
-        copy_into(&mut self.targets[self.len..end], ids);
-        copy_into(&mut self.weights[self.len..end], ws);
+        self.targets[self.len..end].write_copy_of_slice(ids);
+        self.weights[self.len..end].write_copy_of_slice(ws);
         for &w in ws {
             self.degree += w;
         }

@@ -12,9 +12,9 @@
 //! * [`GraphBuilder`] — parallel edge-list → CSR construction with
 //!   multi-edge merging: one counting-sort pipeline for every input and
 //!   thread count, bitwise equal to its sort-based oracle;
-//! * [`shared`] — how parallel tasks write one array: the row-range cutter
-//!   and carver the builder, VF and the sweeps use, and the raw
-//!   [`SharedSlice`] for scatters by vertex id;
+//! * [`shared`] — how parallel tasks write one array: every parallel write
+//!   in the workspace goes through the work cutter and the carver, which
+//!   hands each task its own `&mut` pieces;
 //! * [`io`] — every file format the tools exchange: graphs (edge-list and
 //!   METIS (DIMACS10) text, the `.grb` binary format), `vertex community`
 //!   assignments, and `+`/`-`/`=` edge batches;
@@ -25,6 +25,7 @@
 //! * [`perm`] — vertex relabeling utilities.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod builder;
 pub mod components;
@@ -43,5 +44,4 @@ pub use components::{
 pub use csr::{CsrGraph, VertexId, WeightRangeError, DEFAULT_WEIGHT};
 pub use delta::{DeltaError, EdgeChange, EdgeDelta, MergePolicy};
 pub use io::parse_edge_batch;
-pub use shared::SharedSlice;
 pub use stats::GraphStats;

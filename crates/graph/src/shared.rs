@@ -1,13 +1,15 @@
 //! Writing one array from parallel tasks.
 //!
-//! Tasks that own contiguous ranges of rows write through plain `&mut`
-//! slices: [`cut_by_work`] cuts the rows into ranges of about equal work,
-//! and [`carve`] splits each output array into the ranges' disjoint pieces.
-//! The graph builder, VF's fill and the sweeps' decide work this way.
-//!
-//! A scatter whose indices do not follow the task layout uses
-//! [`SharedSlice`] instead: the rebuild's mirror pass, whose rows read other
-//! rows, and the coloring's scatter by vertex id.
+//! Every parallel write in the workspace goes through plain `&mut` slices:
+//! [`cut_by_work`] cuts the items into contiguous ranges of about equal
+//! work, and [`carve`] splits each output array into the ranges' disjoint
+//! pieces, one per task, so the borrow checker proves that no two tasks
+//! write the same index. The graph builder, the batch splice, VF's fill
+//! and the sweeps' decide work this way, and so do the two writes whose
+//! indices do not follow a row range: the rebuild's mirror pass, whose rows
+//! read other rows, reads them from the gather's per-task buffers, which
+//! nothing writes while it runs, and the coloring's scatter, whose vertex
+//! ids ascend, carves `colors` into id ranges.
 
 /// The most pieces a row-parallel step is cut into: the rayon shim's
 /// per-region task bound.
@@ -66,57 +68,100 @@ pub fn carve<T>(mut arena: &mut [T], sizes: impl Iterator<Item = usize>) -> Vec<
         .collect()
 }
 
-/// Raw view of a slice written at provably disjoint indices by parallel
-/// workers. Every use site must state its disjointness argument: no index
-/// may be read or written by more than one worker while the view is live.
-/// Debug builds check the other half of that argument, that every index is
-/// in bounds.
-pub struct SharedSlice<T> {
-    ptr: *mut T,
-    len: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-unsafe impl<T: Send> Send for SharedSlice<T> {}
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
+    /// The cut's bounds, written over stale ones the cut must clear.
+    fn cut(len: usize, max_pieces: usize, work: impl Fn(usize) -> usize) -> Vec<usize> {
+        let mut bounds = vec![7, 7, 7];
+        cut_by_work(len, max_pieces, work, &mut bounds);
+        bounds
+    }
 
-impl<T: Copy> SharedSlice<T> {
-    /// Wraps `slice`; the view must not outlive it (the borrow checker
-    /// enforces this at the use sites, which keep the `&mut` borrow alive
-    /// for the scatter's duration).
-    pub fn new(slice: &mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
+    #[test]
+    fn no_items_give_the_single_bound_zero() {
+        assert_eq!(cut(0, MAX_PIECES, |_| 1), [0]);
+    }
+
+    #[test]
+    fn unit_work_closes_a_piece_every_target() {
+        // Below the least piece work everything is one piece.
+        assert_eq!(cut(MIN_PIECE_WORK, MAX_PIECES, |_| 1), [0, MIN_PIECE_WORK]);
+        // 100 pieces' worth of items in 64 pieces: each of the first 63
+        // holds the target ⌈total / 64⌉, and the last holds the rest.
+        let len = 100 * MIN_PIECE_WORK + 5;
+        let target = len.div_ceil(MAX_PIECES);
+        let bounds = cut(len, MAX_PIECES, |_| 1);
+        assert_eq!(bounds.len(), MAX_PIECES + 1);
+        for (s, w) in bounds.windows(2).enumerate() {
+            let size = w[1] - w[0];
+            assert!(size == target || s == MAX_PIECES - 1 && size <= target);
+        }
+        assert_eq!(*bounds.last().unwrap(), len);
+    }
+
+    #[test]
+    fn a_heavy_item_after_a_closed_piece_stands_alone() {
+        // Unit items around two items whose work alone passes the target:
+        // the first closes the piece of unit items it ends, and the second,
+        // right after that closed piece, is a piece of its own.
+        let work = |i: usize| if i == 5_000 || i == 5_001 { 1 << 20 } else { 1 };
+        let target = (10_000usize - 2 + (2 << 20)).div_ceil(8);
+        assert!(target > MIN_PIECE_WORK && target < 1 << 20);
+        assert_eq!(cut(10_000, 8, work), [0, 5_001, 5_002, 10_000]);
+    }
+
+    #[test]
+    fn never_more_than_max_pieces_whatever_the_pool() {
+        // Work that varies wildly, cut for several bounds on the pieces; the
+        // same cut inside 1-, 2- and 8-thread pools.
+        let work = |i: usize| 1 + (i * 2_654_435_761) % 9_973 * (i % 3);
+        for max_pieces in [1, 2, 7, MAX_PIECES] {
+            for len in [1, 100, 50_000] {
+                let bounds = cut(len, max_pieces, work);
+                assert!(bounds.len() - 1 <= max_pieces, "{max_pieces}, {len}");
+                assert_eq!((bounds[0], *bounds.last().unwrap()), (0, len));
+                assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+                for threads in [1, 2, 8] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    assert_eq!(pool.install(|| cut(len, max_pieces, work)), bounds);
+                }
+            }
         }
     }
 
-    /// # Safety
-    /// `i` must be in bounds and not concurrently written.
-    pub unsafe fn read(&self, i: usize) -> T {
-        debug_assert!(i < self.len, "SharedSlice read {i} past {}", self.len);
-        *self.ptr.add(i)
+    #[test]
+    fn carve_hands_out_consecutive_pieces() {
+        let mut arena: Vec<u32> = (0..10).collect();
+        let pieces = carve(&mut arena, [0, 3, 0, 4, 3].into_iter());
+        let lens: Vec<usize> = pieces.iter().map(|p| p.len()).collect();
+        assert_eq!(lens, [0, 3, 0, 4, 3]);
+        assert_eq!(*pieces[1], [0, 1, 2]);
+        assert_eq!(*pieces[3], [3, 4, 5, 6]);
+        for piece in pieces {
+            piece.iter_mut().for_each(|x| *x += 100);
+        }
+        assert_eq!(arena, (100..110).collect::<Vec<_>>());
     }
-
-    /// # Safety
-    /// `i` must be in bounds and not concurrently read or written.
-    pub unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len, "SharedSlice write {i} past {}", self.len);
-        *self.ptr.add(i) = value;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::SharedSlice;
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "SharedSlice write 3 past 3")]
-    fn debug_builds_refuse_an_index_past_the_end() {
-        let mut v = [0u32; 3];
-        let view = SharedSlice::new(&mut v);
-        // SAFETY: not in bounds on purpose; the debug check panics before
-        // the write happens.
-        unsafe { view.write(3, 1) };
+    fn carve_may_leave_the_tail_of_the_arena() {
+        let mut arena = [0u8; 10];
+        for piece in carve(&mut arena, [2, 5].into_iter()) {
+            piece.fill(1);
+        }
+        assert_eq!(arena, [1, 1, 1, 1, 1, 1, 1, 0, 0, 0]);
+        assert!(carve(&mut arena, std::iter::empty()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "mid > len")]
+    fn carve_panics_when_the_sizes_overrun_the_arena() {
+        let mut arena = [0u8; 10];
+        carve(&mut arena, [6, 5].into_iter());
     }
 }
