@@ -1,5 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out beyond the
-//! paper's headline comparison:
+//! Ablation studies for two design choices beyond the paper's headline
+//! comparison:
 //!
 //! 1. VF single-pass vs recursive chain compression (§5.3 extension);
 //! 2. greedy vs balanced coloring (§6.2's proposed fix for uk-2002).

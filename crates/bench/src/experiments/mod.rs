@@ -1,5 +1,5 @@
-//! One module per table/figure of the paper's evaluation section, plus the
-//! ablation studies DESIGN.md commits to. Every module exposes
+//! One module per table/figure of the paper's evaluation section, plus
+//! ablation studies of two design choices ([`ablations`]). Every module exposes
 //! `run(&ExperimentContext)`; the binaries in `src/bin/` are thin wrappers.
 
 pub mod ablations;

@@ -15,6 +15,8 @@
 //! * `GRAPPOLO_GRAPH_CACHE` — directory for cached generated graphs
 //!   (`.grb`; default under the system temp dir).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod experiments;
 pub mod harness;

@@ -572,6 +572,10 @@ fn query(cmd: &Query) -> Result<(), CliError> {
             .read_line(&mut response)
             .map_err(|e| CliError::io(format!("reading from {addr}: {e}")))?;
         if n == 0 {
+            // The server answers `quit` by closing the connection.
+            if line.trim() == "quit" {
+                continue;
+            }
             return Err(CliError::io(format!(
                 "{addr} closed the connection before answering `{line}`"
             )));

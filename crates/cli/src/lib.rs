@@ -13,6 +13,7 @@
 //! 3 I/O, 4 invalid input/config, 5 audit finding.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod args;
 pub mod commands;

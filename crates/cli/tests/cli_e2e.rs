@@ -407,8 +407,34 @@ fn query_round_trips_against_in_process_server() {
         1
     );
 
+    // The server answers `quit` by closing the connection, so the close is
+    // its answer: the exit code follows the earlier responses.
+    assert_eq!(run(&argv(&["query", "--addr", &addr, "quit"])), 0);
+    let quit_script = dir.join("quit.txt");
+    std::fs::write(&quit_script, "ping\nquit\n").unwrap();
+    let quit_script = quit_script.to_str().unwrap();
+    assert_eq!(
+        run(&argv(&["query", "--addr", &addr, "--script", quit_script])),
+        0
+    );
+
     handle.shutdown();
 
     // Connecting to a dead server is an I/O failure: exit 3.
     assert_eq!(run(&argv(&["query", "--addr", &addr, "ping"])), 3);
+
+    // So is a server that closes the connection before answering.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let closing = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        use std::io::BufRead;
+        let (stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        std::io::BufReader::new(stream)
+            .read_line(&mut request)
+            .unwrap();
+        request
+    });
+    assert_eq!(run(&argv(&["query", "--addr", &closing, "ping"])), 3);
+    assert_eq!(server.join().unwrap(), "ping\n");
 }

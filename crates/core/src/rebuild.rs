@@ -176,7 +176,8 @@ pub(crate) fn condense_stamped(
         .par_iter_mut()
         .with_min_len(1)
         .enumerate()
-        .map_init(thread_scratch, |scratch, (t, lens)| {
+        .map(|(t, lens)| {
+            let mut scratch = thread_scratch();
             let first = t * task_rows;
             let span = offsets[first]..offsets[first + lens.len()];
             let bound: usize = members[span].iter().map(|&v| g.degree(v)).sum();

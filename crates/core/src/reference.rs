@@ -26,6 +26,10 @@ use grappolo_coloring::ColorBatches;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
+/// Vertices per task of the colored rescan's decide: the rayon shim's
+/// default grain, so a class of at most this many vertices runs inline.
+const DECIDE_PIECE: usize = 1024;
+
 /// The historical sort-based gather: collect `(community, weight)` per
 /// neighbor, sort by label, merge duplicates. Entries come out sorted by
 /// ascending community label.
@@ -83,8 +87,10 @@ pub fn parallel_phase_unordered_sortbased(
 
         let c_curr: Vec<Community> = (0..n as VertexId)
             .into_par_iter()
-            .map_init(Vec::new, |entries, v| {
+            .map(|v| {
                 let cur = c_prev[v as usize];
+                let mut scratch = thread_scratch();
+                let entries = &mut scratch.entries;
                 gather_sorted(g, &c_prev, v, entries);
                 if entries.is_empty() {
                     return cur;
@@ -105,10 +111,9 @@ pub fn parallel_phase_unordered_sortbased(
             })
             .collect();
 
-        let moves = c_prev
-            .par_iter()
-            .zip(c_curr.par_iter())
-            .filter(|(a, b)| a != b)
+        let moves = (0..n)
+            .into_par_iter()
+            .filter(|&v| c_prev[v] != c_curr[v])
             .count();
         let q_curr = modularity_with_resolution(g, &c_curr, resolution);
         iterations.push((q_curr, moves));
@@ -196,19 +201,26 @@ pub fn parallel_phase_colored_rescan(
             };
             examined += batch.len();
             // Decide through the production move kernel against the state
-            // frozen at the barrier, with the singlet veto and no gate.
-            let targets: Vec<Community> = batch
-                .par_iter()
-                .map_init(thread_scratch, |scratch, &v| {
-                    let cur = assignment[v as usize];
-                    let d = evaluate(g, &assignment, &a, resolution, scratch, v);
-                    if singlet_veto(cur, d.target, |c| sizes[c as usize]) {
-                        cur
-                    } else {
-                        d.target
-                    }
-                })
+            // frozen at the barrier, with the singlet veto and no gate. Each
+            // piece checks its scratch out once: per vertex, the checkout is
+            // a measurable share of a low-degree vertex's decide.
+            let mut targets: Vec<Community> = vec![0; batch.len()];
+            let mut pieces: Vec<_> = batch
+                .chunks(DECIDE_PIECE)
+                .zip(targets.chunks_mut(DECIDE_PIECE))
                 .collect();
+            pieces
+                .par_iter_mut()
+                .with_min_len(1)
+                .for_each(|(vertices, out)| {
+                    let mut scratch = thread_scratch();
+                    for (&v, to) in vertices.iter().zip(out.iter_mut()) {
+                        let cur = assignment[v as usize];
+                        let d = evaluate(g, &assignment, &a, resolution, &mut scratch, v);
+                        let vetoed = singlet_veto(cur, d.target, |c| sizes[c as usize]);
+                        *to = if vetoed { cur } else { d.target };
+                    }
+                });
             // Commit in ascending vertex order. Same arithmetic, same order
             // as ModularityTracker's commit, so the maintained `a` evolves
             // bitwise identically — only the e_in/null_sum bookkeeping is

@@ -6,8 +6,9 @@
 //! shrinking the sweep working set and letting hub vertices drive migration
 //! decisions.
 //!
-//! Weight convention note (documented in DESIGN.md §2): the paper's §5.3
-//! prose sets `ω(j′,j′) = ω(j,j) + ω(i,j)`, which under the paper's own §2
+//! Weight convention note (the §2 weight rules are in
+//! [`grappolo_graph::csr`]'s module doc): the paper's §5.3 prose sets
+//! `ω(j′,j′) = ω(j,j) + ω(i,j)`, which under the paper's own §2
 //! degree definition (self-loop counted once in `k`) would shrink `m` by
 //! `ω(i,j)/2` per merge and silently change all modularity values. We use the
 //! m-preserving Louvain-condensation rule instead — the merged edge

@@ -4,7 +4,7 @@
 //! format … that store\[s\] the adjacency lists for all the vertices in a
 //! contiguous memory location", with per-vertex offsets kept separately.
 //!
-//! Conventions (paper §2, restated in DESIGN.md §2):
+//! Conventions (paper §2):
 //! * Each undirected edge `{i, j}` with `i != j` appears in **both** endpoint
 //!   adjacency lists.
 //! * A self-loop `(i, i)` appears **once** in `i`'s list.

@@ -3,8 +3,10 @@
 //! These stand in for the paper's 11 real-world inputs (Table 1), which we
 //! cannot redistribute; each generator targets one structural *regime* the
 //! evaluation depends on — degree skew (RSD), community strength, fraction of
-//! single-degree vertices, mesh-like uniformity — per the substitution table
-//! in DESIGN.md §4. All generators are deterministic for a fixed seed.
+//! single-degree vertices, mesh-like uniformity. Each
+//! [`paper_suite::PaperInput`] names the generator that stands in for one
+//! input and that input's Table 1 targets. All generators are deterministic
+//! for a fixed seed.
 
 mod cliques;
 mod er;

@@ -1,7 +1,7 @@
 //! Named synthetic proxies for the paper's 11 real-world inputs.
 //!
 //! Each [`PaperInput`] pairs a generator configuration that reproduces the
-//! input's structural *regime* (DESIGN.md §4) with the statistics the paper
+//! input's structural *regime* with the statistics the paper
 //! published for the real graph (Table 1) and the modularities it reported
 //! (Table 2), so harnesses can print paper-vs-measured side by side.
 //!

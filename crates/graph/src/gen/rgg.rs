@@ -80,49 +80,53 @@ pub fn random_geometric(cfg: &RggConfig) -> CsrGraph {
     let r2 = r * r;
     // Forward neighborhood (self, E, N, NE, NW) covers each cell pair once.
     const FORWARD: [(isize, isize); 5] = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)];
-    let edges: Vec<(VertexId, VertexId, f64)> = (0..grid.len())
+    // One edge `Vec` per row of cells, joined in row order, which is cell
+    // order: one `Vec` per cell raised `generate rgg --scale 4`'s peak RSS
+    // from 95 to 142 MB.
+    let edges: Vec<(VertexId, VertexId, f64)> = (0..cells_per_side)
         .into_par_iter()
-        .flat_map_iter(|cell| {
-            let cx = (cell % cells_per_side) as isize;
-            let cy = (cell / cells_per_side) as isize;
-            let points = &points;
-            let grid = &grid;
-            FORWARD.iter().flat_map(move |&(dx, dy)| {
-                let nx = cx + dx;
-                let ny = cy + dy;
-                let mut out = Vec::new();
-                if nx < 0
-                    || ny < 0
-                    || nx >= cells_per_side as isize
-                    || ny >= cells_per_side as isize
-                {
-                    return out.into_iter();
-                }
-                let other = (ny as usize) * cells_per_side + nx as usize;
-                let a = &grid[cell];
-                let b = &grid[other];
-                if cell == other {
-                    for i in 0..a.len() {
-                        for j in i + 1..a.len() {
-                            let (u, v) = (a[i], a[j]);
-                            if dist2(points[u as usize], points[v as usize]) <= r2 {
-                                out.push((u, v, 1.0));
+        .with_min_len(1)
+        .map(|cy| {
+            let mut out = Vec::new();
+            for cx in 0..cells_per_side {
+                let cell = cy * cells_per_side + cx;
+                for &(dx, dy) in &FORWARD {
+                    let nx = cx as isize + dx;
+                    let ny = cy as isize + dy;
+                    if nx < 0
+                        || ny < 0
+                        || nx >= cells_per_side as isize
+                        || ny >= cells_per_side as isize
+                    {
+                        continue;
+                    }
+                    let other = (ny as usize) * cells_per_side + nx as usize;
+                    let a = &grid[cell];
+                    let b = &grid[other];
+                    if cell == other {
+                        for i in 0..a.len() {
+                            for j in i + 1..a.len() {
+                                let (u, v) = (a[i], a[j]);
+                                if dist2(points[u as usize], points[v as usize]) <= r2 {
+                                    out.push((u, v, 1.0));
+                                }
+                            }
+                        }
+                    } else {
+                        for &u in a {
+                            for &v in b {
+                                if dist2(points[u as usize], points[v as usize]) <= r2 {
+                                    out.push((u, v, 1.0));
+                                }
                             }
                         }
                     }
-                } else {
-                    for &u in a {
-                        for &v in b {
-                            if dist2(points[u as usize], points[v as usize]) <= r2 {
-                                out.push((u, v, 1.0));
-                            }
-                        }
-                    }
                 }
-                out.into_iter()
-            })
+            }
+            out
         })
-        .collect();
+        .collect::<Vec<Vec<_>>>()
+        .concat();
 
     GraphBuilder::with_capacity(n, edges.len())
         .extend_edges(edges)

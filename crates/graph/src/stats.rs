@@ -5,7 +5,6 @@
 //! the degree and its mean."
 
 use crate::csr::{CsrGraph, VertexId};
-use rayon::prelude::*;
 
 /// Summary statistics for one graph (one row of Table 1).
 #[derive(Clone, Debug, PartialEq)]
@@ -30,45 +29,22 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for `g` (parallel over vertices).
+    /// Computes statistics for `g` in one pass over its vertices.
     pub fn compute(g: &CsrGraph) -> Self {
         let n = g.num_vertices();
-        if n == 0 {
-            return Self {
-                num_vertices: 0,
-                num_edges: 0,
-                max_degree: 0,
-                avg_degree: 0.0,
-                degree_rsd: 0.0,
-                total_weight: 0.0,
-                num_single_degree: 0,
-                num_isolated: 0,
-            };
+        let (mut sum, mut sum_sq, mut max, mut singles, mut isolated) = (0u64, 0u128, 0, 0, 0);
+        for v in 0..n as VertexId {
+            let d = g.degree(v);
+            sum += d as u64;
+            sum_sq += (d as u128) * (d as u128);
+            max = max.max(d);
+            singles += is_single_degree(g, v) as usize;
+            isolated += (d == 0) as usize;
         }
-        // Single pass folding (sum, sum of squares, max, singles, isolated).
-        let (sum, sum_sq, max, singles, isolated) = (0..n as VertexId)
-            .into_par_iter()
-            .fold(
-                || (0u64, 0u128, 0usize, 0usize, 0usize),
-                |(s, sq, mx, single, iso), v| {
-                    let d = g.degree(v);
-                    let is_single = is_single_degree(g, v) as usize;
-                    (
-                        s + d as u64,
-                        sq + (d as u128) * (d as u128),
-                        mx.max(d),
-                        single + is_single,
-                        iso + (d == 0) as usize,
-                    )
-                },
-            )
-            .reduce(
-                || (0u64, 0u128, 0usize, 0usize, 0usize),
-                |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2), a.3 + b.3, a.4 + b.4),
-            );
 
-        let mean = sum as f64 / n as f64;
-        let var = (sum_sq as f64 / n as f64) - mean * mean;
+        // An empty graph divides by 1, so its statistics are all 0.
+        let mean = sum as f64 / n.max(1) as f64;
+        let var = (sum_sq as f64 / n.max(1) as f64) - mean * mean;
         let sd = var.max(0.0).sqrt();
         Self {
             num_vertices: n,
@@ -141,8 +117,17 @@ mod tests {
     fn empty_graph_stats() {
         let g = CsrGraph::empty(0);
         let s = GraphStats::compute(&g);
-        assert_eq!(s.num_vertices, 0);
-        assert_eq!(s.degree_rsd, 0.0);
+        let zero = GraphStats {
+            num_vertices: 0,
+            num_edges: 0,
+            max_degree: 0,
+            avg_degree: 0.0,
+            degree_rsd: 0.0,
+            total_weight: 0.0,
+            num_single_degree: 0,
+            num_isolated: 0,
+        };
+        assert_eq!(s, zero);
     }
 
     #[test]

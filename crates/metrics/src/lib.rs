@@ -17,6 +17,7 @@
 //!   subcommand.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod connectivity;
 pub mod nmi;

@@ -32,6 +32,7 @@
 //! server instance.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod faults;
 pub mod persist;

@@ -22,7 +22,11 @@ extern "C" fn on_term(_signum: i32) {
 }
 
 /// Installs the SIGTERM/SIGINT latch. Idempotent.
+#[allow(unsafe_code)]
 pub fn install_term_handler() {
+    // SAFETY: `signal` is the C library's, called with valid signal numbers
+    // and an `extern "C"` handler that only stores to an atomic, which is
+    // async-signal-safe.
     unsafe {
         signal(SIGTERM, on_term);
         signal(SIGINT, on_term);

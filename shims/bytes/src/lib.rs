@@ -1,6 +1,8 @@
 //! Minimal stand-in for `bytes`: a growable byte buffer plus the
 //! little-endian `Buf`/`BufMut` accessors the graph binary format uses.
 
+#![forbid(unsafe_code)]
+
 /// Growable byte buffer (a thin wrapper over `Vec<u8>`).
 #[derive(Clone, Debug, Default)]
 pub struct BytesMut {

@@ -7,6 +7,8 @@
 //! workspace root under `cargo bench`) so CI can track a perf trajectory.
 //! Set `CARGO_BENCH_RESULTS_DIR=-` to suppress the file.
 
+#![forbid(unsafe_code)]
+
 pub use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::Instant;

@@ -2,6 +2,8 @@
 //! non-poisoning `lock()`/`read()`/`write()` signatures, backed by their
 //! `std::sync` counterparts.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Mutex as StdMutex;
 use std::sync::RwLock as StdRwLock;
 

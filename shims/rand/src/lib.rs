@@ -6,6 +6,8 @@
 //! not match the real crate bit-for-bit — the workspace's generators only
 //! need reproducibility, not stream compatibility.
 
+#![forbid(unsafe_code)]
+
 /// Low-level entropy source.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

@@ -25,8 +25,8 @@
 //! # Grain-size rule
 //!
 //! Every terminal operation applies one uniform sequential-fallback rule,
-//! shared by `for_each` / `count` / `fold`+`reduce` / `collect` (and
-//! therefore by `grappolo_core`'s `det_sum`, which is built on these): with
+//! shared by `for_each` / `count` / `collect` (and therefore by
+//! `grappolo_core`'s `det_sum`, which is built on `collect`): with
 //! grain `g` — the innermost source's [`ParallelIterator::with_min_len`]
 //! value, default `SEQ_CUTOFF` = 1024 items —
 //!
@@ -41,11 +41,10 @@
 //! rows) override the grain via `with_min_len(1)` so a handful of heavy
 //! items still parallelizes.
 //!
-//! Supported surface: the sources `into_par_iter` on integer ranges, and
-//! `par_iter` and `par_iter_mut` on slices; the adapters
-//! `map` / `map_init` / `filter` / `flat_map_iter` / `copied` / `zip` /
-//! `enumerate` / `with_min_len`; the terminals `collect` / `count` /
-//! `for_each` and `fold(..).reduce(..)`; `ThreadPoolBuilder` /
+//! Supported surface: the sources `into_par_iter` on `u32` and `usize`
+//! ranges, and `par_iter` and `par_iter_mut` on slices; the adapters
+//! `map` / `filter` / `copied` / `enumerate` / `with_min_len`; the
+//! terminals `collect` / `count` / `for_each`; `ThreadPoolBuilder` /
 //! `ThreadPool::install` (a built pool owns resident workers and `install`
 //! binds execution to them); and [`current_num_threads`]. The crate-level
 //! items the workspace names (`ThreadPool`, `ThreadPoolBuilder`,
@@ -53,8 +52,12 @@
 //! region may launch nested regions from inside its tasks. Like the real
 //! rayon, the worker count honours the `RAYON_NUM_THREADS` environment
 //! variable when no pool is installed.
+//!
+//! The shim is safe code but for one site: the pool's lifetime erasure of
+//! a region's task closure (see the private `pool` module).
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+#![deny(unsafe_code)]
+
 use std::sync::{Arc, Mutex};
 
 mod pool;
@@ -209,19 +212,6 @@ pub trait ParallelIterator: Sized + Send + Sync {
         Map { base: self, f }
     }
 
-    fn map_init<T, R, INIT, F>(self, init: INIT, f: F) -> MapInit<Self, INIT, F>
-    where
-        R: Send,
-        INIT: Fn() -> T + Sync + Send,
-        F: Fn(&mut T, Self::Item) -> R + Sync + Send,
-    {
-        MapInit {
-            base: self,
-            init,
-            f,
-        }
-    }
-
     fn filter<F>(self, f: F) -> Filter<Self, F>
     where
         F: Fn(&Self::Item) -> bool + Sync + Send,
@@ -229,38 +219,12 @@ pub trait ParallelIterator: Sized + Send + Sync {
         Filter { base: self, f }
     }
 
-    fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(Self::Item) -> U + Sync + Send,
-    {
-        FlatMapIter { base: self, f }
-    }
-
     fn copied(self) -> Copied<Self> {
         Copied { base: self }
     }
 
-    fn zip<B: ParallelIterator>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
     fn enumerate(self) -> Enumerate<Self> {
         Enumerate { base: self }
-    }
-
-    fn fold<A, ID, F>(self, identity: ID, fold_op: F) -> FoldPartials<Self, ID, F>
-    where
-        A: Send,
-        ID: Fn() -> A + Sync + Send,
-        F: Fn(A, Self::Item) -> A + Sync + Send,
-    {
-        FoldPartials {
-            base: self,
-            identity,
-            fold_op,
-        }
     }
 
     // ---- terminals ------------------------------------------------------
@@ -375,41 +339,6 @@ impl<P: ParallelIterator> ParallelIterator for MinLen<P> {
     }
 }
 
-pub struct MapInit<P, INIT, F> {
-    base: P,
-    init: INIT,
-    f: F,
-}
-
-impl<P, T, R, INIT, F> ParallelIterator for MapInit<P, INIT, F>
-where
-    P: ParallelIterator,
-    R: Send,
-    INIT: Fn() -> T + Sync + Send,
-    F: Fn(&mut T, P::Item) -> R + Sync + Send,
-{
-    type Item = R;
-
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-
-    fn pi_chunk<S: FnMut(R)>(&self, lo: usize, hi: usize, sink: &mut S) {
-        // One scratch state per task — the moral equivalent of rayon's
-        // per-split init. Call sites that want the state to persist across
-        // tasks, regions and phases pass an `init` that checks it out of a
-        // thread-local instead of allocating (see `grappolo_core`'s
-        // `thread_scratch`).
-        let mut state = (self.init)();
-        self.base
-            .pi_chunk(lo, hi, &mut |item| sink((self.f)(&mut state, item)));
-    }
-
-    fn pi_seq_threshold(&self) -> usize {
-        self.base.pi_seq_threshold()
-    }
-}
-
 pub struct Filter<P, F> {
     base: P,
     f: F,
@@ -430,37 +359,6 @@ where
         self.base.pi_chunk(lo, hi, &mut |item| {
             if (self.f)(&item) {
                 sink(item);
-            }
-        });
-    }
-
-    fn pi_seq_threshold(&self) -> usize {
-        self.base.pi_seq_threshold()
-    }
-}
-
-pub struct FlatMapIter<P, F> {
-    base: P,
-    f: F,
-}
-
-impl<P, U, F> ParallelIterator for FlatMapIter<P, F>
-where
-    P: ParallelIterator,
-    U: IntoIterator,
-    U::Item: Send,
-    F: Fn(P::Item) -> U + Sync + Send,
-{
-    type Item = U::Item;
-
-    fn pi_len(&self) -> usize {
-        self.base.pi_len()
-    }
-
-    fn pi_chunk<S: FnMut(U::Item)>(&self, lo: usize, hi: usize, sink: &mut S) {
-        self.base.pi_chunk(lo, hi, &mut |item| {
-            for out in (self.f)(item) {
-                sink(out);
             }
         });
     }
@@ -494,37 +392,6 @@ where
     }
 }
 
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A, B> ParallelIterator for Zip<A, B>
-where
-    A: ParallelIterator,
-    B: ParallelIterator,
-{
-    type Item = (A::Item, B::Item);
-
-    fn pi_chunk<S: FnMut((A::Item, B::Item))>(&self, lo: usize, hi: usize, sink: &mut S) {
-        let mut left = Vec::with_capacity(hi - lo);
-        self.a.pi_chunk(lo, hi, &mut |item| left.push(item));
-        let mut right = Vec::with_capacity(hi - lo);
-        self.b.pi_chunk(lo, hi, &mut |item| right.push(item));
-        for pair in left.into_iter().zip(right) {
-            sink(pair);
-        }
-    }
-
-    fn pi_len(&self) -> usize {
-        self.a.pi_len().min(self.b.pi_len())
-    }
-
-    fn pi_seq_threshold(&self) -> usize {
-        self.a.pi_seq_threshold().min(self.b.pi_seq_threshold())
-    }
-}
-
 pub struct Enumerate<P> {
     base: P,
 }
@@ -546,38 +413,6 @@ impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
 
     fn pi_seq_threshold(&self) -> usize {
         self.base.pi_seq_threshold()
-    }
-}
-
-/// Result of [`ParallelIterator::fold`]: per-task accumulators awaiting a
-/// final `reduce`. Matches the `fold(..).reduce(..)` idiom.
-pub struct FoldPartials<P, ID, F> {
-    base: P,
-    identity: ID,
-    fold_op: F,
-}
-
-impl<P, A, ID, F> FoldPartials<P, ID, F>
-where
-    P: ParallelIterator,
-    A: Send,
-    ID: Fn() -> A + Sync + Send,
-    F: Fn(A, P::Item) -> A + Sync + Send,
-{
-    pub fn reduce<RID, OP>(self, reduce_identity: RID, op: OP) -> A
-    where
-        RID: Fn() -> A + Sync + Send,
-        OP: Fn(A, A) -> A + Sync + Send,
-    {
-        let partials = drive_chunks(
-            &self.base,
-            || None::<A>,
-            |acc, item| {
-                let prev = acc.take().unwrap_or_else(&self.identity);
-                *acc = Some((self.fold_op)(prev, item));
-            },
-        );
-        partials.into_iter().flatten().fold(reduce_identity(), &op)
     }
 }
 
@@ -619,18 +454,14 @@ macro_rules! impl_range_par {
             type Item = $t;
 
             fn into_par_iter(self) -> RangePar<$t> {
-                let len = if self.end > self.start {
-                    (self.end - self.start) as usize
-                } else {
-                    0
-                };
+                let len = self.end.saturating_sub(self.start) as usize;
                 RangePar { start: self.start, len }
             }
         }
     )*};
 }
 
-impl_range_par!(u32, u64, usize, i32, i64);
+impl_range_par!(u32, usize);
 
 /// Parallel iterator over a slice.
 pub struct SlicePar<'a, T> {
@@ -680,48 +511,39 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
 
     fn par_iter_mut(&'a mut self) -> SliceParMut<'a, T> {
         SliceParMut {
-            ptr: self.as_mut_ptr(),
             len: self.len(),
-            claimed: (0..self.len().div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            _borrow: std::marker::PhantomData,
+            untaken: Mutex::new(vec![(0, self)]),
         }
     }
 }
 
-/// Parallel iterator over a mutable slice. Elements are handed out through
-/// a raw pointer; a claim bit per index makes a second request for any
-/// index panic before it is produced, so no two `&mut` ever alias.
+/// Parallel iterator over a mutable slice. It holds the pieces of the slice
+/// that no task has taken yet, each with the index it starts at; a task
+/// splits its range out of the piece that contains it (`split_at_mut`), so
+/// no two tasks ever hold the same element, and a range that overlaps one
+/// already taken finds no piece and panics.
 pub struct SliceParMut<'a, T> {
-    ptr: *mut T,
     len: usize,
-    claimed: Vec<AtomicU64>,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
+    untaken: Mutex<Vec<(usize, &'a mut [T])>>,
 }
 
-// SAFETY: `ptr` and `len` stand for the `&mut [T]` the iterator was made
-// from (`_borrow` keeps it borrowed), which may move to another thread when
-// `T: Send`. Shared use hands each index out once (`claimed`, atomics, see
-// `claim`), so other threads only ever get distinct `&mut T`, which
-// `T: Send` permits; no `&T` is shared, so `T: Sync` is not needed.
-unsafe impl<T: Send> Send for SliceParMut<'_, T> {}
-unsafe impl<T: Send> Sync for SliceParMut<'_, T> {}
-
-impl<T> SliceParMut<'_, T> {
-    /// Claims indices `lo..hi`, panicking if any was claimed before.
-    fn claim(&self, lo: usize, hi: usize) {
-        assert!(lo <= hi && hi <= self.len, "index range out of bounds");
-        let mut i = lo;
-        while i < hi {
-            let word = i / 64;
-            let end = hi.min((word + 1) * 64);
-            let width = end - i;
-            let mask = (u64::MAX >> (64 - width)) << (i % 64);
-            let before = self.claimed[word].fetch_or(mask, AtomicOrdering::AcqRel);
-            assert!(before & mask == 0, "par_iter_mut index produced twice");
-            i = end;
+impl<'a, T> SliceParMut<'a, T> {
+    /// Takes indices `lo..hi` (not empty) out of the untaken pieces.
+    fn take(&self, lo: usize, hi: usize) -> &'a mut [T] {
+        let mut untaken = self.untaken.lock().unwrap_or_else(|e| e.into_inner());
+        let found = untaken
+            .iter()
+            .position(|(start, piece)| *start <= lo && hi <= start + piece.len());
+        let (start, piece) = untaken.swap_remove(found.expect("par_iter_mut index produced twice"));
+        let (before, rest) = piece.split_at_mut(lo - start);
+        let (taken, after) = rest.split_at_mut(hi - lo);
+        if !before.is_empty() {
+            untaken.push((start, before));
         }
+        if !after.is_empty() {
+            untaken.push((hi, after));
+        }
+        taken
     }
 }
 
@@ -733,11 +555,9 @@ impl<'a, T: Send> ParallelIterator for SliceParMut<'a, T> {
     }
 
     fn pi_chunk<S: FnMut(&'a mut T)>(&self, lo: usize, hi: usize, sink: &mut S) {
-        self.claim(lo, hi);
-        for i in lo..hi {
-            // SAFETY: `i < len`, and `claim` handed index `i` to this call
-            // alone, so this is the only reference to element `i`.
-            sink(unsafe { &mut *self.ptr.add(i) });
+        assert!(lo <= hi && hi <= self.len, "index range out of bounds");
+        if lo < hi {
+            self.take(lo, hi).iter_mut().for_each(sink);
         }
     }
 }
@@ -786,18 +606,12 @@ mod tests {
     }
 
     #[test]
-    fn filter_count_and_sum() {
+    fn filter_count() {
         let n = (0usize..50_000)
             .into_par_iter()
             .filter(|&x| x % 3 == 0)
             .count();
         assert_eq!(n, 16_667);
-        let s = (0usize..10_000)
-            .into_par_iter()
-            .filter(|&x| x % 3 == 0)
-            .fold(|| 0usize, |acc, x| acc + x)
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(s, 3 * 3_333 * 3_334 / 2);
     }
 
     #[test]
@@ -822,26 +636,10 @@ mod tests {
     }
 
     #[test]
-    fn zip_and_copied() {
+    fn copied_filter_collects_in_order() {
         let a: Vec<u32> = (0..5_000).collect();
-        let b: Vec<u32> = (0..5_000).map(|x| x + 1).collect();
-        let n = a
-            .par_iter()
-            .zip(b.par_iter())
-            .filter(|(x, y)| **y == **x + 1)
-            .count();
-        assert_eq!(n, 5_000);
         let small: Vec<u32> = a.par_iter().copied().filter(|&x| x < 10).collect();
         assert_eq!(small, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn fold_reduce_matches_serial() {
-        let total = (0u64..100_000)
-            .into_par_iter()
-            .fold(|| 0u64, |acc, x| acc + x)
-            .reduce(|| 0u64, |a, b| a + b);
-        assert_eq!(total, 99_999 * 100_000 / 2);
     }
 
     #[test]
@@ -859,16 +657,36 @@ mod tests {
 
     #[test]
     fn par_iter_mut_visits_each_element_once() {
-        let mut v: Vec<usize> = (0..10_000).collect();
-        v.par_iter_mut().for_each(|x| *x *= 3);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i));
-        let mut coarse = vec![0u32; 70];
-        coarse
-            .par_iter_mut()
-            .with_min_len(1)
-            .enumerate()
-            .for_each(|(i, x)| *x = i as u32);
-        assert_eq!(coarse, (0..70).collect::<Vec<u32>>());
+        for threads in [1, 2, 8] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut v: Vec<usize> = (0..10_000).collect();
+                v.par_iter_mut().for_each(|x| *x *= 3);
+                assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i));
+                let mut coarse = vec![0u32; 70];
+                coarse
+                    .par_iter_mut()
+                    .with_min_len(1)
+                    .enumerate()
+                    .for_each(|(i, x)| *x = i as u32);
+                assert_eq!(coarse, (0..70).collect::<Vec<u32>>());
+                let mut empty: Vec<u32> = Vec::new();
+                empty.par_iter_mut().for_each(|x| *x = 1);
+                assert_eq!(empty.par_iter_mut().count(), 0);
+            });
+        }
+        // An empty range takes nothing; two adjacent ranges taken out of
+        // order each get their own elements.
+        let mut v = [0u8; 130];
+        let it = v.par_iter_mut();
+        it.pi_chunk(70, 70, &mut |_| panic!("an empty range produced an item"));
+        it.pi_chunk(65, 130, &mut |x| *x += 2);
+        it.pi_chunk(0, 65, &mut |x| *x += 1);
+        it.pi_chunk(65, 65, &mut |_| panic!("an empty range produced an item"));
+        assert!(v[..65].iter().all(|&x| x == 1) && v[65..].iter().all(|&x| x == 2));
     }
 
     #[test]

@@ -274,6 +274,7 @@ impl PoolCore {
         // SAFETY: see module docs — the region cannot be claimed after it
         // drains, every claim is tracked in `pending`, and we do not return
         // (so `body`'s borrows stay live) until `pending == 0`.
+        #[allow(unsafe_code)]
         let body: TaskBody =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), TaskBody>(body) };
         let region = Arc::new(Region::new(body, num_tasks));

@@ -1,6 +1,8 @@
 //! Minimal stand-in for `rustc-hash`: the Fx multiply-and-rotate hasher and
 //! the `FxHashMap`/`FxHashSet` aliases.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

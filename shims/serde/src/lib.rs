@@ -4,6 +4,8 @@
 //! decoded back into a type: JSON text parses only into an untyped [`Json`]
 //! (`serde_json::from_str`).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 pub use serde_derive::Serialize;

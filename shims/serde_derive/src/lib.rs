@@ -4,6 +4,8 @@
 //! records. Anything else panics at compile time with a clear message so the
 //! shim is extended rather than silently mis-derived.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Skips a `#[...]` attribute if `tokens[i]` starts one; returns the new i.

@@ -2,6 +2,8 @@
 //! text and parses JSON text into the serde shim's untyped [`Json`] value
 //! tree ([`Value`]).
 
+#![forbid(unsafe_code)]
+
 pub use serde::Json as Value;
 use serde::{Json, Serialize};
 

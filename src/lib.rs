@@ -45,6 +45,8 @@
 //! # let _ = agreement;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use grappolo_coloring as coloring;
 pub use grappolo_core as core;
 pub use grappolo_graph as graph;
