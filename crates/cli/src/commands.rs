@@ -56,27 +56,32 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
     }
 }
 
+/// Loads the graph at `path`; its errors render as [`file_error`] says.
 fn load(path: &Path) -> Result<CsrGraph, CliError> {
-    io::load_path(path)
-        .map_err(|e| CliError::from_io(format_args!("loading {}", path.display()), e))
+    io::load_path(path).map_err(|e| file_error(path, e))
 }
 
 /// Reads the assignment or edge-batch file at `path` with `read`, one of
-/// the [`io`] line-format readers. A parse error renders as
-/// `path:line: message` (`path: message` when no one line is at fault) and
-/// exits 4; any other error is an I/O failure and exits 3.
+/// the [`io`] line-format readers; its errors render as [`file_error`]
+/// says.
 fn read_file<T>(path: &Path, read: impl FnOnce(File) -> Result<T, IoError>) -> Result<T, CliError> {
-    let at = path.display();
     File::open(path)
         .map_err(IoError::from)
         .and_then(read)
-        .map_err(|e| match e {
-            IoError::Parse { line: 0, message } => CliError::invalid(format!("{at}: {message}")),
-            IoError::Parse { line, message } => {
-                CliError::invalid(format!("{at}:{line}: {message}"))
-            }
-            e => CliError::io(format!("reading {at}: {e}")),
-        })
+        .map_err(|e| file_error(path, e))
+}
+
+/// An error reading the input file at `path`: a parse error renders as
+/// `path:line: message` (`path: message` when no one line is at fault) and
+/// exits 4, a graph that fails validation exits 4, and an I/O failure
+/// exits 3.
+fn file_error(path: &Path, e: IoError) -> CliError {
+    let at = path.display();
+    match e {
+        IoError::Parse { line: 0, message } => CliError::invalid(format!("{at}: {message}")),
+        IoError::Parse { line, message } => CliError::invalid(format!("{at}:{line}: {message}")),
+        e => CliError::from_io(format_args!("reading {at}"), e),
+    }
 }
 
 /// The `blocks` family: one dominant planted block plus many small ones in
@@ -389,9 +394,7 @@ fn update(cmd: Update) -> Result<(), CliError> {
     let (outcome, t) = with_thread_budget(&cmd.config, || {
         let g = load(&cmd.graph)?;
         let assignment = read_file(&cmd.assignments, io::read_assignment)?;
-        let deltas = read_file(&cmd.batch, |f| {
-            io::parse_edge_batch(&std::io::read_to_string(f)?)
-        })?;
+        let deltas = read_file(&cmd.batch, io::read_edge_batch)?;
         let t = Instant::now();
         // The library checks the config, the assignment and the batch:
         // every error it returns is invalid input.
@@ -824,16 +827,26 @@ mod tests {
         let dir = std::env::temp_dir().join("grappolo_cli_removed_formats");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let [bin, grb, out, v1] = ["x.bin", "g.grb", "out.bin", "v1.grb"].map(|f| dir.join(f));
+        let [bin, grb, out, v1, v2] =
+            ["x.bin", "g.grb", "out.bin", "v1.grb", "v2.grb"].map(|f| dir.join(f));
         std::fs::write(&bin, "0 1\n").unwrap(); // bytes an edge list would accept
         io::save_path(&CsrGraph::empty(2), &grb).unwrap();
-        // The empty graph as the retired v1 writer laid it out: magic,
-        // version 1, flags, n = 0, no entries, offsets [0].
+        // The empty graph as the retired writers laid it out: magic,
+        // version 1, flags, n = 0, no entries, offsets [0]; and magic,
+        // version 2, flags, n = 0, no entries, chunk size, no chunks.
         std::fs::write(&v1, [&b"GRPLGRB\0\x01\0\0\0"[..], &[0; 24]].concat()).unwrap();
+        let v2_bytes = [
+            &b"GRPLGRB\0\x02\0\0\0"[..],
+            &[0; 16],
+            &4096u64.to_le_bytes(),
+            &[0; 8],
+        ];
+        std::fs::write(&v2, v2_bytes.concat()).unwrap();
         for (line, needle) in [
             (&["stats", s(&bin)][..], "`.grb`"),
             (&["convert", s(&grb), s(&out)], "`.grb`"),
-            (&["stats", s(&v1)], "version 1"),
+            (&["stats", s(&v1)], ".grb version 1 unsupported"),
+            (&["stats", s(&v2)], ".grb version 2 unsupported"),
         ] {
             let err = execute(cmd(line)).unwrap_err();
             assert_eq!(err.code(), crate::error::EXIT_INVALID, "{err}");
@@ -903,8 +916,7 @@ mod tests {
     fn read_edge_batch_parses_and_reports_line_errors() {
         let p = tmp("batch_ok.txt");
         std::fs::write(&p, "# comment\n+ 0 1\n+ 1 2 2.5\n- 3 4\n= 5 6 0.5\n").unwrap();
-        let read_batch =
-            |p: &Path| read_file(p, |f| io::parse_edge_batch(&std::io::read_to_string(f)?));
+        let read_batch = |p: &Path| read_file(p, io::read_edge_batch);
         let batch = read_batch(&p).unwrap();
         assert_eq!(
             batch,

@@ -53,6 +53,43 @@ fn malformed_graph_file_exits_4() {
     assert_eq!(run(&argv(&["stats", bad.to_str().unwrap()])), 4);
 }
 
+#[test]
+fn non_utf8_text_inputs_exit_4_naming_path_and_line() {
+    // One byte that is not UTF-8 in a graph, an assignment or a batch is
+    // invalid input on its line, not an I/O error.
+    let dir = tmp_dir("exit4-not-utf8");
+    for (file, bytes) in [
+        ("g.edges", &b"0 1\n1 2\n"[..]),
+        ("g.assign", b"0 0\n1 0\n2 0\n"),
+        ("bad.edges", b"0 1\n1 \xFF2\n"),
+        ("bad.graph", b"3 2\n2\n1 3\xFF\n2\n"),
+        ("bad.assign", b"0 0\n1 0\n# \xFF\n2 0\n"),
+        ("bad.batch", b"+ 0 1\n\xFF\n"),
+    ] {
+        std::fs::write(dir.join(file), bytes).unwrap();
+    }
+    for (line, expected) in [
+        ("stats bad.edges", "bad.edges:2: line is not UTF-8"),
+        ("stats bad.graph", "bad.graph:3: line is not UTF-8"),
+        (
+            "audit g.edges bad.assign",
+            "bad.assign:3: line is not UTF-8",
+        ),
+        (
+            "compare g.assign bad.assign",
+            "bad.assign:3: line is not UTF-8",
+        ),
+        (
+            "update g.edges g.assign bad.batch",
+            "bad.batch:2: line is not UTF-8",
+        ),
+    ] {
+        let (code, _, stderr) = run_bounded(&dir, line);
+        assert_eq!(code, Some(4), "{line}: {stderr}");
+        assert!(stderr.contains(expected), "{line}: {stderr}");
+    }
+}
+
 /// Runs `grappolo <line>` in `dir` under a 4 GB address-space limit, so an
 /// allocation sized by a huge vertex id fails on any host, and returns its
 /// exit code, stdout and stderr. A run still going after 60 s is killed

@@ -2,18 +2,21 @@
 //! METIS — the DIMACS10 distribution format of the paper's inputs — and the
 //! `.grb` binary format), `vertex community` assignments
 //! ([`read_assignment`]/[`format_assignment`]) and `+`/`-`/`=` edge batches
-//! ([`parse_edge_batch`]).
+//! ([`read_edge_batch`]/[`parse_edge_batch`]).
 //!
-//! `.grb` ([`write_grb`]/[`read_grb`]) serializes the CSR arrays directly,
-//! so big benchmark graphs load in O(read) instead of re-parsing and
-//! re-sorting an edge list. It is a load cache: only [`GRB_VERSION`] is
-//! read, and a file of an older layout is regenerated from its source.
+//! `.grb` ([`write_grb`]/[`read_grb`]) stores the three CSR arrays behind
+//! one header and ahead of one checksum, so big benchmark graphs load in
+//! O(read) instead of re-parsing and re-sorting an edge list. It is a load
+//! cache: only [`GRB_VERSION`] is read, and a file of an older layout is
+//! regenerated from its source.
 //!
 //! The edge-list, assignment and batch parsers share one line reader: blank
 //! lines and comment lines are skipped but counted, a field that is absent
 //! or does not parse is `missing <field>` or `bad <field>: <err>`, and a
 //! field past the last is `trailing tokens after <field>` — each an
-//! [`IoError::Parse`] naming its 1-based line.
+//! [`IoError::Parse`] naming its 1-based line. The text formats take UTF-8
+//! only: a line holding other bytes is `line is not UTF-8`, a parse error
+//! on that line in every text format, METIS included.
 //!
 //! Graph readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
 //! all writers round-trip exactly with their readers (under test), isolated
@@ -115,6 +118,31 @@ impl<'a> Line<'a> {
     }
 }
 
+/// The parse error of a line holding bytes that are not UTF-8.
+const NOT_UTF8: &str = "line is not UTF-8";
+
+/// Reads all of `reader` as the text of a line format: bytes that are not
+/// UTF-8 are a parse error on the line that holds them, not an I/O error.
+fn read_text<R: Read>(mut reader: R) -> Result<String, IoError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    String::from_utf8(bytes).map_err(|e| {
+        let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+        parse_err(1 + valid.iter().filter(|&&b| b == b'\n').count(), NOT_UTF8)
+    })
+}
+
+/// The error `lines()` gave for 1-based line `line`: invalid UTF-8, which
+/// it reports as [`io::ErrorKind::InvalidData`], is [`read_text`]'s parse
+/// error; any other is an I/O error.
+fn line_error(line: usize, e: io::Error) -> IoError {
+    if e.kind() == io::ErrorKind::InvalidData {
+        parse_err(line, NOT_UTF8)
+    } else {
+        IoError::Io(e)
+    }
+}
+
 /// The one line reader of the text formats (see the module doc); `comments`
 /// are the format's comment characters. `each` reads a data line's fields and
 /// returns the name of the last one the format has.
@@ -185,7 +213,7 @@ fn edge_list_header(text: &str) -> Result<Option<(usize, usize)>, IoError> {
 /// error on the header's. Without the header the vertex count is
 /// `1 + max id`.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
-    let text = io::read_to_string(reader)?;
+    let text = read_text(reader)?;
     let header = edge_list_header(&text)?;
     let mut edges: Vec<(VertexId, VertexId, f64)> = Vec::new();
     // One past the largest id read; 0 while there are no edges.
@@ -268,7 +296,7 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
         let (idx, line) = lines
             .next()
             .ok_or_else(|| parse_err(0, "empty METIS file"))?;
-        let line = line?;
+        let line = line.map_err(|e| line_error(idx + 1, e))?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -307,7 +335,7 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     };
     let mut vertex = 0usize;
     for (idx, line) in lines {
-        let line = line?;
+        let line = line.map_err(|e| line_error(idx + 1, e))?;
         let t = line.trim();
         if t.starts_with('%') {
             continue;
@@ -449,7 +477,7 @@ pub fn write_metis<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
 /// 0, since no one line is at fault.
 pub fn read_assignment<R: Read>(reader: R) -> Result<Vec<u32>, IoError> {
     let mut pairs: Vec<(usize, u32, usize)> = Vec::new();
-    for_each_line(&io::read_to_string(reader)?, &['#'], |line| {
+    for_each_line(&read_text(reader)?, &['#'], |line| {
         pairs.push((line.field("vertex")?, line.field("community")?, line.number));
         Ok("community")
     })?;
@@ -495,6 +523,11 @@ pub fn format_assignment(assignment: &[u32]) -> String {
         writeln!(text, "{v} {c}").expect("formatting into a String cannot fail");
     }
     text
+}
+
+/// Reads an edge batch in [`parse_edge_batch`]'s format from `reader`.
+pub fn read_edge_batch<R: Read>(reader: R) -> Result<Vec<EdgeDelta>, IoError> {
+    parse_edge_batch(&read_text(reader)?)
 }
 
 /// Parses the edge-batch format `grappolo update` and `grappolo serve`
@@ -544,25 +577,21 @@ pub fn parse_edge_batch(text: &str) -> Result<Vec<EdgeDelta>, IoError> {
 
 /// Magic prefix of a `.grb` file.
 pub const GRB_MAGIC: &[u8; 8] = b"GRPLGRB\0";
-/// The one `.grb` layout version written and read: vertex-range chunks
-/// behind a chunk table, written streamed and decoded one chunk at a time,
-/// each against its own checksum.
-pub const GRB_VERSION: u16 = 2;
-/// Fixed v2 header size: magic (8) + version (2) + flags (2) + n (8) +
-/// entries (8) + chunk size (8) + chunk count (8).
-const GRB_V2_HEADER_LEN: usize = 44;
-/// Bytes per chunk-table record: first vertex, vertex count, first adjacency
-/// entry, entry count, payload checksum — each `u64`.
-const GRB_V2_TABLE_RECORD: usize = 40;
+/// The one `.grb` layout version written and read: the three CSR arrays
+/// behind one header and ahead of one checksum.
+pub const GRB_VERSION: u16 = 3;
+/// Header size: magic (8) + version (2) + n (8) + adjacency entries (8).
+const GRB_HEADER_LEN: usize = 26;
+/// Words [`write_grb`] encodes into its reused buffer per write.
+const GRB_WRITE_WORDS: usize = 1 << 16;
 
-/// Incremental FNV-1a-64 over `u64` words — the v2 per-chunk checksum.
+/// Incremental FNV-1a-64 over `u64` words — the `.grb` checksum.
 ///
-/// Hashing the chunk's *decoded logical words* (each `offsets[v+1]`, each
-/// neighbor id zero-extended, each weight's bit pattern) rather than raw
-/// bytes lets the writer fold the hash over the CSR arrays directly and the
-/// reader fold it into its decode loop; the two are equivalent because every
-/// word maps bijectively to its little-endian byte run.
-#[derive(Clone, Copy)]
+/// Hashing the *decoded logical words* (each `offsets[v+1]`, each neighbor
+/// id zero-extended, each weight's bit pattern) rather than raw bytes lets
+/// the writer fold the hash into its encode loop and the reader into its
+/// decode loop; the two are equivalent because every word maps bijectively
+/// to its little-endian byte run.
 struct GrbChecksum(u64);
 
 impl GrbChecksum {
@@ -577,16 +606,79 @@ impl GrbChecksum {
     fn push(&mut self, word: u64) {
         self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
     }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
 }
 
-/// Deserializes a `.grb` buffer written by [`write_grb`]. The resulting
-/// graph is bitwise identical to the one serialized (offsets, neighbor ids
-/// and weight bits round-trip exactly). A file of any other version is a
-/// parse error that names its version.
+/// Serializes the CSR arrays as `.grb` — all little-endian:
+///
+/// | bytes   | field                                                   |
+/// |---------|---------------------------------------------------------|
+/// | 0..8    | magic `"GRPLGRB\0"`                                     |
+/// | 8..10   | version (`u16`, 3)                                      |
+/// | 10..18  | vertex count `n` (`u64`)                                |
+/// | 18..26  | adjacency entry count (`u64`)                           |
+/// | …       | `offsets[1..=n]` (`n × u64`; `offsets[0]` is always 0)  |
+/// | …       | neighbor ids (`entries × u32`)                          |
+/// | …       | weights (`entries × u64` bit patterns)                  |
+/// | last 8  | checksum: FNV-1a-64 over the three arrays' words        |
+///
+/// The write makes one pass: it encodes the arrays through one reused
+/// buffer of 65 536 words and folds each word into the checksum on the
+/// way, so its transient memory is that buffer, not the serialized graph.
+///
+/// The checksum carries the writer's validity guarantee across the round
+/// trip: only already-validated [`CsrGraph`]s are ever serialized, so a
+/// checksum-verified file needs just the linear structural checks on load
+/// (offsets monotone and closing at the entry count, neighbor ids in range
+/// and strictly ascending per vertex, weights finite and positive) — the
+/// O(m log deg) mirror-symmetry search of [`CsrGraph::validate`] is
+/// skipped. Corrupted bytes that survive the linear checks fail the
+/// checksum.
+pub fn write_grb<W: Write>(g: &CsrGraph, mut writer: W) -> Result<(), IoError> {
+    let mut buf = Vec::with_capacity(GRB_HEADER_LEN + GRB_WRITE_WORDS * 8);
+    buf.extend_from_slice(GRB_MAGIC);
+    buf.extend_from_slice(&GRB_VERSION.to_le_bytes());
+    buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&(g.num_adjacency_entries() as u64).to_le_bytes());
+    let mut sum = GrbChecksum::new();
+    let offsets = &g.adjacency_offsets()[1..];
+    let (targets, weights) = (g.adjacency_targets(), g.adjacency_weights());
+    put_words::<_, 8>(&mut writer, &mut buf, &mut sum, offsets, |o| o as u64)?;
+    put_words::<_, 4>(&mut writer, &mut buf, &mut sum, targets, u64::from)?;
+    put_words::<_, 8>(&mut writer, &mut buf, &mut sum, weights, f64::to_bits)?;
+    buf.extend_from_slice(&sum.0.to_le_bytes());
+    writer.write_all(&buf)?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Encodes `items` as `WIDTH`-byte little-endian words after what `buf`
+/// holds, folding each word into `sum`, and writes `buf` out every
+/// [`GRB_WRITE_WORDS`] items.
+fn put_words<T: Copy, const WIDTH: usize>(
+    writer: &mut impl Write,
+    buf: &mut Vec<u8>,
+    sum: &mut GrbChecksum,
+    items: &[T],
+    word: impl Fn(T) -> u64,
+) -> io::Result<()> {
+    for part in items.chunks(GRB_WRITE_WORDS) {
+        for &item in part {
+            let word = word(item);
+            sum.push(word);
+            buf.extend_from_slice(&word.to_le_bytes()[..WIDTH]);
+        }
+        writer.write_all(buf)?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+/// Deserializes a `.grb` file written by [`write_grb`]. The resulting graph
+/// is bitwise identical to the one serialized (offsets, neighbor ids and
+/// weight bits round-trip exactly). A file of any other version is a parse
+/// error that names its version; every other damage is a parse error that
+/// names it, or a build error when the weights sum past the range
+/// modularity needs.
 pub fn read_grb<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let mut data = Vec::new();
     BufReader::new(reader).read_to_end(&mut data)?;
@@ -594,381 +686,130 @@ pub fn read_grb<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
 }
 
 fn parse_grb(data: &[u8]) -> Result<CsrGraph, IoError> {
+    let damaged = |message: String| parse_err(0, format!(".grb {message}"));
     // Magic and version come first, so a file of a retired layout is named
-    // as such even when it is shorter than a v2 header.
+    // as such even when it is shorter than this version's header.
     if data.len() < 10 {
-        return Err(parse_err(0, ".grb truncated: incomplete header"));
+        return Err(damaged("truncated: incomplete header".into()));
     }
     if &data[0..8] != GRB_MAGIC {
         return Err(parse_err(0, "bad magic; not a .grb graph file"));
     }
-    let version = u16::from_le_bytes(data[8..10].try_into().unwrap());
+    let version = u16::from_le_bytes([data[8], data[9]]);
     if version != GRB_VERSION {
-        return Err(parse_err(
-            0,
-            format!(".grb version {version} unsupported (only version {GRB_VERSION} is read)"),
-        ));
+        return Err(damaged(format!(
+            "version {version} unsupported (only version {GRB_VERSION} is read)"
+        )));
     }
-    parse_grb_v2(data)
-}
-
-/// Vertices per chunk [`write_grb`] sections a graph into: about 64 chunks
-/// on large graphs, so each checksum, each load error and the writer's
-/// reused buffer cover a 64th of the graph, floored so tiny graphs don't
-/// pay table overhead per handful of vertices.
-fn grb_chunk_vertices(n: usize) -> usize {
-    n.div_ceil(64).max(4096)
-}
-
-/// Serializes the CSR arrays into the sectioned `.grb` layout — all
-/// little-endian:
-///
-/// | bytes          | field                                        |
-/// |----------------|----------------------------------------------|
-/// | 0..8           | magic `"GRPLGRB\0"`                          |
-/// | 8..10          | version (`u16`, 2)                           |
-/// | 10..12         | flags (`u16`, reserved, 0)                   |
-/// | 12..20         | vertex count `n` (`u64`)                     |
-/// | 20..28         | adjacency entry count (`u64`)                |
-/// | 28..36         | vertices per chunk (`u64`)                   |
-/// | 36..44         | chunk count (`u64`)                          |
-/// | …              | chunk table: per chunk, 5 × `u64` —          |
-/// |                | first vertex, vertex count, first entry,     |
-/// |                | entry count, payload checksum (FNV-1a-64     |
-/// |                | over the chunk's decoded words)              |
-/// | …              | per chunk, in order: offsets (`count × u64`, |
-/// |                | the absolute `offsets[v+1]` run), neighbor   |
-/// |                | ids (`entries × u32`), weights (`entries ×   |
-/// |                | f64` bit patterns)                           |
-///
-/// The write is **streamed**: header and table first, then one chunk's
-/// sections at a time through a reused buffer, so peak transient memory is
-/// one chunk rather than the whole serialized graph. The chunk table gives
-/// the reader each chunk's byte range and entry range, so [`read_grb`]
-/// bounds-checks and checksums every chunk on its own and names the first
-/// one that fails.
-///
-/// The per-chunk checksum carries the writer's validity guarantee across the
-/// round-trip: only already-validated [`CsrGraph`]s are ever serialized, so a
-/// checksum-verified chunk needs just the linear structural checks on load
-/// (offsets monotone and range-closing, neighbor ids in range and strictly
-/// ascending per vertex, weights finite and positive) — the O(m log deg)
-/// mirror-symmetry search of [`CsrGraph::validate`] is skipped. Corrupted
-/// bytes that survive the linear checks fail the checksum with a
-/// chunk-indexed error.
-pub fn write_grb<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError> {
-    write_grb_chunked(g, writer, grb_chunk_vertices(g.num_vertices()))
-}
-
-/// [`write_grb`] with an explicit chunk granularity (tests pick small ones;
-/// any `chunk_vertices ≥ 1` produces a valid, bitwise round-tripping file).
-fn write_grb_chunked<W: Write>(
-    g: &CsrGraph,
-    writer: W,
-    chunk_vertices: usize,
-) -> Result<(), IoError> {
-    let n = g.num_vertices();
-    let entries = g.num_adjacency_entries();
-    let chunk_vertices = chunk_vertices.max(1);
-    let num_chunks = n.div_ceil(chunk_vertices);
-    let offsets = g.adjacency_offsets();
-
-    let mut w = BufWriter::new(writer);
-    let mut head = Vec::with_capacity(GRB_V2_HEADER_LEN + num_chunks * GRB_V2_TABLE_RECORD);
-    head.extend_from_slice(GRB_MAGIC);
-    head.extend_from_slice(&GRB_VERSION.to_le_bytes());
-    head.extend_from_slice(&0u16.to_le_bytes());
-    head.extend_from_slice(&(n as u64).to_le_bytes());
-    head.extend_from_slice(&(entries as u64).to_le_bytes());
-    head.extend_from_slice(&(chunk_vertices as u64).to_le_bytes());
-    head.extend_from_slice(&(num_chunks as u64).to_le_bytes());
-    for c in 0..num_chunks {
-        let first_v = c * chunk_vertices;
-        let last_v = (first_v + chunk_vertices).min(n);
-        let (e_lo, e_hi) = (offsets[first_v], offsets[last_v]);
-        head.extend_from_slice(&(first_v as u64).to_le_bytes());
-        head.extend_from_slice(&((last_v - first_v) as u64).to_le_bytes());
-        head.extend_from_slice(&(e_lo as u64).to_le_bytes());
-        head.extend_from_slice(&((e_hi - e_lo) as u64).to_le_bytes());
-        let mut sum = GrbChecksum::new();
-        for &off in &offsets[first_v + 1..=last_v] {
-            sum.push(off as u64);
-        }
-        for &t in &g.adjacency_targets()[e_lo..e_hi] {
-            sum.push(t as u64);
-        }
-        for &wt in &g.adjacency_weights()[e_lo..e_hi] {
-            sum.push(wt.to_bits());
-        }
-        head.extend_from_slice(&sum.finish().to_le_bytes());
-    }
-    w.write_all(&head)?;
-
-    let mut buf = Vec::new();
-    for c in 0..num_chunks {
-        let first_v = c * chunk_vertices;
-        let last_v = (first_v + chunk_vertices).min(n);
-        let (e_lo, e_hi) = (offsets[first_v], offsets[last_v]);
-        buf.clear();
-        buf.reserve((last_v - first_v) * 8 + (e_hi - e_lo) * 12);
-        for &off in &offsets[first_v + 1..=last_v] {
-            buf.extend_from_slice(&(off as u64).to_le_bytes());
-        }
-        for &t in &g.adjacency_targets()[e_lo..e_hi] {
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-        for &wt in &g.adjacency_weights()[e_lo..e_hi] {
-            buf.extend_from_slice(&wt.to_bits().to_le_bytes());
-        }
-        w.write_all(&buf)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// One parsed chunk-table record of a v2 file.
-struct GrbChunk {
-    first_vertex: usize,
-    num_vertices: usize,
-    first_entry: usize,
-    num_entries: usize,
-    /// Stored payload checksum ([`GrbChecksum`] over the decoded words).
-    checksum: u64,
-}
-
-fn parse_grb_v2(data: &[u8]) -> Result<CsrGraph, IoError> {
-    let chunk_err = |c: usize, msg: String| parse_err(0, format!(".grb v2 chunk {c}: {msg}"));
-    if data.len() < GRB_V2_HEADER_LEN {
-        return Err(parse_err(0, ".grb v2 truncated: incomplete header"));
-    }
-    let n = u64::from_le_bytes(data[12..20].try_into().unwrap()) as usize;
-    let entries = u64::from_le_bytes(data[20..28].try_into().unwrap()) as usize;
-    let chunk_vertices = u64::from_le_bytes(data[28..36].try_into().unwrap()) as usize;
-    let num_chunks = u64::from_le_bytes(data[36..44].try_into().unwrap()) as usize;
-    if n > 0 && chunk_vertices == 0 {
-        return Err(parse_err(0, ".grb v2 chunk size must be positive"));
-    }
-    if num_chunks != n.div_ceil(chunk_vertices.max(1)) {
-        return Err(parse_err(
-            0,
-            format!(
-                ".grb v2 chunk count {num_chunks} inconsistent with {n} vertices / {chunk_vertices} per chunk"
-            ),
-        ));
+    if data.len() < GRB_HEADER_LEN {
+        return Err(damaged("truncated: incomplete header".into()));
     }
     // Fully checked size arithmetic: a crafted header must come back as an
-    // error, never an overflow panic.
-    let need = num_chunks
-        .checked_mul(GRB_V2_TABLE_RECORD)
-        .and_then(|t| t.checked_add(GRB_V2_HEADER_LEN))
-        .and_then(|h| n.checked_mul(8).and_then(|o| h.checked_add(o)))
-        .and_then(|h| entries.checked_mul(12).and_then(|e| h.checked_add(e)))
-        .ok_or_else(|| parse_err(0, ".grb v2 header sizes overflow"))?;
+    // error, never an overflow panic or a truncated count.
+    let size = |at: usize| usize::try_from(le_word(&data[at..at + 8])).ok();
+    let (n, entries, need) = size(10)
+        .zip(size(18))
+        .and_then(|(n, entries)| {
+            let arrays = n.checked_mul(8)?.checked_add(entries.checked_mul(12)?)?;
+            Some((n, entries, arrays.checked_add(GRB_HEADER_LEN + 8)?))
+        })
+        .ok_or_else(|| damaged("header sizes overflow".into()))?;
     if data.len() != need {
-        return Err(parse_err(
-            0,
-            format!(
-                ".grb v2 truncated or oversized: have {} bytes, need {need}",
-                data.len()
-            ),
-        ));
+        return Err(damaged(format!(
+            "truncated or oversized: have {} bytes, need {need}",
+            data.len()
+        )));
     }
+    let (offset_bytes, rest) = data[GRB_HEADER_LEN..].split_at(n * 8);
+    let (target_bytes, rest) = rest.split_at(entries * 4);
+    let (weight_bytes, stored) = rest.split_at(entries * 8);
 
-    // The chunk table must tile 0..n and 0..entries contiguously; every
-    // violation names the offending chunk.
-    let mut chunks = Vec::with_capacity(num_chunks);
-    let payload_at = GRB_V2_HEADER_LEN + num_chunks * GRB_V2_TABLE_RECORD;
-    let mut payload_end = payload_at;
-    let (mut next_vertex, mut next_entry) = (0usize, 0usize);
-    for c in 0..num_chunks {
-        let at = GRB_V2_HEADER_LEN + c * GRB_V2_TABLE_RECORD;
-        let field =
-            |i: usize| u64::from_le_bytes(data[at + i * 8..at + (i + 1) * 8].try_into().unwrap());
-        let chunk = GrbChunk {
-            first_vertex: field(0) as usize,
-            num_vertices: field(1) as usize,
-            first_entry: field(2) as usize,
-            num_entries: field(3) as usize,
-            checksum: field(4),
-        };
-        if chunk.first_vertex != next_vertex {
-            return Err(chunk_err(
-                c,
-                format!(
-                    "first vertex {} does not continue the previous chunk (expected {next_vertex})",
-                    chunk.first_vertex
-                ),
-            ));
-        }
-        if chunk.first_entry != next_entry {
-            return Err(chunk_err(
-                c,
-                format!(
-                    "first entry {} does not continue the previous chunk (expected {next_entry})",
-                    chunk.first_entry
-                ),
-            ));
-        }
-        if chunk.num_vertices == 0 || chunk.num_vertices > chunk_vertices {
-            return Err(chunk_err(
-                c,
-                format!(
-                    "vertex count {} outside 1..={chunk_vertices}",
-                    chunk.num_vertices
-                ),
-            ));
-        }
-        next_vertex = chunk
-            .first_vertex
-            .checked_add(chunk.num_vertices)
-            .ok_or_else(|| chunk_err(c, "vertex range overflows".into()))?;
-        next_entry = chunk
-            .first_entry
-            .checked_add(chunk.num_entries)
-            .ok_or_else(|| chunk_err(c, "entry range overflows".into()))?;
-        let len = chunk
-            .num_vertices
-            .checked_mul(8)
-            .and_then(|v| v.checked_add(chunk.num_entries.checked_mul(12)?))
-            .ok_or_else(|| chunk_err(c, "payload size overflows".into()))?;
-        payload_end = payload_end
-            .checked_add(len)
-            .ok_or_else(|| chunk_err(c, "payload offset overflows".into()))?;
-        if payload_end > data.len() {
-            return Err(chunk_err(
-                c,
-                format!(
-                    "payload truncated: section ends at byte {payload_end}, file has {}",
-                    data.len()
-                ),
-            ));
-        }
-        chunks.push(chunk);
-    }
-    if next_vertex != n {
-        return Err(parse_err(
-            0,
-            format!(".grb v2 chunk table covers {next_vertex} of {n} vertices"),
-        ));
-    }
-    if next_entry != entries {
-        return Err(parse_err(
-            0,
-            format!(".grb v2 chunk table covers {next_entry} of {entries} adjacency entries"),
-        ));
-    }
-
-    // Chunks decode in table order, each into its own slices of the CSR
-    // arrays (its vertex range of `offsets[1..]`, its entry range of
-    // `targets` and `weights`); the first chunk that fails names the error.
+    let mut sum = GrbChecksum::new();
     let mut offsets = vec![0usize; n + 1];
+    let mut prev = 0;
+    let ends = offsets[1..].iter_mut().zip(offset_bytes.chunks_exact(8));
+    for (v, (slot, bytes)) in ends.enumerate() {
+        let off = le_word(bytes);
+        sum.push(off);
+        if off < prev || off > entries as u64 {
+            return Err(damaged(format!(
+                "offset {off} for vertex {v} outside 0..={entries} or non-monotonic"
+            )));
+        }
+        *slot = off as usize; // at most `entries`, a `usize`
+        prev = off;
+    }
+    if prev != entries as u64 {
+        return Err(damaged(format!(
+            "last offset {prev} does not close the entry range at {entries}"
+        )));
+    }
+    // One pass over the neighbor ids that tracks the row end, to check
+    // each row's strictly ascending order.
     let mut targets = vec![0 as VertexId; entries];
+    let mut v = 0;
+    let mut prev_t: Option<VertexId> = None;
+    let ids = targets.iter_mut().zip(target_bytes.chunks_exact(4));
+    for (e, (slot, bytes)) in ids.enumerate() {
+        while e >= offsets[v + 1] {
+            v += 1;
+            prev_t = None;
+        }
+        let t = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+        sum.push(t.into());
+        if t as usize >= n {
+            return Err(damaged(format!(
+                "neighbor id {t} of vertex {v} out of range (n = {n})"
+            )));
+        }
+        if prev_t.is_some_and(|p| t <= p) {
+            return Err(damaged(format!(
+                "adjacency of vertex {v} not strictly ascending at entry {e}"
+            )));
+        }
+        prev_t = Some(t);
+        *slot = t;
+    }
     let mut weights = vec![0.0f64; entries];
-    let mut payload = &data[payload_at..];
-    for (c, chunk) in chunks.iter().enumerate() {
-        let (first, end) = (chunk.first_entry, chunk.first_entry + chunk.num_entries);
-        let (offset_bytes, rest) = payload.split_at(chunk.num_vertices * 8);
-        let (target_bytes, rest) = rest.split_at(chunk.num_entries * 4);
-        let (weight_bytes, rest) = rest.split_at(chunk.num_entries * 8);
-        payload = rest;
-        let mut sum = GrbChecksum::new();
-        // Each vertex's closing boundary: the target scan below reads it to
-        // check per-vertex sorted order.
-        let ends = &mut offsets[chunk.first_vertex + 1..][..chunk.num_vertices];
-        let mut prev = first;
-        let offset_words = ends.iter_mut().zip(offset_bytes.chunks_exact(8));
-        for (v, (slot, bytes)) in (chunk.first_vertex..).zip(offset_words) {
-            let off = u64::from_le_bytes(bytes.try_into().unwrap()) as usize;
-            sum.push(off as u64);
-            if off < prev || off > end {
-                return Err(chunk_err(
-                    c,
-                    format!(
-                        "offset {off} for vertex {v} outside its entry range \
-                         {first}..={end} or non-monotonic"
-                    ),
-                ));
-            }
-            *slot = off;
-            prev = off;
+    let bit_patterns = weights.iter_mut().zip(weight_bytes.chunks_exact(8));
+    for (e, (slot, bytes)) in bit_patterns.enumerate() {
+        let bits = le_word(bytes);
+        sum.push(bits);
+        let w = f64::from_bits(bits);
+        if !(w.is_finite() && w > 0.0) {
+            return Err(damaged(format!(
+                "weight {w} at entry {e} not finite and positive"
+            )));
         }
-        if prev != end {
-            return Err(chunk_err(
-                c,
-                format!("last offset {prev} does not close the chunk's entry range at {end}"),
-            ));
-        }
-        let mut v_idx = 0usize;
-        let mut prev_t: Option<VertexId> = None;
-        let chunk_targets = targets[first..end].iter_mut();
-        for (e, (slot, bytes)) in (first..).zip(chunk_targets.zip(target_bytes.chunks_exact(4))) {
-            while e >= ends[v_idx] {
-                v_idx += 1;
-                prev_t = None;
-            }
-            let t = u32::from_le_bytes(bytes.try_into().unwrap());
-            sum.push(t as u64);
-            if t as usize >= n {
-                return Err(chunk_err(
-                    c,
-                    format!(
-                        "neighbor id {t} of vertex {} out of range (n = {n})",
-                        chunk.first_vertex + v_idx
-                    ),
-                ));
-            }
-            if prev_t.is_some_and(|p| t <= p) {
-                return Err(chunk_err(
-                    c,
-                    format!(
-                        "adjacency of vertex {} not strictly ascending at entry {e}",
-                        chunk.first_vertex + v_idx
-                    ),
-                ));
-            }
-            prev_t = Some(t);
-            *slot = t;
-        }
-        let chunk_weights = weights[first..end].iter_mut();
-        for (e, (slot, bytes)) in (first..).zip(chunk_weights.zip(weight_bytes.chunks_exact(8))) {
-            let bits = u64::from_le_bytes(bytes.try_into().unwrap());
-            sum.push(bits);
-            let w = f64::from_bits(bits);
-            if !(w.is_finite() && w > 0.0) {
-                return Err(chunk_err(
-                    c,
-                    format!("weight {w} at entry {e} not finite and positive"),
-                ));
-            }
-            *slot = w;
-        }
-        if sum.finish() != chunk.checksum {
-            return Err(chunk_err(
-                c,
-                format!(
-                    "payload checksum mismatch (stored {:#018x}, computed {:#018x})",
-                    chunk.checksum,
-                    sum.finish()
-                ),
-            ));
-        }
+        *slot = w;
+    }
+    let stored = le_word(stored);
+    if sum.0 != stored {
+        return Err(damaged(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {:#018x})",
+            sum.0
+        )));
     }
 
     // Trust model: the decode above already enforced every CSR invariant a
     // linear scan can see (offsets tile and close, neighbor ids in range and
     // strictly ascending per vertex, weights finite and positive), and the
-    // per-chunk checksums tie the payload back to the writer — which only
-    // ever serializes validated graphs. The one remaining `validate` check,
-    // the O(m log deg) mirror-symmetry search, is therefore skipped here; it
-    // would dominate the load and is exactly what makes checksum-verified
-    // v2 loads fast. All downstream access is bounds-checked, so even an
-    // adversarial file that forged its checksums stays memory-safe. Finite
-    // weights can still sum past the range modularity needs: that O(n)
-    // check runs on the cached degrees.
+    // checksum ties the arrays back to the writer — which only ever
+    // serializes validated graphs. The one remaining `validate` check, the
+    // O(m log deg) mirror-symmetry search, is therefore skipped here; it
+    // would dominate the load. All downstream access is bounds-checked, so
+    // even an adversarial file that forged its checksum stays memory-safe.
+    // Finite weights can still sum past the range modularity needs: that
+    // O(n) check runs on the cached degrees.
     let g = CsrGraph::from_sorted_adjacency(offsets, targets, weights);
     g.check_weight_range()
         .map_err(|e| IoError::Build(BuildError::WeightRange(e)))?;
     Ok(g)
+}
+
+/// The little-endian `u64` in the 8 bytes `bytes`.
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,6 +930,9 @@ pub fn save_path(g: &CsrGraph, path: impl AsRef<Path>) -> Result<(), IoError> {
 mod grb_mutations;
 
 #[cfg(test)]
+mod line_mutations;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::from_weighted_edges;
@@ -1122,90 +966,98 @@ mod tests {
 
     #[test]
     fn line_formats_name_the_line_and_round_trip() {
-        type Reader = fn(&str) -> Result<(), IoError>;
-        let edges: Reader = |text| read_edge_list(text.as_bytes()).map(drop);
-        let metis: Reader = |text| read_metis(text.as_bytes()).map(drop);
-        let batch: Reader = |text| parse_edge_batch(text).map(drop);
-        let assign: Reader = |text| read_assignment(text.as_bytes()).map(drop);
+        type Reader = fn(&[u8]) -> Result<(), IoError>;
+        let edges: Reader = |bytes| read_edge_list(bytes).map(drop);
+        let metis: Reader = |bytes| read_metis(bytes).map(drop);
+        let batch: Reader = |bytes| read_edge_batch(bytes).map(drop);
+        let assign: Reader = |bytes| read_assignment(bytes).map(drop);
         // The line formats' error contract, one malformed input per row: the
         // reader, the input, and `<line>: <message>`, where the 1-based line
         // counts comment and blank lines. The seed corpus for fuzzing.
-        for (read, text, expected) in [
-            (edges, "# c\n\n0 1\n0\n", "4: missing target id"),
-            (edges, "0 1 w\n", "1: bad weight: invalid float literal"),
-            (edges, "0 1 2 3\n", "1: trailing tokens after weight"),
+        let rows: &[(Reader, &[u8], &str)] = &[
+            (edges, b"# c\n\n0 1\n0\n", "4: missing target id"),
+            // Every text format names the line of a byte that is not UTF-8,
+            // comment lines included.
+            (edges, b"0 1\n# \xFF\n", "2: line is not UTF-8"),
+            (metis, b"3 2\n2\n1 3\xFF\n2\n", "3: line is not UTF-8"),
+            (batch, b"+ 0 1\n\n- \xFF 1\n", "3: line is not UTF-8"),
+            (assign, b"\xFF0 0\n", "1: line is not UTF-8"),
+            (edges, b"0 1 w\n", "1: bad weight: invalid float literal"),
+            (edges, b"0 1 2 3\n", "1: trailing tokens after weight"),
             // The writer's first-line header fixes `n` and `m`.
             (
                 edges,
-                "# grappolo edge list: n=2 m=1\n0 2\n",
+                b"# grappolo edge list: n=2 m=1\n0 2\n",
                 "2: vertex id 2 out of 0..2 (header n=2)",
             ),
             (
                 edges,
-                "# grappolo edge list: n=3 m=2\n0 1\n",
+                b"# grappolo edge list: n=3 m=2\n0 1\n",
                 "1: header m=2 does not match the edge count 1",
             ),
             (
                 edges,
-                "# grappolo edge list: n=x m=1\n0 1\n",
+                b"# grappolo edge list: n=x m=1\n0 1\n",
                 "1: bad header n: invalid digit found in string",
             ),
             // A METIS body must mirror every edge and match the header's m.
             (
                 metis,
-                "3 2\n\n1 3\n2\n",
+                b"3 2\n\n1 3\n2\n",
                 "3: neighbor 1 (weight 1) is not listed back by vertex 1",
             ),
             (
                 metis,
-                "3 5\n2\n1 3\n2\n",
+                b"3 5\n2\n1 3\n2\n",
                 "1: header m=5 does not match the edge count 2",
             ),
             // The earliest line is named, even when a later line shows it.
             (
                 metis,
-                "4 2\n4\n3\n2\n\n",
+                b"4 2\n4\n3\n2\n\n",
                 "2: neighbor 4 (weight 1) is not listed back by vertex 4",
             ),
             (
                 metis,
-                "2 1 1\n2 1.5\n1 2\n",
+                b"2 1 1\n2 1.5\n1 2\n",
                 "2: neighbor 2 (weight 1.5) is not listed back by vertex 2",
             ),
             (
                 batch,
-                "+ 0 1\n* 2 3\n",
+                b"+ 0 1\n* 2 3\n",
                 "2: unknown operation `*` (expected `+`, `-`, or `=`)",
             ),
             // `%` starts a comment in edge lists only.
             (
                 batch,
-                "% c\n",
+                b"% c\n",
                 "1: bad source vertex: invalid digit found in string",
             ),
-            (batch, "# c\n\n+ 0\n", "3: missing target vertex"),
-            (batch, "= 0 1\n", "1: missing weight"),
-            (batch, "+ 0 1 w\n", "1: bad weight: invalid float literal"),
-            (batch, "- 0 1 9\n", "1: trailing tokens after operation"),
-            (assign, "0 0\n\n1\n", "3: missing community"),
-            (assign, "0 0 junk\n", "1: trailing tokens after community"),
+            (batch, b"# c\n\n+ 0\n", "3: missing target vertex"),
+            (batch, b"= 0 1\n", "1: missing weight"),
+            (batch, b"+ 0 1 w\n", "1: bad weight: invalid float literal"),
+            (batch, b"- 0 1 9\n", "1: trailing tokens after operation"),
+            (assign, b"0 0\n\n1\n", "3: missing community"),
+            (assign, b"0 0 junk\n", "1: trailing tokens after community"),
             (
                 assign,
-                "0 1\n1 2\n# c\n1 3\n",
+                b"0 1\n1 2\n# c\n1 3\n",
                 "4: duplicate assignment for vertex 1 (first assigned at line 2)",
             ),
             // A skipped vertex is no one line's fault.
             (
                 assign,
-                "0 1\n2 1\n",
+                b"0 1\n2 1\n",
                 "0: vertex 1 has no assignment (the file names vertices up to 2)",
             ),
-        ] {
+        ];
+        for &(read, text, expected) in rows {
+            let shown = String::from_utf8_lossy(text);
             match read(text) {
                 Err(IoError::Parse { line, message }) => {
-                    assert_eq!(format!("{line}: {message}"), expected, "{text:?}")
+                    assert_eq!(format!("{line}: {message}"), expected, "{shown:?}")
                 }
-                other => panic!("{text:?}: {other:?}"),
+                other => panic!("{shown:?}: {other:?}"),
             }
         }
         let assignment = [3, 0, 0, 7, 1];
@@ -1317,11 +1169,28 @@ mod tests {
         assert!(a.bitwise_eq(b), "CSR storage not bitwise equal");
     }
 
+    /// A weighted path on `n` vertices: its rows, weights and offsets all
+    /// differ from vertex to vertex.
+    pub(super) fn chain(n: usize) -> CsrGraph {
+        let edges: Vec<(VertexId, VertexId, f64)> = (0..n - 1)
+            .map(|i| (i as VertexId, (i + 1) as VertexId, 1.0 + i as f64 * 0.25))
+            .collect();
+        from_weighted_edges(n, edges).unwrap()
+    }
+
+    /// `g` written as `.grb`.
+    fn grb_bytes(g: &CsrGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_grb(g, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn grb_round_trip_is_bitwise_exact() {
-        // Edge list → CSR → .grb → CSR with awkward weights (subnormal-ish
-        // fractions, repeated values) and a self-loop.
-        let g = from_weighted_edges(
+        // Awkward weights (subnormal-ish fractions, repeated values) and a
+        // self-loop; and a chain whose 79 998 entries span two of the
+        // writer's buffer loads.
+        let awkward = from_weighted_edges(
             5,
             [
                 (0, 1, 0.1),
@@ -1333,20 +1202,21 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
-        let g2 = read_grb(&buf[..]).unwrap();
-        assert_grb_bitwise_equal(&g, &g2);
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(g2.total_weight().to_bits(), g.total_weight().to_bits());
+        for g in [awkward, sample(), chain(11), chain(40_000)] {
+            let buf = grb_bytes(&g);
+            let (n, entries) = (g.num_vertices(), g.num_adjacency_entries());
+            assert_eq!(buf.len(), GRB_HEADER_LEN + 8 * n + 12 * entries + 8);
+            let g2 = read_grb(&buf[..]).unwrap();
+            assert_grb_bitwise_equal(&g, &g2);
+            assert_eq!(g2.num_edges(), g.num_edges());
+            assert_eq!(g2.total_weight().to_bits(), g.total_weight().to_bits());
+        }
     }
 
     #[test]
     fn grb_empty_graph_round_trip() {
         let g = CsrGraph::empty(3);
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
-        let g2 = read_grb(&buf[..]).unwrap();
+        let g2 = read_grb(&grb_bytes(&g)[..]).unwrap();
         assert_eq!(g2.num_vertices(), 3);
         assert_eq!(g2.num_edges(), 0);
     }
@@ -1354,14 +1224,13 @@ mod tests {
     #[test]
     fn grb_zero_vertex_graph_round_trip() {
         let g = CsrGraph::empty(0);
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
+        let buf = grb_bytes(&g);
         let g2 = read_grb(&buf[..]).unwrap();
         assert_eq!(g2.num_vertices(), 0);
         assert_eq!(g2.num_edges(), 0);
         assert_grb_bitwise_equal(&g, &g2);
-        // Truncating any prefix of the header-only file errors instead of
-        // panicking.
+        // Truncating any prefix of the header-and-checksum file errors
+        // instead of panicking.
         for keep in 0..buf.len() {
             assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
         }
@@ -1377,9 +1246,7 @@ mod tests {
         // Every weight is finite, so the decode's per-entry check passes;
         // vertex 1's degree overflows.
         let g = CsrGraph::from_sorted_adjacency(vec![0, 1, 3, 4], vec![1, 0, 2, 1], vec![1e308; 4]);
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
-        match read_grb(&buf[..]) {
+        match read_grb(&grb_bytes(&g)[..]) {
             Err(IoError::Build(BuildError::WeightRange(WeightRangeError::Degree {
                 vertex: 1,
                 degree,
@@ -1390,8 +1257,7 @@ mod tests {
 
     #[test]
     fn grb_rejects_bad_magic() {
-        let mut buf = Vec::new();
-        write_grb(&sample(), &mut buf).unwrap();
+        let mut buf = grb_bytes(&sample());
         buf[3] ^= 0xFF;
         let err = read_grb(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
@@ -1399,8 +1265,7 @@ mod tests {
 
     #[test]
     fn grb_rejects_unsupported_version() {
-        let mut buf = Vec::new();
-        write_grb(&sample(), &mut buf).unwrap();
+        let mut buf = grb_bytes(&sample());
         buf[8] = 0xEE; // version LSB
         let err = read_grb(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("version 238"), "{err}");
@@ -1408,186 +1273,130 @@ mod tests {
 
     #[test]
     fn grb_rejects_truncation_at_every_section() {
-        let mut buf = Vec::new();
-        write_grb(&sample(), &mut buf).unwrap();
-        // Header, chunk-table and payload truncations all fail cleanly.
-        for keep in [0, 10, 27, 40, 60, buf.len() - 1] {
+        // Cuts in the header, each array and the checksum all fail cleanly.
+        let buf = grb_bytes(&chain(9));
+        for keep in 0..buf.len() {
             assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
         }
         // Trailing garbage is also rejected (exact-size format).
         let mut padded = buf.clone();
         padded.extend_from_slice(&[0u8; 3]);
-        assert!(read_grb(&padded[..]).is_err());
+        let err = read_grb(&padded[..]).unwrap_err();
+        assert!(err.to_string().contains("truncated or oversized"), "{err}");
     }
 
     #[test]
     fn grb_rejects_overflowing_header_sizes() {
-        // A consistent one-chunk table, but n = u64::MAX: size arithmetic
-        // must error, not overflow-panic (debug builds) or allocate absurdly.
+        // n = entries = u64::MAX: the size arithmetic must error, not
+        // overflow-panic (debug builds) or allocate absurdly.
         let mut buf = Vec::new();
         buf.extend_from_slice(GRB_MAGIC);
         buf.extend_from_slice(&GRB_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // entries
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // chunk_vertices
-        buf.extend_from_slice(&1u64.to_le_bytes()); // num_chunks
         let err = read_grb(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
-    }
-
-    #[test]
-    fn grb_v2_rejects_overflowing_header_sizes() {
-        // A v2 header whose chunk table alone would overflow usize.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(GRB_MAGIC);
-        buf.extend_from_slice(&GRB_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // entries
-        buf.extend_from_slice(&1u64.to_le_bytes()); // chunk_vertices
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // num_chunks
-        let err = read_grb(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("overflow"), "{err}");
-    }
-
-    /// A multi-chunk v2 sample: enough vertices that `chunk_vertices = 3`
-    /// sections it into several chunks with uneven entry counts.
-    pub(super) fn chain(n: usize) -> CsrGraph {
-        let edges: Vec<(VertexId, VertexId, f64)> = (0..n - 1)
-            .map(|i| (i as VertexId, (i + 1) as VertexId, 1.0 + i as f64 * 0.25))
-            .collect();
-        from_weighted_edges(n, edges).unwrap()
-    }
-
-    #[test]
-    fn grb_v2_round_trip_is_bitwise_exact() {
-        let g = chain(11);
-        for chunk_vertices in [1, 2, 3, 11, 64] {
-            let mut buf = Vec::new();
-            write_grb_chunked(&g, &mut buf, chunk_vertices).unwrap();
-            let g2 = read_grb(&buf[..]).unwrap();
-            assert_grb_bitwise_equal(&g, &g2);
-            assert_eq!(g.total_weight().to_bits(), g2.total_weight().to_bits());
-        }
-    }
-
-    #[test]
-    fn grb_v2_zero_vertex_round_trip() {
-        let g = CsrGraph::empty(0);
-        let mut buf = Vec::new();
-        write_grb(&g, &mut buf).unwrap();
-        let g2 = read_grb(&buf[..]).unwrap();
-        assert_eq!(g2.num_vertices(), 0);
-        for keep in 0..buf.len() {
-            assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
-        }
-    }
-
-    #[test]
-    fn grb_v2_rejects_truncation_at_every_length() {
-        let mut buf = Vec::new();
-        write_grb_chunked(&chain(9), &mut buf, 3).unwrap();
-        for keep in 0..buf.len() {
-            assert!(read_grb(&buf[..keep]).is_err(), "keep={keep}");
-        }
-        let mut padded = buf.clone();
-        padded.extend_from_slice(&[0u8; 5]);
-        assert!(read_grb(&padded[..]).is_err());
-    }
-
-    #[test]
-    fn grb_v2_corrupt_chunk_errors_name_the_chunk() {
-        let g = chain(9); // chunk_vertices = 3 → chunks 0, 1, 2
-        let mut buf = Vec::new();
-        write_grb_chunked(&g, &mut buf, 3).unwrap();
-
-        // Corrupt chunk 1's table record: its first-vertex no longer
-        // continues chunk 0.
-        let mut bad = buf.clone();
-        let table1 = GRB_V2_HEADER_LEN + GRB_V2_TABLE_RECORD;
-        bad[table1..table1 + 8].copy_from_slice(&7u64.to_le_bytes());
-        let err = read_grb(&bad[..]).unwrap_err();
-        assert!(err.to_string().contains("chunk 1"), "{err}");
-
-        // Corrupt an offset inside chunk 2's payload: error names chunk 2.
-        let offsets = g.adjacency_offsets();
-        let chunk2_payload = GRB_V2_HEADER_LEN
-            + 3 * GRB_V2_TABLE_RECORD
-            + (3 * 8 + (offsets[3] - offsets[0]) * 12)
-            + (3 * 8 + (offsets[6] - offsets[3]) * 12);
-        let mut bad = buf.clone();
-        bad[chunk2_payload..chunk2_payload + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_grb(&bad[..]).unwrap_err();
-        assert!(err.to_string().contains("chunk 2"), "{err}");
-
-        // A well-framed but structurally broken payload (weight bits zeroed,
-        // so a non-positive weight) is rejected by the chunk's linear checks,
-        // again naming the chunk.
-        let mut bad = buf.clone();
-        let len = bad.len();
-        bad[len - 8..].copy_from_slice(&0u64.to_le_bytes());
-        let err = read_grb(&bad[..]).unwrap_err();
-        assert!(err.to_string().contains("chunk 2"), "{err}");
-
-        // Chunks 1 and 2 both fail their checksums (the lowest bit of each
-        // one's last weight flipped): the first failing chunk is named.
-        let mut bad = buf.clone();
-        bad[chunk2_payload - 8] ^= 0x01;
-        bad[len - 8] ^= 0x01;
-        let err = read_grb(&bad[..]).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("chunk 1: payload checksum mismatch"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn grb_v2_checksum_catches_structurally_plausible_corruption() {
-        // Flip the lowest mantissa bit of the final weight: still a finite
-        // positive weight and framing stays intact, so only the per-chunk
-        // checksum can tell the payload no longer matches what was written.
-        let mut buf = Vec::new();
-        write_grb_chunked(&chain(9), &mut buf, 3).unwrap();
-        let len = buf.len();
-        buf[len - 8] ^= 0x01;
-        let err = read_grb(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("chunk 2"), "{err}");
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-    }
-
-    #[test]
-    fn save_path_writes_v2_and_refuses_v1() {
-        let dir = std::env::temp_dir().join("grappolo_io_v2_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let g = chain(12);
-        let v2_path = dir.join("g.grb");
-        save_path(&g, &v2_path).unwrap();
-        let head = std::fs::read(&v2_path).unwrap();
-        assert_eq!(
-            u16::from_le_bytes(head[8..10].try_into().unwrap()),
-            GRB_VERSION
-        );
-        assert_grb_bitwise_equal(&g, &load_path(&v2_path).unwrap());
-        // A v1 file is a typed parse error naming its version, even one
-        // shorter than a v2 header: the empty graph's 36 bytes (magic,
-        // version 1, flags, n = 0, no entries, offsets [0]).
-        let v1_path = dir.join("g_v1.grb");
-        std::fs::write(&v1_path, [&GRB_MAGIC[..], &[1, 0, 0, 0], &[0; 24]].concat()).unwrap();
-        let err = load_path(&v1_path).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }), "{err}");
-        assert!(err.to_string().contains("version 1 unsupported"), "{err}");
     }
 
     #[test]
     fn grb_rejects_corrupt_offsets() {
-        let mut buf = Vec::new();
-        write_grb(&sample(), &mut buf).unwrap();
-        // The first stored offset (vertex 0's run end, after the table).
-        let at = GRB_V2_HEADER_LEN + GRB_V2_TABLE_RECORD;
+        let mut buf = grb_bytes(&sample());
+        // The first stored offset: vertex 0's row end.
+        let at = GRB_HEADER_LEN;
         buf[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_grb(&buf[..]).is_err());
+        let err = read_grb(&buf[..]).unwrap_err();
+        assert!(err.to_string().contains("for vertex 0"), "{err}");
+    }
+
+    #[test]
+    fn grb_damage_errors_name_the_damage() {
+        // chain(9): vertex 0's row is [1], vertex 1's is [0, 2], … — 16
+        // entries in all.
+        let g = chain(9);
+        let buf = grb_bytes(&g);
+        let targets_at = GRB_HEADER_LEN + 9 * 8;
+        let weights_at = targets_at + 16 * 4;
+        let set = |at: usize, bytes: &[u8]| {
+            let mut bad = buf.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            read_grb(&bad[..]).unwrap_err().to_string()
+        };
+        for (err, expected) in [
+            // Vertex 1's row end pulled below vertex 0's.
+            (
+                set(GRB_HEADER_LEN + 8, &0u64.to_le_bytes()),
+                "offset 0 for vertex 1",
+            ),
+            // The last offset no longer closes the entries.
+            (
+                set(targets_at - 8, &15u64.to_le_bytes()),
+                "last offset 15 does not close the entry range at 16",
+            ),
+            (
+                set(targets_at, &9u32.to_le_bytes()),
+                "neighbor id 9 of vertex 0 out of range (n = 9)",
+            ),
+            // Vertex 1's row [0, 2] becomes [2, 2].
+            (
+                set(targets_at + 4, &2u32.to_le_bytes()),
+                "adjacency of vertex 1 not strictly ascending at entry 2",
+            ),
+            (
+                set(weights_at + 8, &0u64.to_le_bytes()),
+                "weight 0 at entry 1 not finite and positive",
+            ),
+            (
+                set(buf.len() - 8, &[0; 8]),
+                "checksum mismatch (stored 0x0000000000000000",
+            ),
+        ] {
+            assert!(err.contains(expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn grb_checksum_catches_structurally_plausible_corruption() {
+        // Flip the lowest mantissa bit of the final weight: still a finite
+        // positive weight and the size is intact, so only the checksum can
+        // tell the arrays no longer match what was written.
+        let mut buf = grb_bytes(&chain(9));
+        let len = buf.len();
+        buf[len - 16] ^= 0x01;
+        let err = read_grb(&buf[..]).unwrap_err();
+        assert!(err.to_string().contains(".grb checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn save_path_writes_v3_and_refuses_older_versions() {
+        let dir = std::env::temp_dir().join("grappolo_io_v3_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = chain(12);
+        let path = dir.join("g.grb");
+        save_path(&g, &path).unwrap();
+        let head = std::fs::read(&path).unwrap();
+        assert_eq!(u16::from_le_bytes([head[8], head[9]]), GRB_VERSION);
+        assert_grb_bitwise_equal(&g, &load_path(&path).unwrap());
+        // The empty graph as the retired writers laid it out: v1 (magic,
+        // version 1, flags, n = 0, no entries, offsets [0]) and v2 (magic,
+        // version 2, flags, n = 0, no entries, chunk size, no chunks). Each
+        // is a typed parse error naming its version.
+        let v1 = [&GRB_MAGIC[..], &[1, 0, 0, 0], &[0; 24]].concat();
+        let v2 = [
+            &GRB_MAGIC[..],
+            &[2, 0, 0, 0],
+            &[0; 16],
+            &4096u64.to_le_bytes(),
+            &[0; 8],
+        ]
+        .concat();
+        for (version, bytes) in [(1, v1), (2, v2)] {
+            let old = dir.join(format!("g_v{version}.grb"));
+            std::fs::write(&old, bytes).unwrap();
+            let err = load_path(&old).unwrap_err();
+            assert!(matches!(err, IoError::Parse { .. }), "{err}");
+            let expected = format!(".grb version {version} unsupported");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     #[test]

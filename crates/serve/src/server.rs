@@ -26,7 +26,7 @@ use grappolo_core::{
     CancelToken, DynamicError, LouvainConfig, SweepMode,
 };
 use grappolo_graph::io::{self, IoError};
-use grappolo_graph::{parse_edge_batch, CsrGraph};
+use grappolo_graph::CsrGraph;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -437,9 +437,9 @@ fn run_update(state: &ServerState, path: &Path) -> String {
     if let Err(e) = state.faults.hit(FaultPoint::Load) {
         return format!("err load-failed {e}");
     }
-    let batch = match std::fs::read_to_string(path)
+    let batch = match std::fs::File::open(path)
         .map_err(IoError::from)
-        .and_then(|text| parse_edge_batch(&text))
+        .and_then(io::read_edge_batch)
     {
         Ok(b) => b,
         Err(IoError::Parse { line, message }) => {

@@ -220,6 +220,21 @@ fn malformed_batch_names_its_line_and_keeps_snapshot() {
 }
 
 #[test]
+fn non_utf8_batch_is_a_bad_batch_naming_its_line() {
+    let batch = tmp_dir("non_utf8_batch").join("batch.txt");
+    std::fs::write(&batch, b"+ 0 1\n# \xFF\n").unwrap();
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    let mut c = Client::connect(&handle);
+    let response = c.req(&format!("update {}", batch.display()));
+    assert_eq!(
+        response,
+        format!("err bad-batch {}:2: line is not UTF-8", batch.display())
+    );
+    assert!(c.req("stats").contains("epoch=0"));
+    handle.shutdown();
+}
+
+#[test]
 fn injected_load_failure_keeps_snapshot() {
     for threads in [1usize, 8] {
         let dir = tmp_dir(&format!("loadfail_{threads}"));
