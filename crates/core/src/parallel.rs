@@ -1,7 +1,7 @@
-//! The two parallel commit strategies of the local-moving engine
-//! ([`crate::phase`] runs the iterations around them) — Algorithm 1 with
+//! The three parallel commit strategies of the local-moving engine
+//! ([`crate::phase`] runs the iterations around them): Algorithm 1 with
 //! the minimum-label heuristics (§5.1), in both flavors the paper
-//! evaluates:
+//! evaluates, and the dynamic-update path's screened immediate pass:
 //!
 //! * **unordered** — no coloring: one lock-free parallel sweep per
 //!   iteration over the frontier, every decision reading the *previous*
@@ -23,15 +23,27 @@
 //!   schedule-dependent float commits forced an O(m) modularity rescan per
 //!   iteration (kept as the test oracle
 //!   [`crate::reference::parallel_phase_colored_rescan`]).
+//! * **screened immediate** — the resume of a dynamic update: the frontier
+//!   is decided in parallel against the previous iteration's state, as the
+//!   unordered sweep decides it, but only whether each vertex would move
+//!   is kept. Those vertices are then re-decided against the live state and
+//!   committed one at a time, in ascending vertex order, by the serial
+//!   sweep's immediate pass ([`crate::serial`]), each with
+//!   [`ModularityTracker::apply_move`]'s exact accounting. Every commit
+//!   gains, so Q never decreases between iterations, where a snapshot batch
+//!   can lower it (Lemma 1) and swing a vertex back to the label it held
+//!   two iterations earlier. Detection's sweeps keep the paper's commits:
+//!   they start from singletons on a saturated frontier, where nearly every
+//!   vertex would move.
 //!
-//! Both decide through the engine's shared move kernel and apply the same
-//! per-vertex policy to its decision: a move gaining less than the
-//! iteration's gate is suppressed (the vertex is locally converged), and a
-//! surviving move is subject to the §5.1 singlet veto.
+//! All three decide through the engine's shared move kernel and apply the
+//! same per-vertex policy to its parallel decision: a move gaining less
+//! than the iteration's gate is suppressed (the vertex is locally
+//! converged), and a surviving move is subject to the §5.1 singlet veto.
 //!
 //! # The sliced decide
 //!
-//! Both steps decide a vertex list (a color class, or the frontier) in
+//! Every step decides a vertex list (a color class, or the frontier) in
 //! contiguous slices of about equal adjacency work ([`slice_bounds`]): a
 //! vertex costs its degree plus a fixed [`VERTEX_WORK`], and each slice is
 //! one pool task. Cutting by work rather than by vertex count matters on
@@ -53,12 +65,14 @@
 //!
 //! [`ModularityTracker::apply_batch`]: crate::modularity::ModularityTracker::apply_batch
 //! [`ModularityTracker::apply_independent_batch`]: crate::modularity::ModularityTracker::apply_independent_batch
+//! [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
 
 use crate::active::ActiveSet;
 use crate::modularity::{
     thread_scratch, Community, IndependentMove, MoveDecision, NeighborScratch,
 };
 use crate::phase::{evaluate, singlet_veto, SweepState};
+use crate::serial::immediate_pass;
 use grappolo_coloring::ColorBatches;
 use grappolo_graph::shared::{carve, cut_by_work, MAX_PIECES, MIN_PIECE_WORK};
 use grappolo_graph::{CsrGraph, VertexId};
@@ -232,6 +246,56 @@ pub(crate) fn unordered_step(
         );
         std::mem::swap(&mut state.assignment, &mut spare);
         (frontier.len(), converged)
+    }
+}
+
+/// The resumed sweep's per-iteration step for the phase driver
+/// ([`crate::phase::PhaseDriver::resume`]): a parallel screen, then one
+/// immediate pass.
+///
+/// The screen decides every frontier vertex in parallel against the state
+/// as the previous iteration left it, under the snapshot sweeps' policy,
+/// exactly as [`unordered_step`] decides, and keeps only whether the vertex
+/// would move. The pass ([`crate::serial::immediate_pass`]) then re-decides
+/// those vertices against the live state in ascending id order and commits
+/// each surviving move at once, with [`ModularityTracker::apply_move`]'s
+/// exact accounting. Every commit gains at least the gate and more than 0,
+/// so Q never falls between iterations, no vertex swings back to a label a
+/// simultaneous move made stale (Lemma 1's scenario), and the driver
+/// rebuilds the next frontier from the vertices that really moved. A
+/// vertex's suppressed move counts as converged where it was last decided:
+/// in the screen if it would stay, in the pass otherwise.
+///
+/// The screen is a pure function of the frozen state and the pass is
+/// serial and ordered, so the step is bitwise deterministic across thread
+/// counts.
+///
+/// [`ModularityTracker::apply_move`]: crate::modularity::ModularityTracker::apply_move
+pub(crate) fn resume_step(
+    g: &CsrGraph,
+) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + '_ {
+    let mut bounds: Vec<usize> = Vec::new();
+    let mut screen: Vec<(bool, bool)> = Vec::new();
+    move |state, active, gate, movers| {
+        let gamma = state.tracker.gamma();
+        let frontier = active.frontier();
+        slice_bounds(g, frontier, &mut bounds);
+        let frozen = &*state;
+        decide_sliced(g, frontier, &bounds, &mut screen, |scratch, v| {
+            let d = evaluate(g, &frozen.assignment, &frozen.a, gamma, scratch, v);
+            let cur = frozen.assignment[v as usize];
+            let (to, gated) = snapshot_policy(&d, cur, gate, &frozen.sizes);
+            (to != cur, gated)
+        });
+        let screened = frontier.iter().zip(&screen);
+        let gated = screened.clone().filter(|(_, &(_, gated))| gated).count();
+        let would_move = screened.filter(|(_, &(moves, _))| moves).map(|(&v, _)| v);
+        // Checked out after the decide, so the caller's slices gather in
+        // the thread's warmed scratch.
+        let mut scratch = thread_scratch();
+        let push = |v: VertexId, _: Community| movers.push(v);
+        let converged = immediate_pass(g, state, &mut scratch, would_move, gate, |_, _| true, push);
+        (frontier.len(), gated + converged)
     }
 }
 

@@ -23,9 +23,10 @@
 //! dirty-vertex work list). A phase starts from the saturated set
 //! [`ActiveSet::full`], whose frontier is `0..n` in ascending order, so an
 //! iteration before pruning engages examines every vertex in id order; the
-//! dynamic-update path starts from the frontier seeded by the changed
-//! edges. The sweeps differ only in how one iteration commits the
-//! frontier's moves, which is the step the driver runs each iteration:
+//! dynamic-update path starts from a frontier built from the changed
+//! edges' endpoints, which holds every endpoint and every neighbor of one.
+//! The sweeps differ only in how one iteration commits the frontier's
+//! moves, which is the step the driver runs each iteration:
 //!
 //! * **immediate** commits in frontier order — the serial Louvain scan
 //!   ([`crate::serial`]), which is also the pass refinement's absorption
@@ -34,12 +35,18 @@
 //!   iteration's state and all moves commit together ([`crate::parallel`]);
 //! * the **color-batch barrier** — one snapshot batch per color class, each
 //!   class seeing the commits of the classes before it
-//!   ([`crate::parallel`]).
+//!   ([`crate::parallel`]);
+//! * the **screened immediate pass** — the dynamic-update path's step: the
+//!   frontier decides in parallel against the previous iteration's state,
+//!   as in the snapshot batch, and the vertices that would move are
+//!   re-decided and committed by one immediate pass in ascending id order
+//!   ([`crate::parallel`]), so Q never decreases between iterations.
 //!
 //! [`PhaseDriver::run`] and [`PhaseDriver::run_colored`] start the driver
 //! from the singleton partition. The dynamic-update path
 //! ([`crate::dynamic`]) starts it from the carried state, with the frontier
-//! already engaged from the endpoints of the changed edges.
+//! already engaged from the endpoints of the changed edges and their
+//! neighbors, and runs the screened immediate pass.
 
 use crate::active::ActiveSet;
 use crate::config::{LouvainConfig, RefineMode, SweepMode};
@@ -242,14 +249,21 @@ impl PhaseDriver {
         outcome
     }
 
-    /// Resumes the unordered sweep from carried `state` instead of the
-    /// singleton partition — the dynamic-update path. Pruning is engaged
-    /// from iteration 0 with the frontier seeded from `seeds` (the
-    /// endpoints of changed edges), so vertices outside the dirty closure
-    /// are never examined and keep their labels bitwise. Refinement is not
-    /// applied: it relabels every community, which would break that
-    /// guarantee. Also returns the number of non-empty communities, counted
-    /// from the sweep state's sizes.
+    /// Resumes from carried `state` instead of the singleton partition —
+    /// the dynamic-update path. Pruning is engaged from iteration 0 with the
+    /// frontier built from `seeds` (the endpoints of changed edges) as if
+    /// they had moved: iteration 0 examines every seed and every neighbor of
+    /// one, and later iterations the vertices that moved and their
+    /// neighbors, so vertices outside the dirty closure are never examined
+    /// and keep their labels bitwise. Each iteration runs
+    /// [`crate::parallel::resume_step`]: the frontier is screened in
+    /// parallel against the state the previous iteration left, and the
+    /// vertices that would move are re-decided and committed by one
+    /// immediate pass in ascending id order, so Q never decreases between
+    /// iterations. Refinement is not applied: it relabels every community,
+    /// which would break the quiesced-region guarantee. Also returns the
+    /// number of non-empty communities, counted from the sweep state's
+    /// sizes.
     pub(crate) fn resume(
         &self,
         g: &CsrGraph,
@@ -259,7 +273,7 @@ impl PhaseDriver {
         let mut frontier = ActiveSet::empty(g.num_vertices());
         frontier.rebuild_from_moves(g, seeds);
         let (outcome, sizes) =
-            self.sweep(g, state, frontier, true, crate::parallel::unordered_step(g));
+            self.sweep(g, state, frontier, true, crate::parallel::resume_step(g));
         let communities = sizes.iter().filter(|&&s| s > 0).count();
         (outcome, communities)
     }

@@ -8,17 +8,17 @@
 //! passes all of them. These tests pin absolute trajectories instead: for
 //! each [`PhaseOutcome`] the hash covers the assignment, every per-iteration
 //! `(Q bits, moves)` record, every [`IterationStats`], the final Q bits and
-//! the [`RefineStats`]; for the incremental update chain it covers every
+//! the [`RefineStats`]; for the incremental update chains it covers every
 //! step's carried assignment, Q bits and counters.
 //!
 //! The matrix is serial / unordered / colored × full / active sweeps ×
 //! fixed / geometric schedules × no / Leiden refinement on a planted
-//! partition and an RMAT graph, plus one three-batch `update_communities`
-//! chain. The planted inputs carry real-valued weights: with integer
-//! weights every float sum is exact in any order, so a reordered sum could
-//! not show up in the hashes. A mismatch panics with every differing line,
-//! formatted so it can replace the table entry once a behavior change is
-//! intended.
+//! partition and an RMAT graph, plus a three-batch `update_communities`
+//! chain on each of a planted partition and that RMAT graph. The planted
+//! inputs carry real-valued weights: with integer weights every float sum
+//! is exact in any order, so a reordered sum could not show up in the
+//! hashes. A mismatch panics with every differing line, formatted so it can
+//! replace the table entry once a behavior change is intended.
 
 use grappolo::core::{update_communities, Community, IterationStats};
 use grappolo::graph::EdgeDelta;
@@ -278,53 +278,66 @@ fn batch(g: &CsrGraph, stride: usize, inserts: usize, salt: u64) -> Vec<EdgeDelt
     out
 }
 
-/// Hashes recorded before the local-moving engine was unified for a
-/// detect → three-batch `update_communities` chain.
+/// Hashes of two detect → three-batch `update_communities` chains, one on a
+/// planted partition and one on the matrix's RMAT input. The planted rows
+/// were recorded before the local-moving engine was unified, and read the
+/// same whether a resumed iteration commits as one snapshot or screens in
+/// parallel and commits in one immediate pass. The RMAT rows were recorded
+/// with the screened immediate pass: there the resumed frontier holds hubs
+/// and their neighbors, and a snapshot commit walks another trajectory, so
+/// these rows pin the resume's commit.
 const UPDATE_CHAIN: &[(&str, u64)] = &[
     ("update/0", 0x867dba72c9ab3ef8),
     ("update/1", 0x3bfd490cdaa61a5b),
     ("update/2", 0x51a2acb1121c362f),
+    ("update/rmat/0", 0x4bad16714fbd1083),
+    ("update/rmat/1", 0xa7c877f1bdde27a8),
+    ("update/rmat/2", 0xedd807f9d91b0864),
 ];
 
 #[test]
 fn update_chain_trajectory_matches_recorded_hashes() {
-    let (g, _) = planted_partition(&PlantedConfig {
+    let planted = planted_partition(&PlantedConfig {
         num_vertices: 1_500,
         num_communities: 15,
         weight_range: Some((0.5, 2.0)),
         seed: 23,
         ..Default::default()
-    });
+    })
+    .0;
+    let rmat = inputs().pop().unwrap().1;
     let config = LouvainConfig::builder()
         .sweep(SweepMode::Active)
         .build()
         .unwrap();
-    let start = detect_communities(&g, &config);
-    let mut graph = g;
-    let mut assignment = start.assignment;
-    let mut q = start.modularity;
     let mut actual = Vec::new();
-    for step in 0..3u64 {
-        let b = batch(&graph, 97, 12, step);
-        let out = update_communities(&graph, &assignment, Some(q), &b, &config).unwrap();
-        let mut h = Fnv::new();
-        h.labels(&out.assignment);
-        h.float(out.modularity);
-        for x in [
-            out.num_communities,
-            out.iterations,
-            out.changed_edges,
-            out.seed_vertices,
-            out.fell_back as usize,
-            out.graph.num_vertices(),
-            out.graph.num_edges(),
-        ] {
-            h.word(x as u64);
+    for (chain, g) in [("update", planted), ("update/rmat", rmat)] {
+        let start = detect_communities(&g, &config);
+        let mut graph = g;
+        let mut assignment = start.assignment;
+        let mut q = start.modularity;
+        for step in 0..3u64 {
+            let b = batch(&graph, 97, 12, step);
+            let out = update_communities(&graph, &assignment, Some(q), &b, &config).unwrap();
+            let mut h = Fnv::new();
+            h.labels(&out.assignment);
+            h.float(out.modularity);
+            for x in [
+                out.num_communities,
+                out.iterations,
+                out.changed_edges,
+                out.seed_vertices,
+                out.fell_back as usize,
+                out.graph.num_vertices(),
+                out.graph.num_edges(),
+            ] {
+                h.word(x as u64);
+            }
+            actual.push((format!("{chain}/{step}"), h.0));
+            graph = out.graph;
+            assignment = out.assignment;
+            q = out.modularity;
         }
-        actual.push((format!("update/{step}"), h.0));
-        graph = out.graph;
-        assignment = out.assignment;
-        q = out.modularity;
     }
     assert_table(&actual, UPDATE_CHAIN);
 }
