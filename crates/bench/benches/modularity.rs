@@ -94,8 +94,7 @@ fn bench_modularity(c: &mut Criterion) {
     // block over. The move set is fixed — only the accounting is timed.
     let batches = color_batches(&g);
     let class = batches
-        .as_classes()
-        .iter()
+        .classes()
         .max_by_key(|c| c.len())
         .expect("non-empty coloring");
     assert!(

@@ -162,10 +162,8 @@ fn bench_colored(c: &mut Criterion) {
         // set), each joining its first neighbor's community — a realistic
         // early-iteration move volume on this input.
         let class = big_batches
-            .as_classes()
-            .iter()
+            .classes()
             .max_by_key(|c| c.len())
-            .cloned()
             .expect("non-empty coloring");
         let mut scratch = NeighborScratch::with_capacity(big.num_vertices());
         let stride = (class.len() / 4_096).max(1);

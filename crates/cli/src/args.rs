@@ -41,6 +41,10 @@ USAGE:
                   [--sweep full|active] [--schedule fixed|geometric]
                   [--vertex-epsilon F] [--refine leiden|none]
                   [--split-components]
+      --scheme: `color` (default) colors a phase only while its graph has
+      at least max(64, min(100 000, n/8)) vertices, n the input's vertex
+      count; serve's startup detection and update's dense fallback keep
+      the paper's 100 000, so they can color other phases of one graph
       --sweep: iteration schedule — `full` (default; every iteration scans
       all vertices, the paper's trajectory) or `active` (dirty-vertex work
       lists: only vertices whose neighborhood changed are re-examined;

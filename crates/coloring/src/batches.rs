@@ -1,8 +1,9 @@
 //! Stable-order color batches — the iteration contract the deterministic
 //! colored sweep builds on.
 //!
-//! [`ColorBatches`] wraps the `ColorSets` partitioning of Algorithm 1 line 2
-//! with two *guaranteed* ordering invariants:
+//! [`ColorBatches`] holds the `ColorSets` partitioning of Algorithm 1 line 2
+//! as one counting sort ([`group_by_label`]) leaves it, so two ordering
+//! invariants hold by construction:
 //!
 //! 1. batches are iterated in ascending color order, and
 //! 2. within a batch, vertex ids are strictly ascending.
@@ -13,54 +14,52 @@
 //! the bitwise-determinism guarantee; the arithmetic half lives in
 //! `grappolo_core::modularity` (`det_sum` and the incremental tracker).
 
-use crate::stats::color_classes;
 use crate::Coloring;
+use grappolo_graph::components::group_by_label;
 use grappolo_graph::VertexId;
 
-/// Color classes with a stable, validated iteration order, built from a
-/// coloring by [`ColorBatches::from_coloring`] and read through
-/// [`ColorBatches::as_classes`]. A color id the coloring skips yields an
-/// empty batch, which the sweep must tolerate.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Color classes with a stable iteration order, built from a coloring by
+/// [`ColorBatches::from_coloring`] and read through
+/// [`ColorBatches::classes`] or [`ColorBatches::class`]. A color id the
+/// coloring skips yields an empty batch, which the sweep must tolerate.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColorBatches {
-    classes: Vec<Vec<VertexId>>,
+    /// Class `c` is `members[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<usize>,
+    members: Vec<VertexId>,
+}
+
+impl Default for ColorBatches {
+    /// No batches: the grouping of the empty coloring.
+    fn default() -> Self {
+        Self::from_coloring(&Vec::new())
+    }
 }
 
 impl ColorBatches {
     /// Groups `coloring` into batches: `batch k` holds the vertices of color
-    /// `k` in ascending id order.
+    /// `k` in ascending id order ([`group_by_label`], the `ColorSets`
+    /// partitioning consumed by Algorithm 1 line 2).
     pub fn from_coloring(coloring: &Coloring) -> Self {
-        // `color_classes` scans vertices in ascending id order, so each
-        // class is strictly ascending and duplicate-free by construction —
-        // the trusted path needs no re-validation.
-        Self::from_validated_classes(color_classes(coloring))
+        let num_colors = coloring.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
+        let (offsets, members) = group_by_label(coloring.len(), num_colors, |v| coloring[v]);
+        Self { offsets, members }
     }
 
-    /// Wraps classes **already known** to satisfy the batch contract (each
-    /// class strictly ascending, no vertex in two classes). The contract is
-    /// checked under `debug_assertions` only: a violation would corrupt the
-    /// colored sweep's size and modularity accounting.
-    fn from_validated_classes(classes: Vec<Vec<VertexId>>) -> Self {
-        let batches = Self { classes };
-        debug_assert!(
-            batches.is_stably_ordered(),
-            "from_validated_classes received unsorted classes"
-        );
-        debug_assert!(
-            {
-                let mut all: Vec<VertexId> = batches.classes.iter().flatten().copied().collect();
-                all.sort_unstable();
-                all.windows(2).all(|w| w[0] != w[1])
-            },
-            "from_validated_classes received a duplicated vertex"
-        );
-        batches
+    /// Number of batches: one per color id up to the largest used.
+    pub fn num_classes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Batch `color`, in ascending vertex order.
+    pub fn class(&self, color: usize) -> &[VertexId] {
+        &self.members[self.offsets[color]..self.offsets[color + 1]]
     }
 
     /// The batches in ascending color order; each batch is in ascending
     /// vertex order (the stable sweep/commit order).
-    pub fn as_classes(&self) -> &[Vec<VertexId>] {
-        &self.classes
+    pub fn classes(&self) -> impl ExactSizeIterator<Item = &[VertexId]> {
+        self.offsets.windows(2).map(|w| &self.members[w[0]..w[1]])
     }
 
     /// Copies the vertices of batch `color` that satisfy `keep` into `out`
@@ -75,16 +74,7 @@ impl ColorBatches {
         out: &mut Vec<VertexId>,
     ) {
         out.clear();
-        out.extend(self.classes[color].iter().copied().filter(|&v| keep(v)));
-    }
-
-    /// True when every batch is strictly ascending (always holds for
-    /// instances built through [`ColorBatches::from_coloring`]; exposed so
-    /// tests and debug assertions can state the invariant).
-    pub fn is_stably_ordered(&self) -> bool {
-        self.classes
-            .iter()
-            .all(|class| class.windows(2).all(|w| w[0] < w[1]))
+        out.extend(self.class(color).iter().copied().filter(|&v| keep(v)));
     }
 }
 
@@ -92,11 +82,17 @@ impl ColorBatches {
 mod tests {
     use super::*;
 
+    /// The batches as owned lists, for comparing against literals.
+    fn lists(batches: &ColorBatches) -> Vec<Vec<VertexId>> {
+        batches.classes().map(<[VertexId]>::to_vec).collect()
+    }
+
     #[test]
     fn from_coloring_is_stably_ordered() {
         let batches = ColorBatches::from_coloring(&vec![1, 0, 1, 2, 0]);
-        assert!(batches.is_stably_ordered());
-        assert_eq!(batches.as_classes(), &[vec![1u32, 4], vec![0, 2], vec![3]]);
+        assert_eq!(lists(&batches), [vec![1u32, 4], vec![0, 2], vec![3]]);
+        assert_eq!(batches.num_classes(), 3);
+        assert_eq!(batches.class(1), [0, 2]);
     }
 
     #[test]
@@ -104,28 +100,10 @@ mod tests {
         // Color ids 1 and 3 are unused: their batches exist and are empty.
         let batches = ColorBatches::from_coloring(&vec![0, 2, 4, 0]);
         assert_eq!(
-            batches.as_classes(),
-            &[vec![0u32, 3], vec![], vec![1], vec![], vec![2]]
+            lists(&batches),
+            [vec![0u32, 3], vec![], vec![1], vec![], vec![2]]
         );
-        assert!(batches.is_stably_ordered());
-    }
-
-    #[test]
-    fn from_validated_classes_trusts_without_sorting() {
-        let classes = vec![vec![1u32, 4], vec![0, 2], vec![3]];
-        let trusted = ColorBatches::from_validated_classes(classes.clone());
-        assert_eq!(trusted.as_classes(), &classes[..]);
-        assert!(trusted.is_stably_ordered());
-        // Empty classes are fine on the trusted path too.
-        let gap = ColorBatches::from_validated_classes(vec![vec![0], vec![], vec![1]]);
-        assert_eq!(gap.as_classes().len(), 3);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unsorted")]
-    fn from_validated_classes_debug_checks_order() {
-        let _ = ColorBatches::from_validated_classes(vec![vec![2, 0]]);
+        assert!(batches.class(3).is_empty());
     }
 
     #[test]
@@ -143,7 +121,8 @@ mod tests {
     #[test]
     fn empty_coloring_has_no_batches() {
         let batches = ColorBatches::from_coloring(&Vec::new());
-        assert!(batches.as_classes().is_empty());
-        assert!(batches.is_stably_ordered());
+        assert_eq!(batches.num_classes(), 0);
+        assert_eq!(batches.classes().len(), 0);
+        assert_eq!(ColorBatches::default(), batches);
     }
 }

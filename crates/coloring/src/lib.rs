@@ -29,7 +29,7 @@ pub use balanced::balance_colors;
 pub use batches::ColorBatches;
 pub use greedy::color_greedy_serial;
 pub use parallel::{color_parallel, ParallelColoringConfig};
-pub use stats::{color_class_sizes, color_classes, is_valid_distance1, ColoringStats};
+pub use stats::{color_class_sizes, is_valid_distance1, ColoringStats};
 
 /// A coloring: `colors[v]` is the color (0-based) of vertex `v`.
 pub type Coloring = Vec<u32>;

@@ -7,10 +7,10 @@
 //! 1. **Tentative coloring** — every worklist vertex picks the smallest
 //!    color no neighbor holds in the colors frozen at the round start
 //!    (Jacobi style, so the result is independent of the thread count), and
-//!    a parallel scatter writes the picks.
+//!    one ordered loop writes the picks.
 //! 2. **Conflict detection** — when two adjacent worklist vertices picked
-//!    the same color, the higher id loses: a second scatter un-colors it,
-//!    and the losers form the next round's worklist. Every other pick is
+//!    the same color, the higher id loses: a second loop un-colors it, and
+//!    the losers form the next round's worklist. Every other pick is
 //!    final.
 //!
 //! Because a kept color is final, the neighbors of a vertex that are
@@ -45,7 +45,7 @@
 //! worklist, so every round settles at least one vertex.
 
 use crate::Coloring;
-use grappolo_graph::shared::{carve, cut_by_work, MAX_PIECES};
+use grappolo_graph::shared::carve;
 use grappolo_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
@@ -179,39 +179,6 @@ fn round_one(g: &CsrGraph) -> Coloring {
         .collect()
 }
 
-/// Writes `value(i)` to `colors[vertices[i]]` for every `i`, in parallel.
-/// `vertices` must be strictly ascending (every worklist is: each comes out
-/// of an ordered filter over an ascending list). The list is cut into
-/// pieces of about equal length ([`cut_by_work`]), and `colors` is carved at
-/// the ids where the pieces start, so each task writes its own slice.
-fn scatter(colors: &mut [u32], vertices: &[VertexId], value: impl Fn(usize) -> u32 + Sync + Send) {
-    debug_assert!(
-        vertices.windows(2).all(|w| w[0] < w[1]),
-        "scatter list not strictly ascending"
-    );
-    let mut bounds = Vec::new();
-    cut_by_work(vertices.len(), MAX_PIECES, |_| 1, &mut bounds);
-    // Piece `s` owns the ids from its first vertex up to the next piece's
-    // first vertex, the last one up to the end.
-    let starts: Vec<usize> = bounds
-        .iter()
-        .map(|&b| vertices.get(b).map_or(colors.len(), |&v| v as usize))
-        .collect();
-    let mut pieces = carve(
-        &mut colors[starts[0]..],
-        starts.windows(2).map(|w| w[1] - w[0]),
-    );
-    pieces
-        .par_iter_mut()
-        .with_min_len(1)
-        .enumerate()
-        .for_each(|(s, piece)| {
-            for i in bounds[s]..bounds[s + 1] {
-                piece[vertices[i] as usize - starts[s]] = value(i);
-            }
-        });
-}
-
 /// Colors `g` with distance-1 semantics using speculation + conflict
 /// resolution. Returns the coloring; validity is guaranteed
 /// ([`crate::stats::is_valid_distance1`] holds) and tested.
@@ -265,7 +232,9 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
         hubs.par_iter_mut()
             .with_min_len(1)
             .for_each(|hub| hub.refit(&colors));
-        scatter(&mut colors, &light, |i| fits[i]);
+        for (&v, &fit) in light.iter().zip(&fits) {
+            colors[v as usize] = fit;
+        }
         for hub in &hubs {
             colors[hub.v as usize] = hub.fit;
         }
@@ -290,7 +259,9 @@ pub fn color_parallel(g: &CsrGraph, cfg: &ParallelColoringConfig) -> Coloring {
             .collect();
         let mut hub_lost = hub_lost.into_iter();
         hubs.retain(|_| hub_lost.next() == Some(true));
-        scatter(&mut colors, &lost, |_| UNCOLORED);
+        for &v in &lost {
+            colors[v as usize] = UNCOLORED;
+        }
         for hub in &hubs {
             colors[hub.v as usize] = UNCOLORED;
         }
@@ -598,32 +569,6 @@ mod tests {
             colors,
             color_parallel_alloc_sort(&g, &cfg_parallel_always())
         );
-    }
-
-    #[test]
-    fn scatter_writes_exactly_the_listed_ids() {
-        // An ascending list with gaps that starts past id 0, ends before the
-        // last id and is long enough to cut into several pieces: each listed
-        // id takes its value and every other id keeps its color.
-        let n = 40_000u32;
-        let vertices: Vec<VertexId> = (5..n - 9).filter(|v| v % 3 != 1 && v % 7 != 0).collect();
-        let mut bounds = Vec::new();
-        cut_by_work(vertices.len(), MAX_PIECES, |_| 1, &mut bounds);
-        assert!(bounds.len() > 3, "{} pieces", bounds.len() - 1);
-        let before: Vec<u32> = (0..n).map(|v| v ^ 0x5555).collect();
-        let mut expected = before.clone();
-        for (i, &v) in vertices.iter().enumerate() {
-            expected[v as usize] = i as u32;
-        }
-        for pool in pools(&[1, 2, 8]) {
-            let mut colors = before.clone();
-            pool.install(|| scatter(&mut colors, &vertices, |i| i as u32));
-            assert_eq!(colors, expected);
-            pool.install(|| scatter(&mut colors, &[], |_| 0));
-            pool.install(|| scatter(&mut colors, &[n - 1], |_| 7));
-            assert_eq!(colors[..n as usize - 1], expected[..n as usize - 1]);
-            assert_eq!(colors[n as usize - 1], 7);
-        }
     }
 
     #[test]

@@ -51,18 +51,6 @@ pub fn color_class_sizes(coloring: &Coloring) -> Vec<usize> {
     sizes
 }
 
-/// Groups vertex ids by color: `classes[c]` lists the vertices of color `c`
-/// in ascending id order. This is the `ColorSets` partitioning consumed by
-/// Algorithm 1 line 2.
-pub fn color_classes(coloring: &Coloring) -> Vec<Vec<VertexId>> {
-    let sizes = color_class_sizes(coloring);
-    let mut classes: Vec<Vec<VertexId>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
-    for (v, &c) in coloring.iter().enumerate() {
-        classes[c as usize].push(v as VertexId);
-    }
-    classes
-}
-
 /// True if no two *distinct* adjacent vertices share a color (self-loops are
 /// exempt by definition of distance-1 coloring).
 pub fn is_valid_distance1(g: &CsrGraph, coloring: &Coloring) -> bool {
@@ -94,13 +82,6 @@ mod tests {
         assert_eq!(st.max_class, 3);
         assert_eq!(st.min_class, 1);
         assert!(st.size_rsd > 0.0);
-    }
-
-    #[test]
-    fn classes_group_vertices() {
-        let coloring = vec![1, 0, 1];
-        let classes = color_classes(&coloring);
-        assert_eq!(classes, vec![vec![1], vec![0, 2]]);
     }
 
     #[test]

@@ -215,7 +215,7 @@ pub(crate) fn detect(g: &CsrGraph, config: &LouvainConfig, token: &CancelToken) 
                 balance_colors(&work, &mut coloring, 0.1);
             }
             let batches = ColorBatches::from_coloring(&coloring);
-            let num_colors = batches.as_classes().len();
+            let num_colors = batches.num_classes();
             (batches, num_colors)
         } else {
             (ColorBatches::default(), 0)

@@ -325,8 +325,7 @@ pub(crate) fn colored_step<'a>(
     batches: &'a ColorBatches,
 ) -> impl FnMut(&mut SweepState, &ActiveSet, f64, &mut Vec<VertexId>) -> (usize, usize) + 'a {
     let class_bounds: Vec<Vec<usize>> = batches
-        .as_classes()
-        .iter()
+        .classes()
         .map(|class| {
             let mut bounds = Vec::new();
             slice_bounds(g, class, &mut bounds);
@@ -341,7 +340,7 @@ pub(crate) fn colored_step<'a>(
         let gamma = state.tracker.gamma();
         let mut examined = 0usize;
         let mut converged = 0usize;
-        for (color, full_batch) in batches.as_classes().iter().enumerate() {
+        for (color, full_batch) in batches.classes().enumerate() {
             let (batch, bounds): (&[VertexId], &[usize]) = if active.is_saturated() {
                 (full_batch, &class_bounds[color])
             } else {

@@ -240,7 +240,6 @@ impl PhaseDriver {
     /// color classes) with the incremental barrier-batch sweep. Applies
     /// refinement per the config.
     pub fn run_colored(&self, g: &CsrGraph, batches: &ColorBatches) -> PhaseOutcome {
-        debug_assert!(batches.is_stably_ordered(), "unstable color batches");
         let state = SweepState::singletons(g, self.resolution);
         let all = ActiveSet::full(g.num_vertices());
         let step = crate::parallel::colored_step(g, batches);

@@ -10,12 +10,14 @@
 //! ([`NeighborScratch`](crate::modularity::NeighborScratch)) the
 //! local-moving sweep uses: O(deg) per row, a small per-row sort for CSR
 //! ordering, and results bitwise identical at any thread count. There is
-//! one assembly: each row is gathered once into the buffers of the task
-//! that owns its contiguous row range, the parts are copied in row order
-//! into the CSR arrays, and a mirror pass over the same ranges copies each
-//! low-id row's weights onto their mirrors, each task writing only its own
-//! carved piece of the weights (`condense_stamped`). No task writes an
-//! index another task reads or writes, so nothing needs a lock.
+//! one assembly: the vertices are grouped by row with the workspace's one
+//! counting sort ([`group_by_label`]), each row is gathered once into the
+//! buffers of the task that owns its contiguous row range, the parts are
+//! copied in row order into the CSR arrays, and a mirror pass over the same
+//! ranges copies each low-id row's weights onto their mirrors, each task
+//! writing only its own carved piece of the weights (`condense_stamped`).
+//! No task writes an index another task reads or writes, so nothing needs
+//! a lock.
 //!
 //! Weight convention: traversing every adjacency entry means an intra-
 //! community non-loop edge contributes twice to the meta-vertex self-loop and
@@ -24,8 +26,9 @@
 
 use crate::config::{RebuildStrategy, RenumberStrategy};
 use crate::modularity::{thread_scratch, Community};
+use grappolo_graph::components::group_by_label;
 use grappolo_graph::shared::carve;
-use grappolo_graph::{CsrGraph, VertexId};
+use grappolo_graph::CsrGraph;
 use rayon::prelude::*;
 
 /// Result of one rebuild.
@@ -102,31 +105,6 @@ pub(crate) fn condense(
     condense_stamped(g, num_communities, |u| renumber[assignment[u] as usize])
 }
 
-/// Groups vertices `0..n` by output row: returns `(offsets, members)` with
-/// `members[offsets[r]..offsets[r + 1]]` listing row `r`'s vertices in
-/// ascending id order (counting sort — deterministic).
-fn group_by_row(
-    n: usize,
-    num_rows: usize,
-    row_of: impl Fn(usize) -> Community,
-) -> (Vec<usize>, Vec<VertexId>) {
-    let mut offsets = vec![0usize; num_rows + 1];
-    for v in 0..n {
-        offsets[row_of(v) as usize + 1] += 1;
-    }
-    for r in 0..num_rows {
-        offsets[r + 1] += offsets[r];
-    }
-    let mut cursor = offsets.clone();
-    let mut members = vec![0 as VertexId; n];
-    for v in 0..n {
-        let r = row_of(v) as usize;
-        members[cursor[r]] = v as VertexId;
-        cursor[r] += 1;
-    }
-    (offsets, members)
-}
-
 /// Most tasks [`condense_stamped`] splits its rows into: the rayon shim's
 /// bound on the tasks of one region, so every task is one pool task.
 const MAX_TASKS: usize = 64;
@@ -140,7 +118,7 @@ const MAX_TASKS: usize = 64;
 /// rows once, appends it to the task's own target and weight buffers, and
 /// writes its length into the row's slot of the offsets array. A gather
 /// accumulates every directed adjacency entry of the row's members in the
-/// stamped scratch, members ascending ([`group_by_row`]), then adjacency
+/// stamped scratch, members ascending ([`group_by_label`]), then adjacency
 /// order: intra non-loop edges are seen from both endpoints (doubling into
 /// the meta self-loop, the m-preserving convention) and self-loops once.
 /// That order is fixed by the CSR layout, so every row is bitwise
@@ -168,7 +146,7 @@ pub(crate) fn condense_stamped(
     num_rows: usize,
     row_of: impl Fn(usize) -> Community + Sync + Send,
 ) -> CsrGraph {
-    let (offsets, members) = group_by_row(g.num_vertices(), num_rows, &row_of);
+    let (offsets, members) = group_by_label(g.num_vertices(), num_rows, &row_of);
     let task_rows = num_rows.div_ceil(MAX_TASKS).max(1);
     let mut row_offsets = vec![0usize; num_rows + 1];
     let mut task_lens: Vec<&mut [usize]> = row_offsets[1..].chunks_mut(task_rows).collect();
@@ -242,8 +220,8 @@ pub(crate) fn condense_stamped(
 mod tests {
     use super::*;
     use crate::modularity::modularity;
-    use grappolo_graph::from_unweighted_edges;
     use grappolo_graph::gen::{planted_partition, PlantedConfig};
+    use grappolo_graph::{from_unweighted_edges, VertexId};
 
     fn condense(g: &CsrGraph, assignment: &[Community]) -> RebuildResult {
         rebuild(

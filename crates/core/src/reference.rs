@@ -187,7 +187,7 @@ pub fn parallel_phase_colored_rescan(
         }
         movers.clear();
         let mut examined = 0usize;
-        for class in batches.as_classes() {
+        for class in batches.classes() {
             let filtered: Vec<VertexId>;
             let batch = if active.is_saturated() {
                 class

@@ -10,11 +10,13 @@
 //! converges and before its assignment is condensed:
 //!
 //! 1. **Connected-component split.** Each parent community is partitioned
-//!    into its connected components by a breadth-first traversal constrained
-//!    to intra-parent edges. A component's label is its minimum member
-//!    vertex, and vertices are seeded in ascending id order, so the labeling
-//!    is a pure function of the assignment — independent of traversal order,
-//!    schedule, and thread count. Splitting never lowers modularity: the
+//!    into its connected components by the workspace's one breadth-first
+//!    traversal ([`grow_component`], which also labels the component
+//!    splitter's components), constrained to intra-parent edges. A
+//!    component's label is its minimum member vertex, and vertices are
+//!    seeded in ascending id order, so the labeling is a pure function of
+//!    the assignment — independent of traversal order, schedule, and
+//!    thread count. Splitting never lowers modularity: the
 //!    intra-community weight `e_in` is unchanged (components share no
 //!    edges), while the null-model term `Σ a_C²` can only shrink
 //!    (`(a_A + a_B)² ≥ a_A² + a_B²`), so `Q` is non-decreasing for every
@@ -75,6 +77,7 @@ use crate::modularity::{
 };
 use crate::phase::SweepState;
 use crate::serial::immediate_pass;
+use grappolo_graph::components::{grow_component, UNLABELED};
 use grappolo_graph::{CsrGraph, VertexId};
 use serde::Serialize;
 
@@ -123,10 +126,6 @@ impl RefineStats {
     }
 }
 
-/// Sentinel for "not yet reached by the component traversal". Community
-/// labels are vertex ids, so they are always `< n < u32::MAX`.
-const UNSET: Community = Community::MAX;
-
 /// Polish ⇄ re-split rounds: each round is one serial polish sweep (full
 /// on the first round, frontier-seeded afterwards) followed by an
 /// incremental re-split and a seeded absorption series. Only the first
@@ -147,9 +146,9 @@ const POLISH_SOURCE_CAP: u32 = 4096;
 
 /// Labels `v`'s component within its `parent`-community: every vertex
 /// reachable from `v` along edges whose endpoints share `parent[v]` and
-/// whose label in `out` is still [`UNSET`] gets label `v`, in breadth-first
-/// order through `queue`. Returns the component's degree sum and size,
-/// accumulated in that order.
+/// whose label in `out` is still [`UNLABELED`] gets label `v`
+/// ([`grow_component`]). Returns the component's degree sum, added in visit
+/// order, and size.
 fn label_component(
     g: &CsrGraph,
     parent: &[Community],
@@ -158,25 +157,9 @@ fn label_component(
     v: VertexId,
 ) -> (f64, u32) {
     let p = parent[v as usize];
-    out[v as usize] = v;
-    let mut a_c = 0.0f64;
-    let mut size_c = 0u32;
-    queue.clear();
-    queue.push(v);
-    let mut head = 0usize;
-    while head < queue.len() {
-        let x = queue[head];
-        head += 1;
-        a_c += g.weighted_degree(x);
-        size_c += 1;
-        for &u in g.neighbor_ids(x) {
-            if u != x && out[u as usize] == UNSET && parent[u as usize] == p {
-                out[u as usize] = v;
-                queue.push(u);
-            }
-        }
-    }
-    (a_c, size_c)
+    grow_component(g, v, v, out, queue, |u| parent[u as usize] == p);
+    let a_c = queue.iter().fold(0.0, |a, &x| a + g.weighted_degree(x));
+    (a_c, queue.len() as u32)
 }
 
 /// Partitions every `parent`-community of `g` into its connected
@@ -198,11 +181,11 @@ fn split_components(
     a_parent: &mut [f64],
 ) -> (usize, usize, usize) {
     let n = g.num_vertices();
-    out.fill(UNSET);
+    out.fill(UNLABELED);
     let mut components_of = vec![0u32; n];
     let mut sub_communities = 0usize;
     for v in 0..n as VertexId {
-        if out[v as usize] != UNSET {
+        if out[v as usize] != UNLABELED {
             continue;
         }
         let p = parent[v as usize];
@@ -264,7 +247,7 @@ fn resplit_affected(
         if touched[l as usize] {
             members.push(v);
             prev[v as usize] = l;
-            refined[v as usize] = UNSET;
+            refined[v as usize] = UNLABELED;
         }
     }
     for &l in affected.iter() {
@@ -275,11 +258,11 @@ fn resplit_affected(
     }
 
     // BFS each affected old community; ascending seeds make every new
-    // label its component's minimum member. `refined[u] == UNSET` holds
-    // exactly for the still-unvisited members, so `prev[u]` only decides
-    // where it is valid.
+    // label its component's minimum member. `refined[u] == UNLABELED` holds
+    // exactly for the still-unvisited members, and `grow_component` asks
+    // about no other vertex, so `prev[u]` only decides where it is valid.
     for &v in members.iter() {
-        if refined[v as usize] != UNSET {
+        if refined[v as usize] != UNLABELED {
             continue;
         }
         let (a_c, size_c) = label_component(g, prev, refined, queue, v);
@@ -325,7 +308,7 @@ pub(crate) fn refine_phase_from(
         return RefineStats::trivial(parents);
     }
     // ── 1. Connected-component split (accumulates degree sums) ──────────
-    let mut refined: Vec<Community> = vec![UNSET; n];
+    let mut refined: Vec<Community> = vec![UNLABELED; n];
     let mut queue: Vec<VertexId> = Vec::new();
     let mut a = vec![0.0f64; n];
     let mut sizes = vec![0u32; n];
@@ -366,7 +349,7 @@ pub(crate) fn refine_phase_from(
     let mut seed: Vec<VertexId> = Vec::new();
     let mut affected: Vec<Community> = Vec::new();
     let mut touched = vec![false; n];
-    let mut prev: Vec<Community> = vec![UNSET; n];
+    let mut prev: Vec<Community> = vec![UNLABELED; n];
     let mut members: Vec<VertexId> = Vec::new();
     let mut rounds = 0usize;
     loop {

@@ -1,5 +1,5 @@
-//! Weakly connected components: deterministic labeling and per-component
-//! subgraph extraction.
+//! Weakly connected components, on the workspace's one counting sort and
+//! one breadth-first traversal.
 //!
 //! Real-world inputs decompose into many connected components, and every
 //! component is an **independent** community-detection problem: no edge —
@@ -9,14 +9,18 @@
 //!
 //! * [`connected_components`] labels vertices with dense component ids in
 //!   **ascending-minimum-vertex order** (component 0 contains vertex 0's
-//!   component, component 1 the smallest vertex not in it, …). The labeling
-//!   is computed by a serial seeded BFS, so it is bitwise identical for any
+//!   component, component 1 the smallest vertex not in it, …). Each
+//!   component is grown serially from its lowest vertex by
+//!   [`grow_component`], the traversal Leiden refinement grows its
+//!   sub-communities with, so the labeling is bitwise identical for any
 //!   thread count by construction.
 //! * [`extract_components`] materializes one CSR subgraph per component with
-//!   a local→global vertex remap table. Local ids preserve ascending global
-//!   order, so every order-based tie-break downstream (minimum-label moves,
-//!   ascending-vertex commits) behaves identically on the subgraph and on
-//!   the component embedded in the parent graph.
+//!   a local→global vertex remap table, listed by [`group_by_label`], the
+//!   sort that also makes the color classes and the rebuild's rows. Local
+//!   ids preserve ascending global order, so every order-based tie-break
+//!   downstream (minimum-label moves, ascending-vertex commits) behaves
+//!   identically on the subgraph and on the component embedded in the
+//!   parent graph.
 
 use crate::csr::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -63,40 +67,86 @@ impl ComponentLabeling {
     }
 }
 
+/// The label [`grow_component`] treats as "not yet reached".
+pub const UNLABELED: u32 = u32::MAX;
+
+/// Groups vertices `0..n` by label: returns `(offsets, members)` with
+/// `members[offsets[l]..offsets[l + 1]]` listing the vertices `v` with
+/// `label_of(v) == l` in ascending id order. Every label must be below
+/// `num_labels`; a label no vertex has gets an empty range. A counting
+/// sort, so the grouping is a pure function of the labels. O(n +
+/// num_labels).
+pub fn group_by_label(
+    n: usize,
+    num_labels: usize,
+    label_of: impl Fn(usize) -> u32,
+) -> (Vec<usize>, Vec<VertexId>) {
+    let mut offsets = vec![0usize; num_labels + 1];
+    for v in 0..n {
+        offsets[label_of(v) as usize + 1] += 1;
+    }
+    for l in 0..num_labels {
+        offsets[l + 1] += offsets[l];
+    }
+    let mut cursor = offsets.clone();
+    let mut members = vec![0 as VertexId; n];
+    for v in 0..n {
+        let l = label_of(v) as usize;
+        members[cursor[l]] = v as VertexId;
+        cursor[l] += 1;
+    }
+    (offsets, members)
+}
+
+/// Gives `label` to `seed` and to every vertex reachable from it through
+/// vertices that join, breadth first: a neighbor `u` of a reached vertex is
+/// reached when `labels[u]` is [`UNLABELED`] and `joins(u)` holds. `joins`
+/// is asked about unlabeled vertices only, so it may read state that is
+/// valid only there. `seed` must be unlabeled. On return `queue` holds the
+/// component in visit order, `seed` first.
+pub fn grow_component(
+    g: &CsrGraph,
+    seed: VertexId,
+    label: u32,
+    labels: &mut [u32],
+    queue: &mut Vec<VertexId>,
+    mut joins: impl FnMut(VertexId) -> bool,
+) {
+    debug_assert_eq!(labels[seed as usize], UNLABELED, "seed already labeled");
+    labels[seed as usize] = label;
+    queue.clear();
+    queue.push(seed);
+    let mut head = 0;
+    while head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        for &u in g.neighbor_ids(v) {
+            if labels[u as usize] == UNLABELED && joins(u) {
+                labels[u as usize] = label;
+                queue.push(u);
+            }
+        }
+    }
+}
+
 /// Labels the weakly connected components of `g`.
 ///
 /// Seeds are scanned in ascending vertex order and each component is grown
-/// by BFS, so component ids come out in ascending-minimum-vertex order and
-/// the result is a pure function of the graph — no thread-count or schedule
-/// dependence. O(n + m) time, O(n) scratch.
+/// by [`grow_component`], so component ids come out in
+/// ascending-minimum-vertex order and the result is a pure function of the
+/// graph — no thread-count or schedule dependence. O(n + m) time, O(n)
+/// scratch.
 pub fn connected_components(g: &CsrGraph) -> ComponentLabeling {
     let n = g.num_vertices();
-    const UNLABELED: u32 = u32::MAX;
     let mut labels = vec![UNLABELED; n];
     let mut sizes = Vec::new();
-    let mut queue: Vec<VertexId> = Vec::new();
-    for seed in 0..n {
-        if labels[seed] != UNLABELED {
-            continue;
+    let mut queue = Vec::new();
+    for seed in 0..n as VertexId {
+        if labels[seed as usize] == UNLABELED {
+            let id = sizes.len() as u32;
+            grow_component(g, seed, id, &mut labels, &mut queue, |_| true);
+            sizes.push(queue.len());
         }
-        let comp = sizes.len() as u32;
-        labels[seed] = comp;
-        queue.clear();
-        queue.push(seed as VertexId);
-        let mut size = 0usize;
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            size += 1;
-            for &u in g.neighbor_ids(v) {
-                if labels[u as usize] == UNLABELED {
-                    labels[u as usize] = comp;
-                    queue.push(u);
-                }
-            }
-        }
-        sizes.push(size);
     }
     ComponentLabeling { labels, sizes }
 }
@@ -123,33 +173,19 @@ pub struct ComponentSubgraph {
 /// written by exactly one task, so the output is independent of thread
 /// count.
 pub fn extract_components(g: &CsrGraph, labeling: &ComponentLabeling) -> Vec<ComponentSubgraph> {
-    let n = g.num_vertices();
     let labels = labeling.labels();
-    let k = labeling.num_components();
-    // Local id of every vertex: its rank within its component, in one
-    // ascending scan (deterministic by construction).
-    let mut local_of = vec![0 as VertexId; n];
-    let mut next = vec![0 as VertexId; k];
-    for v in 0..n {
-        let c = labels[v] as usize;
-        local_of[v] = next[c];
-        next[c] += 1;
+    let (bounds, members) =
+        group_by_label(g.num_vertices(), labeling.num_components(), |v| labels[v]);
+    // Local id of every vertex: its rank among its component's members.
+    let mut local_of = vec![0 as VertexId; g.num_vertices()];
+    for (i, &v) in members.iter().enumerate() {
+        local_of[v as usize] = (i - bounds[labels[v as usize] as usize]) as VertexId;
     }
-    // Gather each component's member list (ascending, by the same scan).
-    let mut members: Vec<Vec<VertexId>> = labeling
-        .sizes()
-        .iter()
-        .map(|&s| Vec::with_capacity(s))
-        .collect();
-    for v in 0..n {
-        members[labels[v] as usize].push(v as VertexId);
-    }
-    members
-        .par_iter_mut()
+    (0..labeling.num_components())
+        .into_par_iter()
         .with_min_len(1)
-        .enumerate()
-        .map(|(c, vertices)| {
-            let vertices = std::mem::take(vertices);
+        .map(|c| {
+            let vertices = members[bounds[c]..bounds[c + 1]].to_vec();
             let mut offsets = Vec::with_capacity(vertices.len() + 1);
             offsets.push(0usize);
             let mut targets = Vec::new();
@@ -191,6 +227,45 @@ mod tests {
             .add_edge(5, 7, 1.0)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn group_by_label_lists_members_ascending_with_empty_labels() {
+        // Labels 1 and 4 have no vertex; label 5 is the last one allowed.
+        let labels = [3u32, 0, 3, 2, 0, 5, 3];
+        let (offsets, members) = group_by_label(labels.len(), 6, |v| labels[v]);
+        assert_eq!(offsets, [0, 2, 2, 3, 6, 6, 7]);
+        assert_eq!(members, [1, 4, 3, 0, 2, 6, 5]);
+        assert_eq!(group_by_label(0, 0, |_| 0), (vec![0], vec![]));
+        assert_eq!(group_by_label(0, 2, |_| 0), (vec![0, 0, 0], vec![]));
+    }
+
+    #[test]
+    fn grow_component_asks_joins_about_unlabeled_vertices_only() {
+        // Grown from 0 over `multi`'s first triangle with 2 already labeled:
+        // `joins` is asked about 1 only, once, and 2 keeps its label.
+        let g = multi();
+        let mut labels = vec![UNLABELED; 9];
+        labels[2] = 7;
+        let mut queue = vec![8];
+        let mut asked = Vec::new();
+        grow_component(&g, 0, 4, &mut labels, &mut queue, |u| {
+            asked.push(u);
+            true
+        });
+        assert_eq!(asked, [1]);
+        assert_eq!(queue, [0, 1]);
+        assert_eq!(&labels[..4], &[4, 4, 7, UNLABELED]);
+        // A vertex that does not join stays unlabeled and is asked again
+        // from each reached neighbor; the path 5-6-7 around 5 is cut at 6.
+        let mut asked = Vec::new();
+        grow_component(&g, 6, 1, &mut labels, &mut queue, |u| {
+            asked.push(u);
+            u != 5
+        });
+        assert_eq!(asked, [5, 7, 5]);
+        assert_eq!(queue, [6, 7]);
+        assert_eq!(labels[5..8], [UNLABELED, 1, 1]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! or does not parse is `missing <field>` or `bad <field>: <err>`, and a
 //! field past the last is `trailing tokens after <field>` — each an
 //! [`IoError::Parse`] naming its 1-based line. The text formats take UTF-8
-//! only: a line holding other bytes is `line is not UTF-8`, a parse error
-//! on that line in every text format, METIS included.
+//! only, and all four, METIS included, take their text from one reader: a
+//! line holding other bytes is `line is not UTF-8`, a parse error on that
+//! line.
 //!
 //! Graph readers produce graphs satisfying [`crate::csr::CsrGraph::validate`];
 //! all writers round-trip exactly with their readers (under test), isolated
@@ -26,7 +27,7 @@ use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{CsrGraph, VertexId, DEFAULT_WEIGHT};
 use crate::delta::EdgeDelta;
 use std::fmt::Display;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
 
@@ -130,17 +131,6 @@ fn read_text<R: Read>(mut reader: R) -> Result<String, IoError> {
         let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
         parse_err(1 + valid.iter().filter(|&&b| b == b'\n').count(), NOT_UTF8)
     })
-}
-
-/// The error `lines()` gave for 1-based line `line`: invalid UTF-8, which
-/// it reports as [`io::ErrorKind::InvalidData`], is [`read_text`]'s parse
-/// error; any other is an I/O error.
-fn line_error(line: usize, e: io::Error) -> IoError {
-    if e.kind() == io::ErrorKind::InvalidData {
-        parse_err(line, NOT_UTF8)
-    } else {
-        IoError::Io(e)
-    }
 }
 
 /// The one line reader of the text formats (see the module doc); `comments`
@@ -288,15 +278,14 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> Result<(), IoError>
 /// and the kept edges must number `m` (else a parse error on the header
 /// line).
 pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate();
+    let text = read_text(reader)?;
+    let mut lines = text.lines().enumerate();
 
     // Header: first non-comment line.
     let (header_line, n, m, has_edge_weights, has_vertex_weights) = loop {
         let (idx, line) = lines
             .next()
             .ok_or_else(|| parse_err(0, "empty METIS file"))?;
-        let line = line.map_err(|e| line_error(idx + 1, e))?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
@@ -335,7 +324,6 @@ pub fn read_metis<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     };
     let mut vertex = 0usize;
     for (idx, line) in lines {
-        let line = line.map_err(|e| line_error(idx + 1, e))?;
         let t = line.trim();
         if t.starts_with('%') {
             continue;
@@ -980,6 +968,8 @@ mod tests {
             // comment lines included.
             (edges, b"0 1\n# \xFF\n", "2: line is not UTF-8"),
             (metis, b"3 2\n2\n1 3\xFF\n2\n", "3: line is not UTF-8"),
+            // The bytes are decoded before any line parses.
+            (metis, b"3 2\n2\n1 x\n\xFF\n", "4: line is not UTF-8"),
             (batch, b"+ 0 1\n\n- \xFF 1\n", "3: line is not UTF-8"),
             (assign, b"\xFF0 0\n", "1: line is not UTF-8"),
             (edges, b"0 1 w\n", "1: bad weight: invalid float literal"),

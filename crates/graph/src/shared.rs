@@ -4,16 +4,15 @@
 //! each task owns a contiguous range of the items, and [`carve`] splits
 //! each output array into the ranges' disjoint pieces, one per task, so the
 //! borrow checker proves that no two tasks write the same index.
-//! [`cut_by_work`] cuts the ranges of the graph builder, VF's fill, the
-//! sweeps' decide and the coloring's scatter into about equal work. Two
-//! steps cut their own ranges: the batch splice bisects the old entries
-//! plus vertices (`old_off[v] + v`) into equal shares of at least
-//! `SPLICE_GRAIN`, at most `MAX_SPLICE_TASKS`, without a pass over the
-//! rows, and the rebuild splits its rows into runs of equal count
-//! (`task_rows`). Two writes do not follow a row range: the rebuild's
-//! mirror pass, whose rows read other rows, reads them from the gather's
-//! per-task buffers, which nothing writes while it runs, and the coloring's
-//! scatter, whose vertex ids ascend, carves `colors` into id ranges.
+//! [`cut_by_work`] cuts the ranges of the graph builder, VF's fill and the
+//! sweeps' decide into about equal work. Two steps cut their own ranges:
+//! the batch splice bisects the old entries plus vertices
+//! (`old_off[v] + v`) into equal shares of at least `SPLICE_GRAIN`, at most
+//! `MAX_SPLICE_TASKS`, without a pass over the rows, and the rebuild splits
+//! its rows into runs of equal count (`task_rows`). One write does not
+//! follow a row range: the rebuild's mirror pass, whose rows read other
+//! rows, reads them from the gather's per-task buffers, which nothing
+//! writes while it runs.
 
 /// The most pieces a row-parallel step is cut into: the rayon shim's
 /// per-region task bound.

@@ -168,6 +168,110 @@ fn non_utf8_request_line_is_answered_and_the_connection_keeps_serving() {
     handle.shutdown();
 }
 
+/// What the insertions splice into a request line: an id past `u32`, a
+/// negative number, no number, a tab, and a byte that is not UTF-8.
+const REQUEST_TOKENS: [&[u8]; 5] = [b"4294967296", b"-1", b"nan", b"\t", b"\xFF"];
+
+/// A copy of `line` with one seeded mutation: a flipped byte, a cut, 1–8
+/// deleted bytes, a duplicated span of 1–16 bytes, or one of
+/// [`REQUEST_TOKENS`], with or without a space before it, inserted
+/// anywhere. No mutation makes a newline, so the copy stays one line.
+fn damage_request(next: &mut impl FnMut(usize) -> usize, line: &[u8], case: usize) -> Vec<u8> {
+    let mut bytes = line.to_vec();
+    let len = bytes.len();
+    match case % 5 {
+        0 => {
+            let at = next(len);
+            bytes[at] ^= 1 + next(255) as u8;
+            if bytes[at] == b'\n' {
+                bytes[at] ^= 1;
+            }
+        }
+        1 => bytes.truncate(next(len)),
+        2 => {
+            let at = next(len);
+            bytes.drain(at..(at + 1 + next(8)).min(len));
+        }
+        3 => {
+            let at = next(len);
+            let end = (at + 1 + next(16)).min(len);
+            bytes.splice(end..end, line[at..end].to_vec());
+        }
+        _ => {
+            let token = REQUEST_TOKENS[next(REQUEST_TOKENS.len())];
+            let spaced: &[u8] = if next(2) == 0 { b" " } else { b"" };
+            let at = next(len + 1);
+            bytes.splice(at..at, [spaced, token].concat());
+        }
+    }
+    bytes
+}
+
+#[test]
+fn damaged_request_lines_parse_or_fail_and_each_gets_one_answer() {
+    use grappolo_serve::protocol::{parse, Request};
+    // Every verb's valid line, `quit` (which the connection handles before
+    // the parser) included; the first five only read the snapshot.
+    let lines = [
+        "ping",
+        "stats",
+        "metrics",
+        "community-of 17",
+        "members 3",
+        "update /tmp/batch.txt",
+        "snapshot-save /tmp/out.grb",
+        "quit",
+    ];
+    let mut s = 0x9e3779b97f4a7c15u64;
+    let mut next = |bound: usize| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) as usize % bound
+    };
+    let handle = Server::start_with_graph(test_graph(), ServeConfig::default()).unwrap();
+    let mut c = Client::connect(&handle);
+    let mut sent = 0u64;
+    for (verb, line) in lines.iter().enumerate() {
+        for case in 0..200 {
+            let bytes = damage_request(&mut next, line.as_bytes(), case);
+            let label = format!(
+                "{line:?}, case {case}: {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+            let text = std::str::from_utf8(&bytes).ok();
+            if let Some(text) = text {
+                match std::panic::catch_unwind(|| parse(text)) {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(message)) => assert!(!message.is_empty(), "{label}: empty message"),
+                    Err(_) => panic!("{label}: the parser panicked"),
+                }
+            }
+            // Over the connection: read verbs only, and no line the
+            // connection skips (blank), closes on, or lets write or mutate.
+            let skipped = text.is_some_and(|t| {
+                matches!(t.trim(), "" | "quit")
+                    || matches!(parse(t), Ok(Request::Update(_) | Request::SnapshotSave(_)))
+            });
+            if verb >= 5 || skipped {
+                continue;
+            }
+            c.writer.write_all(&[&bytes[..], b"\n"].concat()).unwrap();
+            let response = read_response(&mut c.reader);
+            assert!(
+                response.starts_with("ok ") || response.starts_with("err "),
+                "{label}: answered {response:?}"
+            );
+            sent += 1;
+        }
+    }
+    assert!(sent > 500, "only {sent} damaged lines sent");
+    // One answer per line: the next answer is the final ping's.
+    assert_eq!(c.req("ping"), "ok pong");
+    assert_eq!(requests_served(&handle), sent + 1);
+    handle.shutdown();
+}
+
 #[test]
 fn responses_byte_identical_across_1_8_16_server_threads() {
     let mut transcripts = Vec::new();

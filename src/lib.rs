@@ -55,8 +55,8 @@ pub use grappolo_metrics as metrics;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use crate::coloring::{
-        balance_colors, color_classes, color_greedy_serial, color_parallel, ColorBatches,
-        ColoringStats, ParallelColoringConfig,
+        balance_colors, color_greedy_serial, color_parallel, ColorBatches, ColoringStats,
+        ParallelColoringConfig,
     };
     pub use crate::core::{
         detect_communities, detect_with_scheme, modularity, modularity_with_resolution,

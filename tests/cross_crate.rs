@@ -1,7 +1,7 @@
 //! Integration tests spanning the workspace crates: generators → coloring →
 //! solver → metrics, exercised through the umbrella crate's public API only.
 
-use grappolo::coloring::{color_classes, is_valid_distance1};
+use grappolo::coloring::is_valid_distance1;
 use grappolo::core::vf::vf_preprocess_recursive;
 use grappolo::prelude::*;
 
@@ -43,11 +43,11 @@ fn coloring_feeds_solver_correctly() {
     });
     let coloring = color_parallel(&g, &ParallelColoringConfig::default());
     assert!(is_valid_distance1(&g, &coloring));
-    let classes = color_classes(&coloring);
-    let total: usize = classes.iter().map(Vec::len).sum();
+    let batches = ColorBatches::from_coloring(&coloring);
+    let total: usize = batches.classes().map(<[u32]>::len).sum();
     assert_eq!(total, g.num_vertices());
     // Every class is an independent set.
-    for class in &classes {
+    for class in batches.classes() {
         for &v in class {
             for &u in g.neighbor_ids(v) {
                 if u != v {

@@ -456,7 +456,7 @@ fn tracker_random_independent_batches_bitwise_match_rescan() {
         let mut tracker = ModularityTracker::new(&g, &assignment, &a, 1.0);
         let mut scratch = NeighborScratch::default();
         for round in 0..8 {
-            for batch in batches.as_classes() {
+            for batch in batches.classes() {
                 // A random sub-batch with random (possibly silly) targets:
                 // correctness of the accounting must not depend on the moves
                 // being gainful.
@@ -756,7 +756,7 @@ fn sliced_decide_matches_oracles_on_a_skewed_real_weight_graph() {
         ColorBatches::from_coloring(&color_parallel(&g, &ParallelColoringConfig::default()));
     let mut bounds = Vec::new();
     let (mut small_class_cut, mut lone_hub) = (false, false);
-    for class in batches.as_classes() {
+    for class in batches.classes() {
         slice_bounds(&g, class, &mut bounds);
         small_class_cut |= class.len() <= 1024 && bounds.len() > 2;
         lone_hub |= bounds
@@ -1238,7 +1238,7 @@ fn tracker_state_bitwise_stable_across_thread_counts() {
                 let mut sizes = community_sizes(&assignment);
                 let mut tracker = ModularityTracker::new(&g, &assignment, &a, 1.0);
                 let mut scratch = NeighborScratch::default();
-                for batch in batches.as_classes().iter().take(4) {
+                for batch in batches.classes().take(4) {
                     let mut moves: Vec<IndependentMove> = Vec::new();
                     let mut movers: Vec<u32> = Vec::new();
                     for &v in batch.iter().take(512) {
